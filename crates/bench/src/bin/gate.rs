@@ -1,23 +1,19 @@
 //! Metrics regression gate.
 //!
 //! Compares a freshly generated `BENCH_metrics.json` (written by
-//! `harness --metrics-only`) against the checked-in snapshot at
+//! `harness metrics`) against the checked-in snapshot at
 //! `scripts/bench_baseline.json` and fails when the model drifts:
 //!
 //! * **virtual-time** metrics (`*.virt_ns`, `transport.inproc.modeled*`,
 //!   `scheduler.step.*`, `scheduler.makespan_ns`) and all counters are
 //!   exact model outputs of a deterministic simulation — both the
-//!   sample count and the mean must stay within
-//!   `GATE_VIRT_TOLERANCE` (default ±10 %) of the baseline,
-//! * **real-time** metrics (`*.real_ns`, `*.lock_wait_ns`,
-//!   `*.serialize_ns`) are noisy wall-clock samples —
-//!   the gate only catches order-of-magnitude regressions, failing
-//!   when the fresh mean exceeds `GATE_REAL_TOLERANCE` × baseline
-//!   (default 10×); histograms with fewer than `MIN_REAL_SAMPLES`
-//!   on either side are skipped (a 1-in-16-sampled stage timer with
-//!   one or two samples is just the cold first dispatch),
-//! * a gated metric present in the baseline but missing from the fresh
-//!   run is always a failure (instrumentation was dropped).
+//!   sample count and the mean must stay within `TOLERANCE` (±10 %) of
+//!   the baseline,
+//! * **real-time** histograms are wall-clock samples and are not
+//!   compared here: wall-clock regressions are judged per PR by the
+//!   `benchmark/` ledger (see `BENCHMARK.json`),
+//! * a counter or histogram present in the baseline but missing from
+//!   the fresh run is always a failure (instrumentation was dropped).
 //!
 //! ```text
 //! cargo run -p bench --bin gate                  # compare
@@ -26,7 +22,7 @@
 //! ```
 //!
 //! `--write-baseline` copies an *existing* fresh run into the
-//! baseline; `--bless` first re-runs `harness --metrics-only` (the
+//! baseline; `--bless` first re-runs `harness metrics` (the
 //! sibling binary) so the baseline is regenerated in place from the
 //! current tree in one step.
 
@@ -83,10 +79,8 @@ fn parse(contents: &str) -> BTreeMap<String, Metric> {
     out
 }
 
-/// Real-time means below this many samples are dominated by the cold
-/// first dispatch (stage timers sample 1-in-16, first always) and are
-/// too noisy to gate.
-const MIN_REAL_SAMPLES: f64 = 10.0;
+/// Allowed relative drift of a counter or a virtual-time histogram.
+const TOLERANCE: f64 = 0.10;
 
 /// Virtual-time metrics are deterministic model outputs.
 fn is_virtual(name: &str) -> bool {
@@ -99,13 +93,6 @@ fn is_virtual(name: &str) -> bool {
 /// Relative deviation of `fresh` from `base`, guarding tiny baselines.
 fn rel(fresh: f64, base: f64) -> f64 {
     (fresh - base).abs() / base.abs().max(1.0)
-}
-
-fn env_tolerance(var: &str, default: f64) -> f64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn main() -> ExitCode {
@@ -140,18 +127,15 @@ fn main() -> ExitCode {
         let Some(harness) = harness else {
             eprintln!(
                 "gate: --bless needs the harness binary built alongside gate \
-                 (cargo build -p bench --bins); or run `harness --metrics-only` \
+                 (cargo build -p bench --bins); or run `harness metrics` \
                  then `gate --write-baseline`"
             );
             return ExitCode::FAILURE;
         };
-        match std::process::Command::new(&harness)
-            .arg("--metrics-only")
-            .status()
-        {
+        match std::process::Command::new(&harness).arg("metrics").status() {
             Ok(status) if status.success() => write_baseline = true,
             Ok(status) => {
-                eprintln!("gate: harness --metrics-only failed with {status}");
+                eprintln!("gate: harness metrics failed with {status}");
                 return ExitCode::FAILURE;
             }
             Err(e) => {
@@ -164,7 +148,7 @@ fn main() -> ExitCode {
     let fresh_raw = match std::fs::read_to_string(&fresh_path) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("gate: cannot read {fresh_path}: {e} (run `harness --metrics-only` first)");
+            eprintln!("gate: cannot read {fresh_path}: {e} (run `harness metrics` first)");
             return ExitCode::FAILURE;
         }
     };
@@ -184,8 +168,6 @@ fn main() -> ExitCode {
         }
     };
 
-    let virt_tol = env_tolerance("GATE_VIRT_TOLERANCE", 0.10);
-    let real_tol = env_tolerance("GATE_REAL_TOLERANCE", 10.0);
     let fresh = parse(&fresh_raw);
     let base = parse(&base_raw);
 
@@ -203,10 +185,10 @@ fn main() -> ExitCode {
         match (b, f) {
             (Metric::Counter(bv), Metric::Counter(fv)) => {
                 checked += 1;
-                if rel(*fv, *bv) > virt_tol {
+                if rel(*fv, *bv) > TOLERANCE {
                     failures.push(format!(
                         "{name}: counter {fv} vs baseline {bv} (> {:.0}% drift)",
-                        virt_tol * 100.0
+                        TOLERANCE * 100.0
                     ));
                 }
             }
@@ -221,46 +203,22 @@ fn main() -> ExitCode {
                 },
             ) if is_virtual(name) => {
                 checked += 1;
-                if rel(*fc, *bc) > virt_tol || rel(*fm, *bm) > virt_tol {
+                if rel(*fc, *bc) > TOLERANCE || rel(*fm, *bm) > TOLERANCE {
                     failures.push(format!(
                         "{name}: virtual histogram count {fc}/mean {fm:.0} vs baseline \
                          count {bc}/mean {bm:.0} (> {:.0}% drift)",
-                        virt_tol * 100.0
+                        TOLERANCE * 100.0
                     ));
                 }
             }
-            (
-                Metric::Histogram {
-                    count: bc,
-                    mean: bm,
-                },
-                Metric::Histogram {
-                    count: fc,
-                    mean: fm,
-                },
-            ) if name.ends_with(".real_ns")
-                || name.ends_with(".lock_wait_ns")
-                || name.ends_with(".serialize_ns") =>
-            {
-                if *bc < MIN_REAL_SAMPLES || *fc < MIN_REAL_SAMPLES {
-                    continue;
-                }
-                checked += 1;
-                if *bm > 0.0 && *fm > bm * real_tol {
-                    failures.push(format!(
-                        "{name}: real mean {fm:.0} ns vs baseline {bm:.0} ns (> {real_tol}x)"
-                    ));
-                }
-            }
-            _ => {} // gauges and unclassified histograms are informational
+            _ => {} // gauges and real-time histograms are informational
         }
     }
 
     if failures.is_empty() {
         println!(
-            "gate: OK — {checked} metrics within tolerance (virt ±{:.0}%, real {real_tol}x) \
-             against {base_path}",
-            virt_tol * 100.0
+            "gate: OK — {checked} metrics within ±{:.0}% of {base_path}",
+            TOLERANCE * 100.0
         );
         ExitCode::SUCCESS
     } else {

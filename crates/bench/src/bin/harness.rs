@@ -1,15 +1,18 @@
 //! Regenerates every EXPERIMENTS.md table (E1–E11, E13, E14).
 //!
 //! ```text
-//! cargo run -p bench --bin harness --release
+//! cargo run -p bench --bin harness --release              # everything
+//! cargo run -p bench --bin harness --release -- e7 e13    # named experiments
+//! cargo run -p bench --bin harness --release -- metrics   # BENCH_metrics.json only
 //! ```
 //!
 //! Real-time numbers are medians over small in-process samples (the
-//! statistically careful runs live in `cargo bench`); virtual-time and
+//! committed wall-clock ledger is `benchmark/`); virtual-time and
 //! message-count numbers are exact model outputs.
 
 #![allow(clippy::result_large_err)]
 
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,9 +29,7 @@ use uvacg::{
     CampusGrid, FastestAvailable, GridConfig, LeastLoaded, MetricsFeedback, Random, RoundRobin,
     SchedulingPolicy,
 };
-use ws_notification::broker::{
-    notification_broker, notification_broker_with, publish, subscribe, BrokerConfig,
-};
+use ws_notification::broker::{notification_broker, publish, subscribe};
 use ws_notification::consumer::NotificationListener;
 use ws_notification::message::NotificationMessage;
 use ws_notification::producer::NotificationProducer;
@@ -190,17 +191,9 @@ fn e1_dispatch() {
         });
         rows.push(vec!["dispatch + full wire roundtrip".into(), fmt_us(t)]);
     }
-    // Ablation E1b: read-only dispatch under the two save policies.
-    for (label, policy) in [
-        (
-            "save-always (WSRF.NET)",
-            wsrf_core::container::SavePolicy::Always,
-        ),
-        (
-            "save-when-changed (ablation)",
-            wsrf_core::container::SavePolicy::WhenChanged,
-        ),
-    ] {
+    // E1b: a Write-classified op that only reads still pays the save
+    // stage (the container saves after every write op, like WSRF.NET).
+    {
         let clock = Clock::manual();
         let net = InProcNetwork::new(clock.clone());
         let svc = wsrf_core::container::ServiceBuilder::new(
@@ -208,7 +201,6 @@ fn e1_dispatch() {
             "inproc://bench/Abl",
             Arc::new(BlobStore::new()),
         )
-        .save_policy(policy)
         .operation("Peek", |ctx| {
             let doc = ctx.resource_mut()?;
             Ok(Element::new(UVACG, "PeekResponse")
@@ -224,7 +216,7 @@ fn e1_dispatch() {
             svc.dispatch(env.clone());
         });
         rows.push(vec![
-            format!("read-only dispatch, blob store, {label}"),
+            "read-only dispatch, blob store, save-always (WSRF.NET)".into(),
             fmt_us(t),
         ]);
     }
@@ -781,37 +773,28 @@ fn e9_security() {
 }
 
 fn e10_contention() {
-    // Contended same-resource dispatch, old pipeline vs new. "old" is
-    // the pre-classification container: no per-resource leases, and
-    // every op — reads included — takes the write path through
-    // clone-for-diff and the save stage. "new" is the shipping
-    // pipeline: reads are classified, share a lease stripe and skip
-    // the save stage entirely; writes serialize on an exclusive
-    // per-resource lease (the price of never losing an update).
-    use wsrf_core::container::{SavePolicy, Service, ServiceBuilder};
+    // Contended same-resource dispatch: reads are classified, share a
+    // lease stripe and skip the save stage entirely; writes serialize
+    // on an exclusive per-resource lease (the price of never losing an
+    // update).
+    use wsrf_core::container::{Service, ServiceBuilder};
 
-    fn peek(ctx: &mut wsrf_core::container::Ctx<'_>) -> Result<Element, wsrf_soap::BaseFault> {
-        let doc = ctx.resource_mut()?;
-        Ok(Element::new(UVACG, "PeekResponse").text(doc.text(&q("Status")).unwrap_or_default()))
-    }
-
-    fn counter(old: bool) -> (Arc<Service>, EndpointReference) {
+    fn counter() -> (Arc<Service>, EndpointReference) {
         let clock = Clock::manual();
         let net = InProcNetwork::new(clock.clone());
-        let b = ServiceBuilder::new("Ctr", "inproc://bench/Ctr", Arc::new(MemoryStore::new()))
-            .save_policy(SavePolicy::Always)
+        let svc = ServiceBuilder::new("Ctr", "inproc://bench/Ctr", Arc::new(MemoryStore::new()))
             .operation("Bump", |ctx| {
                 let doc = ctx.resource_mut()?;
                 let n = doc.i64(&q("Pid")).unwrap_or(0) + 1;
                 doc.set_i64(q("Pid"), n);
                 Ok(Element::new(UVACG, "BumpResponse"))
-            });
-        let b = if old {
-            b.without_leases().operation("Peek", peek)
-        } else {
-            b.read_operation("Peek", peek)
-        };
-        let svc = b.build(clock, net);
+            })
+            .read_operation("Peek", |ctx| {
+                let doc = ctx.resource_mut()?;
+                Ok(Element::new(UVACG, "PeekResponse")
+                    .text(doc.text(&q("Status")).unwrap_or_default()))
+            })
+            .build(clock, net);
         let epr = svc
             .core()
             .create_resource_with_key("r1", job_doc(0))
@@ -819,8 +802,10 @@ fn e10_contention() {
         (svc, epr)
     }
 
-    fn throughput(svc: &Arc<Service>, env: &Envelope, threads: usize) -> f64 {
+    fn throughput(op: &str, threads: usize) -> f64 {
         const OPS_PER_THREAD: usize = 3_000;
+        let (svc, epr) = counter();
+        let env = request(&epr, "Ctr", op, Element::new(UVACG, op));
         let t0 = Instant::now();
         std::thread::scope(|s| {
             for _ in 0..threads {
@@ -834,35 +819,19 @@ fn e10_contention() {
         (threads * OPS_PER_THREAD) as f64 / t0.elapsed().as_secs_f64() / 1e3
     }
 
-    let mut rows = Vec::new();
-    for threads in [1usize, 4, 16] {
-        let cell = |old: bool, op: &str| {
-            let (svc, epr) = counter(old);
-            let env = request(&epr, "Ctr", op, Element::new(UVACG, op));
-            throughput(&svc, &env, threads)
-        };
-        let (ro, rn) = (cell(true, "Peek"), cell(false, "Peek"));
-        let (wo, wn) = (cell(true, "Bump"), cell(false, "Bump"));
-        rows.push(vec![
-            threads.to_string(),
-            format!("{ro:.0}"),
-            format!("{rn:.0}"),
-            format!("{:.2}x", rn / ro),
-            format!("{wo:.0}"),
-            format!("{wn:.0}"),
-        ]);
-    }
+    let rows: Vec<Vec<String>> = [1usize, 4, 16]
+        .into_iter()
+        .map(|threads| {
+            vec![
+                threads.to_string(),
+                format!("{:.0}", throughput("Peek", threads)),
+                format!("{:.0}", throughput("Bump", threads)),
+            ]
+        })
+        .collect();
     print_table(
-        "E10 — contended same-resource dispatch throughput (kops/s), \
-         old pipeline vs read/write classification + leases",
-        &[
-            "threads",
-            "read old",
-            "read new",
-            "read speedup",
-            "write old (racy)",
-            "write new (leased)",
-        ],
+        "E10 — contended same-resource dispatch throughput (kops/s)",
+        &["threads", "read (shared lease)", "write (exclusive lease)"],
         &rows,
     );
 }
@@ -1187,32 +1156,21 @@ fn fmt_lat(d: Duration) -> String {
     }
 }
 
-/// One E13 arm: `n_subs` subscriptions spread over `n_subs/100` topic
+/// One E13 row: `n_subs` subscriptions spread over `n_subs/100` topic
 /// roots, driven open-loop with Poisson arrivals at `lambda`/s.
 /// Latency is measured against each publish's *scheduled* arrival, so
 /// a fan-out path slower than the arrival rate shows its queueing
 /// backlog instead of hiding it (closed-loop timing would slow the
 /// generator down to match).
-fn e13_arm(
-    n_subs: usize,
-    sharded: bool,
-    publishes: usize,
-    lambda: f64,
-) -> (f64, Duration, Duration, Duration) {
+fn e13_run(n_subs: usize, publishes: usize, lambda: f64) -> (f64, Duration, Duration, Duration) {
     let clock = Clock::manual();
     let net = InProcNetwork::new(clock.clone());
-    let config = if sharded {
-        BrokerConfig::default()
-    } else {
-        BrokerConfig::rescan()
-    };
-    let broker = notification_broker_with(
+    let broker = notification_broker(
         "Broker",
         "inproc://hub/Broker",
         Arc::new(MemoryStore::new()),
         clock,
         net.clone(),
-        config,
     );
     broker.register(&net);
     let bepr = broker.core().service_epr();
@@ -1234,7 +1192,7 @@ fn e13_arm(
         })
         .collect();
 
-    let mut rng = SplitMix(0xE13 ^ n_subs as u64 ^ ((sharded as u64) << 32));
+    let mut rng = SplitMix(0xE13 ^ n_subs as u64);
     let mut sched = 0.0f64;
     let mut lats: Vec<Duration> = Vec::with_capacity(publishes);
     let t0 = Instant::now();
@@ -1271,56 +1229,33 @@ fn e13_arm(
     )
 }
 
-/// E13 — open-loop broker load: sharded index vs legacy store rescan.
+/// E13 — open-loop load on the broker's sharded subscription index.
 /// `smoke` runs the 1k-subscription row only (tier-1 CI).
 fn e13_broker_openloop(smoke: bool) {
     const LAMBDA: f64 = 500.0; // publishes/s, 2 ms mean interarrival
-    let scales: &[usize] = if smoke {
-        &[1_000]
+    let (scales, publishes): (&[usize], usize) = if smoke {
+        (&[1_000], 300)
     } else {
-        &[1_000, 10_000, 100_000]
+        (&[1_000, 10_000, 100_000], 1_000)
     };
-    let mut rows = Vec::new();
-    for &n in scales {
-        for sharded in [false, true] {
-            // The rescan arm's per-publish cost grows with n; fewer
-            // publishes keep its (deliberately pathological) backlog
-            // measurable in bounded wall time.
-            let publishes = match (sharded, n) {
-                (true, _) => {
-                    if smoke {
-                        300
-                    } else {
-                        1_000
-                    }
-                }
-                (false, 1_000) => {
-                    if smoke {
-                        300
-                    } else {
-                        1_000
-                    }
-                }
-                (false, 10_000) => 200,
-                (false, _) => 40,
-            };
-            let (thru, p50, p99, p999) = e13_arm(n, sharded, publishes, LAMBDA);
-            rows.push(vec![
+    let rows: Vec<Vec<String>> = scales
+        .iter()
+        .map(|&n| {
+            let (thru, p50, p99, p999) = e13_run(n, publishes, LAMBDA);
+            vec![
                 n.to_string(),
-                if sharded { "sharded" } else { "rescan" }.into(),
                 publishes.to_string(),
                 format!("{thru:.0}/s"),
                 fmt_lat(p50),
                 fmt_lat(p99),
                 fmt_lat(p999),
-            ]);
-        }
-    }
+            ]
+        })
+        .collect();
     print_table(
         "E13 — open-loop broker fan-out (Poisson arrivals, 500 publishes/s, ~100 subscriptions per topic root)",
         &[
             "subscriptions",
-            "path",
             "publishes",
             "deliveries",
             "p50",
@@ -1340,8 +1275,8 @@ fn e13_broker_openloop(smoke: bool) {
 fn e14_monitoring() {
     let mut rows = Vec::new();
 
-    // Ablation: full monitoring (metrics + event log + SLO) vs the
-    // `ObsConfig::without_events` arm. Alternating best-of-N, like
+    // Ablation: full monitoring (metrics + event log + SLO) vs a
+    // zero-capacity event log. Alternating best-of-N, like
     // E1c, so ambient scheduler noise hits both configurations.
     let ablate =
         |label: &str,
@@ -1354,7 +1289,7 @@ fn e14_monitoring() {
             };
             let (svc_off, _epr_off, _net_off) = bench_service_obs(
                 Arc::new(MemoryStore::new()),
-                MetricsRegistry::new(ObsConfig::enabled().without_events()),
+                MetricsRegistry::new(ObsConfig::enabled().with_event_capacity(0)),
             );
             let (svc_on, _epr_on, _net_on) = bench_service_obs(
                 Arc::new(MemoryStore::new()),
@@ -1477,7 +1412,7 @@ fn e14_monitoring() {
     );
 }
 
-/// `--monitor-smoke`: boot a monitored container, scrape `/metrics`
+/// `monitor-smoke`: boot a monitored container, scrape `/metrics`
 /// and `/healthz` once each, and verify both answer. Tier-1 runs this
 /// to prove the exposition surface binds and serves outside the test
 /// harness.
@@ -1599,52 +1534,55 @@ fn metrics_dump() {
     }
 }
 
-fn main() {
-    // `--metrics-only` regenerates BENCH_metrics.json without the full
-    // E1–E10 sweep; tier-1 uses it to feed the regression gate cheaply.
-    if std::env::args().any(|a| a == "--metrics-only") {
-        metrics_dump();
-        return;
+/// What a bare `harness` runs, in EXPERIMENTS.md order.
+const EXPERIMENTS: &[(&str, fn())] = &[
+    ("e1", e1_dispatch),
+    ("e2", e2_properties),
+    ("e3", e3_jobsets),
+    ("e4", e4_notification),
+    ("e5", e5_transfer),
+    ("e6", e6_scheduler),
+    ("e6b", e6b_degraded),
+    ("e7", e7_store),
+    ("e8", e8_polling),
+    ("e9", e9_security),
+    ("e10", e10_contention),
+    ("e11", e11_wirepath),
+    ("e11c", e11c_inbound),
+    ("e13", || e13_broker_openloop(false)),
+    ("e14", e14_monitoring),
+    // Regenerates BENCH_metrics.json; tier-1 feeds it to the gate.
+    ("metrics", metrics_dump),
+];
+
+/// Tier-1's fast sanity checks; run only when named.
+const SMOKES: &[(&str, fn())] = &[
+    ("e13-smoke", || e13_broker_openloop(true)),
+    ("monitor-smoke", monitor_smoke),
+];
+
+fn main() -> ExitCode {
+    let known = || EXPERIMENTS.iter().chain(SMOKES);
+    let mut selected: Vec<fn()> = Vec::new();
+    for arg in std::env::args().skip(1) {
+        match known().find(|(n, _)| *n == arg) {
+            Some((_, run)) => selected.push(*run),
+            None => {
+                let names: Vec<&str> = known().map(|(n, _)| *n).collect();
+                eprintln!("harness: unknown experiment {arg:?}");
+                eprintln!("usage: harness [{}]...", names.join(" | "));
+                eprintln!("       (no argument runs everything but the smokes)");
+                return ExitCode::FAILURE;
+            }
+        }
     }
-    // `--e13-smoke` runs the 1k-subscription open-loop broker row only;
-    // tier-1 uses it as a fast sanity check of both fan-out paths.
-    if std::env::args().any(|a| a == "--e13-smoke") {
-        e13_broker_openloop(true);
-        return;
+    if selected.is_empty() {
+        println!("# UVaCG reproduction — experiment harness");
+        println!("(scaled-down medians; wall-clock history lives in benchmark/)");
+        selected.extend(EXPERIMENTS.iter().map(|(_, run)| *run));
     }
-    // `--e13-full` runs the whole 1k/10k/100k sweep standalone.
-    if std::env::args().any(|a| a == "--e13-full") {
-        e13_broker_openloop(false);
-        return;
+    for run in selected {
+        run();
     }
-    // `--e14-only` regenerates the monitoring-plane table standalone.
-    if std::env::args().any(|a| a == "--e14-only") {
-        e14_monitoring();
-        return;
-    }
-    // `--monitor-smoke` boots a monitored container and scrapes it
-    // once; tier-1 uses it as the exposition-surface sanity check.
-    if std::env::args().any(|a| a == "--monitor-smoke") {
-        monitor_smoke();
-        return;
-    }
-    println!("# UVaCG reproduction — experiment harness");
-    println!("(scaled-down medians; `cargo bench` runs the full Criterion suite)");
-    e1_dispatch();
-    e2_properties();
-    e3_jobsets();
-    e4_notification();
-    e5_transfer();
-    e6_scheduler();
-    e6b_degraded();
-    e7_store();
-    e8_polling();
-    e9_security();
-    e10_contention();
-    e11_wirepath();
-    e11c_inbound();
-    e13_broker_openloop(false);
-    e14_monitoring();
-    metrics_dump();
-    println!("\ndone.");
+    ExitCode::SUCCESS
 }

@@ -1,10 +1,8 @@
-//! Shared workload builders for the benchmark suite.
-//!
-//! Each experiment (E1–E10, see DESIGN.md / EXPERIMENTS.md) has a
-//! Criterion bench exercising the *real* software costs and, where the
-//! quantity of interest is modeled (virtual) time or message traffic,
-//! a row generator used by the `harness` binary to print the
-//! EXPERIMENTS.md tables.
+//! Shared workload builders for the `harness` binary, which prints the
+//! EXPERIMENTS.md tables (E1–E14, see DESIGN.md): small in-process
+//! timings of the *real* software costs and exact model outputs where
+//! the quantity of interest is virtual time or message traffic. The
+//! committed wall-clock ledger is the separate `benchmark/` package.
 
 // See wsrf-core: fault values are rich by design; not hot paths.
 #![allow(clippy::result_large_err)]

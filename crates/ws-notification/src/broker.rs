@@ -14,7 +14,7 @@
 //! # The sharded fan-out path
 //!
 //! The store stays the source of truth for subscription state, but
-//! `Notify` no longer rescans it: a [`SubscriptionIndex`] keeps
+//! `Notify` never rescans it: a [`SubscriptionIndex`] keeps
 //! compiled entries (parsed [`TopicExpression`] + consumer EPR +
 //! paused flag) bucketed by the expression's concrete root prefix
 //! across hash shards, with a catch-all bucket for wildcard-first
@@ -32,7 +32,7 @@
 //! instead of serializing the whole fan-out. Duplicate notifications
 //! to the same consumer (overlapping subscriptions) are coalesced.
 //! Transport failures are counted, reported in `NotifyResponse`, and
-//! auto-pause a subscription after a configurable streak.
+//! auto-pause a subscription after a streak of `AUTOPAUSE_AFTER`.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -67,50 +67,18 @@ fn p_paused() -> QName {
     QName::new(ns::WSNT, "Paused")
 }
 
-/// Tunables of the broker fan-out path.
-#[derive(Clone)]
-pub struct BrokerConfig {
-    /// Match publishes against the sharded subscription index
-    /// (default). `false` keeps the legacy rescan path — `store.list`
-    /// + `store.load` + re-parse of every subscription per publish —
-    /// as the A/B arm of the E13 open-loop experiment.
-    pub sharded: bool,
-    /// Worker threads draining per-consumer delivery queues on
-    /// non-manual clocks (manual-clock delivery stays inline).
-    pub delivery_workers: usize,
-    /// Consecutive transport failures after which a subscription is
-    /// auto-paused (visible through its `Paused` resource property).
-    pub autopause_after: u32,
-    /// Maximum concrete topics retained by the `GetCurrentMessage`
-    /// cache.
-    pub current_cache_cap: usize,
-    /// Maximum distinct topic *roots* minting their own
-    /// `broker.topic.<root>.*` counter pair; the rest share
-    /// `broker.topic.other.*`.
-    pub topic_root_cap: usize,
-}
-
-impl Default for BrokerConfig {
-    fn default() -> Self {
-        BrokerConfig {
-            sharded: true,
-            delivery_workers: 4,
-            autopause_after: 3,
-            current_cache_cap: 512,
-            topic_root_cap: 64,
-        }
-    }
-}
-
-impl BrokerConfig {
-    /// The legacy store-rescan fan-out (benchmark comparison arm).
-    pub fn rescan() -> Self {
-        BrokerConfig {
-            sharded: false,
-            ..BrokerConfig::default()
-        }
-    }
-}
+/// Worker threads draining per-consumer delivery queues on non-manual
+/// clocks (manual-clock delivery stays inline).
+const DELIVERY_WORKERS: usize = 4;
+/// Consecutive transport failures after which a subscription is
+/// auto-paused (visible through its `Paused` resource property).
+const AUTOPAUSE_AFTER: u32 = 3;
+/// Maximum concrete topics retained by the `GetCurrentMessage` cache.
+const CURRENT_CACHE_CAP: usize = 512;
+/// Maximum distinct topic *roots* minting their own
+/// `broker.topic.<root>.*` counter pair; the rest share
+/// `broker.topic.other.*`.
+const TOPIC_ROOT_CAP: usize = 64;
 
 // ---------------------------------------------------------------------
 // Sharded subscription index
@@ -431,14 +399,12 @@ struct DeliveryFabric {
     /// the `Paused` RP and the compiled entry stay in sync.
     store: Arc<dyn ResourceStore>,
     service: String,
-    autopause_after: u32,
     failures: Counter,
     autopaused: Counter,
     /// Structured event log + clock for the auto-pause event's
     /// virtual timestamp.
     events: EventLog,
     clock: Clock,
-    workers: usize,
     pool: OnceLock<ThreadPool>,
     queues: Mutex<HashMap<String, Arc<Mutex<ConsumerQueue>>>>,
 }
@@ -466,7 +432,7 @@ impl DeliveryFabric {
             Err(_) => {
                 self.failures.inc();
                 let streak = sub.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
-                if streak >= self.autopause_after {
+                if streak >= AUTOPAUSE_AFTER {
                     self.autopause(sub);
                 }
                 SendOutcome::Failed
@@ -482,7 +448,6 @@ impl DeliveryFabric {
             return;
         }
         self.autopaused.inc();
-        let after = self.autopause_after;
         self.events.emit(
             Severity::Warn,
             EventKind::DeliveryAutopause,
@@ -490,7 +455,7 @@ impl DeliveryFabric {
             self.clock.now().as_nanos(),
             || {
                 format!(
-                    "subscription {} auto-paused after {after} delivery failures",
+                    "subscription {} auto-paused after {AUTOPAUSE_AFTER} delivery failures",
                     sub.key
                 )
             },
@@ -502,9 +467,8 @@ impl DeliveryFabric {
     }
 
     fn pool(&self) -> &ThreadPool {
-        let workers = self.workers;
         self.pool
-            .get_or_init(|| ThreadPool::new(workers, "broker-delivery"))
+            .get_or_init(|| ThreadPool::new(DELIVERY_WORKERS, "broker-delivery"))
     }
 
     fn enqueue(self: &Arc<Self>, delivery: Delivery) {
@@ -559,8 +523,7 @@ impl DeliveryFabric {
 
 /// Everything the broker's operation closures share.
 struct BrokerState {
-    /// `Some` on the sharded path, `None` on the legacy rescan arm.
-    index: Option<Arc<SubscriptionIndex>>,
+    index: Arc<SubscriptionIndex>,
     fabric: Arc<DeliveryFabric>,
     current: Mutex<CurrentCache>,
     cache_size: Gauge,
@@ -571,7 +534,7 @@ struct BrokerState {
     topic_deliveries: CounterFamily,
 }
 
-/// Build the Notification Broker service with default tunables.
+/// Build the Notification Broker service.
 ///
 /// * `Subscribe` (WSNT action) — create a subscription resource.
 /// * `Notify` (WSNT action, one-way) — fan a notification out to every
@@ -585,76 +548,47 @@ pub fn notification_broker(
     clock: Clock,
     net: Arc<InProcNetwork>,
 ) -> Arc<Service> {
-    notification_broker_with(name, address, store, clock, net, BrokerConfig::default())
-}
-
-/// [`notification_broker`] with explicit [`BrokerConfig`] tunables.
-pub fn notification_broker_with(
-    name: &str,
-    address: &str,
-    store: Arc<dyn ResourceStore>,
-    clock: Clock,
-    net: Arc<InProcNetwork>,
-    config: BrokerConfig,
-) -> Arc<Service> {
     let registry = net.metrics_registry().clone();
-    let index = config.sharded.then(|| {
-        Arc::new(SubscriptionIndex::new(
-            registry.gauge("broker.index.subscriptions"),
-        ))
+    let index = Arc::new(SubscriptionIndex::new(
+        registry.gauge("broker.index.subscriptions"),
+    ));
+    let store: Arc<dyn ResourceStore> = Arc::new(IndexingStore {
+        inner: store,
+        service: name.to_string(),
+        index: index.clone(),
     });
-    let effective_store: Arc<dyn ResourceStore> = match &index {
-        Some(ix) => Arc::new(IndexingStore {
-            inner: store,
-            service: name.to_string(),
-            index: ix.clone(),
-        }),
-        None => store,
-    };
     // A durable store may already hold subscriptions from a previous
     // incarnation; seed the index so they match immediately.
-    if let Some(ix) = &index {
-        for key in effective_store.list(name) {
-            if let Ok(doc) = effective_store.load(name, &key) {
-                ix.upsert(&key, &doc);
-            }
+    for key in store.list(name) {
+        if let Ok(doc) = store.load(name, &key) {
+            index.upsert(&key, &doc);
         }
     }
     let fabric = Arc::new(DeliveryFabric {
         net: net.clone(),
-        store: effective_store.clone(),
+        store: store.clone(),
         service: name.to_string(),
-        autopause_after: config.autopause_after.max(1),
         failures: registry.counter("broker.delivery_failures"),
         autopaused: registry.counter("broker.autopaused"),
         events: registry.events().clone(),
         clock: clock.clone(),
-        workers: config.delivery_workers.max(1),
         pool: OnceLock::new(),
         queues: Mutex::new(HashMap::new()),
     });
     let state = Arc::new(BrokerState {
         index,
         fabric,
-        current: Mutex::new(CurrentCache::new(config.current_cache_cap)),
+        current: Mutex::new(CurrentCache::new(CURRENT_CACHE_CAP)),
         cache_size: registry.gauge("broker.current_cache.size"),
         publishes: registry.counter("broker.publishes"),
         deliveries: registry.counter("broker.deliveries"),
         coalesced: registry.counter("broker.coalesced"),
-        topic_publishes: registry.counter_family(
-            "broker.topic",
-            "publishes",
-            config.topic_root_cap,
-        ),
-        topic_deliveries: registry.counter_family(
-            "broker.topic",
-            "deliveries",
-            config.topic_root_cap,
-        ),
+        topic_publishes: registry.counter_family("broker.topic", "publishes", TOPIC_ROOT_CAP),
+        topic_deliveries: registry.counter_family("broker.topic", "deliveries", TOPIC_ROOT_CAP),
     });
     let s_notify = state.clone();
     let s_get = state;
-    ServiceBuilder::new(name, address, effective_store)
+    ServiceBuilder::new(name, address, store)
         .key_property(format!("{{{}}}SubscriptionKey", ns::WSNT))
         .raw_operation(subscribe_action(), OpKind::Static, subscribe_op)
         .raw_operation(notify_action(), OpKind::Static, move |ctx| {
@@ -808,83 +742,45 @@ fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, Bas
     // once (its earliest subscription wins).
     let mut seen: Vec<HashSet<String>> = vec![HashSet::new(); messages.len()];
 
-    match &state.index {
-        Some(index) => {
-            // Union of matching entries across the batch, in
-            // subscription order (keys are "<svc>-<n>"): consumers that
-            // subscribed earlier hear about an event before consumers
-            // whose handling might publish *further* events, which
-            // keeps client-visible causality intact on the inline test
-            // network.
-            let mut matched: Vec<Arc<CompiledSub>> = Vec::new();
-            for m in &messages {
-                matched.extend(index.matching(&m.topic));
+    // Union of matching entries across the batch, in subscription
+    // order (keys are "<svc>-<n>"): consumers that subscribed earlier
+    // hear about an event before consumers whose handling might publish
+    // *further* events, which keeps client-visible causality intact on
+    // the inline test network.
+    let mut matched: Vec<Arc<CompiledSub>> = Vec::new();
+    for m in &messages {
+        matched.extend(state.index.matching(&m.topic));
+    }
+    matched.sort_by(|a, b| (a.key.len(), &a.key).cmp(&(b.key.len(), &b.key)));
+    matched.dedup_by(|a, b| a.key == b.key);
+    // Manual clocks deliver inline and synchronously — the
+    // deterministic test network depends on it. Scaled and realtime
+    // clocks hand deliveries to per-consumer queues drained by the
+    // worker pool.
+    let inline = core.clock.is_manual();
+    for sub in &matched {
+        for (i, m) in messages.iter().enumerate() {
+            if !sub.expr.matches(&m.topic) || !sub.live() {
+                continue;
             }
-            matched.sort_by(|a, b| (a.key.len(), &a.key).cmp(&(b.key.len(), &b.key)));
-            matched.dedup_by(|a, b| a.key == b.key);
-            // Manual clocks deliver inline and synchronously — the
-            // deterministic test network depends on it. Scaled and
-            // realtime clocks hand deliveries to per-consumer queues
-            // drained by the worker pool.
-            let inline = core.clock.is_manual();
-            for sub in &matched {
-                for (i, m) in messages.iter().enumerate() {
-                    if !sub.expr.matches(&m.topic) || !sub.live() {
-                        continue;
-                    }
-                    if !seen[i].insert(sub.consumer.address.clone()) {
-                        coalesced += 1;
-                        continue;
-                    }
-                    state.topic_deliveries.counter(m.topic.root()).inc();
-                    if inline {
-                        match state.fabric.send_now(sub, m, trace) {
-                            SendOutcome::Delivered => delivered += 1,
-                            SendOutcome::Failed => failed += 1,
-                            SendOutcome::Skipped => {}
-                        }
-                    } else {
-                        state.fabric.enqueue(Delivery {
-                            sub: sub.clone(),
-                            msg: m.clone(),
-                            trace,
-                        });
-                        delivered += 1;
-                    }
-                }
+            if !seen[i].insert(sub.consumer.address.clone()) {
+                coalesced += 1;
+                continue;
             }
-        }
-        None => {
-            // Legacy rescan arm: re-derive the subscriber set from the
-            // store on every publish (kept as the E13 baseline).
-            let mut keys = core.store.list(&core.name);
-            keys.sort_by_key(|k| (k.len(), k.clone()));
-            for key in keys {
-                let Ok(doc) = core.store.load(&core.name, &key) else {
-                    continue;
-                };
-                let Some(sub) = CompiledSub::compile(&key, &doc) else {
-                    continue;
-                };
-                if !sub.live() {
-                    continue;
+            state.topic_deliveries.counter(m.topic.root()).inc();
+            if inline {
+                match state.fabric.send_now(sub, m, trace) {
+                    SendOutcome::Delivered => delivered += 1,
+                    SendOutcome::Failed => failed += 1,
+                    SendOutcome::Skipped => {}
                 }
-                for m in &messages {
-                    if sub.expr.matches(&m.topic) {
-                        state.topic_deliveries.counter(m.topic.root()).inc();
-                        let mut env = m.to_envelope(&sub.consumer);
-                        if let Some(tc) = &trace {
-                            tc.stamp(&mut env);
-                        }
-                        match core.net.send_oneway(&sub.consumer.address, env) {
-                            Ok(()) => delivered += 1,
-                            Err(_) => {
-                                failed += 1;
-                                state.fabric.failures.inc();
-                            }
-                        }
-                    }
-                }
+            } else {
+                state.fabric.enqueue(Delivery {
+                    sub: sub.clone(),
+                    msg: m.clone(),
+                    trace,
+                });
+                delivered += 1;
             }
         }
     }
@@ -1029,19 +925,14 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
-        fixture_with(BrokerConfig::default())
-    }
-
-    fn fixture_with(config: BrokerConfig) -> Fixture {
         let clock = Clock::manual();
         let net = InProcNetwork::new(clock.clone());
-        let broker = notification_broker_with(
+        let broker = notification_broker(
             "Broker",
             "inproc://hub/Broker",
             Arc::new(MemoryStore::new()),
             clock.clone(),
             net.clone(),
-            config,
         );
         broker.register(&net);
         let broker_epr = broker.core().service_epr();
@@ -1098,32 +989,6 @@ mod tests {
             sched.received()[0].producer.as_ref().unwrap().address,
             "inproc://m1/Exec"
         );
-    }
-
-    #[test]
-    fn rescan_arm_multicasts_identically() {
-        let f = fixture_with(BrokerConfig::rescan());
-        let a = NotificationListener::register(&f.net, "inproc://a/l");
-        let b = NotificationListener::register(&f.net, "inproc://b/l");
-        subscribe(
-            &f.net,
-            &f.broker_epr,
-            &a.epr(),
-            &TopicExpression::full("js-1//"),
-            None,
-        )
-        .unwrap();
-        subscribe(
-            &f.net,
-            &f.broker_epr,
-            &b.epr(),
-            &TopicExpression::full("js-2//"),
-            None,
-        )
-        .unwrap();
-        publish(&f.net, &f.broker_epr, &msg("js-1/job/exit")).unwrap();
-        assert_eq!(a.count(), 1);
-        assert_eq!(b.count(), 0);
     }
 
     #[test]
@@ -1273,10 +1138,7 @@ mod tests {
 
     #[test]
     fn failed_deliveries_are_counted_and_autopause_the_subscription() {
-        let f = fixture_with(BrokerConfig {
-            autopause_after: 3,
-            ..BrokerConfig::default()
-        });
+        let f = fixture();
         let l = NotificationListener::register(&f.net, "inproc://c/l");
         let sub = subscribe(
             &f.net,
@@ -1288,12 +1150,12 @@ mod tests {
         .unwrap();
         // The consumer vanishes from the network.
         f.net.unregister("inproc://c/l");
-        for _ in 0..2 {
+        for _ in 1..AUTOPAUSE_AFTER {
             let resp = publish_counted(&f.net, &f.broker_epr, &msg("t")).unwrap();
             assert_eq!(resp.body.attr_value("delivered"), Some("0"));
             assert_eq!(resp.body.attr_value("failed"), Some("1"));
         }
-        // Third consecutive failure trips the auto-pause.
+        // The `AUTOPAUSE_AFTER`th consecutive failure trips the auto-pause.
         let resp = publish_counted(&f.net, &f.broker_epr, &msg("t")).unwrap();
         assert_eq!(resp.body.attr_value("failed"), Some("1"));
         let mut env = Envelope::new(Element::new(ns::WSRP, "GetResourceProperty").text("Paused"));
@@ -1317,10 +1179,7 @@ mod tests {
 
     #[test]
     fn a_successful_delivery_resets_the_failure_streak() {
-        let f = fixture_with(BrokerConfig {
-            autopause_after: 2,
-            ..BrokerConfig::default()
-        });
+        let f = fixture();
         let l = NotificationListener::register(&f.net, "inproc://c/l");
         let sub = subscribe(
             &f.net,
@@ -1330,8 +1189,9 @@ mod tests {
             None,
         )
         .unwrap();
-        // fail, succeed, fail, succeed… never two in a row.
-        for _ in 0..3 {
+        // fail, succeed, fail, succeed… `AUTOPAUSE_AFTER` failures in
+        // all, never two in a row.
+        for _ in 0..AUTOPAUSE_AFTER {
             f.net.unregister("inproc://c/l");
             publish(&f.net, &f.broker_epr, &msg("t")).unwrap();
             NotificationListener::register(&f.net, "inproc://c/l");
@@ -1344,7 +1204,7 @@ mod tests {
         )
         .apply(&mut env);
         let resp = f.net.call("inproc://hub/Broker", env).unwrap();
-        assert_eq!(resp.body.text_content(), "false", "streak never reached 2");
+        assert_eq!(resp.body.text_content(), "false", "streak never passed 1");
     }
 
     #[test]
@@ -1370,11 +1230,9 @@ mod tests {
 
     #[test]
     fn current_message_cache_is_bounded() {
-        let f = fixture_with(BrokerConfig {
-            current_cache_cap: 8,
-            ..BrokerConfig::default()
-        });
-        for i in 0..40 {
+        let f = fixture();
+        let last = CURRENT_CACHE_CAP;
+        for i in 0..=last {
             publish(&f.net, &f.broker_epr, &msg(&format!("t{i}"))).unwrap();
         }
         // The earliest topics aged out of the bounded cache…
@@ -1383,9 +1241,11 @@ mod tests {
             None
         );
         // …the most recent survive.
-        assert!(get_current_message(&f.net, &f.broker_epr, "t39")
-            .unwrap()
-            .is_some());
+        assert!(
+            get_current_message(&f.net, &f.broker_epr, &format!("t{last}"))
+                .unwrap()
+                .is_some()
+        );
     }
 
     #[test]
@@ -1416,27 +1276,25 @@ mod tests {
             wsrf_transport::NetConfig::default(),
             &registry,
         );
-        let broker = notification_broker_with(
+        let broker = notification_broker(
             "Broker",
             "inproc://hub/Broker",
             Arc::new(MemoryStore::new()),
             clock,
             net.clone(),
-            BrokerConfig {
-                current_cache_cap: 8,
-                ..BrokerConfig::default()
-            },
         );
         broker.register(&net);
         let bepr = broker.core().service_epr();
         let gauge = registry.gauge("broker.current_cache.size");
 
-        let mut shadow = CurrentCache::new(8);
-        for i in 0..40 {
-            // Cycle through 13 topics so inserts mix fresh topics (which
+        let cap = CURRENT_CACHE_CAP;
+        let mut shadow = CurrentCache::new(cap);
+        for i in 0..cap * 5 {
+            // Cycle through three quarters of the cap: more topics than
+            // one generation holds, so inserts mix fresh topics (which
             // evict) with re-publishes of resident ones (which must not
             // grow the cache).
-            let topic = format!("t{}", i % 13);
+            let topic = format!("t{}", i % (cap * 3 / 4));
             publish(&net, &bepr, &msg(&topic)).unwrap();
             shadow.insert(topic, msg("x"));
             assert_eq!(
@@ -1444,7 +1302,10 @@ mod tests {
                 shadow.len() as i64,
                 "gauge diverged from cache length at insert {i}"
             );
-            assert!(gauge.get() <= 8, "gauge exceeded cap at insert {i}");
+            assert!(
+                gauge.get() <= cap as i64,
+                "gauge exceeded cap at insert {i}"
+            );
         }
 
         // GetCurrentMessage promotes cold entries back to the hot
@@ -1468,13 +1329,12 @@ mod tests {
         let broker = {
             // Build on the *pre-wrapped* store so this test can watch
             // the index directly.
-            let b = notification_broker_with(
+            let b = notification_broker(
                 "Broker",
                 "inproc://hub/Broker",
                 store.clone(),
                 clock.clone(),
                 net.clone(),
-                BrokerConfig::default(),
             );
             b.register(&net);
             b

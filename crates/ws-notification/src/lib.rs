@@ -37,7 +37,6 @@ pub mod message;
 pub mod producer;
 pub mod topics;
 
-pub use broker::BrokerConfig;
 pub use consumer::NotificationListener;
 pub use message::NotificationMessage;
 pub use producer::{NotificationProducer, SubscriptionManager};

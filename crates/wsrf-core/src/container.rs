@@ -24,7 +24,8 @@ use wsrf_obs::{
     Timer, Tracer,
 };
 use wsrf_soap::{
-    ns, BaseFault, EndpointReference, Envelope, LazyEnvelope, MessageInfo, SoapFault, TraceContext,
+    ns, BaseFault, EndpointReference, Envelope, LazyEnvelope, MessageInfo, ScanError, SoapFault,
+    TraceContext,
 };
 use wsrf_transport::{Endpoint, InProcNetwork};
 use wsrf_xml::{Element, QName};
@@ -42,19 +43,6 @@ pub type ComputedProperty = Box<dyn Fn(&PropertyDoc, SimTime) -> Vec<Element> + 
 /// Handler for one operation. Receives an invocation context and
 /// returns the response body element (or a fault).
 pub type OpHandler = Box<dyn Fn(&mut Ctx<'_>) -> Result<Element, BaseFault> + Send + Sync>;
-
-/// When the container writes resource state back after a handler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SavePolicy {
-    /// Save after every resource-scoped invocation, like WSRF.NET
-    /// ("any changes to those values will be saved back to the
-    /// database" — and unchanged ones too). The default.
-    #[default]
-    Always,
-    /// Keep a copy of the loaded document and save only when the
-    /// handler actually changed it — the ablation experiment E1b.
-    WhenChanged,
-}
 
 /// How an operation relates to resources.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -527,10 +515,8 @@ fn doc_bytes(doc: &PropertyDoc) -> u64 {
 pub struct Service {
     core: Arc<ServiceCore>,
     ops: HashMap<String, Op>,
-    save_policy: SavePolicy,
-    /// Per-resource read/write leases; `None` only when disabled via
-    /// [`ServiceBuilder::without_leases`] (the lost-update ablation).
-    leases: Option<LeaseTable>,
+    /// Per-resource read/write leases.
+    leases: LeaseTable,
     description: Element,
     obs: DispatchObs,
     tracer: Tracer,
@@ -580,7 +566,7 @@ impl Service {
             }
             // Addressing-shaped problems fault exactly like the DOM
             // pipeline's MessageInfo::extract stage...
-            Err(e) if e.message == "message has no wsa:Action header" => {
+            Err(e @ ScanError::MissingAction) => {
                 self.obs.dispatches.inc();
                 let started = self.obs.enabled.then(std::time::Instant::now);
                 let fault = faults::bad_request(&format!("bad addressing headers: {e}"));
@@ -588,7 +574,9 @@ impl Service {
             }
             // ...while unparseable wires mirror the fault the DOM-path
             // transports produced themselves before dispatch.
-            Err(e) => SoapFault::client(format!("unparseable envelope: {e}")).to_envelope(),
+            Err(ScanError::Malformed(e)) => {
+                SoapFault::client(format!("unparseable envelope: {e}")).to_envelope()
+            }
         }
     }
 
@@ -731,7 +719,6 @@ impl Service {
         // concurrent writers to one resource serialize instead of
         // last-save-wins. Acquisition wait is the contention metric.
         let mut loaded: Option<PropertyDoc> = None;
-        let mut before: Option<PropertyDoc> = None;
         let mut _lease: Option<LeaseGuard<'_>> = None;
         if op.kind == OpKind::Resource {
             let k = key
@@ -741,15 +728,13 @@ impl Service {
                 OpAccess::Read => self.obs.reads.inc(),
                 OpAccess::Write => self.obs.writes.inc(),
             }
-            if let Some(leases) = &self.leases {
-                let waited = lap.is_some().then(std::time::Instant::now);
-                _lease = Some(match op.access {
-                    OpAccess::Read => LeaseGuard::Shared(leases.stripe(k).read()),
-                    OpAccess::Write => LeaseGuard::Exclusive(leases.stripe(k).write()),
-                });
-                if let Some(t0) = waited {
-                    self.obs.lock_wait.record(t0.elapsed().as_nanos() as u64);
-                }
+            let waited = lap.is_some().then(std::time::Instant::now);
+            _lease = Some(match op.access {
+                OpAccess::Read => LeaseGuard::Shared(self.leases.stripe(k).read()),
+                OpAccess::Write => LeaseGuard::Exclusive(self.leases.stripe(k).write()),
+            });
+            if let Some(t0) = waited {
+                self.obs.lock_wait.record(t0.elapsed().as_nanos() as u64);
             }
             let doc = self
                 .core
@@ -758,11 +743,6 @@ impl Service {
                 .map_err(faults::from_store)?;
             if self.obs.enabled {
                 self.obs.load_bytes.add(doc_bytes(&doc));
-            }
-            // Read ops never write back, so they never need the
-            // clone-for-diff copy either.
-            if self.save_policy == SavePolicy::WhenChanged && op.access == OpAccess::Write {
-                before = Some(doc.clone());
             }
             loaded = Some(doc);
         }
@@ -788,26 +768,23 @@ impl Service {
             l.lap(&self.core.clock, &self.obs.invoke);
         }
 
-        // (4) Save changed state back — Write ops only; Read ops skip
-        // the stage outright. By default writes save unconditionally,
-        // like WSRF.NET; SavePolicy::WhenChanged diffs first (ablation
-        // E1b).
+        // (4) Save state back — Write ops only; Read ops skip the
+        // stage outright. Writes save unconditionally, like WSRF.NET
+        // ("any changes to those values will be saved back to the
+        // database" — and unchanged ones too).
         if let Some(doc) = loaded.filter(|_| op.access == OpAccess::Write) {
             let k = key.as_deref().expect("resource op had a key");
-            let unchanged = matches!(&before, Some(b) if *b == doc);
-            if !unchanged {
-                match self.core.store.save(&self.core.name, k, &doc) {
-                    Ok(()) => {
-                        if self.obs.enabled {
-                            self.obs.save_bytes.add(doc_bytes(&doc));
-                        }
+            match self.core.store.save(&self.core.name, k, &doc) {
+                Ok(()) => {
+                    if self.obs.enabled {
+                        self.obs.save_bytes.add(doc_bytes(&doc));
                     }
-                    // The handler (or a lifetime timer) destroyed the
-                    // resource mid-dispatch; dropping the write is
-                    // correct — saving would resurrect the row.
-                    Err(crate::store::StoreError::NotFound(_)) => {}
-                    Err(e) => return Err(faults::from_store(e)),
                 }
+                // The handler (or a lifetime timer) destroyed the
+                // resource mid-dispatch; dropping the write is
+                // correct — saving would resurrect the row.
+                Err(crate::store::StoreError::NotFound(_)) => {}
+                Err(e) => return Err(faults::from_store(e)),
             }
         }
         if let Some(l) = lap.as_mut() {
@@ -847,8 +824,6 @@ pub struct ServiceBuilder {
     computed: Vec<(QName, ComputedProperty)>,
     standard_port_types: bool,
     lifetime_port_type: bool,
-    leases: bool,
-    save_policy: SavePolicy,
     metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -869,8 +844,6 @@ impl ServiceBuilder {
             computed: Vec::new(),
             standard_port_types: true,
             lifetime_port_type: true,
-            leases: true,
-            save_policy: SavePolicy::Always,
             metrics: None,
         }
     }
@@ -881,12 +854,6 @@ impl ServiceBuilder {
     /// the network was built with one).
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(registry);
-        self
-    }
-
-    /// Choose the state write-back policy (ablation experiment E1b).
-    pub fn save_policy(mut self, policy: SavePolicy) -> Self {
-        self.save_policy = policy;
         self
     }
 
@@ -996,16 +963,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Disable the per-resource lease layer, restoring the bare
-    /// WSRF.NET-style load→invoke→save pipeline in which concurrent
-    /// writers to one resource can silently lose updates. Exists so
-    /// tests and the contention benchmark can demonstrate the race the
-    /// leases close; never use it in a deployment.
-    pub fn without_leases(mut self) -> Self {
-        self.leases = false;
-        self
-    }
-
     /// Finish: produce the deployable service.
     pub fn build(self, clock: Clock, net: Arc<InProcNetwork>) -> Arc<Service> {
         let metrics = self
@@ -1070,8 +1027,7 @@ impl ServiceBuilder {
         Arc::new(Service {
             core,
             ops,
-            save_policy: self.save_policy,
-            leases: self.leases.then(LeaseTable::new),
+            leases: LeaseTable::new(),
             description,
             obs,
             tracer,
@@ -1352,7 +1308,7 @@ mod tests {
         assert!(core.store.exists("L2", key), "cancelled");
     }
 
-    /// Store wrapper counting save calls, for the SavePolicy tests.
+    /// Store wrapper counting save calls.
     struct CountingStore {
         inner: MemoryStore,
         saves: std::sync::atomic::AtomicUsize,
@@ -1391,35 +1347,25 @@ mod tests {
         }
     }
 
-    fn policy_fixture(policy: SavePolicy) -> (Arc<Service>, Arc<CountingStore>, EndpointReference) {
+    #[test]
+    fn write_op_leaving_state_unchanged_still_saves_once() {
         let clock = Clock::manual();
         let net = InProcNetwork::new(clock.clone());
         let store = Arc::new(CountingStore {
             inner: MemoryStore::new(),
             saves: std::sync::atomic::AtomicUsize::new(0),
         });
+        // `operation` classifies the handler as a Write op even though
+        // it only looks at the state.
         let svc = ServiceBuilder::new("SP", "inproc://m/SP", store.clone())
-            .save_policy(policy)
             .operation("Read", |ctx| {
                 let doc = ctx.resource_mut()?;
                 Ok(Element::new(UVACG, "R").text(doc.text_local("X").unwrap_or_default()))
-            })
-            .operation("Bump", |ctx| {
-                let doc = ctx.resource_mut()?;
-                let n = doc.i64(&q("X")).unwrap_or(0) + 1;
-                doc.set_i64(q("X"), n);
-                Ok(Element::new(UVACG, "B").text(n.to_string()))
             })
             .build(clock, net);
         let mut doc = PropertyDoc::new();
         doc.set_i64(q("X"), 0);
         let epr = svc.core().create_resource_with_key("r1", doc).unwrap();
-        (svc, store, epr)
-    }
-
-    #[test]
-    fn save_always_writes_on_read_only_ops() {
-        let (svc, store, epr) = policy_fixture(SavePolicy::Always);
         let resp = call(
             &svc,
             epr,
@@ -1428,43 +1374,6 @@ mod tests {
         );
         assert!(!resp.is_fault());
         assert_eq!(store.saves.load(std::sync::atomic::Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn save_when_changed_skips_clean_state_but_persists_mutations() {
-        let (svc, store, epr) = policy_fixture(SavePolicy::WhenChanged);
-        let resp = call(
-            &svc,
-            epr.clone(),
-            &action_uri("SP", "Read"),
-            Element::new(UVACG, "Read"),
-        );
-        assert!(!resp.is_fault());
-        assert_eq!(
-            store.saves.load(std::sync::atomic::Ordering::SeqCst),
-            0,
-            "clean: no save"
-        );
-        let resp = call(
-            &svc,
-            epr.clone(),
-            &action_uri("SP", "Bump"),
-            Element::new(UVACG, "Bump"),
-        );
-        assert_eq!(resp.body.text_content(), "1");
-        assert_eq!(
-            store.saves.load(std::sync::atomic::Ordering::SeqCst),
-            1,
-            "dirty: saved"
-        );
-        // The mutation really persisted.
-        let resp = call(
-            &svc,
-            epr,
-            &action_uri("SP", "Read"),
-            Element::new(UVACG, "Read"),
-        );
-        assert_eq!(resp.body.text_content(), "1");
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl ObsConfig {
         self
     }
 
-    /// Metrics on, event log off — the E14 ablation arm.
-    pub fn without_events(self) -> Self {
-        self.with_event_capacity(0)
-    }
-
     /// Override the SLO window geometry/objective.
     pub fn with_slo(mut self, slo: SloConfig) -> Self {
         self.slo = slo;

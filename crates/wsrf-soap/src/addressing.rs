@@ -13,6 +13,10 @@ use wsrf_xml::{Element, XmlError};
 use crate::envelope::Envelope;
 use crate::ns;
 
+/// What [`MessageInfo::extract`] and [`crate::LazyEnvelope::scan`] both
+/// say about an envelope that cannot be routed.
+pub(crate) const NO_ACTION: &str = "message has no wsa:Action header";
+
 /// A WS-Addressing endpoint reference.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EndpointReference {
@@ -210,7 +214,7 @@ impl MessageInfo {
             }
         }
         if info.action.is_empty() {
-            return Err(XmlError::new("message has no wsa:Action header"));
+            return Err(XmlError::new(NO_ACTION));
         }
         Ok(info)
     }

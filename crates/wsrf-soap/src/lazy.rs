@@ -30,8 +30,38 @@ use std::sync::Arc;
 
 use wsrf_xml::{Element, Event, PullParser, QName, XmlError};
 
-use crate::addressing::{EndpointReference, MessageInfo, TraceContext};
+use crate::addressing::{EndpointReference, MessageInfo, TraceContext, NO_ACTION};
 use crate::ns;
+
+/// Why [`LazyEnvelope::scan`] rejected a wire document. The two cases
+/// fault differently downstream: a well-formed envelope that cannot be
+/// routed is the container's `wsrf:BadRequest`, while an unparseable
+/// one is a bare SOAP Client fault.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScanError {
+    /// The envelope parsed but carries no `wsa:Action` header — the
+    /// same condition [`MessageInfo::extract`] rejects.
+    MissingAction,
+    /// The wire is not a well-formed SOAP envelope.
+    Malformed(XmlError),
+}
+
+impl std::fmt::Display for ScanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScanError::MissingAction => XmlError::new(NO_ACTION).fmt(f),
+            ScanError::Malformed(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ScanError {}
+
+impl From<XmlError> for ScanError {
+    fn from(e: XmlError) -> Self {
+        ScanError::Malformed(e)
+    }
+}
 
 /// A header-routed view of a received envelope whose body DOM has not
 /// been built.
@@ -56,7 +86,7 @@ impl<'a> LazyEnvelope<'a> {
     /// Scan a wire document, routing on headers and deferring the
     /// body. Errors mirror [`crate::Envelope::parse`] +
     /// [`MessageInfo::extract`] on the same inputs.
-    pub fn scan(wire: &'a str) -> Result<LazyEnvelope<'a>, XmlError> {
+    pub fn scan(wire: &'a str) -> Result<LazyEnvelope<'a>, ScanError> {
         let mut p = PullParser::new(wire);
         match p.next_event()? {
             Some(Event::Start { ns, local }) if is(&ns, local, ns::SOAP_ENV, "Envelope") => {}
@@ -64,10 +94,11 @@ impl<'a> LazyEnvelope<'a> {
                 return Err(XmlError::new(format!(
                     "expected soap:Envelope, found {}",
                     clark(&ns, local)
-                )));
+                ))
+                .into());
             }
             // The tokenizer errors before yielding anything else first.
-            _ => return Err(XmlError::new("expected soap:Envelope")),
+            _ => return Err(XmlError::new("expected soap:Envelope").into()),
         }
 
         let mut info = MessageInfo::default();
@@ -104,12 +135,13 @@ impl<'a> LazyEnvelope<'a> {
                 "element <{{{}}}Envelope> is missing required child {{{}}}Body",
                 ns::SOAP_ENV,
                 ns::SOAP_ENV
-            )));
+            ))
+            .into());
         }
         let (body_name, body_span, body_scope) =
             body.ok_or_else(|| XmlError::new("soap:Body must contain one element"))?;
         if info.action.is_empty() {
-            return Err(XmlError::new("message has no wsa:Action header"));
+            return Err(ScanError::MissingAction);
         }
         Ok(LazyEnvelope {
             info,
@@ -350,7 +382,8 @@ mod tests {
         );
         let lazy_err = LazyEnvelope::scan(&wire).unwrap_err();
         let dom_err = MessageInfo::extract(&Envelope::parse(&wire).unwrap()).unwrap_err();
-        assert_eq!(lazy_err.message, dom_err.message);
+        assert_eq!(lazy_err, ScanError::MissingAction);
+        assert_eq!(lazy_err.to_string(), dom_err.to_string());
     }
 
     #[test]
@@ -388,7 +421,7 @@ mod tests {
         );
         let lazy_err = LazyEnvelope::scan(&wire).unwrap_err();
         let dom_err = Envelope::parse(&wire).unwrap_err();
-        assert_eq!(lazy_err.message, dom_err.message);
+        assert_eq!(lazy_err, ScanError::Malformed(dom_err));
     }
 
     #[test]

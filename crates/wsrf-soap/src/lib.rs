@@ -40,7 +40,7 @@ pub mod uri;
 pub use addressing::{EndpointReference, MessageInfo, TraceContext};
 pub use envelope::{render_count, Envelope};
 pub use fault::{BaseFault, SoapFault};
-pub use lazy::LazyEnvelope;
+pub use lazy::{LazyEnvelope, ScanError};
 pub use uri::Uri;
 
 /// Result alias for message-layer operations.

@@ -99,8 +99,15 @@ impl Drop for ThreadPool {
     fn drop(&mut self) {
         // Close the channel; workers drain remaining tasks then exit.
         self.tx.take();
+        // A task can own the last handle to the pool, so this may run
+        // on a worker. Joining oneself fails ("Resource deadlock
+        // avoided"); that worker is detached instead, and the closed
+        // channel ends it once the task returns.
+        let me = std::thread::current().id();
         for w in self.workers.drain(..) {
-            let _ = w.join();
+            if w.thread().id() != me {
+                let _ = w.join();
+            }
         }
     }
 }
@@ -123,6 +130,40 @@ mod tests {
         }
         drop(pool); // drains
         assert_eq!(count.load(Ordering::SeqCst), 100);
+    }
+
+    #[test]
+    fn last_handle_dropped_by_a_task_does_not_join_itself() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+
+        let pool = Arc::new(ThreadPool::new(2, "selfdrop"));
+        let count = Arc::new(AtomicUsize::new(0));
+        let (release, released) = channel::<()>();
+        let (done_tx, done) = channel::<usize>();
+        let owned = pool.clone();
+        let seen = count.clone();
+        pool.execute(move || {
+            // Hold this worker until the test thread has let go, so
+            // `owned` is the last handle and `drop` runs right here.
+            released.recv().unwrap();
+            drop(owned);
+            // Not reached if `drop` panicked; the other worker was
+            // joined, so it has drained the queue by now.
+            done_tx.send(seen.load(Ordering::SeqCst)).unwrap();
+        });
+        for _ in 0..10 {
+            let c = count.clone();
+            pool.execute(move || {
+                c.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        drop(pool);
+        release.send(()).unwrap();
+        let ran = done
+            .recv_timeout(Duration::from_secs(10))
+            .expect("ThreadPool::drop panicked on its own worker");
+        assert_eq!(ran, 10, "queued tasks ran before drop returned");
     }
 
     #[test]

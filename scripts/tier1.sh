@@ -17,6 +17,13 @@ cargo test -q --offline
 echo "== cargo fmt --check"
 cargo fmt --check
 
+echo "== cargo build --release --offline --locked (benchmark/)"
+# The performance ledger is a detached package pinned to this
+# workspace's public API (benchmark/src/sut.rs:1-27) and its own
+# lockfile; an API move or a dependency change fails here instead of at
+# benchmark time.
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "== cargo test -q --release --offline scale_stress"
 # The contention-sensitive suites (scale stress, per-resource lease
 # races) only exercise real interleavings at release-mode speed.
@@ -44,24 +51,23 @@ cargo test -q --release --offline --test failover_chaos
 echo "== cargo test -q --release --offline broker_fanout + E13 smoke"
 # The broker suite races subscription lifecycle ops against concurrent
 # publishes (release mode for real interleavings); the E13 smoke row
-# drives both fan-out paths (sharded index and legacy rescan) open-loop
-# at 1k subscriptions.
+# drives the sharded fan-out open-loop at 1k subscriptions.
 cargo test -q --release --offline --test broker_fanout
-cargo run -q --release --offline -p bench --bin harness -- --e13-smoke >/dev/null
+cargo run -q --release --offline -p bench --bin harness -- e13-smoke >/dev/null
 
 echo "== cargo test -q --release --offline monitoring_plane + monitor smoke"
 # The monitoring-plane suite round-trips the exposition endpoints over
 # real sockets and aggregates two authorities; the smoke run then boots
 # a monitored container standalone and scrapes /metrics and /healthz.
 cargo test -q --release --offline --test monitoring_plane
-cargo run -q --release --offline -p bench --bin harness -- --monitor-smoke >/dev/null
+cargo run -q --release --offline -p bench --bin harness -- monitor-smoke >/dev/null
 
 echo "== metrics + tracing regression gate"
-# The metrics-only harness run boots the dump grid with tracing enabled
+# The `metrics` harness run boots the dump grid with tracing enabled
 # (the tracing ablation configuration), so BENCH_metrics.json carries
 # the trace.* counters and the gate pins them against the baseline
 # alongside every other metric.
-cargo run -q --release --offline -p bench --bin harness -- --metrics-only >/dev/null
+cargo run -q --release --offline -p bench --bin harness -- metrics >/dev/null
 cargo run -q --release --offline -p bench --bin gate
 
 echo "tier-1: OK"

@@ -23,12 +23,9 @@ fn call(svc: &Arc<Service>, to: EndpointReference, action: &str, body: Element) 
 }
 
 /// A counter service whose `Bump` op widens the load→save race window
-/// with a yield, so the lost-update race is near-certain without
-/// leases and must still be impossible with them.
-fn counter_service(
-    leases: bool,
-    metrics: Option<Arc<MetricsRegistry>>,
-) -> (Arc<Service>, EndpointReference) {
+/// with a yield, so a lost update would be near-certain if the lease
+/// did not cover load→invoke→save.
+fn counter_service(metrics: Option<Arc<MetricsRegistry>>) -> (Arc<Service>, EndpointReference) {
     let clock = Clock::manual();
     let net = InProcNetwork::new(clock.clone());
     let mut b = ServiceBuilder::new("Ctr", "inproc://m/Ctr", Arc::new(MemoryStore::new()))
@@ -47,9 +44,6 @@ fn counter_service(
             ctx.resource_mut()?.set_i64(q("Hits"), 9999);
             Ok(Element::new(ns::UVACG, "Gone"))
         });
-    if !leases {
-        b = b.without_leases();
-    }
     if let Some(reg) = metrics {
         b = b.with_metrics(reg);
     }
@@ -88,7 +82,7 @@ fn hammer(svc: &Arc<Service>, epr: &EndpointReference, threads: usize, rounds: u
 fn concurrent_increments_are_never_lost_with_leases() {
     const THREADS: usize = 8;
     const ROUNDS: usize = 250;
-    let (svc, epr) = counter_service(true, None);
+    let (svc, epr) = counter_service(None);
     assert_eq!(
         hammer(&svc, &epr, THREADS, ROUNDS),
         (THREADS * ROUNDS) as i64,
@@ -97,24 +91,8 @@ fn concurrent_increments_are_never_lost_with_leases() {
 }
 
 #[test]
-fn increments_are_lost_without_leases() {
-    // The inverse regression: the bare WSRF.NET-style pipeline loses
-    // updates under write contention. A lossless round is technically
-    // possible, so try a few; in practice the first round loses many.
-    for _ in 0..5 {
-        let (svc, epr) = counter_service(false, None);
-        let total = hammer(&svc, &epr, 8, 300);
-        assert!(total <= 8 * 300);
-        if total < 8 * 300 {
-            return; // race demonstrated
-        }
-    }
-    panic!("no lost update in 5 rounds; without_leases is not racing");
-}
-
-#[test]
 fn concurrent_readers_share_the_lease() {
-    let (svc, epr) = counter_service(true, None);
+    let (svc, epr) = counter_service(None);
     std::thread::scope(|s| {
         for _ in 0..8 {
             s.spawn(|| {
@@ -135,7 +113,7 @@ fn concurrent_readers_share_the_lease() {
 
 #[test]
 fn destroy_during_write_handler_does_not_resurrect() {
-    let (svc, epr) = counter_service(true, None);
+    let (svc, epr) = counter_service(None);
     let resp = call(
         &svc,
         epr.clone(),
@@ -165,7 +143,7 @@ fn destroy_races_with_writers_cleanly() {
     // One thread destroys while others bump: every bump either lands
     // before the destroy (success) or faults NoSuchResource; nothing
     // resurrects the row, and the store ends empty.
-    let (svc, epr) = counter_service(true, None);
+    let (svc, epr) = counter_service(None);
     std::thread::scope(|s| {
         for _ in 0..4 {
             s.spawn(|| {
@@ -202,7 +180,7 @@ fn destroy_races_with_writers_cleanly() {
 #[test]
 fn read_ops_never_issue_store_saves() {
     let registry = MetricsRegistry::enabled();
-    let (svc, epr) = counter_service(true, Some(registry.clone()));
+    let (svc, epr) = counter_service(Some(registry.clone()));
     for _ in 0..10 {
         let resp = call(
             &svc,

@@ -155,6 +155,9 @@ fn headerless_envelope_faults_like_the_dom_path() {
     // The DOM pipeline faults the same way on the same wire.
     let dom_resp = svc.dispatch(Envelope::parse(&wire).unwrap());
     assert_eq!(dom_resp.fault().unwrap().reason, fault.reason);
+    // ...with the container's typed fault, not a bare SOAP Client one.
+    assert_eq!(fault.error_code(), Some("wsrf:BadRequest"));
+    assert_eq!(dom_resp.fault().unwrap().error_code(), fault.error_code());
 }
 
 #[test]
