@@ -22,6 +22,7 @@ use parking_lot::Mutex;
 use simclock::Clock;
 use ws_notification::consumer::NotificationListener;
 use ws_notification::message::NotificationMessage;
+use ws_notification::topics::TopicPath;
 use wsrf_core::container::action_uri;
 use wsrf_security::wsse::UsernameToken;
 use wsrf_soap::ns::UVACG;
@@ -247,23 +248,39 @@ impl std::fmt::Debug for JobSetHandle {
 impl JobSetHandle {
     /// Non-blocking: the outcome if the terminal event has arrived.
     pub fn outcome(&self) -> Option<JobSetOutcome> {
-        let completed = format!("{}/completed", self.topic);
-        let failed = format!("{}/failed", self.topic);
-        for m in self.listener.received() {
-            let t = m.topic.to_string();
-            if t == completed {
-                return Some(JobSetOutcome::Completed);
-            }
-            if t == failed {
-                let fault = m
-                    .payload
-                    .find(wsrf_soap::ns::WSBF, "BaseFault")
-                    .map(BaseFault::from_element)
-                    .unwrap_or_else(|| BaseFault::new("uvacg:JobSetFailed", "job set failed"));
-                return Some(JobSetOutcome::Failed(Box::new(fault)));
-            }
-        }
-        None
+        let completed = self.event_topic("completed");
+        let failed = self.event_topic("failed");
+        self.listener.scan(|log| {
+            log.iter().find_map(|m| {
+                if m.topic == completed {
+                    return Some(JobSetOutcome::Completed);
+                }
+                if m.topic == failed {
+                    let fault = m
+                        .payload
+                        .find(wsrf_soap::ns::WSBF, "BaseFault")
+                        .map(BaseFault::from_element)
+                        .unwrap_or_else(|| BaseFault::new("uvacg:JobSetFailed", "job set failed"));
+                    return Some(JobSetOutcome::Failed(Box::new(fault)));
+                }
+                None
+            })
+        })
+    }
+
+    /// `<topic>/<suffix>` as a path, for comparing against recorded
+    /// events without rendering each of them.
+    fn event_topic(&self, suffix: &str) -> TopicPath {
+        TopicPath::parse(&format!("{}/{suffix}", self.topic))
+    }
+
+    /// The EPR carried by this listener's first event on `topic`.
+    fn epr_from_event(&self, topic: &TopicPath) -> Option<EndpointReference> {
+        self.listener.scan(|log| {
+            log.iter()
+                .find(|m| &m.topic == topic)
+                .and_then(|m| EndpointReference::from_element(&m.payload).ok())
+        })
     }
 
     /// Blocking wait (real time) for the outcome; only meaningful on a
@@ -288,15 +305,13 @@ impl JobSetHandle {
 
     /// All events observed for this job set so far.
     pub fn events(&self) -> Vec<NotificationMessage> {
-        let prefix = format!("{}/", self.topic);
-        self.listener
-            .received()
-            .into_iter()
-            .filter(|m| {
-                let t = m.topic.to_string();
-                t == self.topic || t.starts_with(&prefix)
-            })
-            .collect()
+        let base = TopicPath::parse(&self.topic);
+        self.listener.scan(|log| {
+            log.iter()
+                .filter(|m| m.topic.0.starts_with(&base.0))
+                .cloned()
+                .collect()
+        })
     }
 
     /// The working-directory EPR broadcast for a job (step 9): "The
@@ -307,13 +322,7 @@ impl JobSetHandle {
     /// when the event is not in this listener's history — the §5
     /// rediscovery path for handles restored after a client restart.
     pub fn job_dir(&self, job: &str) -> Option<EndpointReference> {
-        let topic = format!("{}/job/{job}/dir", self.topic);
-        let from_events = self
-            .listener
-            .received()
-            .iter()
-            .find(|m| m.topic.to_string() == topic)
-            .and_then(|m| EndpointReference::from_element(&m.payload).ok());
+        let from_events = self.epr_from_event(&self.event_topic(&format!("job/{job}/dir")));
         if from_events.is_some() {
             return from_events;
         }
@@ -347,12 +356,7 @@ impl JobSetHandle {
 
     /// The job EPR broadcast when a job starts.
     pub fn job_epr(&self, job: &str) -> Option<EndpointReference> {
-        let topic = format!("{}/job/{job}/started", self.topic);
-        self.listener
-            .received()
-            .iter()
-            .find(|m| m.topic.to_string() == topic)
-            .and_then(|m| EndpointReference::from_element(&m.payload).ok())
+        self.epr_from_event(&self.event_topic(&format!("job/{job}/started")))
     }
 
     /// Poll a running/finished job's status resource property.

@@ -42,6 +42,18 @@ pub fn job_key_property() -> String {
     format!("{{{UVACG}}}JobKey")
 }
 
+/// Longest accepted derived job key, in bytes (store backends frame
+/// keys with a 16-bit length, and both parts are caller-supplied text).
+const MAX_JOB_KEY: usize = 4096;
+
+/// Resource key of the job a `Run` carrying `topic` creates. The topic
+/// is length-prefixed because job names are user text: no two
+/// `(topic, job_name)` pairs share a key, whatever separators they
+/// contain.
+fn job_key_for(topic: &str, job_name: &str) -> String {
+    format!("{}:{topic}/{job_name}", topic.len())
+}
+
 fn q(local: &str) -> QName {
     QName::new(UVACG, local)
 }
@@ -92,6 +104,9 @@ struct PendingJob {
 
 struct EsRuntime {
     pending: Mutex<HashMap<String, PendingJob>>,
+    /// Held from `Run`'s idempotency lookup until the job resource
+    /// exists, so racing duplicates cannot both stage.
+    accepting: Mutex<()>,
     spawner: Arc<ProcSpawn>,
     broker: Option<EndpointReference>,
 }
@@ -102,6 +117,7 @@ pub fn execution_service(cfg: EsConfig, clock: Clock, net: Arc<InProcNetwork>) -
     let address = format!("inproc://{machine_name}/Execution");
     let runtime = Arc::new(EsRuntime {
         pending: Mutex::new(HashMap::new()),
+        accepting: Mutex::new(()),
         spawner: cfg.spawner.clone(),
         broker: cfg.broker.clone(),
     });
@@ -234,23 +250,23 @@ fn run_op(
 
     // Idempotent Run: a scheduler retrying after failover must not
     // stage or spawn a job this machine already accepted. The
-    // (Topic, JobName) pair identifies the attempt across retries.
-    if !topic.is_empty() {
-        let core = ctx.core.clone();
-        for key in core.store.list(&core.name) {
-            let Ok(doc) = core.store.load(&core.name, &key) else {
-                continue;
-            };
-            if doc.text(&q("Topic")).as_deref() == Some(topic.as_str())
-                && doc.text(&q("JobName")).as_deref() == Some(job_name.as_str())
-            {
-                let mut resp = Element::new(UVACG, "RunResponse")
-                    .child(core.epr_for(&key).to_element_named(UVACG, "JobEpr"));
-                if let Some(wd) = doc.get(&q("WorkingDirectory")).first() {
-                    resp.push_child(wd.clone());
-                }
-                return Ok(resp);
+    // (Topic, JobName) pair identifies the attempt across retries, so
+    // it *is* the resource key: the check is one keyed load, survives a
+    // restart on a durable store, and a duplicate answers with the
+    // accepted job's response.
+    let derived_key = (!topic.is_empty()).then(|| job_key_for(&topic, &job_name));
+    if derived_key.as_ref().is_some_and(|k| k.len() > MAX_JOB_KEY) {
+        return Err(faults::bad_request("Topic and jobName are too long"));
+    }
+    let accepting = rt.accepting.lock();
+    if let Some(key) = &derived_key {
+        if let Ok(doc) = ctx.core.store.load(&ctx.core.name, key) {
+            let mut resp = Element::new(UVACG, "RunResponse")
+                .child(ctx.core.epr_for(key).to_element_named(UVACG, "JobEpr"));
+            if let Some(wd) = doc.get(&q("WorkingDirectory")).first() {
+                resp.push_child(wd.clone());
             }
+            return Ok(resp);
         }
     }
 
@@ -299,8 +315,9 @@ fn run_op(
             .to_element_named(UVACG, "WorkingDirectory")
             .attr("job", &job_name)],
     );
-    let job_epr = ctx.core.create_resource(doc)?;
-    let job_key = faults::require_key(&job_epr, "job")?;
+    let job_key = derived_key.unwrap_or_else(|| ctx.core.fresh_key());
+    let job_epr = ctx.core.create_resource_with_key(&job_key, doc)?;
+    drop(accepting);
 
     rt.pending.lock().insert(
         job_key.clone(),
@@ -388,6 +405,7 @@ fn upload_complete_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element,
         core.store
             .save(&core.name, &key, &doc)
             .map_err(faults::from_store)?;
+        crate::retire(&core, &key);
         publish(
             &core,
             &rt.broker,
@@ -476,6 +494,7 @@ fn upload_complete_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element,
             core.store
                 .save(&core.name, &key, &doc)
                 .map_err(faults::from_store)?;
+            crate::retire(&core, &key);
             publish(
                 &core,
                 &rt.broker,
@@ -509,6 +528,7 @@ fn on_process_exit(
         doc.set_i64(q("ExitCode"), code as i64);
         doc.set_f64(q("CpuAtExit"), cpu_used);
         let _ = core.store.save(&core.name, key, &doc);
+        crate::retire(core, key);
     }
     publish(
         core,
@@ -750,12 +770,18 @@ mod tests {
         net: Arc<InProcNetwork>,
         machine: Arc<Machine>,
         listener: NotificationListener,
+        fss: Arc<Service>,
         es_addr: String,
         fss_addr: String,
     }
 
     /// Full single-machine deployment: FSS + ES + broker + listener.
     fn fixture() -> Fixture {
+        fixture_on(Arc::new(MemoryStore::new()))
+    }
+
+    /// [`fixture`] with the ES state on `es_store`.
+    fn fixture_on(es_store: Arc<dyn ResourceStore>) -> Fixture {
         let clock = Clock::manual();
         let net = InProcNetwork::new(clock.clone());
         let machine = Machine::new(
@@ -797,7 +823,7 @@ mod tests {
                 fss_address: "inproc://m1/FileSystem".into(),
                 broker: Some(broker.core().service_epr()),
                 security: None,
-                store: Arc::new(MemoryStore::new()),
+                store: es_store,
             },
             clock.clone(),
             net.clone(),
@@ -808,6 +834,7 @@ mod tests {
             net,
             machine,
             listener,
+            fss,
             es_addr: "inproc://m1/Execution".into(),
             fss_addr: "inproc://m1/FileSystem".into(),
         }
@@ -1113,15 +1140,131 @@ mod tests {
     }
 
     #[test]
-    fn keyless_job_epr_faults_instead_of_panicking() {
-        // Run() extracts the fresh job resource's key via
-        // faults::require_key; a keyless (service-style) EPR must come
-        // back as a BadRequest fault, never a panic.
-        let keyless = EndpointReference::service("inproc://m1/ES");
-        let fault = faults::require_key(&keyless, "job").unwrap_err();
-        assert_eq!(fault.error_code, "wsrf:BadRequest");
-        assert!(fault
-            .description
-            .contains("job EPR carries no resource key"));
+    fn racing_duplicate_runs_stage_once() {
+        use parking_lot::Condvar;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use wsrf_transport::{Endpoint, FnEndpoint};
+
+        let f = fixture();
+        let req = basic_request(&f, &JobProgram::compute(1.0));
+
+        // Put a rendezvous in front of the FSS: a CreateDirectory waits
+        // (briefly) for a second one. An ES that lets both duplicates
+        // past its idempotency check lands both here at once and stages
+        // twice; one that serializes acceptance lets the first time out
+        // alone and answers the second from the accepted job.
+        let fss = f.fss.clone();
+        let creates = Arc::new(AtomicUsize::new(0));
+        let gate = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let (creates2, gate2) = (creates.clone(), gate.clone());
+        f.net.register(
+            f.fss_addr.as_str(),
+            Arc::new(FnEndpoint::new("fss-rendezvous", move |env: Envelope| {
+                if env.body.name.is(UVACG, "CreateDirectory") {
+                    creates2.fetch_add(1, Ordering::SeqCst);
+                    let (arrived, cv) = &*gate2;
+                    let mut n = arrived.lock();
+                    *n += 1;
+                    cv.notify_all();
+                    if *n < 2 {
+                        cv.wait_for(&mut n, Duration::from_millis(300));
+                    }
+                }
+                fss.handle(env)
+            })) as Arc<dyn Endpoint>,
+        );
+
+        let replies: Vec<RunReply> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| run(&f.net, &f.es_addr, &req).unwrap()))
+                .collect();
+            racers.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+
+        assert_eq!(replies[0].job, replies[1].job, "both callers get one job");
+        assert_eq!(replies[0].workdir, replies[1].workdir);
+        assert_eq!(
+            creates.load(Ordering::SeqCst),
+            1,
+            "one working directory created"
+        );
+        assert_eq!(f.listener.on(&"js/job/job1/dir".into()).len(), 1);
+        f.clock.advance(Duration::from_secs(2));
+        assert_eq!(f.listener.on(&"js/job/job1/exit".into()).len(), 1);
+    }
+
+    /// Inverse of [`job_key_for`]; exists to show the key is injective.
+    fn split_job_key(key: &str) -> (&str, &str) {
+        let (len, rest) = key.split_once(':').unwrap();
+        let (topic, name) = rest.split_at(len.parse().unwrap());
+        (topic, name.strip_prefix('/').unwrap())
+    }
+
+    #[test]
+    fn derived_job_keys_are_injective_and_survive_the_wire_and_a_restart() {
+        let pairs = [
+            ("a#b", "c"),
+            ("a", "b#c"),
+            ("a/b", "c"),
+            ("a", "b/c"),
+            ("1:a", "b"),
+            ("js", "dir/with spaces/ünïcode-名前 "),
+            ("js", "<&\"'>"),
+        ];
+        let mut keys = std::collections::HashSet::new();
+        for (topic, name) in pairs {
+            let key = job_key_for(topic, name);
+            assert_eq!(split_job_key(&key), (topic, name));
+            assert!(keys.insert(key), "({topic:?}, {name:?}) collides");
+        }
+
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "wsrf-es-keys-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        let open = || -> Arc<dyn ResourceStore> {
+            Arc::new(wsrf_core::DurableStore::open(&dir, Arc::new(MemoryStore::new())).unwrap())
+        };
+
+        let f = fixture_on(open());
+        let mut accepted = Vec::new();
+        for (topic, name) in pairs {
+            let mut req = basic_request(&f, &JobProgram::compute(1.0));
+            req.topic = topic.into();
+            req.job_name = name.into();
+            let reply = run(&f.net, &f.es_addr, &req).unwrap();
+            // The EPR a remote caller holds went through render + parse.
+            let wire = reply.job.to_element().to_xml();
+            let parsed = EndpointReference::from_element(&wsrf_xml::parse(&wire).unwrap()).unwrap();
+            assert_eq!(
+                parsed.resource_key(),
+                Some(job_key_for(topic, name).as_str())
+            );
+            assert_eq!(job_status(&f.net, &parsed).unwrap(), status::RUNNING);
+            accepted.push((req, reply));
+        }
+        drop(f);
+
+        // A restarted ES on the reopened log still recognises every
+        // accepted job: the key is the index, nothing to rebuild.
+        let f = fixture_on(open());
+        for (req, reply) in &accepted {
+            let again = run(&f.net, &f.es_addr, req).unwrap();
+            assert_eq!(again.job, reply.job);
+            assert_eq!(again.workdir, reply.workdir);
+        }
+        assert!(f.listener.received().is_empty(), "nothing was re-staged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn overlong_job_names_are_rejected() {
+        let f = fixture();
+        let mut req = basic_request(&f, &JobProgram::compute(1.0));
+        req.job_name = "j".repeat(MAX_JOB_KEY);
+        let err = run(&f.net, &f.es_addr, &req).unwrap_err();
+        assert_eq!(err.error_code(), Some("wsrf:BadRequest"));
     }
 }

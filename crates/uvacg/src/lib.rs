@@ -64,3 +64,19 @@ pub use scheduler::{Scheduler, Standby};
 
 /// The testbed's XML namespace (re-exported for tests and benches).
 pub use wsrf_soap::ns::UVACG;
+
+/// Virtual time a job-set or job WS-Resource stays addressable after it
+/// reaches a terminal state. WSRF's soft-state answer to "who frees
+/// finished work": nobody has to, and a client that wants its results
+/// for longer extends the lease with the standard WS-ResourceLifetime
+/// `SetTerminationTime` before this runs out.
+const TERMINAL_RETENTION: std::time::Duration = std::time::Duration::from_secs(3600);
+
+/// Give the terminal resource `key` its [`TERMINAL_RETENTION`] lease.
+/// A termination time someone already set (the client's own
+/// `SetTerminationTime`) wins.
+fn retire(core: &std::sync::Arc<wsrf_core::container::ServiceCore>, key: &str) {
+    if !core.termination_scheduled(key) {
+        core.set_termination_time(key, Some(core.clock.now() + TERMINAL_RETENTION));
+    }
+}

@@ -14,7 +14,7 @@
 //! ones; job-exit notifications trigger the next wave of dispatches.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -117,7 +117,6 @@ struct RunState {
     credentials: (String, String),
     client_fileserver: Option<String>,
     jobs: HashMap<String, JobRun>,
-    finished: bool,
     submitted_at: SimTime,
     /// Trace context of the submission dispatch: every downstream
     /// message and Figure 3 step mark for this set parents under it.
@@ -125,6 +124,8 @@ struct RunState {
 }
 
 struct SchedInner {
+    /// Live job sets only: an entry is dropped when its set reaches a
+    /// terminal state (the job-set resource keeps the outcome).
     runs: Mutex<HashMap<String, RunState>>,
     nis_address: String,
     broker: EndpointReference,
@@ -198,14 +199,32 @@ impl Scheduler {
     }
 
     /// Diagnostic: per-job states of a run (None for unknown sets).
+    /// Finished sets answer from the `JobStatus` properties of their
+    /// job-set resource, for as long as that resource lives.
     pub fn job_states(&self, jobset_key: &str) -> Option<Vec<(String, String, Option<i32>)>> {
-        let runs = self.inner.runs.lock();
-        let run = runs.get(jobset_key)?;
-        let mut v: Vec<(String, String, Option<i32>)> = run
-            .jobs
-            .iter()
-            .map(|(name, jr)| (name.clone(), format!("{:?}", jr.state), jr.exit_code))
-            .collect();
+        let live = self.inner.runs.lock().get(jobset_key).map(|run| {
+            run.jobs
+                .iter()
+                .map(|(name, jr)| (name.clone(), format!("{:?}", jr.state), jr.exit_code))
+                .collect()
+        });
+        let mut v: Vec<(String, String, Option<i32>)> = match live {
+            Some(v) => v,
+            None => {
+                let core = self.service.core();
+                let doc = core.store.load(&core.name, jobset_key).ok()?;
+                doc.get(&q("JobStatus"))
+                    .iter()
+                    .map(|e| {
+                        (
+                            e.attr_value("job").unwrap_or_default().to_string(),
+                            e.text_content(),
+                            e.attr_value("exitCode").and_then(|c| c.parse().ok()),
+                        )
+                    })
+                    .collect()
+            }
+        };
         v.sort();
         Some(v)
     }
@@ -232,10 +251,12 @@ pub fn scheduler_service(
         crashed: AtomicBool::new(false),
         step_hook: RwLock::new(None),
     });
-    let listener = NotificationListener::register(&net, &cfg.listener_address);
+    // Counting-only: the scheduler reacts to events through its one
+    // handler and never reads them back.
+    let listener = NotificationListener::register_counting(&net, &cfg.listener_address);
 
     let submit_inner = inner.clone();
-    let submit_listener = listener.clone();
+    let submit_listener = listener.epr();
     let trace_registry = net.metrics_registry().clone();
     let service = ServiceBuilder::new("Scheduler", address, cfg.store)
         .key_property(jobset_key_property())
@@ -298,6 +319,16 @@ pub fn scheduler_service(
     doc.set_text(q("Policy"), inner.policy.name());
     let _ = service.core().create_resource_with_key(FEEDBACK_KEY, doc);
 
+    // One handler for every job set this scheduler will ever run: the
+    // topic root `jobset-<key>` names the set an event belongs to.
+    let core = service.core().clone();
+    let inner2 = inner.clone();
+    listener.on_topic(TopicExpression::full("//"), move |msg| {
+        if let Some(key) = jobset_key_of(&msg.topic) {
+            on_event(&core, &inner2, key, msg);
+        }
+    });
+
     Scheduler {
         service,
         listener,
@@ -357,7 +388,7 @@ fn report_outcome(
         kind,
     });
     let rows = inner.policy.penalties();
-    if let Ok(mut doc) = core.store.load(&core.name, FEEDBACK_KEY) {
+    edit_doc(core, FEEDBACK_KEY, |doc| {
         let els = rows
             .iter()
             .map(|r| {
@@ -370,14 +401,13 @@ fn report_outcome(
             })
             .collect();
         doc.update(q("MachinePenalty"), els);
-        let _ = core.store.save(&core.name, FEEDBACK_KEY, &doc);
-    }
+    });
 }
 
 fn submit_op(
     ctx: &mut wsrf_core::container::Ctx<'_>,
     inner: &Arc<SchedInner>,
-    listener: &NotificationListener,
+    listener: &EndpointReference,
 ) -> Result<Element, BaseFault> {
     let trace = ctx.trace;
     // Step 1: decode and validate the description.
@@ -425,34 +455,24 @@ fn submit_op(
         .map(|e| e.text_content());
 
     // Create the job-set resource and its topic.
+    let key = ctx.core.fresh_key();
+    let topic = format!("{JOBSET_TOPIC_PREFIX}{key}");
     let mut doc = PropertyDoc::new();
     doc.set_text(q("Name"), &spec.name);
     doc.set_text(q("Status"), set_status::RUNNING);
-    let set_epr = ctx.core.create_resource(doc)?;
-    let key = faults::require_key(&set_epr, "job-set")?;
-    let topic = format!("jobset-{key}");
-    {
-        let core = ctx.core.clone();
-        let mut doc = core
-            .store
-            .load(&core.name, &key)
-            .map_err(faults::from_store)?;
-        doc.set_text(q("Topic"), &topic);
-        if let Some(tc) = &trace {
-            doc.set_text(q("TraceId"), format!("{:016x}", tc.trace_id));
-        }
-        for j in &spec.jobs {
-            doc.insert(
-                q("JobStatus"),
-                Element::with_name(q("JobStatus"))
-                    .attr("job", &j.name)
-                    .text("Waiting"),
-            );
-        }
-        core.store
-            .save(&core.name, &key, &doc)
-            .map_err(faults::from_store)?;
+    doc.set_text(q("Topic"), &topic);
+    if let Some(tc) = &trace {
+        doc.set_text(q("TraceId"), format!("{:016x}", tc.trace_id));
     }
+    for j in &spec.jobs {
+        doc.insert(
+            q("JobStatus"),
+            Element::with_name(q("JobStatus"))
+                .attr("job", &j.name)
+                .text("Waiting"),
+        );
+    }
+    let set_epr = ctx.core.create_resource_with_key(&key, doc)?;
 
     // "The SS then invokes the Subscribe() method on the Notification
     // Broker to subscribe both itself and the client's notification
@@ -465,7 +485,7 @@ fn submit_op(
         broker::subscribe(&ctx.core.net, &inner.broker, cl, &expr, None)
             .map_err(|e| faults::storage(&format!("client subscribe failed: {e}")))?;
     }
-    broker::subscribe(&ctx.core.net, &inner.broker, &listener.epr(), &expr, None)
+    broker::subscribe(&ctx.core.net, &inner.broker, listener, &expr, None)
         .map_err(|e| faults::storage(&format!("broker subscribe failed: {e}")))?;
 
     // Record the run.
@@ -511,7 +531,6 @@ fn submit_op(
                 topic: topic.clone(),
                 credentials,
                 client_fileserver,
-                finished: false,
                 submitted_at,
                 trace,
             },
@@ -537,14 +556,6 @@ fn submit_op(
         ctx.core.clock.now(),
     );
 
-    // Hook this job set's events.
-    let core = ctx.core.clone();
-    let inner2 = inner.clone();
-    let key2 = key.clone();
-    listener.on_topic(expr, move |msg| {
-        on_event(&core, &inner2, &key2, msg);
-    });
-
     // Dispatch the first wave.
     dispatch_ready(ctx.core, inner, &key);
 
@@ -568,6 +579,21 @@ fn record_steps(
     steps: &[(u8, &str)],
     at: SimTime,
 ) {
+    record_steps_with(core, inner, key, job, steps, at, |_| {});
+}
+
+/// [`record_steps`], with `edit` applied to the job-set document first
+/// in the same load/save: an event handler that has its own property
+/// to write does not pay for the document twice.
+fn record_steps_with(
+    core: &Arc<ServiceCore>,
+    inner: &Arc<SchedInner>,
+    key: &str,
+    job: &str,
+    steps: &[(u8, &str)],
+    at: SimTime,
+    edit: impl FnOnce(&mut PropertyDoc),
+) {
     let (submitted, trace) = {
         let runs = inner.runs.lock();
         match runs.get(key) {
@@ -575,7 +601,8 @@ fn record_steps(
             None => return,
         }
     };
-    if let Ok(mut doc) = core.store.load(&core.name, key) {
+    edit_doc(core, key, |doc| {
+        edit(doc);
         for (step, name) in steps {
             doc.insert(
                 q("StepMetric"),
@@ -586,8 +613,7 @@ fn record_steps(
                     .attr("t", at.as_nanos().to_string()),
             );
         }
-        let _ = core.store.save(&core.name, key, &doc);
-    }
+    });
     if core.metrics.is_enabled() {
         let elapsed = at.since(submitted).as_nanos() as u64;
         for (step, name) in steps {
@@ -628,6 +654,23 @@ fn record_steps(
     }
 }
 
+/// Load, edit and save job set `key`'s resource document (skipped when
+/// the resource is gone).
+fn edit_doc(core: &Arc<ServiceCore>, key: &str, edit: impl FnOnce(&mut PropertyDoc)) {
+    if let Ok(mut doc) = core.store.load(&core.name, key) {
+        edit(&mut doc);
+        let _ = core.store.save(&core.name, key, &doc);
+    }
+}
+
+/// Every job set's events flow on topics rooted at `jobset-<key>`.
+const JOBSET_TOPIC_PREFIX: &str = "jobset-";
+
+/// The job set a topic belongs to, read off its root.
+fn jobset_key_of(topic: &TopicPath) -> Option<&str> {
+    topic.root().strip_prefix(JOBSET_TOPIC_PREFIX)
+}
+
 /// Replication topic for job set `key`: `schedrepl/<key>/<kind>`.
 fn repl_topic(key: &str, kind: &str) -> TopicPath {
     TopicPath::parse("schedrepl").child(key).child(kind)
@@ -661,29 +704,28 @@ fn on_event(
                         }
                     }
                 }
-                // Persist into the job-set resource so clients that
-                // lost their event history (the §5 durability concern)
-                // can rediscover output locations.
-                if let Ok(mut doc) = core.store.load(&core.name, key) {
-                    doc.remove_value(&q("JobDirectory"), |e| {
-                        e.attr_value("job") == Some(&job_name)
-                    });
-                    doc.insert(
-                        q("JobDirectory"),
-                        epr.to_element_named(UVACG, "JobDirectory")
-                            .attr("job", &job_name),
-                    );
-                    let _ = core.store.save(&core.name, key, &doc);
-                }
                 // Figure 3 step 4: the working directory exists on the
-                // chosen machine's FSS.
-                record_steps(
+                // chosen machine's FSS. Persist it into the job-set
+                // resource so clients that lost their event history
+                // (the §5 durability concern) can rediscover output
+                // locations.
+                record_steps_with(
                     core,
                     inner,
                     key,
                     &job_name,
                     &[(4, "workdir")],
                     core.clock.now(),
+                    |doc| {
+                        doc.remove_value(&q("JobDirectory"), |e| {
+                            e.attr_value("job") == Some(&job_name)
+                        });
+                        doc.insert(
+                            q("JobDirectory"),
+                            epr.to_element_named(UVACG, "JobDirectory")
+                                .attr("job", &job_name),
+                        );
+                    },
                 );
             }
         }
@@ -738,7 +780,7 @@ fn on_event(
                     if let Some(jr) = run.jobs.get_mut(&job_name) {
                         jr.state = JobState::Failed;
                         machine = jr.machine.clone();
-                        update_job_status_property(core, key, &job_name, jr);
+                        edit_doc(core, key, |doc| set_job_status(doc, &job_name, jr));
                     }
                 }
                 machine
@@ -791,7 +833,7 @@ fn apply_exit(
         } else {
             JobState::Failed
         };
-        update_job_status_property(core, key, job_name, jr);
+        edit_doc(core, key, |doc| set_job_status(doc, job_name, jr));
         // Feedback: a clean exit reports the observed per-job
         // makespan on that machine; a nonzero exit is a
         // failure mark against it.
@@ -843,12 +885,9 @@ fn dispatch_ready(core: &Arc<ServiceCore>, inner: &Arc<SchedInner>, key: &str) {
         }
         // Pick one ready job under the lock; dispatch outside it (the
         // Run call triggers notifications that re-enter this module).
-        let next: Option<(String, RunRequest, String, String, SimTime)> = {
+        let next = {
             let mut runs = inner.runs.lock();
             let Some(run) = runs.get_mut(key) else { return };
-            if run.finished {
-                return;
-            }
             let ready = run.spec.jobs.iter().find(|j| {
                 run.jobs[&j.name].state == JobState::Waiting
                     && j.dependencies()
@@ -896,8 +935,8 @@ fn dispatch_ready(core: &Arc<ServiceCore>, inner: &Arc<SchedInner>, key: &str) {
                     jr.state = JobState::Dispatched;
                     jr.machine = Some(node.machine.clone());
                     jr.dispatched_at = Some(core.clock.now());
-                    update_job_status_property(core, key, &job_name, jr);
-                    Some((job_name, req, node.execution, node.machine, t_nis))
+                    let status = job_status_element(&job_name, jr);
+                    Some((job_name, req, node.execution, node.machine, t_nis, status))
                 }
                 Err(fault) => {
                     drop(runs);
@@ -907,7 +946,7 @@ fn dispatch_ready(core: &Arc<ServiceCore>, inner: &Arc<SchedInner>, key: &str) {
             }
         };
 
-        let Some((job_name, req, es_address, machine, t_nis)) = next else {
+        let Some((job_name, req, es_address, machine, t_nis, status)) = next else {
             return;
         };
 
@@ -926,8 +965,17 @@ fn dispatch_ready(core: &Arc<ServiceCore>, inner: &Arc<SchedInner>, key: &str) {
             );
         }
 
-        // Figure 3 step 2: the NIS was polled for this job's placement.
-        record_steps(core, inner, key, &job_name, &[(2, "nis_poll")], t_nis);
+        // Figure 3 step 2: the NIS was polled for this job's placement
+        // (written together with the job's `Dispatched` status).
+        record_steps_with(
+            core,
+            inner,
+            key,
+            &job_name,
+            &[(2, "nis_poll")],
+            t_nis,
+            |doc| put_job_status(doc, &job_name, status),
+        );
         if inner.is_crashed() {
             return; // killed after step 2: the Run is never issued
         }
@@ -1119,46 +1167,50 @@ fn basename(path: &str) -> String {
     path.rsplit(['/', '\\']).next().unwrap_or(path).to_string()
 }
 
-/// Mirror a job's state into the job-set resource properties.
-fn update_job_status_property(core: &Arc<ServiceCore>, key: &str, job: &str, jr: &JobRun) {
-    if let Ok(mut doc) = core.store.load(&core.name, key) {
-        let mut el = Element::with_name(q("JobStatus"))
-            .attr("job", job)
-            .text(format!("{:?}", jr.state));
-        if let Some(m) = &jr.machine {
-            el = el.attr("machine", m);
-        }
-        if let Some(c) = jr.exit_code {
-            el = el.attr("exitCode", c.to_string());
-        }
-        if let Some(cpu) = jr.cpu_used {
-            el = el.attr("cpu", format!("{cpu:.6}"));
-        }
-        doc.remove_value(&q("JobStatus"), |e| e.attr_value("job") == Some(job));
-        doc.insert(q("JobStatus"), el);
-        let _ = core.store.save(&core.name, key, &doc);
+/// A job's state as its `JobStatus` resource property value.
+fn job_status_element(job: &str, jr: &JobRun) -> Element {
+    let mut el = Element::with_name(q("JobStatus"))
+        .attr("job", job)
+        .text(format!("{:?}", jr.state));
+    if let Some(m) = &jr.machine {
+        el = el.attr("machine", m);
     }
+    if let Some(c) = jr.exit_code {
+        el = el.attr("exitCode", c.to_string());
+    }
+    if let Some(cpu) = jr.cpu_used {
+        el = el.attr("cpu", format!("{cpu:.6}"));
+    }
+    el
+}
+
+/// Replace `job`'s `JobStatus` value in a job-set document.
+fn put_job_status(doc: &mut PropertyDoc, job: &str, status: Element) {
+    doc.remove_value(&q("JobStatus"), |e| e.attr_value("job") == Some(job));
+    doc.insert(q("JobStatus"), status);
+}
+
+/// Mirror a job's state into a job-set document.
+fn set_job_status(doc: &mut PropertyDoc, job: &str, jr: &JobRun) {
+    put_job_status(doc, job, job_status_element(job, jr));
 }
 
 fn complete_job_set(core: &Arc<ServiceCore>, inner: &Arc<SchedInner>, key: &str) {
     if inner.is_crashed() {
         return;
     }
-    let (topic, submitted_at, trace) = {
-        let mut runs = inner.runs.lock();
-        let Some(run) = runs.get_mut(key) else { return };
-        if run.finished {
-            return;
-        }
-        run.finished = true;
-        (run.topic.clone(), run.submitted_at, run.trace)
+    // Terminal: the run state is released here, and the resource that
+    // keeps the outcome starts its retention lease.
+    let Some(run) = inner.runs.lock().remove(key) else {
+        return;
     };
+    let (topic, submitted_at, trace) = (run.topic, run.submitted_at, run.trace);
     let makespan = core.clock.now().since(submitted_at);
-    if let Ok(mut doc) = core.store.load(&core.name, key) {
+    edit_doc(core, key, |doc| {
         doc.set_text(q("Status"), set_status::COMPLETED);
         doc.set_f64(q("Makespan"), makespan.as_secs_f64());
-        let _ = core.store.save(&core.name, key, &doc);
-    }
+    });
+    crate::retire(core, key);
     core.metrics
         .histogram("scheduler.makespan_ns")
         .record(makespan.as_nanos() as u64);
@@ -1181,15 +1233,10 @@ fn fail_job_set(
     if inner.is_crashed() {
         return;
     }
-    let (topic, submitted_at, trace) = {
-        let mut runs = inner.runs.lock();
-        let Some(run) = runs.get_mut(key) else { return };
-        if run.finished {
-            return;
-        }
-        run.finished = true;
-        (run.topic.clone(), run.submitted_at, run.trace)
+    let Some(run) = inner.runs.lock().remove(key) else {
+        return;
     };
+    let (topic, submitted_at, trace) = (run.topic, run.submitted_at, run.trace);
     let makespan = core.clock.now().since(submitted_at);
     let fault = BaseFault::new(
         "uvacg:JobSetFailed",
@@ -1198,15 +1245,15 @@ fn fail_job_set(
     .at(core.clock.now().as_secs_f64())
     .from_originator(core.service_epr())
     .caused_by(cause);
-    if let Ok(mut doc) = core.store.load(&core.name, key) {
+    edit_doc(core, key, |doc| {
         doc.set_text(q("Status"), set_status::FAILED);
         doc.set_f64(q("Makespan"), makespan.as_secs_f64());
         doc.update(
             q("Fault"),
             vec![Element::with_name(q("Fault")).child(fault.to_element())],
         );
-        let _ = core.store.save(&core.name, key, &doc);
-    }
+    });
+    crate::retire(core, key);
     core.metrics
         .histogram("scheduler.makespan_ns")
         .record(makespan.as_nanos() as u64);
@@ -1280,8 +1327,15 @@ struct ShadowRun {
     credentials: (String, String),
     client_fileserver: Option<String>,
     jobs: HashMap<String, ShadowJob>,
-    finished: bool,
     submitted_at: SimTime,
+}
+
+/// The standby's shadow table: unfinished sets only.
+#[derive(Default)]
+struct Shadows {
+    live: Mutex<HashMap<String, ShadowRun>>,
+    /// Sets ever shadowed, finished ones included.
+    seen: AtomicUsize,
 }
 
 /// A warm standby scheduler. It follows a replicating primary's
@@ -1296,7 +1350,7 @@ pub struct Standby {
     /// scheduler without a single re-subscribe — and therefore without
     /// duplicate deliveries.
     pub listener: NotificationListener,
-    shadows: Arc<Mutex<HashMap<String, ShadowRun>>>,
+    shadows: Arc<Shadows>,
     cfg: SchedulerConfig,
     clock: Clock,
     net: Arc<InProcNetwork>,
@@ -1310,7 +1364,7 @@ pub struct Standby {
 /// primary's shared store or a [`wsrf_core::DurableStore`] recovered
 /// from its write-ahead log.
 pub fn standby_scheduler(cfg: SchedulerConfig, clock: Clock, net: Arc<InProcNetwork>) -> Standby {
-    let listener = NotificationListener::register(&net, &cfg.listener_address);
+    let listener = NotificationListener::register_counting(&net, &cfg.listener_address);
     broker::subscribe(
         &net,
         &cfg.broker,
@@ -1319,15 +1373,21 @@ pub fn standby_scheduler(cfg: SchedulerConfig, clock: Clock, net: Arc<InProcNetw
         None,
     )
     .expect("standby subscription cannot fail on a live broker");
-    let shadows: Arc<Mutex<HashMap<String, ShadowRun>>> = Arc::new(Mutex::new(HashMap::new()));
+    let shadows = Arc::new(Shadows::default());
 
+    // One handler for both streams: the primary's replication topics
+    // and every shadowed set's own `jobset-<key>` events.
     let sh = shadows.clone();
     let net2 = net.clone();
     let broker_epr = cfg.broker.clone();
-    let listener2 = listener.clone();
-    listener.on_topic(TopicExpression::full("schedrepl//"), move |msg| {
-        shadow_event(&sh, &net2, &broker_epr, &listener2, msg);
-    });
+    let listener_epr = listener.epr();
+    listener.on_topic(
+        TopicExpression::full("//"),
+        move |msg| match jobset_key_of(&msg.topic) {
+            Some(key) => shadow_jobset_event(&sh, key, msg),
+            None => shadow_event(&sh, &net2, &broker_epr, &listener_epr, msg),
+        },
+    );
 
     Standby {
         listener,
@@ -1340,10 +1400,10 @@ pub fn standby_scheduler(cfg: SchedulerConfig, clock: Clock, net: Arc<InProcNetw
 
 /// Apply one replication event to the shadow table.
 fn shadow_event(
-    shadows: &Arc<Mutex<HashMap<String, ShadowRun>>>,
+    shadows: &Shadows,
     net: &Arc<InProcNetwork>,
     broker_epr: &EndpointReference,
-    listener: &NotificationListener,
+    listener: &EndpointReference,
     msg: &NotificationMessage,
 ) {
     let segs = &msg.topic.0;
@@ -1402,20 +1462,18 @@ fn shadow_event(
                 ),
                 client_fileserver: msg.payload.attr_value("fileserver").map(str::to_string),
                 jobs,
-                finished: false,
                 submitted_at,
                 spec,
             };
-            shadows.lock().insert(key.clone(), run);
+            shadows.live.lock().insert(key, run);
+            shadows.seen.fetch_add(1, Ordering::Relaxed);
             // Follow the set's own event stream too: a dir or exit the
             // standby saw with its own eyes survives any primary crash.
             let expr = TopicExpression::full(&format!("{topic}//"));
-            let _ = broker::subscribe(net, broker_epr, &listener.epr(), &expr, None);
-            let sh = shadows.clone();
-            listener.on_topic(expr, move |m| shadow_jobset_event(&sh, &key, m));
+            let _ = broker::subscribe(net, broker_epr, listener, &expr, None);
         }
         "intent" => {
-            let mut shadows = shadows.lock();
+            let mut shadows = shadows.live.lock();
             let Some(run) = shadows.get_mut(&key) else {
                 return;
             };
@@ -1430,7 +1488,7 @@ fn shadow_event(
             }
         }
         "dispatched" => {
-            let mut shadows = shadows.lock();
+            let mut shadows = shadows.live.lock();
             let Some(run) = shadows.get_mut(&key) else {
                 return;
             };
@@ -1461,21 +1519,17 @@ fn shadow_event(
 }
 
 /// Maintain a shadow from the job set's own notification topic.
-fn shadow_jobset_event(
-    shadows: &Arc<Mutex<HashMap<String, ShadowRun>>>,
-    key: &str,
-    msg: &NotificationMessage,
-) {
+fn shadow_jobset_event(shadows: &Shadows, key: &str, msg: &NotificationMessage) {
     let segs = &msg.topic.0;
-    let mut shadows = shadows.lock();
+    let mut shadows = shadows.live.lock();
+    if segs.len() == 2 && (segs[1] == "completed" || segs[1] == "failed") {
+        // The primary finished the set before dying: nothing to adopt.
+        shadows.remove(key);
+        return;
+    }
     let Some(run) = shadows.get_mut(key) else {
         return;
     };
-    if segs.len() == 2 && (segs[1] == "completed" || segs[1] == "failed") {
-        // The primary finished the set before dying: nothing to adopt.
-        run.finished = true;
-        return;
-    }
     if segs.len() != 4 || segs[1] != "job" {
         return;
     }
@@ -1527,9 +1581,10 @@ fn shadow_jobset_event(
 }
 
 impl Standby {
-    /// Number of job sets currently shadowed (diagnostics).
+    /// Number of job sets shadowed so far (diagnostics). Finished sets
+    /// count, though their shadow is released at the terminal event.
     pub fn shadow_count(&self) -> usize {
-        self.shadows.lock().len()
+        self.shadows.seen.load(Ordering::Relaxed)
     }
 
     /// Promote this standby into the active Scheduler at `address`
@@ -1557,13 +1612,10 @@ impl Standby {
         // Adopt every unfinished shadow and collect reconcile work.
         let mut reissues: Vec<(String, String, String, RunRequest)> = Vec::new();
         let mut polls: Vec<(String, String, EndpointReference)> = Vec::new();
-        let mut adopted: Vec<(String, String)> = Vec::new();
+        let mut adopted: Vec<String> = Vec::new();
         {
             let mut runs = inner.runs.lock();
-            for (key, sh) in shadows.lock().drain() {
-                if sh.finished {
-                    continue;
-                }
+            for (key, sh) in shadows.live.lock().drain() {
                 let uncertain: Vec<String> = sh
                     .jobs
                     .iter()
@@ -1596,10 +1648,9 @@ impl Standby {
                         })
                         .collect(),
                     spec: sh.spec,
-                    topic: sh.topic.clone(),
+                    topic: sh.topic,
                     credentials: sh.credentials,
                     client_fileserver: sh.client_fileserver,
-                    finished: false,
                     submitted_at: sh.submitted_at,
                     trace: None,
                 };
@@ -1619,22 +1670,16 @@ impl Standby {
                         }
                     }
                 }
-                adopted.push((key.clone(), sh.topic));
+                // What the standby witnessed supersedes what the
+                // primary last wrote into the job-set resource.
+                edit_doc(&core, &key, |doc| {
+                    for j in &run.spec.jobs {
+                        set_job_status(doc, &j.name, &run.jobs[&j.name]);
+                    }
+                });
+                adopted.push(key.clone());
                 runs.insert(key, run);
             }
-        }
-
-        // Wire the adopted sets' events to the promoted scheduler
-        // before reconciling, so nothing in flight is missed.
-        for (key, topic) in &adopted {
-            let core2 = core.clone();
-            let inner2 = inner.clone();
-            let key2 = key.clone();
-            scheduler
-                .listener
-                .on_topic(TopicExpression::full(&format!("{topic}//")), move |msg| {
-                    on_event(&core2, &inner2, &key2, msg);
-                });
         }
 
         // Re-issue uncertain dispatches to their recorded machine: if
@@ -1699,7 +1744,7 @@ impl Standby {
         }
 
         // Re-arm watchdogs and drive every adopted set forward.
-        for (key, _topic) in &adopted {
+        for key in &adopted {
             let (dispatched, all_done) = {
                 let runs = inner.runs.lock();
                 let Some(run) = runs.get(key) else { continue };
@@ -1709,8 +1754,7 @@ impl Standby {
                     .filter(|(_, j)| j.state == JobState::Dispatched)
                     .map(|(n, j)| (n.clone(), j.machine.clone().unwrap_or_default()))
                     .collect();
-                let all_done =
-                    !run.finished && run.jobs.values().all(|j| j.state == JobState::Completed);
+                let all_done = run.jobs.values().all(|j| j.state == JobState::Completed);
                 (dispatched, all_done)
             };
             for (name, machine) in dispatched {
@@ -1810,14 +1854,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn keyless_jobset_epr_faults_instead_of_panicking() {
-        // Submit() extracts the fresh job-set resource's key via
-        // faults::require_key; a keyless EPR faults rather than panics.
-        let keyless = EndpointReference::service("inproc://m1/Scheduler");
-        let fault = faults::require_key(&keyless, "job-set").unwrap_err();
-        assert_eq!(fault.error_code, "wsrf:BadRequest");
-        assert!(fault
-            .description
-            .contains("job-set EPR carries no resource key"));
+    fn jobset_key_is_read_off_the_topic_root() {
+        let key_of = |t: &str| jobset_key_of(&TopicPath::parse(t)).map(str::to_string);
+        assert_eq!(
+            key_of("jobset-scheduler-3/job/a/exit").as_deref(),
+            Some("scheduler-3")
+        );
+        assert_eq!(
+            key_of("jobset-scheduler-3/completed").as_deref(),
+            Some("scheduler-3")
+        );
+        assert_eq!(key_of("schedrepl/scheduler-3/submit"), None);
+        assert_eq!(key_of(""), None);
     }
 }

@@ -89,9 +89,17 @@ impl NotificationListener {
         std::mem::take(&mut *self.inner.received.lock())
     }
 
-    /// Messages recorded so far (without clearing).
+    /// Messages recorded so far (without clearing). Clones the whole
+    /// log; pollers should use [`Self::scan`].
     pub fn received(&self) -> Vec<NotificationMessage> {
         self.inner.received.lock().clone()
+    }
+
+    /// Run `f` over the recorded messages, in arrival order, without
+    /// cloning any of them. The log is locked for the duration, so `f`
+    /// must not cause a delivery to this listener.
+    pub fn scan<R>(&self, f: impl FnOnce(&[NotificationMessage]) -> R) -> R {
+        f(&self.inner.received.lock())
     }
 
     /// Number of messages recorded so far.
@@ -144,13 +152,14 @@ impl NotificationListener {
 
     /// Messages on a specific topic recorded so far.
     pub fn on(&self, topic: &TopicPath) -> Vec<NotificationMessage> {
-        self.inner
-            .received
-            .lock()
-            .iter()
-            .filter(|m| &m.topic == topic)
-            .cloned()
-            .collect()
+        self.scan(|log| log.iter().filter(|m| &m.topic == topic).cloned().collect())
+    }
+
+    /// Number of installed `on_topic` callbacks (every delivery is
+    /// matched against each of them).
+    #[doc(hidden)]
+    pub fn handler_count(&self) -> usize {
+        self.inner.handlers.lock().len()
     }
 }
 

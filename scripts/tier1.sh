@@ -48,6 +48,12 @@ echo "== cargo test -q --release --offline durability + failover_chaos"
 cargo test -q --release --offline --test durability
 cargo test -q --release --offline --test failover_chaos
 
+echo "== cargo test -q --release --offline history_independence"
+# Sixty Figure 3 sets through call-counting ES stores: per-set store
+# loads, the scheduler's listener and terminal-resource lifetimes must
+# not depend on how many sets came before.
+cargo test -q --release --offline --test history_independence
+
 echo "== cargo test -q --release --offline broker_fanout + E13 smoke"
 # The broker suite races subscription lifecycle ops against concurrent
 # publishes (release mode for real interleavings); the E13 smoke row

@@ -3,7 +3,7 @@
 //! from the index, and the queued delivery path isolating a slow
 //! consumer.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -169,8 +169,11 @@ fn slow_consumer_does_not_stall_the_fanout() {
     let f = fabric(Clock::scaled(1000.0));
     let fast = NotificationListener::register(&f.net, "inproc://fast/l");
     let slow = NotificationListener::register(&f.net, "inproc://slow/l");
-    slow.on_topic(TopicExpression::full("t//"), |_| {
+    let slow_done = Arc::new(AtomicUsize::new(0));
+    let done = slow_done.clone();
+    slow.on_topic(TopicExpression::full("t//"), move |_| {
         std::thread::sleep(Duration::from_millis(100));
+        done.fetch_add(1, Ordering::SeqCst);
     });
     broker::subscribe(
         &f.net,
@@ -190,16 +193,34 @@ fn slow_consumer_does_not_stall_the_fanout() {
     .unwrap();
 
     const N: usize = 20;
+    // How many callbacks the slow consumer had finished at the instant
+    // the fast one's N-th callback fired — sampled there, so the
+    // comparison does not depend on when this thread is scheduled
+    // next, and counted after the sleep: `slow.total()` ticks when a
+    // delivery *starts*, which the transport's own workers can do for
+    // the slow consumer's last message in the same instant they hand
+    // the fast consumer its last one.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let tx = std::sync::Mutex::new(tx);
+    let fast_seen = AtomicUsize::new(0);
+    fast.on_topic(TopicExpression::full("t//"), move |_| {
+        if fast_seen.fetch_add(1, Ordering::SeqCst) + 1 == N {
+            let _ = tx.lock().unwrap().send(slow_done.load(Ordering::SeqCst));
+        }
+    });
     for i in 0..N {
         broker::publish(&f.net, &f.broker_epr, &evt(&format!("t/{i}"))).unwrap();
     }
-    // The slow consumer needs >= N * 100ms of wall time (per-consumer
-    // FIFO, one drainer); the fast one must finish well before that.
+    // The slow consumer sleeps 100 ms in every callback; the fast one
+    // must be done while the slow one is still working through its
+    // deliveries.
+    let slow_when_fast_finished = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("fast consumer stalled behind the slow one");
     assert!(
-        fast.wait_for(N, Duration::from_millis(1500)),
-        "fast consumer stalled behind the slow one"
+        slow_when_fast_finished < N,
+        "slow consumer cannot have finished yet"
     );
-    assert!(slow.total() < N, "slow consumer cannot have finished yet");
     assert!(
         slow.wait_for(N, Duration::from_secs(30)),
         "slow consumer must still receive everything"
