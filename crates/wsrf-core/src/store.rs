@@ -512,9 +512,9 @@ impl StructuredStore {
             2 if path.absolute => &steps[1],
             _ => return None,
         };
-        let col_name = match &step.test {
-            wsrf_xml::xpath::NameTest::Local(l) => l.clone(),
-            wsrf_xml::xpath::NameTest::Qualified(q) => q.local.clone(),
+        let col_name: &str = match &step.test {
+            wsrf_xml::xpath::NameTest::Local(l) => l,
+            wsrf_xml::xpath::NameTest::Qualified(q) => &q.local,
             wsrf_xml::xpath::NameTest::Any => return None,
         };
         if !step.preds.is_empty() {

@@ -256,12 +256,9 @@ fn scan_body<'a>(
         match p.next_event()? {
             Some(Event::Start { ns, local }) => {
                 if first.is_none() {
-                    let name = match ns {
-                        Some(uri) => QName {
-                            ns: Some(uri),
-                            local: local.to_string(),
-                        },
-                        None => QName::local(local),
+                    let name = QName {
+                        ns,
+                        local: local.into(),
                     };
                     let start = p.last_start_pos();
                     p.skip_element()?;
@@ -283,7 +280,7 @@ fn scan_body<'a>(
 mod tests {
     use super::*;
     use crate::envelope::Envelope;
-    use wsrf_xml::{dom_build_count, Element};
+    use wsrf_xml::Element;
 
     fn request_wire() -> String {
         let to = EndpointReference::resource("inproc://m1/Exec", "{urn:k}JobKey", "j-7");
@@ -313,15 +310,17 @@ mod tests {
 
     #[test]
     fn scan_builds_no_body_dom_until_asked() {
+        // This thread's DOM builds: sibling tests build on others.
+        let dom_builds = || wsrf_xml::parser::thread_parse_counts().1;
         let wire = request_wire();
-        let before = dom_build_count();
+        let before = dom_builds();
         let lazy = LazyEnvelope::scan(&wire).unwrap();
         let _ = lazy.body_text();
         // ReplyTo is the only tree built by the scan; the body span
         // stays raw even through body_text().
-        assert_eq!(dom_build_count() - before, 1);
+        assert_eq!(dom_builds() - before, 1);
         let body = lazy.materialize_body().unwrap();
-        assert_eq!(dom_build_count() - before, 2);
+        assert_eq!(dom_builds() - before, 2);
         assert_eq!(body, Envelope::parse(&wire).unwrap().body);
     }
 

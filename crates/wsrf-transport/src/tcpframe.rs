@@ -35,6 +35,10 @@ const FLAG_RESPONSE: u8 = 2;
 const FLAG_EMPTY: u8 = 3;
 
 const MAX_FRAME: usize = 256 << 20;
+/// The most a frame header's claimed length may reserve before any of
+/// its payload has arrived; a longer frame grows the buffer with the
+/// bytes actually received.
+const FIRST_RESERVE: usize = 64 << 10;
 
 fn write_frame(w: &mut impl Write, flags: u8, payload: &[u8]) -> std::io::Result<()> {
     let mut head = [0u8; 9];
@@ -75,9 +79,21 @@ fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<u8, Trans
     if len > MAX_FRAME {
         return Err(TransportError::Protocol(format!("frame too large: {len}")));
     }
-    payload.resize(len, 0);
-    r.read_exact(payload)
+    payload.clear();
+    payload.reserve(len.min(FIRST_RESERVE));
+    // Reads straight into spare capacity (nothing is zero-filled); a
+    // frame that fits the reservation arrives in one read, and the
+    // `take` answers the end-of-frame probe without touching the socket.
+    let got = r
+        .by_ref()
+        .take(len as u64)
+        .read_to_end(payload)
         .map_err(|e| TransportError::Io(format!("read frame body: {e}")))?;
+    if got < len {
+        return Err(TransportError::Io(format!(
+            "read frame body: connection closed {got} bytes into a {len}-byte frame"
+        )));
+    }
     Ok(flags)
 }
 
@@ -406,6 +422,31 @@ mod tests {
             Envelope::parse(std::str::from_utf8(&buf).unwrap()).unwrap(),
             req
         );
+    }
+
+    #[test]
+    fn claimed_length_reserves_no_more_than_arrives() {
+        // Nine bytes claiming the largest legal frame, then EOF.
+        let mut head = Vec::new();
+        head.extend_from_slice(MAGIC);
+        head.push(FLAG_CALL);
+        head.extend_from_slice(&(MAX_FRAME as u32).to_be_bytes());
+        let mut buf = Vec::new();
+        let err = read_frame_into(&mut head.as_slice(), &mut buf).unwrap_err();
+        assert!(matches!(err, TransportError::Io(_)), "{err:?}");
+        assert!(buf.capacity() <= FIRST_RESERVE, "{}", buf.capacity());
+
+        // A frame longer than the first reservation still arrives whole,
+        // into a buffer that held a shorter frame before.
+        let payload: Vec<u8> = (0..3 * FIRST_RESERVE + 17).map(|i| i as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, FLAG_ONEWAY, &payload).unwrap();
+        write_frame(&mut wire, FLAG_CALL, b"short").unwrap();
+        let mut r = wire.as_slice();
+        assert_eq!(read_frame_into(&mut r, &mut buf).unwrap(), FLAG_ONEWAY);
+        assert_eq!(buf, payload);
+        assert_eq!(read_frame_into(&mut r, &mut buf).unwrap(), FLAG_CALL);
+        assert_eq!(buf, b"short");
     }
 
     #[test]

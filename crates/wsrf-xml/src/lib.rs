@@ -32,7 +32,7 @@ pub mod writer;
 pub mod xpath;
 
 pub use error::XmlError;
-pub use name::{intern_ns, QName};
+pub use name::{intern_ns, LocalName, QName};
 pub use node::{Element, Node};
 pub use parser::{dom_build_count, parse, parse_event_count, Attr, Event, PullParser};
 pub use writer::{LenSink, TreeWriter, XmlSink};

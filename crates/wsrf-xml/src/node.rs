@@ -1,7 +1,7 @@
 //! The XML tree: elements, attributes and text nodes, with a fluent
 //! builder API used pervasively when assembling SOAP messages.
 
-use crate::name::QName;
+use crate::name::{LocalName, QName};
 
 /// A node in an XML tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,7 +48,7 @@ pub struct Element {
 
 impl Element {
     /// New empty element in a namespace.
-    pub fn new(ns: impl AsRef<str>, local: impl Into<String>) -> Self {
+    pub fn new(ns: impl AsRef<str>, local: impl Into<LocalName>) -> Self {
         Element {
             name: QName::new(ns, local),
             attrs: Vec::new(),
@@ -57,7 +57,7 @@ impl Element {
     }
 
     /// New empty element in no namespace.
-    pub fn local(local: impl Into<String>) -> Self {
+    pub fn local(local: impl Into<LocalName>) -> Self {
         Element {
             name: QName::local(local),
             attrs: Vec::new(),
@@ -77,7 +77,7 @@ impl Element {
     // ---- builder API -------------------------------------------------
 
     /// Add an unqualified attribute (builder style).
-    pub fn attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn attr(mut self, name: impl Into<LocalName>, value: impl Into<String>) -> Self {
         self.attrs.push((QName::local(name), value.into()));
         self
     }
@@ -146,7 +146,7 @@ impl Element {
 
     /// First child element with the given local name, in any namespace.
     pub fn find_local(&self, local: &str) -> Option<&Element> {
-        self.elements().find(|e| e.name.local == local)
+        self.elements().find(|e| e.name.local == *local)
     }
 
     /// Mutable access to the first child element with the given name.
@@ -161,7 +161,7 @@ impl Element {
     pub fn attr_value(&self, name: &str) -> Option<&str> {
         self.attrs
             .iter()
-            .find(|(q, _)| q.ns.is_none() && q.local == name)
+            .find(|(q, _)| q.ns.is_none() && q.local == *name)
             .map(|(_, v)| v.as_str())
     }
 

@@ -21,11 +21,15 @@
 //!   messages and offsets.
 //!
 //! Process-global counters track tokenizer work: [`parse_event_count`]
-//! increments once per event produced, [`dom_build_count`] once per
+//! advances by one per event produced, [`dom_build_count`] by one per
 //! materialized subtree. The wirepath budget tests pin both per
-//! exchange, exactly like `wsrf_soap::render_count` pins renders.
+//! exchange, exactly like `wsrf_soap::render_count` pins renders. A
+//! parser tallies its own work and adds it to the counters when it
+//! reaches the end of its document or is dropped, so the totals are
+//! exact whenever no parser is mid-document.
 
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -57,6 +61,19 @@ pub fn parse_event_count() -> u64 {
 /// [`PullParser::build_element`] call; [`parse`] counts as one).
 pub fn dom_build_count() -> u64 {
     DOM_BUILDS.load(Ordering::Relaxed)
+}
+
+thread_local! {
+    /// This thread's share of (`PARSE_EVENTS`, `DOM_BUILDS`).
+    static THREAD_COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// (events, DOM builds) flushed by parsers on the calling thread: the
+/// two process-wide counters restricted to one thread, for unit tests
+/// that pin a budget while sibling tests parse on other threads.
+#[doc(hidden)]
+pub fn thread_parse_counts() -> (u64, u64) {
+    THREAD_COUNTS.get()
 }
 
 /// Parse a complete XML document (or bare element) into an [`Element`].
@@ -125,11 +142,15 @@ struct OpenTag {
 /// subtree as a DOM escape hatch; [`skip_element`](Self::skip_element)
 /// discards it instead without building anything.
 pub struct PullParser<'a> {
-    bytes: &'a [u8],
+    /// The document. Every cut the tokenizer makes is at an ASCII
+    /// delimiter, so slices come from here by `str::get` without
+    /// re-validating UTF-8.
+    input: &'a str,
     pos: usize,
     /// Flat stack of namespace bindings: prefix -> interned URI
-    /// (`None` records `xmlns=""` un-declaring the default).
-    bindings: Vec<(String, Option<Arc<str>>)>,
+    /// (`None` records `xmlns=""` un-declaring the default). Prefixes
+    /// are borrowed from the input or from an inherited scope.
+    bindings: Vec<(&'a str, Option<Arc<str>>)>,
     frames: Vec<OpenTag>,
     /// Resolved attributes of the most recent start tag.
     attrs: Vec<Attr<'a>>,
@@ -144,13 +165,22 @@ pub struct PullParser<'a> {
     prolog_done: bool,
     seen_root: bool,
     finished: bool,
+    /// Events and DOM builds not yet added to the process counters.
+    events: u64,
+    dom_builds: u64,
+}
+
+impl Drop for PullParser<'_> {
+    fn drop(&mut self) {
+        self.flush_counts();
+    }
 }
 
 impl<'a> PullParser<'a> {
     /// A parser positioned at the start of `input` (prolog allowed).
     pub fn new(input: &'a str) -> Self {
         PullParser {
-            bytes: input.as_bytes(),
+            input,
             pos: 0,
             bindings: Vec::new(),
             frames: Vec::new(),
@@ -162,6 +192,8 @@ impl<'a> PullParser<'a> {
             prolog_done: false,
             seen_root: false,
             finished: false,
+            events: 0,
+            dom_builds: 0,
         }
     }
 
@@ -169,9 +201,10 @@ impl<'a> PullParser<'a> {
     /// inherited from an enclosing scope (as captured by
     /// [`scope`](Self::scope)). Used to re-parse a deferred subtree —
     /// e.g. a SOAP body span — in its original namespace environment.
-    pub fn with_scope(input: &'a str, scope: &[(String, Option<Arc<str>>)]) -> Self {
+    pub fn with_scope(input: &'a str, scope: &'a [(String, Option<Arc<str>>)]) -> Self {
         let mut p = Self::new(input);
-        p.bindings = scope.to_vec();
+        p.bindings
+            .extend(scope.iter().map(|(p, uri)| (p.as_str(), uri.clone())));
         p
     }
 
@@ -199,16 +232,40 @@ impl<'a> PullParser<'a> {
     /// Snapshot of the namespace bindings currently in scope, for
     /// [`with_scope`](Self::with_scope).
     pub fn scope(&self) -> Vec<(String, Option<Arc<str>>)> {
-        self.bindings.clone()
+        self.bindings
+            .iter()
+            .map(|(p, uri)| (p.to_string(), uri.clone()))
+            .collect()
     }
 
     /// Pull the next event, or `Ok(None)` at clean end of document.
     pub fn next_event(&mut self) -> Result<Option<Event<'a>>> {
         let ev = self.next_event_inner()?;
-        if ev.is_some() {
-            PARSE_EVENTS.fetch_add(1, Ordering::Relaxed);
+        match ev {
+            Some(_) => self.events += 1,
+            None => self.flush_counts(),
         }
         Ok(ev)
+    }
+
+    /// Add this parser's tally to the process and thread counters: one
+    /// atomic per document instead of one per event.
+    fn flush_counts(&mut self) {
+        let (events, dom_builds) = (self.events, self.dom_builds);
+        if events == 0 && dom_builds == 0 {
+            return;
+        }
+        (self.events, self.dom_builds) = (0, 0);
+        PARSE_EVENTS.fetch_add(events, Ordering::Relaxed);
+        if dom_builds > 0 {
+            DOM_BUILDS.fetch_add(dom_builds, Ordering::Relaxed);
+        }
+        // `try_with`: a parser dropped during thread teardown still
+        // counts process-wide.
+        let _ = THREAD_COUNTS.try_with(|c| {
+            let (e, d) = c.get();
+            c.set((e + events, d + dom_builds));
+        });
     }
 
     fn next_event_inner(&mut self) -> Result<Option<Event<'a>>> {
@@ -224,7 +281,7 @@ impl<'a> PullParser<'a> {
             if self.seen_root {
                 // After the document element: misc, then clean EOF.
                 self.skip_misc();
-                if self.pos != self.bytes.len() {
+                if self.pos != self.input.len() {
                     return Err(XmlError::at(
                         "trailing content after document element",
                         self.pos,
@@ -248,9 +305,8 @@ impl<'a> PullParser<'a> {
                 self.skip_ws();
                 self.expect_byte(b'>')?;
                 let open = self.frames.last().expect("content implies open tag");
-                let open_name = &self.bytes[open.name_start..open.name_end];
-                if close_name.as_bytes() != open_name {
-                    let open_name = std::str::from_utf8(open_name).unwrap_or("?");
+                let open_name = &self.input[open.name_start..open.name_end];
+                if close_name != open_name {
                     return Err(XmlError::at(
                         format!("mismatched close tag </{}> for <{}>", close_name, open_name),
                         close_pos,
@@ -264,9 +320,7 @@ impl<'a> PullParser<'a> {
                 self.pos += "<![CDATA[".len();
                 let start = self.pos;
                 self.skip_until("]]>")?;
-                let bytes = self.bytes;
-                let text = std::str::from_utf8(&bytes[start..self.pos - 3])
-                    .map_err(|_| XmlError::at("invalid utf-8 in CDATA", start))?;
+                let text = self.slice(start, self.pos - 3, "invalid utf-8 in CDATA")?;
                 if text.is_empty() {
                     continue;
                 }
@@ -277,15 +331,9 @@ impl<'a> PullParser<'a> {
                 return self.start_tag().map(Some);
             } else if self.peek().is_some() {
                 let start = self.pos;
-                while let Some(b) = self.peek() {
-                    if b == b'<' {
-                        break;
-                    }
-                    self.pos += 1;
-                }
-                let bytes = self.bytes;
-                let raw = std::str::from_utf8(&bytes[start..self.pos])
-                    .map_err(|_| XmlError::at("invalid utf-8 in text", start))?;
+                let rest = &self.input[start..];
+                self.pos += rest.find('<').unwrap_or(rest.len());
+                let raw = self.slice(start, self.pos, "invalid utf-8 in text")?;
                 return Ok(Some(Event::Text(unescape(raw, start)?)));
             } else {
                 return Err(XmlError::at("eof inside element content", self.pos));
@@ -298,7 +346,7 @@ impl<'a> PullParser<'a> {
     /// end. This is the DOM escape hatch; each call counts one DOM
     /// build in [`dom_build_count`].
     pub fn build_element(&mut self) -> Result<Element> {
-        DOM_BUILDS.fetch_add(1, Ordering::Relaxed);
+        self.dom_builds += 1;
         self.build_current()
     }
 
@@ -307,23 +355,16 @@ impl<'a> PullParser<'a> {
             .last_start
             .take()
             .ok_or_else(|| XmlError::new("build_element: no current start tag"))?;
-        let name = match ns {
-            Some(uri) => QName {
-                ns: Some(uri),
-                local: local.to_string(),
-            },
-            None => QName::local(local),
-        };
-        let mut element = Element::with_name(name);
+        let mut element = Element::with_name(QName {
+            ns,
+            local: local.into(),
+        });
         for a in self.attrs.drain(..) {
-            let qn = match a.ns {
-                Some(uri) => QName {
-                    ns: Some(uri),
-                    local: a.local.to_string(),
-                },
-                None => QName::local(a.local),
+            let name = QName {
+                ns: a.ns,
+                local: a.local.into(),
             };
-            element.attrs.push((qn, a.value.into_owned()));
+            element.attrs.push((name, a.value.into_owned()));
         }
         loop {
             match self.next_event()? {
@@ -382,11 +423,20 @@ impl<'a> PullParser<'a> {
     // ---- tokenizer internals -------------------------------------
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
+        self.input.as_bytes()[self.pos..].starts_with(s.as_bytes())
+    }
+
+    /// `input[start..end]`. The tokenizer only cuts at ASCII
+    /// delimiters, so the boundary check is O(1) and cannot fail on
+    /// the `&str` it was given; `what` names the construct if it does.
+    fn slice(&self, start: usize, end: usize, what: &'static str) -> Result<&'a str> {
+        self.input
+            .get(start..end)
+            .ok_or_else(|| XmlError::at(what, start))
     }
 
     fn skip_ws(&mut self) {
@@ -405,7 +455,7 @@ impl<'a> PullParser<'a> {
     }
 
     fn skip_until(&mut self, pat: &str) -> Result<()> {
-        let hay = &self.bytes[self.pos..];
+        let hay = &self.input.as_bytes()[self.pos..];
         match find_sub(hay, pat.as_bytes()) {
             Some(i) => {
                 self.pos += i + pat.len();
@@ -450,20 +500,18 @@ impl<'a> PullParser<'a> {
 
     fn parse_name(&mut self) -> Result<(&'a str, usize)> {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            let ok =
-                b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') || b >= 0x80;
-            if !ok {
-                break;
-            }
-            self.pos += 1;
-        }
+        let rest = &self.input.as_bytes()[start..];
+        let is_name_byte = |b: u8| {
+            b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') || b >= 0x80
+        };
+        self.pos += rest
+            .iter()
+            .position(|&b| !is_name_byte(b))
+            .unwrap_or(rest.len());
         if self.pos == start {
             return Err(XmlError::at("expected a name", self.pos));
         }
-        let bytes = self.bytes;
-        let name = std::str::from_utf8(&bytes[start..self.pos])
-            .map_err(|_| XmlError::at("invalid utf-8 in name", start))?;
+        let name = self.slice(start, self.pos, "invalid utf-8 in name")?;
         Ok((name, start))
     }
 
@@ -472,7 +520,7 @@ impl<'a> PullParser<'a> {
             return Ok(Some(intern_ns("http://www.w3.org/XML/1998/namespace")));
         }
         for (p, uri) in self.bindings.iter().rev() {
-            if p == prefix {
+            if *p == prefix {
                 // `None` records xmlns="" un-declaring the namespace.
                 return Ok(uri.clone());
             }
@@ -533,21 +581,17 @@ impl<'a> PullParser<'a> {
                     }
                     self.pos += 1;
                     let vstart = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == quote {
-                            break;
+                    let rest = &self.input.as_bytes()[vstart..];
+                    match rest.iter().position(|&b| b == quote || b == b'<') {
+                        Some(i) if rest[i] == quote => self.pos += i,
+                        Some(i) => {
+                            return Err(XmlError::at("'<' in attribute value", vstart + i));
                         }
-                        if b == b'<' {
-                            return Err(XmlError::at("'<' in attribute value", self.pos));
+                        None => {
+                            return Err(XmlError::at("unterminated attribute value", vstart));
                         }
-                        self.pos += 1;
                     }
-                    if self.peek() != Some(quote) {
-                        return Err(XmlError::at("unterminated attribute value", vstart));
-                    }
-                    let bytes = self.bytes;
-                    let raw_val = std::str::from_utf8(&bytes[vstart..self.pos])
-                        .map_err(|_| XmlError::at("invalid utf-8", vstart))?;
+                    let raw_val = self.slice(vstart, self.pos, "invalid utf-8")?;
                     let value = unescape(raw_val, vstart)?;
                     self.pos += 1; // closing quote
                     if aname == "xmlns" {
@@ -556,14 +600,14 @@ impl<'a> PullParser<'a> {
                         } else {
                             Some(intern_ns(&value))
                         };
-                        self.bindings.push((String::new(), uri));
+                        self.bindings.push(("", uri));
                     } else if let Some(pfx) = aname.strip_prefix("xmlns:") {
                         let uri = if value.is_empty() {
                             None
                         } else {
                             Some(intern_ns(&value))
                         };
-                        self.bindings.push((pfx.to_string(), uri));
+                        self.bindings.push((pfx, uri));
                     } else {
                         self.raw_attrs.push((aname, value, apos));
                     }
@@ -903,18 +947,31 @@ mod tests {
 
     #[test]
     fn counters_advance() {
-        let ev0 = parse_event_count();
-        let dom0 = dom_build_count();
+        // Sibling tests parse on other threads, so the exact deltas are
+        // read from this thread's tally; the process-wide counters
+        // include them.
+        let (ev0, dom0) = thread_parse_counts();
+        let (global_ev0, global_dom0) = (parse_event_count(), dom_build_count());
         parse("<a><b/>text</a>").unwrap();
         // start a, start b, end b, text, end a = 5 events, 1 build.
-        assert_eq!(parse_event_count() - ev0, 5);
-        assert_eq!(dom_build_count() - dom0, 1);
-        let ev1 = parse_event_count();
-        let dom1 = dom_build_count();
+        assert_eq!(thread_parse_counts(), (ev0 + 5, dom0 + 1));
         let mut p = PullParser::new("<a><b/>text</a>");
         while p.next_event().unwrap().is_some() {}
-        assert_eq!(parse_event_count() - ev1, 5);
-        assert_eq!(dom_build_count() - dom1, 0);
+        // Flushed at end of document, with the parser still alive.
+        assert_eq!(thread_parse_counts(), (ev0 + 10, dom0 + 1));
+        assert!(parse_event_count() - global_ev0 >= 10);
+        assert!(dom_build_count() - global_dom0 >= 1);
+    }
+
+    #[test]
+    fn abandoned_parser_counts_on_drop() {
+        let (ev0, _) = thread_parse_counts();
+        let mut p = PullParser::new("<a><b/></a>");
+        p.next_event().unwrap();
+        p.next_event().unwrap();
+        assert_eq!(thread_parse_counts().0, ev0);
+        drop(p);
+        assert_eq!(thread_parse_counts().0, ev0 + 2);
     }
 
     #[test]

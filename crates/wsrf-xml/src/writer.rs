@@ -104,32 +104,44 @@ pub fn escape_attr(s: &str) -> String {
     out
 }
 
-/// [`escape_text`] straight into a sink: no intermediate `String`.
-pub fn escape_text_into<S: XmlSink>(s: &str, out: &mut S) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push_char(c),
+/// Copy `s` to `out`, replacing each byte `entity_for` names with its
+/// entity. Every special is ASCII, so the scan runs over bytes and the
+/// clean runs between specials — usually the whole string — go out in
+/// one `push_str` each.
+fn escape_into<S: XmlSink>(s: &str, out: &mut S, entity_for: impl Fn(u8) -> Option<&'static str>) {
+    let mut clean_from = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if let Some(entity) = entity_for(b) {
+            out.push_str(&s[clean_from..i]);
+            out.push_str(entity);
+            clean_from = i + 1;
         }
     }
+    out.push_str(&s[clean_from..]);
+}
+
+/// [`escape_text`] straight into a sink: no intermediate `String`.
+pub fn escape_text_into<S: XmlSink>(s: &str, out: &mut S) {
+    escape_into(s, out, |b| match b {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        _ => None,
+    })
 }
 
 /// [`escape_attr`] straight into a sink: no intermediate `String`.
 pub fn escape_attr_into<S: XmlSink>(s: &str, out: &mut S) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\n' => out.push_str("&#10;"),
-            '\t' => out.push_str("&#9;"),
-            '\r' => out.push_str("&#13;"),
-            _ => out.push_char(c),
-        }
-    }
+    escape_into(s, out, |b| match b {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'"' => Some("&quot;"),
+        b'\n' => Some("&#10;"),
+        b'\t' => Some("&#9;"),
+        b'\r' => Some("&#13;"),
+        _ => None,
+    })
 }
 
 /// Append the synthesized prefix for binding `id` (`ns0`, `ns1`, ...)
@@ -148,8 +160,9 @@ fn push_prefix<S: XmlSink>(out: &mut S, id: u32) {
             break;
         }
     }
-    // Digits are ASCII by construction.
-    out.push_str(std::str::from_utf8(&digits[at..]).unwrap());
+    for &d in &digits[at..] {
+        out.push_char(d as char);
+    }
 }
 
 /// Scoped prefix table used during a single serialization pass. URIs
@@ -175,10 +188,12 @@ impl<'n> Scope<'n> {
     }
 
     fn lookup(&self, uri: &str) -> Option<u32> {
+        // Namespace URIs are interned, so a bound URI is nearly always
+        // the very same string: compare pointers before contents.
         self.bindings
             .iter()
             .rev()
-            .find(|(u, _)| *u == uri)
+            .find(|(u, _)| std::ptr::eq(*u, uri) || *u == uri)
             .map(|(_, id)| *id)
     }
 
@@ -207,88 +222,87 @@ impl<'n> Scope<'n> {
     }
 }
 
-/// Emit `prefix:local` (or bare `local`) for a name whose namespace is
-/// already bound in `scope`.
-fn emit_name<S: XmlSink>(ns: Option<&str>, local: &str, out: &mut S, scope: &Scope<'_>) {
-    match ns {
-        None => out.push_str(local),
-        Some(uri) => {
-            let id = scope
-                .lookup(uri)
-                .expect("namespace resolved before emission");
-            push_prefix(out, id);
-            out.push_char(':');
-            out.push_str(local);
-        }
+/// Emit `ns{id}:local`, or bare `local` for a name in no namespace.
+fn emit_name<S: XmlSink>(prefix: Option<u32>, local: &str, out: &mut S) {
+    if let Some(id) = prefix {
+        push_prefix(out, id);
+        out.push_char(':');
     }
+    out.push_str(local);
+}
+
+/// Move the declarations staged in `scope.fresh` into scope and emit
+/// `<name` plus their `xmlns:` attributes. Returns the number of
+/// bindings introduced.
+fn open_with_decls<S: XmlSink>(
+    prefix: Option<u32>,
+    local: &str,
+    out: &mut S,
+    scope: &mut Scope<'_>,
+) -> usize {
+    let added = scope.commit();
+    out.push_char('<');
+    emit_name(prefix, local, out);
+    // Declarations introduced by this tag sit at the top of the stack.
+    for &(uri, id) in &scope.bindings[scope.bindings.len() - added..] {
+        out.push_str(" xmlns:");
+        push_prefix(out, id);
+        out.push_str("=\"");
+        escape_attr_into(uri, out);
+        out.push_char('"');
+    }
+    added
 }
 
 /// Open tag for a synthetic (element-free) name: resolve, declare,
-/// emit. Returns the number of bindings introduced.
+/// emit. Returns the number of bindings introduced and the name's
+/// prefix id, which the close tag reuses.
 fn open_raw<'n, S: XmlSink>(
     ns: Option<&'n str>,
     local: &'n str,
     out: &mut S,
     scope: &mut Scope<'n>,
-) -> usize {
+) -> (usize, Option<u32>) {
     scope.fresh.clear();
-    if let Some(uri) = ns {
-        scope.resolve(uri);
-    }
-    let added = scope.commit();
-    out.push_char('<');
-    emit_name(ns, local, out, scope);
-    let decl_start = scope.bindings.len() - added;
-    for i in decl_start..scope.bindings.len() {
-        let (uri, id) = scope.bindings[i];
-        out.push_str(" xmlns:");
-        push_prefix(out, id);
-        out.push_str("=\"");
-        escape_attr_into(uri, out);
-        out.push_char('"');
-    }
-    added
+    let prefix = ns.map(|uri| scope.resolve(uri));
+    (open_with_decls(prefix, local, out, scope), prefix)
 }
 
 /// Open tag for a real element: two passes — resolve every prefix the
 /// tag needs (element name first, then attribute names, matching the
 /// historical declaration order), then emit name, `xmlns:` declarations
-/// and attributes. Returns the number of bindings introduced.
-fn open_tag<'n, S: XmlSink>(e: &'n Element, out: &mut S, scope: &mut Scope<'n>) -> usize {
+/// and attributes. Returns the number of bindings introduced and the
+/// element name's prefix id, which the close tag reuses.
+fn open_tag<'n, S: XmlSink>(
+    e: &'n Element,
+    out: &mut S,
+    scope: &mut Scope<'n>,
+) -> (usize, Option<u32>) {
     scope.fresh.clear();
-    if let Some(uri) = e.name.ns_str() {
-        scope.resolve(uri);
-    }
+    let prefix = e.name.ns_str().map(|uri| scope.resolve(uri));
     for (an, _) in &e.attrs {
         if let Some(uri) = an.ns_str() {
             scope.resolve(uri);
         }
     }
-    let added = scope.commit();
-    out.push_char('<');
-    emit_name(e.name.ns_str(), &e.name.local, out, scope);
-    // Declarations introduced by this tag sit at the top of the stack.
-    let decl_start = scope.bindings.len() - added;
-    for i in decl_start..scope.bindings.len() {
-        let (uri, id) = scope.bindings[i];
-        out.push_str(" xmlns:");
-        push_prefix(out, id);
-        out.push_str("=\"");
-        escape_attr_into(uri, out);
-        out.push_char('"');
-    }
+    let added = open_with_decls(prefix, &e.name.local, out, scope);
     for (an, av) in &e.attrs {
         out.push_char(' ');
-        emit_name(an.ns_str(), &an.local, out, scope);
+        let attr_prefix = an.ns_str().map(|uri| {
+            scope
+                .lookup(uri)
+                .expect("attribute namespace resolved above")
+        });
+        emit_name(attr_prefix, &an.local, out);
         out.push_str("=\"");
         escape_attr_into(av, out);
         out.push_char('"');
     }
-    added
+    (added, prefix)
 }
 
 fn write_element<'n, S: XmlSink>(e: &'n Element, out: &mut S, scope: &mut Scope<'n>) {
-    let added = open_tag(e, out, scope);
+    let (added, prefix) = open_tag(e, out, scope);
     if e.children.is_empty() {
         out.push_str("/>");
     } else {
@@ -300,7 +314,7 @@ fn write_element<'n, S: XmlSink>(e: &'n Element, out: &mut S, scope: &mut Scope<
             }
         }
         out.push_str("</");
-        emit_name(e.name.ns_str(), &e.name.local, out, scope);
+        emit_name(prefix, &e.name.local, out);
         out.push_char('>');
     }
     scope.bindings.truncate(scope.bindings.len() - added);
@@ -367,7 +381,8 @@ impl Element {
 pub struct TreeWriter<'o, 'n, S: XmlSink> {
     out: &'o mut S,
     scope: Scope<'n>,
-    open: Vec<(Option<&'n str>, &'n str, usize)>,
+    /// Open synthetic tags: prefix id, local name, bindings introduced.
+    open: Vec<(Option<u32>, &'n str, usize)>,
 }
 
 impl<'o, 'n, S: XmlSink> TreeWriter<'o, 'n, S> {
@@ -388,9 +403,9 @@ impl<'o, 'n, S: XmlSink> TreeWriter<'o, 'n, S> {
     /// children. Attributes are not supported on synthetic tags; use
     /// [`TreeWriter::element`] for real elements.
     pub fn start(&mut self, ns: Option<&'n str>, local: &'n str) {
-        let added = open_raw(ns, local, self.out, &mut self.scope);
+        let (added, prefix) = open_raw(ns, local, self.out, &mut self.scope);
         self.out.push_char('>');
-        self.open.push((ns, local, added));
+        self.open.push((prefix, local, added));
     }
 
     /// Serialize a borrowed element subtree in the current scope.
@@ -400,9 +415,9 @@ impl<'o, 'n, S: XmlSink> TreeWriter<'o, 'n, S> {
 
     /// Close the most recently opened synthetic tag.
     pub fn end(&mut self) {
-        let (ns, local, added) = self.open.pop().expect("TreeWriter::end without start");
+        let (prefix, local, added) = self.open.pop().expect("TreeWriter::end without start");
         self.out.push_str("</");
-        emit_name(ns, local, self.out, &self.scope);
+        emit_name(prefix, local, self.out);
         self.out.push_char('>');
         self.scope
             .bindings
@@ -413,7 +428,7 @@ impl<'o, 'n, S: XmlSink> TreeWriter<'o, 'n, S> {
 fn write_pretty<'n>(e: &'n Element, out: &mut String, scope: &mut Scope<'n>, depth: usize) {
     let indent = "  ".repeat(depth);
     out.push_str(&indent);
-    let added = open_tag(e, out, scope);
+    let (added, prefix) = open_tag(e, out, scope);
     let has_child_elems = e.elements().next().is_some();
     if e.children.is_empty() {
         out.push_str("/>\n");
@@ -425,7 +440,7 @@ fn write_pretty<'n>(e: &'n Element, out: &mut String, scope: &mut Scope<'n>, dep
             }
         }
         out.push_str("</");
-        emit_name(e.name.ns_str(), &e.name.local, out, scope);
+        emit_name(prefix, &e.name.local, out);
         out.push_str(">\n");
     } else {
         out.push_str(">\n");
@@ -442,7 +457,7 @@ fn write_pretty<'n>(e: &'n Element, out: &mut String, scope: &mut Scope<'n>, dep
         }
         out.push_str(&indent);
         out.push_str("</");
-        emit_name(e.name.ns_str(), &e.name.local, out, scope);
+        emit_name(prefix, &e.name.local, out);
         out.push_str(">\n");
     }
     scope.bindings.truncate(scope.bindings.len() - added);
@@ -480,6 +495,50 @@ mod tests {
             xml,
             "<a v=\"x&lt;&quot;&gt;&amp;\">1 &lt; 2 &amp; 3 &gt; 2</a>"
         );
+    }
+
+    /// The per-`char` escaper this module used to run, kept as the
+    /// reference the byte-scanning one is pinned to.
+    fn escape_per_char(s: &str, attr: bool) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '&' => out.push_str("&amp;"),
+                '<' => out.push_str("&lt;"),
+                '>' => out.push_str("&gt;"),
+                '"' if attr => out.push_str("&quot;"),
+                '\n' if attr => out.push_str("&#10;"),
+                '\t' if attr => out.push_str("&#9;"),
+                '\r' if attr => out.push_str("&#13;"),
+                _ => out.push(c),
+            }
+        }
+        out
+    }
+
+    fn escaped<S: XmlSink + Default>(s: &str, attr: bool) -> S {
+        let mut out = S::default();
+        if attr {
+            super::escape_attr_into(s, &mut out);
+        } else {
+            super::escape_text_into(s, &mut out);
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Specials packed against 1-, 2-, 3- and 4-byte characters.
+        #[test]
+        fn escaping_matches_per_char_reference(
+            s in "[&<>\"\n\t\r'&<>\"\n\t\ra-z \u{80}-\u{7ff}\u{800}-\u{d7ff}\u{e000}-\u{ffff}\u{10000}-\u{10ffff}]{0,48}"
+        ) {
+            for attr in [false, true] {
+                let want = escape_per_char(&s, attr);
+                proptest::prop_assert_eq!(&escaped::<String>(&s, attr), &want);
+                proptest::prop_assert_eq!(&escaped::<Vec<u8>>(&s, attr), want.as_bytes());
+                proptest::prop_assert_eq!(escaped::<LenSink>(&s, attr).len(), want.len());
+            }
+        }
     }
 
     #[test]

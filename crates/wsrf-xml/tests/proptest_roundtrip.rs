@@ -143,7 +143,7 @@ fn materialize_from_events(input: &str) -> Result<Element, String> {
                 let name = match ns {
                     Some(uri) => QName {
                         ns: Some(uri),
-                        local: local.to_string(),
+                        local: local.into(),
                     },
                     None => QName::local(local),
                 };
@@ -152,7 +152,7 @@ fn materialize_from_events(input: &str) -> Result<Element, String> {
                     let qn = match &a.ns {
                         Some(uri) => QName {
                             ns: Some(uri.clone()),
-                            local: a.local.to_string(),
+                            local: a.local.into(),
                         },
                         None => QName::local(a.local),
                     };

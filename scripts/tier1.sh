@@ -24,48 +24,24 @@ echo "== cargo build --release --offline --locked (benchmark/)"
 # benchmark time.
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
-echo "== cargo test -q --release --offline scale_stress"
-# The contention-sensitive suites (scale stress, per-resource lease
-# races) only exercise real interleavings at release-mode speed.
-cargo test -q --release --offline --test scale_stress
-cargo test -q --release --offline --test concurrency
+echo "== cargo test -q --release --offline --workspace"
+# `cargo test` above builds only the root package (the suites under
+# tests/); this step also runs every crate's own unit and integration
+# tests (crates/*/src, crates/*/tests). Release mode, because the root
+# suites it re-runs need release-mode speed: scale_stress, concurrency
+# and broker_fanout only reach real interleavings, the wirepath*
+# suites and wsrf-xml's proptest_roundtrip pin serializer bytes and
+# render/parse/DOM budgets over many proptest cases and real sockets,
+# durability and failover_chaos replay 48 corrupted WALs and ten
+# kill-point recoveries, and history_independence drives sixty
+# Figure 3 sets through call-counting stores.
+cargo test -q --release --offline --workspace
 
-echo "== cargo test -q --release --offline wirepath"
-# The wire-path suites pin byte-for-byte serializer equivalence, the
-# per-transport render budgets, and the inbound parse/DOM budgets
-# (zero body DOMs per WS-RP read); release mode keeps the proptest
-# cases and the real-socket exchanges fast.
-cargo test -q --release --offline --test wirepath
-cargo test -q --release --offline --test wirepath_renders
-cargo test -q --release --offline --test wirepath_inbound
-cargo test -q --release --offline -p wsrf-xml --test proptest_roundtrip
-
-echo "== cargo test -q --release --offline durability + failover_chaos"
-# The durability suite replays proptest-corrupted WALs and the chaos
-# suite kills the primary scheduler at every Figure 3 step; release
-# mode keeps the 48-case corruption sweep and the ten kill-point
-# recovery cycles fast.
-cargo test -q --release --offline --test durability
-cargo test -q --release --offline --test failover_chaos
-
-echo "== cargo test -q --release --offline history_independence"
-# Sixty Figure 3 sets through call-counting ES stores: per-set store
-# loads, the scheduler's listener and terminal-resource lifetimes must
-# not depend on how many sets came before.
-cargo test -q --release --offline --test history_independence
-
-echo "== cargo test -q --release --offline broker_fanout + E13 smoke"
-# The broker suite races subscription lifecycle ops against concurrent
-# publishes (release mode for real interleavings); the E13 smoke row
-# drives the sharded fan-out open-loop at 1k subscriptions.
-cargo test -q --release --offline --test broker_fanout
+echo "== E13 smoke + monitor smoke"
+# The E13 smoke row drives the sharded broker fan-out open-loop at 1k
+# subscriptions; the monitor smoke boots a monitored container
+# standalone and scrapes /metrics and /healthz.
 cargo run -q --release --offline -p bench --bin harness -- e13-smoke >/dev/null
-
-echo "== cargo test -q --release --offline monitoring_plane + monitor smoke"
-# The monitoring-plane suite round-trips the exposition endpoints over
-# real sockets and aggregates two authorities; the smoke run then boots
-# a monitored container standalone and scrapes /metrics and /healthz.
-cargo test -q --release --offline --test monitoring_plane
 cargo run -q --release --offline -p bench --bin harness -- monitor-smoke >/dev/null
 
 echo "== metrics + tracing regression gate"
