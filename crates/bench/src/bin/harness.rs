@@ -459,7 +459,7 @@ fn e5_transfer() {
         ]);
     }
     print_table(
-        "E5b — real localhost wall time per call",
+        "E5 — real localhost wall time per call",
         &["payload", "http (new conn/call)", "soap.tcp (persistent)"],
         &rows,
     );

@@ -3,19 +3,19 @@
 //! used to exercise true wire encoding/decoding costs in experiment E5
 //! and the cross-process tests.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{BufRead, BufReader, IoSlice, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use simclock::Clock;
 use wsrf_obs::MetricsRegistry;
-use wsrf_soap::Envelope;
+use wsrf_soap::{Envelope, SoapFault};
 
 use crate::endpoint::Endpoint;
 use crate::error::TransportError;
 use crate::obs::LinkObs;
+use crate::pool::{read_sized, release_oversized};
+use crate::serve::{is_timeout, Connection, Listener, READ_TIMEOUT};
 
 /// Anti-slowloris limits applied to every accepted connection. A
 /// client that trickles headers forever, or sends an unbounded header
@@ -34,7 +34,7 @@ pub struct HttpLimits {
 impl Default for HttpLimits {
     fn default() -> Self {
         HttpLimits {
-            read_timeout: std::time::Duration::from_secs(10),
+            read_timeout: READ_TIMEOUT,
             max_header_bytes: 16 << 10,
             max_header_lines: 100,
         }
@@ -54,9 +54,7 @@ struct Exposition {
 
 /// A listening HTTP SOAP endpoint.
 pub struct HttpSoapServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl HttpSoapServer {
@@ -103,8 +101,8 @@ impl HttpSoapServer {
     /// * `/healthz` — SLO health summary (503 when any burn rate > 1),
     /// * `/traces/<hex-id>.json` — one trace in Chrome trace format.
     ///
-    /// Scrapes render through the sink pattern into the connection's
-    /// reused wire buffer — no per-metric strings.
+    /// Scrapes render through the sink pattern into the worker's reused
+    /// wire buffer — no per-metric strings.
     pub fn start_monitored(
         endpoint: Arc<dyn Endpoint>,
         registry: &Arc<MetricsRegistry>,
@@ -116,13 +114,7 @@ impl HttpSoapServer {
             clock: clock.clone(),
             scrapes: registry.counter("expose.scrapes"),
         };
-        Self::start_inner(
-            endpoint,
-            registry,
-            Some(clock),
-            limits,
-            Some(Arc::new(expose)),
-        )
+        Self::start_inner(endpoint, registry, Some(clock), limits, Some(expose))
     }
 
     fn start_inner(
@@ -130,73 +122,36 @@ impl HttpSoapServer {
         registry: &MetricsRegistry,
         clock: Option<Clock>,
         limits: HttpLimits,
-        expose: Option<Arc<Exposition>>,
+        expose: Option<Exposition>,
     ) -> std::io::Result<Self> {
-        let obs = Arc::new(LinkObs::new(registry, "http"));
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let sd = shutdown.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("http-soap-accept".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if sd.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    stream.set_nodelay(true).ok();
-                    // An idle or trickling client hits this timeout
-                    // instead of pinning its thread forever.
-                    stream.set_read_timeout(Some(limits.read_timeout)).ok();
-                    let ep = endpoint.clone();
-                    let obs = obs.clone();
-                    let clock = clock.clone();
-                    let expose = expose.clone();
-                    // Thread per connection; connections are short-lived
-                    // (Connection: close), matching 2004-era SOAP stacks.
-                    let _ = std::thread::Builder::new()
-                        .name("http-soap-conn".into())
-                        .spawn(move || {
-                            let _ = serve_connection(
-                                stream,
-                                ep,
-                                &obs,
-                                clock.as_ref(),
-                                &limits,
-                                expose.as_deref(),
-                            );
-                        });
-                }
-            })?;
+        let conn = HttpConn {
+            endpoint,
+            obs: LinkObs::new(registry, KIND),
+            clock,
+            limits,
+            expose,
+        };
         Ok(HttpSoapServer {
-            addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
+            listener: Listener::bind(KIND, registry, limits.read_timeout, conn)?,
         })
     }
 
     /// The bound address, e.g. `127.0.0.1:49152`.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// The `http://host:port` authority string for building EPRs.
     pub fn authority(&self) -> String {
-        self.addr.to_string()
+        self.local_addr().to_string()
     }
 }
 
-impl Drop for HttpSoapServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        // Unblock the accept loop.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
+/// Metric and thread-name stem of this transport.
+const KIND: &str = "http";
+
+/// The largest body either side accepts, request or response.
+const MAX_BODY: usize = 64 << 20;
 
 /// Outcome of scanning an HTTP header block for `Content-Length`.
 enum ContentLength {
@@ -224,8 +179,9 @@ fn read_content_length(
     let mut limited = reader.take(limits.max_header_bytes as u64);
     let mut found = ContentLength::Missing;
     let mut lines = 0usize;
+    let mut h = String::new();
     loop {
-        let mut h = String::new();
+        h.clear();
         let n = limited.read_line(&mut h)?;
         if n == 0 {
             if limited.limit() == 0 {
@@ -259,247 +215,392 @@ fn read_content_length(
     Ok(found)
 }
 
-/// True when an IO error is the socket read timeout firing.
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
+/// Hand `w` a whole message, head then body, in **one** write. The
+/// sockets run `TCP_NODELAY`, so every write is a segment of its own:
+/// formatting a head straight onto the stream used to cost a segment
+/// per format fragment. A write the kernel cuts short (a send buffer
+/// smaller than the body) is finished with ordinary writes.
+fn write_message(w: &mut impl Write, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+    let n = loop {
+        match w.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            wrote => break wrote?,
+        }
+    };
+    match n.checked_sub(head.len()) {
+        Some(of_body) => w.write_all(&body[of_body..]),
+        None => {
+            w.write_all(&head[n..])?;
+            w.write_all(body)
+        }
+    }
 }
 
-/// Render a SOAP client fault into `wire` and send it with the given
-/// HTTP status.
+fn write_response(
+    w: &mut impl Write,
+    head: &mut Vec<u8>,
+    code: u16,
+    reason: &str,
+    body: &[u8],
+) -> std::io::Result<()> {
+    write_response_typed(w, head, code, reason, "text/xml; charset=utf-8", body)
+}
+
+/// Send one response: the status line and headers format into the
+/// reusable `head`, which leaves together with `body`.
+fn write_response_typed(
+    w: &mut impl Write,
+    head: &mut Vec<u8>,
+    code: u16,
+    reason: &str,
+    content_type: &str,
+    body: &[u8],
+) -> std::io::Result<()> {
+    head.clear();
+    write!(
+        head,
+        "HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    )?;
+    write_message(w, head, body)
+}
+
+/// Render a SOAP fault into `wire` and send it with the given HTTP
+/// status.
 fn write_fault_response(
-    writer: &mut TcpStream,
+    w: &mut impl Write,
+    head: &mut Vec<u8>,
     wire: &mut Vec<u8>,
     code: u16,
     reason: &str,
-    detail: String,
+    fault: SoapFault,
 ) -> std::io::Result<()> {
     wire.clear();
-    wsrf_soap::SoapFault::client(detail)
-        .to_envelope()
-        .write_into(wire);
-    write_response(writer, code, reason, wire)
+    fault.to_envelope().write_into(wire);
+    write_response(w, head, code, reason, wire)
 }
 
-fn serve_connection(
-    stream: TcpStream,
-    endpoint: Arc<dyn Endpoint>,
-    obs: &LinkObs,
-    clock: Option<&Clock>,
-    limits: &HttpLimits,
-    expose: Option<&Exposition>,
-) -> std::io::Result<()> {
-    let started = std::time::Instant::now();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    // Per-connection buffers: every response body (fault or not) is
-    // rendered exactly once into `wire`, and the request body lands in
-    // `body` — the endpoint only ever sees a borrowed slice of it
-    // (via [`Endpoint::handle_wire`]), never an owned copy.
-    let mut wire: Vec<u8> = Vec::with_capacity(512);
-    let mut body: Vec<u8> = Vec::new();
+/// How long a refused connection is drained before it is closed.
+const LINGER: std::time::Duration = std::time::Duration::from_secs(1);
 
-    // Request line, bounded like the headers: a peer streaming one
-    // endless line is cut off at the byte cap.
-    let mut line = String::new();
-    {
-        let mut limited = (&mut reader).take(limits.max_header_bytes as u64);
-        match limited.read_line(&mut line) {
-            Ok(_) => {}
-            Err(e) if is_timeout(&e) => {
-                return write_fault_response(
-                    &mut writer,
-                    &mut wire,
-                    408,
-                    "Request Timeout",
-                    "timed out reading request line".into(),
-                );
-            }
-            Err(e) => return Err(e),
-        }
-        if !line.ends_with('\n') && limited.limit() == 0 {
-            return write_fault_response(
-                &mut writer,
-                &mut wire,
-                431,
-                "Request Header Fields Too Large",
-                "request line exceeds byte cap".into(),
-            );
+/// Close after answering a request that was not read to its end.
+/// Closing a socket with unread input resets it, and the reset can
+/// cost the peer the answer (or fail the writes it is still making).
+/// So: finish our side, then swallow what the peer is still sending
+/// until it closes or [`LINGER`] has passed.
+fn linger(mut stream: &TcpStream) {
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(LINGER));
+    let deadline = std::time::Instant::now() + LINGER;
+    let mut sink = [0u8; 4096];
+    while std::time::Instant::now() < deadline {
+        if matches!(stream.read(&mut sink), Ok(0) | Err(_)) {
+            return;
         }
     }
-    if let (Some(exp), true) = (expose, line.starts_with("GET ")) {
-        // Exposition GET: drain the (bounded) header block — scrapers
-        // send no body — then route on the path.
-        match read_content_length(&mut reader, limits) {
-            Ok(_) => {}
+}
+
+/// Size of a worker's socket read buffer (what `BufReader` defaults to).
+const READ_BUF: usize = 8 << 10;
+
+/// `BufReader` over a borrowed socket *and* a borrowed buffer, so the
+/// buffer belongs to the worker and outlives the connection.
+struct ConnReader<'a> {
+    stream: &'a TcpStream,
+    buf: &'a mut [u8],
+    pos: usize,
+    end: usize,
+}
+
+impl Read for ConnReader<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        // Nothing buffered and room for at least a buffer's worth: read
+        // a large body straight into the caller's memory.
+        if self.pos == self.end && out.len() >= self.buf.len() {
+            return self.stream.read(out);
+        }
+        let buffered = self.fill_buf()?;
+        let n = buffered.len().min(out.len());
+        out[..n].copy_from_slice(&buffered[..n]);
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for ConnReader<'_> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        if self.pos == self.end {
+            (self.pos, self.end) = (0, 0);
+            self.end = self.stream.read(self.buf)?;
+        }
+        Ok(&self.buf[self.pos..self.end])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.pos = (self.pos + n).min(self.end);
+    }
+}
+
+/// What one HTTP listener serves its connections with.
+struct HttpConn {
+    endpoint: Arc<dyn Endpoint>,
+    obs: LinkObs,
+    clock: Option<Clock>,
+    limits: HttpLimits,
+    expose: Option<Exposition>,
+}
+
+/// A worker's buffers, reused across the connections it serves (each
+/// carries one call): the request body lands in `body` — the endpoint
+/// only ever sees a borrowed slice of it (via
+/// [`Endpoint::handle_wire`]), never an owned copy — and every response
+/// body (fault or not) is rendered exactly once into `wire`.
+struct HttpBuffers {
+    read: Box<[u8]>,
+    line: String,
+    body: Vec<u8>,
+    head: Vec<u8>,
+    wire: Vec<u8>,
+}
+
+impl Default for HttpBuffers {
+    fn default() -> Self {
+        HttpBuffers {
+            read: vec![0u8; READ_BUF].into_boxed_slice(),
+            line: String::new(),
+            body: Vec::new(),
+            head: Vec::new(),
+            wire: Vec::with_capacity(512),
+        }
+    }
+}
+
+impl Connection for HttpConn {
+    type Buffers = HttpBuffers;
+
+    fn serve(&self, stream: &TcpStream, buffers: &mut HttpBuffers) {
+        let _ = self.serve_connection(stream, buffers);
+        release_oversized(&mut buffers.body);
+        release_oversized(&mut buffers.wire);
+    }
+
+    /// `503` carrying a SOAP `Server` fault, so a shed SOAP caller
+    /// still reads a parseable envelope. The request is not read: on
+    /// loopback the response is in the caller's receive queue before
+    /// this side closes.
+    fn shed(&self, stream: TcpStream) {
+        let _ = write_fault_response(
+            &mut &stream,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            503,
+            "Service Unavailable",
+            SoapFault::server("http listener is at its connection limit"),
+        );
+    }
+}
+
+impl HttpConn {
+    fn serve_connection(
+        &self,
+        stream: &TcpStream,
+        buffers: &mut HttpBuffers,
+    ) -> std::io::Result<()> {
+        let started = std::time::Instant::now();
+        let HttpConn {
+            endpoint,
+            obs,
+            clock,
+            limits,
+            expose,
+        } = self;
+        let HttpBuffers {
+            read,
+            line,
+            body,
+            head,
+            wire,
+        } = buffers;
+        let mut writer = stream;
+        let mut reader = ConnReader {
+            stream,
+            buf: read,
+            pos: 0,
+            end: 0,
+        };
+        // Every refusal below is a SOAP client fault, so SOAP callers
+        // always get a parseable envelope.
+        let mut refuse = |code: u16, reason: &str, detail: String| {
+            write_fault_response(
+                &mut writer,
+                head,
+                wire,
+                code,
+                reason,
+                SoapFault::client(detail),
+            )?;
+            linger(stream);
+            Ok(())
+        };
+
+        // Request line, bounded like the headers: a peer streaming one
+        // endless line is cut off at the byte cap.
+        line.clear();
+        {
+            let mut limited = (&mut reader).take(limits.max_header_bytes as u64);
+            match limited.read_line(line) {
+                Ok(_) => {}
+                Err(e) if is_timeout(&e) => {
+                    return refuse(
+                        408,
+                        "Request Timeout",
+                        "timed out reading request line".into(),
+                    );
+                }
+                Err(e) => return Err(e),
+            }
+            if !line.ends_with('\n') && limited.limit() == 0 {
+                return refuse(
+                    431,
+                    "Request Header Fields Too Large",
+                    "request line exceeds byte cap".into(),
+                );
+            }
+        }
+        if let (Some(exp), true) = (expose, line.starts_with("GET ")) {
+            // Exposition GET: drain the (bounded) header block — scrapers
+            // send no body — then route on the path.
+            match read_content_length(&mut reader, limits) {
+                Ok(_) => {}
+                Err(e) if is_timeout(&e) => {
+                    return refuse(
+                        408,
+                        "Request Timeout",
+                        "timed out reading request headers".into(),
+                    );
+                }
+                Err(e) => return Err(e),
+            }
+            let path = line.split_whitespace().nth(1).unwrap_or("/");
+            return serve_exposition(&mut writer, head, wire, exp, path);
+        }
+        if !line.starts_with("POST ") {
+            write_response(&mut writer, head, 405, "Method Not Allowed", b"")?;
+            linger(stream);
+            return Ok(());
+        }
+
+        // Headers. A client trickling them slower than the read timeout
+        // gets 408 instead of pinning this thread.
+        let scanned = match read_content_length(&mut reader, limits) {
+            Ok(s) => s,
             Err(e) if is_timeout(&e) => {
-                return write_fault_response(
-                    &mut writer,
-                    &mut wire,
+                return refuse(
                     408,
                     "Request Timeout",
                     "timed out reading request headers".into(),
                 );
             }
             Err(e) => return Err(e),
-        }
-        let path = line.split_whitespace().nth(1).unwrap_or("/");
-        return serve_exposition(&mut writer, &mut wire, exp, path);
-    }
-    if !line.starts_with("POST ") {
-        write_response(&mut writer, 405, "Method Not Allowed", b"")?;
-        return Ok(());
-    }
-
-    // Headers. A request we cannot size is answered with a SOAP client
-    // fault rather than a body-less status, so SOAP callers always get
-    // a parseable envelope; a client trickling headers slower than the
-    // read timeout gets 408 instead of pinning this thread.
-    let scanned = match read_content_length(&mut reader, limits) {
-        Ok(s) => s,
-        Err(e) if is_timeout(&e) => {
-            return write_fault_response(
-                &mut writer,
-                &mut wire,
-                408,
-                "Request Timeout",
-                "timed out reading request headers".into(),
-            );
-        }
-        Err(e) => return Err(e),
-    };
-    let len = match scanned {
-        ContentLength::Len(n) => n,
-        ContentLength::Missing => {
-            return write_fault_response(
-                &mut writer,
-                &mut wire,
-                411,
-                "Length Required",
-                "request has no Content-Length header".into(),
-            );
-        }
-        ContentLength::Invalid(v) => {
-            return write_fault_response(
-                &mut writer,
-                &mut wire,
-                400,
-                "Bad Request",
-                format!("unparseable Content-Length {v:?}"),
-            );
-        }
-        ContentLength::TooLarge(why) => {
-            return write_fault_response(
-                &mut writer,
-                &mut wire,
-                431,
-                "Request Header Fields Too Large",
-                why.into(),
-            );
-        }
-    };
-    if len > 64 << 20 {
-        write_response(&mut writer, 413, "Payload Too Large", b"")?;
-        return Ok(());
-    }
-    body.resize(len, 0);
-    match reader.read_exact(&mut body) {
-        Ok(()) => {}
-        Err(e) if is_timeout(&e) => {
-            return write_fault_response(
-                &mut writer,
-                &mut wire,
-                408,
-                "Request Timeout",
-                "timed out reading request body".into(),
-            );
-        }
-        Err(e) => return Err(e),
-    }
-
-    let Ok(text) = std::str::from_utf8(&body) else {
-        write_response(&mut writer, 400, "Bad Request", b"body is not utf-8")?;
-        return Ok(());
-    };
-    // Tracing needs to re-stamp the trace header before dispatch, which
-    // forces an eager parse; everyone else hands the endpoint the
-    // borrowed wire text, so a lazily-routing container reads headers
-    // straight out of the receive buffer and may never build a body DOM.
-    // Hop span under the request's trace header, if any; the guard
-    // covers the dispatch and the response write.
-    let mut _hop = None;
-    let resp = if clock.is_some() && obs.tracer.is_enabled() {
-        match Envelope::parse(text) {
-            Err(e) => {
-                return write_fault_response(
-                    &mut writer,
-                    &mut wire,
-                    500,
-                    "Internal Server Error",
-                    format!("unparseable envelope: {e}"),
+        };
+        let len = match scanned {
+            ContentLength::Len(n) => n,
+            ContentLength::Missing => {
+                return refuse(
+                    411,
+                    "Length Required",
+                    "request has no Content-Length header".into(),
                 );
             }
-            Ok(mut env) => {
-                _hop = clock.and_then(|c| obs.hop_span(&mut env, "transport.serve", c));
-                endpoint.handle(env)
+            ContentLength::Invalid(v) => {
+                return refuse(
+                    400,
+                    "Bad Request",
+                    format!("unparseable Content-Length {v:?}"),
+                );
+            }
+            ContentLength::TooLarge(why) => {
+                return refuse(431, "Request Header Fields Too Large", why.into());
+            }
+        };
+        if len > MAX_BODY {
+            write_response(&mut writer, head, 413, "Payload Too Large", b"")?;
+            linger(stream);
+            return Ok(());
+        }
+        match read_sized(&mut reader, len, body) {
+            Ok(()) => {}
+            Err(e) if is_timeout(&e) => {
+                return refuse(
+                    408,
+                    "Request Timeout",
+                    "timed out reading request body".into(),
+                );
+            }
+            Err(e) => return Err(e),
+        }
+
+        let Ok(text) = std::str::from_utf8(body) else {
+            return write_response(&mut writer, head, 400, "Bad Request", b"body is not utf-8");
+        };
+        // Tracing needs to re-stamp the trace header before dispatch, which
+        // forces an eager parse; everyone else hands the endpoint the
+        // borrowed wire text, so a lazily-routing container reads headers
+        // straight out of the receive buffer and may never build a body DOM.
+        // Hop span under the request's trace header, if any; the guard
+        // covers the dispatch and the response write.
+        let mut _hop = None;
+        let resp = if clock.is_some() && obs.tracer.is_enabled() {
+            match Envelope::parse(text) {
+                Err(e) => {
+                    return refuse(
+                        500,
+                        "Internal Server Error",
+                        format!("unparseable envelope: {e}"),
+                    );
+                }
+                Ok(mut env) => {
+                    _hop = clock
+                        .as_ref()
+                        .and_then(|c| obs.hop_span(&mut env, "transport.serve", c));
+                    endpoint.handle(env)
+                }
+            }
+        } else {
+            endpoint.handle_wire(text)
+        };
+        match resp {
+            Some(resp) => {
+                let t0 = std::time::Instant::now();
+                wire.clear();
+                resp.write_into(wire);
+                obs.record_serialize(wire.len() as u64, t0);
+                obs.record_call(len as u64, wire.len() as u64, started);
+                // SOAP 1.1 over HTTP: faults ride status 500.
+                let (code, reason) = if resp.is_fault() {
+                    (500, "Internal Server Error")
+                } else {
+                    (200, "OK")
+                };
+                write_response(&mut writer, head, code, reason, wire)
+            }
+            None => {
+                obs.record_oneway(len as u64, started);
+                write_response(&mut writer, head, 202, "Accepted", b"")
             }
         }
-    } else {
-        endpoint.handle_wire(text)
-    };
-    match resp {
-        Some(resp) => {
-            let t0 = std::time::Instant::now();
-            wire.clear();
-            resp.write_into(&mut wire);
-            obs.record_serialize(wire.len() as u64, t0);
-            obs.record_call(len as u64, wire.len() as u64, started);
-            // SOAP 1.1 over HTTP: faults ride status 500.
-            let (code, reason) = if resp.is_fault() {
-                (500, "Internal Server Error")
-            } else {
-                (200, "OK")
-            };
-            write_response(&mut writer, code, reason, &wire)?;
-        }
-        None => {
-            obs.record_oneway(len as u64, started);
-            write_response(&mut writer, 202, "Accepted", b"")?;
-        }
     }
-    Ok(())
-}
-
-fn write_response(w: &mut TcpStream, code: u16, reason: &str, body: &[u8]) -> std::io::Result<()> {
-    write_response_typed(w, code, reason, "text/xml; charset=utf-8", body)
-}
-
-fn write_response_typed(
-    w: &mut TcpStream,
-    code: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-) -> std::io::Result<()> {
-    write!(
-        w,
-        "HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    )?;
-    w.write_all(body)?;
-    w.flush()
 }
 
 const CT_PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
 const CT_JSON: &str = "application/json; charset=utf-8";
 
 /// Serve one monitoring-plane GET. Bodies render sink-style into the
-/// connection's reused `wire` buffer: the metric values stream through
+/// worker's reused `wire` buffer: the metric values stream through
 /// stack formatters, so a scrape allocates no per-metric strings.
 fn serve_exposition(
-    writer: &mut TcpStream,
+    writer: &mut impl Write,
+    head: &mut Vec<u8>,
     wire: &mut Vec<u8>,
     expose: &Exposition,
     path: &str,
@@ -509,11 +610,11 @@ fn serve_exposition(
     match path {
         "/metrics" => {
             expose.registry.write_prometheus_into(wire);
-            write_response_typed(writer, 200, "OK", CT_PROM, wire)
+            write_response_typed(writer, head, 200, "OK", CT_PROM, wire)
         }
         "/metrics.json" => {
             expose.registry.write_json_into(wire);
-            write_response_typed(writer, 200, "OK", CT_JSON, wire)
+            write_response_typed(writer, head, 200, "OK", CT_JSON, wire)
         }
         "/healthz" => {
             let now_ns = expose.clock.now().as_nanos();
@@ -548,7 +649,7 @@ fn serve_exposition(
             } else {
                 (200, "OK")
             };
-            write_response_typed(writer, code, reason, CT_JSON, wire)
+            write_response_typed(writer, head, code, reason, CT_JSON, wire)
         }
         _ => {
             if let Some(id) = path
@@ -560,6 +661,7 @@ fn serve_exposition(
                 if trace.is_empty() {
                     return write_response_typed(
                         writer,
+                        head,
                         404,
                         "Not Found",
                         CT_JSON,
@@ -567,10 +669,11 @@ fn serve_exposition(
                     );
                 }
                 trace.write_chrome_into(wire);
-                return write_response_typed(writer, 200, "OK", CT_JSON, wire);
+                return write_response_typed(writer, head, 200, "OK", CT_JSON, wire);
             }
             write_response_typed(
                 writer,
+                head,
                 404,
                 "Not Found",
                 CT_JSON,
@@ -578,6 +681,59 @@ fn serve_exposition(
             )
         }
     }
+}
+
+/// Send a SOAP POST of `env` to `path`: one render, straight into the
+/// wire buffer, and one write.
+fn write_post(
+    w: &mut impl Write,
+    authority: &str,
+    path: &str,
+    env: &Envelope,
+) -> std::io::Result<()> {
+    let mut body: Vec<u8> = Vec::with_capacity(512);
+    env.write_into(&mut body);
+    let head = format!(
+        "POST /{} HTTP/1.1\r\nHost: {authority}\r\nContent-Type: text/xml; charset=utf-8\r\nSOAPAction: \"\"\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        path.trim_start_matches('/'),
+        body.len()
+    );
+    write_message(w, head.as_bytes(), &body)
+}
+
+/// Send a body-less GET for `path`.
+fn write_get(w: &mut impl Write, authority: &str, path: &str) -> std::io::Result<()> {
+    let head = format!(
+        "GET /{} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n\r\n",
+        path.trim_start_matches('/')
+    );
+    w.write_all(head.as_bytes())
+}
+
+/// Read a response's status code and header block.
+fn read_response_head(reader: &mut impl BufRead) -> Result<(u16, ContentLength), TransportError> {
+    let mut status_line = String::new();
+    reader.read_line(&mut status_line)?;
+    let code: u16 = status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| TransportError::Protocol(format!("bad status line {status_line:?}")))?;
+    Ok((code, read_content_length(reader, &HttpLimits::default())?))
+}
+
+/// Read a response body of the claimed `len`, which is the peer's say-so
+/// until the bytes arrive: capped like a request body, and reserved no
+/// faster than it is received.
+fn read_response_body(reader: &mut impl Read, len: usize) -> Result<Vec<u8>, TransportError> {
+    if len > MAX_BODY {
+        return Err(TransportError::Protocol(format!(
+            "response Content-Length {len} exceeds the {MAX_BODY}-byte cap"
+        )));
+    }
+    let mut body = Vec::new();
+    read_sized(reader, len, &mut body)?;
+    Ok(body)
 }
 
 /// POST an envelope to `authority` (`host:port`) at `path`; returns the
@@ -591,28 +747,10 @@ pub fn http_post(
     let stream = TcpStream::connect(authority)
         .map_err(|e| TransportError::Io(format!("connect {authority}: {e}")))?;
     stream.set_nodelay(true).ok();
-    // One render per request, straight into the wire buffer.
-    let mut body: Vec<u8> = Vec::with_capacity(512);
-    env.write_into(&mut body);
-    let mut writer = stream.try_clone()?;
-    write!(
-        writer,
-        "POST /{} HTTP/1.1\r\nHost: {authority}\r\nContent-Type: text/xml; charset=utf-8\r\nSOAPAction: \"\"\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        path.trim_start_matches('/'),
-        body.len()
-    )?;
-    writer.write_all(&body)?;
-    writer.flush()?;
+    write_post(&mut &stream, authority, path, env)?;
 
     let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let code: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| TransportError::Protocol(format!("bad status line {status_line:?}")))?;
-    let content_length = read_content_length(&mut reader, &HttpLimits::default())?;
+    let (code, content_length) = read_response_head(&mut reader)?;
     if code == 202 {
         return Ok(None);
     }
@@ -636,8 +774,7 @@ pub fn http_post(
             )));
         }
     };
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
+    let body = read_response_body(&mut reader, len)?;
     if !(code == 200 || code == 500) {
         return Err(TransportError::Protocol(format!("http status {code}")));
     }
@@ -661,32 +798,15 @@ pub fn http_get(authority: &str, path: &str) -> Result<(u16, String), TransportE
     let stream = TcpStream::connect(authority)
         .map_err(|e| TransportError::Io(format!("connect {authority}: {e}")))?;
     stream.set_nodelay(true).ok();
-    let mut writer = stream.try_clone()?;
-    write!(
-        writer,
-        "GET /{} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n\r\n",
-        path.trim_start_matches('/')
-    )?;
-    writer.flush()?;
+    write_get(&mut &stream, authority, path)?;
     let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line)?;
-    let code: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| TransportError::Protocol(format!("bad status line {status_line:?}")))?;
-    let len = match read_content_length(&mut reader, &HttpLimits::default())? {
-        ContentLength::Len(n) => n,
-        _ => {
-            return Err(TransportError::Protocol(
-                "GET response missing Content-Length".into(),
-            ));
-        }
+    let (code, content_length) = read_response_head(&mut reader)?;
+    let ContentLength::Len(len) = content_length else {
+        return Err(TransportError::Protocol(
+            "GET response missing Content-Length".into(),
+        ));
     };
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body)
+    let body = String::from_utf8(read_response_body(&mut reader, len)?)
         .map_err(|_| TransportError::Protocol("GET response not utf-8".into()))?;
     Ok((code, body))
 }
@@ -695,6 +815,8 @@ pub fn http_get(authority: &str, path: &str) -> Result<(u16, String), TransportE
 mod tests {
     use super::*;
     use crate::endpoint::FnEndpoint;
+    use crate::serve::eventually;
+    use std::net::TcpListener;
     use wsrf_xml::Element;
 
     #[test]
@@ -951,5 +1073,361 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+    }
+    // ---- one write per message -------------------------------------
+
+    /// Counts the calls that reach the "socket" and keeps the bytes.
+    /// `accept` caps how much one call takes, to force short writes.
+    struct CountingWriter {
+        calls: usize,
+        bytes: Vec<u8>,
+        accept: usize,
+    }
+
+    impl CountingWriter {
+        fn new() -> Self {
+            Self::accepting(usize::MAX)
+        }
+
+        fn accepting(accept: usize) -> Self {
+            CountingWriter {
+                calls: 0,
+                bytes: Vec::new(),
+                accept,
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.accept;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.bytes.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.accept - room)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The response head as the fragmenting writer formatted it.
+    fn response_bytes(code: u16, reason: &str, content_type: &str, body: &[u8]) -> Vec<u8> {
+        let mut out = format!(
+            "HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        out.extend_from_slice(body);
+        out
+    }
+
+    #[test]
+    fn every_response_reaches_the_socket_in_one_write() {
+        const XML: &str = "text/xml; charset=utf-8";
+        let mut head = Vec::new();
+        let mut wire = Vec::new();
+
+        // A SOAP reply.
+        let reply = Envelope::new(Element::local("Pong").text("payload")).to_xml();
+        let mut w = CountingWriter::new();
+        write_response(&mut w, &mut head, 200, "OK", reply.as_bytes()).unwrap();
+        assert_eq!(w.calls, 1);
+        assert_eq!(w.bytes, response_bytes(200, "OK", XML, reply.as_bytes()));
+
+        // A fault reply, rendered here.
+        let fault = SoapFault::client("timed out reading request line");
+        let mut w = CountingWriter::new();
+        write_fault_response(
+            &mut w,
+            &mut head,
+            &mut wire,
+            408,
+            "Request Timeout",
+            fault.clone(),
+        )
+        .unwrap();
+        assert_eq!(w.calls, 1);
+        assert_eq!(
+            w.bytes,
+            response_bytes(
+                408,
+                "Request Timeout",
+                XML,
+                fault.to_envelope().to_xml().as_bytes()
+            )
+        );
+
+        // The body-less one-way acknowledgement.
+        let mut w = CountingWriter::new();
+        write_response(&mut w, &mut head, 202, "Accepted", b"").unwrap();
+        assert_eq!(w.calls, 1);
+        assert_eq!(w.bytes, response_bytes(202, "Accepted", XML, b""));
+
+        // An exposition GET.
+        let registry = MetricsRegistry::enabled();
+        registry.counter("jobs.completed").add(7);
+        let expose = Exposition {
+            registry: registry.clone(),
+            clock: Clock::manual(),
+            scrapes: registry.counter("expose.scrapes"),
+        };
+        let mut w = CountingWriter::new();
+        serve_exposition(&mut w, &mut head, &mut wire, &expose, "/metrics.json").unwrap();
+        assert_eq!(w.calls, 1);
+        let mut json = Vec::new();
+        registry.write_json_into(&mut json);
+        assert_eq!(w.bytes, response_bytes(200, "OK", CT_JSON, &json));
+    }
+
+    #[test]
+    fn every_request_reaches_the_socket_in_one_write() {
+        let env = Envelope::new(Element::local("Ping").text("payload"));
+        let body = env.to_xml();
+        let mut w = CountingWriter::new();
+        write_post(&mut w, "127.0.0.1:8080", "/svc", &env).unwrap();
+        assert_eq!(w.calls, 1);
+        assert_eq!(
+            String::from_utf8(w.bytes).unwrap(),
+            format!(
+                "POST /svc HTTP/1.1\r\nHost: 127.0.0.1:8080\r\nContent-Type: text/xml; charset=utf-8\r\nSOAPAction: \"\"\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            )
+        );
+
+        let mut w = CountingWriter::new();
+        write_get(&mut w, "127.0.0.1:8080", "metrics").unwrap();
+        assert_eq!(w.calls, 1);
+        assert_eq!(
+            w.bytes,
+            b"GET /metrics HTTP/1.1\r\nHost: 127.0.0.1:8080\r\nConnection: close\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn a_short_write_is_finished() {
+        let body: Vec<u8> = (0..1000).map(|i| i as u8).collect();
+        // Cut inside the head, at the head/body seam, and inside the body.
+        for accept in [7, 10, 64] {
+            let mut w = CountingWriter::accepting(accept);
+            write_message(&mut w, b"0123456789", &body).unwrap();
+            assert_eq!(&w.bytes[..10], b"0123456789");
+            assert_eq!(&w.bytes[10..], body);
+        }
+    }
+
+    // ---- reused, bounded connection workers ------------------------
+
+    /// A server on the engine at a worker cap a test can reach.
+    fn capped_server(
+        endpoint: Arc<dyn Endpoint>,
+        registry: &MetricsRegistry,
+        cap: usize,
+    ) -> HttpSoapServer {
+        let conn = HttpConn {
+            endpoint,
+            obs: LinkObs::new(registry, KIND),
+            clock: None,
+            limits: HttpLimits::default(),
+            expose: None,
+        };
+        HttpSoapServer {
+            listener: Listener::bind_capped(KIND, registry, READ_TIMEOUT, conn, cap).unwrap(),
+        }
+    }
+
+    /// An echo endpoint that records which threads served it.
+    fn thread_recording_echo(
+        inside: impl Fn() + Send + Sync + 'static,
+    ) -> (
+        Arc<dyn Endpoint>,
+        Arc<parking_lot::Mutex<std::collections::HashSet<std::thread::ThreadId>>>,
+    ) {
+        let seen = Arc::new(parking_lot::Mutex::new(std::collections::HashSet::new()));
+        let record = seen.clone();
+        let endpoint = FnEndpoint::new("echo", move |env| {
+            record.lock().insert(std::thread::current().id());
+            inside();
+            Some(env)
+        });
+        (Arc::new(endpoint), seen)
+    }
+
+    #[test]
+    fn sequential_calls_reuse_a_worker_and_concurrent_ones_each_get_their_own() {
+        let (endpoint, seen) = thread_recording_echo(|| {});
+        let server = HttpSoapServer::start(endpoint).unwrap();
+        let counts = server.listener.worker_counts();
+        let req = Envelope::new(Element::local("Ping"));
+        // A caller that finds the worker parked always gets that worker.
+        for _ in 0..200 {
+            assert_eq!(http_call(&server.authority(), "svc", &req).unwrap(), req);
+            eventually("the worker parks", || counts().1 == 1);
+        }
+        assert_eq!(seen.lock().len(), 1);
+        // A caller that comes straight back may beat the worker that
+        // answered it to the park, which costs one more worker — and
+        // another only if it then beats every worker at once.
+        for _ in 0..200 {
+            assert_eq!(http_call(&server.authority(), "svc", &req).unwrap(), req);
+        }
+        assert!(seen.lock().len() <= 8, "{} workers", seen.lock().len());
+
+        // Eight callers held inside the endpoint together cannot share.
+        let all_in = Arc::new(std::sync::Barrier::new(8));
+        let (endpoint, seen) = thread_recording_echo(move || {
+            all_in.wait();
+        });
+        let server = HttpSoapServer::start(endpoint).unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| http_call(&server.authority(), "svc", &req).unwrap());
+            }
+        });
+        assert_eq!(seen.lock().len(), 8);
+    }
+
+    #[test]
+    fn connection_past_the_worker_cap_is_shed_with_a_server_fault() {
+        let registry = MetricsRegistry::enabled();
+        // Callers park inside the endpoint until the gate opens.
+        let (open_gate, gate) = crossbeam::channel::unbounded::<()>();
+        let (entered_tx, entered) = crossbeam::channel::unbounded::<()>();
+        let endpoint = FnEndpoint::new("gated", move |env| {
+            entered_tx.send(()).unwrap();
+            let _ = gate.recv();
+            Some(env)
+        });
+        let server = capped_server(Arc::new(endpoint), &registry, 4);
+        let counts = server.listener.worker_counts();
+        let req = Envelope::new(Element::local("Ping"));
+        std::thread::scope(|s| {
+            let held: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| http_call(&server.authority(), "svc", &req).unwrap()))
+                .collect();
+            for _ in 0..4 {
+                entered.recv().unwrap();
+            }
+
+            // The fifth: 503 with a parseable Server fault, read raw
+            // because `http_post` maps the status to a protocol error.
+            let mut fifth = TcpStream::connect(server.local_addr()).unwrap();
+            write_post(&mut fifth, &server.authority(), "svc", &req).unwrap();
+            let (code, body) = raw_response(fifth);
+            assert_eq!(code, 503);
+            let fault = Envelope::parse(&body).unwrap();
+            assert_eq!(fault.fault().unwrap().code, "Server");
+            assert!(matches!(
+                http_call(&server.authority(), "svc", &req),
+                Err(TransportError::Protocol(m)) if m.contains("503")
+            ));
+            assert_eq!(registry.snapshot().counter("transport.http.shed"), Some(2));
+            assert_eq!(counts().0, 4, "shedding spawned nothing");
+
+            drop(open_gate);
+            for call in held {
+                assert_eq!(call.join().unwrap(), req);
+            }
+        });
+        // Once a worker has parked, the listener serves again.
+        eventually("a worker parks", || counts().1 > 0);
+        assert_eq!(http_call(&server.authority(), "svc", &req).unwrap(), req);
+        assert_eq!(registry.snapshot().counter("transport.http.shed"), Some(2));
+    }
+
+    #[test]
+    fn dropping_the_server_releases_its_parked_workers() {
+        let all_in = Arc::new(std::sync::Barrier::new(3));
+        let (endpoint, _) = thread_recording_echo(move || {
+            all_in.wait();
+        });
+        let server = HttpSoapServer::start(endpoint).unwrap();
+        let counts = server.listener.worker_counts();
+        let req = Envelope::new(Element::local("Ping"));
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| http_call(&server.authority(), "svc", &req).unwrap());
+            }
+        });
+        eventually("three workers park", || counts() == (3, 3));
+        drop(server);
+        eventually("every worker exits", || counts().0 == 0);
+    }
+
+    // ---- a claimed Content-Length is only a claim ------------------
+
+    /// A one-shot peer that answers any request with `response`, then
+    /// closes.
+    fn fake_server(response: &'static str) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let authority = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut request_line = String::new();
+            reader.read_line(&mut request_line).unwrap();
+            read_content_length(&mut reader, &HttpLimits::default()).unwrap();
+            reader.get_mut().write_all(response.as_bytes()).unwrap();
+        });
+        (authority, peer)
+    }
+
+    #[test]
+    fn response_claiming_a_terabyte_is_a_protocol_error() {
+        const CLAIM: &str = "HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n<x/>";
+        let (authority, peer) = fake_server(CLAIM);
+        let err = http_get(&authority, "/metrics").unwrap_err();
+        assert!(matches!(err, TransportError::Protocol(_)), "{err:?}");
+        peer.join().unwrap();
+
+        let (authority, peer) = fake_server(CLAIM);
+        let err = http_call(&authority, "svc", &Envelope::new(Element::local("X"))).unwrap_err();
+        assert!(matches!(err, TransportError::Protocol(_)), "{err:?}");
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn truncated_response_body_is_an_io_error() {
+        let (authority, peer) = fake_server("HTTP/1.1 200 OK\r\nContent-Length: 4096\r\n\r\n<x/>");
+        let err = http_get(&authority, "/metrics").unwrap_err();
+        assert!(matches!(err, TransportError::Io(_)), "{err:?}");
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn request_claiming_the_cap_reserves_no_more_than_arrives() {
+        let conn = HttpConn {
+            endpoint: Arc::new(FnEndpoint::new("echo", Some)),
+            obs: LinkObs::noop(),
+            clock: None,
+            limits: HttpLimits::default(),
+            expose: None,
+        };
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        // The largest body the server admits, claimed; ten bytes sent.
+        write!(
+            client,
+            "POST /svc HTTP/1.1\r\nContent-Length: {MAX_BODY}\r\n\r\n0123456789"
+        )
+        .unwrap();
+        drop(client);
+        let mut buffers = HttpBuffers::default();
+        let err = conn.serve_connection(&accepted, &mut buffers).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(
+            buffers.body.capacity() <= crate::pool::FIRST_RESERVE,
+            "{}",
+            buffers.body.capacity()
+        );
     }
 }

@@ -35,6 +35,7 @@ pub mod inproc;
 pub mod netsim;
 pub mod obs;
 pub mod pool;
+mod serve;
 pub mod tcpframe;
 
 pub use endpoint::{Endpoint, FnEndpoint};

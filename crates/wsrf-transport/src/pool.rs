@@ -4,6 +4,7 @@
 //! render each envelope once without a fresh allocation per message.
 
 use crossbeam::channel::{unbounded, Sender};
+use std::io::Read;
 use std::sync::Mutex;
 use std::thread::JoinHandle;
 
@@ -13,6 +14,37 @@ const MAX_POOLED_CAPACITY: usize = 4 << 20;
 
 /// At most this many idle buffers are retained.
 const MAX_POOLED_BUFFERS: usize = 8;
+
+/// The most a peer's claimed length (a frame header, a
+/// `Content-Length`) may reserve before any of the payload has arrived;
+/// a longer payload grows the buffer with the bytes actually received.
+pub(crate) const FIRST_RESERVE: usize = 64 << 10;
+
+/// Read exactly `len` bytes into the reusable `into` (cleared first).
+/// Reads straight into spare capacity (nothing is zero-filled); a
+/// payload that fits the reservation arrives in one read, and the
+/// `take` answers the end-of-payload probe without touching the socket.
+/// A peer that closes early is an `UnexpectedEof` naming both counts.
+pub(crate) fn read_sized(r: &mut impl Read, len: usize, into: &mut Vec<u8>) -> std::io::Result<()> {
+    into.clear();
+    into.reserve(len.min(FIRST_RESERVE));
+    let got = r.take(len as u64).read_to_end(into)?;
+    if got < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("connection closed {got} bytes into a {len}-byte payload"),
+        ));
+    }
+    Ok(())
+}
+
+/// Let go of a worker-owned buffer that one huge message grew, under
+/// the rule [`BufPool::put`] applies to pooled ones.
+pub(crate) fn release_oversized(buf: &mut Vec<u8>) {
+    if buf.capacity() > MAX_POOLED_CAPACITY {
+        *buf = Vec::new();
+    }
+}
 
 /// A tiny pool of reusable `Vec<u8>` wire buffers.
 ///

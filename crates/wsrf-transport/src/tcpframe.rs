@@ -10,10 +10,8 @@
 //! payloads (no base64 inflation when shipping file content).
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 use wsrf_obs::MetricsRegistry;
@@ -22,7 +20,8 @@ use wsrf_soap::{Envelope, SoapFault};
 use crate::endpoint::Endpoint;
 use crate::error::TransportError;
 use crate::obs::LinkObs;
-use crate::pool::BufPool;
+use crate::pool::{read_sized, release_oversized, BufPool};
+use crate::serve::{is_timeout, Connection, Listener, READ_TIMEOUT};
 
 const MAGIC: &[u8; 4] = b"WSE1";
 /// Frame is a request expecting a response frame.
@@ -35,10 +34,6 @@ const FLAG_RESPONSE: u8 = 2;
 const FLAG_EMPTY: u8 = 3;
 
 const MAX_FRAME: usize = 256 << 20;
-/// The most a frame header's claimed length may reserve before any of
-/// its payload has arrived; a longer frame grows the buffer with the
-/// bytes actually received.
-const FIRST_RESERVE: usize = 64 << 10;
 
 fn write_frame(w: &mut impl Write, flags: u8, payload: &[u8]) -> std::io::Result<()> {
     let mut head = [0u8; 9];
@@ -65,12 +60,30 @@ fn frame_into(buf: &mut Vec<u8>, flags: u8, env: &Envelope) -> usize {
     payload_len
 }
 
+/// Read the 9-byte frame header. The socket's read timeout applies
+/// *inside* a frame only: firing with none of the header read, it found
+/// an idle persistent connection and the wait resumes; firing after the
+/// first byte, the peer stalled mid-frame and the error is returned.
+/// Tracking progress here is what spares a `setsockopt` per frame.
+fn read_head(r: &mut impl Read) -> std::io::Result<[u8; 9]> {
+    let mut head = [0u8; 9];
+    let mut got = 0;
+    while got < head.len() {
+        match r.read(&mut head[got..]) {
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if got == 0 && is_timeout(&e) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(head)
+}
+
 /// Read one frame into the reusable `payload` buffer; returns the frame
 /// flags.
 fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<u8, TransportError> {
-    let mut head = [0u8; 9];
-    r.read_exact(&mut head)
-        .map_err(|e| TransportError::Io(format!("read frame header: {e}")))?;
+    let head = read_head(r).map_err(|e| TransportError::Io(format!("read frame header: {e}")))?;
     if &head[..4] != MAGIC {
         return Err(TransportError::Protocol("bad frame magic".into()));
     }
@@ -79,21 +92,7 @@ fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<u8, Trans
     if len > MAX_FRAME {
         return Err(TransportError::Protocol(format!("frame too large: {len}")));
     }
-    payload.clear();
-    payload.reserve(len.min(FIRST_RESERVE));
-    // Reads straight into spare capacity (nothing is zero-filled); a
-    // frame that fits the reservation arrives in one read, and the
-    // `take` answers the end-of-frame probe without touching the socket.
-    let got = r
-        .by_ref()
-        .take(len as u64)
-        .read_to_end(payload)
-        .map_err(|e| TransportError::Io(format!("read frame body: {e}")))?;
-    if got < len {
-        return Err(TransportError::Io(format!(
-            "read frame body: connection closed {got} bytes into a {len}-byte frame"
-        )));
-    }
+    read_sized(r, len, payload).map_err(|e| TransportError::Io(format!("read frame body: {e}")))?;
     Ok(flags)
 }
 
@@ -114,9 +113,7 @@ fn fault_frame(outbuf: &mut Vec<u8>, detail: String) -> usize {
 
 /// A listening `soap.tcp` endpoint.
 pub struct FramedServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl FramedServer {
@@ -131,121 +128,128 @@ impl FramedServer {
         endpoint: Arc<dyn Endpoint>,
         registry: &MetricsRegistry,
     ) -> std::io::Result<Self> {
-        let obs = Arc::new(LinkObs::new(registry, "tcpframe"));
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let sd = shutdown.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("soap-tcp-accept".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if sd.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    stream.set_nodelay(true).ok();
-                    let ep = endpoint.clone();
-                    let obs = obs.clone();
-                    let _ = std::thread::Builder::new()
-                        .name("soap-tcp-conn".into())
-                        .spawn(move || {
-                            let _ = serve_connection(stream, ep, &obs);
-                        });
-                }
-            })?;
+        let conn = FramedConn {
+            endpoint,
+            obs: LinkObs::new(registry, KIND),
+        };
         Ok(FramedServer {
-            addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
+            listener: Listener::bind(KIND, registry, READ_TIMEOUT, conn)?,
         })
     }
 
     /// The bound socket address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// The `host:port` authority string.
     pub fn authority(&self) -> String {
-        self.addr.to_string()
+        self.local_addr().to_string()
     }
 }
 
-impl Drop for FramedServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
+/// Metric and thread-name stem of this transport.
+const KIND: &str = "tcpframe";
 
-/// Serve one persistent connection: a loop of frames until EOF.
-fn serve_connection(
-    stream: TcpStream,
+/// What one `soap.tcp` listener serves its connections with.
+struct FramedConn {
     endpoint: Arc<dyn Endpoint>,
-    obs: &LinkObs,
-) -> Result<(), TransportError> {
-    let mut reader = stream.try_clone().map_err(TransportError::from)?;
-    let mut writer = stream;
-    // Per-connection buffers, reused across the frame loop: one for
-    // inbound payloads, one the response renders into (exactly once).
-    // The endpoint sees a *borrowed* slice of `inbuf` through
-    // [`Endpoint::handle_wire`], so a lazily-routing container never
-    // pays for an owned copy or an eager DOM.
-    let mut inbuf: Vec<u8> = Vec::new();
-    let mut outbuf: Vec<u8> = Vec::new();
-    loop {
-        let flags = match read_frame_into(&mut reader, &mut inbuf) {
-            Ok(f) => f,
-            Err(TransportError::Io(_)) => return Ok(()), // peer closed
-            Err(e) => return Err(e),
-        };
-        let started = std::time::Instant::now();
-        match flags {
-            FLAG_ONEWAY => {
-                // Undecodable one-ways are dropped — there is nobody to
-                // answer — but the connection survives for later frames.
-                if let Ok(text) = std::str::from_utf8(&inbuf) {
-                    endpoint.handle_wire(text);
+    obs: LinkObs,
+}
+
+/// A worker's frame buffers, reused across the frame loop and across
+/// the connections the worker serves: one for inbound payloads, one the
+/// response renders into (exactly once). The endpoint sees a *borrowed*
+/// slice of `inbuf` through [`Endpoint::handle_wire`], so a
+/// lazily-routing container never pays for an owned copy or an eager
+/// DOM.
+#[derive(Default)]
+struct FrameBuffers {
+    inbuf: Vec<u8>,
+    outbuf: Vec<u8>,
+}
+
+impl Connection for FramedConn {
+    type Buffers = FrameBuffers;
+
+    fn serve(&self, stream: &TcpStream, buffers: &mut FrameBuffers) {
+        let _ = self.serve_connection(stream, buffers);
+        release_oversized(&mut buffers.inbuf);
+        release_oversized(&mut buffers.outbuf);
+    }
+
+    /// A fault frame, then close: the caller's first `call` reads a
+    /// parseable `Server` fault instead of a reset.
+    fn shed(&self, mut stream: TcpStream) {
+        let mut frame = Vec::new();
+        frame_into(
+            &mut frame,
+            FLAG_RESPONSE,
+            &SoapFault::server("soap.tcp listener is at its connection limit").to_envelope(),
+        );
+        let _ = stream.write_all(&frame);
+    }
+}
+
+impl FramedConn {
+    /// Serve one persistent connection: a loop of frames until EOF.
+    fn serve_connection(
+        &self,
+        mut stream: &TcpStream,
+        buffers: &mut FrameBuffers,
+    ) -> Result<(), TransportError> {
+        let FramedConn { endpoint, obs } = self;
+        let FrameBuffers { inbuf, outbuf } = buffers;
+        loop {
+            let flags = match read_frame_into(&mut stream, inbuf) {
+                Ok(f) => f,
+                // Peer closed, or stalled inside a frame past the read
+                // timeout.
+                Err(TransportError::Io(_)) => return Ok(()),
+                Err(e) => return Err(e),
+            };
+            let started = std::time::Instant::now();
+            match flags {
+                FLAG_ONEWAY => {
+                    // Undecodable one-ways are dropped — there is nobody to
+                    // answer — but the connection survives for later frames.
+                    if let Ok(text) = std::str::from_utf8(inbuf) {
+                        endpoint.handle_wire(text);
+                    }
+                    obs.record_oneway(inbuf.len() as u64, started);
                 }
-                obs.record_oneway(inbuf.len() as u64, started);
-            }
-            FLAG_CALL => {
-                let resp = match std::str::from_utf8(&inbuf) {
-                    Ok(text) => endpoint.handle_wire(text),
-                    // A garbage payload answers with a fault frame (the
-                    // connection stays usable) instead of tearing the
-                    // whole persistent session down.
-                    Err(_) => {
-                        let resp_len = fault_frame(&mut outbuf, "frame payload not utf-8".into());
-                        obs.record_call(inbuf.len() as u64, resp_len as u64, started);
-                        writer.write_all(&outbuf)?;
-                        writer.flush()?;
-                        continue;
-                    }
-                };
-                match resp {
-                    Some(resp) => {
-                        let t0 = std::time::Instant::now();
-                        let resp_len = frame_into(&mut outbuf, FLAG_RESPONSE, &resp);
-                        obs.record_serialize(resp_len as u64, t0);
-                        obs.record_call(inbuf.len() as u64, resp_len as u64, started);
-                        writer.write_all(&outbuf)?;
-                        writer.flush()?;
-                    }
-                    None => {
-                        obs.record_call(inbuf.len() as u64, 0, started);
-                        write_frame(&mut writer, FLAG_EMPTY, b"")?
+                FLAG_CALL => {
+                    let resp = match std::str::from_utf8(inbuf) {
+                        Ok(text) => endpoint.handle_wire(text),
+                        // A garbage payload answers with a fault frame (the
+                        // connection stays usable) instead of tearing the
+                        // whole persistent session down.
+                        Err(_) => {
+                            let resp_len = fault_frame(outbuf, "frame payload not utf-8".into());
+                            obs.record_call(inbuf.len() as u64, resp_len as u64, started);
+                            stream.write_all(outbuf)?;
+                            continue;
+                        }
+                    };
+                    match resp {
+                        Some(resp) => {
+                            let t0 = std::time::Instant::now();
+                            let resp_len = frame_into(outbuf, FLAG_RESPONSE, &resp);
+                            obs.record_serialize(resp_len as u64, t0);
+                            obs.record_call(inbuf.len() as u64, resp_len as u64, started);
+                            stream.write_all(outbuf)?;
+                        }
+                        None => {
+                            obs.record_call(inbuf.len() as u64, 0, started);
+                            write_frame(&mut stream, FLAG_EMPTY, b"")?
+                        }
                     }
                 }
-            }
-            other => {
-                return Err(TransportError::Protocol(format!(
-                    "unexpected client frame flags {other}"
-                )))
+                other => {
+                    return Err(TransportError::Protocol(format!(
+                        "unexpected client frame flags {other}"
+                    )))
+                }
             }
         }
     }
@@ -320,7 +324,8 @@ impl FramedClient {
 mod tests {
     use super::*;
     use crate::endpoint::FnEndpoint;
-    use std::sync::atomic::AtomicUsize;
+    use crate::pool::FIRST_RESERVE;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use wsrf_xml::Element;
 
     #[test]
@@ -471,5 +476,82 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+    }
+
+    /// A server on the engine with a read timeout and a worker cap a
+    /// test can reach.
+    fn tuned_server(
+        registry: &MetricsRegistry,
+        read_timeout: std::time::Duration,
+        cap: usize,
+    ) -> FramedServer {
+        let conn = FramedConn {
+            endpoint: Arc::new(FnEndpoint::new("echo", Some)),
+            obs: LinkObs::new(registry, KIND),
+        };
+        FramedServer {
+            listener: Listener::bind_capped(KIND, registry, read_timeout, conn, cap).unwrap(),
+        }
+    }
+
+    const SHORT: std::time::Duration = std::time::Duration::from_millis(50);
+
+    #[test]
+    fn peer_stalling_inside_a_frame_header_is_dropped() {
+        let server = tuned_server(&MetricsRegistry::disabled(), SHORT, 4);
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        // Five of the nine header bytes, then silence.
+        stream.write_all(b"WSE1\0").unwrap();
+        // The server gives up on the frame and closes; a server without
+        // the timeout leaves this read (bounded here) hanging.
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(stream.read(&mut byte).unwrap(), 0, "server closed");
+    }
+
+    #[test]
+    fn idle_persistent_connection_outlives_the_read_timeout() {
+        let server = tuned_server(&MetricsRegistry::disabled(), SHORT, 4);
+        let client = FramedClient::connect(&server.authority()).unwrap();
+        let req = Envelope::new(Element::local("Ping"));
+        assert_eq!(client.call(&req).unwrap(), req);
+        // Several timeouts' worth of silence between frames.
+        std::thread::sleep(SHORT * 4);
+        assert_eq!(client.call(&req).unwrap(), req);
+    }
+
+    #[test]
+    fn connection_past_the_worker_cap_is_shed_with_a_fault_frame() {
+        let registry = MetricsRegistry::enabled();
+        let server = tuned_server(&registry, READ_TIMEOUT, 4);
+        let counts = server.listener.worker_counts();
+        let req = Envelope::new(Element::local("Ping"));
+        // Four persistent connections, each proven to hold a worker.
+        let mut held: Vec<_> = (0..4)
+            .map(|_| {
+                let client = FramedClient::connect(&server.authority()).unwrap();
+                assert_eq!(client.call(&req).unwrap(), req);
+                client
+            })
+            .collect();
+
+        let fifth = FramedClient::connect(&server.authority()).unwrap();
+        let answer = fifth.call(&req).unwrap();
+        assert_eq!(answer.fault().unwrap().code, "Server");
+        assert!(fifth.call(&req).is_err(), "a shed connection is closed");
+        assert_eq!(
+            registry.snapshot().counter("transport.tcpframe.shed"),
+            Some(1)
+        );
+
+        // One session ends, its worker parks, and the listener serves
+        // again.
+        held.pop();
+        crate::serve::eventually("a worker parks", || counts().1 > 0);
+        let next = FramedClient::connect(&server.authority()).unwrap();
+        assert_eq!(next.call(&req).unwrap(), req);
+        assert_eq!(counts().0, 4);
     }
 }

@@ -24,6 +24,14 @@ echo "== cargo build --release --offline --locked (benchmark/)"
 # benchmark time.
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
+echo "== benchmark selftest"
+# Building the ledger pins the API; running it pins the behaviour. The
+# selftest drives every workload for a moment, checks a Figure 3 set's
+# 36 exchanges / 38 messages and every output check, and compares
+# BENCHMARK.json with the program, so a drift fails here instead of at
+# benchmark time.
+cargo run -q --release --offline --locked --manifest-path benchmark/Cargo.toml -- selftest
+
 echo "== cargo test -q --release --offline --workspace"
 # `cargo test` above builds only the root package (the suites under
 # tests/); this step also runs every crate's own unit and integration
