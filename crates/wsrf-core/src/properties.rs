@@ -36,6 +36,11 @@ impl PropertyDoc {
         self.entries.iter().map(|(n, _)| n)
     }
 
+    /// Every property with its values, in declaration order.
+    pub fn entries(&self) -> impl Iterator<Item = (&QName, &[Element])> {
+        self.entries.iter().map(|(n, v)| (n, v.as_slice()))
+    }
+
     /// All element values of a property (empty slice if absent).
     pub fn get(&self, name: &QName) -> &[Element] {
         self.entries

@@ -42,6 +42,9 @@ pub enum StoreError {
     /// The document does not fit the store's schema
     /// ([`StructuredStore`] only).
     Schema(String),
+    /// The backend's storage failed ([`crate::DurableStore`]'s log);
+    /// the mutation was not made.
+    Io(String),
 }
 
 impl std::fmt::Display for StoreError {
@@ -50,6 +53,7 @@ impl std::fmt::Display for StoreError {
             StoreError::NotFound(k) => write!(f, "no such resource '{k}'"),
             StoreError::AlreadyExists(k) => write!(f, "resource '{k}' already exists"),
             StoreError::Schema(m) => write!(f, "schema violation: {m}"),
+            StoreError::Io(m) => write!(f, "storage failure: {m}"),
         }
     }
 }
@@ -64,6 +68,19 @@ pub trait ResourceStore: Send + Sync {
 
     /// Load a resource's property document.
     fn load(&self, service: &str, key: &str) -> Result<PropertyDoc, StoreError>;
+
+    /// Look at a resource's stored document without taking a copy of
+    /// it. The default loads one; a backend whose rows *are* documents
+    /// lends its own, under its row lock — so `f` must not call back
+    /// into the store.
+    fn with_doc(
+        &self,
+        service: &str,
+        key: &str,
+        f: &mut dyn FnMut(&PropertyDoc),
+    ) -> Result<(), StoreError> {
+        self.load(service, key).map(|doc| f(&doc))
+    }
 
     /// Persist a (possibly modified) property document.
     fn save(&self, service: &str, key: &str, doc: &PropertyDoc) -> Result<(), StoreError>;
@@ -249,6 +266,17 @@ impl ResourceStore for MemoryStore {
     fn load(&self, service: &str, key: &str) -> Result<PropertyDoc, StoreError> {
         self.rows
             .get(service, key, PropertyDoc::clone)
+            .ok_or_else(|| StoreError::NotFound(key.to_string()))
+    }
+
+    fn with_doc(
+        &self,
+        service: &str,
+        key: &str,
+        f: &mut dyn FnMut(&PropertyDoc),
+    ) -> Result<(), StoreError> {
+        self.rows
+            .get(service, key, |doc| f(doc))
             .ok_or_else(|| StoreError::NotFound(key.to_string()))
     }
 

@@ -63,6 +63,9 @@ pub enum EventKind {
     DispatchFault,
     /// A WAL shard compacted its log into a snapshot.
     WalSnapshot,
+    /// A WAL shard could not write (or roll back) a record; the
+    /// mutation was refused.
+    WalAppendError,
     /// The broker auto-paused a subscription after consecutive
     /// delivery failures.
     DeliveryAutopause,
@@ -76,9 +79,10 @@ pub enum EventKind {
 }
 
 /// All kinds, counter order.
-pub const EVENT_KINDS: [EventKind; 6] = [
+pub const EVENT_KINDS: [EventKind; 7] = [
     EventKind::DispatchFault,
     EventKind::WalSnapshot,
+    EventKind::WalAppendError,
     EventKind::DeliveryAutopause,
     EventKind::LeaseExpiry,
     EventKind::JobCompleted,
@@ -90,6 +94,7 @@ impl EventKind {
         match self {
             EventKind::DispatchFault => "dispatch_fault",
             EventKind::WalSnapshot => "wal_snapshot",
+            EventKind::WalAppendError => "wal_append_error",
             EventKind::DeliveryAutopause => "delivery_autopause",
             EventKind::LeaseExpiry => "lease_expiry",
             EventKind::JobCompleted => "job_completed",

@@ -49,6 +49,22 @@ fn doc_with(val: u16) -> PropertyDoc {
     doc
 }
 
+/// A wider document in which `val` decides what a save changes: `V`
+/// always, one of four `P` properties, and whether `Opt` exists — so a
+/// save over the previous one logs a delta that sets some properties,
+/// deletes or appends another, and leaves the rest out.
+fn wide_doc_with(val: u16) -> PropertyDoc {
+    let mut doc = doc_with(val);
+    for p in 0..4 {
+        let v = if p == val % 4 { val } else { 0 };
+        doc.set_text(q(&format!("P{p}")), format!("p{p}-{v}"));
+    }
+    if val % 3 == 0 {
+        doc.set_text(q("Opt"), "present");
+    }
+    doc
+}
+
 /// The single shard log file a one-key workload wrote.
 fn only_log_file(dir: &std::path::Path) -> PathBuf {
     let mut found = Vec::new();
@@ -65,10 +81,10 @@ fn only_log_file(dir: &std::path::Path) -> PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Any op sequence, logged and then corrupted (bit-flip) or
-    /// truncated at an arbitrary byte, replays to exactly the state
-    /// after the longest valid frame prefix — no panic, no partial
-    /// record applied, no resurrected resource.
+    /// Any op sequence, logged — saves as delta frames — and then
+    /// corrupted (bit-flip) or truncated at an arbitrary byte, replays
+    /// to exactly the state after the longest valid frame prefix — no
+    /// panic, no partial record applied, no resurrected resource.
     #[test]
     fn wal_replay_equals_longest_valid_prefix(
         ops in proptest::collection::vec((0u8..3, any::<u16>()), 1..32),
@@ -85,8 +101,7 @@ proptest! {
         {
             let store =
                 wsrf_grid::wsrf::DurableStore::open(&tmp.0, Arc::new(MemoryStore::new()))
-                    .unwrap()
-                    .snapshot_every(u64::MAX);
+                    .unwrap();
             let mut live: Option<u16> = None;
             for (op, val) in &ops {
                 match (op, live) {
@@ -98,11 +113,11 @@ proptest! {
                         live = None;
                     }
                     (_, Some(_)) => {
-                        store.save("svc", "job", &doc_with(*val)).unwrap();
+                        store.save("svc", "job", &wide_doc_with(*val)).unwrap();
                         live = Some(*val);
                     }
                     (_, None) => {
-                        store.create("svc", "job", &doc_with(*val)).unwrap();
+                        store.create("svc", "job", &wide_doc_with(*val)).unwrap();
                         live = Some(*val);
                     }
                 }
@@ -138,7 +153,7 @@ proptest! {
         match expected {
             Some(v) => {
                 let doc = store.load("svc", "job").expect("longest valid prefix ends live");
-                prop_assert_eq!(doc.text(&q("V")), Some(v.to_string()));
+                prop_assert_eq!(doc, wide_doc_with(v), "a delta was applied in part");
             }
             None => prop_assert!(!store.exists("svc", "job"), "resurrected a dead resource"),
         }
@@ -152,9 +167,8 @@ proptest! {
 fn snapshot_log_interleaving_does_not_resurrect_destroyed_resources() {
     let tmp = TempDir::new("interleave");
     {
-        let store = wsrf_grid::wsrf::DurableStore::open(&tmp.0, Arc::new(MemoryStore::new()))
-            .unwrap()
-            .snapshot_every(u64::MAX);
+        let store =
+            wsrf_grid::wsrf::DurableStore::open(&tmp.0, Arc::new(MemoryStore::new())).unwrap();
         store.create("svc", "a", &doc_with(1)).unwrap();
         store.create("svc", "b", &doc_with(2)).unwrap();
         // Snapshot compacts both creates out of the logs...
