@@ -795,7 +795,7 @@ fn e10_contention() {
                 Ok(Element::new(UVACG, "BumpResponse"))
             })
             .read_operation("Peek", |ctx| {
-                let doc = ctx.resource_mut()?;
+                let doc = ctx.resource()?;
                 Ok(Element::new(UVACG, "PeekResponse")
                     .text(doc.text(&q("Status")).unwrap_or_default()))
             })
@@ -980,7 +980,7 @@ fn e11c_service() -> (Arc<wsrf_core::container::Service>, EndpointReference) {
         Arc::new(MemoryStore::new()),
     )
     .read_operation("Poll", |ctx| {
-        let doc = ctx.resource_mut()?;
+        let doc = ctx.resource()?;
         Ok(Element::new(UVACG, "PollResponse").text(doc.text(&q("Status")).unwrap_or_default()))
     })
     .build(clock, net);

@@ -28,7 +28,7 @@ use ws_notification::topics::TopicPath;
 use wsrf_core::container::{action_uri, Ctx, OpKind, Service, ServiceBuilder, ServiceCore};
 use wsrf_core::faults;
 use wsrf_core::properties::PropertyDoc;
-use wsrf_core::store::ResourceStore;
+use wsrf_core::store::{save_detached, ResourceStore};
 use wsrf_soap::ns::{UVACG, WSSE};
 use wsrf_soap::{BaseFault, EndpointReference, Envelope, MessageInfo, SoapFault, TraceContext};
 use wsrf_transport::InProcNetwork;
@@ -146,7 +146,7 @@ pub fn execution_service(cfg: EsConfig, clock: Clock, net: Arc<InProcNetwork>) -
             move |ctx| kill_op(ctx, &rt_kill),
         )
         .read_operation("GetExitCode", |ctx| {
-            let doc = ctx.resource_mut()?;
+            let doc = ctx.resource()?;
             match doc.text(&q("ExitCode")) {
                 Some(code) => Ok(Element::new(UVACG, "GetExitCodeResponse").text(code)),
                 None => Err(BaseFault::new(
@@ -163,15 +163,14 @@ pub fn execution_service(cfg: EsConfig, clock: Clock, net: Arc<InProcNetwork>) -
             // for pollers that would otherwise issue several
             // GetResourceProperty round trips; runs under a shared
             // lease so concurrent pollers never serialize each other.
-            let core = ctx.core.clone();
-            let doc = ctx.resource_mut()?;
+            let doc = ctx.resource()?;
             let mut resp = Element::new(UVACG, "QueryJobResponse")
                 .attr("name", doc.text(&q("JobName")).unwrap_or_default())
                 .attr("status", doc.text(&q("Status")).unwrap_or_default());
             if let Some(code) = doc.text(&q("ExitCode")) {
                 resp = resp.attr("exitCode", code);
             }
-            for v in core.property_values(doc, &q("CpuTimeUsed")) {
+            for v in ctx.core.property_values(doc, &q("CpuTimeUsed")) {
                 resp = resp.attr("cpu", v.text_content());
             }
             Ok(resp)
@@ -260,7 +259,7 @@ fn run_op(
     }
     let accepting = rt.accepting.lock();
     if let Some(key) = &derived_key {
-        if let Ok(doc) = ctx.core.store.load(&ctx.core.name, key) {
+        if let Ok(doc) = ctx.core.store.share(&ctx.core.name, key) {
             let mut resp = Element::new(UVACG, "RunResponse")
                 .child(ctx.core.epr_for(key).to_element_named(UVACG, "JobEpr"));
             if let Some(wd) = doc.get(&q("WorkingDirectory")).first() {
@@ -527,7 +526,8 @@ fn on_process_exit(
         doc.set_text(q("Status"), status::EXITED);
         doc.set_i64(q("ExitCode"), code as i64);
         doc.set_f64(q("CpuAtExit"), cpu_used);
-        let _ = core.store.save(&core.name, key, &doc);
+        let events = core.metrics.events();
+        save_detached(&*core.store, events, &core.clock, &core.name, key, &doc);
         crate::retire(core, key);
     }
     publish(

@@ -75,7 +75,7 @@ pub fn file_system_service(
         })
         .read_operation("Read", move |ctx| {
             let filename = required_filename(ctx.body.dom())?;
-            let dir = dir_path(ctx.resource_mut()?)?;
+            let dir = dir_path(ctx.resource()?)?;
             let content = fs_read
                 .read(&join(&dir, &filename))
                 .map_err(|e| no_such_file(&filename, &e))?;
@@ -84,14 +84,14 @@ pub fn file_system_service(
         .operation("Write", move |ctx| {
             let filename = required_filename(ctx.body.dom())?;
             let content = decode_content(ctx.body.dom())?;
-            let dir = dir_path(ctx.resource_mut()?)?;
+            let dir = dir_path(ctx.resource()?)?;
             fs_write
                 .write(&join(&dir, &filename), content)
                 .map_err(|e| faults::storage(&e.to_string()))?;
             Ok(Element::new(UVACG, "WriteResponse"))
         })
         .read_operation("List", move |ctx| {
-            let dir = dir_path(ctx.resource_mut()?)?;
+            let dir = dir_path(ctx.resource()?)?;
             let entries = fs_list
                 .list(&dir)
                 .map_err(|e| faults::storage(&e.to_string()))?;

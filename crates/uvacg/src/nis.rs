@@ -70,10 +70,11 @@ pub fn node_info_service(
                     .ok_or_else(|| faults::bad_request("UpdateUtilization requires utilization"))?;
                 let core = ctx.core.clone();
                 for key in core.store.list(&core.name) {
-                    let Ok(mut doc) = core.store.load(&core.name, &key) else {
+                    let Ok(doc) = core.store.share(&core.name, &key) else {
                         continue;
                     };
                     if doc.text(&q("Machine")).as_deref() == Some(machine.as_str()) {
+                        let mut doc = Arc::unwrap_or_clone(doc);
                         doc.set_f64(q("Utilization"), utilization);
                         // Staleness marker: virtual time of this
                         // report, so snapshot consumers can tell a
@@ -100,7 +101,7 @@ pub fn node_info_service(
                 if key == wsrf_core::servicegroup::GROUP_KEY {
                     continue;
                 }
-                let Ok(doc) = core.store.load(&core.name, &key) else {
+                let Ok(doc) = core.store.share(&core.name, &key) else {
                     continue;
                 };
                 let text = |n: &str| doc.text(&q(n)).unwrap_or_default();

@@ -26,7 +26,7 @@ use ws_notification::topics::{TopicExpression, TopicPath};
 use wsrf_core::container::{action_uri, Service, ServiceBuilder, ServiceCore};
 use wsrf_core::faults;
 use wsrf_core::properties::PropertyDoc;
-use wsrf_core::store::ResourceStore;
+use wsrf_core::store::{save_detached, ResourceStore};
 use wsrf_obs::{SpanContext, TraceSnapshot};
 use wsrf_security::wsse::UsernameToken;
 use wsrf_soap::ns::{UVACG, WSSE};
@@ -212,7 +212,7 @@ impl Scheduler {
             Some(v) => v,
             None => {
                 let core = self.service.core();
-                let doc = core.store.load(&core.name, jobset_key).ok()?;
+                let doc = core.store.share(&core.name, jobset_key).ok()?;
                 doc.get(&q("JobStatus"))
                     .iter()
                     .map(|e| {
@@ -292,7 +292,7 @@ pub fn scheduler_service(
                 if key == FEEDBACK_KEY {
                     continue; // not a job set
                 }
-                let Ok(doc) = core.store.load(&core.name, &key) else {
+                let Ok(doc) = core.store.share(&core.name, &key) else {
                     continue;
                 };
                 let name = doc.text(&q("Name")).unwrap_or_default();
@@ -659,7 +659,8 @@ fn record_steps_with(
 fn edit_doc(core: &Arc<ServiceCore>, key: &str, edit: impl FnOnce(&mut PropertyDoc)) {
     if let Ok(mut doc) = core.store.load(&core.name, key) {
         edit(&mut doc);
-        let _ = core.store.save(&core.name, key, &doc);
+        let events = core.metrics.events();
+        save_detached(&*core.store, events, &core.clock, &core.name, key, &doc);
     }
 }
 

@@ -45,7 +45,7 @@ use simclock::{Clock, SimTime};
 use wsrf_core::container::{action_uri, Ctx, OpKind, Service, ServiceBuilder};
 use wsrf_core::faults;
 use wsrf_core::properties::PropertyDoc;
-use wsrf_core::store::{ResourceStore, StoreError};
+use wsrf_core::store::{save_detached, ResourceStore, StoreError};
 use wsrf_obs::{Counter, CounterFamily, EventKind, EventLog, Gauge, Severity};
 use wsrf_soap::{ns, BaseFault, EndpointReference, Envelope, MessageInfo, SoapFault, TraceContext};
 use wsrf_transport::pool::ThreadPool;
@@ -282,6 +282,10 @@ impl ResourceStore for IndexingStore {
         self.inner.load(service, key)
     }
 
+    fn share(&self, service: &str, key: &str) -> Result<Arc<PropertyDoc>, StoreError> {
+        self.inner.share(service, key)
+    }
+
     fn save(&self, service: &str, key: &str, doc: &PropertyDoc) -> Result<(), StoreError> {
         self.inner.save(service, key, doc)?;
         if service == self.service {
@@ -462,7 +466,8 @@ impl DeliveryFabric {
         );
         if let Ok(mut doc) = self.store.load(&self.service, &sub.key) {
             doc.set_text(p_paused(), "true");
-            let _ = self.store.save(&self.service, &sub.key, &doc);
+            let (store, service) = (&*self.store, &self.service);
+            save_detached(store, &self.events, &self.clock, service, &sub.key, &doc);
         }
     }
 
@@ -560,7 +565,7 @@ pub fn notification_broker(
     // A durable store may already hold subscriptions from a previous
     // incarnation; seed the index so they match immediately.
     for key in store.list(name) {
-        if let Ok(doc) = store.load(name, &key) {
+        if let Ok(doc) = store.share(name, &key) {
             index.upsert(&key, &doc);
         }
     }

@@ -55,14 +55,15 @@ pub enum OpKind {
 }
 
 /// How an operation touches resource state. `Read` ops take a shared
-/// lease, never diff, and skip the save stage entirely; `Write` ops
-/// take an exclusive lease and run the full load→invoke→save pipeline.
+/// lease, may not mutate the document, and skip the save stage
+/// entirely; `Write` ops take an exclusive lease and run the full
+/// load→invoke→save pipeline.
 /// Author operations default to `Write` (safe for arbitrary handlers);
 /// [`ServiceBuilder::read_operation`] opts a handler into `Read`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpAccess {
-    /// Observes resource state only; mutations to the loaded document
-    /// are discarded, so many readers may run concurrently.
+    /// Observes resource state only — [`Ctx::resource_mut`] faults —
+    /// so many readers may run concurrently.
     Read,
     /// May mutate resource state; serialized per resource.
     Write,
@@ -358,9 +359,12 @@ pub struct Ctx<'a> {
     pub info: &'a MessageInfo,
     /// The resolved resource key, when present in the headers.
     pub key: Option<String>,
-    /// The resource's state, loaded for [`OpKind::Resource`] ops;
-    /// mutations are saved back after the handler returns Ok.
-    pub resource: Option<&'a mut PropertyDoc>,
+    /// The resource's state for [`OpKind::Resource`] ops: the store's
+    /// own snapshot, shared until a handler first mutates it. Private,
+    /// so the only way to a `&mut` is [`Ctx::resource_mut`].
+    resource: Option<Arc<PropertyDoc>>,
+    /// How the invoked operation is classified.
+    access: OpAccess,
     /// All raw header blocks (for security processing). On the lazy
     /// path only tree-shaped headers (`<ReplyTo>`, WS-Security) are
     /// present; text headers live in `info`.
@@ -375,11 +379,26 @@ pub struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    /// The loaded resource, or a `NoSuchResource`-style fault.
+    /// The loaded resource, to look at: lent with no copy. Faults when
+    /// the operation has no resource.
+    pub fn resource(&self) -> Result<&PropertyDoc, BaseFault> {
+        self.resource
+            .as_deref()
+            .ok_or_else(|| faults::missing_resource_key(&self.core.name))
+    }
+
+    /// The loaded resource, to edit; what it holds when the handler
+    /// returns Ok is saved back. The first call takes the one copy a
+    /// write needs (the snapshot is the store's own row). A
+    /// [`OpAccess::Read`] operation has no save stage, so it gets a
+    /// `wsrf:ReadOnlyOperation` fault instead of an edit nobody keeps.
     pub fn resource_mut(&mut self) -> Result<&mut PropertyDoc, BaseFault> {
-        match self.resource.as_deref_mut() {
-            Some(doc) => Ok(doc),
+        match self.resource.as_mut() {
             None => Err(faults::missing_resource_key(&self.core.name)),
+            Some(_) if self.access == OpAccess::Read => {
+                Err(faults::read_only_operation(&self.info.action))
+            }
+            Some(doc) => Ok(Arc::make_mut(doc)),
         }
     }
 
@@ -718,7 +737,7 @@ impl Service {
         // exclusive for Write — held across load→invoke→save so
         // concurrent writers to one resource serialize instead of
         // last-save-wins. Acquisition wait is the contention metric.
-        let mut loaded: Option<PropertyDoc> = None;
+        let mut loaded: Option<Arc<PropertyDoc>> = None;
         let mut _lease: Option<LeaseGuard<'_>> = None;
         if op.kind == OpKind::Resource {
             let k = key
@@ -739,7 +758,7 @@ impl Service {
             let doc = self
                 .core
                 .store
-                .load(&self.core.name, k)
+                .share(&self.core.name, k)
                 .map_err(faults::from_store)?;
             if self.obs.enabled {
                 self.obs.load_bytes.add(doc_bytes(&doc));
@@ -758,7 +777,8 @@ impl Service {
             core: &self.core,
             info,
             key: key.clone(),
-            resource: loaded.as_mut(),
+            resource: loaded,
+            access: op.access,
             headers,
             body,
             trace,
@@ -772,7 +792,7 @@ impl Service {
         // stage outright. Writes save unconditionally, like WSRF.NET
         // ("any changes to those values will be saved back to the
         // database" — and unchanged ones too).
-        if let Some(doc) = loaded.filter(|_| op.access == OpAccess::Write) {
+        if let Some(doc) = ctx.resource.take().filter(|_| op.access == OpAccess::Write) {
             let k = key.as_deref().expect("resource op had a key");
             match self.core.store.save(&self.core.name, k, &doc) {
                 Ok(()) => {
@@ -883,9 +903,10 @@ impl ServiceBuilder {
     }
 
     /// Add a resource-scoped operation that only *observes* state: it
-    /// runs under a shared lease, skips the clone-for-diff and the
-    /// whole save stage, and any mutation of the loaded document is
-    /// discarded. Opt in only for genuinely read-only handlers.
+    /// runs under a shared lease on the store's own snapshot of the
+    /// document, skips the whole save stage, and faults if it asks for
+    /// [`Ctx::resource_mut`]. Opt in only for genuinely read-only
+    /// handlers.
     pub fn read_operation(
         mut self,
         op_name: &str,
@@ -1308,10 +1329,12 @@ mod tests {
         assert!(core.store.exists("L2", key), "cancelled");
     }
 
-    /// Store wrapper counting save calls.
+    /// Store wrapper counting save calls, and how many of them were
+    /// handed the stored row itself (the handler took no copy).
     struct CountingStore {
         inner: MemoryStore,
         saves: std::sync::atomic::AtomicUsize,
+        saves_of_the_row: std::sync::atomic::AtomicUsize,
     }
 
     impl crate::store::ResourceStore for CountingStore {
@@ -1326,8 +1349,19 @@ mod tests {
         fn load(&self, s: &str, k: &str) -> Result<PropertyDoc, crate::store::StoreError> {
             self.inner.load(s, k)
         }
+        fn share(&self, s: &str, k: &str) -> Result<Arc<PropertyDoc>, crate::store::StoreError> {
+            self.inner.share(s, k)
+        }
         fn save(&self, s: &str, k: &str, d: &PropertyDoc) -> Result<(), crate::store::StoreError> {
             self.saves.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            if self
+                .inner
+                .share(s, k)
+                .is_ok_and(|row| std::ptr::eq(&*row, d))
+            {
+                self.saves_of_the_row
+                    .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
             self.inner.save(s, k, d)
         }
         fn destroy(&self, s: &str, k: &str) -> Result<(), crate::store::StoreError> {
@@ -1354,12 +1388,13 @@ mod tests {
         let store = Arc::new(CountingStore {
             inner: MemoryStore::new(),
             saves: std::sync::atomic::AtomicUsize::new(0),
+            saves_of_the_row: std::sync::atomic::AtomicUsize::new(0),
         });
         // `operation` classifies the handler as a Write op even though
         // it only looks at the state.
         let svc = ServiceBuilder::new("SP", "inproc://m/SP", store.clone())
             .operation("Read", |ctx| {
-                let doc = ctx.resource_mut()?;
+                let doc = ctx.resource()?;
                 Ok(Element::new(UVACG, "R").text(doc.text_local("X").unwrap_or_default()))
             })
             .build(clock, net);
@@ -1374,6 +1409,70 @@ mod tests {
         );
         assert!(!resp.is_fault());
         assert_eq!(store.saves.load(std::sync::atomic::Ordering::SeqCst), 1);
+        // ...and what it saved is the snapshot it was lent: no copy.
+        let of_the_row = &store.saves_of_the_row;
+        assert_eq!(of_the_row.load(std::sync::atomic::Ordering::SeqCst), 1);
+    }
+
+    /// A service with one op per way of misusing `resource_mut`.
+    fn misbehaving_service() -> (Arc<Service>, EndpointReference) {
+        let clock = Clock::manual();
+        let net = InProcNetwork::new(clock.clone());
+        let svc = ServiceBuilder::new("M", "inproc://m/M", Arc::new(MemoryStore::new()))
+            .read_operation("SneakyRead", |ctx| {
+                ctx.resource_mut()?.set_i64(q("X"), 1);
+                Ok(Element::new(UVACG, "R"))
+            })
+            .operation("EditThenFail", |ctx| {
+                ctx.resource_mut()?.set_i64(q("X"), 2);
+                Err(BaseFault::new("uvacg:Boom", "after the edit"))
+            })
+            .build(clock, net);
+        let mut doc = PropertyDoc::new();
+        doc.set_i64(q("X"), 0);
+        let epr = svc.core().create_resource_with_key("r1", doc).unwrap();
+        (svc, epr)
+    }
+
+    #[test]
+    fn read_op_that_asks_to_mutate_faults() {
+        let (svc, epr) = misbehaving_service();
+        let row = svc.core().store.share("M", "r1").unwrap();
+        let resp = call(
+            &svc,
+            epr,
+            &action_uri("M", "SneakyRead"),
+            Element::new(UVACG, "SneakyRead"),
+        );
+        assert_eq!(
+            resp.fault().unwrap().error_code(),
+            Some("wsrf:ReadOnlyOperation")
+        );
+        assert!(Arc::ptr_eq(
+            &row,
+            &svc.core().store.share("M", "r1").unwrap()
+        ));
+        assert_eq!(row.i64(&q("X")), Some(0));
+    }
+
+    #[test]
+    fn write_op_faulting_after_an_edit_leaves_the_row_untouched() {
+        let (svc, epr) = misbehaving_service();
+        let row = svc.core().store.share("M", "r1").unwrap();
+        let resp = call(
+            &svc,
+            epr,
+            &action_uri("M", "EditThenFail"),
+            Element::new(UVACG, "EditThenFail"),
+        );
+        assert_eq!(resp.fault().unwrap().error_code(), Some("uvacg:Boom"));
+        // The edit went to the handler's copy; the store still holds
+        // the very row it held, reading what it read.
+        assert!(Arc::ptr_eq(
+            &row,
+            &svc.core().store.share("M", "r1").unwrap()
+        ));
+        assert_eq!(row.i64(&q("X")), Some(0));
     }
 
     #[test]

@@ -26,6 +26,15 @@ pub fn missing_resource_key(service: &str) -> BaseFault {
     )
 }
 
+/// A handler registered as read-only asked to edit its resource: a
+/// defect in the service, reported instead of dropping the edit.
+pub fn read_only_operation(action: &str) -> BaseFault {
+    BaseFault::new(
+        "wsrf:ReadOnlyOperation",
+        format!("operation '{action}' is read-only and may not change resource state"),
+    )
+}
+
 /// A `GetResourceProperty` named an unknown property.
 pub fn invalid_property(name: &str) -> BaseFault {
     BaseFault::new(

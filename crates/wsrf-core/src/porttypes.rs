@@ -37,11 +37,10 @@ fn parse_property_name(text: &str) -> QName {
     QName::from_clark(text.trim())
 }
 
-fn get_one(ctx: &mut Ctx<'_>, name: &QName) -> Result<Vec<Element>, BaseFault> {
-    let core = ctx.core.clone();
-    let doc = ctx.resource_mut()?;
-    let vals = core.property_values(doc, name);
-    if vals.is_empty() && !doc.contains(name) && !core.has_computed(name) {
+fn get_one(ctx: &Ctx<'_>, name: &QName) -> Result<Vec<Element>, BaseFault> {
+    let doc = ctx.resource()?;
+    let vals = ctx.core.property_values(doc, name);
+    if vals.is_empty() && !doc.contains(name) && !ctx.core.has_computed(name) {
         return Err(faults::invalid_property(&name.to_string()));
     }
     Ok(vals)
@@ -100,11 +99,9 @@ pub(crate) fn install_resource_properties(ops: &mut Ops) {
         OpKind::Resource,
         OpAccess::Read,
         Box::new(|ctx| {
-            let core = ctx.core.clone();
-            let doc = ctx.resource_mut()?;
             Ok(
                 Element::new(ns::WSRP, "GetResourcePropertyDocumentResponse")
-                    .child(core.property_view(doc)),
+                    .child(ctx.core.property_view(ctx.resource()?)),
             )
         }),
     );
@@ -128,9 +125,7 @@ pub(crate) fn install_resource_properties(ops: &mut Ops) {
             }
             let path = Path::parse(&expr_el.text_content())
                 .map_err(|e| faults::invalid_query(&e.to_string()))?;
-            let core = ctx.core.clone();
-            let doc = ctx.resource_mut()?;
-            let view = core.property_view(doc);
+            let view = ctx.core.property_view(ctx.resource()?);
             let matches: Vec<Element> = path.select(&view).into_iter().cloned().collect();
             Ok(Element::new(ns::WSRP, "QueryResourcePropertiesResponse").children(matches))
         }),

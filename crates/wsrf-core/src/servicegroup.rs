@@ -198,7 +198,7 @@ pub fn service_group_builder(
                 let Some(key) = entry.attr_value("key") else {
                     continue;
                 };
-                let Ok(doc) = ctx.core.store.load(&ctx.core.name, key) else {
+                let Ok(doc) = ctx.core.store.share(&ctx.core.name, key) else {
                     continue;
                 };
                 let view = doc.to_document(QName::new(ns::WSSG, "Content"));

@@ -25,8 +25,11 @@
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use parking_lot::RwLock;
+use simclock::Clock;
+use wsrf_obs::{EventKind, EventLog, Severity};
 use wsrf_xml::xpath::Path;
 use wsrf_xml::QName;
 
@@ -69,17 +72,15 @@ pub trait ResourceStore: Send + Sync {
     /// Load a resource's property document.
     fn load(&self, service: &str, key: &str) -> Result<PropertyDoc, StoreError>;
 
-    /// Look at a resource's stored document without taking a copy of
-    /// it. The default loads one; a backend whose rows *are* documents
-    /// lends its own, under its row lock — so `f` must not call back
-    /// into the store.
-    fn with_doc(
-        &self,
-        service: &str,
-        key: &str,
-        f: &mut dyn FnMut(&PropertyDoc),
-    ) -> Result<(), StoreError> {
-        self.load(service, key).map(|doc| f(&doc))
+    /// A read-only snapshot of a resource's stored document, for a
+    /// caller that only looks: whatever is written after the call, the
+    /// snapshot reads the document as it was. The default loads a copy;
+    /// a backend whose rows *are* documents hands out its own, copying
+    /// nothing. No lock is held once this returns, so the holder may
+    /// call back into the store — `load` is for a caller that wants a
+    /// copy of its own to edit.
+    fn share(&self, service: &str, key: &str) -> Result<Arc<PropertyDoc>, StoreError> {
+        self.load(service, key).map(Arc::new)
     }
 
     /// Persist a (possibly modified) property document.
@@ -101,6 +102,33 @@ pub trait ResourceStore: Send + Sync {
 
     /// Backend label for diagnostics and bench tables.
     fn backend_name(&self) -> &'static str;
+}
+
+/// [`ResourceStore::save`] for a writer outside any dispatch — a timer,
+/// an exit callback, a delivery worker — that has nobody to return an
+/// error to. `NotFound` is skipped: the resource expired meanwhile, and
+/// saving must not bring it back. Any other refusal would lose state
+/// silently, so it leaves an [`EventKind::StoreWriteDropped`] event.
+pub fn save_detached(
+    store: &dyn ResourceStore,
+    events: &EventLog,
+    clock: &Clock,
+    service: &str,
+    key: &str,
+    doc: &PropertyDoc,
+) {
+    match store.save(service, key, doc) {
+        Ok(()) | Err(StoreError::NotFound(_)) => {}
+        Err(e) => {
+            events.emit(
+                Severity::Error,
+                EventKind::StoreWriteDropped,
+                service,
+                clock.now().as_nanos(),
+                || format!("write to {key} dropped: {e}"),
+            );
+        }
+    }
 }
 
 fn doc_root() -> QName {
@@ -235,10 +263,12 @@ impl<T> ShardedRows<T> {
 // ---------------------------------------------------------------------
 
 /// In-memory store holding decoded documents. Fast everything; no
-/// schema; the baseline backend and the default for tests.
+/// schema; the baseline backend and the default for tests. A row is
+/// replaced whole, never edited, so [`ResourceStore::share`] hands the
+/// row itself out.
 #[derive(Default)]
 pub struct MemoryStore {
-    rows: ShardedRows<PropertyDoc>,
+    rows: ShardedRows<Arc<PropertyDoc>>,
 }
 
 impl MemoryStore {
@@ -260,28 +290,23 @@ impl MemoryStore {
 
 impl ResourceStore for MemoryStore {
     fn create(&self, service: &str, key: &str, doc: &PropertyDoc) -> Result<(), StoreError> {
-        self.rows.create(service, key, doc.clone())
+        self.rows.create(service, key, Arc::new(doc.clone()))
     }
 
     fn load(&self, service: &str, key: &str) -> Result<PropertyDoc, StoreError> {
         self.rows
-            .get(service, key, PropertyDoc::clone)
+            .get(service, key, |doc| PropertyDoc::clone(doc))
             .ok_or_else(|| StoreError::NotFound(key.to_string()))
     }
 
-    fn with_doc(
-        &self,
-        service: &str,
-        key: &str,
-        f: &mut dyn FnMut(&PropertyDoc),
-    ) -> Result<(), StoreError> {
+    fn share(&self, service: &str, key: &str) -> Result<Arc<PropertyDoc>, StoreError> {
         self.rows
-            .get(service, key, |doc| f(doc))
+            .get(service, key, Arc::clone)
             .ok_or_else(|| StoreError::NotFound(key.to_string()))
     }
 
     fn save(&self, service: &str, key: &str, doc: &PropertyDoc) -> Result<(), StoreError> {
-        self.rows.update(service, key, doc.clone())
+        self.rows.update(service, key, Arc::new(doc.clone()))
     }
 
     fn destroy(&self, service: &str, key: &str) -> Result<(), StoreError> {
@@ -641,8 +666,9 @@ impl ResourceStore for StructuredStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use wsrf_obs::MetricsRegistry;
     use wsrf_xml::Element;
 
     const NS: &str = "urn:test";
@@ -658,7 +684,9 @@ mod tests {
         d
     }
 
-    fn crud_suite(store: &dyn ResourceStore) {
+    /// The contract every backend keeps (`wal`'s tests run it over
+    /// [`crate::DurableStore`] too).
+    pub(crate) fn crud_suite(store: &dyn ResourceStore) {
         assert!(!store.exists("svc", "a"));
         store.create("svc", "a", &job_doc("Running", 1.0)).unwrap();
         assert!(store.exists("svc", "a"));
@@ -668,12 +696,19 @@ mod tests {
         );
         let mut doc = store.load("svc", "a").unwrap();
         assert_eq!(doc.text(&q("Status")).unwrap(), "Running");
+        // `share` reads what `load` reads — `==` is by value and in
+        // property order — and keeps reading it whatever is written.
+        let running = store.share("svc", "a").unwrap();
+        assert_eq!(*running, doc);
         doc.set_text(q("Status"), "Exited");
         store.save("svc", "a", &doc).unwrap();
         assert_eq!(
             store.load("svc", "a").unwrap().text(&q("Status")).unwrap(),
             "Exited"
         );
+        assert_eq!(running.text(&q("Status")).unwrap(), "Running");
+        let exited = store.share("svc", "a").unwrap();
+        assert_eq!(*exited, doc);
         store.create("svc", "b", &job_doc("Running", 2.0)).unwrap();
         let mut keys = store.list("svc");
         keys.sort();
@@ -689,6 +724,11 @@ mod tests {
             Err(StoreError::NotFound("a".into()))
         );
         assert_eq!(
+            store.share("svc", "a"),
+            Err(StoreError::NotFound("a".into()))
+        );
+        assert_eq!(*exited, doc, "a snapshot outlives its resource");
+        assert_eq!(
             store.save("svc", "a", &doc),
             Err(StoreError::NotFound("a".into()))
         );
@@ -697,6 +737,42 @@ mod tests {
     #[test]
     fn memory_crud() {
         crud_suite(&MemoryStore::new());
+    }
+
+    #[test]
+    fn memory_share_is_the_row_itself_until_the_next_write() {
+        let store = MemoryStore::new();
+        store.create("svc", "a", &job_doc("Running", 1.0)).unwrap();
+        let first = store.share("svc", "a").unwrap();
+        assert!(Arc::ptr_eq(&first, &store.share("svc", "a").unwrap()));
+        store.save("svc", "a", &job_doc("Exited", 1.0)).unwrap();
+        assert!(!Arc::ptr_eq(&first, &store.share("svc", "a").unwrap()));
+    }
+
+    #[test]
+    fn a_detached_save_reports_a_refusal_but_not_an_expiry() {
+        let reg = MetricsRegistry::enabled();
+        let (events, clock) = (reg.events(), Clock::manual());
+        let store = StructuredStore::new();
+        store.define_schema("svc", vec![(q("Status"), ColumnType::Text)]);
+        let mut doc = PropertyDoc::new();
+        doc.set_text(q("Status"), "Running");
+        store.create("svc", "a", &doc).unwrap();
+        let dropped = || reg.snapshot().counter("events.store_write_dropped");
+
+        save_detached(&store, events, &clock, "svc", "gone", &doc);
+        save_detached(&store, events, &clock, "svc", "a", &doc);
+        assert_eq!(dropped(), Some(0), "expired or saved: nothing to report");
+
+        doc.set_f64(q("Cpu"), 1.0); // not a declared column
+        save_detached(&store, events, &clock, "svc", "a", &doc);
+        assert_eq!(dropped(), Some(1));
+        let event = events.recent(Severity::Error, 1).remove(0);
+        assert_eq!(event.kind, EventKind::StoreWriteDropped);
+        assert_eq!(&*event.service, "svc");
+        assert!(event
+            .detail
+            .contains("write to a dropped: schema violation"));
     }
 
     #[test]

@@ -33,9 +33,10 @@
 //! **Order and failure policy.** A mutation takes the shard lock,
 //! checks its precondition (`create` ⇒ absent, `save` / `destroy` ⇒
 //! present), renders its frame into the shard's reused buffer — a
-//! `save` diffs against the stored document by reference
-//! ([`ResourceStore::with_doc`]): the change is computed, never taken
-//! on a caller's word — hands it to the file in one `write`, and only
+//! `save` diffs against a snapshot of the stored document
+//! ([`ResourceStore::share`], current because the shard lock keeps
+//! other writers out): the change is computed, never taken on a
+//! caller's word — hands it to the file in one `write`, and only
 //! **then** touches the inner store. If the write fails, or the inner
 //! store refuses the mutation once the record is down, the file is cut
 //! back to its last good length and the caller gets the error; if the
@@ -575,11 +576,11 @@ impl DurableStore {
         let mut out = Vec::with_capacity(log.base as usize);
         for (service, key) in &log.keys {
             let at = begin_frame(&mut out, OP_CREATE, service, key);
-            self.inner
-                .with_doc(service, key, &mut |doc| {
-                    put_body(&mut out, &mut log.table, doc, |put| whole(doc, put));
-                })
+            let doc = self
+                .inner
+                .share(service, key)
                 .map_err(|e| invalid(format!("compacting {service}/{key}: {e}")))?;
+            put_body(&mut out, &mut log.table, &doc, |put| whole(&doc, put));
             end_frame(&mut out, at)?;
         }
         let path = self.dir.join(format!("shard-{shard:02}.log"));
@@ -618,15 +619,18 @@ impl ResourceStore for DurableStore {
         self.inner.load(service, key)
     }
 
+    fn share(&self, service: &str, key: &str) -> Result<Arc<PropertyDoc>, StoreError> {
+        self.inner.share(service, key)
+    }
+
     fn save(&self, service: &str, key: &str, doc: &PropertyDoc) -> Result<(), StoreError> {
         let shard = shard_of(service, key);
         let log = &mut *self.logs[shard].lock();
         let at = log.begin(OP_DELTA, service, key)?;
-        self.inner.with_doc(service, key, &mut |stored| {
-            put_body(&mut log.buf, &mut log.table, doc, |put| {
-                delta(stored, doc, put)
-            });
-        })?;
+        let stored = self.inner.share(service, key)?;
+        put_body(&mut log.buf, &mut log.table, doc, |put| {
+            delta(&stored, doc, put)
+        });
         self.commit(log, shard, at, |_| self.inner.save(service, key, doc))
     }
 
@@ -750,7 +754,7 @@ mod tests {
 
     /// A memory store that refuses the next mutation once armed — the
     /// inner store saying no after the record is written. It takes the
-    /// trait's default `with_doc`, so the load-a-copy path is covered.
+    /// trait's default `share`, so the load-a-copy path is covered.
     #[derive(Default)]
     struct Refusing {
         rows: MemoryStore,
@@ -906,6 +910,16 @@ mod tests {
             }
             assert_eq!(crc32(&bytes[..len]), !c, "length {len}");
         }
+    }
+
+    #[test]
+    fn the_store_contract_holds_over_a_sharing_and_a_copying_inner_store() {
+        use crate::store::{tests::crud_suite, BlobStore};
+        let t = TempDir::new("crud");
+        crud_suite(&reopen(&t.0));
+        let t = TempDir::new("crud-copying");
+        // `BlobStore` takes the trait's default `share`.
+        crud_suite(&DurableStore::open(&t.0, Arc::new(BlobStore::new())).unwrap());
     }
 
     #[test]

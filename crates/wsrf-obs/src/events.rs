@@ -76,10 +76,14 @@ pub enum EventKind {
     JobCompleted,
     /// A scheduler job (or its machine) failed or timed out.
     JobFailed,
+    /// A state write made outside a dispatch — nobody to return the
+    /// error to — was refused by the store, for a reason other than the
+    /// resource being gone.
+    StoreWriteDropped,
 }
 
 /// All kinds, counter order.
-pub const EVENT_KINDS: [EventKind; 7] = [
+pub const EVENT_KINDS: [EventKind; 8] = [
     EventKind::DispatchFault,
     EventKind::WalSnapshot,
     EventKind::WalAppendError,
@@ -87,6 +91,7 @@ pub const EVENT_KINDS: [EventKind; 7] = [
     EventKind::LeaseExpiry,
     EventKind::JobCompleted,
     EventKind::JobFailed,
+    EventKind::StoreWriteDropped,
 ];
 
 impl EventKind {
@@ -99,6 +104,7 @@ impl EventKind {
             EventKind::LeaseExpiry => "lease_expiry",
             EventKind::JobCompleted => "job_completed",
             EventKind::JobFailed => "job_failed",
+            EventKind::StoreWriteDropped => "store_write_dropped",
         }
     }
 

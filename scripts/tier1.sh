@@ -17,6 +17,23 @@ cargo test -q --offline
 echo "== cargo fmt --check"
 cargo fmt --check
 
+echo "== source gates"
+# A dispatch is lent the store's own snapshot of its resource
+# (`ResourceStore::share`): nothing borrows a row under the shard lock
+# any more, and the container and the standard port types copy a
+# document only when a handler edits it. (Chains are joined first:
+# rustfmt splits `.store` from `.load(`.)
+if grep -rn "with_doc" crates tests src examples; then
+    echo "tier-1: with_doc is back" >&2
+    exit 1
+fi
+for f in container porttypes; do
+    if sed '/^#\[cfg(test)\]/,$d' "crates/wsrf-core/src/$f.rs" | tr -d ' \n' | grep -q 'store\.load('; then
+        echo "tier-1: $f.rs loads a copy outside its tests; use share" >&2
+        exit 1
+    fi
+done
+
 echo "== cargo build --release --offline --locked (benchmark/)"
 # The performance ledger is a detached package pinned to this
 # workspace's public API (benchmark/src/sut.rs:1-27) and its own

@@ -3,7 +3,8 @@
 //! Execution Service finds an accepted job by its derived key (never by
 //! scanning), the Scheduler keeps one listener handler and no message
 //! history, the client polls without copying its history, and terminal
-//! WS-Resources expire unless their owner extends the lease.
+//! WS-Resources expire unless their owner extends the lease. Nor does a
+//! WS-RP read cost more on a wide document: it copies none of it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -276,4 +277,38 @@ fn polling_the_outcome_copies_no_history() {
     let (dir, looking) = allocs_during(|| handle.job_epr("job2"));
     assert!(dir.is_some());
     assert!(looking < 64, "job_epr() allocated {looking} blocks");
+}
+
+#[test]
+fn a_property_read_copies_none_of_the_document_it_reads() {
+    use wsrf_grid::soap::{ns, MessageInfo};
+    use wsrf_grid::wsrf::porttypes::wsrp_action;
+    use wsrf_grid::wsrf::ServiceBuilder;
+    use wsrf_grid::xml::QName;
+
+    // The ledger's read workload in small: one of twelve properties.
+    let store = Arc::new(MemoryStore::new());
+    let clock = Clock::manual();
+    let svc = ServiceBuilder::new("Wide", "inproc://m/Wide", store.clone())
+        .build(clock.clone(), InProcNetwork::new(clock));
+    let mut doc = PropertyDoc::new();
+    for i in 0..12 {
+        let name = QName::new(ns::UVACG, format!("P{i:02}"));
+        doc.set_text(name, format!("value-{i}"));
+    }
+    let epr = svc.core().create_resource_with_key("w1", doc).unwrap();
+    let body = Element::new(ns::WSRP, "GetResourceProperty").text("P07");
+    let mut env = Envelope::new(body);
+    MessageInfo::request(epr, wsrp_action("GetResourceProperty")).apply(&mut env);
+    let wire = env.to_xml();
+    svc.dispatch_wire(&wire); // warm
+
+    let (resp, dispatch) = allocs_during(|| svc.dispatch_wire(&wire));
+    assert_eq!(resp.body.text_content(), "value-7");
+    // 73 blocks when dispatch loaded a copy of the document (37 of
+    // them the copy); what is left is the scan, the answer and its one
+    // value.
+    assert!(dispatch <= 36, "the dispatch allocated {dispatch} blocks");
+    let (_, sharing) = allocs_during(|| store.share("Wide", "w1").unwrap());
+    assert_eq!(sharing, 0, "MemoryStore::share hands out its row");
 }
