@@ -5,7 +5,8 @@
 //! * [`channel`] — an unbounded MPMC channel whose `Receiver` is
 //!   `Clone` (every clone drains the *same* queue, so cloned receivers
 //!   act as competing consumers, exactly how the transport thread pool
-//!   uses them).
+//!   uses them). A send wakes a receiver only when one is parked, and
+//!   `Sender::send_all` (this shim's own) queues a batch under one lock.
 //! * [`thread::scope`] — scoped spawns, delegating to
 //!   `std::thread::scope` with crossbeam's closure signature.
 
@@ -22,6 +23,13 @@ pub mod channel {
     struct State<T> {
         items: VecDeque<T>,
         senders: usize,
+        /// Receivers between "about to wait" and "woke and re-took the
+        /// lock". Each receiver counts itself in and out, whatever woke
+        /// it, so the count never undercounts the receivers blocked in
+        /// `wait`: a sender that notifies `min(pushed, parked)` times
+        /// may notify one already on its way (harmless) but cannot leave
+        /// a blocked one behind with an item queued.
+        parked: usize,
     }
 
     /// Sending half; cloning adds another producer.
@@ -64,6 +72,7 @@ pub mod channel {
             queue: Mutex::new(State {
                 items: VecDeque::new(),
                 senders: 1,
+                parked: 0,
             }),
             cv: Condvar::new(),
         });
@@ -77,11 +86,24 @@ pub mod channel {
 
     impl<T> Sender<T> {
         pub fn send(&self, item: T) -> Result<(), SendError<T>> {
-            let mut st = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
-            st.items.push_back(item);
-            drop(st);
-            self.shared.cv.notify_one();
+            self.send_all([item]);
             Ok(())
+        }
+
+        /// Queue every item under one lock, then wake one parked
+        /// receiver per item (none when every receiver is busy: they
+        /// find the items when they next look). Not in the published
+        /// crate. `items` is consumed while the channel is locked, so
+        /// pass a ready collection, not a computation.
+        pub fn send_all(&self, items: impl IntoIterator<Item = T>) {
+            let mut st = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
+            let before = st.items.len();
+            st.items.extend(items);
+            let wake = (st.items.len() - before).min(st.parked);
+            drop(st);
+            for _ in 0..wake {
+                self.shared.cv.notify_one();
+            }
         }
     }
 
@@ -119,8 +141,17 @@ pub mod channel {
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
+                st.parked += 1;
                 st = self.shared.cv.wait(st).unwrap_or_else(|p| p.into_inner());
+                st.parked -= 1;
             }
+        }
+
+        /// Receivers currently counted as parked in [`recv`](Self::recv).
+        #[cfg(test)]
+        pub(crate) fn parked(&self) -> usize {
+            let st = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
+            st.parked
         }
 
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
@@ -201,7 +232,9 @@ pub use thread::scope;
 #[cfg(test)]
 mod tests {
     use super::channel::{unbounded, RecvError, TryRecvError};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn cloned_receivers_compete_for_items() {
@@ -238,6 +271,131 @@ mod tests {
         assert_eq!(rx.recv(), Ok(7));
         assert_eq!(rx.recv(), Err(RecvError));
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+    }
+
+    /// Poll `cond` until it holds; the 10 s bound is the watchdog that
+    /// turns a lost wake-up into a failure instead of a hung test.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "watchdog: {what}");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    #[test]
+    fn mixed_sends_reach_competing_receivers_exactly_once() {
+        const PRODUCERS: usize = 8;
+        const RECEIVERS: usize = 4;
+        const ITEMS: usize = 100_000;
+        let (tx, rx) = unbounded::<usize>();
+        let seen: Arc<Vec<AtomicU8>> = Arc::new((0..ITEMS).map(|_| AtomicU8::new(0)).collect());
+        let received = Arc::new(AtomicUsize::new(0));
+        let receivers: Vec<_> = (0..RECEIVERS)
+            .map(|_| {
+                let (rx, seen, received) = (rx.clone(), seen.clone(), received.clone());
+                std::thread::spawn(move || {
+                    while let Ok(i) = rx.recv() {
+                        seen[i].fetch_add(1, Ordering::Relaxed);
+                        received.fetch_add(1, Ordering::Release);
+                    }
+                })
+            })
+            .collect();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    // Producer p owns the items congruent to p, sent as
+                    // singles and as batches of 2..=7 in turn; the
+                    // yields let the receivers run dry and park.
+                    let mut mine = (p..ITEMS).step_by(PRODUCERS).peekable();
+                    let mut batch = 1;
+                    while mine.peek().is_some() {
+                        if batch == 1 {
+                            tx.send(mine.next().unwrap()).unwrap();
+                        } else {
+                            tx.send_all(mine.by_ref().take(batch).collect::<Vec<_>>());
+                        }
+                        batch = batch % 7 + 1;
+                        if batch == 4 {
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
+        }
+        // `tx` is still alive: only a wake-up per queued item, not the
+        // disconnect broadcast, can have emptied the queue.
+        eventually("items queued with receivers parked", || {
+            received.load(Ordering::Acquire) == ITEMS
+        });
+        assert!(seen.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+        assert!(rx.is_empty());
+        eventually("receivers park once the queue is dry", || {
+            rx.parked() == RECEIVERS
+        });
+        drop(tx);
+        eventually("disconnect wakes every parked receiver", || {
+            receivers.iter().all(|r| r.is_finished())
+        });
+        for r in receivers {
+            r.join().unwrap();
+        }
+        assert_eq!(rx.parked(), 0);
+    }
+
+    #[test]
+    fn parked_count_survives_wakeups_that_find_nothing() {
+        // A receiver woken for an item somebody else took first is, to
+        // the channel, a spurious wake-up: it must count itself out and
+        // back in, so the next send still knows to wake it.
+        let (tx, rx) = unbounded::<u32>();
+        let got = Arc::new(AtomicUsize::new(0));
+        let receiver = {
+            let (rx, got) = (rx.clone(), got.clone());
+            std::thread::spawn(move || {
+                while rx.recv().is_ok() {
+                    got.fetch_add(1, Ordering::Release);
+                }
+            })
+        };
+        let mut stolen = 0;
+        for i in 0..2_000 {
+            eventually("receiver parks", || rx.parked() == 1);
+            let before = got.load(Ordering::Acquire);
+            tx.send(i).unwrap();
+            if rx.try_recv().is_ok() {
+                stolen += 1; // the receiver wakes to an empty queue
+            } else {
+                eventually("sent item received", || {
+                    got.load(Ordering::Acquire) == before + 1
+                });
+            }
+        }
+        assert!(stolen > 0, "no wake-up ever found the queue empty");
+        eventually("receiver parks again", || rx.parked() == 1);
+        let before = got.load(Ordering::Acquire);
+        tx.send(0).unwrap();
+        eventually("a send after empty wake-ups still wakes", || {
+            got.load(Ordering::Acquire) == before + 1
+        });
+        drop(tx);
+        receiver.join().unwrap();
+    }
+
+    #[test]
+    fn send_to_busy_receivers_is_found_without_a_wakeup() {
+        let (tx, rx) = unbounded::<u32>();
+        assert_eq!(rx.parked(), 0);
+        tx.send_all([1, 2, 3]);
+        tx.send_all(Vec::new());
+        assert_eq!(rx.len(), 3);
+        assert_eq!((rx.recv(), rx.recv(), rx.recv()), (Ok(1), Ok(2), Ok(3)));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
     }
 
     #[test]

@@ -26,13 +26,20 @@
 //! path can strand a stale entry.
 //!
 //! Delivery is inline (synchronous, subscription-ordered) on manual
-//! clocks — the deterministic test network depends on that — and
-//! batched through per-consumer queues drained by a small worker pool
-//! on scaled/realtime clocks, so one slow consumer occupies one worker
-//! instead of serializing the whole fan-out. Duplicate notifications
-//! to the same consumer (overlapping subscriptions) are coalesced.
-//! Transport failures are counted, reported in `NotifyResponse`, and
-//! auto-pause a subscription after a streak of `AUTOPAUSE_AFTER`.
+//! clocks — the deterministic test network depends on that. On
+//! scaled/realtime clocks a publish queues each delivery on its
+//! consumer's queue and then starts the idle queues together; the
+//! `broker-delivery` worker that drains a queue also runs the consumer
+//! ([`InProcNetwork::deliver_oneway`]: the network accounts for the
+//! message and, if the link has a modeled cost, sleeps it, on that
+//! worker — its own one-way pool carries only `send_oneway` traffic).
+//! A consumer therefore hears its messages in the order the broker took
+//! them and one at a time, and a consumer that blocks in its handler
+//! pins one of the `DELIVERY_WORKERS` instead of serializing the whole
+//! fan-out. Duplicate notifications to the same consumer (overlapping
+//! subscriptions) are coalesced. Transport failures are counted,
+//! reported in `NotifyResponse`, and auto-pause a subscription after a
+//! streak of `AUTOPAUSE_AFTER`.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -105,22 +112,21 @@ struct CompiledSub {
     /// subscription cannot deliver after `Destroy` acknowledged.
     dead: AtomicBool,
     consecutive_failures: AtomicU32,
+    /// Where deliveries to this subscription's consumer wait off the
+    /// manual clock: one queue per consumer address, shared by every
+    /// subscription that names it ([`SubscriptionIndex::consumers`]).
+    queue: SharedQueue,
 }
 
 impl CompiledSub {
-    fn compile(key: &str, doc: &PropertyDoc) -> Option<CompiledSub> {
+    /// What a subscription document says: expression, consumer, paused.
+    fn parse(doc: &PropertyDoc) -> Option<(TopicExpression, EndpointReference, bool)> {
         let expr_el = doc.get(&p_expression()).first()?;
         let dialect = expr_el.attr_value("Dialect").and_then(Dialect::from_uri)?;
         let expr = TopicExpression::parse(dialect, &expr_el.text_content());
         let consumer = EndpointReference::from_element(doc.get(&p_consumer()).first()?).ok()?;
-        Some(CompiledSub {
-            key: key.to_string(),
-            expr,
-            consumer,
-            paused: AtomicBool::new(doc.text(&p_paused()).as_deref() == Some("true")),
-            dead: AtomicBool::new(false),
-            consecutive_failures: AtomicU32::new(0),
-        })
+        let paused = doc.text(&p_paused()).as_deref() == Some("true");
+        Some((expr, consumer, paused))
     }
 
     fn live(&self) -> bool {
@@ -142,15 +148,25 @@ struct SubscriptionIndex {
     /// `notify_op`.
     by_key: RwLock<HashMap<String, Arc<CompiledSub>>>,
     size: Gauge,
+    /// Consumer address → that consumer's delivery queue and the number
+    /// of indexed subscriptions sharing it. Control plane only (taken
+    /// under `by_key`'s write lock): a fan-out reaches the queue through
+    /// its [`CompiledSub`], and the entry goes when the consumer's last
+    /// subscription does, so the map is as large as the index, not as
+    /// the history of everyone who ever subscribed.
+    consumers: Mutex<HashMap<String, (SharedQueue, usize)>>,
+    consumer_count: Gauge,
 }
 
 impl SubscriptionIndex {
-    fn new(size: Gauge) -> SubscriptionIndex {
+    fn new(size: Gauge, consumer_count: Gauge) -> SubscriptionIndex {
         SubscriptionIndex {
             shards: (0..INDEX_SHARDS).map(|_| RwLock::default()).collect(),
             wildcard: RwLock::default(),
             by_key: RwLock::default(),
             size,
+            consumers: Mutex::default(),
+            consumer_count,
         }
     }
 
@@ -158,7 +174,7 @@ impl SubscriptionIndex {
     /// saves update the compiled entry in place; a changed expression
     /// or consumer recompiles and re-buckets it.
     fn upsert(&self, key: &str, doc: &PropertyDoc) {
-        let Some(fresh) = CompiledSub::compile(key, doc) else {
+        let Some((expr, consumer, paused)) = CompiledSub::parse(doc) else {
             // The doc no longer parses as a subscription; drop any
             // stale entry rather than match on garbage.
             self.remove(key);
@@ -167,10 +183,8 @@ impl SubscriptionIndex {
         let mut by_key = self.by_key.write();
         match by_key.get(key) {
             Some(existing)
-                if existing.expr == fresh.expr
-                    && existing.consumer.address == fresh.consumer.address =>
+                if existing.expr == expr && existing.consumer.address == consumer.address =>
             {
-                let paused = fresh.paused.load(Ordering::Relaxed);
                 existing.paused.store(paused, Ordering::Release);
                 if !paused {
                     // A resume forgives the failure streak.
@@ -180,12 +194,34 @@ impl SubscriptionIndex {
             }
             Some(_) => {
                 let old = by_key.remove(key).unwrap();
-                old.dead.store(true, Ordering::Release);
-                self.evict_from_bucket(&old);
+                self.retire(&old);
             }
             None => {}
         }
-        let sub = Arc::new(fresh);
+        let queue = {
+            let mut consumers = self.consumers.lock();
+            match consumers.get_mut(&consumer.address) {
+                Some((queue, subs)) => {
+                    *subs += 1;
+                    queue.clone()
+                }
+                None => {
+                    let queue = SharedQueue::default();
+                    consumers.insert(consumer.address.clone(), (queue.clone(), 1));
+                    self.consumer_count.set(consumers.len() as i64);
+                    queue
+                }
+            }
+        };
+        let sub = Arc::new(CompiledSub {
+            key: key.to_string(),
+            expr,
+            consumer,
+            paused: AtomicBool::new(paused),
+            dead: AtomicBool::new(false),
+            consecutive_failures: AtomicU32::new(0),
+            queue,
+        });
         match sub.expr.concrete_root() {
             Some(root) => self.shards[shard_of(root)]
                 .write()
@@ -202,13 +238,27 @@ impl SubscriptionIndex {
     fn remove(&self, key: &str) {
         let mut by_key = self.by_key.write();
         if let Some(old) = by_key.remove(key) {
-            old.dead.store(true, Ordering::Release);
-            self.evict_from_bucket(&old);
+            self.retire(&old);
             self.size.set(by_key.len() as i64);
         }
     }
 
-    fn evict_from_bucket(&self, sub: &Arc<CompiledSub>) {
+    /// An entry that left `by_key` stops matching, stops delivering
+    /// (what is already queued for it is skipped at send time) and lets
+    /// go of its consumer's queue. A delivery in flight keeps the queue
+    /// alive through its `CompiledSub`; a consumer that subscribes again
+    /// starts a fresh one.
+    fn retire(&self, sub: &Arc<CompiledSub>) {
+        sub.dead.store(true, Ordering::Release);
+        let mut consumers = self.consumers.lock();
+        if let Some((_, subs)) = consumers.get_mut(&sub.consumer.address) {
+            *subs -= 1;
+            if *subs == 0 {
+                consumers.remove(&sub.consumer.address);
+                self.consumer_count.set(consumers.len() as i64);
+            }
+        }
+        drop(consumers);
         match sub.expr.concrete_root() {
             Some(root) => {
                 let mut shard = self.shards[shard_of(root)].write();
@@ -333,8 +383,8 @@ impl ResourceStore for IndexingStore {
 /// scan.
 struct CurrentCache {
     cap: usize,
-    hot: HashMap<String, NotificationMessage>,
-    cold: HashMap<String, NotificationMessage>,
+    hot: HashMap<String, Arc<NotificationMessage>>,
+    cold: HashMap<String, Arc<NotificationMessage>>,
 }
 
 impl CurrentCache {
@@ -346,7 +396,7 @@ impl CurrentCache {
         }
     }
 
-    fn insert(&mut self, topic: String, msg: NotificationMessage) {
+    fn insert(&mut self, topic: String, msg: Arc<NotificationMessage>) {
         self.cold.remove(&topic);
         self.hot.insert(topic, msg);
         if self.hot.len() >= (self.cap / 2).max(1) {
@@ -360,7 +410,7 @@ impl CurrentCache {
                 self.hot.insert(topic.to_string(), m);
             }
         }
-        self.hot.get(topic)
+        self.hot.get(topic).map(|m| &**m)
     }
 
     fn len(&self) -> usize {
@@ -381,10 +431,30 @@ struct Delivery {
     trace: Option<TraceContext>,
 }
 
+impl Delivery {
+    /// Wait behind whatever the consumer still has pending. Returns the
+    /// queue when it was idle: the caller owes it a drainer
+    /// ([`DeliveryFabric::start_drains`]).
+    fn enqueue(self) -> Option<SharedQueue> {
+        let queue = self.sub.queue.clone();
+        let mut q = queue.lock();
+        q.q.push_back(self);
+        let idle = !std::mem::replace(&mut q.draining, true);
+        drop(q);
+        idle.then_some(queue)
+    }
+}
+
+/// One consumer's queue, as its subscriptions, the index and the
+/// worker draining it share it.
+type SharedQueue = Arc<Mutex<ConsumerQueue>>;
+
+#[derive(Default)]
 struct ConsumerQueue {
     q: VecDeque<Delivery>,
-    /// True while a pool worker owns this queue; guarantees per-consumer
-    /// FIFO with at most one drainer.
+    /// True from the push that found the queue idle until the worker
+    /// that drains it finds it empty: at most one drainer, and as the
+    /// drainer also runs the consumer, per-consumer FIFO.
     draining: bool,
 }
 
@@ -395,8 +465,8 @@ enum SendOutcome {
 }
 
 /// Owns the actual sends: failure accounting, auto-pause, and (on
-/// non-manual clocks) the per-consumer batched queues drained by a
-/// small worker pool.
+/// non-manual clocks) the small worker pool that drains the
+/// per-consumer queues and runs the consumers.
 struct DeliveryFabric {
     net: Arc<InProcNetwork>,
     /// The broker's (indexing) store — auto-pause writes through it so
@@ -410,7 +480,6 @@ struct DeliveryFabric {
     events: EventLog,
     clock: Clock,
     pool: OnceLock<ThreadPool>,
-    queues: Mutex<HashMap<String, Arc<Mutex<ConsumerQueue>>>>,
 }
 
 impl DeliveryFabric {
@@ -428,7 +497,9 @@ impl DeliveryFabric {
         if let Some(tc) = &trace {
             tc.stamp(&mut env);
         }
-        match self.net.send_oneway(&sub.consumer.address, env) {
+        // This thread is the consumer's delivery thread — the publisher's
+        // on a manual clock, a `broker-delivery` worker otherwise.
+        match self.net.deliver_oneway(&sub.consumer.address, env) {
             Ok(()) => {
                 sub.consecutive_failures.store(0, Ordering::Relaxed);
                 SendOutcome::Delivered
@@ -476,39 +547,23 @@ impl DeliveryFabric {
             .get_or_init(|| ThreadPool::new(DELIVERY_WORKERS, "broker-delivery"))
     }
 
-    fn enqueue(self: &Arc<Self>, delivery: Delivery) {
-        let addr = delivery.sub.consumer.address.clone();
-        let queue = self
-            .queues
-            .lock()
-            .entry(addr)
-            .or_insert_with(|| {
-                Arc::new(Mutex::new(ConsumerQueue {
-                    q: VecDeque::new(),
-                    draining: false,
-                }))
-            })
-            .clone();
-        let start_drain = {
-            let mut q = queue.lock();
-            q.q.push_back(delivery);
-            if q.draining {
-                false
-            } else {
-                q.draining = true;
-                true
-            }
-        };
-        if start_drain {
-            let fabric = self.clone();
-            self.pool().execute(move || fabric.drain(&queue));
+    /// One drainer per queue, submitted together: a publish wakes the
+    /// pool once, after its last delivery is queued, not once per
+    /// consumer.
+    fn start_drains(self: &Arc<Self>, queues: Vec<SharedQueue>) {
+        if queues.is_empty() {
+            return;
         }
+        self.pool().execute_all(queues.into_iter().map(|queue| {
+            let fabric = self.clone();
+            move || fabric.drain(&queue)
+        }));
     }
 
-    /// Drain one consumer's queue in batches. A slow consumer pins one
-    /// worker; every other consumer keeps flowing on the rest of the
-    /// pool.
-    fn drain(&self, queue: &Arc<Mutex<ConsumerQueue>>) {
+    /// Drain one consumer's queue in batches, delivering on this
+    /// thread. A slow consumer pins this worker; every other consumer
+    /// keeps flowing on the rest of the pool.
+    fn drain(&self, queue: &Mutex<ConsumerQueue>) {
         loop {
             let batch: Vec<Delivery> = {
                 let mut q = queue.lock();
@@ -556,6 +611,7 @@ pub fn notification_broker(
     let registry = net.metrics_registry().clone();
     let index = Arc::new(SubscriptionIndex::new(
         registry.gauge("broker.index.subscriptions"),
+        registry.gauge("broker.index.consumers"),
     ));
     let store: Arc<dyn ResourceStore> = Arc::new(IndexingStore {
         inner: store,
@@ -578,7 +634,6 @@ pub fn notification_broker(
         events: registry.events().clone(),
         clock: clock.clone(),
         pool: OnceLock::new(),
-        queues: Mutex::new(HashMap::new()),
     });
     let state = Arc::new(BrokerState {
         index,
@@ -724,7 +779,7 @@ fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, Bas
     {
         let mut cur = state.current.lock();
         for m in &messages {
-            cur.insert(m.topic.to_string(), (**m).clone());
+            cur.insert(m.topic.to_string(), m.clone());
         }
         state.cache_size.set(cur.len() as i64);
     }
@@ -745,7 +800,7 @@ fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, Bas
     // Per-message set of consumer addresses already served: a consumer
     // holding several overlapping subscriptions hears each message
     // once (its earliest subscription wins).
-    let mut seen: Vec<HashSet<String>> = vec![HashSet::new(); messages.len()];
+    let mut seen: Vec<HashSet<&str>> = vec![HashSet::new(); messages.len()];
 
     // Union of matching entries across the batch, in subscription
     // order (keys are "<svc>-<n>"): consumers that subscribed earlier
@@ -760,15 +815,16 @@ fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, Bas
     matched.dedup_by(|a, b| a.key == b.key);
     // Manual clocks deliver inline and synchronously — the
     // deterministic test network depends on it. Scaled and realtime
-    // clocks hand deliveries to per-consumer queues drained by the
-    // worker pool.
+    // clocks queue every delivery on its consumer's queue first and
+    // then start the queues that were idle, together.
     let inline = core.clock.is_manual();
+    let mut idle_queues = Vec::new();
     for sub in &matched {
         for (i, m) in messages.iter().enumerate() {
             if !sub.expr.matches(&m.topic) || !sub.live() {
                 continue;
             }
-            if !seen[i].insert(sub.consumer.address.clone()) {
+            if !seen[i].insert(&sub.consumer.address) {
                 coalesced += 1;
                 continue;
             }
@@ -780,15 +836,17 @@ fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, Bas
                     SendOutcome::Skipped => {}
                 }
             } else {
-                state.fabric.enqueue(Delivery {
+                let delivery = Delivery {
                     sub: sub.clone(),
                     msg: m.clone(),
                     trace,
-                });
+                };
+                idle_queues.extend(delivery.enqueue());
                 delivered += 1;
             }
         }
     }
+    state.fabric.start_drains(idle_queues);
     state.deliveries.add(delivered as u64);
     state.coalesced.add(coalesced as u64);
     fanout_span.finish();
@@ -1257,7 +1315,7 @@ mod tests {
     fn current_cache_two_generation_bound_holds() {
         let mut c = CurrentCache::new(8);
         for i in 0..1000 {
-            c.insert(format!("t{i}"), msg("x"));
+            c.insert(format!("t{i}"), Arc::new(msg("x")));
             assert!(
                 c.len() <= 8,
                 "cache exceeded cap at insert {i}: {}",
@@ -1301,7 +1359,7 @@ mod tests {
             // grow the cache).
             let topic = format!("t{}", i % (cap * 3 / 4));
             publish(&net, &bepr, &msg(&topic)).unwrap();
-            shadow.insert(topic, msg("x"));
+            shadow.insert(topic, Arc::new(msg("x")));
             assert_eq!(
                 gauge.get(),
                 shadow.len() as i64,
@@ -1325,7 +1383,10 @@ mod tests {
         let clock = Clock::manual();
         let net = InProcNetwork::new(clock.clone());
         let registry = wsrf_obs::MetricsRegistry::disabled();
-        let index = Arc::new(SubscriptionIndex::new(registry.gauge("x")));
+        let index = Arc::new(SubscriptionIndex::new(
+            registry.gauge("x"),
+            registry.gauge("y"),
+        ));
         let store: Arc<dyn ResourceStore> = Arc::new(IndexingStore {
             inner: Arc::new(MemoryStore::new()),
             service: "Broker".into(),

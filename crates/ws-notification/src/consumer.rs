@@ -165,7 +165,8 @@ impl NotificationListener {
 
 impl Endpoint for NotificationListener {
     fn handle(&self, env: Envelope) -> Option<Envelope> {
-        let msgs = NotificationMessage::from_envelope(&env);
+        // The envelope ends here: its payloads move into the messages.
+        let msgs = NotificationMessage::into_messages(env);
         if msgs.is_empty() {
             return None;
         }
@@ -177,22 +178,24 @@ impl Endpoint for NotificationListener {
             received.extend(msgs.iter().cloned());
         }
         self.inner.cv.notify_all();
-        // Snapshot matching callbacks outside the lock: callbacks may
-        // trigger further (inline) deliveries to this same listener,
-        // which must not deadlock on the handlers lock.
-        let to_run: Vec<(Callback, NotificationMessage)> = {
+        // Snapshot matching callbacks (each with the index of its
+        // message) outside the lock: callbacks may trigger further
+        // (inline) deliveries to this same listener, which must not
+        // deadlock on the handlers lock.
+        let to_run: Vec<(Callback, usize)> = {
             let handlers = self.inner.handlers.lock();
             msgs.iter()
-                .flat_map(|m| {
+                .enumerate()
+                .flat_map(|(i, m)| {
                     handlers
                         .iter()
                         .filter(|(expr, _)| expr.matches(&m.topic))
-                        .map(move |(_, f)| (f.clone(), m.clone()))
+                        .map(move |(_, f)| (f.clone(), i))
                 })
                 .collect()
         };
-        for (f, m) in to_run {
-            f(&m);
+        for (f, i) in to_run {
+            f(&msgs[i]);
         }
         None
     }

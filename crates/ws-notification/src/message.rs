@@ -1,7 +1,7 @@
 //! The `<wsnt:Notify>` wire format of WS-BaseNotification.
 
 use wsrf_soap::{ns, EndpointReference, Envelope, MessageInfo};
-use wsrf_xml::Element;
+use wsrf_xml::{Element, Node};
 
 use crate::topics::{Dialect, TopicPath};
 
@@ -56,16 +56,38 @@ impl NotificationMessage {
 
     /// Decode from a `<wsnt:NotificationMessage>` element.
     pub fn from_element(e: &Element) -> Option<NotificationMessage> {
-        let topic = TopicPath::parse(&e.find(ns::WSNT, "Topic")?.text_content());
-        let producer = e
-            .find(ns::WSNT, "ProducerReference")
-            .and_then(|p| EndpointReference::from_element(p).ok());
+        let (topic, producer) = Self::decode_head(e)?;
         let payload = e.find(ns::WSNT, "Message")?.elements().next()?.clone();
         Some(NotificationMessage {
             topic,
             producer,
             payload,
         })
+    }
+
+    /// [`from_element`](Self::from_element) for an owner: the payload
+    /// is moved out of `e` instead of cloned.
+    fn from_owned_element(e: Element) -> Option<NotificationMessage> {
+        let (topic, producer) = Self::decode_head(&e)?;
+        let payload = first_element(
+            first_element(e.children, |c| c.name.is(ns::WSNT, "Message"))?.children,
+            |_| true,
+        )?;
+        Some(NotificationMessage {
+            topic,
+            producer,
+            payload,
+        })
+    }
+
+    /// Topic and producer reference, the parts decoding has to build
+    /// whether or not it owns the element.
+    fn decode_head(e: &Element) -> Option<(TopicPath, Option<EndpointReference>)> {
+        let topic = TopicPath::parse(&e.find(ns::WSNT, "Topic")?.text_content());
+        let producer = e
+            .find(ns::WSNT, "ProducerReference")
+            .and_then(|p| EndpointReference::from_element(p).ok());
+        Some((topic, producer))
     }
 
     /// Wrap one message in a complete one-way `Notify` envelope
@@ -87,6 +109,33 @@ impl NotificationMessage {
             .filter_map(NotificationMessage::from_element)
             .collect()
     }
+
+    /// [`from_envelope`](Self::from_envelope) for a receiver that is
+    /// done with the envelope: the same messages, each payload moved
+    /// out of the body instead of cloned.
+    pub fn into_messages(env: Envelope) -> Vec<NotificationMessage> {
+        if !env.body.name.is(ns::WSNT, "Notify") {
+            return Vec::new();
+        }
+        env.body
+            .children
+            .into_iter()
+            .filter_map(|c| match c {
+                Node::Element(e) if e.name.is(ns::WSNT, "NotificationMessage") => {
+                    NotificationMessage::from_owned_element(e)
+                }
+                _ => None,
+            })
+            .collect()
+    }
+}
+
+/// The first element child accepted by `want`, by value.
+fn first_element(children: Vec<Node>, want: impl Fn(&Element) -> bool) -> Option<Element> {
+    children.into_iter().find_map(|c| match c {
+        Node::Element(e) if want(&e) => Some(e),
+        _ => None,
+    })
 }
 
 #[cfg(test)]

@@ -25,19 +25,24 @@ pub struct Uri {
 impl Uri {
     /// Parse a URI. Fails only when no `://` separator is present.
     pub fn parse(s: &str) -> Option<Uri> {
+        let (scheme, authority, path) = Uri::split(s)?;
+        Some(Uri {
+            scheme: scheme.to_ascii_lowercase(),
+            authority: authority.to_string(),
+            path: path.to_string(),
+        })
+    }
+
+    /// [`parse`](Self::parse) for a caller that only looks:
+    /// `(scheme, authority, path)` borrowed from `s`, nothing
+    /// allocated. The scheme comes back as written, not lowercased.
+    pub fn split(s: &str) -> Option<(&str, &str, &str)> {
         let (scheme, rest) = s.split_once("://")?;
         if scheme.is_empty() {
             return None;
         }
-        let (authority, path) = match rest.split_once('/') {
-            Some((a, p)) => (a.to_string(), p.to_string()),
-            None => (rest.to_string(), String::new()),
-        };
-        Some(Uri {
-            scheme: scheme.to_ascii_lowercase(),
-            authority,
-            path,
-        })
+        let (authority, path) = rest.split_once('/').unwrap_or((rest, ""));
+        Some((scheme, authority, path))
     }
 
     /// Reassemble the textual form.
@@ -125,6 +130,16 @@ mod tests {
     #[test]
     fn scheme_is_case_insensitive() {
         assert_eq!(Uri::parse("HTTP://h/x").unwrap().scheme, "http");
+    }
+
+    #[test]
+    fn split_borrows_the_parts_as_written() {
+        assert_eq!(Uri::split("HTTP://Host"), Some(("HTTP", "Host", "")));
+        assert_eq!(
+            Uri::split("soap.tcp://127.0.0.1:9001/fs/a"),
+            Some(("soap.tcp", "127.0.0.1:9001", "fs/a"))
+        );
+        assert_eq!(Uri::split("://x"), None);
     }
 
     #[test]

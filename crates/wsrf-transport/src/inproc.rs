@@ -13,6 +13,7 @@
 //! container's pull-scan routing) only comes into play on the socket
 //! transports, which own real receive buffers.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,7 +21,7 @@ use std::time::Duration;
 
 use parking_lot::RwLock;
 use simclock::Clock;
-use wsrf_obs::{Histogram, HistogramFamily, MetricsRegistry};
+use wsrf_obs::{ActiveSpan, Histogram, HistogramFamily, MetricsRegistry};
 use wsrf_soap::{Envelope, Uri};
 
 use crate::endpoint::Endpoint;
@@ -64,12 +65,27 @@ impl NetMetrics {
     }
 }
 
+/// Address → endpoint, as registered.
+type Registry = RwLock<HashMap<String, Arc<dyn Endpoint>>>;
+
+/// A one-way message routed, traced, sized, priced and counted
+/// ([`InProcNetwork::accept_oneway`]), its delivery still to decide.
+struct AcceptedOneway {
+    /// The destination as resolved at acceptance.
+    ep: Arc<dyn Endpoint>,
+    /// Modeled transfer time.
+    cost: Duration,
+    /// The hop span, open for as long as the accepting call works on
+    /// the message.
+    _hop: Option<ActiveSpan>,
+}
+
 /// The simulated network fabric.
 pub struct InProcNetwork {
     clock: Clock,
     /// Shared with deferred one-way deliveries, which re-resolve their
     /// destination at delivery time (see [`InProcNetwork::send_oneway`]).
-    registry: Arc<RwLock<HashMap<String, Arc<dyn Endpoint>>>>,
+    registry: Arc<Registry>,
     /// Cost model: read on every call/oneway, written only when a
     /// test or bench reconfigures the net — hence a RwLock, so
     /// concurrent senders never serialize on it.
@@ -89,6 +105,9 @@ pub struct InProcNetwork {
     /// long tail shares `transport.inproc.modeled.other_ns` instead of
     /// minting a histogram per name.
     obs_modeled_by_auth: HistogramFamily,
+    /// Defers [`send_oneway`](InProcNetwork::send_oneway) deliveries
+    /// off the manual clock; [`deliver_oneway`](InProcNetwork::deliver_oneway)
+    /// never touches it.
     pool: ThreadPool,
 }
 
@@ -148,12 +167,15 @@ impl InProcNetwork {
     pub fn register(&self, address: impl Into<String>, endpoint: Arc<dyn Endpoint>) {
         self.registry
             .write()
-            .insert(normalize(&address.into()), endpoint);
+            .insert(normalized(&address.into()).into_owned(), endpoint);
     }
 
     /// Remove an endpoint; true if it existed.
     pub fn unregister(&self, address: &str) -> bool {
-        self.registry.write().remove(&normalize(address)).is_some()
+        self.registry
+            .write()
+            .remove(&*normalized(address))
+            .is_some()
     }
 
     /// Addresses currently registered (diagnostics).
@@ -168,13 +190,9 @@ impl InProcNetwork {
         // always pass already-normalized addresses — probe with the
         // borrowed key and only allocate a normalized copy when the
         // address actually needs fixing up.
-        let reg = self.registry.read();
-        let found = if is_normalized(address) {
-            reg.get(address)
-        } else {
-            reg.get(normalize(address).as_str())
-        };
-        found
+        self.registry
+            .read()
+            .get(&*normalized(address))
             .cloned()
             .ok_or_else(|| TransportError::NoRoute(address.to_string()))
     }
@@ -193,14 +211,33 @@ impl InProcNetwork {
         }
     }
 
-    fn cost(&self, address: &str, bytes: u64) -> Duration {
-        match Uri::parse(address) {
-            Some(u) => self
-                .config
-                .read()
-                .transfer_time(&u.scheme, &u.authority, bytes),
+    /// Price `bytes` on the link to `dest` — the destination address
+    /// split once per message by [`Uri::split`]; an address with no
+    /// `://` rides free — and record the transfer: [`NetMetrics`], the
+    /// aggregate histogram, and the per-authority breakdown
+    /// ([`modeled_metric_name`]) that lets a feedback policy see which
+    /// machine's link is slow. The breakdown rides a bounded
+    /// [`HistogramFamily`]: the first [`MODELED_AUTHORITY_CAP`]
+    /// authorities get their own histogram (cached handles — no
+    /// per-transfer name formatting), the rest share the `other`
+    /// overflow.
+    fn modeled(&self, dest: Option<(&str, &str, &str)>, bytes: u64) -> Duration {
+        let cost = match dest {
+            Some((scheme, authority, _)) => {
+                self.config
+                    .read()
+                    .transfer_time(&lowercased(scheme), authority, bytes)
+            }
             None => Duration::ZERO,
+        };
+        self.metrics.record(bytes, cost);
+        self.obs_modeled.record_duration(cost);
+        if let (true, Some((_, authority, _))) = (self.obs_registry.is_enabled(), dest) {
+            self.obs_modeled_by_auth
+                .histogram(&lowercased(authority))
+                .record_duration(cost);
         }
+        cost
     }
 
     /// Synchronous request/response exchange.
@@ -219,22 +256,42 @@ impl InProcNetwork {
         if let Some(s) = hop.as_mut() {
             s.annotate("to", to);
         }
+        let dest = Uri::split(to);
         let req_bytes = self.wire_size(&env);
-        let req_cost = self.cost(to, req_bytes);
-        self.metrics.record(req_bytes, req_cost);
-        self.record_modeled(to, req_cost);
-        self.charge(req_cost);
+        self.charge(self.modeled(dest, req_bytes));
         let resp = ep
             .handle(env)
             .ok_or_else(|| TransportError::NoResponse(to.to_string()))?;
         let resp_bytes = self.wire_size(&resp);
-        let resp_cost = self.cost(to, resp_bytes);
-        self.metrics.record(resp_bytes, resp_cost);
-        self.record_modeled(to, resp_cost);
-        self.charge(resp_cost);
+        self.charge(self.modeled(dest, resp_bytes));
         self.metrics.calls.fetch_add(1, Ordering::Relaxed);
         self.obs.record_call(req_bytes, resp_bytes, started);
         Ok(resp)
+    }
+
+    /// What every one-way message owes before its delivery is decided:
+    /// route it (a missing destination fails here, not later), extend
+    /// its trace by a hop, size it, price it, count it.
+    fn accept_oneway(
+        &self,
+        to: &str,
+        env: &mut Envelope,
+    ) -> Result<AcceptedOneway, TransportError> {
+        let started = std::time::Instant::now();
+        let ep = self.lookup(to)?;
+        let mut hop = self.obs.hop_span(env, "transport.oneway", &self.clock);
+        if let Some(s) = hop.as_mut() {
+            s.annotate("to", to);
+        }
+        let bytes = self.wire_size(env);
+        let cost = self.modeled(Uri::split(to), bytes);
+        self.metrics.oneways.fetch_add(1, Ordering::Relaxed);
+        self.obs.record_oneway(bytes, started);
+        Ok(AcceptedOneway {
+            ep,
+            cost,
+            _hop: hop,
+        })
     }
 
     /// One-way message: returns as soon as the message is "on the
@@ -242,80 +299,52 @@ impl InProcNetwork {
     /// after the modeled transfer time (via the clock in manual mode,
     /// via the worker pool in scaled mode).
     pub fn send_oneway(&self, to: &str, mut env: Envelope) -> Result<(), TransportError> {
-        let started = std::time::Instant::now();
-        let ep = self.lookup(to)?;
-        let mut hop = self.obs.hop_span(&mut env, "transport.oneway", &self.clock);
-        if let Some(s) = hop.as_mut() {
-            s.annotate("to", to);
-        }
-        let bytes = self.wire_size(&env);
-        let cost = self.cost(to, bytes);
-        self.metrics.record(bytes, cost);
-        self.record_modeled(to, cost);
-        self.metrics.oneways.fetch_add(1, Ordering::Relaxed);
-        self.obs.record_oneway(bytes, started);
+        let AcceptedOneway { ep, cost, _hop } = self.accept_oneway(to, &mut env)?;
         if self.clock.is_manual() && cost.is_zero() {
             ep.handle(env);
             return Ok(());
         }
-        // Deferred delivery late-binds the destination: the endpoint
-        // is re-resolved when the message "arrives", not captured at
-        // send time. A container that unregistered (crashed) in the
-        // meantime drops the message (`undeliverable`); one that
-        // re-registered (restarted, or a standby taking over the
-        // address) receives it — exactly the wire semantics a real
-        // network would give a rebound listener.
+        // Deferred delivery late-binds the destination ([`arrive`]).
         drop(ep);
-        let addr = if is_normalized(to) {
-            to.to_string()
-        } else {
-            normalize(to)
-        };
+        let addr = normalized(to).into_owned();
         let registry = self.registry.clone();
         let metrics = self.metrics.clone();
-        let deliver = move || {
-            let found = registry.read().get(&addr).cloned();
-            match found {
-                Some(ep) => {
-                    ep.handle(env);
-                }
-                None => {
-                    metrics.undeliverable.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        };
         if self.clock.is_manual() {
-            self.clock.schedule(cost, move |_| deliver());
+            self.clock
+                .schedule(cost, move |_| arrive(&registry, &metrics, &addr, env));
         } else {
             let clock = self.clock.clone();
             self.pool.execute(move || {
                 clock.sleep(cost);
-                deliver();
+                arrive(&registry, &metrics, &addr, env);
             });
         }
         Ok(())
     }
 
-    /// Record one modeled transfer: the aggregate histogram plus the
-    /// per-authority breakdown ([`modeled_metric_name`]) that lets a
-    /// feedback policy see which machine's link is slow. The breakdown
-    /// rides a bounded [`HistogramFamily`]: the first
-    /// [`MODELED_AUTHORITY_CAP`] authorities get their own histogram
-    /// (cached handles — no per-transfer name formatting), the rest
-    /// share the `other` overflow.
-    fn record_modeled(&self, to: &str, cost: Duration) {
-        self.obs_modeled.record_duration(cost);
-        if self.obs_registry.is_enabled() {
-            if let Some(u) = Uri::parse(to) {
-                let h = if u.authority.bytes().any(|b| b.is_ascii_uppercase()) {
-                    self.obs_modeled_by_auth
-                        .histogram(&u.authority.to_ascii_lowercase())
-                } else {
-                    self.obs_modeled_by_auth.histogram(&u.authority)
-                };
-                h.record_duration(cost);
-            }
+    /// [`send_oneway`](Self::send_oneway) for a caller that already
+    /// owns a delivery thread (the broker's per-consumer drain): the
+    /// same routing, accounting and failure at lookup, but off the
+    /// manual clock the modeled transfer time is slept, and the
+    /// endpoint run, **on the calling thread** — no hand-over to this
+    /// network's one-way pool, and two messages delivered one after the
+    /// other arrive in that order. A message that spent time on the
+    /// wire still late-binds its destination. On a manual clock this
+    /// *is* `send_oneway`: virtual time is never slept on a sending
+    /// thread.
+    pub fn deliver_oneway(&self, to: &str, mut env: Envelope) -> Result<(), TransportError> {
+        if self.clock.is_manual() {
+            return self.send_oneway(to, env);
         }
+        let AcceptedOneway { ep, cost, _hop } = self.accept_oneway(to, &mut env)?;
+        if cost.is_zero() {
+            ep.handle(env);
+        } else {
+            drop(ep);
+            self.clock.sleep(cost);
+            arrive(&self.registry, &self.metrics, &normalized(to), env);
+        }
+        Ok(())
     }
 
     /// Charge a modeled duration to the caller.
@@ -326,14 +355,39 @@ impl InProcNetwork {
     }
 }
 
-fn normalize(address: &str) -> String {
-    address.trim_end_matches('/').to_ascii_lowercase()
+/// A message that spent modeled time on the wire reaches whoever holds
+/// `addr` (normalized) *now*: the endpoint is re-resolved when the
+/// message "arrives", not captured at send time. A container that
+/// unregistered (crashed) in the meantime drops the message
+/// (`undeliverable`); one that re-registered (restarted, or a standby
+/// taking over the address) receives it — exactly the wire semantics a
+/// real network would give a rebound listener.
+fn arrive(registry: &Registry, metrics: &NetMetrics, addr: &str, env: Envelope) {
+    let found = registry.read().get(addr).cloned();
+    match found {
+        Some(ep) => {
+            ep.handle(env);
+        }
+        None => {
+            metrics.undeliverable.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
-/// True when [`normalize`] would return `address` unchanged, so the
-/// lookup can probe the map without allocating.
-fn is_normalized(address: &str) -> bool {
-    !address.ends_with('/') && !address.bytes().any(|b| b.is_ascii_uppercase())
+/// The registry's key for `address`: no trailing slash, lower case.
+/// Borrowed when the address already is lower case (the usual case), so
+/// a lookup probes the map without allocating.
+fn normalized(address: &str) -> Cow<'_, str> {
+    lowercased(address.trim_end_matches('/'))
+}
+
+/// `s` in ASCII lower case, borrowed when it already is.
+fn lowercased(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
+    }
 }
 
 /// Max distinct authorities holding their own modeled-transfer
@@ -473,15 +527,7 @@ mod tests {
     fn oneway_with_modeled_cost_waits_for_advance() {
         use std::sync::atomic::AtomicUsize;
         let clock = Clock::manual();
-        let cfg = NetConfig {
-            default: crate::netsim::LinkProfile {
-                latency: Duration::from_millis(10),
-                bandwidth_bps: u64::MAX,
-                overhead_bytes: 0,
-                inflation: 1.0,
-            },
-            ..NetConfig::default()
-        };
+        let cfg = latency(Duration::from_millis(10));
         let net = InProcNetwork::with_config(clock.clone(), cfg);
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
@@ -506,15 +552,7 @@ mod tests {
         // stale registration.
         use std::sync::atomic::AtomicUsize;
         let clock = Clock::manual();
-        let cfg = NetConfig {
-            default: crate::netsim::LinkProfile {
-                latency: Duration::from_millis(10),
-                bandwidth_bps: u64::MAX,
-                overhead_bytes: 0,
-                inflation: 1.0,
-            },
-            ..NetConfig::default()
-        };
+        let cfg = latency(Duration::from_millis(10));
         let net = InProcNetwork::with_config(clock.clone(), cfg);
         let old_hits = Arc::new(AtomicUsize::new(0));
         let new_hits = Arc::new(AtomicUsize::new(0));
@@ -552,6 +590,111 @@ mod tests {
         assert_eq!(net.metrics.undeliverable.load(Ordering::SeqCst), 1);
     }
 
+    fn latency(d: Duration) -> NetConfig {
+        NetConfig {
+            default: crate::netsim::LinkProfile {
+                latency: d,
+                bandwidth_bps: u64::MAX,
+                overhead_bytes: 0,
+                inflation: 1.0,
+            },
+            ..NetConfig::default()
+        }
+    }
+
+    /// An endpoint recording the thread each message arrived on.
+    fn thread_sink(
+        seen: &Arc<parking_lot::Mutex<Vec<std::thread::ThreadId>>>,
+    ) -> Arc<dyn Endpoint> {
+        let seen = seen.clone();
+        Arc::new(FnEndpoint::new("sink", move |_| {
+            seen.lock().push(std::thread::current().id());
+            None
+        }))
+    }
+
+    #[test]
+    fn deliver_oneway_runs_the_endpoint_on_the_calling_thread() {
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let me = std::thread::current().id();
+        // Zero cost, then 2 virtual s = 2 real ms: delivered by the
+        // time the call returns, here, after the modeled time.
+        for (cfg, at_least) in [
+            (NetConfig::default(), Duration::ZERO),
+            (latency(Duration::from_secs(2)), Duration::from_millis(2)),
+        ] {
+            let net = InProcNetwork::with_config(Clock::scaled(1000.0), cfg);
+            net.register("inproc://m1/Sink", thread_sink(&seen));
+            let t0 = std::time::Instant::now();
+            net.deliver_oneway("inproc://M1/Sink/", ping()).unwrap();
+            assert!(t0.elapsed() >= at_least);
+            assert_eq!(seen.lock().drain(..).collect::<Vec<_>>(), vec![me]);
+            assert_eq!(net.metrics.snapshot().1, 1, "counted as a one-way");
+            // `send_oneway` on the same network still defers to the pool.
+            net.send_oneway("inproc://m1/Sink", ping()).unwrap();
+            while seen.lock().is_empty() {
+                std::thread::yield_now();
+            }
+            assert_ne!(seen.lock().drain(..).collect::<Vec<_>>(), vec![me]);
+            assert_eq!(
+                net.deliver_oneway("inproc://nowhere/X", ping()),
+                Err(TransportError::NoRoute("inproc://nowhere/X".into()))
+            );
+        }
+    }
+
+    #[test]
+    fn deliver_oneway_on_a_manual_clock_is_send_oneway() {
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let clock = Clock::manual();
+        let net = InProcNetwork::with_config(clock.clone(), latency(Duration::from_millis(10)));
+        net.register("inproc://m1/Sink", thread_sink(&seen));
+        net.deliver_oneway("inproc://m1/Sink", ping()).unwrap();
+        assert!(seen.lock().is_empty(), "virtual time is not slept");
+        clock.advance(Duration::from_millis(10));
+        assert_eq!(seen.lock().len(), 1);
+        net.set_config(NetConfig::default());
+        net.deliver_oneway("inproc://m1/Sink", ping()).unwrap();
+        assert_eq!(seen.lock().len(), 2, "zero cost delivers inline");
+    }
+
+    #[test]
+    fn deliver_oneway_late_binds_a_message_that_spent_time_on_the_wire() {
+        use std::sync::atomic::AtomicUsize;
+        // 300 virtual s = 300 real ms on the wire: room to rebind the
+        // address after the sender has resolved and counted it.
+        let net =
+            InProcNetwork::with_config(Clock::scaled(1000.0), latency(Duration::from_secs(300)));
+        let hits = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+        let counting = |i: usize| -> Arc<dyn Endpoint> {
+            let hits = hits.clone();
+            Arc::new(FnEndpoint::new("sink", move |_| {
+                hits[i].fetch_add(1, Ordering::SeqCst);
+                None
+            }))
+        };
+        let in_flight = |n: u64| {
+            while net.metrics.oneways.load(Ordering::SeqCst) < n {
+                std::thread::yield_now();
+            }
+        };
+        net.register("inproc://m1/Sink", counting(0));
+        std::thread::scope(|s| {
+            s.spawn(|| net.deliver_oneway("inproc://m1/Sink", ping()).unwrap());
+            in_flight(1);
+            net.register("inproc://m1/Sink", counting(1));
+        });
+        let seen = |i: usize| hits[i].load(Ordering::SeqCst);
+        assert_eq!((seen(0), seen(1)), (0, 1), "rebound endpoint receives it");
+        std::thread::scope(|s| {
+            s.spawn(|| net.deliver_oneway("inproc://m1/Sink", ping()).unwrap());
+            in_flight(2);
+            net.unregister("inproc://m1/Sink");
+        });
+        assert_eq!((seen(0), seen(1)), (0, 1));
+        assert_eq!(net.metrics.undeliverable.load(Ordering::SeqCst), 1);
+    }
+
     #[test]
     fn endpoint_returning_none_on_call_is_an_error() {
         let net = InProcNetwork::new(Clock::manual());
@@ -568,15 +711,7 @@ mod tests {
     #[test]
     fn modeled_time_accumulates_in_metrics() {
         let clock = Clock::manual();
-        let cfg = NetConfig {
-            default: crate::netsim::LinkProfile {
-                latency: Duration::from_millis(5),
-                bandwidth_bps: u64::MAX,
-                overhead_bytes: 0,
-                inflation: 1.0,
-            },
-            ..NetConfig::default()
-        };
+        let cfg = latency(Duration::from_millis(5));
         let net = InProcNetwork::with_config(clock, cfg);
         net.register("inproc://m1/Echo", echo());
         net.call("inproc://m1/Echo", ping()).unwrap();
@@ -587,15 +722,7 @@ mod tests {
     #[test]
     fn scaled_clock_call_experiences_latency() {
         let clock = Clock::scaled(1000.0); // 1 virtual ms = 1 real us
-        let cfg = NetConfig {
-            default: crate::netsim::LinkProfile {
-                latency: Duration::from_secs(1), // 1 virtual s = 1 real ms
-                bandwidth_bps: u64::MAX,
-                overhead_bytes: 0,
-                inflation: 1.0,
-            },
-            ..NetConfig::default()
-        };
+        let cfg = latency(Duration::from_secs(1)); // 1 virtual s = 1 real ms
         let net = InProcNetwork::with_config(clock, cfg);
         net.register("inproc://m1/Echo", echo());
         let t0 = std::time::Instant::now();

@@ -120,9 +120,19 @@ impl ThreadPool {
 
     /// Enqueue a task.
     pub fn execute(&self, task: impl FnOnce() + Send + 'static) {
+        self.execute_all([task]);
+    }
+
+    /// Enqueue several tasks as one submission: they join the queue
+    /// together, in order, and idle workers are woken once for the
+    /// batch — at most one per task, none when every worker is busy —
+    /// instead of the submitter being preempted between tasks.
+    pub fn execute_all<F>(&self, tasks: impl IntoIterator<Item = F>)
+    where
+        F: FnOnce() + Send + 'static,
+    {
         if let Some(tx) = &self.tx {
-            // Receivers only disappear at shutdown; ignore failure then.
-            let _ = tx.send(Box::new(task));
+            tx.send_all(tasks.into_iter().map(|t| Box::new(t) as Task));
         }
     }
 }
@@ -162,6 +172,24 @@ mod tests {
         }
         drop(pool); // drains
         assert_eq!(count.load(Ordering::SeqCst), 100);
+    }
+
+    #[test]
+    fn execute_all_runs_every_task_in_submission_order() {
+        // One worker, so the order tasks ran in is the order they were
+        // queued in.
+        let pool = ThreadPool::new(1, "batch");
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let push = |i: usize| {
+            let ran = ran.clone();
+            move || ran.lock().unwrap().push(i)
+        };
+        pool.execute(push(0));
+        pool.execute_all((1..50).map(push));
+        pool.execute_all(Vec::<fn()>::new());
+        pool.execute(push(50));
+        drop(pool); // drains
+        assert_eq!(*ran.lock().unwrap(), (0..=50).collect::<Vec<_>>());
     }
 
     #[test]

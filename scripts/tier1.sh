@@ -34,6 +34,21 @@ for f in container porttypes; do
     fi
 done
 
+# A brokered delivery crosses one thread hand-over: the delivery fabric
+# reaches the network only through `deliver_oneway` (which runs the
+# consumer on the fabric's own worker), and the network has one body
+# doing the one-way accounting for both entry points.
+if sed '/^#\[cfg(test)\]/,$d' crates/ws-notification/src/broker.rs |
+    sed -n '/^impl DeliveryFabric {/,/^}/p' | grep -n 'send_oneway('; then
+    echo "tier-1: DeliveryFabric hands deliveries to the network's one-way pool; use deliver_oneway" >&2
+    exit 1
+fi
+accountings=$(sed '/^#\[cfg(test)\]/,$d' crates/wsrf-transport/src/inproc.rs | grep -c 'record_oneway(')
+if [ "$accountings" -ne 1 ]; then
+    echo "tier-1: inproc.rs accounts for a one-way message in $accountings places; keep one" >&2
+    exit 1
+fi
+
 echo "== cargo build --release --offline --locked (benchmark/)"
 # The performance ledger is a detached package pinned to this
 # workspace's public API (benchmark/src/sut.rs:1-27) and its own

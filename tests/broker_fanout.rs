@@ -1,7 +1,8 @@
 //! The sharded notification fabric under contention: subscription
 //! lifecycle ops racing concurrent publishes, lease-expiry eviction
-//! from the index, and the queued delivery path isolating a slow
-//! consumer.
+//! from the index, and the queued delivery path — a slow consumer
+//! isolated, every consumer served in order by one delivery worker at
+//! a time, and no queue outliving its consumer's last subscription.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -163,7 +164,8 @@ fn lease_expiry_evicts_from_index_under_load() {
 
 /// On a non-manual clock deliveries ride per-consumer queues drained
 /// by the worker pool: a consumer sleeping in its handler delays only
-/// itself, not the rest of the fan-out.
+/// itself, not the rest of the fan-out — and still hears everything in
+/// publish order.
 #[test]
 fn slow_consumer_does_not_stall_the_fanout() {
     let f = fabric(Clock::scaled(1000.0));
@@ -209,7 +211,11 @@ fn slow_consumer_does_not_stall_the_fanout() {
         }
     });
     for i in 0..N {
-        broker::publish(&f.net, &f.broker_epr, &evt(&format!("t/{i}"))).unwrap();
+        // Request/response, so the broker takes the publishes in this
+        // order (one-way publishes race each other on the network's
+        // workers before they reach it); the fan-out is queued all the
+        // same.
+        broker::publish_counted(&f.net, &f.broker_epr, &evt(&format!("t/{i}"))).unwrap();
     }
     // The slow consumer sleeps 100 ms in every callback; the fast one
     // must be done while the slow one is still working through its
@@ -225,6 +231,176 @@ fn slow_consumer_does_not_stall_the_fanout() {
         slow.wait_for(N, Duration::from_secs(30)),
         "slow consumer must still receive everything"
     );
+    let heard = slow.scan(|log| log.iter().map(|m| m.topic.to_string()).collect::<Vec<_>>());
+    let published: Vec<String> = (0..N).map(|i| format!("t/{i}")).collect();
+    assert_eq!(heard, published, "slow consumer heard them out of order");
+}
+
+/// The worker that drains a consumer's queue is the thread that runs
+/// the consumer: deliveries reach it strictly in publish order and one
+/// at a time, however unevenly it takes them.
+#[test]
+fn a_consumer_is_served_in_order_and_never_concurrently() {
+    let f = fabric(Clock::scaled(1000.0));
+    let l = NotificationListener::register_counting(&f.net, "inproc://ordered/l");
+    let heard = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let inside = AtomicBool::new(false);
+    let overlapped = Arc::new(AtomicBool::new(false));
+    let workers = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let (log, overlap, names) = (heard.clone(), overlapped.clone(), workers.clone());
+    l.on_topic(TopicExpression::full("seq//"), move |m| {
+        if inside.swap(true, Ordering::SeqCst) {
+            overlap.store(true, Ordering::SeqCst);
+        }
+        let n: usize = m.payload.text_content().parse().unwrap();
+        // Even messages dawdle: an odd one handed to a second thread
+        // would overtake.
+        if n.is_multiple_of(2) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        names
+            .lock()
+            .unwrap()
+            .push(std::thread::current().name().unwrap_or("").to_string());
+        log.lock().unwrap().push(n);
+        inside.store(false, Ordering::SeqCst);
+    });
+    broker::subscribe(
+        &f.net,
+        &f.broker_epr,
+        &l.epr(),
+        &TopicExpression::full("seq//"),
+        None,
+    )
+    .unwrap();
+    const N: usize = 200;
+    for n in 0..N {
+        let msg = NotificationMessage::new("seq/n", Element::local("Evt").text(n.to_string()));
+        broker::publish_counted(&f.net, &f.broker_epr, &msg).unwrap();
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while heard.lock().unwrap().len() < N {
+        assert!(std::time::Instant::now() < deadline, "deliveries stalled");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(*heard.lock().unwrap(), (0..N).collect::<Vec<_>>());
+    assert!(!overlapped.load(Ordering::SeqCst), "entered concurrently");
+    // Off the manual clock the callback runs on the broker's own
+    // delivery workers, not on the network's one-way pool.
+    let workers = workers.lock().unwrap();
+    assert!(
+        workers.iter().all(|w| w.starts_with("broker-delivery-")),
+        "delivered on {:?}",
+        workers.iter().find(|w| !w.starts_with("broker-delivery-"))
+    );
+}
+
+/// A consumer whose callback publishes back into the broker — the
+/// Scheduler reacting to a job event does — re-enters the fan-out from
+/// a delivery worker without deadlocking, even when every worker is
+/// doing so at once.
+#[test]
+fn a_callback_that_publishes_does_not_deadlock() {
+    let f = fabric(Clock::scaled(1000.0));
+    const CONSUMERS: usize = 8; // twice the delivery workers
+    let echoes = NotificationListener::register_counting(&f.net, "inproc://echo/sink");
+    broker::subscribe(
+        &f.net,
+        &f.broker_epr,
+        &echoes.epr(),
+        &TopicExpression::full("echo//"),
+        None,
+    )
+    .unwrap();
+    for c in 0..CONSUMERS {
+        let l = NotificationListener::register_counting(&f.net, &format!("inproc://echo/c{c}"));
+        let (net, epr) = (f.net.clone(), f.broker_epr.clone());
+        l.on_topic(TopicExpression::full("ping//"), move |_| {
+            // One synchronous and one one-way publish per delivery.
+            broker::publish_counted(&net, &epr, &evt("echo/sync")).unwrap();
+            broker::publish(&net, &epr, &evt("echo/oneway")).unwrap();
+        });
+        broker::subscribe(
+            &f.net,
+            &f.broker_epr,
+            &l.epr(),
+            &TopicExpression::full("ping//"),
+            None,
+        )
+        .unwrap();
+    }
+    const PINGS: usize = 25;
+    for _ in 0..PINGS {
+        broker::publish(&f.net, &f.broker_epr, &evt("ping/x")).unwrap();
+    }
+    let want = PINGS * CONSUMERS * 2;
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while echoes.total() < want {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "deadlocked at {} of {want} echoes",
+            echoes.total()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The fabric forgets a consumer with its last subscription: a
+/// thousand clients that each subscribe, hear one event and leave —
+/// every job-set client on a long-running grid — leave no queue behind.
+#[test]
+fn delivery_queues_go_with_the_last_subscription() {
+    let f = fabric(Clock::realtime());
+    let queues = || f.registry.snapshot().gauge("broker.index.consumers");
+    let shared = NotificationListener::register_counting(&f.net, "inproc://churn/shared");
+    let shared_subs: Vec<_> = ["churn//", "churn/evt"]
+        .iter()
+        .map(|expr| {
+            broker::subscribe(
+                &f.net,
+                &f.broker_epr,
+                &shared.epr(),
+                &TopicExpression::full(expr),
+                None,
+            )
+            .unwrap()
+        })
+        .collect();
+    assert_eq!(queues(), Some(1), "two subscriptions, one consumer");
+    const CYCLES: usize = 1000;
+    for i in 0..CYCLES {
+        let addr = format!("inproc://churn/c{i}");
+        let l = NotificationListener::register(&f.net, &addr);
+        let sub = broker::subscribe(
+            &f.net,
+            &f.broker_epr,
+            &l.epr(),
+            &TopicExpression::full("churn//"),
+            None,
+        )
+        .unwrap();
+        assert_eq!(queues(), Some(2));
+        broker::publish(&f.net, &f.broker_epr, &evt("churn/evt")).unwrap();
+        assert!(
+            l.wait_for(1, Duration::from_secs(10)),
+            "cycle {i}: delivery lost"
+        );
+        destroy(&f.net, &sub);
+        assert_eq!(queues(), Some(1), "cycle {i}: queue outlived its consumer");
+        f.net.unregister(&addr);
+    }
+    // The consumer that stayed heard every event once (its overlapping
+    // subscriptions coalesce) and keeps its queue until the second of
+    // them goes.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while shared.total() < CYCLES && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(shared.total(), CYCLES);
+    destroy(&f.net, &shared_subs[0]);
+    assert_eq!(queues(), Some(1));
+    destroy(&f.net, &shared_subs[1]);
+    assert_eq!(queues(), Some(0));
 }
 
 /// Pause/resume racing the publish storm never wedges and ends in a

@@ -4,7 +4,8 @@
 //! scanning), the Scheduler keeps one listener handler and no message
 //! history, the client polls without copying its history, and terminal
 //! WS-Resources expire unless their owner extends the lease. Nor does a
-//! WS-RP read cost more on a wide document: it copies none of it.
+//! WS-RP read cost more on a wide document: it copies none of it; nor a
+//! notification more than one copy of its payload per consumer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -311,4 +312,73 @@ fn a_property_read_copies_none_of_the_document_it_reads() {
     assert!(dispatch <= 36, "the dispatch allocated {dispatch} blocks");
     let (_, sharing) = allocs_during(|| store.share("Wide", "w1").unwrap());
     assert_eq!(sharing, 0, "MemoryStore::share hands out its row");
+}
+
+/// Blocks this thread allocates for one brokered publish of `payload`
+/// to `consumers` counting listeners with one matching handler each,
+/// on the inline (manual-clock) fan-out: the publisher's thread runs
+/// the broker, the network and every listener, so its tally is the
+/// whole cost.
+fn publish_blocks(payload: &Element, consumers: usize) -> u64 {
+    use wsrf_grid::notification::{broker, NotificationListener, TopicExpression};
+
+    let clock = Clock::manual();
+    let net = InProcNetwork::new(clock.clone());
+    let b = broker::notification_broker(
+        "Broker",
+        "inproc://hub/Broker",
+        Arc::new(MemoryStore::new()),
+        clock,
+        net.clone(),
+    );
+    b.register(&net);
+    let broker_epr = b.core().service_epr();
+    let heard = Arc::new(AtomicUsize::new(0));
+    for k in 0..consumers {
+        let l = NotificationListener::register_counting(&net, &format!("inproc://alloc/c{k}"));
+        let n = heard.clone();
+        l.on_topic(TopicExpression::full("alloc//"), move |m| {
+            n.fetch_add(m.payload.children.len(), Ordering::SeqCst);
+        });
+        let under = TopicExpression::full("alloc//");
+        broker::subscribe(&net, &broker_epr, &l.epr(), &under, None).unwrap();
+    }
+    let msg = NotificationMessage::new("alloc/evt", payload.clone());
+    broker::publish(&net, &broker_epr, &msg).unwrap(); // warm
+    let (_, blocks) = allocs_during(|| broker::publish(&net, &broker_epr, &msg).unwrap());
+    assert_eq!(
+        heard.load(Ordering::SeqCst),
+        2 * consumers * payload.children.len(),
+        "every handler saw the whole payload, both times"
+    );
+    blocks
+}
+
+#[test]
+fn one_more_consumer_costs_one_delivery_and_one_copy_of_the_payload() {
+    // The step from two consumers to three is one delivery: envelope
+    // built, sized, decoded by the listener, handed to its handler.
+    let delivery = |payload: &Element| publish_blocks(payload, 3) - publish_blocks(payload, 2);
+    let small = Element::local("Evt").text("7");
+    let wide = Element::local("Evt")
+        .children((0..40).map(|i| Element::local("Field").text(format!("value-{i}"))));
+    let (_, small_copy) = allocs_during(|| small.clone());
+    let (_, wide_copy) = allocs_during(|| wide.clone());
+    assert!(
+        wide_copy > 80,
+        "the probe sees a payload clone: {wide_copy}"
+    );
+
+    // 43 blocks when the listener cloned each message out of the
+    // envelope and again per handler, the network parsed the address
+    // into owned strings twice and the fan-out copied it once more.
+    let blocks = delivery(&small);
+    assert_eq!(blocks, 32, "blocks per inline delivery");
+    // The payload is copied once — into the envelope the broker builds
+    // for this consumer — and moved from there to the handler.
+    assert_eq!(
+        delivery(&wide) - blocks,
+        wide_copy - small_copy,
+        "the payload was copied more than once on its way to the handler"
+    );
 }
