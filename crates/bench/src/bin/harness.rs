@@ -36,11 +36,11 @@ use ws_notification::producer::NotificationProducer;
 use ws_notification::topics::TopicExpression;
 use wsrf_core::porttypes::{wsrp_action, XPATH_DIALECT};
 use wsrf_core::store::{BlobStore, MemoryStore, ResourceStore, StructuredStore};
-use wsrf_core::DurableStore;
+use wsrf_core::{DurableStore, Outbound};
 use wsrf_obs::{EventKind, MetricsRegistry, ObsConfig, Severity, TraceConfig};
 use wsrf_soap::ns::{UVACG, WSRP};
-use wsrf_soap::{EndpointReference, Envelope, MessageInfo, TraceContext};
-use wsrf_transport::http::{http_get, HttpLimits, HttpSoapServer};
+use wsrf_soap::{EndpointReference, Envelope, TraceContext};
+use wsrf_transport::http::{http_get, HttpConfig, HttpSoapServer};
 use wsrf_transport::{FnEndpoint, InProcNetwork, NetConfig};
 use wsrf_xml::Element;
 
@@ -249,11 +249,8 @@ fn e2_properties() {
         .unwrap();
     let _ = epr;
 
-    let mk = |body: Element, action: String| {
-        let mut env = Envelope::new(body);
-        MessageInfo::request(epr2.clone(), action).apply(&mut env);
-        env
-    };
+    let mk =
+        |body: Element, action: String| Outbound::new(epr2.clone(), action, body).into_envelope();
     let cases: Vec<(&str, Envelope)> = vec![
         (
             "GetResourceProperty",
@@ -852,9 +849,9 @@ fn e11_wirepath() {
     for i in 0..12 {
         body.push_child(Element::new(UVACG, format!("Prop{i}")).text(format!("value-{i}")));
     }
-    let mut env = Envelope::new(body);
-    MessageInfo::request(epr, format!("{UVACG}/CreateJob")).apply(&mut env);
-    TraceContext::new(0x7ace, 0x1, true).stamp(&mut env);
+    let env = Outbound::new(epr, format!("{UVACG}/CreateJob"), body)
+        .trace(Some(&TraceContext::new(0x7ace, 0x1, true)))
+        .into_envelope();
     let wire = env.to_xml();
     assert_eq!(env.wire_len(), wire.len(), "size pass must match render");
 
@@ -996,17 +993,20 @@ fn e11c_service() -> (Arc<wsrf_core::container::Service>, EndpointReference) {
 /// body + trace header) aimed at a read op that never opens the body.
 fn e11c_wires(epr: &EndpointReference) -> (String, String) {
     use wsrf_core::container::action_uri;
-    let mut get_env =
-        Envelope::new(Element::new(WSRP, "GetResourceProperty").text(format!("{{{UVACG}}}Status")));
-    MessageInfo::request(epr.clone(), wsrp_action("GetResourceProperty")).apply(&mut get_env);
+    let get_env = Outbound::new(
+        epr.clone(),
+        wsrp_action("GetResourceProperty"),
+        Element::new(WSRP, "GetResourceProperty").text(format!("{{{UVACG}}}Status")),
+    )
+    .into_envelope();
 
     let mut body = Element::new(UVACG, "Poll");
     for i in 0..12 {
         body.push_child(Element::new(UVACG, format!("Prop{i}")).text(format!("value-{i}")));
     }
-    let mut poll_env = Envelope::new(body);
-    MessageInfo::request(epr.clone(), action_uri("Job", "Poll")).apply(&mut poll_env);
-    TraceContext::new(0x7ace, 0x2, true).stamp(&mut poll_env);
+    let poll_env = Outbound::new(epr.clone(), action_uri("Job", "Poll"), body)
+        .trace(Some(&TraceContext::new(0x7ace, 0x2, true)))
+        .into_envelope();
     (get_env.to_xml(), poll_env.to_xml())
 }
 
@@ -1271,12 +1271,25 @@ fn e13_broker_openloop(smoke: bool) {
     );
 }
 
+/// An HTTP server exposing `grid`'s registry (the SOAP endpoint is an
+/// echo — only the GET surface is used).
+fn exposition_server(grid: &CampusGrid, name: &'static str) -> HttpSoapServer {
+    let config = HttpConfig {
+        registry: grid.metrics.clone(),
+        clock: Some(grid.clock.clone()),
+        expose: true,
+        ..HttpConfig::default()
+    };
+    HttpSoapServer::start_with(Arc::new(FnEndpoint::new(name, Some)), config)
+        .expect("bind exposition server")
+}
+
 /// E14 — the monitoring plane's own cost: the event-log ablation on
 /// the container dispatch path (acceptance: events + SLO windows on
 /// cost the events-off path < 5%), the per-op prices of the two new
 /// write paths (event emit, SLO record), and what a scrape costs —
 /// both the in-process render and the end-to-end HTTP GET against a
-/// live `start_monitored` server.
+/// live exposition server.
 fn e14_monitoring() {
     let mut rows = Vec::new();
 
@@ -1379,13 +1392,7 @@ fn e14_monitoring() {
         format!("/metrics.json render ({n_metrics} metrics)"),
         fmt_us(t),
     ]);
-    let server = HttpSoapServer::start_monitored(
-        Arc::new(FnEndpoint::new("bench", Some)),
-        &grid.metrics,
-        grid.clock.clone(),
-        HttpLimits::default(),
-    )
-    .expect("bind exposition server");
+    let server = exposition_server(&grid, "bench");
     let authority = server.authority();
     for path in ["/metrics.json", "/healthz"] {
         let t = time_median(50, || {
@@ -1427,13 +1434,7 @@ fn monitor_smoke() {
         .submit(&shaped_spec("chain", 2), "griduser", "gridpass")
         .unwrap();
     drive(&grid, &handle, 2000);
-    let server = HttpSoapServer::start_monitored(
-        Arc::new(FnEndpoint::new("smoke", Some)),
-        &grid.metrics,
-        grid.clock.clone(),
-        HttpLimits::default(),
-    )
-    .expect("bind exposition server");
+    let server = exposition_server(&grid, "smoke");
     let authority = server.authority();
     let (code, prom) = http_get(&authority, "/metrics").expect("GET /metrics");
     assert_eq!(code, 200, "/metrics status");

@@ -15,8 +15,9 @@ use uvacg::{CampusGrid, Client, FileRef, GridConfig, JobSetHandle, JobSetSpec, J
 use wsrf_core::container::{action_uri, Service, ServiceBuilder};
 use wsrf_core::properties::PropertyDoc;
 use wsrf_core::store::{ColumnType, ResourceStore};
+use wsrf_core::Outbound;
 use wsrf_soap::ns::UVACG;
-use wsrf_soap::{EndpointReference, Envelope, MessageInfo};
+use wsrf_soap::{EndpointReference, Envelope};
 use wsrf_transport::InProcNetwork;
 use wsrf_xml::{Element, QName};
 
@@ -91,9 +92,7 @@ pub fn bench_service_obs(
 
 /// A pre-addressed envelope for an operation on `epr`.
 pub fn request(epr: &EndpointReference, service: &str, op: &str, body: Element) -> Envelope {
-    let mut env = Envelope::new(body);
-    MessageInfo::request(epr.clone(), action_uri(service, op)).apply(&mut env);
-    env
+    Outbound::new(epr.clone(), action_uri(service, op), body).into_envelope()
 }
 
 /// Deploy a grid and a client pre-loaded with a `cpu`-second program

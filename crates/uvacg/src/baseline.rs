@@ -25,8 +25,9 @@ use simclock::Clock;
 use wsrf_core::container::{action_uri, Service, ServiceBuilder};
 use wsrf_core::faults;
 use wsrf_core::store::MemoryStore;
+use wsrf_core::Outbound;
 use wsrf_soap::ns::UVACG;
-use wsrf_soap::{BaseFault, EndpointReference, Envelope, MessageInfo, SoapFault};
+use wsrf_soap::{BaseFault, EndpointReference, Envelope, SoapFault};
 use wsrf_transport::InProcNetwork;
 use wsrf_xml::Element;
 
@@ -198,18 +199,12 @@ pub fn submit(
                 .attr("user", user)
                 .attr("password", password),
         );
-    let mut env = Envelope::new(body);
-    MessageInfo::request(
+    let resp = Outbound::new(
         EndpointReference::service(manager),
         action_uri("JobManager", "Submit"),
+        body,
     )
-    .apply(&mut env);
-    let resp = net
-        .call(manager, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    if let Some(f) = resp.fault() {
-        return Err(f);
-    }
+    .call(net)?;
     resp.body
         .attr_value("jobId")
         .and_then(|v| v.parse().ok())
@@ -219,18 +214,12 @@ pub fn submit(
 /// One poll round trip; `Ok(Some(code))` once the job is done.
 pub fn poll(net: &InProcNetwork, manager: &str, job_id: u64) -> Result<Option<i32>, SoapFault> {
     let body = Element::new(UVACG, "Poll").attr("jobId", job_id.to_string());
-    let mut env = Envelope::new(body);
-    MessageInfo::request(
+    let resp = Outbound::new(
         EndpointReference::service(manager),
         action_uri("JobManager", "Poll"),
+        body,
     )
-    .apply(&mut env);
-    let resp = net
-        .call(manager, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    if let Some(f) = resp.fault() {
-        return Err(f);
-    }
+    .call(net)?;
     match resp.body.attr_value("state") {
         Some("Done") => Ok(resp
             .body
@@ -373,18 +362,11 @@ mod tests {
         let (_clock, net, _svc) = setup();
         // A GetResourceProperty call must be rejected — the baseline
         // has a custom interface only.
-        let mut env =
-            Envelope::new(Element::new(wsrf_soap::ns::WSRP, "GetResourceProperty").text("Status"));
-        MessageInfo::request(
-            EndpointReference::service("inproc://hub/JobManager"),
-            wsrf_core::porttypes::wsrp_action("GetResourceProperty"),
-        )
-        .apply(&mut env);
-        let resp = net.call("inproc://hub/JobManager", env).unwrap();
-        assert_eq!(
-            resp.fault().unwrap().error_code(),
-            Some("wsrf:NoSuchOperation")
-        );
+        let manager = EndpointReference::service("inproc://hub/JobManager");
+        let fault = wsrf_core::ResourceProxy::new(&net, manager)
+            .get_text("Status")
+            .unwrap_err();
+        assert_eq!(fault.error_code(), Some("wsrf:NoSuchOperation"));
     }
 
     #[test]
@@ -409,13 +391,13 @@ mod tests {
             .unwrap();
             // Read the machine from a poll.
             let body = Element::new(UVACG, "Poll").attr("jobId", id.to_string());
-            let mut env = Envelope::new(body);
-            MessageInfo::request(
+            let resp = Outbound::new(
                 EndpointReference::service("inproc://hub/JobManager"),
                 action_uri("JobManager", "Poll"),
+                body,
             )
-            .apply(&mut env);
-            let resp = net.call("inproc://hub/JobManager", env).unwrap();
+            .call(&net)
+            .unwrap();
             machines_seen.insert(resp.body.attr_value("machine").unwrap().to_string());
         }
         assert_eq!(machines_seen.len(), 2, "least-loaded spread");

@@ -24,6 +24,7 @@ use ws_notification::consumer::NotificationListener;
 use ws_notification::message::NotificationMessage;
 use ws_notification::topics::TopicPath;
 use wsrf_core::container::action_uri;
+use wsrf_core::Outbound;
 use wsrf_security::wsse::UsernameToken;
 use wsrf_soap::ns::UVACG;
 use wsrf_soap::{BaseFault, EndpointReference, Envelope, SoapFault};
@@ -147,19 +148,12 @@ impl Client {
         if let Some(n) = name {
             body = body.attr("name", n);
         }
-        let mut env = Envelope::new(body);
-        wsrf_soap::MessageInfo::request(
+        let resp = Outbound::new(
             self.scheduler.clone(),
             action_uri("Scheduler", "FindJobSets"),
+            body,
         )
-        .apply(&mut env);
-        let resp = self
-            .net
-            .call(&self.scheduler.address, env)
-            .map_err(|e| SoapFault::server(e.to_string()))?;
-        if let Some(f) = resp.fault() {
-            return Err(f);
-        }
+        .call(&self.net)?;
         let mut handles = Vec::new();
         for js in resp.body.find_all(UVACG, "JobSet") {
             let Some(epr_el) = js.find(UVACG, "JobSetEpr") else {
@@ -384,21 +378,7 @@ impl JobSetHandle {
 
     /// The job set's `Status` resource property (server-side view).
     pub fn status(&self) -> Result<String, SoapFault> {
-        let mut env =
-            Envelope::new(Element::new(wsrf_soap::ns::WSRP, "GetResourceProperty").text("Status"));
-        wsrf_soap::MessageInfo::request(
-            self.jobset.clone(),
-            wsrf_core::porttypes::wsrp_action("GetResourceProperty"),
-        )
-        .apply(&mut env);
-        let resp = self
-            .net
-            .call(&self.jobset.address, env)
-            .map_err(|e| SoapFault::server(e.to_string()))?;
-        if let Some(f) = resp.fault() {
-            return Err(f);
-        }
-        Ok(resp.body.text_content())
+        wsrf_core::ResourceProxy::new(&self.net, self.jobset.clone()).get_text("Status")
     }
 
     /// Kill a running job of this set.

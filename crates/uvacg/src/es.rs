@@ -29,8 +29,9 @@ use wsrf_core::container::{action_uri, Ctx, OpKind, Service, ServiceBuilder, Ser
 use wsrf_core::faults;
 use wsrf_core::properties::PropertyDoc;
 use wsrf_core::store::{save_detached, ResourceStore};
+use wsrf_core::{epr_in, Outbound, ResourceProxy};
 use wsrf_soap::ns::{UVACG, WSSE};
-use wsrf_soap::{BaseFault, EndpointReference, Envelope, MessageInfo, SoapFault, TraceContext};
+use wsrf_soap::{BaseFault, EndpointReference, SoapFault, TraceContext};
 use wsrf_transport::InProcNetwork;
 use wsrf_xml::{Element, QName};
 
@@ -571,11 +572,8 @@ fn publish(
 ) {
     let Some(b) = broker else { return };
     let msg = NotificationMessage::new(topic.clone(), payload).from_producer(producer.clone());
-    let mut env = msg.to_envelope(b);
-    if let Some(tc) = trace {
-        tc.stamp(&mut env);
-    }
-    let _ = core.net.send_oneway(&b.address, env);
+    // Nobody to tell: a failed send leaves an `OutboundFailed` event.
+    let _ = msg.outbound(b).trace(trace).send(&core.net);
 }
 
 // ---------------------------------------------------------------------
@@ -632,62 +630,40 @@ pub fn run(net: &InProcNetwork, es_address: &str, req: &RunRequest) -> Result<Ru
                 .attr("password", p),
         );
     }
-    let mut env = Envelope::new(body);
-    MessageInfo::request(
+    let resp = Outbound::new(
         EndpointReference::service(es_address),
         action_uri("Execution", "Run"),
+        body,
     )
-    .apply(&mut env);
-    if let Some(h) = &req.security_header {
-        env.headers.push(h.clone());
-    }
-    if let Some(tc) = &req.trace {
-        tc.stamp(&mut env);
-    }
-    let resp = net
-        .call(es_address, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    if let Some(f) = resp.fault() {
-        return Err(f);
-    }
-    let epr_in = |tag: &str| -> Result<EndpointReference, SoapFault> {
-        resp.body
-            .find(UVACG, tag)
-            .ok_or_else(|| SoapFault::server(format!("RunResponse missing {tag}")))
-            .and_then(|e| {
-                EndpointReference::from_element(e).map_err(|e| SoapFault::server(e.to_string()))
-            })
-    };
+    .header(req.security_header.clone())
+    .trace(req.trace.as_ref())
+    .call(net)?;
     Ok(RunReply {
-        job: epr_in("JobEpr")?,
-        workdir: epr_in("WorkingDirectory")?,
+        job: epr_in(&resp, UVACG, "JobEpr")?,
+        workdir: epr_in(&resp, UVACG, "WorkingDirectory")?,
     })
 }
 
 /// Kill a job by its EPR.
 pub fn kill(net: &InProcNetwork, job: &EndpointReference) -> Result<bool, SoapFault> {
-    let mut env = Envelope::new(Element::new(UVACG, "Kill"));
-    MessageInfo::request(job.clone(), action_uri("Execution", "Kill")).apply(&mut env);
-    let resp = net
-        .call(&job.address, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    if let Some(f) = resp.fault() {
-        return Err(f);
-    }
+    let resp = Outbound::new(
+        job.clone(),
+        action_uri("Execution", "Kill"),
+        Element::new(UVACG, "Kill"),
+    )
+    .call(net)?;
     Ok(resp.body.attr_value("killed") == Some("true"))
 }
 
 /// Read a job's `Status` resource property ("allowing either to poll
 /// the job for its status (with GetResourceProperty calls)").
 pub fn job_status(net: &InProcNetwork, job: &EndpointReference) -> Result<String, SoapFault> {
-    get_property_text(net, job, "Status")
+    ResourceProxy::new(net, job.clone()).get_text("Status")
 }
 
 /// Read a job's live `CpuTimeUsed` resource property.
 pub fn job_cpu_time(net: &InProcNetwork, job: &EndpointReference) -> Result<f64, SoapFault> {
-    get_property_text(net, job, "CpuTimeUsed")?
-        .parse()
-        .map_err(|_| SoapFault::server("CpuTimeUsed is not a number"))
+    ResourceProxy::new(net, job.clone()).get_f64("CpuTimeUsed")
 }
 
 /// One-call job snapshot returned by the read-only `QueryJob` op.
@@ -706,14 +682,12 @@ pub struct JobSnapshot {
 /// Poll a job with a single `QueryJob` call instead of one
 /// `GetResourceProperty` round trip per property.
 pub fn query_job(net: &InProcNetwork, job: &EndpointReference) -> Result<JobSnapshot, SoapFault> {
-    let mut env = Envelope::new(Element::new(UVACG, "QueryJob"));
-    MessageInfo::request(job.clone(), action_uri("Execution", "QueryJob")).apply(&mut env);
-    let resp = net
-        .call(&job.address, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    if let Some(f) = resp.fault() {
-        return Err(f);
-    }
+    let resp = Outbound::new(
+        job.clone(),
+        action_uri("Execution", "QueryJob"),
+        Element::new(UVACG, "QueryJob"),
+    )
+    .call(net)?;
     Ok(JobSnapshot {
         name: resp.body.attr_value("name").unwrap_or_default().to_string(),
         status: resp
@@ -733,27 +707,6 @@ pub fn query_job(net: &InProcNetwork, job: &EndpointReference) -> Result<JobSnap
     })
 }
 
-fn get_property_text(
-    net: &InProcNetwork,
-    resource: &EndpointReference,
-    property: &str,
-) -> Result<String, SoapFault> {
-    let mut env =
-        Envelope::new(Element::new(wsrf_soap::ns::WSRP, "GetResourceProperty").text(property));
-    MessageInfo::request(
-        resource.clone(),
-        wsrf_core::porttypes::wsrp_action("GetResourceProperty"),
-    )
-    .apply(&mut env);
-    let resp = net
-        .call(&resource.address, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    if let Some(f) = resp.fault() {
-        return Err(f);
-    }
-    Ok(resp.body.text_content())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -764,6 +717,7 @@ mod tests {
     use ws_notification::topics::TopicExpression;
     use wsrf_core::store::MemoryStore;
     use wsrf_security::wsse::UsernameToken;
+    use wsrf_soap::Envelope;
 
     struct Fixture {
         clock: Clock,
@@ -861,6 +815,15 @@ mod tests {
         }
     }
 
+    fn get_exit_code(f: &Fixture, job: &EndpointReference) -> Result<Envelope, SoapFault> {
+        Outbound::new(
+            job.clone(),
+            action_uri("Execution", "GetExitCode"),
+            Element::new(UVACG, "GetExitCode"),
+        )
+        .call(&f.net)
+    }
+
     #[test]
     fn run_stages_executes_and_reports_exit() {
         let f = fixture();
@@ -917,10 +880,7 @@ mod tests {
         let reply = run(&f.net, &f.es_addr, &req).unwrap();
         f.clock.advance(Duration::from_secs(2));
         assert_eq!(job_status(&f.net, &reply.job).unwrap(), status::EXITED);
-        let mut env = Envelope::new(Element::new(UVACG, "GetExitCode"));
-        MessageInfo::request(reply.job.clone(), action_uri("Execution", "GetExitCode"))
-            .apply(&mut env);
-        let resp = f.net.call(&f.es_addr, env).unwrap();
+        let resp = get_exit_code(&f, &reply.job).unwrap();
         assert_eq!(resp.body.text_content(), "0", "input was present so exit 0");
     }
 
@@ -1096,11 +1056,8 @@ mod tests {
             &basic_request(&f, &JobProgram::compute(100.0)),
         )
         .unwrap();
-        let mut env = Envelope::new(Element::new(UVACG, "GetExitCode"));
-        MessageInfo::request(reply.job.clone(), action_uri("Execution", "GetExitCode"))
-            .apply(&mut env);
-        let resp = f.net.call(&f.es_addr, env).unwrap();
-        assert_eq!(resp.fault().unwrap().error_code(), Some("uvacg:NotExited"));
+        let fault = get_exit_code(&f, &reply.job).unwrap_err();
+        assert_eq!(fault.error_code(), Some("uvacg:NotExited"));
     }
 
     #[test]

@@ -22,8 +22,9 @@ use wsrf_core::container::{action_uri, OpKind, Service, ServiceBuilder};
 use wsrf_core::faults;
 use wsrf_core::properties::PropertyDoc;
 use wsrf_core::store::ResourceStore;
+use wsrf_core::{epr_in, Outbound};
 use wsrf_soap::ns::{UVACG, WSA};
-use wsrf_soap::{BaseFault, EndpointReference, Envelope, MessageInfo, SoapFault, TraceContext};
+use wsrf_soap::{BaseFault, EndpointReference, SoapFault, TraceContext};
 use wsrf_transport::InProcNetwork;
 use wsrf_xml::{base64, Element, QName};
 
@@ -240,12 +241,11 @@ pub fn file_system_service(
                                 .text(reason),
                         );
                     }
-                    let mut env = Envelope::new(body);
-                    MessageInfo::request(to.clone(), notify_action.clone()).apply(&mut env);
-                    if let Some(tc) = &trace {
-                        tc.stamp(&mut env);
-                    }
-                    let _ = core.net.send_oneway(&to.address, env);
+                    // Nobody to tell: a failed send leaves an
+                    // `OutboundFailed` event.
+                    let _ = Outbound::new(to, notify_action, body)
+                        .trace(trace.as_ref())
+                        .send(&core.net);
                 }
                 Ok(Element::new(UVACG, "UploadFilesAck"))
             },
@@ -311,28 +311,14 @@ pub fn create_directory_traced(
     fss_address: &str,
     trace: Option<&TraceContext>,
 ) -> Result<(EndpointReference, String), SoapFault> {
-    let mut env = Envelope::new(Element::new(UVACG, "CreateDirectory"));
-    MessageInfo::request(
+    let resp = Outbound::new(
         EndpointReference::service(fss_address),
         action_uri("FileSystem", "CreateDirectory"),
+        Element::new(UVACG, "CreateDirectory"),
     )
-    .apply(&mut env);
-    if let Some(tc) = trace {
-        tc.stamp(&mut env);
-    }
-    let resp = net
-        .call(fss_address, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    if let Some(f) = resp.fault() {
-        return Err(f);
-    }
-    let epr = resp
-        .body
-        .find(WSA, "EndpointReference")
-        .ok_or_else(|| SoapFault::server("CreateDirectoryResponse missing EPR"))
-        .and_then(|e| {
-            EndpointReference::from_element(e).map_err(|e| SoapFault::server(e.to_string()))
-        })?;
+    .trace(trace)
+    .call(net)?;
+    let epr = epr_in(&resp, WSA, "EndpointReference")?;
     let path = resp
         .body
         .find(UVACG, "Path")
@@ -361,17 +347,9 @@ fn remote_read(
     trace: Option<&TraceContext>,
 ) -> Result<Bytes, SoapFault> {
     let body = Element::new(UVACG, "Read").child(Element::new(UVACG, "FileName").text(filename));
-    let mut env = Envelope::new(body);
-    MessageInfo::request(source.clone(), action_uri("FileSystem", "Read")).apply(&mut env);
-    if let Some(tc) = trace {
-        tc.stamp(&mut env);
-    }
-    let resp = net
-        .call(&source.address, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    if let Some(f) = resp.fault() {
-        return Err(f);
-    }
+    let resp = Outbound::new(source.clone(), action_uri("FileSystem", "Read"), body)
+        .trace(trace)
+        .call(net)?;
     let content = resp
         .body
         .find(UVACG, "Content")
@@ -395,15 +373,8 @@ pub fn write(
                 .attr("encoding", "base64")
                 .text(base64::encode(content)),
         );
-    let mut env = Envelope::new(body);
-    MessageInfo::request(dir.clone(), action_uri("FileSystem", "Write")).apply(&mut env);
-    let resp = net
-        .call(&dir.address, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    match resp.fault() {
-        Some(f) => Err(f),
-        None => Ok(()),
-    }
+    Outbound::new(dir.clone(), action_uri("FileSystem", "Write"), body).call(net)?;
+    Ok(())
 }
 
 /// `List` a directory EPR: `(name, Some(size))` for files, `(name,
@@ -412,14 +383,12 @@ pub fn list(
     net: &InProcNetwork,
     dir: &EndpointReference,
 ) -> Result<Vec<(String, Option<u64>)>, SoapFault> {
-    let mut env = Envelope::new(Element::new(UVACG, "List"));
-    MessageInfo::request(dir.clone(), action_uri("FileSystem", "List")).apply(&mut env);
-    let resp = net
-        .call(&dir.address, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    if let Some(f) = resp.fault() {
-        return Err(f);
-    }
+    let resp = Outbound::new(
+        dir.clone(),
+        action_uri("FileSystem", "List"),
+        Element::new(UVACG, "List"),
+    )
+    .call(net)?;
     Ok(resp
         .body
         .elements()
@@ -459,18 +428,17 @@ pub fn upload_files(
                 .child(source.to_element_named(UVACG, "SourceEpr")),
         );
     }
-    let mut env = Envelope::new(body);
-    MessageInfo::request(dir.clone(), action_uri("FileSystem", "UploadFiles")).apply(&mut env);
-    if let Some(tc) = trace {
-        tc.stamp(&mut env);
-    }
-    net.send_oneway(&dir.address, env)
+    Outbound::new(dir.clone(), action_uri("FileSystem", "UploadFiles"), body)
+        .trace(trace)
+        .send(net)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use wsrf_core::store::MemoryStore;
+    use wsrf_core::ResourceProxy;
+    use wsrf_soap::{Envelope, MessageInfo};
     use wsrf_transport::FnEndpoint;
 
     struct Fixture {
@@ -506,15 +474,10 @@ mod tests {
         assert_eq!(epr.address, ADDR);
         // The Path resource property is readable via the standard port
         // type (the ES uses it as the job working directory).
-        let mut env =
-            Envelope::new(Element::new(wsrf_soap::ns::WSRP, "GetResourceProperty").text("Path"));
-        MessageInfo::request(
-            epr,
-            wsrf_core::porttypes::wsrp_action("GetResourceProperty"),
-        )
-        .apply(&mut env);
-        let resp = f.net.call(ADDR, env).unwrap();
-        assert_eq!(resp.body.text_content(), path);
+        assert_eq!(
+            ResourceProxy::new(&f.net, epr).get_text("Path").unwrap(),
+            path
+        );
     }
 
     #[test]

@@ -310,6 +310,8 @@ impl CampusGrid {
             let net_for_monitor = net.clone();
             let machine_name = name.clone();
             machine.monitor_utilization(config.utilization_delta, move |u| {
+                // Nobody to tell: a failed report leaves an
+                // `OutboundFailed` event.
                 let _ = nis::report_utilization(&net_for_monitor, NIS_ADDRESS, &machine_name, u);
             });
 

@@ -17,8 +17,9 @@ use wsrf_core::servicegroup::{
     group_action, init_group_resource, service_group_builder, MembershipContentRule,
 };
 use wsrf_core::store::ResourceStore;
+use wsrf_core::{epr_in, Outbound};
 use wsrf_soap::ns::{UVACG, WSSG};
-use wsrf_soap::{EndpointReference, Envelope, MessageInfo, SoapFault};
+use wsrf_soap::{EndpointReference, SoapFault};
 use wsrf_transport::InProcNetwork;
 use wsrf_xml::{Element, QName};
 
@@ -149,24 +150,13 @@ pub fn register_machine(
     let body = Element::new(WSSG, "Add")
         .child(member.to_element_named(WSSG, "MemberEPR"))
         .child(content);
-    let mut env = Envelope::new(body);
-    MessageInfo::request(
+    let resp = Outbound::new(
         EndpointReference::service(nis_address),
         group_action(NIS_NAME, "Add"),
+        body,
     )
-    .apply(&mut env);
-    let resp = net
-        .call(nis_address, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    if let Some(f) = resp.fault() {
-        return Err(f);
-    }
-    resp.body
-        .find(wsrf_soap::ns::WSA, "EndpointReference")
-        .ok_or_else(|| SoapFault::server("AddResponse missing entry EPR"))
-        .and_then(|e| {
-            EndpointReference::from_element(e).map_err(|e| SoapFault::server(e.to_string()))
-        })
+    .call(net)?;
+    epr_in(&resp, wsrf_soap::ns::WSA, "EndpointReference")
 }
 
 /// One-way utilization report (what each machine's monitor sends).
@@ -179,30 +169,23 @@ pub fn report_utilization(
     let body = Element::new(UVACG, "UpdateUtilization")
         .attr("machine", machine)
         .attr("utilization", format!("{utilization}"));
-    let mut env = Envelope::new(body);
-    MessageInfo::request(
+    Outbound::new(
         EndpointReference::service(nis_address),
         action_uri(NIS_NAME, "UpdateUtilization"),
+        body,
     )
-    .apply(&mut env);
-    net.send_oneway(nis_address, env)
+    .send(net)
 }
 
 /// Poll the NIS snapshot (what the Scheduler does before each
 /// placement).
 pub fn snapshot(net: &InProcNetwork, nis_address: &str) -> Result<Vec<NodeSnapshot>, SoapFault> {
-    let mut env = Envelope::new(Element::new(UVACG, "Snapshot"));
-    MessageInfo::request(
+    let resp = Outbound::new(
         EndpointReference::service(nis_address),
         action_uri(NIS_NAME, "Snapshot"),
+        Element::new(UVACG, "Snapshot"),
     )
-    .apply(&mut env);
-    let resp = net
-        .call(nis_address, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    if let Some(f) = resp.fault() {
-        return Err(f);
-    }
+    .call(net)?;
     let mut nodes: Vec<NodeSnapshot> = resp
         .body
         .find_all(UVACG, "Node")
@@ -300,10 +283,13 @@ mod tests {
     fn members_are_entries_of_the_group() {
         let (net, svc) = setup();
         add(&net, "m1", 1000);
-        let mut env = Envelope::new(Element::new(WSSG, "Entries"));
-        MessageInfo::request(svc.core().service_epr(), group_action(NIS_NAME, "Entries"))
-            .apply(&mut env);
-        let resp = net.call(ADDR, env).unwrap();
+        let resp = Outbound::new(
+            svc.core().service_epr(),
+            group_action(NIS_NAME, "Entries"),
+            Element::new(WSSG, "Entries"),
+        )
+        .call(&net)
+        .unwrap();
         assert_eq!(resp.body.element_count(), 1);
     }
 
@@ -316,16 +302,13 @@ mod tests {
         let body = Element::new(WSSG, "Add")
             .child(member.to_element_named(WSSG, "MemberEPR"))
             .child(content);
-        let mut env = Envelope::new(body);
-        MessageInfo::request(
+        let fault = Outbound::new(
             EndpointReference::service(ADDR),
             group_action(NIS_NAME, "Add"),
+            body,
         )
-        .apply(&mut env);
-        let resp = net.call(ADDR, env).unwrap();
-        assert_eq!(
-            resp.fault().unwrap().error_code(),
-            Some("wssg:ContentCreationFailed")
-        );
+        .call(&net)
+        .unwrap_err();
+        assert_eq!(fault.error_code(), Some("wssg:ContentCreationFailed"));
     }
 }

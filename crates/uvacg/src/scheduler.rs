@@ -27,10 +27,11 @@ use wsrf_core::container::{action_uri, Service, ServiceBuilder, ServiceCore};
 use wsrf_core::faults;
 use wsrf_core::properties::PropertyDoc;
 use wsrf_core::store::{save_detached, ResourceStore};
+use wsrf_core::{epr_in, Outbound};
 use wsrf_obs::{SpanContext, TraceSnapshot};
 use wsrf_security::wsse::UsernameToken;
 use wsrf_soap::ns::{UVACG, WSSE};
-use wsrf_soap::{BaseFault, EndpointReference, Envelope, MessageInfo, SoapFault, TraceContext};
+use wsrf_soap::{BaseFault, EndpointReference, SoapFault, TraceContext};
 use wsrf_transport::InProcNetwork;
 use wsrf_xml::{Element, QName};
 
@@ -1277,11 +1278,8 @@ fn publish(
     trace: Option<&TraceContext>,
 ) {
     let msg = NotificationMessage::new(topic.clone(), payload).from_producer(core.service_epr());
-    let mut env = msg.to_envelope(broker_epr);
-    if let Some(tc) = trace {
-        tc.stamp(&mut env);
-    }
-    let _ = core.net.send_oneway(&broker_epr.address, env);
+    // Nobody to tell: a failed send leaves an `OutboundFailed` event.
+    let _ = msg.outbound(broker_epr).trace(trace).send(&core.net);
 }
 
 /// Serialize a span tree as a `{UVACG}Trace` resource-property element:
@@ -1809,12 +1807,6 @@ pub fn submit(
                 .attr("password", p),
         );
     }
-    let mut env = Envelope::new(body);
-    MessageInfo::request(scheduler.clone(), action_uri("Scheduler", "SubmitJobSet"))
-        .apply(&mut env);
-    if let Some(h) = security_header {
-        env.headers.push(h);
-    }
     // Root span of the whole submission: every dispatch, transport hop,
     // staging call and broadcast triggered by this call (including the
     // inline ones on the test network) becomes a descendant.
@@ -1822,26 +1814,21 @@ pub fn submit(
     let mut root = tracer
         .is_enabled()
         .then(|| tracer.start_root("client.submit", "Client", net.clock()));
-    if let Some(span) = root.as_mut() {
+    let trace = root.as_mut().and_then(|span| {
         span.annotate("jobset", spec.name.as_str());
         let c = span.context();
-        if c.is_active() {
-            TraceContext::new(c.trace_id, c.span_id, c.sampled).stamp(&mut env);
-        }
-    }
-    let resp = net
-        .call(&scheduler.address, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    if let Some(f) = resp.fault() {
-        return Err(f);
-    }
-    let jobset = resp
-        .body
-        .find(UVACG, "JobSetEpr")
-        .ok_or_else(|| SoapFault::server("SubmitJobSetResponse missing JobSetEpr"))
-        .and_then(|e| {
-            EndpointReference::from_element(e).map_err(|e| SoapFault::server(e.to_string()))
-        })?;
+        c.is_active()
+            .then(|| TraceContext::new(c.trace_id, c.span_id, c.sampled))
+    });
+    let resp = Outbound::new(
+        scheduler.clone(),
+        action_uri("Scheduler", "SubmitJobSet"),
+        body,
+    )
+    .header(security_header)
+    .trace(trace.as_ref())
+    .call(net)?;
+    let jobset = epr_in(&resp, UVACG, "JobSetEpr")?;
     let topic = resp
         .body
         .find(UVACG, "Topic")

@@ -53,8 +53,9 @@ use wsrf_core::container::{action_uri, Ctx, OpKind, Service, ServiceBuilder};
 use wsrf_core::faults;
 use wsrf_core::properties::PropertyDoc;
 use wsrf_core::store::{save_detached, ResourceStore, StoreError};
+use wsrf_core::{epr_in, Outbound};
 use wsrf_obs::{Counter, CounterFamily, EventKind, EventLog, Gauge, Severity};
-use wsrf_soap::{ns, BaseFault, EndpointReference, Envelope, MessageInfo, SoapFault, TraceContext};
+use wsrf_soap::{ns, BaseFault, EndpointReference, Envelope, SoapFault, TraceContext};
 use wsrf_transport::pool::ThreadPool;
 use wsrf_transport::{InProcNetwork, TransportError};
 use wsrf_xml::xpath::Path;
@@ -493,10 +494,10 @@ impl DeliveryFabric {
             return SendOutcome::Skipped;
         }
         // Forward preserving the original producer reference.
-        let mut env = msg.to_envelope(&sub.consumer);
-        if let Some(tc) = &trace {
-            tc.stamp(&mut env);
-        }
+        let env = msg
+            .outbound(&sub.consumer)
+            .trace(trace.as_ref())
+            .into_envelope();
         // This thread is the consumer's delivery thread — the publisher's
         // on a manual clock, a `broker-delivery` worker otherwise.
         match self.net.deliver_oneway(&sub.consumer.address, env) {
@@ -881,19 +882,8 @@ pub fn subscribe(
     if let Some(secs) = initial_termination {
         body.push_child(Element::new(ns::WSNT, "InitialTerminationTime").text(format!("{secs}")));
     }
-    let mut env = Envelope::new(body);
-    MessageInfo::request(broker.clone(), subscribe_action()).apply(&mut env);
-    let resp = net
-        .call(&broker.address, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    if let Some(f) = resp.fault() {
-        return Err(f);
-    }
-    let sref = resp
-        .body
-        .find(ns::WSNT, "SubscriptionReference")
-        .ok_or_else(|| SoapFault::server("SubscribeResponse missing SubscriptionReference"))?;
-    EndpointReference::from_element(sref).map_err(|e| SoapFault::server(e.to_string()))
+    let resp = Outbound::new(broker.clone(), subscribe_action(), body).call(net)?;
+    epr_in(&resp, ns::WSNT, "SubscriptionReference")
 }
 
 /// Publish a notification *through* the broker (one-way).
@@ -902,21 +892,19 @@ pub fn publish(
     broker: &EndpointReference,
     msg: &NotificationMessage,
 ) -> Result<(), TransportError> {
-    net.send_oneway(&broker.address, msg.to_envelope(broker))
+    msg.outbound(broker).send(net)
 }
 
 /// Publish via request/response, returning the broker's
 /// `NotifyResponse` (with its `delivered`/`failed`/`coalesced`
-/// attributes) instead of fire-and-forget.
+/// attributes) instead of fire-and-forget. A fault from the broker is
+/// an `Err`, like everywhere else.
 pub fn publish_counted(
     net: &InProcNetwork,
     broker: &EndpointReference,
     msg: &NotificationMessage,
 ) -> Result<Envelope, SoapFault> {
-    let mut env = msg.to_envelope(broker);
-    MessageInfo::request(broker.clone(), notify_action()).apply(&mut env);
-    net.call(&broker.address, env)
-        .map_err(|e| SoapFault::server(e.to_string()))
+    msg.outbound(broker).call(net)
 }
 
 /// Pause or resume a subscription by its EPR.
@@ -930,15 +918,13 @@ pub fn set_subscription_paused(
     } else {
         "ResumeSubscription"
     };
-    let mut env = Envelope::new(Element::new(ns::WSNT, op));
-    MessageInfo::request(subscription.clone(), format!("{}/{op}", ns::WSNT)).apply(&mut env);
-    let resp = net
-        .call(&subscription.address, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    match resp.fault() {
-        Some(f) => Err(f),
-        None => Ok(()),
-    }
+    Outbound::new(
+        subscription.clone(),
+        format!("{}/{op}", ns::WSNT),
+        Element::new(ns::WSNT, op),
+    )
+    .call(net)?;
+    Ok(())
 }
 
 /// Fetch the last message published on a concrete topic
@@ -950,21 +936,20 @@ pub fn get_current_message(
 ) -> Result<Option<NotificationMessage>, SoapFault> {
     let body = Element::new(ns::WSNT, "GetCurrentMessage")
         .child(Element::new(ns::WSNT, "Topic").text(topic));
-    let mut env = Envelope::new(body);
-    MessageInfo::request(broker.clone(), format!("{}/GetCurrentMessage", ns::WSNT)).apply(&mut env);
-    let resp = net
-        .call(&broker.address, env)
-        .map_err(|e| SoapFault::server(e.to_string()))?;
-    if let Some(f) = resp.fault() {
-        if f.error_code() == Some("wsnt:NoCurrentMessageOnTopic") {
-            return Ok(None);
-        }
-        return Err(f);
+    match Outbound::new(
+        broker.clone(),
+        format!("{}/GetCurrentMessage", ns::WSNT),
+        body,
+    )
+    .call(net)
+    {
+        Ok(resp) => Ok(resp
+            .body
+            .find(ns::WSNT, "NotificationMessage")
+            .and_then(NotificationMessage::from_element)),
+        Err(f) if f.error_code() == Some("wsnt:NoCurrentMessageOnTopic") => Ok(None),
+        Err(f) => Err(f),
     }
-    Ok(resp
-        .body
-        .find(ns::WSNT, "NotificationMessage")
-        .and_then(NotificationMessage::from_element))
 }
 
 /// The action URI helper shared with `wsrf-core` services (re-export
@@ -978,6 +963,7 @@ mod tests {
     use super::*;
     use crate::consumer::NotificationListener;
     use wsrf_core::store::MemoryStore;
+    use wsrf_core::ResourceProxy;
 
     struct Fixture {
         net: Arc<InProcNetwork>,
@@ -1091,15 +1077,8 @@ mod tests {
         )
         .unwrap();
         // Read its TopicExpression through the standard port type.
-        let mut env =
-            Envelope::new(Element::new(ns::WSRP, "GetResourceProperty").text("TopicExpression"));
-        MessageInfo::request(
-            sub,
-            wsrf_core::porttypes::wsrp_action("GetResourceProperty"),
-        )
-        .apply(&mut env);
-        let resp = f.net.call("inproc://hub/Broker", env).unwrap();
-        assert_eq!(resp.body.text_content(), "a/*/c");
+        let expr = ResourceProxy::new(&f.net, sub).get_text("TopicExpression");
+        assert_eq!(expr.unwrap(), "a/*/c");
     }
 
     #[test]
@@ -1159,10 +1138,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let mut env = Envelope::new(Element::new(ns::WSRL, "Destroy"));
-        MessageInfo::request(sub, wsrf_core::porttypes::wsrl_action("Destroy")).apply(&mut env);
-        let resp = f.net.call("inproc://hub/Broker", env).unwrap();
-        assert!(!resp.is_fault());
+        ResourceProxy::new(&f.net, sub).destroy().unwrap();
         publish(&f.net, &f.broker_epr, &msg("t")).unwrap();
         assert_eq!(l.count(), 0);
         // The broker reports zero matches too: index and store agree.
@@ -1221,14 +1197,8 @@ mod tests {
         // The `AUTOPAUSE_AFTER`th consecutive failure trips the auto-pause.
         let resp = publish_counted(&f.net, &f.broker_epr, &msg("t")).unwrap();
         assert_eq!(resp.body.attr_value("failed"), Some("1"));
-        let mut env = Envelope::new(Element::new(ns::WSRP, "GetResourceProperty").text("Paused"));
-        MessageInfo::request(
-            sub.clone(),
-            wsrf_core::porttypes::wsrp_action("GetResourceProperty"),
-        )
-        .apply(&mut env);
-        let resp = f.net.call("inproc://hub/Broker", env).unwrap();
-        assert_eq!(resp.body.text_content(), "true", "auto-paused RP visible");
+        let paused = ResourceProxy::new(&f.net, sub.clone()).get_text("Paused");
+        assert_eq!(paused.unwrap(), "true", "auto-paused RP visible");
         // Re-registering alone does not resume the paused subscription…
         let l2 = NotificationListener::register(&f.net, "inproc://c/l");
         let resp = publish_counted(&f.net, &f.broker_epr, &msg("t")).unwrap();
@@ -1260,14 +1230,8 @@ mod tests {
             NotificationListener::register(&f.net, "inproc://c/l");
             publish(&f.net, &f.broker_epr, &msg("t")).unwrap();
         }
-        let mut env = Envelope::new(Element::new(ns::WSRP, "GetResourceProperty").text("Paused"));
-        MessageInfo::request(
-            sub,
-            wsrf_core::porttypes::wsrp_action("GetResourceProperty"),
-        )
-        .apply(&mut env);
-        let resp = f.net.call("inproc://hub/Broker", env).unwrap();
-        assert_eq!(resp.body.text_content(), "false", "streak never passed 1");
+        let paused = ResourceProxy::new(&f.net, sub).get_text("Paused");
+        assert_eq!(paused.unwrap(), "false", "streak never passed 1");
     }
 
     #[test]
@@ -1409,9 +1373,7 @@ mod tests {
         let l = NotificationListener::register(&net, "inproc://c/l");
         let sub = subscribe(&net, &bepr, &l.epr(), &TopicExpression::simple("t"), None).unwrap();
         assert_eq!(index.len(), 1, "subscribe populated the outer index");
-        let mut env = Envelope::new(Element::new(ns::WSRL, "Destroy"));
-        MessageInfo::request(sub, wsrf_core::porttypes::wsrl_action("Destroy")).apply(&mut env);
-        net.call("inproc://hub/Broker", env).unwrap();
+        ResourceProxy::new(&net, sub).destroy().unwrap();
         assert_eq!(index.len(), 0, "destroy evicted the outer index");
         // Lease expiry evicts too.
         subscribe(
@@ -1430,23 +1392,24 @@ mod tests {
     #[test]
     fn get_current_message_requires_topic() {
         let f = fixture();
-        let mut env = Envelope::new(Element::new(ns::WSNT, "GetCurrentMessage"));
-        MessageInfo::request(
+        let fault = Outbound::new(
             f.broker_epr.clone(),
             format!("{}/GetCurrentMessage", ns::WSNT),
+            Element::new(ns::WSNT, "GetCurrentMessage"),
         )
-        .apply(&mut env);
-        let resp = f.net.call("inproc://hub/Broker", env).unwrap();
-        assert_eq!(resp.fault().unwrap().error_code(), Some("wsrf:BadRequest"));
+        .call(&f.net)
+        .unwrap_err();
+        assert_eq!(fault.error_code(), Some("wsrf:BadRequest"));
     }
 
     #[test]
     fn subscribe_without_consumer_faults() {
         let f = fixture();
-        let mut env = Envelope::new(Element::new(ns::WSNT, "Subscribe"));
-        MessageInfo::request(f.broker_epr.clone(), subscribe_action()).apply(&mut env);
-        let resp = f.net.call("inproc://hub/Broker", env).unwrap();
-        assert_eq!(resp.fault().unwrap().error_code(), Some("wsrf:BadRequest"));
+        let subscribe = Element::new(ns::WSNT, "Subscribe");
+        let fault = Outbound::new(f.broker_epr.clone(), subscribe_action(), subscribe)
+            .call(&f.net)
+            .unwrap_err();
+        assert_eq!(fault.error_code(), Some("wsrf:BadRequest"));
     }
 
     #[test]
@@ -1467,9 +1430,19 @@ mod tests {
     #[test]
     fn notify_with_no_messages_faults() {
         let f = fixture();
-        let mut env = Envelope::new(Element::new(ns::WSNT, "Notify"));
-        MessageInfo::request(f.broker_epr.clone(), notify_action()).apply(&mut env);
-        let resp = f.net.call("inproc://hub/Broker", env).unwrap();
-        assert!(resp.is_fault());
+        let notify = Element::new(ns::WSNT, "Notify");
+        let fault = Outbound::new(f.broker_epr.clone(), notify_action(), notify)
+            .call(&f.net)
+            .unwrap_err();
+        assert_eq!(fault.error_code(), Some("wsrf:BadRequest"));
+        // A faulting `Notify` is an `Err` from `publish_counted` too,
+        // never an `Ok` whose envelope happens to be a fault: here a
+        // service that has no such operation.
+        let store = Arc::new(MemoryStore::new());
+        let plain = ServiceBuilder::new("Plain", "inproc://hub/Plain", store)
+            .build(f.clock.clone(), f.net.clone());
+        plain.register(&f.net);
+        let fault = publish_counted(&f.net, &plain.core().service_epr(), &msg("t")).unwrap_err();
+        assert_eq!(fault.error_code(), Some("wsrf:NoSuchOperation"));
     }
 }

@@ -1,6 +1,7 @@
 //! The `<wsnt:Notify>` wire format of WS-BaseNotification.
 
-use wsrf_soap::{ns, EndpointReference, Envelope, MessageInfo};
+use wsrf_core::Outbound;
+use wsrf_soap::{ns, EndpointReference, Envelope};
 use wsrf_xml::{Element, Node};
 
 use crate::topics::{Dialect, TopicPath};
@@ -90,13 +91,17 @@ impl NotificationMessage {
         Some((topic, producer))
     }
 
+    /// The `Notify` exchange carrying this one message to `to` (a
+    /// consumer, or a broker to publish through).
+    pub fn outbound(&self, to: &EndpointReference) -> Outbound<'static> {
+        let body = Element::new(ns::WSNT, "Notify").child(self.to_element());
+        Outbound::new(to.clone(), notify_action(), body)
+    }
+
     /// Wrap one message in a complete one-way `Notify` envelope
     /// addressed to `consumer`.
     pub fn to_envelope(&self, consumer: &EndpointReference) -> Envelope {
-        let body = Element::new(ns::WSNT, "Notify").child(self.to_element());
-        let mut env = Envelope::new(body);
-        MessageInfo::request(consumer.clone(), notify_action()).apply(&mut env);
-        env
+        self.outbound(consumer).into_envelope()
     }
 
     /// Extract all messages from a `Notify` envelope body.
@@ -141,6 +146,7 @@ fn first_element(children: Vec<Node>, want: impl Fn(&Element) -> bool) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsrf_soap::MessageInfo;
 
     #[test]
     fn element_roundtrip() {

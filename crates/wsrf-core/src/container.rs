@@ -565,7 +565,18 @@ impl Service {
     pub fn dispatch(&self, env: Envelope) -> Envelope {
         self.obs.dispatches.inc();
         let started = self.obs.enabled.then(std::time::Instant::now);
-        let result = self.try_dispatch(&env);
+        // (1) Read the addressing headers / EPR.
+        let result = MessageInfo::extract(&env)
+            .map_err(|e| faults::bad_request(&format!("bad addressing headers: {e}")))
+            .and_then(|info| {
+                let cell = OnceCell::new();
+                self.run_pipeline(
+                    &info,
+                    TraceContext::from_envelope(&env),
+                    &env.headers,
+                    BodyRef::dom_backed(&env.body, &cell),
+                )
+            });
         self.complete(started, result)
     }
 
@@ -576,27 +587,31 @@ impl Service {
     /// transports call it through [`Endpoint::handle_wire`] with a
     /// borrowed slice of their per-connection receive buffer.
     pub fn dispatch_wire(&self, wire: &str) -> Envelope {
-        match LazyEnvelope::scan(wire) {
-            Ok(lazy) => {
-                self.obs.dispatches.inc();
-                let started = self.obs.enabled.then(std::time::Instant::now);
-                let result = self.try_dispatch_lazy(&lazy);
-                self.complete(started, result)
-            }
-            // Addressing-shaped problems fault exactly like the DOM
-            // pipeline's MessageInfo::extract stage...
-            Err(e @ ScanError::MissingAction) => {
-                self.obs.dispatches.inc();
-                let started = self.obs.enabled.then(std::time::Instant::now);
-                let fault = faults::bad_request(&format!("bad addressing headers: {e}"));
-                self.complete(started, Err(fault))
-            }
-            // ...while unparseable wires mirror the fault the DOM-path
-            // transports produced themselves before dispatch.
-            Err(ScanError::Malformed(e)) => {
-                SoapFault::client(format!("unparseable envelope: {e}")).to_envelope()
-            }
+        let scanned = LazyEnvelope::scan(wire);
+        // Unparseable wires mirror the fault the DOM-path transports
+        // produced themselves before dispatch...
+        if let Err(ScanError::Malformed(e)) = &scanned {
+            return SoapFault::client(format!("unparseable envelope: {e}")).to_envelope();
         }
+        self.obs.dispatches.inc();
+        let started = self.obs.enabled.then(std::time::Instant::now);
+        let result = match &scanned {
+            // Stage (1) already happened inside the scan: the addressing
+            // view was reconstructed from the event stream.
+            Ok(lazy) => {
+                let cell = OnceCell::new();
+                self.run_pipeline(
+                    &lazy.info,
+                    lazy.trace,
+                    &lazy.headers,
+                    BodyRef::lazy_backed(lazy, &cell),
+                )
+            }
+            // ...while addressing-shaped problems fault exactly like the
+            // DOM pipeline's MessageInfo::extract stage.
+            Err(e) => Err(faults::bad_request(&format!("bad addressing headers: {e}"))),
+        };
+        self.complete(started, result)
     }
 
     /// Shared tail of both dispatch entry points: SLO accounting and
@@ -637,31 +652,6 @@ impl Service {
                 SoapFault::from_base(f).to_envelope()
             }
         }
-    }
-
-    fn try_dispatch(&self, env: &Envelope) -> Result<Envelope, BaseFault> {
-        // (1) Read the addressing headers / EPR.
-        let info = MessageInfo::extract(env)
-            .map_err(|e| faults::bad_request(&format!("bad addressing headers: {e}")))?;
-        let cell = OnceCell::new();
-        self.run_pipeline(
-            &info,
-            TraceContext::from_envelope(env),
-            &env.headers,
-            BodyRef::dom_backed(&env.body, &cell),
-        )
-    }
-
-    fn try_dispatch_lazy(&self, lazy: &LazyEnvelope<'_>) -> Result<Envelope, BaseFault> {
-        // Stage (1) already happened inside the scan: the addressing
-        // view was reconstructed from the event stream.
-        let cell = OnceCell::new();
-        self.run_pipeline(
-            &lazy.info,
-            lazy.trace,
-            &lazy.headers,
-            BodyRef::lazy_backed(lazy, &cell),
-        )
     }
 
     /// Stages (1b)–(5) of the Figure 1 pipeline, shared by the DOM and
@@ -1088,6 +1078,7 @@ pub(crate) fn insert_op(
 mod tests {
     use super::*;
     use crate::store::MemoryStore;
+    use crate::Outbound;
     use wsrf_soap::ns::UVACG;
 
     fn q(local: &str) -> QName {
@@ -1095,9 +1086,7 @@ mod tests {
     }
 
     fn call(svc: &Arc<Service>, to: EndpointReference, action: &str, body: Element) -> Envelope {
-        let mut env = Envelope::new(body);
-        MessageInfo::request(to, action).apply(&mut env);
-        svc.dispatch(env)
+        svc.dispatch(Outbound::new(to, action, body).into_envelope())
     }
 
     fn demo_service() -> (Arc<Service>, Arc<InProcNetwork>) {
@@ -1233,9 +1222,10 @@ mod tests {
     fn dispatch_over_network() {
         let (svc, net) = demo_service();
         let epr = create_resource(&svc);
-        let mut env = Envelope::new(Element::new(UVACG, "Touch"));
-        MessageInfo::request(epr, action_uri("Demo", "Touch")).apply(&mut env);
-        let resp = net.call("inproc://m1/Demo", env).unwrap();
+        let touch = Element::new(UVACG, "Touch");
+        let resp = Outbound::new(epr, action_uri("Demo", "Touch"), touch)
+            .call(&net)
+            .unwrap();
         assert_eq!(resp.body.text_content(), "1");
     }
 

@@ -49,6 +49,6 @@ pub mod wsdl;
 
 pub use container::{Ctx, Service, ServiceBuilder, ServiceCore};
 pub use properties::PropertyDoc;
-pub use proxy::ResourceProxy;
+pub use proxy::{epr_in, Outbound, ResourceProxy};
 pub use store::{BlobStore, MemoryStore, ResourceStore, StoreError, StructuredStore};
 pub use wal::DurableStore;

@@ -259,10 +259,11 @@ mod tests {
     use crate::container::{Service, ServiceBuilder};
     use crate::properties::PropertyDoc;
     use crate::store::MemoryStore;
+    use crate::Outbound;
     use simclock::Clock;
     use std::sync::Arc;
     use std::time::Duration;
-    use wsrf_soap::{EndpointReference, Envelope, MessageInfo};
+    use wsrf_soap::{EndpointReference, Envelope};
     use wsrf_transport::InProcNetwork;
 
     const U: &str = ns::UVACG;
@@ -293,9 +294,8 @@ mod tests {
     }
 
     fn invoke(f: &Fixture, action: String, body: Element) -> Envelope {
-        let mut env = Envelope::new(body);
-        MessageInfo::request(f.epr.clone(), action).apply(&mut env);
-        f.svc.dispatch(env)
+        f.svc
+            .dispatch(Outbound::new(f.epr.clone(), action, body).into_envelope())
     }
 
     #[test]

@@ -228,7 +228,8 @@ pub fn group_action(service: &str, op: &str) -> String {
 mod tests {
     use super::*;
     use crate::store::MemoryStore;
-    use wsrf_soap::{Envelope, MessageInfo};
+    use crate::Outbound;
+    use wsrf_soap::Envelope;
 
     fn setup() -> (Arc<Service>, Clock) {
         let clock = Clock::manual();
@@ -245,10 +246,8 @@ mod tests {
     }
 
     fn invoke(svc: &Arc<Service>, op: &str, body: Element) -> Envelope {
-        let mut env = Envelope::new(body);
-        MessageInfo::request(svc.core().service_epr(), group_action("NodeInfo", op))
-            .apply(&mut env);
-        svc.dispatch(env)
+        let to = svc.core().service_epr();
+        svc.dispatch(Outbound::new(to, group_action("NodeInfo", op), body).into_envelope())
     }
 
     fn add_member(svc: &Arc<Service>, addr: &str, util: f64, mhz: u32) -> EndpointReference {
@@ -333,11 +332,12 @@ mod tests {
         let (svc, _clock) = setup();
         let entry = add_member(&svc, "inproc://m1/Proc", 0.25, 2400);
         // Read the entry's content through GetResourceProperty.
-        let mut env =
-            Envelope::new(Element::new(ns::WSRP, "GetResourceProperty").text("Utilization"));
-        MessageInfo::request(entry, crate::porttypes::wsrp_action("GetResourceProperty"))
-            .apply(&mut env);
-        let resp = svc.dispatch(env);
+        let get = Outbound::new(
+            entry,
+            crate::porttypes::wsrp_action("GetResourceProperty"),
+            Element::new(ns::WSRP, "GetResourceProperty").text("Utilization"),
+        );
+        let resp = svc.dispatch(get.into_envelope());
         assert_eq!(resp.body.text_content(), "0.25");
     }
 

@@ -124,18 +124,12 @@ pub fn fetch_description(
     net: &wsrf_transport::InProcNetwork,
     address: &str,
 ) -> Result<ServiceDescription, wsrf_soap::SoapFault> {
-    let mut env = wsrf_soap::Envelope::new(Element::new(DESC_NS, "GetServiceDescription"));
-    wsrf_soap::MessageInfo::request(
+    let resp = crate::proxy::Outbound::new(
         wsrf_soap::EndpointReference::service(address),
         DESCRIBE_ACTION,
+        Element::new(DESC_NS, "GetServiceDescription"),
     )
-    .apply(&mut env);
-    let resp = net
-        .call(address, env)
-        .map_err(|e| wsrf_soap::SoapFault::server(e.to_string()))?;
-    if let Some(f) = resp.fault() {
-        return Err(f);
-    }
+    .call(net)?;
     ServiceDescription::from_element(&resp.body)
         .ok_or_else(|| wsrf_soap::SoapFault::server("malformed ServiceDescription"))
 }

@@ -80,10 +80,13 @@ pub enum EventKind {
     /// error to — was refused by the store, for a reason other than the
     /// resource being gone.
     StoreWriteDropped,
+    /// A one-way message could not be sent (the sender may have had
+    /// nobody to return the transport error to).
+    OutboundFailed,
 }
 
 /// All kinds, counter order.
-pub const EVENT_KINDS: [EventKind; 8] = [
+pub const EVENT_KINDS: [EventKind; 9] = [
     EventKind::DispatchFault,
     EventKind::WalSnapshot,
     EventKind::WalAppendError,
@@ -92,6 +95,7 @@ pub const EVENT_KINDS: [EventKind; 8] = [
     EventKind::JobCompleted,
     EventKind::JobFailed,
     EventKind::StoreWriteDropped,
+    EventKind::OutboundFailed,
 ];
 
 impl EventKind {
@@ -105,6 +109,7 @@ impl EventKind {
             EventKind::JobCompleted => "job_completed",
             EventKind::JobFailed => "job_failed",
             EventKind::StoreWriteDropped => "store_write_dropped",
+            EventKind::OutboundFailed => "outbound_failed",
         }
     }
 

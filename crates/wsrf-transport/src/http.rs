@@ -15,7 +15,7 @@ use crate::endpoint::Endpoint;
 use crate::error::TransportError;
 use crate::obs::LinkObs;
 use crate::pool::{read_sized, release_oversized};
-use crate::serve::{is_timeout, Connection, Listener, READ_TIMEOUT};
+use crate::serve::{is_timeout, Connection, Listener, MAX_MESSAGE, READ_TIMEOUT};
 
 /// Anti-slowloris limits applied to every accepted connection. A
 /// client that trickles headers forever, or sends an unbounded header
@@ -41,11 +41,38 @@ impl Default for HttpLimits {
     }
 }
 
+/// What [`HttpSoapServer::start_with`] can be told. The default is
+/// [`HttpSoapServer::start`]'s server: nothing recorded, no hop spans,
+/// default limits, POST only.
+#[derive(Clone)]
+pub struct HttpConfig {
+    /// Records served traffic (`transport.http.*`); scraped when
+    /// `expose` is set.
+    pub registry: Arc<MetricsRegistry>,
+    /// With a clock, each served request that carries a trace header
+    /// opens a transport hop span (timestamps read from it).
+    pub clock: Option<Clock>,
+    /// Anti-slowloris limits.
+    pub limits: HttpLimits,
+    /// Serve the monitoring-plane GET endpoints.
+    pub expose: bool,
+}
+
+impl Default for HttpConfig {
+    fn default() -> Self {
+        HttpConfig {
+            registry: MetricsRegistry::disabled(),
+            clock: None,
+            limits: HttpLimits::default(),
+            expose: false,
+        }
+    }
+}
+
 /// Monitoring context for the exposition endpoints: the registry to
 /// scrape and the clock health views are evaluated against. A server
-/// constructed without one ([`HttpSoapServer::start`] et al.) keeps the
-/// historical POST-only behaviour — GETs answer 405 and the SOAP path
-/// pays nothing for the feature.
+/// constructed without one keeps the historical POST-only behaviour —
+/// GETs answer 405 and the SOAP path pays nothing for the feature.
 struct Exposition {
     registry: Arc<MetricsRegistry>,
     clock: Clock,
@@ -73,28 +100,9 @@ impl HttpSoapServer {
         Self::start_inner(endpoint, registry, None, HttpLimits::default(), None)
     }
 
-    /// Like [`HttpSoapServer::start`], with explicit anti-slowloris
-    /// [`HttpLimits`].
-    pub fn start_with_limits(
-        endpoint: Arc<dyn Endpoint>,
-        limits: HttpLimits,
-    ) -> std::io::Result<Self> {
-        Self::start_inner(endpoint, &MetricsRegistry::disabled(), None, limits, None)
-    }
-
-    /// Like [`HttpSoapServer::start_with_metrics`], additionally opening
-    /// a transport hop span per served request that carries a trace
-    /// header (timestamps read from `clock`).
-    pub fn start_traced(
-        endpoint: Arc<dyn Endpoint>,
-        registry: &MetricsRegistry,
-        clock: Clock,
-    ) -> std::io::Result<Self> {
-        Self::start_inner(endpoint, registry, Some(clock), HttpLimits::default(), None)
-    }
-
-    /// Like [`HttpSoapServer::start_traced`], additionally serving the
-    /// monitoring-plane GET endpoints from `registry`:
+    /// Start serving `endpoint` as `config` says. With `config.expose`
+    /// the server also answers the monitoring-plane GET endpoints from
+    /// `config.registry` (that needs `config.clock`):
     ///
     /// * `/metrics` — Prometheus text exposition,
     /// * `/metrics.json` — the flat JSON the bench gate parses,
@@ -103,18 +111,28 @@ impl HttpSoapServer {
     ///
     /// Scrapes render through the sink pattern into the worker's reused
     /// wire buffer — no per-metric strings.
-    pub fn start_monitored(
-        endpoint: Arc<dyn Endpoint>,
-        registry: &Arc<MetricsRegistry>,
-        clock: Clock,
-        limits: HttpLimits,
-    ) -> std::io::Result<Self> {
-        let expose = Exposition {
-            registry: registry.clone(),
-            clock: clock.clone(),
-            scrapes: registry.counter("expose.scrapes"),
+    pub fn start_with(endpoint: Arc<dyn Endpoint>, config: HttpConfig) -> std::io::Result<Self> {
+        let HttpConfig {
+            registry,
+            clock,
+            limits,
+            expose,
+        } = config;
+        let expose = match (expose, &clock) {
+            (false, _) => None,
+            (true, Some(clock)) => Some(Exposition {
+                registry: registry.clone(),
+                clock: clock.clone(),
+                scrapes: registry.counter("expose.scrapes"),
+            }),
+            (true, None) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    "HttpConfig::expose needs HttpConfig::clock",
+                ))
+            }
         };
-        Self::start_inner(endpoint, registry, Some(clock), limits, Some(expose))
+        Self::start_inner(endpoint, &registry, clock, limits, expose)
     }
 
     fn start_inner(
@@ -149,9 +167,6 @@ impl HttpSoapServer {
 
 /// Metric and thread-name stem of this transport.
 const KIND: &str = "http";
-
-/// The largest body either side accepts, request or response.
-const MAX_BODY: usize = 64 << 20;
 
 /// Outcome of scanning an HTTP header block for `Content-Length`.
 enum ContentLength {
@@ -523,7 +538,7 @@ impl HttpConn {
                 return refuse(431, "Request Header Fields Too Large", why.into());
             }
         };
-        if len > MAX_BODY {
+        if len > MAX_MESSAGE {
             write_response(&mut writer, head, 413, "Payload Too Large", b"")?;
             linger(stream);
             return Ok(());
@@ -726,9 +741,9 @@ fn read_response_head(reader: &mut impl BufRead) -> Result<(u16, ContentLength),
 /// until the bytes arrive: capped like a request body, and reserved no
 /// faster than it is received.
 fn read_response_body(reader: &mut impl Read, len: usize) -> Result<Vec<u8>, TransportError> {
-    if len > MAX_BODY {
+    if len > MAX_MESSAGE {
         return Err(TransportError::Protocol(format!(
-            "response Content-Length {len} exceeds the {MAX_BODY}-byte cap"
+            "response Content-Length {len} exceeds the {MAX_MESSAGE}-byte cap"
         )));
     }
     let mut body = Vec::new();
@@ -793,7 +808,7 @@ pub fn http_call(authority: &str, path: &str, env: &Envelope) -> Result<Envelope
 
 /// Plain HTTP GET against `authority` (`host:port`): status code and
 /// body. What a scraper (or the grid monitor pulling `/metrics.json`)
-/// runs against [`HttpSoapServer::start_monitored`].
+/// runs against an [`HttpConfig::expose`] server.
 pub fn http_get(authority: &str, path: &str) -> Result<(u16, String), TransportError> {
     let stream = TcpStream::connect(authority)
         .map_err(|e| TransportError::Io(format!("connect {authority}: {e}")))?;
@@ -887,16 +902,20 @@ mod tests {
         (code, String::from_utf8(body).unwrap())
     }
 
+    fn with_limits(limits: HttpLimits) -> HttpSoapServer {
+        let config = HttpConfig {
+            limits,
+            ..HttpConfig::default()
+        };
+        HttpSoapServer::start_with(Arc::new(FnEndpoint::new("echo", Some)), config).unwrap()
+    }
+
     #[test]
     fn idle_slowloris_client_gets_408_soap_fault() {
-        let server = HttpSoapServer::start_with_limits(
-            Arc::new(FnEndpoint::new("echo", Some)),
-            HttpLimits {
-                read_timeout: std::time::Duration::from_millis(100),
-                ..HttpLimits::default()
-            },
-        )
-        .unwrap();
+        let server = with_limits(HttpLimits {
+            read_timeout: std::time::Duration::from_millis(100),
+            ..HttpLimits::default()
+        });
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         // Open the request but never finish the header block.
         stream
@@ -912,14 +931,10 @@ mod tests {
 
     #[test]
     fn header_flood_gets_431_soap_fault() {
-        let server = HttpSoapServer::start_with_limits(
-            Arc::new(FnEndpoint::new("echo", Some)),
-            HttpLimits {
-                max_header_lines: 8,
-                ..HttpLimits::default()
-            },
-        )
-        .unwrap();
+        let server = with_limits(HttpLimits {
+            max_header_lines: 8,
+            ..HttpLimits::default()
+        });
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.write_all(b"POST /svc HTTP/1.1\r\n").unwrap();
         for i in 0..50 {
@@ -936,14 +951,10 @@ mod tests {
 
     #[test]
     fn oversized_header_block_gets_431() {
-        let server = HttpSoapServer::start_with_limits(
-            Arc::new(FnEndpoint::new("echo", Some)),
-            HttpLimits {
-                max_header_bytes: 256,
-                ..HttpLimits::default()
-            },
-        )
-        .unwrap();
+        let server = with_limits(HttpLimits {
+            max_header_bytes: 256,
+            ..HttpLimits::default()
+        });
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.write_all(b"POST /svc HTTP/1.1\r\n").unwrap();
         // One huge header line, no newline in sight.
@@ -956,11 +967,7 @@ mod tests {
 
     #[test]
     fn limits_leave_normal_calls_untouched() {
-        let server = HttpSoapServer::start_with_limits(
-            Arc::new(FnEndpoint::new("echo", Some)),
-            HttpLimits::default(),
-        )
-        .unwrap();
+        let server = with_limits(HttpLimits::default());
         let req = Envelope::new(Element::local("Ping").text("p"));
         let resp = http_call(&server.authority(), "svc", &req).unwrap();
         assert_eq!(resp, req);
@@ -972,13 +979,14 @@ mod tests {
             wsrf_obs::TraceConfig::enabled(),
         );
         let clock = Clock::manual();
-        let server = HttpSoapServer::start_monitored(
-            Arc::new(FnEndpoint::new("echo", Some)),
-            &reg,
-            clock.clone(),
-            HttpLimits::default(),
-        )
-        .unwrap();
+        let config = HttpConfig {
+            registry: reg.clone(),
+            clock: Some(clock.clone()),
+            expose: true,
+            ..HttpConfig::default()
+        };
+        let server =
+            HttpSoapServer::start_with(Arc::new(FnEndpoint::new("echo", Some)), config).unwrap();
         (server, reg, clock)
     }
 
@@ -1417,7 +1425,7 @@ mod tests {
         // The largest body the server admits, claimed; ten bytes sent.
         write!(
             client,
-            "POST /svc HTTP/1.1\r\nContent-Length: {MAX_BODY}\r\n\r\n0123456789"
+            "POST /svc HTTP/1.1\r\nContent-Length: {MAX_MESSAGE}\r\n\r\n0123456789"
         )
         .unwrap();
         drop(client);

@@ -27,6 +27,10 @@ use wsrf_obs::{Counter, MetricsRegistry};
 /// connections are shed rather than given a thread.
 const MAX_WORKERS: usize = 256;
 
+/// The largest message either socket transport accepts — a framed
+/// payload, an HTTP request body, an HTTP response body.
+pub(crate) const MAX_MESSAGE: usize = 64 << 20;
+
 /// Socket read timeout both transports give an accepted connection
 /// unless told otherwise: a peer that stalls mid-message is dropped
 /// instead of pinning its worker forever.

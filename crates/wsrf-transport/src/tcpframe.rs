@@ -21,7 +21,7 @@ use crate::endpoint::Endpoint;
 use crate::error::TransportError;
 use crate::obs::LinkObs;
 use crate::pool::{read_sized, release_oversized, BufPool};
-use crate::serve::{is_timeout, Connection, Listener, READ_TIMEOUT};
+use crate::serve::{is_timeout, Connection, Listener, MAX_MESSAGE, READ_TIMEOUT};
 
 const MAGIC: &[u8; 4] = b"WSE1";
 /// Frame is a request expecting a response frame.
@@ -32,8 +32,6 @@ const FLAG_ONEWAY: u8 = 1;
 const FLAG_RESPONSE: u8 = 2;
 /// Response frame indicating the endpoint produced no response.
 const FLAG_EMPTY: u8 = 3;
-
-const MAX_FRAME: usize = 256 << 20;
 
 fn write_frame(w: &mut impl Write, flags: u8, payload: &[u8]) -> std::io::Result<()> {
     let mut head = [0u8; 9];
@@ -89,7 +87,7 @@ fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<u8, Trans
     }
     let flags = head[4];
     let len = u32::from_be_bytes(head[5..9].try_into().expect("4-byte slice")) as usize;
-    if len > MAX_FRAME {
+    if len > MAX_MESSAGE {
         return Err(TransportError::Protocol(format!("frame too large: {len}")));
     }
     read_sized(r, len, payload).map_err(|e| TransportError::Io(format!("read frame body: {e}")))?;
@@ -435,11 +433,17 @@ mod tests {
         let mut head = Vec::new();
         head.extend_from_slice(MAGIC);
         head.push(FLAG_CALL);
-        head.extend_from_slice(&(MAX_FRAME as u32).to_be_bytes());
+        head.extend_from_slice(&(MAX_MESSAGE as u32).to_be_bytes());
         let mut buf = Vec::new();
         let err = read_frame_into(&mut head.as_slice(), &mut buf).unwrap_err();
         assert!(matches!(err, TransportError::Io(_)), "{err:?}");
         assert!(buf.capacity() <= FIRST_RESERVE, "{}", buf.capacity());
+        // One byte past the cap — the same cap HTTP bodies have — is
+        // refused on the header alone.
+        head.truncate(5);
+        head.extend_from_slice(&(MAX_MESSAGE as u32 + 1).to_be_bytes());
+        let err = read_frame_into(&mut head.as_slice(), &mut buf).unwrap_err();
+        assert!(matches!(err, TransportError::Protocol(_)), "{err:?}");
 
         // A frame longer than the first reservation still arrives whole,
         // into a buffer that held a shorter frame before.

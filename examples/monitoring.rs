@@ -12,35 +12,21 @@ use std::time::Duration;
 
 use wsrf_grid::notification::{broker, NotificationListener, TopicExpression};
 use wsrf_grid::prelude::*;
-use wsrf_grid::soap::{ns, MessageInfo};
-use wsrf_grid::wsrf::porttypes::{wsrp_action, XPATH_DIALECT};
-use wsrf_grid::wsrf::ResourceProxy;
+use wsrf_grid::soap::ns;
+use wsrf_grid::wsrf::{Outbound, ResourceProxy};
 use wsrf_grid::xml::Element as El;
 
 fn get_property(grid: &CampusGrid, epr: &EndpointReference, name: &str) -> String {
-    let mut env = Envelope::new(El::new(ns::WSRP, "GetResourceProperty").text(name));
-    MessageInfo::request(epr.clone(), wsrp_action("GetResourceProperty")).apply(&mut env);
-    grid.net
-        .call(&epr.address, env)
+    ResourceProxy::new(&grid.net, epr.clone())
+        .get_text(name)
         .expect("call")
-        .body
-        .text_content()
 }
 
 fn query(grid: &CampusGrid, epr: &EndpointReference, xpath: &str) -> String {
-    let mut env = Envelope::new(
-        El::new(ns::WSRP, "QueryResourceProperties").child(
-            El::new(ns::WSRP, "QueryExpression")
-                .attr("Dialect", XPATH_DIALECT)
-                .text(xpath),
-        ),
-    );
-    MessageInfo::request(epr.clone(), wsrp_action("QueryResourceProperties")).apply(&mut env);
-    grid.net
-        .call(&epr.address, env)
-        .expect("call")
-        .body
-        .text_content()
+    let hits = ResourceProxy::new(&grid.net, epr.clone())
+        .query(xpath)
+        .expect("call");
+    hits.iter().map(El::text_content).collect()
 }
 
 fn main() {
@@ -97,13 +83,13 @@ fn main() {
 
     println!("\n== a processor entry in the Node Info group ==");
     let nis = EndpointReference::service(&grid.nis_address);
-    let mut env = Envelope::new(El::new(ns::WSSG, "Entries"));
-    MessageInfo::request(
-        nis.clone(),
+    let resp = Outbound::new(
+        nis,
         wsrf_grid::wsrf::servicegroup::group_action("NodeInfo", "Entries"),
+        El::new(ns::WSSG, "Entries"),
     )
-    .apply(&mut env);
-    let resp = grid.net.call(&nis.address, env).unwrap();
+    .call(&grid.net)
+    .unwrap();
     let entry =
         EndpointReference::from_element(resp.body.elements().next().expect("entry")).unwrap();
     for p in ["Machine", "CpuMhz", "Utilization"] {

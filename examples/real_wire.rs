@@ -11,12 +11,12 @@
 use std::sync::Arc;
 
 use wsrf_grid::prelude::*;
-use wsrf_grid::soap::{ns, MessageInfo};
+use wsrf_grid::soap::ns;
 use wsrf_grid::transport::http::{http_call, HttpSoapServer};
 use wsrf_grid::transport::tcpframe::{FramedClient, FramedServer};
 use wsrf_grid::wsrf::container::ServiceBuilder;
 use wsrf_grid::wsrf::porttypes::{wsrp_action, XPATH_DIALECT};
-use wsrf_grid::wsrf::{MemoryStore, PropertyDoc};
+use wsrf_grid::wsrf::{MemoryStore, Outbound, PropertyDoc};
 use wsrf_grid::xml::{Element as El, QName};
 
 fn main() {
@@ -50,10 +50,13 @@ fn main() {
 
     // A foreign client knows only WS-ResourceProperties.
     let get = |prop: &str| {
-        let mut env = Envelope::new(El::new(ns::WSRP, "GetResourceProperty").text(prop));
-        MessageInfo::request(epr_template.clone(), wsrp_action("GetResourceProperty"))
-            .apply(&mut env);
-        env
+        let body = El::new(ns::WSRP, "GetResourceProperty").text(prop);
+        Outbound::new(
+            epr_template.clone(),
+            wsrp_action("GetResourceProperty"),
+            body,
+        )
+        .into_envelope()
     };
 
     println!("\nover HTTP:");
@@ -70,14 +73,13 @@ fn main() {
     }
 
     // XPath query over the wire.
-    let mut env = Envelope::new(
-        El::new(ns::WSRP, "QueryResourceProperties").child(
-            El::new(ns::WSRP, "QueryExpression")
-                .attr("Dialect", XPATH_DIALECT)
-                .text("/ResourcePropertyDocument[Target='M31']/Magnitude"),
-        ),
+    let query = El::new(ns::WSRP, "QueryResourceProperties").child(
+        El::new(ns::WSRP, "QueryExpression")
+            .attr("Dialect", XPATH_DIALECT)
+            .text("/ResourcePropertyDocument[Target='M31']/Magnitude"),
     );
-    MessageInfo::request(epr_template, wsrp_action("QueryResourceProperties")).apply(&mut env);
+    let env =
+        Outbound::new(epr_template, wsrp_action("QueryResourceProperties"), query).into_envelope();
     let resp = client.call(&env).expect("query");
     println!(
         "\nXPath [Target='M31']/Magnitude = {}",
@@ -85,12 +87,12 @@ fn main() {
     );
 
     // And self-description, the WSDL analogue.
-    let mut env = Envelope::new(El::local("GetServiceDescription"));
-    MessageInfo::request(
+    let env = Outbound::new(
         EndpointReference::service("inproc://observatory/Telescope"),
         wsrf_grid::wsrf::wsdl::DESCRIBE_ACTION,
+        El::local("GetServiceDescription"),
     )
-    .apply(&mut env);
+    .into_envelope();
     let resp = http_call(&http.authority(), "Telescope", &env).expect("describe");
     let desc = wsrf_grid::wsrf::wsdl::ServiceDescription::from_element(&resp.body).unwrap();
     println!(

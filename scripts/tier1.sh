@@ -49,6 +49,30 @@ if [ "$accountings" -ne 1 ]; then
     exit 1
 fi
 
+# One path out: every outbound exchange is assembled, routed and failed
+# by `wsrf_core::proxy::Outbound`. Outside tests nothing else addresses
+# a request, maps a transport error onto a fault, or throws a one-way's
+# result away before it has left an event.
+outbound_src="crates/uvacg/src crates/ws-notification/src crates/wsrf-core/src"
+for f in $(find $outbound_src -name '*.rs'); do
+    if [ "$f" != crates/wsrf-core/src/proxy.rs ] &&
+        sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'MessageInfo::request('; then
+        echo "tier-1: $f addresses a request by hand; build it with Outbound" >&2
+        exit 1
+    fi
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'let _ = .*send_oneway('; then
+        echo "tier-1: $f drops a one-way's result unseen; send it with Outbound::send" >&2
+        exit 1
+    fi
+done
+mappings=$(for f in $(find $outbound_src -name '*.rs'); do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | tr -d ' \n' | grep -o '\.call([^;]*)\.map_err(|e|[a-z_:]*SoapFault::server(e\.to_string()))' || true
+done | wc -l)
+if [ "$mappings" -ne 1 ]; then
+    echo "tier-1: a transport error becomes a fault in $mappings places; keep the one in Outbound::call" >&2
+    exit 1
+fi
+
 echo "== cargo build --release --offline --locked (benchmark/)"
 # The performance ledger is a detached package pinned to this
 # workspace's public API (benchmark/src/sut.rs:1-27) and its own

@@ -49,17 +49,9 @@ fn evt(topic: &str) -> NotificationMessage {
 }
 
 fn destroy(net: &InProcNetwork, sub: &EndpointReference) {
-    let mut env = Envelope::new(Element::new(
-        "http://docs.oasis-open.org/wsrf/2004/06/wsrf-WS-ResourceLifetime-1.2-draft-01.xsd",
-        "Destroy",
-    ));
-    wsrf_grid::soap::MessageInfo::request(
-        sub.clone(),
-        wsrf_grid::wsrf::porttypes::wsrl_action("Destroy"),
-    )
-    .apply(&mut env);
-    let resp = net.call(&sub.address, env).unwrap();
-    assert!(!resp.is_fault(), "Destroy must ack cleanly");
+    wsrf_grid::wsrf::ResourceProxy::new(net, sub.clone())
+        .destroy()
+        .expect("Destroy must ack cleanly");
 }
 
 /// Subscriptions destroyed while publisher threads hammer the broker:

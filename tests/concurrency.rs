@@ -6,11 +6,12 @@
 use std::sync::Arc;
 
 use wsrf_grid::prelude::*;
-use wsrf_grid::soap::{ns, MessageInfo};
+use wsrf_grid::soap::ns;
 use wsrf_grid::wsrf::container::{action_uri, Service, ServiceBuilder};
 use wsrf_grid::wsrf::porttypes::{wsrl_action, wsrp_action};
 use wsrf_grid::wsrf::properties::PropertyDoc;
 use wsrf_grid::wsrf::store::{MemoryStore, ResourceStore};
+use wsrf_grid::wsrf::Outbound;
 use wsrf_grid::xml::QName;
 
 fn q(local: &str) -> QName {
@@ -18,9 +19,7 @@ fn q(local: &str) -> QName {
 }
 
 fn call(svc: &Arc<Service>, to: EndpointReference, action: &str, body: Element) -> Envelope {
-    let mut env = Envelope::new(body);
-    MessageInfo::request(to, action).apply(&mut env);
-    svc.dispatch(env)
+    svc.dispatch(Outbound::new(to, action, body).into_envelope())
 }
 
 /// A counter service whose `Bump` op widens the load→save race window

@@ -159,17 +159,13 @@ fn proxies_work_against_every_resource_kind_on_the_grid() {
     assert_eq!(set.document().unwrap().get_local("JobStatus").len(), 1);
 
     // Processor entry resource (via the NIS group).
-    let entries = {
-        use wsrf_grid::soap::{Envelope, MessageInfo};
-        use wsrf_grid::xml::Element as El;
-        let mut env = Envelope::new(El::new(wsrf_grid::soap::ns::WSSG, "Entries"));
-        MessageInfo::request(
-            EndpointReference::service(&grid.nis_address),
-            wsrf_grid::wsrf::servicegroup::group_action("NodeInfo", "Entries"),
-        )
-        .apply(&mut env);
-        grid.net.call(&grid.nis_address, env).unwrap()
-    };
+    let entries = wsrf_grid::wsrf::Outbound::new(
+        EndpointReference::service(&grid.nis_address),
+        wsrf_grid::wsrf::servicegroup::group_action("NodeInfo", "Entries"),
+        wsrf_grid::xml::Element::new(wsrf_grid::soap::ns::WSSG, "Entries"),
+    )
+    .call(&grid.net)
+    .unwrap();
     let entry_epr =
         EndpointReference::from_element(entries.body.elements().next().unwrap()).unwrap();
     let entry = wsrf_grid::wsrf::ResourceProxy::new(&grid.net, entry_epr);

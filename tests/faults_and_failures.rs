@@ -204,25 +204,14 @@ fn job_set_resource_records_the_fault() {
     grid.clock.advance(Duration::from_secs(5));
     assert_eq!(handle.status().unwrap(), "Failed");
     // The Fault resource property is queryable via XPath.
-    use wsrf_grid::soap::{Envelope, MessageInfo};
-    use wsrf_grid::xml::Element as El;
-    let mut env = Envelope::new(
-        El::new(wsrf_grid::soap::ns::WSRP, "QueryResourceProperties").child(
-            El::new(wsrf_grid::soap::ns::WSRP, "QueryExpression")
-                .attr("Dialect", wsrf_grid::wsrf::porttypes::XPATH_DIALECT)
-                .text("//Fault//ErrorCode"),
-        ),
-    );
-    MessageInfo::request(
-        handle.jobset.clone(),
-        wsrf_grid::wsrf::porttypes::wsrp_action("QueryResourceProperties"),
-    )
-    .apply(&mut env);
-    let resp = grid.net.call(&handle.jobset.address, env).unwrap();
+    let codes = wsrf_grid::wsrf::ResourceProxy::new(&grid.net, handle.jobset.clone())
+        .query("//Fault//ErrorCode")
+        .unwrap();
     assert!(
-        resp.body.text_content().contains("uvacg:JobSetFailed"),
-        "{}",
-        resp.body.to_pretty_xml()
+        codes
+            .iter()
+            .any(|c| c.text_content().contains("uvacg:JobSetFailed")),
+        "{codes:?}"
     );
 }
 
@@ -281,7 +270,6 @@ fn missing_client_fileserver_reference_is_reported() {
 fn lost_upload_notification_leaves_job_staging() {
     // White-box: deliver an UploadComplete for a job that never asked
     // for one — the ES must fault, not spawn.
-    use wsrf_grid::soap::{Envelope, MessageInfo};
     use wsrf_grid::testbed::UVACG;
     use wsrf_grid::xml::Element as El;
     let grid = grid();
@@ -291,19 +279,16 @@ fn lost_upload_notification_leaves_job_staging() {
         wsrf_grid::testbed::es::job_key_property(),
         "execution-99",
     );
-    let mut env = Envelope::new(El::new(UVACG, "UploadComplete").attr("uploaded", "1"));
-    MessageInfo::request(
+    let fault = wsrf_grid::wsrf::Outbound::new(
         ghost,
         wsrf_grid::wsrf::container::action_uri("Execution", "UploadComplete"),
+        El::new(UVACG, "UploadComplete").attr("uploaded", "1"),
     )
-    .apply(&mut env);
-    let resp = grid.net.call(es_addr, env).unwrap();
+    .call(&grid.net)
+    .unwrap_err();
     // The resource does not exist at all, so the container's standard
     // NoSuchResource fault fires before the ES's own check.
-    assert_eq!(
-        resp.fault().unwrap().error_code(),
-        Some("wsrf:NoSuchResource")
-    );
+    assert_eq!(fault.error_code(), Some("wsrf:NoSuchResource"));
 }
 
 #[test]

@@ -14,7 +14,7 @@ use std::time::Duration;
 use wsrf_grid::obs;
 use wsrf_grid::prelude::*;
 use wsrf_grid::testbed::monitor::parse_flat_metrics;
-use wsrf_grid::transport::http::{http_get, HttpLimits, HttpSoapServer};
+use wsrf_grid::transport::http::{http_get, HttpConfig, HttpSoapServer};
 use wsrf_grid::transport::FnEndpoint;
 use wsrf_grid::wsrf::proxy::ResourceProxy;
 
@@ -79,13 +79,14 @@ fn run_doomed(grid: &CampusGrid, client_id: &str) -> JobSetHandle {
 /// A monitored HTTP server exposing `grid`'s registry (the SOAP
 /// endpoint is a stub — only the GET surface is under test).
 fn expose(grid: &CampusGrid) -> HttpSoapServer {
-    HttpSoapServer::start_monitored(
-        Arc::new(FnEndpoint::new("echo", Some)),
-        &grid.metrics,
-        grid.clock.clone(),
-        HttpLimits::default(),
-    )
-    .expect("bind exposition server")
+    let config = HttpConfig {
+        registry: grid.metrics.clone(),
+        clock: Some(grid.clock.clone()),
+        expose: true,
+        ..HttpConfig::default()
+    };
+    HttpSoapServer::start_with(Arc::new(FnEndpoint::new("echo", Some)), config)
+        .expect("bind exposition server")
 }
 
 #[test]

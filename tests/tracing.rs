@@ -11,10 +11,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use wsrf_grid::prelude::*;
-use wsrf_grid::soap::{ns, MessageInfo};
-use wsrf_grid::transport::http::{http_call, HttpSoapServer};
+use wsrf_grid::soap::ns;
+use wsrf_grid::transport::http::{http_call, HttpConfig, HttpSoapServer};
 use wsrf_grid::wsrf::container::ServiceBuilder;
 use wsrf_grid::wsrf::porttypes::wsrp_action;
+use wsrf_grid::wsrf::Outbound;
 use wsrf_grid::wsrf::{MemoryStore, PropertyDoc};
 use wsrf_grid::xml::{Element as El, QName};
 
@@ -64,11 +65,11 @@ fn run_walkthrough(grid: &CampusGrid) -> JobSetHandle {
 }
 
 fn get_property(grid: &CampusGrid, epr: &EndpointReference, name: &str) -> El {
-    let mut env = Envelope::new(El::new(ns::WSRP, "GetResourceProperty").text(name));
-    MessageInfo::request(epr.clone(), wsrp_action("GetResourceProperty")).apply(&mut env);
-    let resp = grid.net.call(&epr.address, env).expect("call");
-    assert!(!resp.is_fault(), "{:?}", resp.fault());
-    resp.body
+    let body = El::new(ns::WSRP, "GetResourceProperty").text(name);
+    Outbound::new(epr.clone(), wsrp_action("GetResourceProperty"), body)
+        .call(&grid.net)
+        .expect("call")
+        .body
 }
 
 fn trace_id_of(grid: &CampusGrid, handle: &JobSetHandle) -> u64 {
@@ -218,18 +219,27 @@ fn trace_propagates_over_real_http_transport() {
     let mut doc = PropertyDoc::new();
     doc.set_i64(QName::new(wsrf_grid::testbed::UVACG, "Count"), 0);
     let epr = svc.core().create_resource_with_key("c1", doc).unwrap();
-    let server = HttpSoapServer::start_traced(svc.clone(), &registry, clock.clone()).unwrap();
+    let config = HttpConfig {
+        registry: registry.clone(),
+        clock: Some(clock.clone()),
+        ..HttpConfig::default()
+    };
+    let server = HttpSoapServer::start_with(svc.clone(), config).unwrap();
 
     let tracer = registry.tracer().clone();
     let mut root = tracer.start_root("client.bump", "Client", &clock);
     let ctx = root.context();
-    let mut env = Envelope::new(El::new(wsrf_grid::testbed::UVACG, "Bump"));
-    MessageInfo::request(
+    let env = Outbound::new(
         epr,
         wsrf_grid::wsrf::container::action_uri("Counter", "Bump"),
+        El::new(wsrf_grid::testbed::UVACG, "Bump"),
     )
-    .apply(&mut env);
-    TraceContext::new(ctx.trace_id, ctx.span_id, ctx.sampled).stamp(&mut env);
+    .trace(Some(&TraceContext::new(
+        ctx.trace_id,
+        ctx.span_id,
+        ctx.sampled,
+    )))
+    .into_envelope();
     let resp = http_call(&server.authority(), "Counter", &env).unwrap();
     assert!(!resp.is_fault(), "{:?}", resp.fault());
     root.annotate("transport", "http");

@@ -7,11 +7,12 @@
 use std::sync::Arc;
 
 use wsrf_grid::prelude::*;
-use wsrf_grid::soap::{ns, MessageInfo};
+use wsrf_grid::soap::ns;
 use wsrf_grid::transport::http::{http_call, http_post, HttpSoapServer};
 use wsrf_grid::transport::tcpframe::{FramedClient, FramedServer};
 use wsrf_grid::wsrf::container::ServiceBuilder;
 use wsrf_grid::wsrf::porttypes::wsrp_action;
+use wsrf_grid::wsrf::Outbound;
 use wsrf_grid::wsrf::{MemoryStore, PropertyDoc};
 use wsrf_grid::xml::{base64, Element as El, QName};
 
@@ -40,13 +41,16 @@ fn counter_service() -> Arc<wsrf_grid::wsrf::Service> {
 
 fn bump_request(svc: &wsrf_grid::wsrf::Service) -> Envelope {
     let epr = svc.core().epr_for("c1");
-    let mut env = Envelope::new(El::new(wsrf_grid::testbed::UVACG, "Bump"));
-    MessageInfo::request(
+    bump(epr)
+}
+
+fn bump(epr: EndpointReference) -> Envelope {
+    Outbound::new(
         epr,
         wsrf_grid::wsrf::container::action_uri("Counter", "Bump"),
+        El::new(wsrf_grid::testbed::UVACG, "Bump"),
     )
-    .apply(&mut env);
-    env
+    .into_envelope()
 }
 
 #[test]
@@ -60,8 +64,8 @@ fn wsrf_dispatch_over_real_http() {
     }
     // Standard port types work over the wire too.
     let epr = svc.core().epr_for("c1");
-    let mut env = Envelope::new(El::new(ns::WSRP, "GetResourceProperty").text("Count"));
-    MessageInfo::request(epr, wsrp_action("GetResourceProperty")).apply(&mut env);
+    let body = El::new(ns::WSRP, "GetResourceProperty").text("Count");
+    let env = Outbound::new(epr, wsrp_action("GetResourceProperty"), body).into_envelope();
     let resp = http_call(&server.authority(), "Counter", &env).unwrap();
     assert_eq!(resp.body.text_content(), "5");
 }
@@ -72,12 +76,7 @@ fn wsrf_fault_crosses_http_as_500_with_detail() {
     let server = HttpSoapServer::start(svc.clone()).unwrap();
     // Bad key -> NoSuchResource fault.
     let ghost = svc.core().epr_for("ghost");
-    let mut env = Envelope::new(El::new(wsrf_grid::testbed::UVACG, "Bump"));
-    MessageInfo::request(
-        ghost,
-        wsrf_grid::wsrf::container::action_uri("Counter", "Bump"),
-    )
-    .apply(&mut env);
+    let env = bump(ghost);
     let resp = http_call(&server.authority(), "Counter", &env).unwrap();
     let fault = resp.fault().unwrap();
     assert_eq!(fault.error_code(), Some("wsrf:NoSuchResource"));

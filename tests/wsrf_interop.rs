@@ -8,8 +8,9 @@
 use std::time::Duration;
 
 use wsrf_grid::prelude::*;
-use wsrf_grid::soap::{ns, MessageInfo};
+use wsrf_grid::soap::ns;
 use wsrf_grid::wsrf::porttypes::{wsrl_action, wsrp_action, XPATH_DIALECT};
+use wsrf_grid::wsrf::Outbound;
 use wsrf_grid::xml::Element as El;
 
 fn grid() -> CampusGrid {
@@ -29,8 +30,8 @@ fn start_one_job(grid: &CampusGrid, cpu: f64) -> (Client, JobSetHandle) {
 }
 
 fn call(grid: &CampusGrid, to: &EndpointReference, action: String, body: El) -> Envelope {
-    let mut env = Envelope::new(body);
-    MessageInfo::request(to.clone(), action).apply(&mut env);
+    // Raw: the suite reads fault envelopes as well as answers.
+    let env = Outbound::new(to.clone(), action, body).into_envelope();
     grid.net.call(&to.address, env).unwrap()
 }
 
