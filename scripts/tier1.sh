@@ -73,6 +73,28 @@ if [ "$mappings" -ne 1 ]; then
     exit 1
 fi
 
+# One job-set state machine: the primary and the standby keep the same
+# `RunState`, changed only by the pure transitions in
+# `scheduler/run.rs`, which decode a job event in exactly one place and
+# reach no network, container or broker.
+if grep -rn 'struct Shadow' crates/uvacg/src; then
+    echo "tier-1: a second job-set table is back; the standby keeps RunState" >&2
+    exit 1
+fi
+run_rs=crates/uvacg/src/scheduler/run.rs
+if [ ! -f "$run_rs" ] ||
+    grep -nE 'InProcNetwork|ServiceCore|broker::|es::run|Outbound' "$run_rs"; then
+    echo "tier-1: $run_rs is missing or does I/O; keep the job-set transitions pure" >&2
+    exit 1
+fi
+exit_arms=$(for f in $(find crates/uvacg/src/scheduler -name '*.rs' 2>/dev/null); do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -c '"exit" =>' || true
+done | awk '{ n += $1 } END { print n + 0 }')
+if [ "$exit_arms" -ne 1 ]; then
+    echo "tier-1: a job's exit event is decoded in $exit_arms places under scheduler/; keep JobEvent's one" >&2
+    exit 1
+fi
+
 echo "== cargo build --release --offline --locked (benchmark/)"
 # The performance ledger is a detached package pinned to this
 # workspace's public API (benchmark/src/sut.rs:1-27) and its own

@@ -16,6 +16,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use grid_node::JobProgram;
+use wsrf_grid::notification::broker;
+use wsrf_grid::notification::consumer::NotificationListener;
+use wsrf_grid::notification::topics::TopicExpression;
 use wsrf_grid::prelude::*;
 use wsrf_grid::testbed::grid::SCHEDULER_ADDRESS;
 
@@ -60,13 +63,19 @@ fn pipeline_spec(client: &Client) -> JobSetSpec {
         )
 }
 
+/// A two-machine replicating grid, with the campus PKI if `secure`.
+fn replicating_grid(secure: bool) -> CampusGrid {
+    let config = GridConfig::with_machines(2).with_replication();
+    let config = if secure { config.secure() } else { config };
+    CampusGrid::build(config, Clock::manual())
+}
+
 /// Run the whole kill-promote-recover cycle for one kill point and
-/// return the client handle plus the promoted scheduler.
-fn run_kill_point(kill_step: u8) -> (CampusGrid, JobSetHandle, Scheduler) {
-    let grid = CampusGrid::build(
-        GridConfig::with_machines(2).with_replication(),
-        Clock::manual(),
-    );
+/// return the client handle plus the promoted scheduler. On a `secure`
+/// grid the credentials reach the standby encrypted, and a re-issued
+/// dispatch re-encrypts them to the chosen machine.
+fn run_kill_point(kill_step: u8, secure: bool) -> (CampusGrid, JobSetHandle, Scheduler) {
+    let grid = replicating_grid(secure);
     let standby = grid.spawn_standby(None);
     let client = grid.client("chaos-client");
     let spec = pipeline_spec(&client);
@@ -152,9 +161,12 @@ fn assert_exactly_once(handle: &JobSetHandle, kill_step: u8) {
 /// protocol step whose recovery broke.
 macro_rules! kill_point_test {
     ($name:ident, $step:expr) => {
+        kill_point_test!($name, $step, false);
+    };
+    ($name:ident, $step:expr, $secure:expr) => {
         #[test]
         fn $name() {
-            let (_grid, handle, promoted) = run_kill_point($step);
+            let (_grid, handle, promoted) = run_kill_point($step, $secure);
             assert_exactly_once(&handle, $step);
             // The promoted scheduler owns the terminal state.
             let states = promoted
@@ -178,6 +190,49 @@ kill_point_test!(kill_after_step_07_upload_complete, 7);
 kill_point_test!(kill_after_step_08_spawn, 8);
 kill_point_test!(kill_after_step_09_epr_broadcast, 9);
 kill_point_test!(kill_after_step_10_exit_broadcast, 10);
+// On a secure grid: the uncertain dispatch of step 2 is re-issued with
+// credentials the standby decrypted, and step 10 adopts a witnessed exit.
+kill_point_test!(secure_kill_after_step_02_nis_poll, 2, true);
+kill_point_test!(secure_kill_after_step_10_exit_broadcast, 10, true);
+
+/// On a secure grid the replication stream carries the credentials
+/// encrypted to the scheduler: any subscriber of `schedrepl//` sees the
+/// submission, never the password.
+#[test]
+fn replicated_credentials_never_travel_in_clear() {
+    let grid = replicating_grid(true);
+    let standby = grid.spawn_standby(None);
+    let spy = NotificationListener::register(&grid.net, "inproc://spy/Listener");
+    broker::subscribe(
+        &grid.net,
+        &grid.broker,
+        &spy.epr(),
+        &TopicExpression::full("schedrepl//"),
+        None,
+    )
+    .unwrap();
+    let client = grid.client("c");
+    let spec = pipeline_spec(&client);
+    let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
+    grid.clock.advance(Duration::from_secs(30));
+    assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
+    assert_eq!(
+        standby.shadow_count(),
+        1,
+        "the standby decoded the submission"
+    );
+
+    let seen = spy.received();
+    assert!(
+        seen.iter()
+            .any(|m| m.topic.to_string().ends_with("/submit")),
+        "the spy saw the replicated submission"
+    );
+    for m in &seen {
+        let dump = format!("{:?}", m.payload);
+        assert!(!dump.contains("gridpass"), "{}: {dump}", m.topic);
+    }
+}
 
 /// The crashed primary reports itself crashed and leaves the network:
 /// probes to its endpoints become undeliverable instead of reaching a
