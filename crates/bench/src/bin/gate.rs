@@ -13,7 +13,9 @@
 //!   compared here: wall-clock regressions are judged per PR by the
 //!   `benchmark/` ledger (see `BENCHMARK.json`),
 //! * a counter or histogram present in the baseline but missing from
-//!   the fresh run is always a failure (instrumentation was dropped).
+//!   the fresh run is always a failure (instrumentation was dropped),
+//! * so is a line of either file that `MetricsSnapshot::from_json`
+//!   cannot read; the failure names the line.
 //!
 //! ```text
 //! cargo run -p bench --bin gate                  # compare
@@ -26,58 +28,9 @@
 //! sibling binary) so the baseline is regenerated in place from the
 //! current tree in one step.
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-#[derive(Debug, Clone, PartialEq)]
-enum Metric {
-    Counter(f64),
-    Gauge,
-    Histogram { count: f64, mean: f64 },
-}
-
-/// Pull the numeric value following `"key":` out of a JSON object
-/// fragment. The snapshot writer emits one flat object per line, so a
-/// linear scan is all the parsing this needs.
-fn field(body: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\":");
-    let at = body.find(&tag)? + tag.len();
-    let rest = body[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parse the flat one-metric-per-line JSON written by
-/// `MetricsSnapshot::to_json` into name → metric.
-fn parse(contents: &str) -> BTreeMap<String, Metric> {
-    let mut out = BTreeMap::new();
-    for line in contents.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else {
-            continue;
-        };
-        let Some((name, body)) = rest.split_once("\":") else {
-            continue;
-        };
-        let metric = if body.contains("\"counter\"") {
-            match field(body, "value") {
-                Some(v) => Metric::Counter(v),
-                None => continue,
-            }
-        } else if body.contains("\"histogram\"") {
-            match (field(body, "count"), field(body, "mean")) {
-                (Some(count), Some(mean)) => Metric::Histogram { count, mean },
-                _ => continue,
-            }
-        } else {
-            Metric::Gauge
-        };
-        out.insert(name.to_string(), metric);
-    }
-    out
-}
+use wsrf_obs::{MetricValue, MetricsSnapshot};
 
 /// Allowed relative drift of a counter or a virtual-time histogram.
 const TOLERANCE: f64 = 0.10;
@@ -168,14 +121,41 @@ fn main() -> ExitCode {
         }
     };
 
-    let fresh = parse(&fresh_raw);
-    let base = parse(&base_raw);
+    match compare(&fresh_raw, &base_raw) {
+        Ok(checked) => {
+            println!(
+                "gate: OK — {checked} metrics within ±{:.0}% of {base_path}",
+                TOLERANCE * 100.0
+            );
+            ExitCode::SUCCESS
+        }
+        Err(failures) => {
+            eprintln!("gate: {} failure(s) vs {base_path}:", failures.len());
+            for f in &failures {
+                eprintln!("  - {f}");
+            }
+            eprintln!("(refresh intentionally changed baselines with `gate --write-baseline`)");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Parse both dumps and hold every pinned metric of `base` against
+/// `fresh`: `Ok(n)` when all `n` checked metrics hold, else every
+/// failure. A line either file cannot parse is a failure naming that
+/// line — it would otherwise unpin its metric silently.
+fn compare(fresh: &str, base: &str) -> Result<usize, Vec<String>> {
+    let parse = |which: &str, text: &str| {
+        MetricsSnapshot::from_json(text).map_err(|e| vec![format!("{which}: {e}")])
+    };
+    let fresh = parse("fresh run", fresh)?;
+    let base = parse("baseline", base)?;
 
     let mut failures = Vec::new();
     let mut checked = 0usize;
-    for (name, b) in &base {
-        let Some(f) = fresh.get(name) else {
-            if !matches!(b, Metric::Gauge) {
+    for (name, b) in &base.entries {
+        let Some((_, f)) = fresh.entries.iter().find(|(n, _)| n == name) else {
+            if !matches!(b, MetricValue::Gauge(_)) {
                 failures.push(format!(
                     "{name}: present in baseline, missing from fresh run"
                 ));
@@ -183,27 +163,19 @@ fn main() -> ExitCode {
             continue;
         };
         match (b, f) {
-            (Metric::Counter(bv), Metric::Counter(fv)) => {
+            (MetricValue::Counter(bv), MetricValue::Counter(fv)) => {
                 checked += 1;
-                if rel(*fv, *bv) > TOLERANCE {
+                if rel(*fv as f64, *bv as f64) > TOLERANCE {
                     failures.push(format!(
                         "{name}: counter {fv} vs baseline {bv} (> {:.0}% drift)",
                         TOLERANCE * 100.0
                     ));
                 }
             }
-            (
-                Metric::Histogram {
-                    count: bc,
-                    mean: bm,
-                },
-                Metric::Histogram {
-                    count: fc,
-                    mean: fm,
-                },
-            ) if is_virtual(name) => {
+            (MetricValue::Histogram(bh), MetricValue::Histogram(fh)) if is_virtual(name) => {
                 checked += 1;
-                if rel(*fc, *bc) > TOLERANCE || rel(*fm, *bm) > TOLERANCE {
+                let (bc, bm, fc, fm) = (bh.count as f64, bh.mean(), fh.count as f64, fh.mean());
+                if rel(fc, bc) > TOLERANCE || rel(fm, bm) > TOLERANCE {
                     failures.push(format!(
                         "{name}: virtual histogram count {fc}/mean {fm:.0} vs baseline \
                          count {bc}/mean {bm:.0} (> {:.0}% drift)",
@@ -214,19 +186,42 @@ fn main() -> ExitCode {
             _ => {} // gauges and real-time histograms are informational
         }
     }
-
     if failures.is_empty() {
-        println!(
-            "gate: OK — {checked} metrics within ±{:.0}% of {base_path}",
-            TOLERANCE * 100.0
-        );
-        ExitCode::SUCCESS
+        Ok(checked)
     } else {
-        eprintln!("gate: {} regression(s) vs {base_path}:", failures.len());
-        for f in &failures {
-            eprintln!("  - {f}");
+        Err(failures)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASE: &str = "{\n  \"a.count\": {\"type\": \"counter\", \"value\": 10},\n  \"x.virt_ns\": {\"type\": \"histogram\", \"count\": 4, \"sum\": 400, \"min\": 100, \"max\": 100, \"mean\": 100.0, \"p50\": 96, \"p90\": 96, \"p99\": 96},\n  \"y.real_ns\": {\"type\": \"histogram\", \"count\": 1, \"sum\": 9, \"min\": 9, \"max\": 9, \"mean\": 9.0, \"p50\": 12, \"p90\": 12, \"p99\": 12},\n  \"z.depth\": {\"type\": \"gauge\", \"value\": -1}\n}";
+
+    #[test]
+    fn pins_counters_and_virtual_histograms() {
+        assert_eq!(compare(BASE, BASE), Ok(2));
+        let drifted = BASE.replace("\"value\": 10", "\"value\": 12");
+        let failures = compare(&drifted, BASE).unwrap_err();
+        assert!(
+            failures[0].starts_with("a.count: counter 12"),
+            "{failures:?}"
+        );
+    }
+
+    #[test]
+    fn an_unparseable_line_fails_and_is_named() {
+        // A truncated histogram line fails; skipping it would unpin it.
+        let torn = BASE.replace(", \"p50\": 96, \"p90\": 96, \"p99\": 96}", "");
+        for (fresh, base, which) in [(&*torn, BASE, "fresh run"), (BASE, &*torn, "baseline")] {
+            let failures = compare(fresh, base).unwrap_err();
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(
+                failures[0].starts_with(&format!("{which}: line 3: "))
+                    && failures[0].contains("x.virt_ns"),
+                "{failures:?}"
+            );
         }
-        eprintln!("(refresh intentionally changed baselines with `gate --write-baseline`)");
-        ExitCode::FAILURE
     }
 }

@@ -1,8 +1,9 @@
 //! Shared workload builders for the `harness` binary, which prints the
-//! EXPERIMENTS.md tables (E1–E14, see DESIGN.md): small in-process
-//! timings of the *real* software costs and exact model outputs where
-//! the quantity of interest is virtual time or message traffic. The
-//! committed wall-clock ledger is the separate `benchmark/` package.
+//! EXPERIMENTS.md tables no ledger workload covers (see DESIGN.md):
+//! exact model outputs where the quantity of interest is virtual time
+//! or message traffic, and small in-process timings of the paper's
+//! comparisons. The committed wall-clock ledger is the separate
+//! `benchmark/` package.
 
 // See wsrf-core: fault values are rich by design; not hot paths.
 #![allow(clippy::result_large_err)]
@@ -56,18 +57,10 @@ pub fn job_schema(extra: usize) -> Vec<(QName, ColumnType)> {
     cols
 }
 
-/// A minimal one-op service on the given store; returns (service,
-/// resource EPR, network). Observability off — see
-/// [`bench_service_obs`] for the instrumented variant.
+/// A minimal one-op service on the given store, instrumented into
+/// `metrics`; returns (service, resource EPR, network). E14 measures
+/// two registries against each other on it.
 pub fn bench_service(
-    store: Arc<dyn ResourceStore>,
-) -> (Arc<Service>, EndpointReference, Arc<InProcNetwork>) {
-    bench_service_obs(store, wsrf_obs::MetricsRegistry::disabled())
-}
-
-/// [`bench_service`] with an explicit metrics registry (E1 measures
-/// the instrumented container against the opted-out one).
-pub fn bench_service_obs(
     store: Arc<dyn ResourceStore>,
     metrics: Arc<wsrf_obs::MetricsRegistry>,
 ) -> (Arc<Service>, EndpointReference, Arc<InProcNetwork>) {

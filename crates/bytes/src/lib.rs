@@ -1,93 +1,31 @@
-//! Offline stand-in for the `bytes` crate.
-//!
-//! [`Bytes`] is a cheaply-cloneable immutable byte buffer (an
-//! `Arc<[u8]>` plus a range, so `slice` is zero-copy like the real
-//! crate). [`BytesMut`] is a growable buffer implementing [`BufMut`];
-//! [`Buf`] is implemented for `&[u8]` which is how the framed
-//! transport reads big-endian headers.
+//! Offline stand-in for the `bytes` crate, cut to what the workspace
+//! uses: [`Bytes`], a cheaply-cloneable immutable byte buffer (an
+//! `Arc<[u8]>`), which is how file contents move between machines.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
 /// Immutable, reference-counted byte buffer.
-#[derive(Clone, Default)]
-pub struct Bytes {
-    data: Arc<[u8]>,
-    start: usize,
-    end: usize,
-}
+#[derive(Clone, PartialEq)]
+pub struct Bytes(Arc<[u8]>);
 
 impl Bytes {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes::from(bytes.to_vec())
-    }
-
-    pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        Bytes::from(bytes.to_vec())
-    }
-
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Zero-copy sub-range sharing the same allocation.
-    pub fn slice(&self, range: impl std::ops::RangeBounds<usize>) -> Bytes {
-        use std::ops::Bound;
-        let lo = match range.start_bound() {
-            Bound::Included(&n) => n,
-            Bound::Excluded(&n) => n + 1,
-            Bound::Unbounded => 0,
-        };
-        let hi = match range.end_bound() {
-            Bound::Included(&n) => n + 1,
-            Bound::Excluded(&n) => n,
-            Bound::Unbounded => self.len(),
-        };
-        assert!(lo <= hi && hi <= self.len(), "slice out of bounds");
-        Bytes {
-            data: self.data.clone(),
-            start: self.start + lo,
-            end: self.start + hi,
-        }
-    }
-
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_ref().to_vec()
+        Bytes::from(bytes)
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        self
+        &self.0
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let data: Arc<[u8]> = v.into();
-        let end = data.len();
-        Bytes {
-            data,
-            start: 0,
-            end,
-        }
+        Bytes(v.into())
     }
 }
 
@@ -97,244 +35,21 @@ impl From<String> for Bytes {
     }
 }
 
-impl From<&'static str> for Bytes {
-    fn from(s: &'static str) -> Self {
-        Bytes::from(s.as_bytes().to_vec())
-    }
-}
-
 impl From<&'static [u8]> for Bytes {
     fn from(s: &'static [u8]) -> Self {
-        Bytes::from(s.to_vec())
-    }
-}
-
-impl From<Bytes> for Vec<u8> {
-    fn from(b: Bytes) -> Self {
-        b.to_vec()
-    }
-}
-
-impl PartialEq for Bytes {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_ref() == other.as_ref()
-    }
-}
-
-impl Eq for Bytes {}
-
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_ref() == other
+        Bytes(s.into())
     }
 }
 
 impl PartialEq<&[u8]> for Bytes {
     fn eq(&self, other: &&[u8]) -> bool {
-        self.as_ref() == *other
-    }
-}
-
-impl<const N: usize> PartialEq<[u8; N]> for Bytes {
-    fn eq(&self, other: &[u8; N]) -> bool {
-        self.as_ref() == other
-    }
-}
-
-impl PartialEq<str> for Bytes {
-    fn eq(&self, other: &str) -> bool {
-        self.as_ref() == other.as_bytes()
-    }
-}
-
-impl PartialEq<&str> for Bytes {
-    fn eq(&self, other: &&str) -> bool {
-        self.as_ref() == other.as_bytes()
-    }
-}
-
-impl PartialEq<Vec<u8>> for Bytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_ref() == other.as_slice()
-    }
-}
-
-impl PartialEq<Bytes> for Vec<u8> {
-    fn eq(&self, other: &Bytes) -> bool {
-        self.as_slice() == other.as_ref()
-    }
-}
-
-impl Hash for Bytes {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_ref().hash(state);
-    }
-}
-
-impl PartialOrd for Bytes {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Bytes {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_ref().cmp(other.as_ref())
+        *self.0 == **other
     }
 }
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "b\"")?;
-        for &b in self.as_ref() {
-            for esc in std::ascii::escape_default(b) {
-                write!(f, "{}", esc as char)?;
-            }
-        }
-        write!(f, "\"")
-    }
-}
-
-impl IntoIterator for Bytes {
-    type Item = u8;
-    type IntoIter = std::vec::IntoIter<u8>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.to_vec().into_iter()
-    }
-}
-
-/// Growable byte buffer with big-endian put helpers via [`BufMut`].
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
-    }
-
-    pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
-    }
-
-    /// Splits off and returns the first `at` bytes.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        let rest = self.data.split_off(at);
-        BytesMut {
-            data: std::mem::replace(&mut self.data, rest),
-        }
-    }
-
-    pub fn clear(&mut self) {
-        self.data.clear();
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl fmt::Debug for BytesMut {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&Bytes::from(self.data.clone()), f)
-    }
-}
-
-/// Read-side cursor over a byte source (big-endian getters).
-pub trait Buf {
-    fn remaining(&self) -> usize;
-    fn chunk(&self) -> &[u8];
-    fn advance(&mut self, cnt: usize);
-
-    fn get_u8(&mut self) -> u8 {
-        let v = self.chunk()[0];
-        self.advance(1);
-        v
-    }
-
-    fn get_u32(&mut self) -> u32 {
-        let mut buf = [0u8; 4];
-        buf.copy_from_slice(&self.chunk()[..4]);
-        self.advance(4);
-        u32::from_be_bytes(buf)
-    }
-
-    fn get_u64(&mut self) -> u64 {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(&self.chunk()[..8]);
-        self.advance(8);
-        u64::from_be_bytes(buf)
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        *self = &self[cnt..];
-    }
-}
-
-/// Write-side sink for bytes (big-endian putters).
-pub trait BufMut {
-    fn put_slice(&mut self, src: &[u8]);
-
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
+        write!(f, "b\"{}\"", self.escape_ascii())
     }
 }
 
@@ -343,49 +58,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bytes_clone_is_cheap_and_equal() {
+    fn clone_shares_the_buffer() {
         let b = Bytes::from(vec![1u8, 2, 3]);
         let c = b.clone();
         assert_eq!(b, c);
-        assert_eq!(c.to_vec(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn slice_shares_allocation() {
-        let b = Bytes::from((0u8..10).collect::<Vec<_>>());
-        let s = b.slice(2..5);
-        assert_eq!(&s[..], &[2, 3, 4]);
-        assert_eq!(s.slice(1..).to_vec(), vec![3, 4]);
-    }
-
-    #[test]
-    fn bytesmut_put_and_get_roundtrip() {
-        let mut m = BytesMut::with_capacity(9);
-        m.put_slice(b"WSE1");
-        m.put_u8(3);
-        m.put_u32(0xDEAD_BEEF);
-        assert_eq!(m.len(), 9);
-        assert_eq!(&m[..4], b"WSE1");
-        assert_eq!(m[4], 3);
-        assert_eq!((&m[5..]).get_u32(), 0xDEAD_BEEF);
-    }
-
-    #[test]
-    fn buf_advances_through_slice() {
-        let data = [0u8, 0, 0, 7, 42];
-        let mut cur: &[u8] = &data;
-        assert_eq!(cur.get_u32(), 7);
-        assert_eq!(cur.remaining(), 1);
-        assert_eq!(cur.get_u8(), 42);
-        assert_eq!(cur.remaining(), 0);
-    }
-
-    #[test]
-    fn freeze_and_split() {
-        let mut m = BytesMut::new();
-        m.extend_from_slice(b"headerbody");
-        let head = m.split_to(6);
-        assert_eq!(&head[..], b"header");
-        assert_eq!(m.freeze().to_vec(), b"body".to_vec());
+        assert!(std::ptr::eq(b.as_ptr(), c.as_ptr()));
+        assert_eq!(c, &[1u8, 2, 3][..]);
+        assert_eq!(
+            format!("{:?}", Bytes::from_static(b"a\n\"")),
+            "b\"a\\n\\\"\""
+        );
     }
 }

@@ -7,12 +7,12 @@
 //! guard is held does not wedge every later lock call, matching
 //! parking_lot semantics.
 
-use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync;
 use std::time::Duration;
 
 /// Mutual exclusion primitive; `lock()` returns the guard directly.
+#[derive(Default)]
 pub struct Mutex<T: ?Sized> {
     inner: sync::Mutex<T>,
 }
@@ -21,13 +21,6 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Self {
             inner: sync::Mutex::new(value),
-        }
-    }
-
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
         }
     }
 }
@@ -39,38 +32,6 @@ impl<T: ?Sized> Mutex<T> {
             Err(p) => p.into_inner(),
         };
         MutexGuard { guard: Some(guard) }
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { guard: Some(g) }),
-            Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                guard: Some(p.into_inner()),
-            }),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_lock() {
-            Some(g) => f.debug_struct("Mutex").field("data", &*g).finish(),
-            None => f.debug_struct("Mutex").field("data", &"<locked>").finish(),
-        }
     }
 }
 
@@ -116,48 +77,23 @@ impl Condvar {
         guard.guard = Some(std_guard);
     }
 
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
+    /// Wait at most `timeout`; the caller re-checks its condition.
+    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) {
         let std_guard = guard.guard.take().expect("guard taken during wait");
-        let (std_guard, res) = match self.inner.wait_timeout(std_guard, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(p) => {
-                let (g, r) = p.into_inner();
-                (g, r)
-            }
+        let std_guard = match self.inner.wait_timeout(std_guard, timeout) {
+            Ok((g, _)) => g,
+            Err(p) => p.into_inner().0,
         };
         guard.guard = Some(std_guard);
-        WaitTimeoutResult {
-            timed_out: res.timed_out(),
-        }
     }
 
-    pub fn notify_one(&self) -> bool {
-        self.inner.notify_one();
-        true
-    }
-
-    pub fn notify_all(&self) -> usize {
+    pub fn notify_all(&self) {
         self.inner.notify_all();
-        0
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
     }
 }
 
 /// Reader-writer lock; `read()`/`write()` return guards directly.
+#[derive(Default)]
 pub struct RwLock<T: ?Sized> {
     inner: sync::RwLock<T>,
 }
@@ -166,13 +102,6 @@ impl<T> RwLock<T> {
     pub const fn new(value: T) -> Self {
         Self {
             inner: sync::RwLock::new(value),
-        }
-    }
-
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
         }
     }
 }
@@ -192,25 +121,6 @@ impl<T: ?Sized> RwLock<T> {
             Err(p) => p.into_inner(),
         };
         RwLockWriteGuard { guard }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RwLock").finish_non_exhaustive()
     }
 }
 
@@ -253,7 +163,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]
@@ -287,11 +196,12 @@ mod tests {
 
     #[test]
     fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
+        let m = Mutex::new(0);
         let cv = Condvar::new();
         let mut g = m.lock();
-        let res = cv.wait_for(&mut g, Duration::from_millis(5));
-        assert!(res.timed_out());
+        cv.wait_for(&mut g, Duration::from_millis(5));
+        *g += 1;
+        assert_eq!(*g, 1, "the guard is handed back after the timeout");
     }
 
     #[test]

@@ -134,8 +134,9 @@ impl GridConfig {
         self
     }
 
-    /// Builder: set the observability switch (E1 measures the disabled
-    /// configuration against the default enabled one).
+    /// Builder: set the observability switch (the `benchmark/` ledger's
+    /// `obs.cost_us_per_op` measures the disabled configuration against
+    /// the default enabled one).
     pub fn with_obs(mut self, obs: ObsConfig) -> Self {
         self.obs = obs;
         self

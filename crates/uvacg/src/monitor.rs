@@ -19,12 +19,13 @@
 //!   recursing into the broker.
 //! * [`MonitorService`] is the aggregation side: it subscribes a
 //!   listener per authority to that topic, periodically pulls each
-//!   authority's metrics snapshot (live registry or the HTTP
-//!   `/metrics.json` endpoint — both render the identical flat JSON),
-//!   and folds everything into a [`GridCatalog`] the
-//!   `examples/console.rs` live view renders.
+//!   authority's metrics snapshot (the live registry, or the HTTP
+//!   `/metrics.json` endpoint read back with
+//!   [`MetricsSnapshot::from_json`]), and folds everything into a
+//!   [`GridCatalog`] the `examples/console.rs` live view renders. A
+//!   scrape that fails is an alert on that authority's row.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,7 +38,7 @@ use ws_notification::topics::TopicExpression;
 use wsrf_core::container::{Service, ServiceBuilder};
 use wsrf_core::properties::PropertyDoc;
 use wsrf_core::store::ResourceStore;
-use wsrf_obs::{Event, MetricsRegistry};
+use wsrf_obs::{Event, MetricValue, MetricsRegistry, MetricsSnapshot};
 use wsrf_soap::ns::UVACG;
 use wsrf_soap::{EndpointReference, SoapFault};
 use wsrf_transport::InProcNetwork;
@@ -198,69 +199,6 @@ pub struct RemoteEvent {
     pub detail: String,
 }
 
-/// One parsed metric from the flat `/metrics.json` form.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MetricReading {
-    /// Counter/gauge value (0 for histograms).
-    pub value: i64,
-    /// Histogram sample count (0 otherwise).
-    pub count: u64,
-    /// Histogram sum (0 otherwise).
-    pub sum: u64,
-    /// Histogram mean (0.0 otherwise).
-    pub mean: f64,
-    /// Histogram p99 (0 otherwise).
-    pub p99: u64,
-}
-
-/// Parse the flat one-metric-per-line JSON that both
-/// `MetricsSnapshot::to_json` and the `/metrics.json` endpoint render.
-pub fn parse_flat_metrics(json: &str) -> BTreeMap<String, MetricReading> {
-    let mut out = BTreeMap::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else {
-            continue;
-        };
-        let Some(quote) = rest.find('"') else {
-            continue;
-        };
-        let name = &rest[..quote];
-        let body = &rest[quote + 1..];
-        let mut r = MetricReading::default();
-        if body.contains("\"counter\"") || body.contains("\"gauge\"") {
-            r.value = field_i64(body, "\"value\": ").unwrap_or(0);
-        } else if body.contains("\"histogram\"") {
-            r.count = field_i64(body, "\"count\": ").unwrap_or(0).max(0) as u64;
-            r.sum = field_i64(body, "\"sum\": ").unwrap_or(0).max(0) as u64;
-            r.mean = field_f64(body, "\"mean\": ").unwrap_or(0.0);
-            r.p99 = field_i64(body, "\"p99\": ").unwrap_or(0).max(0) as u64;
-        } else {
-            continue;
-        }
-        out.insert(name.to_string(), r);
-    }
-    out
-}
-
-fn field_i64(body: &str, key: &str) -> Option<i64> {
-    let at = body.find(key)? + key.len();
-    let rest = &body[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn field_f64(body: &str, key: &str) -> Option<f64> {
-    let at = body.find(key)? + key.len();
-    let rest = &body[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '-' || c == '.'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// One Figure 3 step's latency digest (from a
 /// `scheduler.step.<NN>_<name>_ns` histogram).
 #[derive(Debug, Clone, PartialEq)]
@@ -293,7 +231,8 @@ pub struct AuthorityStatus {
     pub deliveries: u64,
     /// Slowest Figure 3 steps by mean latency, descending.
     pub slowest_steps: Vec<StepStat>,
-    /// Active alerts (SLO burn, degraded `/healthz`, warn/error events).
+    /// Active alerts (a failed metrics scrape, SLO burn, degraded
+    /// `/healthz`, warn/error events).
     pub alerts: Vec<String>,
 }
 
@@ -483,24 +422,30 @@ impl MonitorService {
         let statuses = authorities
             .iter()
             .map(|a| {
-                let (readings, degraded) = match &a.source {
+                let (metrics, degraded) = match &a.source {
                     MetricsSource::Registry(reg) => {
                         let degraded = reg.slo().health_all(now_ns).iter().any(|h| !h.is_healthy());
-                        (parse_flat_metrics(&reg.snapshot().to_json()), degraded)
+                        (Ok(reg.snapshot()), degraded)
                     }
                     MetricsSource::Http(authority) => {
-                        let readings = wsrf_transport::http::http_get(authority, "/metrics.json")
-                            .ok()
-                            .filter(|(code, _)| *code == 200)
-                            .map(|(_, body)| parse_flat_metrics(&body))
-                            .unwrap_or_default();
                         let degraded = wsrf_transport::http::http_get(authority, "/healthz")
                             .map(|(code, _)| code == 503)
                             .unwrap_or(false);
-                        (readings, degraded)
+                        (scrape(authority), degraded)
                     }
                 };
-                digest(&a.name, &readings, degraded, &events)
+                let mut status = digest(
+                    &a.name,
+                    metrics.as_ref().unwrap_or(&MetricsSnapshot::default()),
+                    degraded,
+                    &events,
+                );
+                if let Err(why) = metrics {
+                    status
+                        .alerts
+                        .insert(0, format!("metrics scrape failed: {why}"));
+                }
+                status
             })
             .collect();
         GridCatalog {
@@ -511,36 +456,53 @@ impl MonitorService {
     }
 }
 
-/// Fold one authority's parsed metrics + event tail into its status row.
+/// `GET /metrics.json` from `authority`, read back with
+/// [`MetricsSnapshot::from_json`]; why not, when it cannot be.
+fn scrape(authority: &str) -> Result<MetricsSnapshot, String> {
+    match wsrf_transport::http::http_get(authority, "/metrics.json") {
+        Ok((200, body)) => MetricsSnapshot::from_json(&body).map_err(|e| e.to_string()),
+        Ok((code, _)) => Err(format!("GET /metrics.json answered {code}")),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// Fold one authority's metrics snapshot + event tail into its status row.
 fn digest(
     name: &str,
-    readings: &BTreeMap<String, MetricReading>,
+    metrics: &MetricsSnapshot,
     degraded: bool,
     events: &[RemoteEvent],
 ) -> AuthorityStatus {
-    let get = |k: &str| readings.get(k).copied().unwrap_or_default();
-    let makespan = get("scheduler.makespan_ns");
-    let dispatched = get("scheduler.step.03_es_run_ns");
-    let exited = get("scheduler.step.10_exit_broadcast_ns");
+    let hist = |k: &str| metrics.histogram(k).unwrap_or_default();
+    let makespan = hist("scheduler.makespan_ns");
+    let dispatched = hist("scheduler.step.03_es_run_ns");
+    let exited = hist("scheduler.step.10_exit_broadcast_ns");
     let mut dispatches = 0u64;
     let mut faults = 0u64;
     let mut steps: Vec<StepStat> = Vec::new();
-    for (k, r) in readings {
-        if k.starts_with("container.") && k.ends_with(".dispatches") {
-            dispatches += r.value.max(0) as u64;
-        } else if k.starts_with("container.") && k.ends_with(".faults") {
-            faults += r.value.max(0) as u64;
-        } else if let Some(step) = k
-            .strip_prefix("scheduler.step.")
-            .and_then(|s| s.strip_suffix("_ns"))
-        {
-            if r.count > 0 {
-                steps.push(StepStat {
-                    name: step.to_string(),
-                    mean_ns: r.mean,
-                    count: r.count,
-                });
+    for (k, v) in &metrics.entries {
+        match v {
+            MetricValue::Counter(c)
+                if k.starts_with("container.") && k.ends_with(".dispatches") =>
+            {
+                dispatches = dispatches.saturating_add(*c)
             }
+            MetricValue::Counter(c) if k.starts_with("container.") && k.ends_with(".faults") => {
+                faults = faults.saturating_add(*c)
+            }
+            MetricValue::Histogram(h) if h.count > 0 => {
+                if let Some(step) = k
+                    .strip_prefix("scheduler.step.")
+                    .and_then(|s| s.strip_suffix("_ns"))
+                {
+                    steps.push(StepStat {
+                        name: step.to_string(),
+                        mean_ns: h.mean(),
+                        count: h.count,
+                    });
+                }
+            }
+            _ => {}
         }
     }
     steps.sort_by(|a, b| b.mean_ns.partial_cmp(&a.mean_ns).unwrap());
@@ -563,13 +525,13 @@ fn digest(
     AuthorityStatus {
         name: name.to_string(),
         sets_completed: makespan.count,
-        mean_makespan_ns: makespan.mean,
+        mean_makespan_ns: makespan.mean(),
         jobs_dispatched: dispatched.count,
         jobs_completed: exited.count,
         jobs_in_flight: dispatched.count.saturating_sub(exited.count),
         dispatches,
         faults,
-        deliveries: get("broker.deliveries").value.max(0) as u64,
+        deliveries: metrics.counter("broker.deliveries").unwrap_or(0),
         slowest_steps: steps,
         alerts,
     }
@@ -580,22 +542,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flat_metrics_parser_reads_all_kinds() {
-        let reg = MetricsRegistry::enabled();
-        reg.counter("a.count").add(7);
-        reg.gauge("b.gauge").set(-3);
-        let h = reg.histogram("c.hist_ns");
-        h.record(100);
-        h.record(300);
-        let parsed = parse_flat_metrics(&reg.snapshot().to_json());
-        assert_eq!(parsed["a.count"].value, 7);
-        assert_eq!(parsed["b.gauge"].value, -3);
-        assert_eq!(parsed["c.hist_ns"].count, 2);
-        assert_eq!(parsed["c.hist_ns"].sum, 400);
-        assert!(parsed["c.hist_ns"].mean > 0.0);
-    }
-
-    #[test]
     fn digest_ranks_slowest_steps_and_flags_faults() {
         let reg = MetricsRegistry::enabled();
         reg.counter("container.Scheduler.dispatches").add(10);
@@ -603,8 +549,7 @@ mod tests {
         reg.histogram("scheduler.step.03_es_run_ns").record(50);
         reg.histogram("scheduler.step.10_exit_broadcast_ns")
             .record(5_000_000);
-        let readings = parse_flat_metrics(&reg.snapshot().to_json());
-        let status = digest("campus", &readings, false, &[]);
+        let status = digest("campus", &reg.snapshot(), false, &[]);
         assert_eq!(status.dispatches, 10);
         assert_eq!(status.faults, 2);
         assert_eq!(status.jobs_dispatched, 1);
@@ -621,7 +566,7 @@ mod tests {
     fn catalog_renders_every_authority_row() {
         let catalog = GridCatalog {
             at_ns: 2_500_000_000,
-            authorities: vec![digest("campus-a", &BTreeMap::new(), true, &[])],
+            authorities: vec![digest("campus-a", &MetricsSnapshot::default(), true, &[])],
             events: vec![RemoteEvent {
                 authority: "campus-a".into(),
                 seq: 1,
@@ -637,5 +582,29 @@ mod tests {
         assert!(frame.contains("SLO burn: degraded"));
         assert!(frame.contains("dispatch_fault"));
         assert!(frame.contains("2.500s virtual"));
+    }
+
+    #[test]
+    fn an_unreachable_authority_is_an_alert_not_a_zero_row() {
+        let grid = crate::CampusGrid::build(crate::GridConfig::with_machines(1), Clock::manual());
+        let closed = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap();
+        let monitor = MonitorService::new(grid.clock.clone());
+        monitor
+            .add_authority(
+                "gone",
+                &grid.net,
+                &grid.broker,
+                MetricsSource::Http(closed.to_string()),
+            )
+            .unwrap();
+        let row = &monitor.poll().authorities[0];
+        assert!(
+            row.alerts[0].starts_with("metrics scrape failed: ")
+                && row.alerts[0].contains("connect"),
+            "{:?}",
+            row.alerts
+        );
     }
 }

@@ -41,7 +41,7 @@ pub mod slo;
 pub mod tracing;
 
 pub use events::{Event, EventKind, EventLog, Severity};
-pub use expose::{LenSink, MetricSink};
+pub use expose::{LenSink, MetricSink, MetricsJsonError};
 pub use slo::{SloConfig, SloHandle, SloHealth, SloTracker};
 pub use tracing::{ActiveSpan, FinishedSpan, SpanContext, TraceConfig, TraceSnapshot, Tracer};
 
@@ -512,6 +512,16 @@ enum Metric {
     Histogram(Histogram),
 }
 
+impl Metric {
+    fn value(&self) -> MetricValue {
+        match self {
+            Metric::Counter(c) => MetricValue::Counter(c.get()),
+            Metric::Gauge(g) => MetricValue::Gauge(g.get()),
+            Metric::Histogram(h) => MetricValue::Histogram(h.stats()),
+        }
+    }
+}
+
 /// Named metrics for one deployment (a grid, a bench run, a test).
 /// Cheap to share via `Arc`; handle lookups lock briefly, recording
 /// through handles never does.
@@ -693,21 +703,14 @@ impl MetricsRegistry {
         let metrics = self.metrics.read();
         let entries = metrics
             .iter()
-            .map(|(name, m)| {
-                let value = match m {
-                    Metric::Counter(c) => MetricValue::Counter(c.get()),
-                    Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Metric::Histogram(h) => MetricValue::Histogram(h.stats()),
-                };
-                (name.clone(), value)
-            })
+            .map(|(name, m)| (name.clone(), m.value()))
             .collect();
         MetricsSnapshot { entries }
     }
 }
 
 /// One rendered metric value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MetricValue {
     Counter(u64),
     Gauge(i64),
@@ -715,8 +718,9 @@ pub enum MetricValue {
 }
 
 /// Sorted point-in-time view of a registry, renderable as a table or
-/// JSON.
-#[derive(Debug, Clone, Default)]
+/// as flat JSON ([`MetricsSnapshot::to_json`] and its inverse
+/// [`MetricsSnapshot::from_json`], in [`expose`]).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub entries: Vec<(String, MetricValue)>,
 }
@@ -790,40 +794,6 @@ impl MetricsSnapshot {
                 }
             }
         }
-        out
-    }
-
-    /// Minimal JSON encoding (no external deps): a flat object keyed
-    /// by metric name.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (name, value)) in self.entries.iter().enumerate() {
-            let comma = if i + 1 == self.entries.len() { "" } else { "," };
-            match value {
-                MetricValue::Counter(c) => {
-                    let _ = writeln!(
-                        out,
-                        "  {:?}: {{\"type\": \"counter\", \"value\": {c}}}{comma}",
-                        name
-                    );
-                }
-                MetricValue::Gauge(g) => {
-                    let _ = writeln!(
-                        out,
-                        "  {:?}: {{\"type\": \"gauge\", \"value\": {g}}}{comma}",
-                        name
-                    );
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = writeln!(
-                        out,
-                        "  {:?}: {{\"type\": \"histogram\", \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {:.1}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}{comma}",
-                        name, h.count, h.sum, h.min, h.max, h.mean(), h.p50, h.p90, h.p99
-                    );
-                }
-            }
-        }
-        out.push('}');
         out
     }
 }
@@ -1175,16 +1145,5 @@ mod tests {
         quiet.tracer().start_root("r", "svc", &clock).finish();
         assert_eq!(quiet.tracer().snapshot().len(), 1);
         assert!(quiet.snapshot().is_empty());
-    }
-
-    #[test]
-    fn json_is_parseable_shape() {
-        let reg = MetricsRegistry::enabled();
-        reg.counter("c").inc();
-        reg.histogram("h").record(10);
-        let json = reg.snapshot().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"type\": \"counter\""));
-        assert!(json.contains("\"type\": \"histogram\""));
     }
 }

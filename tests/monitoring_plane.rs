@@ -13,7 +13,6 @@ use std::time::Duration;
 
 use wsrf_grid::obs;
 use wsrf_grid::prelude::*;
-use wsrf_grid::testbed::monitor::parse_flat_metrics;
 use wsrf_grid::transport::http::{http_get, HttpConfig, HttpSoapServer};
 use wsrf_grid::transport::FnEndpoint;
 use wsrf_grid::wsrf::proxy::ResourceProxy;
@@ -112,12 +111,13 @@ fn exposition_round_trips_live_grid_metrics() {
     // in-process snapshot writes — one parser serves both paths.
     let (code, json) = http_get(&server.authority(), "/metrics.json").unwrap();
     assert_eq!(code, 200);
-    let scraped = parse_flat_metrics(&json);
-    let local = parse_flat_metrics(&grid.metrics_snapshot().to_json());
-    assert_eq!(scraped["scheduler.makespan_ns"].count, 2);
+    let scraped = obs::MetricsSnapshot::from_json(&json).unwrap();
+    let local = obs::MetricsSnapshot::from_json(&grid.metrics_snapshot().to_json()).unwrap();
+    assert_eq!(scraped.histogram("scheduler.makespan_ns").unwrap().count, 2);
     for key in ["scheduler.makespan_ns", "scheduler.step.03_es_run_ns"] {
         assert_eq!(
-            scraped[key], local[key],
+            scraped.histogram(key),
+            local.histogram(key),
             "HTTP and in-process diverge on {key}"
         );
     }
