@@ -642,7 +642,6 @@ fn exposition_server(grid: &CampusGrid, name: &'static str) -> HttpSoapServer {
         registry: grid.metrics.clone(),
         clock: Some(grid.clock.clone()),
         expose: true,
-        ..HttpConfig::default()
     };
     HttpSoapServer::start_with(Arc::new(FnEndpoint::new(name, Some)), config)
         .expect("bind exposition server")

@@ -28,7 +28,7 @@ use ws_notification::topics::TopicPath;
 use wsrf_core::container::{action_uri, Ctx, OpKind, Service, ServiceBuilder, ServiceCore};
 use wsrf_core::faults;
 use wsrf_core::properties::PropertyDoc;
-use wsrf_core::store::{save_detached, ResourceStore};
+use wsrf_core::store::ResourceStore;
 use wsrf_core::{epr_in, Outbound, ResourceProxy};
 use wsrf_soap::ns::{UVACG, WSSE};
 use wsrf_soap::{BaseFault, EndpointReference, SoapFault, TraceContext};
@@ -372,10 +372,9 @@ fn upload_complete_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element,
     let key = ctx.key()?.to_string();
     let trace = ctx.trace;
     let core = ctx.core.clone();
-    let mut doc = core
-        .store
-        .load(&core.name, &key)
-        .map_err(faults::from_store)?;
+    if !core.store.exists(&core.name, &key) {
+        return Err(faults::no_such_resource(&key));
+    }
     let Some(pending) = rt.pending.lock().remove(&key) else {
         return Err(BaseFault::new(
             "uvacg:UnexpectedUpload",
@@ -400,11 +399,11 @@ fn upload_complete_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element,
         })
         .collect();
     if !failures.is_empty() {
-        doc.set_text(q("Status"), status::FAILED);
-        doc.set_text(q("FailureReason"), failures.join("; "));
-        core.store
-            .save(&core.name, &key, &doc)
-            .map_err(faults::from_store)?;
+        core.edit(&key, |doc| {
+            doc.set_text(q("Status"), status::FAILED);
+            doc.set_text(q("FailureReason"), failures.join("; "));
+        })?
+        .ok_or_else(|| faults::no_such_resource(&key))?;
         crate::retire(&core, &key);
         publish(
             &core,
@@ -423,10 +422,8 @@ fn upload_complete_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element,
     // broadcast "started" BEFORE spawning: a zero-work program's exit
     // callback runs inline inside spawn(), and writing Running (or
     // publishing "started") after it would clobber/reorder the exit.
-    doc.set_text(q("Status"), status::RUNNING);
-    core.store
-        .save(&core.name, &key, &doc)
-        .map_err(faults::from_store)?;
+    core.edit(&key, |doc| doc.set_text(q("Status"), status::RUNNING))?
+        .ok_or_else(|| faults::no_such_resource(&key))?;
     // Step 9 (second half): broadcast the job's EPR so anyone may poll
     // its Status resource property.
     publish(
@@ -472,28 +469,18 @@ fn upload_complete_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element,
     );
     match spawned {
         Ok(pid) => {
-            // Reload: the exit callback may already have run inline
-            // (zero-work programs); only record the pid.
-            let mut doc = core
-                .store
-                .load(&core.name, &key)
-                .map_err(faults::from_store)?;
-            doc.set_i64(q("Pid"), pid as i64);
-            core.store
-                .save(&core.name, &key, &doc)
-                .map_err(faults::from_store)?;
+            // Only the pid: the exit callback may have recorded the exit
+            // already (inline for zero-work programs, or concurrently).
+            core.edit(&key, |doc| doc.set_i64(q("Pid"), pid as i64))?
+                .ok_or_else(|| faults::no_such_resource(&key))?;
             Ok(Element::new(UVACG, "UploadCompleteAck"))
         }
         Err(e) => {
-            let mut doc = core
-                .store
-                .load(&core.name, &key)
-                .map_err(faults::from_store)?;
-            doc.set_text(q("Status"), status::FAILED);
-            doc.set_text(q("FailureReason"), e.to_string());
-            core.store
-                .save(&core.name, &key, &doc)
-                .map_err(faults::from_store)?;
+            core.edit(&key, |doc| {
+                doc.set_text(q("Status"), status::FAILED);
+                doc.set_text(q("FailureReason"), e.to_string());
+            })?
+            .ok_or_else(|| faults::no_such_resource(&key))?;
             crate::retire(&core, &key);
             publish(
                 &core,
@@ -523,12 +510,14 @@ fn on_process_exit(
     cpu_used: f64,
     trace: Option<&TraceContext>,
 ) {
-    if let Ok(mut doc) = core.store.load(&core.name, key) {
+    let recorded = core.edit(key, |doc| {
         doc.set_text(q("Status"), status::EXITED);
         doc.set_i64(q("ExitCode"), code as i64);
         doc.set_f64(q("CpuAtExit"), cpu_used);
-        let events = core.metrics.events();
-        save_detached(&*core.store, events, &core.clock, &core.name, key, &doc);
+    });
+    // A job that is gone has nothing to retire. Nobody to tell of a
+    // refused write: dropping it leaves a `StoreWriteDropped` event.
+    if !matches!(recorded, Ok(None)) {
         crate::retire(core, key);
     }
     publish(
@@ -546,11 +535,11 @@ fn on_process_exit(
 }
 
 fn kill_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element, BaseFault> {
-    let key = ctx.key()?.to_string();
-    let core = ctx.core.clone();
-    let doc = core
+    let key = ctx.key()?;
+    let doc = ctx
+        .core
         .store
-        .load(&core.name, &key)
+        .share(&ctx.core.name, key)
         .map_err(faults::from_store)?;
     let pid = doc
         .i64(&q("Pid"))

@@ -169,7 +169,7 @@ pub fn file_system_service(
                 let core = ctx.core.clone();
                 let dir_doc = core
                     .store
-                    .load(&core.name, ctx.key()?)
+                    .share(&core.name, ctx.key()?)
                     .map_err(faults::from_store)?;
                 let dir = dir_path(&dir_doc)?;
                 let own = own_machine.clone();
@@ -199,7 +199,7 @@ pub fn file_system_service(
                                 .ok_or("local SourceEpr has no directory key")?;
                             let src_doc = core
                                 .store
-                                .load(&core.name, src_key)
+                                .share(&core.name, src_key)
                                 .map_err(|e| e.to_string())?;
                             let src_dir = src_doc
                                 .text(&q("Path"))

@@ -75,15 +75,15 @@ pub fn node_info_service(
                         continue;
                     };
                     if doc.text(&q("Machine")).as_deref() == Some(machine.as_str()) {
-                        let mut doc = Arc::unwrap_or_clone(doc);
-                        doc.set_f64(q("Utilization"), utilization);
                         // Staleness marker: virtual time of this
                         // report, so snapshot consumers can tell a
                         // fresh 0.3 from one frozen since deployment.
-                        doc.set_f64(q("LastUpdated"), core.clock.now().as_secs_f64());
-                        core.store
-                            .save(&core.name, &key, &doc)
-                            .map_err(faults::from_store)?;
+                        let now = core.clock.now().as_secs_f64();
+                        core.edit(&key, |doc| {
+                            doc.set_f64(q("Utilization"), utilization);
+                            doc.set_f64(q("LastUpdated"), now);
+                        })?
+                        .ok_or_else(|| faults::no_such_resource(&key))?;
                         return Ok(Element::new(UVACG, "UpdateUtilizationAck"));
                     }
                 }

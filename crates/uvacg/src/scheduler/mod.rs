@@ -26,7 +26,7 @@ use ws_notification::topics::{TopicExpression, TopicPath};
 use wsrf_core::container::{action_uri, Service, ServiceBuilder, ServiceCore};
 use wsrf_core::faults;
 use wsrf_core::properties::PropertyDoc;
-use wsrf_core::store::{save_detached, ResourceStore, StoreError};
+use wsrf_core::store::{ResourceStore, StoreError};
 use wsrf_core::{epr_in, Outbound};
 use wsrf_obs::{EventKind, Severity, SpanContext, TraceSnapshot};
 use wsrf_security::wsse::UsernameToken;
@@ -372,7 +372,8 @@ fn report_outcome(s: Sched<'_>, machine: &str, kind: OutcomeKind) {
         kind,
     });
     let rows = inner.policy.penalties();
-    edit_doc(core, FEEDBACK_KEY, |doc| {
+    // Nobody to tell: a refused write leaves a `StoreWriteDropped` event.
+    let _ = core.edit(FEEDBACK_KEY, |doc| {
         let els = rows
             .iter()
             .map(|r| {
@@ -496,8 +497,8 @@ fn submit_op(
 /// virtual time since submission. `job` is `"*"` for set-level steps.
 ///
 /// `edit` is applied to the job-set document first, in the same
-/// load/save: an event handler that has its own property to write does
-/// not pay for the document twice.
+/// [`ServiceCore::edit`]: an event handler that has its own property to
+/// write does not pay for the document twice.
 ///
 /// Must not be called while `inner.runs` is locked.
 fn record_steps(
@@ -516,7 +517,8 @@ fn record_steps(
             None => return,
         }
     };
-    edit_doc(core, key, |doc| {
+    // Nobody to tell: a refused write leaves a `StoreWriteDropped` event.
+    let _ = core.edit(key, |doc| {
         edit(doc);
         for (step, name) in steps {
             doc.insert(
@@ -566,16 +568,6 @@ fn record_steps(
         for (step, _) in steps {
             hook(*step, job);
         }
-    }
-}
-
-/// Load, edit and save job set `key`'s resource document (skipped when
-/// the resource is gone).
-fn edit_doc(core: &Arc<ServiceCore>, key: &str, edit: impl FnOnce(&mut PropertyDoc)) {
-    if let Ok(mut doc) = core.store.load(&core.name, key) {
-        edit(&mut doc);
-        let events = core.metrics.events();
-        save_detached(&*core.store, events, &core.clock, &core.name, key, &doc);
     }
 }
 
@@ -647,7 +639,8 @@ fn settle(s: Sched<'_>, key: &str, job_name: &str, event: &JobEvent) {
         };
         let outcome = kind.and_then(|kind| {
             let jr = &run.jobs[job_name];
-            edit_doc(core, key, |doc| {
+            // Nobody to tell: a refused write leaves a `StoreWriteDropped` event.
+            let _ = core.edit(key, |doc| {
                 put_job_status(doc, job_name, job_status_element(job_name, jr))
             });
             Some((kind, jr.machine.clone()?))
@@ -988,7 +981,8 @@ fn finish_job_set(s: Sched<'_>, key: &str, outcome: Outcome<'_>) {
             (set_status::FAILED, "failed", event, Some(fault))
         }
     };
-    edit_doc(core, key, |doc| {
+    // Nobody to tell: a refused write leaves a `StoreWriteDropped` event.
+    let _ = core.edit(key, |doc| {
         doc.set_text(q("Status"), status);
         doc.set_f64(q("Makespan"), makespan.as_secs_f64());
         if let Some(fault) = fault {
@@ -1230,7 +1224,8 @@ impl Standby {
                 .drain()
                 .map(|(key, mut run)| {
                     run.adopt(now);
-                    edit_doc(&core, &key, |doc| {
+                    // Nobody to tell: a refused write leaves a `StoreWriteDropped` event.
+                    let _ = core.edit(&key, |doc| {
                         for j in &run.spec.jobs {
                             let status = job_status_element(&j.name, &run.jobs[&j.name]);
                             put_job_status(doc, &j.name, status);

@@ -41,20 +41,21 @@
 //! reported in `NotifyResponse`, and auto-pause a subscription after a
 //! streak of `AUTOPAUSE_AFTER`.
 
+use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 use simclock::{Clock, SimTime};
-use wsrf_core::container::{action_uri, Ctx, OpKind, Service, ServiceBuilder};
+use wsrf_core::container::{action_uri, Ctx, OpKind, Service, ServiceBuilder, ServiceCore};
 use wsrf_core::faults;
 use wsrf_core::properties::PropertyDoc;
-use wsrf_core::store::{save_detached, ResourceStore, StoreError};
+use wsrf_core::store::{ResourceStore, StoreError};
 use wsrf_core::{epr_in, Outbound};
-use wsrf_obs::{Counter, CounterFamily, EventKind, EventLog, Gauge, Severity};
+use wsrf_obs::{Counter, CounterFamily, EventKind, Gauge, Severity};
 use wsrf_soap::{ns, BaseFault, EndpointReference, Envelope, SoapFault, TraceContext};
 use wsrf_transport::pool::ThreadPool;
 use wsrf_transport::{InProcNetwork, TransportError};
@@ -112,6 +113,9 @@ struct CompiledSub {
     /// entry re-checks the flag at send time so a destroyed
     /// subscription cannot deliver after `Destroy` acknowledged.
     dead: AtomicBool,
+    /// Deliveries past that check and not yet returned from the
+    /// consumer ([`CompiledSub::begin_delivery`]).
+    in_flight: AtomicUsize,
     consecutive_failures: AtomicU32,
     /// Where deliveries to this subscription's consumer wait off the
     /// manual clock: one queue per consumer address, shared by every
@@ -131,7 +135,32 @@ impl CompiledSub {
     }
 
     fn live(&self) -> bool {
-        !self.dead.load(Ordering::Acquire) && !self.paused.load(Ordering::Acquire)
+        !self.dead.load(Ordering::SeqCst) && !self.paused.load(Ordering::Acquire)
+    }
+
+    /// Count a delivery in unless the entry no longer delivers. It is
+    /// counted before `dead` is read and `retire` sets `dead` before the
+    /// count is read (all `SeqCst`): the sender sees one or `remove` the other.
+    fn begin_delivery(&self) -> Option<Delivering<'_>> {
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        let delivering = Delivering(self, DELIVERING.replace(true));
+        self.live().then_some(delivering)
+    }
+}
+
+thread_local! {
+    /// Set while this thread runs a delivery.
+    static DELIVERING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// One delivery under way, counted on its subscription and marked on
+/// this thread (over any enclosing delivery's mark) until dropped.
+struct Delivering<'a>(&'a CompiledSub, bool);
+
+impl Drop for Delivering<'_> {
+    fn drop(&mut self) {
+        DELIVERING.set(self.1);
+        self.0.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -220,6 +249,7 @@ impl SubscriptionIndex {
             consumer,
             paused: AtomicBool::new(paused),
             dead: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
             consecutive_failures: AtomicU32::new(0),
             queue,
         });
@@ -236,11 +266,19 @@ impl SubscriptionIndex {
     }
 
     /// Reflect a destroyed subscription (WSRL `Destroy`, lease expiry).
+    /// Returns once no delivery to it is in flight, so nothing reaches
+    /// the consumer after the destroy is acknowledged — unless this
+    /// thread is delivering: a consumer destroying its own subscription,
+    /// or two destroying each other's, would wait for themselves.
     fn remove(&self, key: &str) {
         let mut by_key = self.by_key.write();
         if let Some(old) = by_key.remove(key) {
             self.retire(&old);
             self.size.set(by_key.len() as i64);
+            drop(by_key); // the consumer waited for may subscribe
+            while !DELIVERING.get() && old.in_flight.load(Ordering::SeqCst) != 0 {
+                std::thread::yield_now();
+            }
         }
     }
 
@@ -250,7 +288,7 @@ impl SubscriptionIndex {
     /// alive through its `CompiledSub`; a consumer that subscribes again
     /// starts a fresh one.
     fn retire(&self, sub: &Arc<CompiledSub>) {
-        sub.dead.store(true, Ordering::Release);
+        sub.dead.store(true, Ordering::SeqCst);
         let mut consumers = self.consumers.lock();
         if let Some((_, subs)) = consumers.get_mut(&sub.consumer.address) {
             *subs -= 1;
@@ -470,29 +508,22 @@ enum SendOutcome {
 /// per-consumer queues and runs the consumers.
 struct DeliveryFabric {
     net: Arc<InProcNetwork>,
-    /// The broker's (indexing) store — auto-pause writes through it so
-    /// the `Paused` RP and the compiled entry stay in sync.
-    store: Arc<dyn ResourceStore>,
-    service: String,
     failures: Counter,
     autopaused: Counter,
-    /// Structured event log + clock for the auto-pause event's
-    /// virtual timestamp.
-    events: EventLog,
-    clock: Clock,
     pool: OnceLock<ThreadPool>,
 }
 
 impl DeliveryFabric {
     fn send_now(
         &self,
+        core: &ServiceCore,
         sub: &CompiledSub,
         msg: &NotificationMessage,
         trace: Option<TraceContext>,
     ) -> SendOutcome {
-        if !sub.live() {
+        let Some(delivering) = sub.begin_delivery() else {
             return SendOutcome::Skipped;
-        }
+        };
         // Forward preserving the original producer reference.
         let env = msg
             .outbound(&sub.consumer)
@@ -500,7 +531,11 @@ impl DeliveryFabric {
             .into_envelope();
         // This thread is the consumer's delivery thread — the publisher's
         // on a manual clock, a `broker-delivery` worker otherwise.
-        match self.net.deliver_oneway(&sub.consumer.address, env) {
+        let sent = self.net.deliver_oneway(&sub.consumer.address, env);
+        // Before the auto-pause edit: a `Destroy` holding the
+        // subscription's lease waits for this delivery to end.
+        drop(delivering);
+        match sent {
             Ok(()) => {
                 sub.consecutive_failures.store(0, Ordering::Relaxed);
                 SendOutcome::Delivered
@@ -509,7 +544,7 @@ impl DeliveryFabric {
                 self.failures.inc();
                 let streak = sub.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
                 if streak >= AUTOPAUSE_AFTER {
-                    self.autopause(sub);
+                    self.autopause(core, sub);
                 }
                 SendOutcome::Failed
             }
@@ -519,16 +554,16 @@ impl DeliveryFabric {
     /// Pause a subscription whose consumer keeps failing. Written
     /// through the store so the `Paused` resource property reflects it
     /// (and, via the indexing decorator, the compiled entry too).
-    fn autopause(&self, sub: &CompiledSub) {
+    fn autopause(&self, core: &ServiceCore, sub: &CompiledSub) {
         if sub.paused.swap(true, Ordering::AcqRel) {
             return;
         }
         self.autopaused.inc();
-        self.events.emit(
+        core.metrics.events().emit(
             Severity::Warn,
             EventKind::DeliveryAutopause,
-            &self.service,
-            self.clock.now().as_nanos(),
+            &core.name,
+            core.clock.now().as_nanos(),
             || {
                 format!(
                     "subscription {} auto-paused after {AUTOPAUSE_AFTER} delivery failures",
@@ -536,11 +571,8 @@ impl DeliveryFabric {
                 )
             },
         );
-        if let Ok(mut doc) = self.store.load(&self.service, &sub.key) {
-            doc.set_text(p_paused(), "true");
-            let (store, service) = (&*self.store, &self.service);
-            save_detached(store, &self.events, &self.clock, service, &sub.key, &doc);
-        }
+        // Nobody to tell: a refused write leaves a `StoreWriteDropped` event.
+        let _ = core.edit(&sub.key, |doc| doc.set_text(p_paused(), "true"));
     }
 
     fn pool(&self) -> &ThreadPool {
@@ -551,20 +583,20 @@ impl DeliveryFabric {
     /// One drainer per queue, submitted together: a publish wakes the
     /// pool once, after its last delivery is queued, not once per
     /// consumer.
-    fn start_drains(self: &Arc<Self>, queues: Vec<SharedQueue>) {
+    fn start_drains(self: &Arc<Self>, core: &Arc<ServiceCore>, queues: Vec<SharedQueue>) {
         if queues.is_empty() {
             return;
         }
         self.pool().execute_all(queues.into_iter().map(|queue| {
-            let fabric = self.clone();
-            move || fabric.drain(&queue)
+            let (fabric, core) = (self.clone(), core.clone());
+            move || fabric.drain(&core, &queue)
         }));
     }
 
     /// Drain one consumer's queue in batches, delivering on this
     /// thread. A slow consumer pins this worker; every other consumer
     /// keeps flowing on the rest of the pool.
-    fn drain(&self, queue: &Mutex<ConsumerQueue>) {
+    fn drain(&self, core: &ServiceCore, queue: &Mutex<ConsumerQueue>) {
         loop {
             let batch: Vec<Delivery> = {
                 let mut q = queue.lock();
@@ -576,7 +608,7 @@ impl DeliveryFabric {
                 q.q.drain(..n).collect()
             };
             for d in batch {
-                let _ = self.send_now(&d.sub, &d.msg, d.trace);
+                let _ = self.send_now(core, &d.sub, &d.msg, d.trace);
             }
         }
     }
@@ -628,12 +660,8 @@ pub fn notification_broker(
     }
     let fabric = Arc::new(DeliveryFabric {
         net: net.clone(),
-        store: store.clone(),
-        service: name.to_string(),
         failures: registry.counter("broker.delivery_failures"),
         autopaused: registry.counter("broker.autopaused"),
-        events: registry.events().clone(),
-        clock: clock.clone(),
         pool: OnceLock::new(),
     });
     let state = Arc::new(BrokerState {
@@ -831,7 +859,7 @@ fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, Bas
             }
             state.topic_deliveries.counter(m.topic.root()).inc();
             if inline {
-                match state.fabric.send_now(sub, m, trace) {
+                match state.fabric.send_now(&core, sub, m, trace) {
                     SendOutcome::Delivered => delivered += 1,
                     SendOutcome::Failed => failed += 1,
                     SendOutcome::Skipped => {}
@@ -847,7 +875,7 @@ fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, Bas
             }
         }
     }
-    state.fabric.start_drains(idle_queues);
+    state.fabric.start_drains(&core, idle_queues);
     state.deliveries.add(delivered as u64);
     state.coalesced.add(coalesced as u64);
     fanout_span.finish();

@@ -3,9 +3,10 @@
 //!
 //! This is the "custom mechanisms for asynchronous messaging are
 //! permitted by WSRF.NET (and WSRF)" path: a producer that manages its
-//! own subscriber list. The testbed uses it for point-to-point
-//! notifications (ProcSpawn → Execution Service, upload completions),
-//! and experiment E4 compares it against the brokered path.
+//! own subscriber list. The testbed does not use it — its job events go
+//! through the broker, and the ProcSpawn exit and the upload completion
+//! are a callback and a plain one-way message — but experiment E4 and
+//! `tests/notification_flow.rs` compare it against the brokered path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -32,7 +32,7 @@ use wsrf_xml::{Element, QName};
 
 use crate::faults;
 use crate::properties::PropertyDoc;
-use crate::store::ResourceStore;
+use crate::store::{ResourceStore, StoreError};
 
 /// A computed (derived) resource property — the analogue of a C#
 /// property getter marked `[ResourceProperty]` in Figure 2. It is
@@ -83,32 +83,6 @@ pub(crate) struct Op {
 /// may share a stripe — that costs spurious contention, never safety.
 const LEASE_STRIPES: usize = 64;
 
-/// Striped per-resource leases: the container holds a stripe's lock —
-/// shared for [`OpAccess::Read`], exclusive for [`OpAccess::Write`] —
-/// across the load→invoke→save window, so two concurrent writers can
-/// never both load, mutate private copies, and last-save-win (the
-/// lost-update race WSRF.NET delegates to database transactions, §5).
-/// Handlers run *inside* the lease, so they must not dispatch back
-/// into the same service; direct `ServiceCore` calls (create/destroy)
-/// stay lease-free and remain safe to make from handlers.
-struct LeaseTable {
-    stripes: Box<[RwLock<()>]>,
-}
-
-impl LeaseTable {
-    fn new() -> Self {
-        LeaseTable {
-            stripes: (0..LEASE_STRIPES).map(|_| RwLock::new(())).collect(),
-        }
-    }
-
-    fn stripe(&self, key: &str) -> &RwLock<()> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.stripes[(h.finish() as usize) & (LEASE_STRIPES - 1)]
-    }
-}
-
 /// A held lease (either mode); released on drop after the save stage.
 enum LeaseGuard<'a> {
     Shared(#[allow(dead_code)] RwLockReadGuard<'a, ()>),
@@ -139,6 +113,8 @@ pub struct ServiceCore {
     next_key: AtomicU64,
     /// Scheduled-destruction timers per resource key.
     lifetime: Mutex<HashMap<String, TimerId>>,
+    /// Per-resource read/write leases ([`ServiceCore::lease`]).
+    leases: Box<[RwLock<()>]>,
     computed: Vec<(QName, ComputedProperty)>,
 }
 
@@ -185,6 +161,43 @@ impl ServiceCore {
         self.store
             .destroy(&self.name, key)
             .map_err(faults::from_store)
+    }
+
+    /// The lease stripe of resource `key`. A dispatch holds it — shared
+    /// for [`OpAccess::Read`], exclusive for [`OpAccess::Write`] — across
+    /// load→invoke→save and [`ServiceCore::edit`] across its own, so no
+    /// two writers both edit private copies and last-save-win (the lost
+    /// update WSRF.NET leaves to the database, §5). Handlers run inside
+    /// it, so never dispatch back into their service; create and destroy
+    /// take none.
+    fn lease(&self, key: &str) -> &RwLock<()> {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        &self.leases[(h.finish() as usize) & (LEASE_STRIPES - 1)]
+    }
+
+    /// Change resource `key` outside a dispatch, the only way to: under
+    /// the exclusive lease a `Write` dispatch takes, read the stored
+    /// document, let `f` edit it and save it; `Ok(None)` if the resource
+    /// is gone, before or during the edit. `f` touches only the document
+    /// (no sends, no publishes), and `edit` is never called on a thread
+    /// holding one of this service's leases — in a resource operation's
+    /// handler — since stripes do not re-enter.
+    pub fn edit<R>(
+        &self,
+        key: &str,
+        f: impl FnOnce(&mut PropertyDoc) -> R,
+    ) -> Result<Option<R>, WriteRefused<'_>> {
+        let _lease = self.lease(key).write();
+        let edited = self.store.share(&self.name, key).and_then(|mut doc| {
+            let edited = f(Arc::make_mut(&mut doc));
+            self.store.save(&self.name, key, &doc).map(|()| edited)
+        });
+        unless_gone(edited).map_err(|error| WriteRefused {
+            core: self,
+            key: key.to_string(),
+            error: Some(error),
+        })
     }
 
     /// Schedule destruction at an absolute virtual time
@@ -263,6 +276,49 @@ impl ServiceCore {
         self.computed
             .iter()
             .any(|(n, _)| n == name || n.local == name.local)
+    }
+}
+
+/// `None` for a resource that is gone — destroyed or expired since it
+/// was read — whose write is dropped rather than bringing it back: the
+/// rule of the save stage and of [`ServiceCore::edit`] alike.
+fn unless_gone<T>(result: Result<T, StoreError>) -> Result<Option<T>, StoreError> {
+    match result {
+        Ok(value) => Ok(Some(value)),
+        Err(StoreError::NotFound(_)) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// A change [`ServiceCore::edit`] could not make: the store refused it.
+/// It is reported exactly once. A caller with someone to answer turns
+/// it into their fault with `?`; dropping it instead — nobody to answer
+/// — leaves one [`EventKind::StoreWriteDropped`] event.
+pub struct WriteRefused<'a> {
+    core: &'a ServiceCore,
+    key: String,
+    /// Taken when the refusal becomes a fault.
+    error: Option<StoreError>,
+}
+
+impl From<WriteRefused<'_>> for BaseFault {
+    fn from(mut refused: WriteRefused<'_>) -> BaseFault {
+        faults::from_store(refused.error.take().expect("answered once"))
+    }
+}
+
+impl Drop for WriteRefused<'_> {
+    fn drop(&mut self) {
+        if let Some(error) = self.error.take() {
+            let core = self.core;
+            core.metrics.events().emit(
+                Severity::Error,
+                EventKind::StoreWriteDropped,
+                &core.name,
+                core.clock.now().as_nanos(),
+                || format!("write to {} dropped: {error}", self.key),
+            );
+        }
     }
 }
 
@@ -534,8 +590,6 @@ fn doc_bytes(doc: &PropertyDoc) -> u64 {
 pub struct Service {
     core: Arc<ServiceCore>,
     ops: HashMap<String, Op>,
-    /// Per-resource read/write leases.
-    leases: LeaseTable,
     description: Element,
     obs: DispatchObs,
     tracer: Tracer,
@@ -738,9 +792,10 @@ impl Service {
                 OpAccess::Write => self.obs.writes.inc(),
             }
             let waited = lap.is_some().then(std::time::Instant::now);
+            let stripe = self.core.lease(k);
             _lease = Some(match op.access {
-                OpAccess::Read => LeaseGuard::Shared(self.leases.stripe(k).read()),
-                OpAccess::Write => LeaseGuard::Exclusive(self.leases.stripe(k).write()),
+                OpAccess::Read => LeaseGuard::Shared(stripe.read()),
+                OpAccess::Write => LeaseGuard::Exclusive(stripe.write()),
             });
             if let Some(t0) = waited {
                 self.obs.lock_wait.record(t0.elapsed().as_nanos() as u64);
@@ -784,17 +839,9 @@ impl Service {
         // database" — and unchanged ones too).
         if let Some(doc) = ctx.resource.take().filter(|_| op.access == OpAccess::Write) {
             let k = key.as_deref().expect("resource op had a key");
-            match self.core.store.save(&self.core.name, k, &doc) {
-                Ok(()) => {
-                    if self.obs.enabled {
-                        self.obs.save_bytes.add(doc_bytes(&doc));
-                    }
-                }
-                // The handler (or a lifetime timer) destroyed the
-                // resource mid-dispatch; dropping the write is
-                // correct — saving would resurrect the row.
-                Err(crate::store::StoreError::NotFound(_)) => {}
-                Err(e) => return Err(faults::from_store(e)),
+            let saved = unless_gone(self.core.store.save(&self.core.name, k, &doc));
+            if saved.map_err(faults::from_store)?.is_some() && self.obs.enabled {
+                self.obs.save_bytes.add(doc_bytes(&doc));
             }
         }
         if let Some(l) = lap.as_mut() {
@@ -1001,6 +1048,7 @@ impl ServiceBuilder {
             metrics,
             next_key: AtomicU64::new(next),
             lifetime: Mutex::new(HashMap::new()),
+            leases: (0..LEASE_STRIPES).map(|_| RwLock::new(())).collect(),
             computed: self.computed,
         });
         let mut ops = self.ops;
@@ -1038,7 +1086,6 @@ impl ServiceBuilder {
         Arc::new(Service {
             core,
             ops,
-            leases: LeaseTable::new(),
             description,
             obs,
             tracer,
@@ -1463,6 +1510,112 @@ mod tests {
             &svc.core().store.share("M", "r1").unwrap()
         ));
         assert_eq!(row.i64(&q("X")), Some(0));
+    }
+
+    fn counting_service() -> (Arc<Service>, Arc<CountingStore>) {
+        let clock = Clock::manual();
+        let store = Arc::new(CountingStore {
+            inner: MemoryStore::new(),
+            saves: std::sync::atomic::AtomicUsize::new(0),
+            saves_of_the_row: std::sync::atomic::AtomicUsize::new(0),
+        });
+        let svc = ServiceBuilder::new("E", "inproc://m/E", store.clone())
+            .build(clock.clone(), InProcNetwork::new(clock));
+        (svc, store)
+    }
+
+    #[test]
+    fn edit_of_a_missing_resource_writes_nothing() {
+        let (svc, store) = counting_service();
+        let mut ran = false;
+        let edited = svc.core().edit("ghost", |_| ran = true);
+        assert!(matches!(edited, Ok(None)));
+        assert!(!ran, "nothing to edit");
+        assert_eq!(store.saves.load(std::sync::atomic::Ordering::SeqCst), 0);
+        assert!(!svc.core().store.exists("E", "ghost"));
+    }
+
+    #[test]
+    fn a_resource_destroyed_during_an_edit_stays_destroyed() {
+        let (svc, _store) = counting_service();
+        let core = svc.core();
+        core.create_resource_with_key("r1", PropertyDoc::new())
+            .unwrap();
+        // A lifetime timer destroys without the lease, so it can land
+        // between an edit's read and its save.
+        let edited = core.edit("r1", |doc| {
+            core.store.destroy("E", "r1").unwrap();
+            doc.set_i64(q("X"), 1);
+        });
+        assert!(matches!(edited, Ok(None)), "the write is dropped");
+        assert!(!core.store.exists("E", "r1"), "not resurrected");
+    }
+
+    #[test]
+    fn a_refused_edit_is_reported_exactly_once() {
+        let reg = MetricsRegistry::enabled();
+        let clock = Clock::manual();
+        let store = Arc::new(crate::store::StructuredStore::new());
+        store.define_schema("svc", vec![(q("Status"), crate::store::ColumnType::Text)]);
+        fn edit(ctx: &mut Ctx<'_>, answer: bool) -> Result<Element, BaseFault> {
+            let refused = ctx
+                .core
+                .edit("a", |doc| doc.set_f64(q("Cpu"), 1.0)) // not a column
+                .map(|_| ());
+            match answer {
+                true => refused?,
+                false => drop(refused),
+            }
+            Ok(Element::new(UVACG, "Done"))
+        }
+        let svc = ServiceBuilder::new("svc", "inproc://m/svc", store)
+            .with_metrics(reg.clone())
+            .static_operation("Answer", |ctx| edit(ctx, true))
+            .static_operation("Drop", |ctx| edit(ctx, false))
+            .build(clock.clone(), InProcNetwork::new(clock));
+        let core = svc.core();
+        let mut doc = PropertyDoc::new();
+        doc.set_text(q("Status"), "Running");
+        core.create_resource_with_key("a", doc).unwrap();
+        let count = |kind: &str| reg.snapshot().counter(&format!("events.{kind}"));
+
+        // Expired or saved: nothing to report.
+        assert!(matches!(core.edit("gone", |_| ()), Ok(None)));
+        let saved = core.edit("a", |doc| doc.set_text(q("Status"), "Exited"));
+        assert!(matches!(saved, Ok(Some(()))));
+        assert_eq!(count("store_write_dropped"), Some(0));
+
+        // Nobody to answer: one `StoreWriteDropped`, no `DispatchFault`.
+        let run = |op| {
+            call(
+                &svc,
+                core.service_epr(),
+                &action_uri("svc", op),
+                Element::local(op),
+            )
+        };
+        assert!(!run("Drop").is_fault());
+        assert_eq!(count("store_write_dropped"), Some(1));
+        assert_eq!(count("dispatch_fault"), Some(0));
+        let event = reg.events().recent(Severity::Error, 1).remove(0);
+        assert_eq!(event.kind, EventKind::StoreWriteDropped);
+        assert_eq!(&*event.service, "svc");
+        assert!(event
+            .detail
+            .contains("write to a dropped: schema violation"));
+
+        // A caller to answer: its fault, and nothing else.
+        let fault = run("Answer");
+        assert_eq!(
+            fault.fault().unwrap().error_code(),
+            Some("wsrf:StorageFault")
+        );
+        assert_eq!(count("store_write_dropped"), Some(1));
+        assert_eq!(count("dispatch_fault"), Some(1));
+        assert_eq!(
+            core.store.share("svc", "a").unwrap().text(&q("Status")),
+            Some("Exited".to_string())
+        );
     }
 
     #[test]

@@ -135,21 +135,12 @@ pub fn service_group_builder(
             let entry_key = faults::require_key(&entry_epr, "entry")?;
 
             // Append to the group's entry list.
-            let mut group = ctx
-                .core
-                .store
-                .load(&ctx.core.name, GROUP_KEY)
-                .map_err(faults::from_store)?;
-            group.insert(
-                entry_property(),
-                entry_epr
-                    .to_element_named(ns::WSSG, "Entry")
-                    .attr("key", &entry_key),
-            );
+            let entry = entry_epr
+                .to_element_named(ns::WSSG, "Entry")
+                .attr("key", &entry_key);
             ctx.core
-                .store
-                .save(&ctx.core.name, GROUP_KEY, &group)
-                .map_err(faults::from_store)?;
+                .edit(GROUP_KEY, |group| group.insert(entry_property(), entry))?
+                .ok_or_else(|| faults::no_such_resource(GROUP_KEY))?;
 
             Ok(Element::new(ns::WSSG, "AddResponse").child(entry_epr.to_element()))
         })
@@ -160,23 +151,18 @@ pub fn service_group_builder(
                 .map(|e| e.text_content())
                 .ok_or_else(|| faults::bad_request("Remove requires EntryKey"))?;
             ctx.core.destroy_resource(&key)?;
-            let mut group = ctx
-                .core
-                .store
-                .load(&ctx.core.name, GROUP_KEY)
-                .map_err(faults::from_store)?;
-            group.remove_value(&entry_property(), |e| e.attr_value("key") == Some(&key));
             ctx.core
-                .store
-                .save(&ctx.core.name, GROUP_KEY, &group)
-                .map_err(faults::from_store)?;
+                .edit(GROUP_KEY, |group| {
+                    group.remove_value(&entry_property(), |e| e.attr_value("key") == Some(&key))
+                })?
+                .ok_or_else(|| faults::no_such_resource(GROUP_KEY))?;
             Ok(Element::new(ns::WSSG, "RemoveResponse"))
         })
         .static_operation("Entries", |ctx| {
             let group = ctx
                 .core
                 .store
-                .load(&ctx.core.name, GROUP_KEY)
+                .share(&ctx.core.name, GROUP_KEY)
                 .map_err(faults::from_store)?;
             let entries: Vec<Element> = group.get(&entry_property()).to_vec();
             Ok(Element::new(ns::WSSG, "EntriesResponse").children(entries))
@@ -187,12 +173,12 @@ pub fn service_group_builder(
             let path = wsrf_xml::xpath::Path::parse(&expr)
                 .map_err(|e| faults::invalid_query(&e.to_string()))?;
             let mut resp = Element::new(ns::WSSG, "FindByContentResponse");
-            // Scan live entries; dead ones (destroyed by lease expiry)
-            // are skipped and lazily pruned from the group list.
+            // Scan live entries. Dead ones (destroyed by lease expiry)
+            // are skipped; their `Entry` stays on the group list.
             let group = ctx
                 .core
                 .store
-                .load(&ctx.core.name, GROUP_KEY)
+                .share(&ctx.core.name, GROUP_KEY)
                 .map_err(faults::from_store)?;
             for entry in group.get(&entry_property()) {
                 let Some(key) = entry.attr_value("key") else {

@@ -28,8 +28,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use simclock::Clock;
-use wsrf_obs::{EventKind, EventLog, Severity};
 use wsrf_xml::xpath::Path;
 use wsrf_xml::QName;
 
@@ -102,33 +100,6 @@ pub trait ResourceStore: Send + Sync {
 
     /// Backend label for diagnostics and bench tables.
     fn backend_name(&self) -> &'static str;
-}
-
-/// [`ResourceStore::save`] for a writer outside any dispatch — a timer,
-/// an exit callback, a delivery worker — that has nobody to return an
-/// error to. `NotFound` is skipped: the resource expired meanwhile, and
-/// saving must not bring it back. Any other refusal would lose state
-/// silently, so it leaves an [`EventKind::StoreWriteDropped`] event.
-pub fn save_detached(
-    store: &dyn ResourceStore,
-    events: &EventLog,
-    clock: &Clock,
-    service: &str,
-    key: &str,
-    doc: &PropertyDoc,
-) {
-    match store.save(service, key, doc) {
-        Ok(()) | Err(StoreError::NotFound(_)) => {}
-        Err(e) => {
-            events.emit(
-                Severity::Error,
-                EventKind::StoreWriteDropped,
-                service,
-                clock.now().as_nanos(),
-                || format!("write to {key} dropped: {e}"),
-            );
-        }
-    }
 }
 
 fn doc_root() -> QName {
@@ -668,7 +639,6 @@ impl ResourceStore for StructuredStore {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use wsrf_obs::MetricsRegistry;
     use wsrf_xml::Element;
 
     const NS: &str = "urn:test";
@@ -747,32 +717,6 @@ pub(crate) mod tests {
         assert!(Arc::ptr_eq(&first, &store.share("svc", "a").unwrap()));
         store.save("svc", "a", &job_doc("Exited", 1.0)).unwrap();
         assert!(!Arc::ptr_eq(&first, &store.share("svc", "a").unwrap()));
-    }
-
-    #[test]
-    fn a_detached_save_reports_a_refusal_but_not_an_expiry() {
-        let reg = MetricsRegistry::enabled();
-        let (events, clock) = (reg.events(), Clock::manual());
-        let store = StructuredStore::new();
-        store.define_schema("svc", vec![(q("Status"), ColumnType::Text)]);
-        let mut doc = PropertyDoc::new();
-        doc.set_text(q("Status"), "Running");
-        store.create("svc", "a", &doc).unwrap();
-        let dropped = || reg.snapshot().counter("events.store_write_dropped");
-
-        save_detached(&store, events, &clock, "svc", "gone", &doc);
-        save_detached(&store, events, &clock, "svc", "a", &doc);
-        assert_eq!(dropped(), Some(0), "expired or saved: nothing to report");
-
-        doc.set_f64(q("Cpu"), 1.0); // not a declared column
-        save_detached(&store, events, &clock, "svc", "a", &doc);
-        assert_eq!(dropped(), Some(1));
-        let event = events.recent(Severity::Error, 1).remove(0);
-        assert_eq!(event.kind, EventKind::StoreWriteDropped);
-        assert_eq!(&*event.service, "svc");
-        assert!(event
-            .detail
-            .contains("write to a dropped: schema violation"));
     }
 
     #[test]

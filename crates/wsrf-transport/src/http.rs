@@ -17,33 +17,19 @@ use crate::obs::LinkObs;
 use crate::pool::{read_sized, release_oversized};
 use crate::serve::{is_timeout, Connection, Listener, MAX_MESSAGE, READ_TIMEOUT};
 
-/// Anti-slowloris limits applied to every accepted connection. A
-/// client that trickles headers forever, or sends an unbounded header
-/// block, used to pin its connection thread indefinitely; these bounds
-/// turn both into prompt SOAP faults (408 / 431).
-#[derive(Clone, Copy, Debug)]
-pub struct HttpLimits {
-    /// Socket read timeout; an idle read past this answers 408.
-    pub read_timeout: std::time::Duration,
-    /// Cap on the request line + header block, in bytes (431 beyond).
-    pub max_header_bytes: usize,
-    /// Cap on the number of header lines (431 beyond).
-    pub max_header_lines: usize,
-}
-
-impl Default for HttpLimits {
-    fn default() -> Self {
-        HttpLimits {
-            read_timeout: READ_TIMEOUT,
-            max_header_bytes: 16 << 10,
-            max_header_lines: 100,
-        }
-    }
-}
+/// Cap on the request line + header block, in bytes. With
+/// [`MAX_HEADER_LINES`] and the listener's `READ_TIMEOUT` (an idle read
+/// past it answers 408), the anti-slowloris limits of every connection:
+/// a client sending an unbounded header block gets a prompt 431 SOAP
+/// fault instead of pinning its connection thread. Responses are read
+/// under the same caps.
+const MAX_HEADER_BYTES: usize = 16 << 10;
+/// Cap on the number of header lines.
+const MAX_HEADER_LINES: usize = 100;
 
 /// What [`HttpSoapServer::start_with`] can be told. The default is
 /// [`HttpSoapServer::start`]'s server: nothing recorded, no hop spans,
-/// default limits, POST only.
+/// POST only.
 #[derive(Clone)]
 pub struct HttpConfig {
     /// Records served traffic (`transport.http.*`); scraped when
@@ -52,8 +38,6 @@ pub struct HttpConfig {
     /// With a clock, each served request that carries a trace header
     /// opens a transport hop span (timestamps read from it).
     pub clock: Option<Clock>,
-    /// Anti-slowloris limits.
-    pub limits: HttpLimits,
     /// Serve the monitoring-plane GET endpoints.
     pub expose: bool,
 }
@@ -63,7 +47,6 @@ impl Default for HttpConfig {
         HttpConfig {
             registry: MetricsRegistry::disabled(),
             clock: None,
-            limits: HttpLimits::default(),
             expose: false,
         }
     }
@@ -97,7 +80,7 @@ impl HttpSoapServer {
         endpoint: Arc<dyn Endpoint>,
         registry: &MetricsRegistry,
     ) -> std::io::Result<Self> {
-        Self::start_inner(endpoint, registry, None, HttpLimits::default(), None)
+        Self::start_inner(endpoint, registry, None, None)
     }
 
     /// Start serving `endpoint` as `config` says. With `config.expose`
@@ -115,7 +98,6 @@ impl HttpSoapServer {
         let HttpConfig {
             registry,
             clock,
-            limits,
             expose,
         } = config;
         let expose = match (expose, &clock) {
@@ -132,25 +114,23 @@ impl HttpSoapServer {
                 ))
             }
         };
-        Self::start_inner(endpoint, &registry, clock, limits, expose)
+        Self::start_inner(endpoint, &registry, clock, expose)
     }
 
     fn start_inner(
         endpoint: Arc<dyn Endpoint>,
         registry: &MetricsRegistry,
         clock: Option<Clock>,
-        limits: HttpLimits,
         expose: Option<Exposition>,
     ) -> std::io::Result<Self> {
         let conn = HttpConn {
             endpoint,
             obs: LinkObs::new(registry, KIND),
             clock,
-            limits,
             expose,
         };
         Ok(HttpSoapServer {
-            listener: Listener::bind(KIND, registry, limits.read_timeout, conn)?,
+            listener: Listener::bind(KIND, registry, READ_TIMEOUT, conn)?,
         })
     }
 
@@ -176,7 +156,8 @@ enum ContentLength {
     Invalid(String),
     /// A well-formed length.
     Len(usize),
-    /// The header block blew past [`HttpLimits`] (bytes or line count).
+    /// The header block blew past [`MAX_HEADER_BYTES`] or
+    /// [`MAX_HEADER_LINES`].
     TooLarge(&'static str),
 }
 
@@ -184,14 +165,11 @@ enum ContentLength {
 /// `Content-Length`. Server and client both parse through here, so the
 /// two sides can never again drift on how a missing or garbage length
 /// is treated (historically one side ignored it and the other silently
-/// read a zero-byte body). The header block is bounded by `limits`: a
+/// read a zero-byte body). The header block is bounded: a
 /// peer streaming endless (or endlessly long) header lines gets
 /// [`ContentLength::TooLarge`] instead of an unbounded read loop.
-fn read_content_length(
-    reader: &mut impl BufRead,
-    limits: &HttpLimits,
-) -> std::io::Result<ContentLength> {
-    let mut limited = reader.take(limits.max_header_bytes as u64);
+fn read_content_length(reader: &mut impl BufRead) -> std::io::Result<ContentLength> {
+    let mut limited = reader.take(MAX_HEADER_BYTES as u64);
     let mut found = ContentLength::Missing;
     let mut lines = 0usize;
     let mut h = String::new();
@@ -210,7 +188,7 @@ fn read_content_length(
             return Ok(ContentLength::TooLarge("header line exceeds byte cap"));
         }
         lines += 1;
-        if lines > limits.max_header_lines {
+        if lines > MAX_HEADER_LINES {
             return Ok(ContentLength::TooLarge("too many header lines"));
         }
         let h = h.trim_end();
@@ -361,7 +339,6 @@ struct HttpConn {
     endpoint: Arc<dyn Endpoint>,
     obs: LinkObs,
     clock: Option<Clock>,
-    limits: HttpLimits,
     expose: Option<Exposition>,
 }
 
@@ -426,7 +403,6 @@ impl HttpConn {
             endpoint,
             obs,
             clock,
-            limits,
             expose,
         } = self;
         let HttpBuffers {
@@ -462,7 +438,7 @@ impl HttpConn {
         // endless line is cut off at the byte cap.
         line.clear();
         {
-            let mut limited = (&mut reader).take(limits.max_header_bytes as u64);
+            let mut limited = (&mut reader).take(MAX_HEADER_BYTES as u64);
             match limited.read_line(line) {
                 Ok(_) => {}
                 Err(e) if is_timeout(&e) => {
@@ -485,7 +461,7 @@ impl HttpConn {
         if let (Some(exp), true) = (expose, line.starts_with("GET ")) {
             // Exposition GET: drain the (bounded) header block — scrapers
             // send no body — then route on the path.
-            match read_content_length(&mut reader, limits) {
+            match read_content_length(&mut reader) {
                 Ok(_) => {}
                 Err(e) if is_timeout(&e) => {
                     return refuse(
@@ -507,7 +483,7 @@ impl HttpConn {
 
         // Headers. A client trickling them slower than the read timeout
         // gets 408 instead of pinning this thread.
-        let scanned = match read_content_length(&mut reader, limits) {
+        let scanned = match read_content_length(&mut reader) {
             Ok(s) => s,
             Err(e) if is_timeout(&e) => {
                 return refuse(
@@ -734,7 +710,7 @@ fn read_response_head(reader: &mut impl BufRead) -> Result<(u16, ContentLength),
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| TransportError::Protocol(format!("bad status line {status_line:?}")))?;
-    Ok((code, read_content_length(reader, &HttpLimits::default())?))
+    Ok((code, read_content_length(reader)?))
 }
 
 /// Read a response body of the claimed `len`, which is the peer's say-so
@@ -893,7 +869,7 @@ mod tests {
         let mut status = String::new();
         reader.read_line(&mut status).unwrap();
         let code: u16 = status.split_whitespace().nth(1).unwrap().parse().unwrap();
-        let len = match read_content_length(&mut reader, &HttpLimits::default()).unwrap() {
+        let len = match read_content_length(&mut reader).unwrap() {
             ContentLength::Len(n) => n,
             _ => 0,
         };
@@ -902,20 +878,19 @@ mod tests {
         (code, String::from_utf8(body).unwrap())
     }
 
-    fn with_limits(limits: HttpLimits) -> HttpSoapServer {
-        let config = HttpConfig {
-            limits,
-            ..HttpConfig::default()
-        };
-        HttpSoapServer::start_with(Arc::new(FnEndpoint::new("echo", Some)), config).unwrap()
-    }
-
     #[test]
     fn idle_slowloris_client_gets_408_soap_fault() {
-        let server = with_limits(HttpLimits {
-            read_timeout: std::time::Duration::from_millis(100),
-            ..HttpLimits::default()
-        });
+        // A read timeout a test can wait out.
+        let conn = HttpConn {
+            endpoint: Arc::new(FnEndpoint::new("echo", Some)),
+            obs: LinkObs::noop(),
+            clock: None,
+            expose: None,
+        };
+        let timeout = std::time::Duration::from_millis(100);
+        let server = HttpSoapServer {
+            listener: Listener::bind(KIND, &MetricsRegistry::disabled(), timeout, conn).unwrap(),
+        };
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         // Open the request but never finish the header block.
         stream
@@ -931,13 +906,10 @@ mod tests {
 
     #[test]
     fn header_flood_gets_431_soap_fault() {
-        let server = with_limits(HttpLimits {
-            max_header_lines: 8,
-            ..HttpLimits::default()
-        });
+        let server = HttpSoapServer::start(Arc::new(FnEndpoint::new("echo", Some))).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.write_all(b"POST /svc HTTP/1.1\r\n").unwrap();
-        for i in 0..50 {
+        for i in 0..MAX_HEADER_LINES + 50 {
             stream
                 .write_all(format!("X-Flood-{i}: y\r\n").as_bytes())
                 .unwrap();
@@ -951,26 +923,17 @@ mod tests {
 
     #[test]
     fn oversized_header_block_gets_431() {
-        let server = with_limits(HttpLimits {
-            max_header_bytes: 256,
-            ..HttpLimits::default()
-        });
+        let server = HttpSoapServer::start(Arc::new(FnEndpoint::new("echo", Some))).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.write_all(b"POST /svc HTTP/1.1\r\n").unwrap();
         // One huge header line, no newline in sight.
-        stream.write_all(&vec![b'a'; 4096]).unwrap();
+        stream
+            .write_all(&vec![b'a'; MAX_HEADER_BYTES + 4096])
+            .unwrap();
         stream.flush().unwrap();
         let (code, body) = raw_response(stream);
         assert_eq!(code, 431);
         assert!(Envelope::parse(&body).unwrap().is_fault());
-    }
-
-    #[test]
-    fn limits_leave_normal_calls_untouched() {
-        let server = with_limits(HttpLimits::default());
-        let req = Envelope::new(Element::local("Ping").text("p"));
-        let resp = http_call(&server.authority(), "svc", &req).unwrap();
-        assert_eq!(resp, req);
     }
 
     fn monitored_server() -> (HttpSoapServer, Arc<MetricsRegistry>, Clock) {
@@ -983,7 +946,6 @@ mod tests {
             registry: reg.clone(),
             clock: Some(clock.clone()),
             expose: true,
-            ..HttpConfig::default()
         };
         let server =
             HttpSoapServer::start_with(Arc::new(FnEndpoint::new("echo", Some)), config).unwrap();
@@ -1244,7 +1206,6 @@ mod tests {
             endpoint,
             obs: LinkObs::new(registry, KIND),
             clock: None,
-            limits: HttpLimits::default(),
             expose: None,
         };
         HttpSoapServer {
@@ -1382,7 +1343,7 @@ mod tests {
             let mut reader = BufReader::new(stream);
             let mut request_line = String::new();
             reader.read_line(&mut request_line).unwrap();
-            read_content_length(&mut reader, &HttpLimits::default()).unwrap();
+            read_content_length(&mut reader).unwrap();
             reader.get_mut().write_all(response.as_bytes()).unwrap();
         });
         (authority, peer)
@@ -1416,7 +1377,6 @@ mod tests {
             endpoint: Arc::new(FnEndpoint::new("echo", Some)),
             obs: LinkObs::noop(),
             clock: None,
-            limits: HttpLimits::default(),
             expose: None,
         };
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();

@@ -34,6 +34,20 @@ for f in container porttypes; do
     fi
 done
 
+# One write path: outside a dispatch a resource changes only through
+# `ServiceCore::edit`, under the lease a dispatch takes, so nothing
+# outside the container and the stores saves a document, or loads a
+# copy of one to read (`share` lends the stored one).
+for f in $(find crates/uvacg/src crates/ws-notification/src crates/wsrf-core/src -name '*.rs'); do
+    case "$f" in
+    */wsrf-core/src/container.rs | */wsrf-core/src/store.rs | */wsrf-core/src/wal.rs) continue ;;
+    esac
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | tr -d ' \n' | grep -qE '\.store\.(save|load)\(|save_detached\('; then
+        echo "tier-1: $f writes a resource by hand or copies one to read it; use ServiceCore::edit or share" >&2
+        exit 1
+    fi
+done
+
 # A brokered delivery crosses one thread hand-over: the delivery fabric
 # reaches the network only through `deliver_oneway` (which runs the
 # consumer on the fabric's own worker), and the network has one body

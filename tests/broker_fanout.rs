@@ -395,6 +395,75 @@ fn delivery_queues_go_with_the_last_subscription() {
     assert_eq!(queues(), Some(0));
 }
 
+/// A consumer whose callback destroys its own subscription: the
+/// `Destroy` must not wait for the delivery it is made from.
+#[test]
+fn a_callback_that_destroys_its_own_subscription_does_not_hang() {
+    let f = fabric(Clock::manual());
+    let l = NotificationListener::register(&f.net, "inproc://self/l");
+    let sub = broker::subscribe(
+        &f.net,
+        &f.broker_epr,
+        &l.epr(),
+        &TopicExpression::full("self//"),
+        None,
+    )
+    .unwrap();
+    let net = f.net.clone();
+    l.on_topic(TopicExpression::full("self//"), move |_| {
+        destroy(&net, &sub)
+    });
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let (net, epr) = (f.net.clone(), f.broker_epr.clone());
+    std::thread::spawn(move || {
+        // Inline on the manual clock: the callback runs in this publish.
+        broker::publish(&net, &epr, &evt("self/x")).unwrap();
+        done_tx.send(()).unwrap();
+    });
+    done.recv_timeout(Duration::from_secs(30))
+        .expect("the callback's Destroy waited for its own delivery");
+    broker::publish(&f.net, &f.broker_epr, &evt("self/x")).unwrap();
+    assert_eq!(l.total(), 1, "the subscription is gone");
+}
+
+/// Two consumers, each delivering while its callback destroys the
+/// other's subscription: neither `Destroy` may wait for the other's
+/// delivery, or both wait forever.
+#[test]
+fn callbacks_destroying_each_others_subscriptions_do_not_hang() {
+    let f = fabric(Clock::scaled(1000.0));
+    let listeners = ["inproc://pair/a", "inproc://pair/b"]
+        .map(|addr| NotificationListener::register(&f.net, addr));
+    let subs = listeners.each_ref().map(|l| {
+        broker::subscribe(
+            &f.net,
+            &f.broker_epr,
+            &l.epr(),
+            &TopicExpression::full("pair//"),
+            None,
+        )
+        .unwrap()
+    });
+    let both_in = Arc::new(std::sync::Barrier::new(2));
+    let (done_tx, done) = std::sync::mpsc::channel();
+    for (l, other) in listeners.iter().zip(subs.iter().rev()) {
+        let (net, other, both_in) = (f.net.clone(), other.clone(), both_in.clone());
+        let done_tx = std::sync::Mutex::new(done_tx.clone());
+        l.on_topic(TopicExpression::full("pair//"), move |_| {
+            both_in.wait();
+            destroy(&net, &other);
+            done_tx.lock().unwrap().send(()).unwrap();
+        });
+    }
+    broker::publish_counted(&f.net, &f.broker_epr, &evt("pair/x")).unwrap();
+    for _ in 0..2 {
+        done.recv_timeout(Duration::from_secs(30))
+            .expect("a Destroy waited for the other consumer's delivery");
+    }
+    let resp = broker::publish_counted(&f.net, &f.broker_epr, &evt("pair/x")).unwrap();
+    assert_eq!(resp.body.attr_value("delivered"), Some("0"));
+}
+
 /// Pause/resume racing the publish storm never wedges and ends in a
 /// deliverable state.
 #[test]

@@ -1,17 +1,21 @@
 //! Concurrency regressions for the dispatch pipeline: per-resource
-//! leases (no lost updates), read/write op classification (reads never
+//! leases (no lost updates, whether the writer is a dispatch or a
+//! `ServiceCore::edit`), read/write op classification (reads never
 //! save), destroy-vs-dispatch interleavings, and the shared snapshot a
 //! read is lent (no lock held, never torn).
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use wsrf_grid::prelude::*;
 use wsrf_grid::soap::ns;
 use wsrf_grid::wsrf::container::{action_uri, Service, ServiceBuilder};
 use wsrf_grid::wsrf::porttypes::{wsrl_action, wsrp_action};
 use wsrf_grid::wsrf::properties::PropertyDoc;
-use wsrf_grid::wsrf::store::{MemoryStore, ResourceStore};
-use wsrf_grid::wsrf::Outbound;
+use wsrf_grid::wsrf::servicegroup::{self, MembershipContentRule, GROUP_KEY};
+use wsrf_grid::wsrf::store::{MemoryStore, ResourceStore, StoreError};
+use wsrf_grid::wsrf::{Outbound, ResourceProxy};
+use wsrf_grid::xml::xpath::Path;
 use wsrf_grid::xml::QName;
 
 fn q(local: &str) -> QName {
@@ -318,4 +322,151 @@ fn readers_racing_writers_only_see_whole_documents() {
     });
     let end = store.share("Pair", "p1").unwrap();
     assert_eq!(end.i64(&q("A")), Some(WRITES));
+}
+
+/// A store that makes the next two readers of one row meet: once armed
+/// for a key, the first `load` or `share` of it reads the row and then
+/// waits until a second read arrives or 200 ms pass. Two writers that
+/// read the row with no lease held are sure to edit the same version;
+/// under the lease the second cannot read before the first has saved,
+/// and the wait times out.
+#[derive(Default)]
+struct Rendezvous {
+    rows: MemoryStore,
+    /// The armed key and how many of its readers have arrived.
+    armed: Mutex<Option<(String, usize)>>,
+    met: Condvar,
+}
+
+impl Rendezvous {
+    fn arm(&self, key: &str) {
+        *self.armed.lock().unwrap() = Some((key.to_string(), 0));
+    }
+
+    fn meet(&self, key: &str) {
+        let mut armed = self.armed.lock().unwrap();
+        let Some((armed_key, readers)) = armed.as_mut() else {
+            return;
+        };
+        if armed_key != key {
+            return;
+        }
+        *readers += 1;
+        if *readers == 2 {
+            self.met.notify_all();
+            return;
+        }
+        let alone = |a: &mut Option<(String, usize)>| a.as_ref().is_some_and(|(_, n)| *n < 2);
+        let (mut armed, _) = self
+            .met
+            .wait_timeout_while(armed, Duration::from_millis(200), alone)
+            .unwrap();
+        *armed = None;
+    }
+}
+
+impl ResourceStore for Rendezvous {
+    fn create(&self, s: &str, k: &str, d: &PropertyDoc) -> Result<(), StoreError> {
+        self.rows.create(s, k, d)
+    }
+    fn load(&self, s: &str, k: &str) -> Result<PropertyDoc, StoreError> {
+        let row = self.rows.load(s, k);
+        self.meet(k);
+        row
+    }
+    fn share(&self, s: &str, k: &str) -> Result<Arc<PropertyDoc>, StoreError> {
+        let row = self.rows.share(s, k);
+        self.meet(k);
+        row
+    }
+    fn save(&self, s: &str, k: &str, d: &PropertyDoc) -> Result<(), StoreError> {
+        self.rows.save(s, k, d)
+    }
+    fn destroy(&self, s: &str, k: &str) -> Result<(), StoreError> {
+        self.rows.destroy(s, k)
+    }
+    fn exists(&self, s: &str, k: &str) -> bool {
+        self.rows.exists(s, k)
+    }
+    fn list(&self, s: &str) -> Vec<String> {
+        self.rows.list(s)
+    }
+    fn query(&self, s: &str, p: &Path) -> Vec<String> {
+        self.rows.query(s, p)
+    }
+    fn backend_name(&self) -> &'static str {
+        "rendezvous"
+    }
+}
+
+#[test]
+fn concurrent_group_adds_keep_every_entry() {
+    let store = Arc::new(Rendezvous::default());
+    let clock = Clock::manual();
+    let group = servicegroup::service_group(
+        "Group",
+        "inproc://m/Group",
+        store.clone(),
+        MembershipContentRule::default(),
+        clock.clone(),
+        InProcNetwork::new(clock),
+    );
+    store.arm(GROUP_KEY);
+    std::thread::scope(|s| {
+        for member in ["inproc://m1/Proc", "inproc://m2/Proc"] {
+            let group = &group;
+            s.spawn(move || {
+                let add = Element::new(ns::WSSG, "Add").child(
+                    EndpointReference::service(member).to_element_named(ns::WSSG, "MemberEPR"),
+                );
+                let action = servicegroup::group_action("Group", "Add");
+                let resp = call(group, group.core().service_epr(), &action, add);
+                assert!(!resp.is_fault(), "{:?}", resp.fault());
+            });
+        }
+    });
+    let entries = store.share("Group", GROUP_KEY).unwrap();
+    assert_eq!(
+        entries.get(&servicegroup::entry_property()).len(),
+        2,
+        "an Add lost the other's Entry"
+    );
+}
+
+#[test]
+fn a_dispatch_racing_a_background_edit_keeps_both_writes() {
+    let store = Arc::new(Rendezvous::default());
+    let config = GridConfig::with_machines(1).with_scheduler_store(store.clone());
+    let grid = CampusGrid::build(config, Clock::manual());
+    let client = grid.client("c");
+    client.put_file("C:\\p.exe", JobProgram::compute(1.0).to_manifest());
+    let exe = FileRef::parse("local://C:\\p.exe").unwrap();
+    let spec = JobSetSpec::new("race").job(JobSpec::new("worker", exe));
+    let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
+    let key = handle.jobset.resource_key().unwrap().to_string();
+    let until = grid.clock.now() + Duration::from_secs(7200);
+
+    store.arm(&key);
+    std::thread::scope(|s| {
+        // The job exits, and the Scheduler records Figure 3 step 10 on
+        // the job set from its event handler...
+        s.spawn(|| grid.clock.advance(Duration::from_secs(10)));
+        // ...while a client extends the job set's lifetime.
+        ResourceProxy::new(&grid.net, handle.jobset.clone())
+            .set_termination_time(Some(until))
+            .unwrap();
+    });
+
+    assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
+    let set = store.share("Scheduler", &key).unwrap();
+    assert!(
+        !set.get(&QName::new(ns::WSRL, "TerminationTime")).is_empty(),
+        "the client's TerminationTime was lost"
+    );
+    assert!(
+        set.get(&q("StepMetric"))
+            .iter()
+            .any(|m| m.attr_value("step") == Some("10")),
+        "the Scheduler's step 10 was lost"
+    );
 }

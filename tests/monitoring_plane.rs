@@ -82,7 +82,6 @@ fn expose(grid: &CampusGrid) -> HttpSoapServer {
         registry: grid.metrics.clone(),
         clock: Some(grid.clock.clone()),
         expose: true,
-        ..HttpConfig::default()
     };
     HttpSoapServer::start_with(Arc::new(FnEndpoint::new("echo", Some)), config)
         .expect("bind exposition server")
