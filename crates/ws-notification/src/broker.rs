@@ -40,6 +40,17 @@
 //! subscriptions) are coalesced. Transport failures are counted,
 //! reported in `NotifyResponse`, and auto-pause a subscription after a
 //! streak of `AUTOPAUSE_AFTER`.
+//!
+//! # One build per publish
+//!
+//! A publish builds each `<wsnt:NotificationMessage>` once, as a shared
+//! [`Fragment`] ([`NotificationMessage::into_fragment`]). Every delivery
+//! of it is the consumer's addressing headers around a `Notify` whose
+//! one child is that fragment ([`shared_notify`]), so a fan-out copies
+//! no payload, and the codec renders and sizes the message once for
+//! every consumer whose envelope has the same shape — byte for byte
+//! what a per-consumer [`NotificationMessage::to_envelope`] would send.
+//! The `GetCurrentMessage` cache keeps the same fragment.
 
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
@@ -60,9 +71,9 @@ use wsrf_soap::{ns, BaseFault, EndpointReference, Envelope, SoapFault, TraceCont
 use wsrf_transport::pool::ThreadPool;
 use wsrf_transport::{InProcNetwork, TransportError};
 use wsrf_xml::xpath::Path;
-use wsrf_xml::{Element, QName};
+use wsrf_xml::{Element, Fragment, QName};
 
-use crate::message::{notify_action, NotificationMessage};
+use crate::message::{notify_action, shared_notify, NotificationMessage};
 use crate::topics::{Dialect, TopicExpression, TopicPath};
 
 /// Property names of a subscription resource.
@@ -422,8 +433,8 @@ impl ResourceStore for IndexingStore {
 /// scan.
 struct CurrentCache {
     cap: usize,
-    hot: HashMap<String, Arc<NotificationMessage>>,
-    cold: HashMap<String, Arc<NotificationMessage>>,
+    hot: HashMap<String, Arc<Fragment>>,
+    cold: HashMap<String, Arc<Fragment>>,
 }
 
 impl CurrentCache {
@@ -435,7 +446,7 @@ impl CurrentCache {
         }
     }
 
-    fn insert(&mut self, topic: String, msg: Arc<NotificationMessage>) {
+    fn insert(&mut self, topic: String, msg: Arc<Fragment>) {
         self.cold.remove(&topic);
         self.hot.insert(topic, msg);
         if self.hot.len() >= (self.cap / 2).max(1) {
@@ -443,13 +454,13 @@ impl CurrentCache {
         }
     }
 
-    fn get(&mut self, topic: &str) -> Option<&NotificationMessage> {
+    fn get(&mut self, topic: &str) -> Option<&Arc<Fragment>> {
         if !self.hot.contains_key(topic) {
             if let Some(m) = self.cold.remove(topic) {
                 self.hot.insert(topic.to_string(), m);
             }
         }
-        self.hot.get(topic).map(|m| &**m)
+        self.hot.get(topic)
     }
 
     fn len(&self) -> usize {
@@ -466,7 +477,8 @@ const DRAIN_BATCH: usize = 64;
 
 struct Delivery {
     sub: Arc<CompiledSub>,
-    msg: Arc<NotificationMessage>,
+    /// The publish's one `<wsnt:NotificationMessage>`.
+    message: Arc<Fragment>,
     trace: Option<TraceContext>,
 }
 
@@ -518,15 +530,15 @@ impl DeliveryFabric {
         &self,
         core: &ServiceCore,
         sub: &CompiledSub,
-        msg: &NotificationMessage,
+        message: &Arc<Fragment>,
         trace: Option<TraceContext>,
     ) -> SendOutcome {
         let Some(delivering) = sub.begin_delivery() else {
             return SendOutcome::Skipped;
         };
-        // Forward preserving the original producer reference.
-        let env = msg
-            .outbound(&sub.consumer)
+        // The consumer's addressing around the publish's own message
+        // (producer reference included), neither rebuilt nor copied.
+        let env = shared_notify(message, &sub.consumer)
             .trace(trace.as_ref())
             .into_envelope();
         // This thread is the consumer's delivery thread — the publisher's
@@ -608,7 +620,7 @@ impl DeliveryFabric {
                 q.q.drain(..n).collect()
             };
             for d in batch {
-                let _ = self.send_now(core, &d.sub, &d.msg, d.trace);
+                let _ = self.send_now(core, &d.sub, &d.message, d.trace);
             }
         }
     }
@@ -693,10 +705,10 @@ pub fn notification_broker(
                     .map(|t| t.text_content())
                     .filter(|t| !t.is_empty())
                     .ok_or_else(|| faults::bad_request("GetCurrentMessage requires Topic"))?;
-                match s_get.current.lock().get(&topic) {
-                    Some(msg) => {
-                        Ok(Element::new(ns::WSNT, "GetCurrentMessageResponse")
-                            .child(msg.to_element()))
+                let current = s_get.current.lock().get(&topic).cloned();
+                match current {
+                    Some(message) => {
+                        Ok(Element::new(ns::WSNT, "GetCurrentMessageResponse").shared(message))
                     }
                     None => Err(BaseFault::new(
                         "wsnt:NoCurrentMessageOnTopic",
@@ -794,13 +806,27 @@ fn set_paused_op(ctx: &mut Ctx<'_>, paused: bool) -> Result<Element, BaseFault> 
     Ok(Element::new(ns::WSNT, local))
 }
 
+/// One message of a `Notify`, as the broker holds it for its fan-out:
+/// built once, whatever the number of consumers.
+struct Published {
+    topic: TopicPath,
+    /// The `<wsnt:NotificationMessage>` every delivery splices.
+    message: Arc<Fragment>,
+    /// `broker.topic.<root>.deliveries`, resolved once.
+    deliveries: Counter,
+}
+
 fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, BaseFault> {
     // Decode the incoming notification(s).
-    let messages: Vec<Arc<NotificationMessage>> = ctx
+    let messages: Vec<Published> = ctx
         .body
         .find_all(ns::WSNT, "NotificationMessage")
         .filter_map(NotificationMessage::from_element)
-        .map(Arc::new)
+        .map(|m| Published {
+            topic: m.topic.clone(),
+            deliveries: state.topic_deliveries.counter(m.topic.root()),
+            message: m.into_fragment(),
+        })
         .collect();
     if messages.is_empty() {
         return Err(faults::bad_request("Notify carried no NotificationMessage"));
@@ -808,7 +834,7 @@ fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, Bas
     {
         let mut cur = state.current.lock();
         for m in &messages {
-            cur.insert(m.topic.to_string(), m.clone());
+            cur.insert(m.topic.to_string(), m.message.clone());
         }
         state.cache_size.set(cur.len() as i64);
     }
@@ -857,9 +883,9 @@ fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, Bas
                 coalesced += 1;
                 continue;
             }
-            state.topic_deliveries.counter(m.topic.root()).inc();
+            m.deliveries.inc();
             if inline {
-                match state.fabric.send_now(&core, sub, m, trace) {
+                match state.fabric.send_now(&core, sub, &m.message, trace) {
                     SendOutcome::Delivered => delivered += 1,
                     SendOutcome::Failed => failed += 1,
                     SendOutcome::Skipped => {}
@@ -867,7 +893,7 @@ fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, Bas
             } else {
                 let delivery = Delivery {
                     sub: sub.clone(),
-                    msg: m.clone(),
+                    message: m.message.clone(),
                     trace,
                 };
                 idle_queues.extend(delivery.enqueue());
@@ -1066,6 +1092,64 @@ mod tests {
             sched.received()[0].producer.as_ref().unwrap().address,
             "inproc://m1/Exec"
         );
+    }
+
+    #[test]
+    fn a_brokered_notify_is_byte_for_byte_the_direct_one() {
+        let f = fixture();
+        // Deliveries go in subscription order: the first consumer's
+        // splice fills the message's cache, the second (same envelope
+        // shape) replays it, the third (two reference properties, so two
+        // more headers) renders it again.
+        let consumers = [
+            EndpointReference::service("inproc://c/first"),
+            EndpointReference::service("inproc://c/second"),
+            EndpointReference::resource(
+                "inproc://c/keyed",
+                format!("{{{}}}ListenerKey", ns::UVACG),
+                "k-7",
+            )
+            .with_property("{urn:x}Extra", "v"),
+        ];
+        let received = Arc::new(Mutex::new(Vec::new()));
+        for consumer in &consumers {
+            let (seen, address) = (received.clone(), consumer.address.clone());
+            let recorder = wsrf_transport::FnEndpoint::new("recorder", move |env| {
+                seen.lock().push((address.clone(), env));
+                None
+            });
+            f.net.register(&consumer.address, Arc::new(recorder));
+            let all = TopicExpression::full("t//");
+            subscribe(&f.net, &f.broker_epr, consumer, &all, None).unwrap();
+        }
+        let m = msg("t/x");
+        for tc in [None, Some(TraceContext::new(0x5eed, 0x42, true))] {
+            m.outbound(&f.broker_epr)
+                .trace(tc.as_ref())
+                .send(&f.net)
+                .unwrap();
+            let got = std::mem::take(&mut *received.lock());
+            assert_eq!(got.len(), consumers.len());
+            for (consumer, (address, env)) in consumers.iter().zip(got) {
+                assert_eq!(consumer.address, address);
+                let trace = TraceContext::from_envelope(&env);
+                assert_eq!(trace.is_some(), tc.is_some(), "{address}");
+                let mut want = m.to_envelope(consumer);
+                if let Some(t) = trace {
+                    t.stamp(&mut want);
+                }
+                // Message ids are the one thing two envelopes never share.
+                let id = want
+                    .headers
+                    .iter_mut()
+                    .find(|h| h.name.is(ns::WSA, "MessageID"))
+                    .unwrap();
+                *id = env.header(ns::WSA, "MessageID").unwrap().clone();
+                assert_eq!(env.to_xml(), want.to_xml(), "{address}");
+                assert_eq!(env.wire_len(), want.wire_len(), "{address}");
+                assert_eq!(env, want, "{address}");
+            }
+        }
     }
 
     #[test]
@@ -1307,7 +1391,7 @@ mod tests {
     fn current_cache_two_generation_bound_holds() {
         let mut c = CurrentCache::new(8);
         for i in 0..1000 {
-            c.insert(format!("t{i}"), Arc::new(msg("x")));
+            c.insert(format!("t{i}"), msg("x").into_fragment());
             assert!(
                 c.len() <= 8,
                 "cache exceeded cap at insert {i}: {}",
@@ -1351,7 +1435,7 @@ mod tests {
             // grow the cache).
             let topic = format!("t{}", i % (cap * 3 / 4));
             publish(&net, &bepr, &msg(&topic)).unwrap();
-            shadow.insert(topic, Arc::new(msg("x")));
+            shadow.insert(topic, msg("x").into_fragment());
             assert_eq!(
                 gauge.get(),
                 shadow.len() as i64,

@@ -1,8 +1,10 @@
 //! The `<wsnt:Notify>` wire format of WS-BaseNotification.
 
+use std::sync::Arc;
+
 use wsrf_core::Outbound;
 use wsrf_soap::{ns, EndpointReference, Envelope};
-use wsrf_xml::{Element, Node};
+use wsrf_xml::{Element, Fragment, Node};
 
 use crate::topics::{Dialect, TopicPath};
 
@@ -42,6 +44,18 @@ impl NotificationMessage {
 
     /// Serialize as a `<wsnt:NotificationMessage>` element.
     pub fn to_element(&self) -> Element {
+        self.element_around(self.payload.clone())
+    }
+
+    /// This message as one shared `<wsnt:NotificationMessage>`
+    /// fragment, the payload moved in: built once, spliced into every
+    /// envelope that carries it ([`shared_notify`]).
+    pub fn into_fragment(mut self) -> Arc<Fragment> {
+        let payload = std::mem::take(&mut self.payload);
+        Arc::new(Fragment::new(self.element_around(payload)))
+    }
+
+    fn element_around(&self, payload: Element) -> Element {
         let mut e = Element::new(ns::WSNT, "NotificationMessage");
         e.push_child(
             Element::new(ns::WSNT, "Topic")
@@ -51,7 +65,7 @@ impl NotificationMessage {
         if let Some(p) = &self.producer {
             e.push_child(p.to_element_named(ns::WSNT, "ProducerReference"));
         }
-        e.push_child(Element::new(ns::WSNT, "Message").child(self.payload.clone()));
+        e.push_child(Element::new(ns::WSNT, "Message").child(payload));
         e
     }
 
@@ -117,17 +131,21 @@ impl NotificationMessage {
 
     /// [`from_envelope`](Self::from_envelope) for a receiver that is
     /// done with the envelope: the same messages, each payload moved
-    /// out of the body instead of cloned.
+    /// out of the body instead of cloned — except from a shared
+    /// message, which other envelopes still carry and which is decoded
+    /// by reference.
     pub fn into_messages(env: Envelope) -> Vec<NotificationMessage> {
         if !env.body.name.is(ns::WSNT, "Notify") {
             return Vec::new();
         }
+        let is_message = |e: &Element| e.name.is(ns::WSNT, "NotificationMessage");
         env.body
             .children
             .into_iter()
             .filter_map(|c| match c {
-                Node::Element(e) if e.name.is(ns::WSNT, "NotificationMessage") => {
-                    NotificationMessage::from_owned_element(e)
+                Node::Element(e) if is_message(&e) => NotificationMessage::from_owned_element(e),
+                Node::Shared(f) if is_message(f.root()) => {
+                    NotificationMessage::from_element(f.root())
                 }
                 _ => None,
             })
@@ -135,12 +153,21 @@ impl NotificationMessage {
     }
 }
 
+/// The `Notify` exchange carrying one shared `<wsnt:NotificationMessage>`
+/// ([`NotificationMessage::into_fragment`]) to `to`: what
+/// [`NotificationMessage::outbound`] sends, byte for byte, without
+/// building or copying the message again.
+pub fn shared_notify(message: &Arc<Fragment>, to: &EndpointReference) -> Outbound<'static> {
+    let body = Element::new(ns::WSNT, "Notify").shared(message.clone());
+    Outbound::new(to.clone(), notify_action(), body)
+}
+
 /// The first element child accepted by `want`, by value.
 fn first_element(children: Vec<Node>, want: impl Fn(&Element) -> bool) -> Option<Element> {
-    children.into_iter().find_map(|c| match c {
-        Node::Element(e) if want(&e) => Some(e),
-        _ => None,
-    })
+    children
+        .into_iter()
+        .find(|c| c.as_element().is_some_and(&want))?
+        .into_element()
 }
 
 #[cfg(test)]

@@ -266,10 +266,7 @@ fn decode_body(body: &[u8]) -> Option<Vec<(QName, Option<Vec<Element>>)>> {
     let mut r = Reader(body);
     let xml_len = r.u32()?;
     let root = wsrf_xml::parse(r.str(xml_len)?).ok()?;
-    let mut values = root.children.into_iter().filter_map(|n| match n {
-        Node::Element(e) => Some(e),
-        Node::Text(_) => None,
-    });
+    let mut values = root.children.into_iter().filter_map(Node::into_element);
     let mut props = Vec::new();
     while !r.0.is_empty() {
         let count = r.u32()?;

@@ -153,8 +153,8 @@ impl Counter {
 /// distinct labels each get their own counter; every label past the cap
 /// shares a single `<prefix>.other.<suffix>` overflow counter, so the
 /// registry stays bounded no matter what the traffic looks like.
-/// Handles are cached, so the hot path is one read-locked map probe —
-/// no per-increment name formatting.
+/// Handles are cached, so the hot path — a label past the cap included —
+/// is one read-locked map probe, with no per-increment name formatting.
 pub struct CounterFamily {
     prefix: String,
     suffix: String,
@@ -171,8 +171,15 @@ impl CounterFamily {
         if !self.registry.is_enabled() {
             return Counter::noop();
         }
-        if let Some(c) = self.slots.read().get(label) {
-            return c.clone();
+        {
+            let slots = self.slots.read();
+            if let Some(c) = slots.get(label) {
+                return c.clone();
+            }
+            // Slots are never removed: a full family stays full.
+            if slots.len() >= self.cap {
+                return self.overflow.clone();
+            }
         }
         let mut slots = self.slots.write();
         if let Some(c) = slots.get(label) {
@@ -199,8 +206,9 @@ impl CounterFamily {
 /// appended verbatim (e.g. `_ns`), matching names like
 /// `transport.inproc.modeled.<authority>_ns`; past `cap` distinct
 /// labels every new label shares the `<prefix>.other<suffix>` overflow
-/// histogram. Handles are cached, so the hot path is one read-locked
-/// map probe — no per-record name formatting.
+/// histogram. Handles are cached, so the hot path — a label past the
+/// cap included — is one read-locked map probe, with no per-record name
+/// formatting.
 pub struct HistogramFamily {
     prefix: String,
     suffix: String,
@@ -217,8 +225,14 @@ impl HistogramFamily {
         if !self.registry.is_enabled() {
             return Histogram::noop();
         }
-        if let Some(h) = self.slots.read().get(label) {
-            return h.clone();
+        {
+            let slots = self.slots.read();
+            if let Some(h) = slots.get(label) {
+                return h.clone();
+            }
+            if slots.len() >= self.cap {
+                return self.overflow.clone();
+            }
         }
         let mut slots = self.slots.write();
         if let Some(h) = slots.get(label) {
@@ -896,6 +910,39 @@ mod tests {
         fam.histogram("a").record(1);
         assert_eq!(fam.distinct(), 0);
         assert!(off.snapshot().is_empty());
+    }
+
+    #[test]
+    fn families_past_their_cap_resolve_under_the_read_lock() {
+        let reg = MetricsRegistry::enabled();
+        let counters = reg.counter_family("fam", "hits", 2);
+        let histograms = reg.histogram_family("lat", "_ns", 2);
+        for label in ["a", "b"] {
+            counters.counter(label).inc();
+            histograms.histogram(label).record(1);
+        }
+        // This thread holds both families' read locks, so a lookup that
+        // took a write lock would wait for them.
+        let held = (counters.slots.read(), histograms.slots.read());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for label in ["c", "d", "c"] {
+                    counters.counter(label).inc();
+                    histograms.histogram(label).record(5);
+                }
+                tx.send(()).unwrap();
+            });
+            let done = rx.recv_timeout(Duration::from_secs(10));
+            drop(held);
+            assert!(done.is_ok(), "a lookup past the cap took the write lock");
+        });
+        assert_eq!((counters.distinct(), histograms.distinct()), (2, 2));
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("fam.other.hits"), Some(3));
+        assert_eq!(snap.histogram("lat.other_ns").unwrap().count, 3);
+        assert_eq!(snap.counter("fam.c.hits"), None);
+        assert!(snap.histogram("lat.c_ns").is_none());
     }
 
     #[test]

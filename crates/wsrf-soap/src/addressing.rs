@@ -224,12 +224,32 @@ impl MessageInfo {
 /// format mimics WS-Addressing's `uuid:` convention).
 pub fn fresh_message_id() -> String {
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::OnceLock;
     static COUNTER: AtomicU64 = AtomicU64::new(1);
+    // Mix in the process id for cross-process uniqueness in the
+    // multi-process transport tests; asked for once, not per message.
+    static PID: OnceLock<u32> = OnceLock::new();
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    // Mix in the process start for cross-process uniqueness in the
-    // multi-process transport tests.
-    let pid = std::process::id();
-    format!("uuid:{:08x}-{:016x}", pid, n)
+    message_id(*PID.get_or_init(std::process::id), n)
+}
+
+/// `uuid:{pid:08x}-{n:016x}`, written digit by digit: every message
+/// carries one, and the formatting machinery costs more than the rest
+/// of its addressing headers.
+fn message_id(pid: u32, n: u64) -> String {
+    fn push_hex(out: &mut String, v: u64, digits: u32) {
+        for shift in (0..digits).rev() {
+            out.push(char::from(
+                b"0123456789abcdef"[(v >> (4 * shift)) as usize & 0xf],
+            ));
+        }
+    }
+    let mut id = String::with_capacity("uuid:".len() + 8 + 1 + 16);
+    id.push_str("uuid:");
+    push_hex(&mut id, pid.into(), 8);
+    id.push('-');
+    push_hex(&mut id, n, 16);
+    id
 }
 
 /// The distributed-tracing context carried as a first-class SOAP
@@ -384,6 +404,18 @@ mod tests {
         let b = fresh_message_id();
         assert_ne!(a, b);
         assert!(a.starts_with("uuid:"));
+    }
+
+    #[test]
+    fn message_ids_are_the_formatted_reference() {
+        for pid in [0, 1, std::process::id(), u32::MAX] {
+            for n in [0, 1, 0xdead_beef, u64::MAX] {
+                assert_eq!(message_id(pid, n), format!("uuid:{pid:08x}-{n:016x}"));
+            }
+        }
+        let id = fresh_message_id();
+        let pid = format!("uuid:{:08x}-", std::process::id());
+        assert!(id.starts_with(&pid) && id.len() == pid.len() + 16, "{id}");
     }
 
     #[test]

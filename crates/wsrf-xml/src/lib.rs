@@ -33,7 +33,7 @@ pub mod xpath;
 
 pub use error::XmlError;
 pub use name::{intern_ns, LocalName, QName};
-pub use node::{Element, Node};
+pub use node::{Element, Fragment, Node};
 pub use parser::{dom_build_count, parse, parse_event_count, Attr, Event, PullParser};
 pub use writer::{LenSink, TreeWriter, XmlSink};
 

@@ -1,22 +1,30 @@
 //! The XML tree: elements, attributes and text nodes, with a fluent
 //! builder API used pervasively when assembling SOAP messages.
 
+use std::sync::{Arc, OnceLock};
+
 use crate::name::{LocalName, QName};
 
 /// A node in an XML tree.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Node {
     /// A child element.
     Element(Element),
     /// A run of character data (already unescaped).
     Text(String),
+    /// An immutable element shared between trees (see [`Fragment`]).
+    /// Reads see through it as through [`Node::Element`]; the parser
+    /// never produces one.
+    Shared(Arc<Fragment>),
 }
 
 impl Node {
-    /// The contained element, if this node is one.
+    /// The contained element, if this node is one (a shared node's
+    /// root).
     pub fn as_element(&self) -> Option<&Element> {
         match self {
             Node::Element(e) => Some(e),
+            Node::Shared(f) => Some(&f.root),
             Node::Text(_) => None,
         }
     }
@@ -25,8 +33,81 @@ impl Node {
     pub fn as_text(&self) -> Option<&str> {
         match self {
             Node::Text(t) => Some(t),
-            Node::Element(_) => None,
+            Node::Element(_) | Node::Shared(_) => None,
         }
+    }
+
+    /// The contained element by value: moved out of an element node,
+    /// copied out of a shared one unless this was its last holder.
+    pub fn into_element(self) -> Option<Element> {
+        match self {
+            Node::Element(e) => Some(e),
+            Node::Shared(f) => Some(Arc::try_unwrap(f).map_or_else(|f| f.root.clone(), |f| f.root)),
+            Node::Text(_) => None,
+        }
+    }
+}
+
+/// A shared node is equal to the element it wraps.
+impl PartialEq for Node {
+    fn eq(&self, other: &Node) -> bool {
+        match (self, other) {
+            (Node::Text(a), Node::Text(b)) => a == b,
+            (Node::Text(_), _) | (_, Node::Text(_)) => false,
+            _ => self.as_element() == other.as_element(),
+        }
+    }
+}
+
+/// An immutable element that caches its own rendering, so that one
+/// message built once can be spliced into many trees ([`Node::Shared`])
+/// — the broker's one `NotificationMessage` per publish in every
+/// consumer's envelope.
+///
+/// The splice renders exactly what the same element inlined at that
+/// point would render: prefixes are not re-declared inside the
+/// fragment. That rendering depends on two things at the splice point
+/// only — the prefix ids the enclosing scope binds for the namespaces
+/// the fragment uses, and the next id the writer would mint — so the
+/// first splice records them with the bytes it wrote and the number of
+/// ids it minted. A later splice in the same prefix environment is one
+/// copy of those bytes (one add on a [`crate::LenSink`]); any other
+/// environment renders the tree again.
+pub struct Fragment {
+    pub(crate) root: Element,
+    /// Every namespace the fragment's names use, once each.
+    pub(crate) uris: Vec<Arc<str>>,
+    pub(crate) splice: OnceLock<crate::writer::Splice>,
+}
+
+impl Fragment {
+    /// Freeze `root` as a shareable fragment.
+    pub fn new(root: Element) -> Fragment {
+        let mut uris: Vec<Arc<str>> = Vec::new();
+        for e in root.descendants() {
+            let names = std::iter::once(&e.name).chain(e.attrs.iter().map(|(n, _)| n));
+            for uri in names.filter_map(|n| n.ns.as_ref()) {
+                if !uris.iter().any(|u| u == uri) {
+                    uris.push(uri.clone());
+                }
+            }
+        }
+        Fragment {
+            root,
+            uris,
+            splice: OnceLock::new(),
+        }
+    }
+
+    /// The frozen element.
+    pub fn root(&self) -> &Element {
+        &self.root
+    }
+}
+
+impl std::fmt::Debug for Fragment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Fragment").field(&self.root).finish()
     }
 }
 
@@ -109,6 +190,12 @@ impl Element {
         self
     }
 
+    /// Append a shared fragment as a child (builder style).
+    pub fn shared(mut self, fragment: Arc<Fragment>) -> Self {
+        self.children.push(Node::Shared(fragment));
+        self
+    }
+
     /// Append a child element in place.
     pub fn push_child(&mut self, child: Element) {
         self.children.push(Node::Element(child));
@@ -149,12 +236,21 @@ impl Element {
         self.elements().find(|e| e.name.local == *local)
     }
 
-    /// Mutable access to the first child element with the given name.
+    /// Mutable access to the first child element with the given name. A
+    /// shared child is first replaced by its own copy: the fragment
+    /// itself is never edited.
     pub fn find_mut(&mut self, ns: &str, local: &str) -> Option<&mut Element> {
-        self.children.iter_mut().find_map(|n| match n {
-            Node::Element(e) if e.name.is(ns, local) => Some(e),
+        let node = self
+            .children
+            .iter_mut()
+            .find(|n| n.as_element().is_some_and(|e| e.name.is(ns, local)))?;
+        if let Node::Shared(f) = node {
+            *node = Node::Element(f.root.clone());
+        }
+        match node {
+            Node::Element(e) => Some(e),
             _ => None,
-        })
+        }
     }
 
     /// Value of an unqualified attribute.
@@ -185,9 +281,9 @@ impl Element {
             n += name.local.len() + value.len() + 4;
         }
         for c in &self.children {
-            n += match c {
-                Node::Element(e) => e.approx_size(),
-                Node::Text(t) => t.len(),
+            n += match c.as_element() {
+                Some(e) => e.approx_size(),
+                None => c.as_text().map_or(0, str::len),
             };
         }
         n
@@ -202,9 +298,9 @@ impl Element {
 
     fn collect_text(&self, out: &mut String) {
         for c in &self.children {
-            match c {
-                Node::Text(t) => out.push_str(t),
-                Node::Element(e) => e.collect_text(out),
+            match c.as_element() {
+                Some(e) => e.collect_text(out),
+                None => out.push_str(c.as_text().unwrap_or_default()),
             }
         }
     }
@@ -247,11 +343,8 @@ impl<'a> Iterator for Descendants<'a> {
     fn next(&mut self) -> Option<Self::Item> {
         let next = self.stack.pop()?;
         // Push children in reverse so iteration is document order.
-        for c in next.children.iter().rev() {
-            if let Node::Element(e) = c {
-                self.stack.push(e);
-            }
-        }
+        self.stack
+            .extend(next.children.iter().rev().filter_map(Node::as_element));
         Some(next)
     }
 }
@@ -312,6 +405,24 @@ mod tests {
     fn expect_reports_useful_error() {
         let err = sample().expect(NS, "missing").unwrap_err();
         assert!(err.message.contains("missing required child"), "{}", err);
+    }
+
+    #[test]
+    fn a_shared_node_reads_and_compares_as_its_element() {
+        let inline = Element::local("w").child(sample());
+        let shared = Element::local("w").shared(Arc::new(Fragment::new(sample())));
+        assert_eq!(shared, inline);
+        assert_eq!(shared.find(NS, "root").unwrap().attr_value("id"), Some("1"));
+        assert_eq!(shared.text_content(), inline.text_content());
+        let names = |e: &Element| -> Vec<String> {
+            e.descendants().map(|d| d.name.local.to_string()).collect()
+        };
+        assert_eq!(names(&shared), names(&inline));
+        let path = crate::xpath::Path::parse("/w/root/b/a").unwrap();
+        assert_eq!(path.select(&shared).len(), 1);
+        assert_ne!(shared, Element::local("w").child(Element::new(NS, "root")));
+        let into = |e: Element| e.children.into_iter().next().unwrap().into_element();
+        assert_eq!(into(shared), Some(sample()));
     }
 
     #[test]

@@ -18,8 +18,14 @@
 //! (`bindings` holds `(uri, id)` pairs borrowed from the tree), so the
 //! hot path performs no per-element allocations; the only heap use is
 //! the prefix stack itself.
+//!
+//! A [`Node::Shared`] child is written as its root would be inlined at
+//! that point, byte for byte; its [`Fragment`] caches the bytes of its
+//! first splice and replays them wherever the prefix environment is the
+//! same, so one message spliced into many envelopes is rendered (and
+//! sized) once.
 
-use crate::node::{Element, Node};
+use crate::node::{Element, Fragment, Node};
 
 /// The XML declaration prepended by [`Element::to_document`] and
 /// [`Element::write_document_into`].
@@ -301,6 +307,49 @@ fn open_tag<'n, S: XmlSink>(
     (added, prefix)
 }
 
+/// What the first splice of a [`Fragment`] wrote, and the prefix
+/// environment it wrote it in: the splice point's bindings for each of
+/// the fragment's namespaces and the writer's next id.
+pub(crate) struct Splice {
+    bound: Vec<Option<u32>>,
+    next_id: u32,
+    bytes: String,
+    minted: u32,
+}
+
+/// Write a shared fragment exactly as [`write_element`] would write its
+/// root here: from its cached bytes when this prefix environment is the
+/// one they were rendered in, by walking the tree otherwise. The first
+/// splice fills the cache.
+fn write_shared<'n, S: XmlSink>(f: &'n Fragment, out: &mut S, scope: &mut Scope<'n>) {
+    if let Some(s) = f.splice.get() {
+        let same_env = s.next_id == scope.next_id
+            && f.uris
+                .iter()
+                .zip(&s.bound)
+                .all(|(u, id)| scope.lookup(u) == *id);
+        if same_env {
+            out.push_str(&s.bytes);
+            scope.next_id += s.minted;
+        } else {
+            write_element(&f.root, out, scope);
+        }
+        return;
+    }
+    let bound = f.uris.iter().map(|u| scope.lookup(u)).collect();
+    let next_id = scope.next_id;
+    let mut bytes = String::with_capacity(f.root.approx_size());
+    write_element(&f.root, &mut bytes, scope);
+    out.push_str(&bytes);
+    // A splice racing this one on another thread may have filled it.
+    let _ = f.splice.set(Splice {
+        bound,
+        next_id,
+        bytes,
+        minted: scope.next_id - next_id,
+    });
+}
+
 fn write_element<'n, S: XmlSink>(e: &'n Element, out: &mut S, scope: &mut Scope<'n>) {
     let (added, prefix) = open_tag(e, out, scope);
     if e.children.is_empty() {
@@ -311,6 +360,7 @@ fn write_element<'n, S: XmlSink>(e: &'n Element, out: &mut S, scope: &mut Scope<
             match c {
                 Node::Text(t) => escape_text_into(t, out),
                 Node::Element(el) => write_element(el, out, scope),
+                Node::Shared(f) => write_shared(f, out, scope),
             }
         }
         out.push_str("</");
@@ -453,6 +503,7 @@ fn write_pretty<'n>(e: &'n Element, out: &mut String, scope: &mut Scope<'n>, dep
                     out.push('\n');
                 }
                 Node::Element(el) => write_pretty(el, out, scope, depth + 1),
+                Node::Shared(f) => write_pretty(&f.root, out, scope, depth + 1),
             }
         }
         out.push_str(&indent);

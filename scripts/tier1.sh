@@ -57,6 +57,15 @@ if sed '/^#\[cfg(test)\]/,$d' crates/ws-notification/src/broker.rs |
     echo "tier-1: DeliveryFabric hands deliveries to the network's one-way pool; use deliver_oneway" >&2
     exit 1
 fi
+# One build per publish: every delivery splices the publish's one shared
+# `NotificationMessage` fragment (`shared_notify`), so the fabric never
+# builds, copies or renders a message per consumer.
+if sed '/^#\[cfg(test)\]/,$d' crates/ws-notification/src/broker.rs |
+    sed -n '/^impl DeliveryFabric {/,/^}/p' |
+    grep -nE '\.outbound\(|\bto_envelope\(|\bto_element\('; then
+    echo "tier-1: DeliveryFabric builds a message per delivery; splice the publish's fragment with shared_notify" >&2
+    exit 1
+fi
 accountings=$(sed '/^#\[cfg(test)\]/,$d' crates/wsrf-transport/src/inproc.rs | grep -c 'record_oneway(')
 if [ "$accountings" -ne 1 ]; then
     echo "tier-1: inproc.rs accounts for a one-way message in $accountings places; keep one" >&2

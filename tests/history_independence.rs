@@ -371,11 +371,14 @@ fn one_more_consumer_costs_one_delivery_and_one_copy_of_the_payload() {
 
     // 43 blocks when the listener cloned each message out of the
     // envelope and again per handler, the network parsed the address
-    // into owned strings twice and the fan-out copied it once more.
+    // into owned strings twice and the fan-out copied it once more; 32
+    // while every delivery built its own `NotificationMessage` element
+    // (a copy of the payload) and the writer sized it again.
     let blocks = delivery(&small);
-    assert_eq!(blocks, 32, "blocks per inline delivery");
-    // The payload is copied once — into the envelope the broker builds
-    // for this consumer — and moved from there to the handler.
+    assert_eq!(blocks, 23, "blocks per inline delivery");
+    // The payload is copied once: the consumer's envelope splices the
+    // publish's one shared message, and the listener decodes the payload
+    // out of it for the handler.
     assert_eq!(
         delivery(&wide) - blocks,
         wide_copy - small_copy,
