@@ -289,7 +289,7 @@ impl std::error::Error for MetricsJsonError {}
 
 impl MetricsSnapshot {
     /// Flat JSON: one object keyed by metric name, one metric per line
-    /// (what `/metrics.json` serves and the bench gate pins).
+    /// (what `/metrics.json` serves and `tests/expected_metrics.json` pins).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         put_json_doc(&mut out, self.entries.iter().map(|(n, v)| (n.as_str(), *v)));
@@ -507,8 +507,8 @@ mod tests {
         for reg in [plain, tie, odd] {
             let mut live = String::new();
             reg.write_json_into(&mut live);
-            // The scrape and the dump are one encoding: the gate and the
-            // monitor read both with `from_json`.
+            // The scrape and the dump are one encoding: the metrics pin
+            // and the monitor read both with `from_json`.
             let snap = reg.snapshot();
             assert_eq!(live, snap.to_json());
             assert_eq!(MetricsSnapshot::from_json(&live), Ok(snap));

@@ -777,7 +777,7 @@ impl MetricsSnapshot {
         })
     }
 
-    /// Fixed-width table; what the bench harness prints.
+    /// Fixed-width table, for a human reading a dump.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(

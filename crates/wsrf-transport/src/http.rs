@@ -88,7 +88,7 @@ impl HttpSoapServer {
     /// `config.registry` (that needs `config.clock`):
     ///
     /// * `/metrics` — Prometheus text exposition,
-    /// * `/metrics.json` — the flat JSON the bench gate parses,
+    /// * `/metrics.json` — the flat JSON `MetricsSnapshot::from_json` reads,
     /// * `/healthz` — SLO health summary (503 when any burn rate > 1),
     /// * `/traces/<hex-id>.json` — one trace in Chrome trace format.
     ///

@@ -3,11 +3,13 @@
 //! interleavings, and the §5 rediscovery story across a full scheduler
 //! restart over a recovered store.
 
+mod common;
+
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::TempDir;
 use grid_node::JobProgram;
 use proptest::prelude::*;
 use wsrf_grid::prelude::*;
@@ -19,28 +21,6 @@ const NS: &str = "urn:durability-test";
 
 fn q(local: &str) -> QName {
     QName::new(NS, local)
-}
-
-/// A throwaway log directory, removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "wsrf-durability-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 fn doc_with(val: u16) -> PropertyDoc {

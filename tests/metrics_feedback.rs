@@ -10,20 +10,24 @@
 //! every message to it pays 15 virtual seconds. Catalog-only placement
 //! keeps choosing it; feedback placement learns after one job.
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{assert_documented, ratio, table};
 use wsrf_grid::prelude::*;
 use wsrf_grid::wsrf::ResourceProxy;
 
 const DEGRADED: &str = "machine04";
 const LINK_LATENCY: Duration = Duration::from_secs(15);
 
-/// Run a 6-link chain (each job consumes its predecessor's output) on
-/// a 4-machine grid with `machine04` behind the slow uplink. Returns
-/// the completed grid, the set's virtual makespan in seconds, and the
-/// per-machine job placement counts.
+/// Run a 6-link chain (each job consumes its predecessor's 1 KiB
+/// output) on a 4-machine grid with `machine04` behind the slow uplink.
+/// Returns the completed grid, the set's virtual makespan in seconds
+/// (submit to the client's `completed`), and the per-machine job
+/// placement counts.
 fn run_chain(policy: Arc<dyn SchedulingPolicy>) -> (CampusGrid, f64, HashMap<String, usize>) {
     let grid = CampusGrid::build(
         GridConfig::with_machines(4)
@@ -35,7 +39,7 @@ fn run_chain(policy: Arc<dyn SchedulingPolicy>) -> (CampusGrid, f64, HashMap<Str
     client.put_file(
         "C:\\step.exe",
         JobProgram::compute(10.0)
-            .writing("out.dat", 256)
+            .writing("out.dat", 1024)
             .to_manifest(),
     );
     let mut spec = JobSetSpec::new("chain");
@@ -50,6 +54,7 @@ fn run_chain(policy: Arc<dyn SchedulingPolicy>) -> (CampusGrid, f64, HashMap<Str
         spec = spec.job(job);
         prev = Some(name);
     }
+    let start = grid.clock.now();
     let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
     for _ in 0..500 {
         if handle.outcome().is_some() {
@@ -58,9 +63,9 @@ fn run_chain(policy: Arc<dyn SchedulingPolicy>) -> (CampusGrid, f64, HashMap<Str
         grid.clock.advance(Duration::from_secs(1));
     }
     assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
+    let makespan = (grid.clock.now() - start).as_secs_f64();
 
     let set = ResourceProxy::new(&grid.net, handle.jobset.clone());
-    let makespan = set.get_f64("Makespan").unwrap();
     let mut per_machine: HashMap<String, usize> = HashMap::new();
     for js in set.document().unwrap().get_local("JobStatus") {
         let machine = js.attr_value("machine").unwrap_or("?").to_string();
@@ -69,30 +74,38 @@ fn run_chain(policy: Arc<dyn SchedulingPolicy>) -> (CampusGrid, f64, HashMap<Str
     (grid, makespan, per_machine)
 }
 
+/// EXPERIMENTS.md E6b. Catalog-only placement never learns: machine04
+/// advertises the best hardware and gets every chain link, paying the
+/// slow uplink twice per staging round trip. Feedback placement pays it
+/// once (the cold-start pick) and steers the remaining links to healthy
+/// machines.
 #[test]
 fn feedback_placement_beats_catalog_placement_on_a_degraded_grid() {
-    let (_fa_grid, fa_makespan, fa_placement) = run_chain(Arc::new(FastestAvailable));
-    let (_mf_grid, mf_makespan, mf_placement) = run_chain(Arc::new(MetricsFeedback::new()));
-
-    // Catalog-only placement never learns: machine04 advertises the
-    // best hardware and gets every chain link, paying the slow uplink
-    // twice per staging round trip.
-    assert_eq!(
-        fa_placement.get(DEGRADED).copied().unwrap_or(0),
-        6,
-        "fastest-available pins the chain to the degraded machine: {fa_placement:?}"
-    );
-
-    // Feedback placement pays the uplink once (the cold-start pick)
-    // and steers the remaining links to healthy machines.
-    assert!(
-        mf_placement.get(DEGRADED).copied().unwrap_or(0) <= 1,
-        "metrics-feedback steers off the degraded machine: {mf_placement:?}"
-    );
-    assert!(
-        mf_makespan < fa_makespan * 0.6,
-        "feedback makespan {mf_makespan}s should clearly beat catalog {fa_makespan}s"
-    );
+    let policies: [(&str, Arc<dyn SchedulingPolicy>); 2] = [
+        ("fastest-available (paper)", Arc::new(FastestAvailable)),
+        ("metrics-feedback", Arc::new(MetricsFeedback::new())),
+    ];
+    let mut rows = Vec::new();
+    let mut paper = None;
+    for (name, policy) in policies {
+        let (_grid, makespan, placement) = run_chain(policy);
+        let paper = *paper.get_or_insert(makespan);
+        rows.push(vec![
+            name.to_string(),
+            format!("{makespan:.1} s"),
+            format!("{}/6", placement.get(DEGRADED).copied().unwrap_or(0)),
+            ratio(makespan, paper),
+        ]);
+    }
+    assert_documented(&table(
+        &[
+            "policy",
+            "virtual makespan",
+            "jobs on degraded",
+            "vs paper policy",
+        ],
+        &rows,
+    ));
 }
 
 #[test]
