@@ -33,6 +33,7 @@ use wsrf_xml::Element;
 
 use crate::es;
 use crate::fss;
+use crate::job::{job_topic, Leaf, SetEnd, SetEvent};
 use crate::jobset::JobSetSpec;
 use crate::scheduler;
 use crate::security::GridSecurity;
@@ -242,58 +243,50 @@ impl std::fmt::Debug for JobSetHandle {
 impl JobSetHandle {
     /// Non-blocking: the outcome if the terminal event has arrived.
     pub fn outcome(&self) -> Option<JobSetOutcome> {
-        let completed = self.event_topic("completed");
-        let failed = self.event_topic("failed");
+        let ends = SetEnd::topics(&self.topic);
         self.listener.scan(|log| {
-            log.iter().find_map(|m| {
-                if m.topic == completed {
-                    return Some(JobSetOutcome::Completed);
+            let end = log.iter().find(|m| ends.contains(&m.topic))?;
+            match SetEvent::decode(end)? {
+                SetEvent::End(SetEnd::Completed) => Some(JobSetOutcome::Completed),
+                SetEvent::End(SetEnd::Failed { fault, .. }) => {
+                    Some(JobSetOutcome::Failed(Box::new(fault)))
                 }
-                if m.topic == failed {
-                    let fault = m
-                        .payload
-                        .find(wsrf_soap::ns::WSBF, "BaseFault")
-                        .map(BaseFault::from_element)
-                        .unwrap_or_else(|| BaseFault::new("uvacg:JobSetFailed", "job set failed"));
-                    return Some(JobSetOutcome::Failed(Box::new(fault)));
-                }
-                None
-            })
+                SetEvent::Job(..) => None,
+            }
         })
     }
 
-    /// `<topic>/<suffix>` as a path, for comparing against recorded
-    /// events without rendering each of them.
-    fn event_topic(&self, suffix: &str) -> TopicPath {
-        TopicPath::parse(&format!("{}/{suffix}", self.topic))
-    }
-
-    /// The EPR carried by this listener's first event on `topic`.
-    fn epr_from_event(&self, topic: &TopicPath) -> Option<EndpointReference> {
+    /// The EPR carried by this listener's first `leaf` event of `job`.
+    fn epr_from_event(&self, job: &str, leaf: Leaf) -> Option<EndpointReference> {
+        let topic = job_topic(&self.topic, job, leaf);
         self.listener.scan(|log| {
             log.iter()
-                .find(|m| &m.topic == topic)
+                .find(|m| m.topic == topic)
                 .and_then(|m| EndpointReference::from_element(&m.payload).ok())
         })
     }
 
     /// Blocking wait (real time) for the outcome; only meaningful on a
-    /// scaled clock. Returns `None` on timeout.
+    /// scaled clock. A terminal event that has not arrived by `timeout`
+    /// may have been lost, so the job-set resource is asked once
+    /// ([`Self::resource_outcome`]); `None` if it has no outcome either.
     pub fn wait(&self, timeout: std::time::Duration) -> Option<JobSetOutcome> {
-        let topic = self.topic.clone();
-        self.listener.wait_until(timeout, move |m| {
-            let t = m.topic.to_string();
-            t == format!("{topic}/completed") || t == format!("{topic}/failed")
-        })?;
-        self.outcome()
+        let ends = SetEnd::topics(&self.topic);
+        match self
+            .listener
+            .wait_until(timeout, move |m| ends.contains(&m.topic))
+        {
+            Some(_) => self.outcome(),
+            None => self.resource_outcome().ok().flatten(),
+        }
     }
 
     /// Blocking wait (real time) for a job's `started` event (scaled
     /// clock only). Returns false on timeout.
     pub fn wait_job_started(&self, job: &str, timeout: std::time::Duration) -> bool {
-        let topic = format!("{}/job/{job}/started", self.topic);
+        let topic = job_topic(&self.topic, job, Leaf::Started);
         self.listener
-            .wait_until(timeout, move |m| m.topic.to_string() == topic)
+            .wait_until(timeout, move |m| m.topic == topic)
             .is_some()
     }
 
@@ -316,7 +309,7 @@ impl JobSetHandle {
     /// when the event is not in this listener's history — the §5
     /// rediscovery path for handles restored after a client restart.
     pub fn job_dir(&self, job: &str) -> Option<EndpointReference> {
-        let from_events = self.epr_from_event(&self.event_topic(&format!("job/{job}/dir")));
+        let from_events = self.epr_from_event(job, Leaf::Dir);
         if from_events.is_some() {
             return from_events;
         }
@@ -332,16 +325,10 @@ impl JobSetHandle {
     /// on restored handles with no event history).
     pub fn resource_outcome(&self) -> Result<Option<JobSetOutcome>, SoapFault> {
         match self.status()?.as_str() {
-            "Completed" => Ok(Some(JobSetOutcome::Completed)),
-            "Failed" => {
+            scheduler::set_status::COMPLETED => Ok(Some(JobSetOutcome::Completed)),
+            scheduler::set_status::FAILED => {
                 let proxy = wsrf_core::ResourceProxy::new(&self.net, self.jobset.clone());
-                let fault = proxy
-                    .document()?
-                    .get_local("Fault")
-                    .first()
-                    .and_then(|f| f.find(wsrf_soap::ns::WSBF, "BaseFault").cloned())
-                    .map(|f| BaseFault::from_element(&f))
-                    .unwrap_or_else(|| BaseFault::new("uvacg:JobSetFailed", "job set failed"));
+                let fault = SetEnd::fault_in(proxy.document()?.get_local("Fault").first());
                 Ok(Some(JobSetOutcome::Failed(Box::new(fault))))
             }
             _ => Ok(None),
@@ -350,7 +337,7 @@ impl JobSetHandle {
 
     /// The job EPR broadcast when a job starts.
     pub fn job_epr(&self, job: &str) -> Option<EndpointReference> {
-        self.epr_from_event(&self.event_topic(&format!("job/{job}/started")))
+        self.epr_from_event(job, Leaf::Started)
     }
 
     /// Poll a running/finished job's status resource property.
@@ -392,11 +379,5 @@ impl JobSetHandle {
     /// The grid clock (manual-mode tests advance it to drive the run).
     pub fn clock(&self) -> &Clock {
         &self.clock
-    }
-
-    /// The action URI used by Kill (exposed for traffic accounting in
-    /// benches).
-    pub fn kill_action() -> String {
-        action_uri("Execution", "Kill")
     }
 }

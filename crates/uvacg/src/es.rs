@@ -24,8 +24,9 @@ use grid_node::{Machine, ProcSpawn};
 use parking_lot::Mutex;
 use simclock::Clock;
 use ws_notification::message::NotificationMessage;
-use ws_notification::topics::TopicPath;
-use wsrf_core::container::{action_uri, Ctx, OpKind, Service, ServiceBuilder, ServiceCore};
+use wsrf_core::container::{
+    action_uri, Ctx, OpKind, Service, ServiceBuilder, ServiceCore, WriteRefused,
+};
 use wsrf_core::faults;
 use wsrf_core::properties::PropertyDoc;
 use wsrf_core::store::ResourceStore;
@@ -33,10 +34,14 @@ use wsrf_core::{epr_in, Outbound, ResourceProxy};
 use wsrf_soap::ns::{UVACG, WSSE};
 use wsrf_soap::{BaseFault, EndpointReference, SoapFault, TraceContext};
 use wsrf_transport::InProcNetwork;
-use wsrf_xml::{Element, QName};
+use wsrf_xml::Element;
 
 use crate::fss;
-use crate::security::GridSecurity;
+use crate::job::{JobEvent, JobLife, Step};
+use crate::q;
+use crate::security::{open_credentials, GridSecurity};
+
+pub use crate::job::{status, JobSnapshot};
 
 /// The job key reference property (Clark form).
 pub fn job_key_property() -> String {
@@ -55,22 +60,6 @@ fn job_key_for(topic: &str, job_name: &str) -> String {
     format!("{}:{topic}/{job_name}", topic.len())
 }
 
-fn q(local: &str) -> QName {
-    QName::new(UVACG, local)
-}
-
-/// Job status values exposed through the `Status` resource property.
-pub mod status {
-    /// Inputs are being staged by the FSS.
-    pub const STAGING: &str = "Staging";
-    /// The process is running.
-    pub const RUNNING: &str = "Running";
-    /// The process exited (see `ExitCode`; kills surface as exit −9).
-    pub const EXITED: &str = "Exited";
-    /// Staging or spawning failed; the process never ran.
-    pub const FAILED: &str = "Failed";
-}
-
 /// Deployment configuration for one machine's Execution Service.
 pub struct EsConfig {
     /// The machine to execute on.
@@ -82,11 +71,20 @@ pub struct EsConfig {
     /// Broker to publish job events through (None disables events).
     pub broker: Option<EndpointReference>,
     /// Campus PKI + this service's enrolled subject name; None accepts
-    /// plaintext `<Credentials>` elements instead (insecure mode, used
-    /// by unit tests and the security-off ablation).
+    /// plaintext `<Credentials>` elements instead (an insecure grid —
+    /// `GridConfig` without `secure()` — and the ES unit tests).
     pub security: Option<(Arc<GridSecurity>, String)>,
     /// Resource state backend.
     pub store: Arc<dyn ResourceStore>,
+}
+
+/// A job as its events name it: its resource, and its place in a set.
+#[derive(Clone)]
+struct JobId {
+    key: String,
+    epr: EndpointReference,
+    topic: String,
+    name: String,
 }
 
 /// Side table of data that must NOT appear in resource properties
@@ -96,8 +94,7 @@ struct PendingJob {
     password: String,
     exe_name: String,
     workdir_path: String,
-    topic: String,
-    job_name: String,
+    id: JobId,
     /// Trace context of the originating `Run`, so the deferred spawn
     /// and its broadcasts stay in the submission's span tree.
     trace: Option<TraceContext>,
@@ -171,6 +168,9 @@ pub fn execution_service(cfg: EsConfig, clock: Clock, net: Arc<InProcNetwork>) -
             if let Some(code) = doc.text(&q("ExitCode")) {
                 resp = resp.attr("exitCode", code);
             }
+            if let Some(reason) = doc.text(&q("FailureReason")) {
+                resp = resp.attr("reason", reason);
+            }
             for v in ctx.core.property_values(doc, &q("CpuTimeUsed")) {
                 resp = resp.attr("cpu", v.text_content());
             }
@@ -190,34 +190,6 @@ pub fn execution_service(cfg: EsConfig, clock: Clock, net: Arc<InProcNetwork>) -
             vec![Element::with_name(q("CpuTimeUsed")).text(format!("{value:.6}"))]
         })
         .build(clock, net)
-}
-
-/// Decode credentials from the security header (or the plaintext
-/// fallback in insecure deployments).
-fn credentials(
-    ctx: &Ctx<'_>,
-    security: &Option<(Arc<GridSecurity>, String)>,
-) -> Result<(String, String), BaseFault> {
-    if let Some((sec, subject)) = security {
-        let header = ctx
-            .header(WSSE, "Security")
-            .ok_or_else(|| BaseFault::new("uvacg:MissingCredentials", "no WS-Security header"))?;
-        let token = sec.decrypt_token(header, subject).map_err(|e| {
-            BaseFault::new(
-                "uvacg:BadCredentials",
-                format!("cannot decrypt credentials: {e}"),
-            )
-        })?;
-        return Ok((token.username, token.password));
-    }
-    let el = ctx
-        .body
-        .find(UVACG, "Credentials")
-        .ok_or_else(|| BaseFault::new("uvacg:MissingCredentials", "no Credentials element"))?;
-    Ok((
-        el.attr_value("user").unwrap_or_default().to_string(),
-        el.attr_value("password").unwrap_or_default().to_string(),
-    ))
 }
 
 fn run_op(
@@ -240,7 +212,11 @@ fn run_op(
 
     // Fail fast on bad credentials — ProcSpawn would reject them later
     // anyway, but a synchronous fault reaches the submitter directly.
-    let (user, password) = credentials(ctx, security)?;
+    let (user, password) = open_credentials(
+        security,
+        ctx.header(WSSE, "Security"),
+        ctx.body.find(UVACG, "Credentials"),
+    )?;
     if !machine.check_credentials(&user, &password) {
         return Err(BaseFault::new(
             "uvacg:BadCredentials",
@@ -318,16 +294,21 @@ fn run_op(
     let job_key = derived_key.unwrap_or_else(|| ctx.core.fresh_key());
     let job_epr = ctx.core.create_resource_with_key(&job_key, doc)?;
     drop(accepting);
+    let id = JobId {
+        key: job_key,
+        epr: job_epr,
+        topic,
+        name: job_name,
+    };
 
     rt.pending.lock().insert(
-        job_key.clone(),
+        id.key.clone(),
         PendingJob {
             user,
             password,
             exe_name: exe.2.clone(),
             workdir_path: dir_path,
-            topic: topic.clone(),
-            job_name: job_name.clone(),
+            id: id.clone(),
             trace,
         },
     );
@@ -335,36 +316,31 @@ fn run_op(
     // Step 9 (first half): broadcast the working directory EPR so the
     // Scheduler can fill in downstream file locations and the client
     // can watch the directory.
-    publish(
-        ctx.core,
-        &rt.broker,
-        &TopicPath::parse(&topic)
-            .child("job")
-            .child(&job_name)
-            .child("dir"),
-        dir_epr
-            .to_element_named(UVACG, "WorkingDirectory")
-            .attr("job", &job_name),
-        &job_epr,
-        trace.as_ref(),
-    );
+    let dir = JobEvent::Dir(dir_epr.clone()).message(&id.topic, &id.name, &id.epr);
+    rt.publish(ctx.core, dir, trace.as_ref());
 
     // Step 4/5/6: one-way upload request; completion will arrive as a
-    // one-way UploadComplete addressed to this job resource.
-    let notify_to = job_epr.clone();
-    fss::upload_files(
+    // one-way UploadComplete addressed to this job resource. A request
+    // that cannot leave fails the job here (no upload will complete
+    // it), and the caller hears of it only as this fault.
+    if let Err(e) = fss::upload_files(
         &ctx.core.net,
         &dir_epr,
         &uploads,
-        Some(&notify_to),
+        Some(&id.epr),
         &action_uri("Execution", "UploadComplete"),
-        &job_key,
+        &id.key,
         trace.as_ref(),
-    )
-    .map_err(|e| faults::storage(&format!("cannot request upload: {e}")))?;
+    ) {
+        let why = format!("cannot request upload: {e}");
+        rt.pending.lock().remove(&id.key);
+        // A refused write leaves a `StoreWriteDropped` event.
+        let _ = rt.advance(ctx.core, &id, Step::Faulted(why.clone()), trace.as_ref());
+        return Err(faults::storage(&why));
+    }
 
     Ok(Element::new(UVACG, "RunResponse")
-        .child(job_epr.to_element_named(UVACG, "JobEpr"))
+        .child(id.epr.to_element_named(UVACG, "JobEpr"))
         .child(dir_epr.to_element_named(UVACG, "WorkingDirectory")))
 }
 
@@ -381,10 +357,7 @@ fn upload_complete_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element,
             format!("job '{key}' has no pending upload"),
         ));
     };
-    let job_epr = core.epr_for(&key);
-    let topic_base = TopicPath::parse(&pending.topic)
-        .child("job")
-        .child(&pending.job_name);
+    let gone = || faults::no_such_resource(&key);
 
     // Any failed file aborts the job.
     let failures: Vec<String> = ctx
@@ -398,52 +371,24 @@ fn upload_complete_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element,
             )
         })
         .collect();
-    if !failures.is_empty() {
-        core.edit(&key, |doc| {
-            doc.set_text(q("Status"), status::FAILED);
-            doc.set_text(q("FailureReason"), failures.join("; "));
-        })?
-        .ok_or_else(|| faults::no_such_resource(&key))?;
-        crate::retire(&core, &key);
-        publish(
-            &core,
-            &rt.broker,
-            &topic_base.child("failed"),
-            Element::new(UVACG, "JobFailed")
-                .attr("job", &pending.job_name)
-                .text(failures.join("; ")),
-            &job_epr,
-            trace.as_ref(),
-        );
+    let staged = if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("; "))
+    };
+    let ready = staged.is_ok();
+    // Step 8: start the process via ProcSpawn. Running is persisted and
+    // "started" broadcast BEFORE spawning (step 9, second half: the
+    // job's EPR, so anyone may poll its Status): a zero-work program's
+    // exit callback runs inline inside spawn().
+    rt.advance(&core, &pending.id, Step::Staged(staged), trace.as_ref())?
+        .ok_or_else(gone)?;
+    if !ready {
         return Ok(Element::new(UVACG, "UploadCompleteAck"));
     }
 
-    // Step 8: start the process via ProcSpawn. Persist Running and
-    // broadcast "started" BEFORE spawning: a zero-work program's exit
-    // callback runs inline inside spawn(), and writing Running (or
-    // publishing "started") after it would clobber/reorder the exit.
-    core.edit(&key, |doc| doc.set_text(q("Status"), status::RUNNING))?
-        .ok_or_else(|| faults::no_such_resource(&key))?;
-    // Step 9 (second half): broadcast the job's EPR so anyone may poll
-    // its Status resource property.
-    publish(
-        &core,
-        &rt.broker,
-        &topic_base.child("started"),
-        job_epr
-            .to_element_named(UVACG, "JobEpr")
-            .attr("job", &pending.job_name),
-        &job_epr,
-        trace.as_ref(),
-    );
-
     let exe_path = format!("{}/{}", pending.workdir_path, pending.exe_name);
-    let core_exit = core.clone();
-    let rt_exit = rt.clone();
-    let key_exit = key.clone();
-    let job_epr_exit = job_epr.clone();
-    let topic_exit = topic_base.clone();
-    let job_name_exit = pending.job_name.clone();
+    let (core_exit, rt_exit, id_exit) = (core.clone(), rt.clone(), pending.id.clone());
     // The exit broadcast is causally part of the submission even when
     // the process outlives the UploadComplete dispatch: parent it under
     // the Run's trace, not the (already-finished) dispatch span.
@@ -453,85 +398,55 @@ fn upload_complete_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element,
         &pending.workdir_path,
         &pending.user,
         &pending.password,
-        move |code, cpu_used| {
-            on_process_exit(
-                &core_exit,
-                &rt_exit.broker,
-                &key_exit,
-                &job_epr_exit,
-                &topic_exit,
-                &job_name_exit,
-                code,
-                cpu_used,
-                trace_exit.as_ref(),
-            );
+        move |code, cpu| {
+            // Step 10: the process exited; record and re-broadcast.
+            // Nobody to tell of a refused write: dropping it leaves a
+            // `StoreWriteDropped` event.
+            let step = Step::Exited { code, cpu };
+            let _ = rt_exit.advance(&core_exit, &id_exit, step, trace_exit.as_ref());
         },
     );
-    match spawned {
-        Ok(pid) => {
-            // Only the pid: the exit callback may have recorded the exit
-            // already (inline for zero-work programs, or concurrently).
-            core.edit(&key, |doc| doc.set_i64(q("Pid"), pid as i64))?
-                .ok_or_else(|| faults::no_such_resource(&key))?;
-            Ok(Element::new(UVACG, "UploadCompleteAck"))
-        }
-        Err(e) => {
-            core.edit(&key, |doc| {
-                doc.set_text(q("Status"), status::FAILED);
-                doc.set_text(q("FailureReason"), e.to_string());
-            })?
-            .ok_or_else(|| faults::no_such_resource(&key))?;
-            crate::retire(&core, &key);
-            publish(
-                &core,
-                &rt.broker,
-                &topic_base.child("failed"),
-                Element::new(UVACG, "JobFailed")
-                    .attr("job", &pending.job_name)
-                    .text(e.to_string()),
-                &job_epr,
-                trace.as_ref(),
-            );
-            Ok(Element::new(UVACG, "UploadCompleteAck"))
-        }
-    }
+    let step = Step::Spawned(spawned.map_err(|e| e.to_string()));
+    rt.advance(&core, &pending.id, step, trace.as_ref())?
+        .ok_or_else(gone)?;
+    Ok(Element::new(UVACG, "UploadCompleteAck"))
 }
 
-/// Step 10: the process exited; record and re-broadcast.
-#[allow(clippy::too_many_arguments)]
-fn on_process_exit(
-    core: &Arc<ServiceCore>,
-    broker: &Option<EndpointReference>,
-    key: &str,
-    job_epr: &EndpointReference,
-    topic_base: &TopicPath,
-    job_name: &str,
-    code: i32,
-    cpu_used: f64,
-    trace: Option<&TraceContext>,
-) {
-    let recorded = core.edit(key, |doc| {
-        doc.set_text(q("Status"), status::EXITED);
-        doc.set_i64(q("ExitCode"), code as i64);
-        doc.set_f64(q("CpuAtExit"), cpu_used);
-    });
-    // A job that is gone has nothing to retire. Nobody to tell of a
-    // refused write: dropping it leaves a `StoreWriteDropped` event.
-    if !matches!(recorded, Ok(None)) {
-        crate::retire(core, key);
+impl EsRuntime {
+    /// Move job `id` one step through its life: apply `step` to its
+    /// resource under [`ServiceCore::edit`] ([`JobLife::apply`], or
+    /// [`JobLife::gone`] when there is none), give a job that ended its
+    /// retention lease, and broadcast what happened. `Ok(None)` when the
+    /// resource is gone. A refused write is returned after the fact is
+    /// acted on: the step happened all the same.
+    fn advance<'c>(
+        &self,
+        core: &'c Arc<ServiceCore>,
+        id: &JobId,
+        step: Step,
+        trace: Option<&TraceContext>,
+    ) -> Result<Option<()>, WriteRefused<'c>> {
+        let mut change = None;
+        let edited = core.edit(&id.key, |doc| {
+            change = Some(JobLife::apply(doc, step.clone()))
+        });
+        let change = change.unwrap_or_else(|| JobLife::gone(step));
+        if change.retire {
+            crate::retire(core, &id.key);
+        }
+        if let Some(event) = change.event {
+            self.publish(core, event.message(&id.topic, &id.name, &id.epr), trace);
+        }
+        edited
     }
-    publish(
-        core,
-        broker,
-        &topic_base.child("exit"),
-        Element::new(UVACG, "JobExit")
-            .attr("job", job_name)
-            .attr("code", code.to_string())
-            .attr("cpu", format!("{cpu_used:.6}"))
-            .child(job_epr.to_element_named(UVACG, "JobEpr")),
-        job_epr,
-        trace,
-    );
+
+    /// Publish an event through the broker (silently skipped when no
+    /// broker is deployed).
+    fn publish(&self, core: &ServiceCore, msg: NotificationMessage, trace: Option<&TraceContext>) {
+        let Some(b) = &self.broker else { return };
+        // Nobody to tell: a failed send leaves an `OutboundFailed` event.
+        let _ = msg.outbound(b).trace(trace).send(&core.net);
+    }
 }
 
 fn kill_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element, BaseFault> {
@@ -547,22 +462,6 @@ fn kill_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element, BaseFault>
     let killed = rt.spawner.kill(pid as u64);
     // The exit callback updates the resource and broadcasts.
     Ok(Element::new(UVACG, "KillResponse").attr("killed", killed.to_string()))
-}
-
-/// Publish an event through the broker (silently skipped when no
-/// broker is deployed).
-fn publish(
-    core: &Arc<ServiceCore>,
-    broker: &Option<EndpointReference>,
-    topic: &TopicPath,
-    payload: Element,
-    producer: &EndpointReference,
-    trace: Option<&TraceContext>,
-) {
-    let Some(b) = broker else { return };
-    let msg = NotificationMessage::new(topic.clone(), payload).from_producer(producer.clone());
-    // Nobody to tell: a failed send leaves an `OutboundFailed` event.
-    let _ = msg.outbound(b).trace(trace).send(&core.net);
 }
 
 // ---------------------------------------------------------------------
@@ -655,19 +554,6 @@ pub fn job_cpu_time(net: &InProcNetwork, job: &EndpointReference) -> Result<f64,
     ResourceProxy::new(net, job.clone()).get_f64("CpuTimeUsed")
 }
 
-/// One-call job snapshot returned by the read-only `QueryJob` op.
-#[derive(Debug, Clone)]
-pub struct JobSnapshot {
-    /// Job name within its set.
-    pub name: String,
-    /// Current `Status` property value.
-    pub status: String,
-    /// Exit code, once the process has exited.
-    pub exit_code: Option<i64>,
-    /// CPU seconds used so far (live while running).
-    pub cpu_time: f64,
-}
-
 /// Poll a job with a single `QueryJob` call instead of one
 /// `GetResourceProperty` round trip per property.
 pub fn query_job(net: &InProcNetwork, job: &EndpointReference) -> Result<JobSnapshot, SoapFault> {
@@ -677,22 +563,13 @@ pub fn query_job(net: &InProcNetwork, job: &EndpointReference) -> Result<JobSnap
         Element::new(UVACG, "QueryJob"),
     )
     .call(net)?;
+    let attr = |name| resp.body.attr_value(name);
     Ok(JobSnapshot {
-        name: resp.body.attr_value("name").unwrap_or_default().to_string(),
-        status: resp
-            .body
-            .attr_value("status")
-            .unwrap_or_default()
-            .to_string(),
-        exit_code: resp
-            .body
-            .attr_value("exitCode")
-            .and_then(|c| c.parse().ok()),
-        cpu_time: resp
-            .body
-            .attr_value("cpu")
-            .and_then(|c| c.parse().ok())
-            .unwrap_or(0.0),
+        name: attr("name").unwrap_or_default().to_string(),
+        status: attr("status").unwrap_or_default().to_string(),
+        exit_code: attr("exitCode").and_then(|c| c.parse().ok()),
+        cpu_time: attr("cpu").and_then(|c| c.parse().ok()).unwrap_or(0.0),
+        reason: attr("reason").map(str::to_string),
     })
 }
 
@@ -1004,11 +881,53 @@ mod tests {
         f.clock.advance(Duration::from_secs(5));
         assert!(kill(&f.net, &reply.job).unwrap());
         assert_eq!(job_status(&f.net, &reply.job).unwrap(), status::EXITED);
+        let job = ResourceProxy::new(&f.net, reply.job.clone());
+        assert_eq!(job.get_i64("ExitCode").unwrap(), -9);
         let exits = f.listener.on(&"js/job/job1/exit".into());
         assert_eq!(exits.len(), 1);
         assert_eq!(exits[0].payload.attr_value("code"), Some("-9"));
         let cpu: f64 = exits[0].payload.attr_value("cpu").unwrap().parse().unwrap();
         assert!((cpu - 5.0).abs() < 1e-3);
+    }
+
+    /// What a WSRF client reads through the job's resource properties:
+    /// `ExitCode` appears at exit, `CpuTimeUsed` is live while the
+    /// process runs and frozen after, and `WorkingDirectory` names a
+    /// directory the client can use.
+    #[test]
+    fn job_properties_read_back_what_the_process_did() {
+        let f = fixture();
+        let prog = JobProgram::compute(10.0).writing("out.dat", 32).exiting(4);
+        let reply = run(&f.net, &f.es_addr, &basic_request(&f, &prog)).unwrap();
+        let job = ResourceProxy::new(&f.net, reply.job.clone());
+        assert_eq!(job.get_text("Status").unwrap(), status::RUNNING);
+        let no_code = job.get_i64("ExitCode").unwrap_err();
+        assert_eq!(
+            no_code.error_code(),
+            Some("wsrp:InvalidResourcePropertyQName")
+        );
+        f.clock.advance(Duration::from_secs(4));
+        assert!((job.get_f64("CpuTimeUsed").unwrap() - 4.0).abs() < 1e-3);
+        f.clock.advance(Duration::from_secs(10));
+        assert_eq!(job.get_text("Status").unwrap(), status::EXITED);
+        assert_eq!(job.get_i64("ExitCode").unwrap(), 4);
+        f.clock.advance(Duration::from_secs(10));
+        let cpu = job.get_f64("CpuTimeUsed").unwrap();
+        assert!((cpu - 10.0).abs() < 1e-3, "frozen at exit: {cpu}");
+
+        let wd = job.document().unwrap().get_local("WorkingDirectory")[0].clone();
+        let dir = EndpointReference::from_element(&wd).unwrap();
+        let path = ResourceProxy::new(&f.net, dir.clone()).get_text("Path");
+        assert!(path.unwrap().starts_with("grid/"));
+        let names: Vec<String> = fss::list(&f.net, &dir)
+            .unwrap()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        assert!(names.contains(&"out.dat".to_string()), "{names:?}");
+        assert_eq!(fss::read(&f.net, &dir, "out.dat").unwrap().len(), 32);
+        fss::write(&f.net, &dir, "extra.txt", b"note").unwrap();
+        assert_eq!(&fss::read(&f.net, &dir, "extra.txt").unwrap()[..], b"note");
     }
 
     #[test]
@@ -1137,6 +1056,50 @@ mod tests {
         assert_eq!(f.listener.on(&"js/job/job1/dir".into()).len(), 1);
         f.clock.advance(Duration::from_secs(2));
         assert_eq!(f.listener.on(&"js/job/job1/exit".into()).len(), 1);
+    }
+
+    #[test]
+    fn an_upload_request_that_cannot_leave_fails_the_job() {
+        use wsrf_transport::{Endpoint, FnEndpoint};
+
+        let f = fixture();
+        let req = basic_request(&f, &JobProgram::compute(1.0));
+        // The FSS answers CreateDirectory and then leaves the network:
+        // the one-way upload request that follows has nowhere to go.
+        let (fss, net, addr) = (f.fss.clone(), f.net.clone(), f.fss_addr.clone());
+        f.net.register(
+            f.fss_addr.as_str(),
+            Arc::new(FnEndpoint::new("fss-then-gone", move |env: Envelope| {
+                let resp = fss.handle(env);
+                net.unregister(&addr);
+                resp
+            })) as Arc<dyn Endpoint>,
+        );
+        let err = run(&f.net, &f.es_addr, &req).unwrap_err();
+        assert_eq!(err.error_code(), Some("wsrf:StorageFault"));
+
+        // The job failed, and the fault was the only report of it: a
+        // `failed` broadcast would race the fault to the Scheduler.
+        assert!(f.listener.on(&"js/job/job1/failed".into()).is_empty());
+        let dir = f.listener.on(&"js/job/job1/dir".into());
+        let job = dir[0].producer.clone().expect("the job produced it");
+        let props = ResourceProxy::new(&f.net, job.clone());
+        assert_eq!(props.get_text("Status").unwrap(), status::FAILED);
+        let why = props.get_text("FailureReason").unwrap();
+        assert!(why.contains("cannot request upload"), "{why}");
+
+        // An upload completing late cannot start it.
+        let late = Outbound::new(
+            job.clone(),
+            action_uri("Execution", "UploadComplete"),
+            Element::new(UVACG, "UploadComplete"),
+        )
+        .call(&f.net)
+        .unwrap_err();
+        assert_eq!(late.error_code(), Some("uvacg:UnexpectedUpload"));
+        f.clock.advance(Duration::from_secs(2));
+        assert_eq!(job_status(&f.net, &job).unwrap(), status::FAILED);
+        assert!(f.listener.on(&"js/job/job1/started".into()).is_empty());
     }
 
     /// Inverse of [`job_key_for`]; exists to show the key is injective.

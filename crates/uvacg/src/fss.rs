@@ -28,13 +28,11 @@ use wsrf_soap::{BaseFault, EndpointReference, SoapFault, TraceContext};
 use wsrf_transport::InProcNetwork;
 use wsrf_xml::{base64, Element, QName};
 
+use crate::q;
+
 /// The directory key reference property (Clark form).
 pub fn dir_key_property() -> String {
     format!("{{{UVACG}}}DirectoryKey")
-}
-
-fn q(local: &str) -> QName {
-    QName::new(UVACG, local)
 }
 
 /// The `Path` resource property name.

@@ -26,9 +26,8 @@
 //!
 //! [`grid::CampusGrid`] wires a whole campus together in one call; the
 //! [`baseline`] module provides the GRAM-like submit-and-poll
-//! comparator used by experiments E2 and E8; [`proxies`] offers typed
-//! job/directory views built purely on the standard port types (the
-//! §5 "higher-level interfaces" idea).
+//! comparator used by experiments E2 and E8; [`job`] is the one
+//! definition of a job's life at its ES and of the events it is told in.
 
 // WS-BaseFaults carries timestamps, originator EPRs and cause chains
 // by design, so fault values are large; handlers are not hot paths and
@@ -41,11 +40,11 @@ pub mod client;
 pub mod es;
 pub mod fss;
 pub mod grid;
+pub mod job;
 pub mod jobset;
 pub mod monitor;
 pub mod nis;
 pub mod policy;
-pub mod proxies;
 pub mod scheduler;
 pub mod security;
 
@@ -59,11 +58,15 @@ pub use policy::{
     FastestAvailable, LeastLoaded, MachineOutcome, MetricsFeedback, NodeSnapshot, OutcomeKind,
     PenaltyRow, Random, RoundRobin, SchedulingPolicy,
 };
-pub use proxies::{DirectoryProxy, JobProxy};
 pub use scheduler::{Scheduler, Standby};
 
 /// The testbed's XML namespace (re-exported for tests and benches).
 pub use wsrf_soap::ns::UVACG;
+
+/// `{UVACG}local`: the name of a testbed property or element.
+fn q(local: &str) -> wsrf_xml::QName {
+    wsrf_xml::QName::new(UVACG, local)
+}
 
 /// Virtual time a job-set or job WS-Resource stays addressable after it
 /// reaches a terminal state. WSRF's soft-state answer to "who frees

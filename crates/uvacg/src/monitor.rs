@@ -42,11 +42,9 @@ use wsrf_obs::{Event, MetricValue, MetricsRegistry, MetricsSnapshot};
 use wsrf_soap::ns::UVACG;
 use wsrf_soap::{EndpointReference, SoapFault};
 use wsrf_transport::InProcNetwork;
-use wsrf_xml::{Element, QName};
+use wsrf_xml::Element;
 
-fn q(local: &str) -> QName {
-    QName::new(UVACG, local)
-}
+use crate::q;
 
 /// The notification topic event pumps publish on.
 pub const MONITOR_TOPIC: &str = "monitor/events";

@@ -21,16 +21,13 @@ use wsrf_core::{epr_in, Outbound};
 use wsrf_soap::ns::{UVACG, WSSG};
 use wsrf_soap::{EndpointReference, SoapFault};
 use wsrf_transport::InProcNetwork;
-use wsrf_xml::{Element, QName};
+use wsrf_xml::Element;
 
 use crate::policy::NodeSnapshot;
+use crate::q;
 
 /// Service name used for actions.
 pub const NIS_NAME: &str = "NodeInfo";
-
-fn q(local: &str) -> QName {
-    QName::new(UVACG, local)
-}
 
 /// Build the Node Info Service: a WS-ServiceGroup whose member content
 /// carries machine name, hardware characteristics, utilization and

@@ -33,15 +33,17 @@ use wsrf_security::wsse::UsernameToken;
 use wsrf_soap::ns::{UVACG, WSSE};
 use wsrf_soap::{BaseFault, EndpointReference, SoapFault, TraceContext};
 use wsrf_transport::InProcNetwork;
-use wsrf_xml::{Element, QName};
+use wsrf_xml::Element;
 
 use crate::es::{self, RunReply, RunRequest};
+use crate::job::{JobEvent, SetEnd, SetEvent};
 use crate::jobset::{FileRef, JobSetSpec, JobSpec};
 use crate::policy::{MachineOutcome, OutcomeKind, SchedulingPolicy};
-use crate::security::GridSecurity;
+use crate::q;
+use crate::security::{open_credentials, GridSecurity};
 
 mod run;
-use run::{open_credentials, Change, JobEvent, JobRun, JobState, RunState, SetEvent};
+use run::{Change, JobRun, JobState, RunState};
 
 /// The job-set key reference property (Clark form).
 pub fn jobset_key_property() -> String {
@@ -54,10 +56,6 @@ pub fn jobset_key_property() -> String {
 /// `observations`, `failures`), refreshed after every reported
 /// outcome. Empty for feedback-less policies.
 pub const FEEDBACK_KEY: &str = "feedback";
-
-fn q(local: &str) -> QName {
-    QName::new(UVACG, local)
-}
 
 /// Job-set status values exposed through the `Status` property.
 pub mod set_status {
@@ -439,11 +437,10 @@ fn submit_op(
         doc.set_text(q("TraceId"), format!("{:016x}", tc.trace_id));
     }
     for j in &spec.jobs {
-        doc.insert(
-            q("JobStatus"),
-            Element::with_name(q("JobStatus"))
-                .attr("job", &j.name)
-                .text("Waiting"),
+        put_job_status(
+            &mut doc,
+            &j.name,
+            job_status_element(&j.name, &JobRun::default()),
         );
     }
     let set_epr = ctx.core.create_resource_with_key(&key, doc)?;
@@ -585,7 +582,12 @@ fn replicate(s: Sched<'_>, key: &str, kind: &str, record: impl FnOnce() -> Eleme
     let Sched { core, inner } = s;
     if inner.replicate {
         let topic = TopicPath::parse("schedrepl").child(key).child(kind);
-        publish(core, &inner.broker, &topic, record(), None);
+        publish(
+            core,
+            &inner.broker,
+            NotificationMessage::new(topic, record()),
+            None,
+        );
     }
 }
 
@@ -611,7 +613,7 @@ fn on_event(s: Sched<'_>, key: &str, msg: &NotificationMessage) {
 }
 
 /// Apply a job's event — observed through the broker broadcast, or an
-/// exit found by polling the job resource during failover
+/// exit or failure found by polling the job resource during failover
 /// reconciliation — and act on what changed: record the Figure 3 steps
 /// it marks, feed the placement policy, and fail the set, complete it
 /// or dispatch what became ready. Nothing happens for an event
@@ -948,7 +950,7 @@ enum Outcome<'a> {
 
 /// Record a set's terminal state, release its run state, start the
 /// retention lease of the resource that keeps the outcome, and
-/// broadcast `<topic>/completed` or `<topic>/failed`.
+/// broadcast how the set ended ([`SetEnd`]).
 fn finish_job_set(s: Sched<'_>, key: &str, outcome: Outcome<'_>) {
     let Sched { core, inner } = s;
     if inner.is_crashed() {
@@ -959,37 +961,29 @@ fn finish_job_set(s: Sched<'_>, key: &str, outcome: Outcome<'_>) {
     };
     let now = core.clock.now();
     let makespan = now.since(run.submitted_at);
-    let (status, end, event, fault) = match outcome {
-        Outcome::Completed => (
-            set_status::COMPLETED,
-            "completed",
-            Element::new(UVACG, "JobSetCompleted"),
-            None,
-        ),
-        Outcome::Failed(job, cause) => {
-            let fault = BaseFault::new(
+    let end = match outcome {
+        Outcome::Completed => SetEnd::Completed,
+        Outcome::Failed(job, cause) => SetEnd::Failed {
+            job: job.to_string(),
+            fault: BaseFault::new(
                 "uvacg:JobSetFailed",
                 format!("job set failed at job '{job}'"),
             )
             .at(now.as_secs_f64())
             .from_originator(core.service_epr())
-            .caused_by(cause)
-            .to_element();
-            let event = Element::new(UVACG, "JobSetFailed")
-                .attr("job", job)
-                .child(fault.clone());
-            (set_status::FAILED, "failed", event, Some(fault))
-        }
+            .caused_by(cause),
+        },
     };
     // Nobody to tell: a refused write leaves a `StoreWriteDropped` event.
     let _ = core.edit(key, |doc| {
-        doc.set_text(q("Status"), status);
         doc.set_f64(q("Makespan"), makespan.as_secs_f64());
-        if let Some(fault) = fault {
-            doc.update(
-                q("Fault"),
-                vec![Element::with_name(q("Fault")).child(fault)],
-            );
+        match &end {
+            SetEnd::Completed => doc.set_text(q("Status"), set_status::COMPLETED),
+            SetEnd::Failed { fault, .. } => {
+                doc.set_text(q("Status"), set_status::FAILED);
+                let fault = Element::with_name(q("Fault")).child(fault.to_element());
+                doc.update(q("Fault"), vec![fault]);
+            }
         }
     });
     crate::retire(core, key);
@@ -999,20 +993,19 @@ fn finish_job_set(s: Sched<'_>, key: &str, outcome: Outcome<'_>) {
     publish(
         core,
         &inner.broker,
-        &TopicPath::parse(&run.topic).child(end),
-        event,
+        end.message(&run.topic),
         run.trace.as_ref(),
     );
 }
 
+/// Publish `msg` through the broker as this scheduler's.
 fn publish(
     core: &Arc<ServiceCore>,
     broker_epr: &EndpointReference,
-    topic: &TopicPath,
-    payload: Element,
+    msg: NotificationMessage,
     trace: Option<&TraceContext>,
 ) {
-    let msg = NotificationMessage::new(topic.clone(), payload).from_producer(core.service_epr());
+    let msg = msg.from_producer(core.service_epr());
     // Nobody to tell: a failed send leaves an `OutboundFailed` event.
     let _ = msg.outbound(broker_epr).trace(trace).send(&core.net);
 }
@@ -1116,7 +1109,7 @@ impl Replica {
             match SetEvent::decode(msg) {
                 // The primary finished the set before dying: nothing to
                 // adopt.
-                Some(SetEvent::Finished) => {
+                Some(SetEvent::End(_)) => {
                     runs.remove(key);
                 }
                 Some(SetEvent::Job(job, event)) => {
@@ -1286,9 +1279,10 @@ fn reconcile(s: Sched<'_>, key: &str, nodes: &[crate::NodeSnapshot]) {
         }
     }
 
-    // Poll every in-flight job for an exit whose broadcast raced the
-    // crash (apply is idempotent, so an exit the standby already
-    // witnessed is a no-op here); re-arm the watchdog of the others.
+    // Poll every in-flight job for an exit or a failure whose broadcast
+    // raced the crash (apply is idempotent, so an end the standby
+    // already witnessed is a no-op here); re-arm the watchdog of the
+    // others.
     let in_flight: Vec<(String, Option<String>, Option<EndpointReference>)> = {
         let runs = inner.runs.lock();
         let Some(run) = runs.get(key) else { return };
@@ -1298,16 +1292,10 @@ fn reconcile(s: Sched<'_>, key: &str, nodes: &[crate::NodeSnapshot]) {
             .collect()
     };
     for (job_name, machine, epr) in in_flight {
-        match epr.and_then(|epr| es::query_job(&core.net, &epr).ok()) {
-            Some(snap) if snap.status == es::status::EXITED => {
-                let exit = JobEvent::Exit {
-                    code: snap.exit_code.unwrap_or(-1) as i32,
-                    cpu: Some(snap.cpu_time),
-                    job_epr: None,
-                };
-                settle(s, key, &job_name, &exit);
-            }
-            _ => arm_watchdog(s, key, &job_name, &machine.unwrap_or_default()),
+        let snap = epr.and_then(|epr| es::query_job(&core.net, &epr).ok());
+        match snap.as_ref().and_then(JobEvent::settled) {
+            Some(end) => settle(s, key, &job_name, &end),
+            None => arm_watchdog(s, key, &job_name, &machine.unwrap_or_default()),
         }
     }
 

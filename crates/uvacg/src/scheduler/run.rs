@@ -11,15 +11,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use simclock::SimTime;
-use ws_notification::message::NotificationMessage;
 use wsrf_security::wsse::UsernameToken;
 use wsrf_soap::ns::{UVACG, WSSE};
-use wsrf_soap::{BaseFault, EndpointReference, TraceContext};
+use wsrf_soap::{EndpointReference, TraceContext};
 use wsrf_xml::Element;
 
 use crate::es::RunReply;
+use crate::job::JobEvent;
 use crate::jobset::{JobSetSpec, JobSpec};
-use crate::security::GridSecurity;
+use crate::security::{open_credentials, GridSecurity};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(super) enum JobState {
@@ -57,84 +57,6 @@ pub(super) struct RunState {
     /// Trace context of the submission dispatch: every downstream
     /// message and Figure 3 step mark for this set parents under it.
     pub(super) trace: Option<TraceContext>,
-}
-
-/// The credentials a submission or its replication record carries: a
-/// WS-Security `header` encrypted to the scheduler's subject when
-/// `security` is set, else the `user`/`password` attributes of `plain`
-/// (insecure deployments only).
-pub(super) fn open_credentials(
-    security: &Option<(Arc<GridSecurity>, String)>,
-    header: Option<&Element>,
-    plain: Option<&Element>,
-) -> Result<(String, String), BaseFault> {
-    let missing = |what| BaseFault::new("uvacg:MissingCredentials", what);
-    match security {
-        Some((sec, subject)) => {
-            let header = header.ok_or_else(|| missing("no WS-Security header"))?;
-            let tok = sec.decrypt_token(header, subject).map_err(|e| {
-                BaseFault::new("uvacg:BadCredentials", format!("cannot decrypt: {e}"))
-            })?;
-            Ok((tok.username, tok.password))
-        }
-        None => {
-            let el = plain.ok_or_else(|| missing("no Credentials element"))?;
-            let attr = |n| el.attr_value(n).unwrap_or_default().to_string();
-            Ok((attr("user"), attr("password")))
-        }
-    }
-}
-
-/// What a job's notification on `jobset-<key>/job/<name>/<event>` says.
-pub(super) enum JobEvent {
-    /// Its working directory exists (payload: the directory's EPR).
-    Dir(EndpointReference),
-    /// Staging finished and the process spawned.
-    Started,
-    /// The process exited (an unparseable code counts as `-1`).
-    Exit {
-        code: i32,
-        cpu: Option<f64>,
-        job_epr: Option<EndpointReference>,
-    },
-    /// Staging or spawning failed, for the stated reason.
-    Failed(String),
-}
-
-/// A job set's notification, decoded once for both roles.
-pub(super) enum SetEvent {
-    Job(String, JobEvent),
-    /// `jobset-<key>/completed` or `/failed`: the set is over.
-    Finished,
-}
-
-impl SetEvent {
-    pub(super) fn decode(msg: &NotificationMessage) -> Option<SetEvent> {
-        let p = &msg.payload;
-        match msg.topic.0.as_slice() {
-            [_, end] if end == "completed" || end == "failed" => Some(SetEvent::Finished),
-            [_, job, name, event] if job == "job" => {
-                let event = match event.as_str() {
-                    "dir" => JobEvent::Dir(EndpointReference::from_element(p).ok()?),
-                    "started" => JobEvent::Started,
-                    "exit" => JobEvent::Exit {
-                        code: p
-                            .attr_value("code")
-                            .and_then(|c| c.parse().ok())
-                            .unwrap_or(-1),
-                        cpu: p.attr_value("cpu").and_then(|c| c.parse().ok()),
-                        job_epr: p
-                            .find(UVACG, "JobEpr")
-                            .and_then(|e| EndpointReference::from_element(e).ok()),
-                    },
-                    "failed" => JobEvent::Failed(p.text_content()),
-                    _ => return None,
-                };
-                Some(SetEvent::Job(name.clone(), event))
-            }
-            _ => None,
-        }
-    }
 }
 
 /// What [`RunState::apply`] changed.
@@ -295,13 +217,10 @@ impl RunState {
                 Change::Started
             }
             _ if jr.state == JobState::Completed => Change::None,
-            JobEvent::Exit { code, cpu, job_epr } => {
+            JobEvent::Exit { code, cpu } => {
                 jr.uncertain = false;
                 jr.exit_code = Some(*code);
                 jr.cpu_used = *cpu;
-                if let Some(epr) = job_epr {
-                    jr.job_epr = Some(epr.clone());
-                }
                 if *code != 0 {
                     jr.state = JobState::Failed;
                     return Change::Failed {
@@ -343,7 +262,6 @@ impl RunState {
 mod tests {
     use super::*;
     use crate::jobset::FileRef;
-    use ws_notification::topics::TopicPath;
 
     fn job(name: &str, deps: &[&str]) -> JobSpec {
         let exe = FileRef::parse(&format!("local://C:\\{name}.exe")).unwrap();
@@ -373,7 +291,6 @@ mod tests {
         JobEvent::Exit {
             code,
             cpu: Some(0.5),
-            job_epr: None,
         }
     }
 
@@ -413,7 +330,6 @@ mod tests {
         let again = JobEvent::Exit {
             code: 3,
             cpu: Some(9.0),
-            job_epr: None,
         };
         assert_eq!(run.apply("a", &again), Change::None);
         assert_eq!(state(&run, "a"), JobState::Completed);
@@ -490,30 +406,6 @@ mod tests {
         assert_eq!(c.dir_epr, Some(epr("inproc://m1/dir")));
         assert_eq!(c.dispatched_at, Some(SimTime(100)));
         assert_eq!(state(&run, "d"), JobState::Waiting);
-    }
-
-    #[test]
-    fn events_decode_once_for_both_roles() {
-        let msg = |topic: &str, payload: Element| {
-            NotificationMessage::new(TopicPath::parse(topic), payload)
-        };
-        let exit = Element::new(UVACG, "JobExit")
-            .attr("code", "4")
-            .attr("cpu", "1.250000");
-        match SetEvent::decode(&msg("jobset-k/job/a/exit", exit)) {
-            Some(SetEvent::Job(name, JobEvent::Exit { code, cpu, job_epr })) => {
-                assert_eq!((name.as_str(), code, cpu), ("a", 4, Some(1.25)));
-                assert!(job_epr.is_none());
-            }
-            _ => panic!("exit not decoded"),
-        }
-        let empty = || Element::new(UVACG, "X");
-        assert!(matches!(
-            SetEvent::decode(&msg("jobset-k/failed", empty())),
-            Some(SetEvent::Finished)
-        ));
-        assert!(SetEvent::decode(&msg("jobset-k/job/a/bogus", empty())).is_none());
-        assert!(SetEvent::decode(&msg("jobset-k/job/a", empty())).is_none());
     }
 
     fn assert_same_submission(a: &RunState, b: &RunState) {

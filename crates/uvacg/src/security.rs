@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use wsrf_security::pki::{Certificate, CertificateAuthority, KeyPair};
 use wsrf_security::wsse::{SecurityError, UsernameToken};
+use wsrf_soap::BaseFault;
 use wsrf_xml::Element;
 
 /// The shared campus security fabric.
@@ -85,6 +86,32 @@ impl GridSecurity {
             SecurityError::MalformedHeader(format!("'{as_subject}' not enrolled"))
         })?;
         UsernameToken::decrypt(header, &keys)
+    }
+}
+
+/// The credentials a request or a replication record carries: a
+/// WS-Security `header` encrypted to the recipient's `subject` when
+/// `security` is set, else the `user`/`password` attributes of `plain`
+/// (insecure deployments only).
+pub(crate) fn open_credentials(
+    security: &Option<(Arc<GridSecurity>, String)>,
+    header: Option<&Element>,
+    plain: Option<&Element>,
+) -> Result<(String, String), BaseFault> {
+    let missing = |what| BaseFault::new("uvacg:MissingCredentials", what);
+    match security {
+        Some((sec, subject)) => {
+            let header = header.ok_or_else(|| missing("no WS-Security header"))?;
+            let tok = sec.decrypt_token(header, subject).map_err(|e| {
+                BaseFault::new("uvacg:BadCredentials", format!("cannot decrypt: {e}"))
+            })?;
+            Ok((tok.username, tok.password))
+        }
+        None => {
+            let el = plain.ok_or_else(|| missing("no Credentials element"))?;
+            let attr = |n| el.attr_value(n).unwrap_or_default().to_string();
+            Ok((attr("user"), attr("password")))
+        }
     }
 }
 

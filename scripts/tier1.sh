@@ -98,8 +98,7 @@ fi
 
 # One job-set state machine: the primary and the standby keep the same
 # `RunState`, changed only by the pure transitions in
-# `scheduler/run.rs`, which decode a job event in exactly one place and
-# reach no network, container or broker.
+# `scheduler/run.rs`, which reach no network, container or broker.
 if grep -rn 'struct Shadow' crates/uvacg/src; then
     echo "tier-1: a second job-set table is back; the standby keeps RunState" >&2
     exit 1
@@ -110,11 +109,38 @@ if [ ! -f "$run_rs" ] ||
     echo "tier-1: $run_rs is missing or does I/O; keep the job-set transitions pure" >&2
     exit 1
 fi
-exit_arms=$(for f in $(find crates/uvacg/src/scheduler -name '*.rs' 2>/dev/null); do
+
+# One job lifecycle: the ES, the Scheduler and the client share the pure
+# `job` module. It alone spells the job-event format — a job's
+# `<topic>/job/<name>/<leaf>` and a set's `<topic>/completed|failed` —
+# and decodes a job's exit in exactly one place, and every change of an
+# ES job's `Status` is one `JobLife::apply` under the ES's one
+# `ServiceCore::edit`.
+job_rs=crates/uvacg/src/job.rs
+if [ ! -f "$job_rs" ] ||
+    grep -nE 'InProcNetwork|ServiceCore|Outbound|Clock|broker::' "$job_rs"; then
+    echo "tier-1: $job_rs is missing or does I/O; keep the job lifecycle pure" >&2
+    exit 1
+fi
+exit_arms=$(for f in $(find crates/uvacg/src -name '*.rs'); do
     sed '/^#\[cfg(test)\]/,$d' "$f" | grep -c '"exit" =>' || true
 done | awk '{ n += $1 } END { print n + 0 }')
 if [ "$exit_arms" -ne 1 ]; then
-    echo "tier-1: a job's exit event is decoded in $exit_arms places under scheduler/; keep JobEvent's one" >&2
+    echo "tier-1: a job's exit event is decoded in $exit_arms places under crates/uvacg/src; keep SetEvent::decode's one" >&2
+    exit 1
+fi
+# (A directory name prefix that happens to read "dir" is not a topic.)
+for f in $(find crates/uvacg/src -name '*.rs'); do
+    if [ "$f" != "$job_rs" ] &&
+        sed '/^#\[cfg(test)\]/,$d' "$f" | grep -v '^ *//' |
+        grep -nE '[/"](dir|started|exit|failed|completed)"' | grep -v 'create_unique_dir('; then
+        echo "tier-1: $f spells a job-event topic; name it through the job module" >&2
+        exit 1
+    fi
+done
+es_edits=$(sed '/^#\[cfg(test)\]/,$d' crates/uvacg/src/es.rs | grep -c '\.edit(' || true)
+if [ "$es_edits" -ne 1 ]; then
+    echo "tier-1: es.rs changes a job in $es_edits places; step it with EsRuntime::advance" >&2
     exit 1
 fi
 

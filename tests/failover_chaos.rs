@@ -18,9 +18,11 @@ use std::time::Duration;
 use grid_node::JobProgram;
 use wsrf_grid::notification::broker;
 use wsrf_grid::notification::consumer::NotificationListener;
+use wsrf_grid::notification::message::NotificationMessage;
 use wsrf_grid::notification::topics::TopicExpression;
 use wsrf_grid::prelude::*;
-use wsrf_grid::testbed::grid::SCHEDULER_ADDRESS;
+use wsrf_grid::testbed::grid::{SCHEDULER_ADDRESS, STANDBY_LISTENER_ADDRESS};
+use wsrf_grid::transport::{Endpoint, FnEndpoint};
 
 /// Figure 3 step names, indexed by step number.
 const STEP_NAMES: [&str; 10] = [
@@ -194,6 +196,83 @@ kill_point_test!(kill_after_step_10_exit_broadcast, 10);
 // credentials the standby decrypted, and step 10 adopts a witnessed exit.
 kill_point_test!(secure_kill_after_step_02_nis_poll, 2, true);
 kill_point_test!(secure_kill_after_step_10_exit_broadcast, 10, true);
+
+/// A job fails at its ES while the primary is dead and the standby
+/// misses the broadcast: the promoted scheduler finds the failure when
+/// it polls the adopted job, and the set ends `Failed` instead of
+/// staying `Running` for ever (the grid has no job timeout).
+#[test]
+fn a_failure_the_standby_missed_fails_the_adopted_set() {
+    let grid = replicating_grid(false);
+    let standby = grid.spawn_standby(None);
+    // The standby's listener loses every `failed` event.
+    let listener = standby.listener.clone();
+    grid.net.register(
+        STANDBY_LISTENER_ADDRESS,
+        Arc::new(FnEndpoint::new(
+            "standby-misses-failures",
+            move |env: Envelope| {
+                let failed = NotificationMessage::from_envelope(&env)
+                    .iter()
+                    .any(|m| m.topic.to_string().ends_with("/failed"));
+                if failed {
+                    None
+                } else {
+                    listener.handle(env)
+                }
+            },
+        )) as Arc<dyn Endpoint>,
+    );
+    // Staging fails: the input is not on the client's disk.
+    let client = grid.client("c");
+    client.put_file("C:\\p.exe", JobProgram::compute(1.0).to_manifest());
+    let spec = JobSetSpec::new("doomed").job(
+        JobSpec::new("job1", FileRef::parse("local://C:\\p.exe").unwrap())
+            .input(FileRef::parse("local://C:\\missing.dat").unwrap(), "in.dat"),
+    );
+    // The primary dies on the job's working directory, before the
+    // staging failure reaches it.
+    let (primary, net) = (grid.scheduler.clone(), grid.net.clone());
+    grid.scheduler.set_step_hook(move |step, _job| {
+        if step == 4 && !primary.crashed() {
+            primary.crash(&net);
+        }
+    });
+    let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
+    for _ in 0..100 {
+        if grid.scheduler.crashed() {
+            break;
+        }
+        grid.clock.advance(Duration::from_millis(200));
+    }
+    grid.clock.advance(Duration::from_secs(1));
+    assert!(
+        grid.scheduler.crashed(),
+        "the primary saw the working directory"
+    );
+    assert_eq!(
+        handle
+            .events()
+            .iter()
+            .filter(|m| m.topic.to_string().ends_with("job1/failed"))
+            .count(),
+        1,
+        "the job failed at its ES"
+    );
+    assert!(handle.outcome().is_none(), "nobody ended the set yet");
+
+    let _promoted = standby.promote(SCHEDULER_ADDRESS);
+    grid.clock.advance(Duration::from_secs(5));
+    match handle.outcome() {
+        Some(JobSetOutcome::Failed(fault)) => {
+            let cause = fault.cause.as_deref().expect("the job's failure");
+            assert!(cause.description.contains("job 'job1' failed"), "{cause:?}");
+            assert!(cause.description.contains("missing.dat"), "{cause:?}");
+        }
+        other => panic!("the adopted set did not fail: {other:?}"),
+    }
+    assert_eq!(handle.status().unwrap(), "Failed");
+}
 
 /// On a secure grid the replication stream carries the credentials
 /// encrypted to the scheduler: any subscriber of `schedrepl//` sees the

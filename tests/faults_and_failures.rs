@@ -122,6 +122,68 @@ fn fault_chain_preserves_all_three_levels() {
 }
 
 #[test]
+fn a_run_whose_upload_request_cannot_leave_fails_the_set_with_its_fault() {
+    // The machine's FSS answers CreateDirectory and then leaves the
+    // network, so the ES cannot send the upload request and faults the
+    // Run. That fault is the job's only report, so the set fails with
+    // the same cause chain whichever transport carries it.
+    use wsrf_grid::transport::{Endpoint, FnEndpoint};
+    let grid = CampusGrid::build(GridConfig::with_machines(1), Clock::manual());
+    let fss_addr = "inproc://machine01/FileSystem";
+    let fss = wsrf_grid::testbed::fss::file_system_service(
+        "machine01",
+        grid.machines[0].fs.clone(),
+        Arc::new(wsrf_grid::wsrf::MemoryStore::new()),
+        grid.clock.clone(),
+        grid.net.clone(),
+    );
+    let net = grid.net.clone();
+    grid.net.register(
+        fss_addr,
+        Arc::new(FnEndpoint::new("fss-then-gone", move |env: Envelope| {
+            let resp = fss.handle(env);
+            net.unregister(fss_addr);
+            resp
+        })) as Arc<dyn Endpoint>,
+    );
+    let client = grid.client("c");
+    let exe = stage(&client, "p.exe", &JobProgram::compute(1.0));
+    let spec = JobSetSpec::new("unsent").job(JobSpec::new("j", exe));
+    let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
+    grid.clock.advance(Duration::from_secs(5));
+    match handle.outcome().unwrap() {
+        JobSetOutcome::Failed(fault) => {
+            assert_eq!(fault.error_code, "uvacg:JobSetFailed");
+            let cause = fault.cause.as_ref().unwrap();
+            assert_eq!(cause.error_code, "uvacg:DispatchFailed", "{fault}");
+            assert!(cause.description.contains("Execution"), "{fault}");
+            assert_eq!(fault.root_cause().error_code, "wsrf:StorageFault");
+            assert!(fault.to_string().contains("cannot request upload"));
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+#[test]
+fn a_set_ends_when_its_running_jobs_resource_is_destroyed() {
+    // Anyone holding the job's EPR (broadcast on `started`) may destroy
+    // its resource before the process exits; the exit is still told,
+    // so the set does not wait forever (no job timeout is set).
+    let grid = CampusGrid::build(GridConfig::with_machines(1), Clock::manual());
+    let client = grid.client("c");
+    let exe = stage(&client, "p.exe", &JobProgram::compute(10.0));
+    let spec = JobSetSpec::new("orphan").job(JobSpec::new("j", exe));
+    let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
+    let job = handle.job_epr("j").expect("the job started");
+    wsrf_grid::wsrf::ResourceProxy::new(&grid.net, job.clone())
+        .destroy()
+        .unwrap();
+    assert!(handle.outcome().is_none());
+    grid.clock.advance(Duration::from_secs(15));
+    assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
+}
+
+#[test]
 fn grid_with_no_machines_fails_cleanly() {
     let grid = CampusGrid::build(GridConfig::default(), Clock::manual());
     let client = grid.client("c");

@@ -2,9 +2,13 @@
 //! modeled network latencies — the closest the simulation gets to the
 //! paper's live campus deployment.
 
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use wsrf_grid::notification::message::NotificationMessage;
 use wsrf_grid::prelude::*;
+use wsrf_grid::transport::{Endpoint, FnEndpoint};
 
 /// 1 virtual second = 1 real millisecond.
 const SPEEDUP: f64 = 1000.0;
@@ -94,4 +98,44 @@ fn many_concurrent_clients() {
             h.topic
         );
     }
+}
+
+/// A terminal notification can be lost on the way to the client; the
+/// outcome is not: once `wait` times out it asks the job-set resource.
+#[test]
+fn wait_finds_the_outcome_when_the_completed_event_is_lost() {
+    let grid = scaled_grid(1);
+    let client = grid.client("c");
+    // In front of the client's listener: lose the set's `completed`.
+    let (listener, lost) = (client.listener().clone(), Arc::new(AtomicBool::new(false)));
+    let lost2 = lost.clone();
+    grid.net.register(
+        client.listener().epr().address.as_str(),
+        Arc::new(FnEndpoint::new("loses-completed", move |env: Envelope| {
+            let completed = NotificationMessage::from_envelope(&env)
+                .iter()
+                .any(|m| m.topic.to_string().ends_with("/completed"));
+            if completed {
+                lost2.store(true, Ordering::SeqCst);
+                return None;
+            }
+            listener.handle(env)
+        })) as Arc<dyn Endpoint>,
+    );
+    client.put_file("C:\\p.exe", JobProgram::compute(2.0).to_manifest());
+    let spec = JobSetSpec::new("lossy").job(JobSpec::new(
+        "j",
+        FileRef::parse("local://C:\\p.exe").unwrap(),
+    ));
+    let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !lost.load(Ordering::SeqCst) {
+        assert!(Instant::now() < deadline, "the set never completed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(handle.outcome(), None, "the event never arrived");
+    assert_eq!(
+        handle.wait(Duration::from_millis(50)),
+        Some(JobSetOutcome::Completed)
+    );
 }
