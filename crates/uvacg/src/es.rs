@@ -60,6 +60,12 @@ fn job_key_for(topic: &str, job_name: &str) -> String {
     format!("{}:{topic}/{job_name}", topic.len())
 }
 
+/// EPR of the job a `Run` for `job_name` carrying `topic` created at
+/// the Execution Service at `es_address`.
+pub(crate) fn job_epr(es_address: &str, topic: &str, job_name: &str) -> EndpointReference {
+    EndpointReference::resource(es_address, job_key_property(), job_key_for(topic, job_name))
+}
+
 /// Deployment configuration for one machine's Execution Service.
 pub struct EsConfig {
     /// The machine to execute on.

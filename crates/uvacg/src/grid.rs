@@ -51,8 +51,10 @@ pub struct GridConfig {
     /// a [`wsrf_core::DurableStore`] to make job-set state survive a
     /// scheduler crash.
     pub scheduler_store: Option<Arc<dyn ResourceStore>>,
-    /// Replicate scheduler job-set state over the notification fabric
-    /// so a [`CampusGrid::spawn_standby`] can take over after a crash.
+    /// Keep a submission record for every unfinished job set in the
+    /// scheduler's store, so a [`CampusGrid::spawn_standby`] can take
+    /// over after a crash (see
+    /// [`crate::scheduler::SchedulerConfig::replicate`]).
     pub replicate: bool,
 }
 
@@ -158,8 +160,8 @@ impl GridConfig {
         self
     }
 
-    /// Builder: turn on primary→standby replication of scheduler
-    /// state (see [`CampusGrid::spawn_standby`]).
+    /// Builder: turn on the scheduler's submission records, which a
+    /// [`CampusGrid::spawn_standby`] reads to take over after a crash.
     pub fn with_replication(mut self) -> Self {
         self.replicate = true;
         self
@@ -217,7 +219,7 @@ pub const SCHEDULER_SUBJECT: &str = "scheduler";
 pub const SCHEDULER_LISTENER_ADDRESS: &str = "inproc://hub/SchedulerListener";
 /// Monitor service address (EventLog/Health RPs).
 pub const MONITOR_ADDRESS: &str = "inproc://hub/Monitor";
-/// The standby scheduler's listener address.
+/// The promoted standby scheduler's listener address.
 pub const STANDBY_LISTENER_ADDRESS: &str = "inproc://hub/StandbyListener";
 
 impl CampusGrid {
@@ -374,15 +376,19 @@ impl CampusGrid {
         }
     }
 
-    /// Deploy a warm standby scheduler that shadows the primary's
-    /// replication stream (requires [`GridConfig::with_replication`]).
-    /// Promote it after a crash with
-    /// `standby.promote(SCHEDULER_ADDRESS)`. `store` overrides the
-    /// standby's state backend (e.g. a [`wsrf_core::DurableStore`]
-    /// recovered from the primary's WAL directory); None shares the
+    /// Deploy a standby scheduler that takes over from the primary's
+    /// store (requires [`GridConfig::with_replication`]). Promote it
+    /// after a crash with `standby.promote(SCHEDULER_ADDRESS)`. `store`
+    /// is the store it reads (e.g. a [`wsrf_core::DurableStore`]
+    /// reopened from the primary's WAL directory); None shares the
     /// primary's store.
+    ///
+    /// # Panics
+    ///
+    /// On a grid built without [`GridConfig::with_replication`]: its
+    /// scheduler keeps no submission records to take over from.
     pub fn spawn_standby(&self, store: Option<Arc<dyn ResourceStore>>) -> Standby {
-        debug_assert!(self.replicate, "spawn_standby without with_replication");
+        assert!(self.replicate, "spawn_standby without with_replication");
         standby_scheduler(
             SchedulerConfig {
                 nis_address: self.nis_address.clone(),

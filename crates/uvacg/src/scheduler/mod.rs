@@ -14,7 +14,7 @@
 //! ones; job-exit notifications trigger the next wave of dispatches.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -35,7 +35,7 @@ use wsrf_soap::{BaseFault, EndpointReference, SoapFault, TraceContext};
 use wsrf_transport::InProcNetwork;
 use wsrf_xml::Element;
 
-use crate::es::{self, RunReply, RunRequest};
+use crate::es::{self, RunRequest};
 use crate::job::{JobEvent, SetEnd, SetEvent};
 use crate::jobset::{FileRef, JobSetSpec, JobSpec};
 use crate::policy::{MachineOutcome, OutcomeKind, SchedulingPolicy};
@@ -88,10 +88,10 @@ pub struct SchedulerConfig {
     /// paper, which has no fault-tolerance story). An extension for
     /// crashed machines, which never send their exit notification.
     pub job_timeout: Option<std::time::Duration>,
-    /// Replicate job-set state to a standby over the notification
-    /// fabric (`schedrepl/<key>/...` topics, see [`standby_scheduler`]).
-    /// Off by default: the extra one-ways change message counts that
-    /// deployments may assert on.
+    /// Keep a submission record for every unfinished set in the store,
+    /// so a [`standby_scheduler`] can take over after a crash. Off by
+    /// default: the record costs a store write per submission and a
+    /// delete per finished set, and sends no message.
     pub replicate: bool,
 }
 
@@ -340,6 +340,9 @@ pub fn scheduler_service(
 /// policies consult the metrics registry).
 fn report_outcome(s: Sched<'_>, machine: &str, kind: OutcomeKind) {
     let Sched { core, inner } = s;
+    if inner.is_crashed() {
+        return; // a dead scheduler writes nothing
+    }
     // Feed the monitoring plane: job terminations become structured
     // events and per-machine SLO samples (service = machine name,
     // latency = virtual makespan). Dispatch latencies are placement
@@ -437,11 +440,7 @@ fn submit_op(
         doc.set_text(q("TraceId"), format!("{:016x}", tc.trace_id));
     }
     for j in &spec.jobs {
-        put_job_status(
-            &mut doc,
-            &j.name,
-            job_status_element(&j.name, &JobRun::default()),
-        );
+        put_job_status(&mut doc, &j.name, JobRun::default().status(&j.name));
     }
     let set_epr = ctx.core.create_resource_with_key(&key, doc)?;
 
@@ -459,9 +458,8 @@ fn submit_op(
     broker::subscribe(&ctx.core.net, &inner.broker, listener, &expr, None)
         .map_err(|e| faults::storage(&format!("broker subscribe failed: {e}")))?;
 
-    // Record the run. The replication record is encoded before the
-    // run is recorded and published after, so the standby's view is
-    // never ahead of the primary's.
+    // Record the run. A scheduler a standby may take over stores the
+    // submission first: its record exists while the set is unfinished.
     let run = RunState::new(
         spec,
         topic.clone(),
@@ -470,11 +468,18 @@ fn submit_op(
         ctx.core.clock.now(),
         trace,
     );
-    let repl = inner.replicate.then(|| run.to_element(&inner.security));
-    inner.runs.lock().insert(key.clone(), run);
-    if let Some(el) = repl {
-        replicate(s, &key, "submit", || el);
+    if inner.replicate {
+        let mut record = PropertyDoc::new();
+        record.insert(q("Submission"), run.to_element(&inner.security));
+        if let Err(e) = ctx.core.store.create(SUBMISSIONS, &key, &record) {
+            // A set no standby could take over is not accepted at all.
+            let _ = ctx.core.destroy_resource(&key);
+            return Err(faults::storage(&format!(
+                "submission record not stored: {e}"
+            )));
+        }
     }
+    inner.runs.lock().insert(key.clone(), run);
 
     // Figure 3 step 1: the submission itself.
     record_steps(s, &key, "*", &[(1, "submit")], ctx.core.clock.now(), |_| {});
@@ -507,6 +512,9 @@ fn record_steps(
     edit: impl FnOnce(&mut PropertyDoc),
 ) {
     let Sched { core, inner } = s;
+    if inner.is_crashed() {
+        return; // a dead scheduler writes nothing
+    }
     let (submitted, trace) = {
         let runs = inner.runs.lock();
         match runs.get(key) {
@@ -576,21 +584,6 @@ fn jobset_key_of(topic: &TopicPath) -> Option<&str> {
     topic.root().strip_prefix(JOBSET_TOPIC_PREFIX)
 }
 
-/// When replicating, tell a standby what just happened to job set
-/// `key`: one `record` on `schedrepl/<key>/<kind>`.
-fn replicate(s: Sched<'_>, key: &str, kind: &str, record: impl FnOnce() -> Element) {
-    let Sched { core, inner } = s;
-    if inner.replicate {
-        let topic = TopicPath::parse("schedrepl").child(key).child(kind);
-        publish(
-            core,
-            &inner.broker,
-            NotificationMessage::new(topic, record()),
-            None,
-        );
-    }
-}
-
 /// Handle a notification for job set `key`.
 fn on_event(s: Sched<'_>, key: &str, msg: &NotificationMessage) {
     let Sched { core, inner } = s;
@@ -643,7 +636,7 @@ fn settle(s: Sched<'_>, key: &str, job_name: &str, event: &JobEvent) {
             let jr = &run.jobs[job_name];
             // Nobody to tell: a refused write leaves a `StoreWriteDropped` event.
             let _ = core.edit(key, |doc| {
-                put_job_status(doc, job_name, job_status_element(job_name, jr))
+                put_job_status(doc, job_name, jr.status(job_name))
             });
             Some((kind, jr.machine.clone()?))
         });
@@ -726,7 +719,7 @@ fn dispatch_ready(s: Sched<'_>, key: &str) {
             match built {
                 Ok((req, node)) => {
                     let jr = run.dispatch(&job_name, &node.machine, core.clock.now());
-                    let status = job_status_element(&job_name, jr);
+                    let status = jr.status(&job_name);
                     (job_name, req, node.execution, node.machine, t_nis, status)
                 }
                 Err(fault) => {
@@ -737,17 +730,11 @@ fn dispatch_ready(s: Sched<'_>, key: &str) {
             }
         };
 
-        // A standby learns the placement intent before the Run leaves:
-        // if we die between here and the dispatch, it re-issues the Run
-        // to the same machine, where the ES deduplicates it.
-        replicate(s, key, "intent", || {
-            Element::new(UVACG, "ReplIntent")
-                .attr("job", &job_name)
-                .attr("machine", &machine)
-        });
-
         // Figure 3 step 2: the NIS was polled for this job's placement
-        // (written together with the job's `Dispatched` status).
+        // (written together with the job's `Dispatched` status). This is
+        // the placement intent a standby reads: if we die between here
+        // and the dispatch, it re-issues the Run to the same machine,
+        // where the ES deduplicates it.
         record_steps(s, key, &job_name, &[(2, "nis_poll")], t_nis, |doc| {
             put_job_status(doc, &job_name, status)
         });
@@ -761,7 +748,11 @@ fn dispatch_ready(s: Sched<'_>, key: &str) {
         // whole set; state transitions happened in on_event.
         let es_run_span = core.metrics.timer("scheduler.es_run").start(&core.clock);
         let t_run = core.clock.now();
-        let reply = match es::run(&core.net, &es_address, &req) {
+        let reply = es::run(&core.net, &es_address, &req);
+        if inner.is_crashed() {
+            return; // killed during the Run (a step it triggered inline)
+        }
+        let reply = match reply {
             Ok(reply) => reply,
             Err(fault) => {
                 let cause = dispatch_failed(&job_name, &es_address, fault);
@@ -770,12 +761,6 @@ fn dispatch_ready(s: Sched<'_>, key: &str) {
             }
         };
         es_run_span.finish();
-        replicate(s, key, "dispatched", || {
-            Element::new(UVACG, "ReplDispatched")
-                .attr("job", &job_name)
-                .child(reply.job.to_element_named(UVACG, "JobEpr"))
-                .child(reply.workdir.to_element_named(UVACG, "DirEpr"))
-        });
         // Feedback: the observed virtual dispatch latency for this
         // machine (zero on a manual clock, which the policy discards as
         // signal-free).
@@ -805,17 +790,20 @@ fn dispatch_failed(job: &str, es_address: &str, fault: SoapFault) -> BaseFault {
         "uvacg:DispatchFailed",
         format!("cannot run job '{job}' on {es_address}"),
     )
-    .caused_by(
-        fault
-            .detail
-            .unwrap_or_else(|| BaseFault::new("uvacg:TransportFault", fault.reason.clone())),
-    )
+    .caused_by(fault_cause(fault))
+}
+
+/// The fault a failed call carries, or its transport error as one.
+fn fault_cause(fault: SoapFault) -> BaseFault {
+    fault
+        .detail
+        .unwrap_or_else(|| BaseFault::new("uvacg:TransportFault", fault.reason))
 }
 
 /// Build the Run request for `job` on `machine`, resolving file
 /// references — the "filling in" of EPRs the paper describes. Shared
 /// by the normal dispatch path and failover reconciliation (which
-/// re-issues uncertain dispatches to their recorded machine).
+/// re-issues a placed job to its recorded machine).
 fn build_run_request(
     run: &RunState,
     job: &JobSpec,
@@ -918,23 +906,6 @@ fn arm_watchdog(s: Sched<'_>, key: &str, job_name: &str, machine: &str) {
     });
 }
 
-/// A job's state as its `JobStatus` resource property value.
-fn job_status_element(job: &str, jr: &JobRun) -> Element {
-    let mut el = Element::with_name(q("JobStatus"))
-        .attr("job", job)
-        .text(format!("{:?}", jr.state));
-    if let Some(m) = &jr.machine {
-        el = el.attr("machine", m);
-    }
-    if let Some(c) = jr.exit_code {
-        el = el.attr("exitCode", c.to_string());
-    }
-    if let Some(cpu) = jr.cpu_used {
-        el = el.attr("cpu", format!("{cpu:.6}"));
-    }
-    el
-}
-
 /// Replace `job`'s `JobStatus` value in a job-set document.
 fn put_job_status(doc: &mut PropertyDoc, job: &str, status: Element) {
     doc.remove_value(&q("JobStatus"), |e| e.attr_value("job") == Some(job));
@@ -986,6 +957,11 @@ fn finish_job_set(s: Sched<'_>, key: &str, outcome: Outcome<'_>) {
             }
         }
     });
+    if inner.replicate {
+        // Nobody to tell: a record left behind is dropped by the next
+        // promotion, which finds its set finished.
+        let _ = core.store.destroy(SUBMISSIONS, key);
+    }
     crate::retire(core, key);
     core.metrics
         .histogram("scheduler.makespan_ns")
@@ -1033,207 +1009,62 @@ fn trace_to_element(snap: &TraceSnapshot) -> Element {
 // Standby + failover
 // ---------------------------------------------------------------------
 
-/// A standby's table and what its listener needs to keep it current.
-struct Replica {
-    /// Unfinished sets only, in the form the primary keeps them, built
-    /// purely from the primary's replication stream plus the sets' own
-    /// event topics.
-    runs: Mutex<HashMap<String, RunState>>,
-    /// Sets ever shadowed, finished ones included.
-    seen: AtomicUsize,
-    security: Option<(Arc<GridSecurity>, String)>,
-    broker: EndpointReference,
-    listener: EndpointReference,
+/// The store table of submission records ([`RunState::to_element`]):
+/// one per unfinished set, under the set's key, written at submission
+/// by a scheduler configured to `replicate` and deleted when the set
+/// finishes. No EPR names it, so no WS-RP read reaches the credentials
+/// it keeps.
+const SUBMISSIONS: &str = "SchedulerSubmissions";
+
+/// A standby scheduler: what it takes to start one over a crashed
+/// primary's store. It keeps nothing of its own and listens to nothing
+/// until [`Standby::promote`].
+pub struct Standby {
+    cfg: SchedulerConfig,
+    clock: Clock,
     net: Arc<InProcNetwork>,
 }
 
-/// A warm standby scheduler. It follows a replicating primary's
-/// `schedrepl/<key>/...` stream (and each shadowed set's own event
-/// topic, so exits it witnesses first-hand never depend on the primary
-/// surviving long enough to relay them) and can be promoted into a
-/// full [`Scheduler`] once the primary crashes.
-pub struct Standby {
-    /// The standby's notification listener. Promotion re-registers a
-    /// scheduler listener at this same address, so every broker
-    /// subscription the standby accumulated transfers to the promoted
-    /// scheduler without a single re-subscribe — and therefore without
-    /// duplicate deliveries.
-    pub listener: NotificationListener,
-    replica: Arc<Replica>,
-    cfg: SchedulerConfig,
-    clock: Clock,
-}
-
-/// Deploy a standby that shadows a replicating primary.
+/// Deploy a standby for a primary that keeps submission records
+/// ([`SchedulerConfig::replicate`]).
 ///
-/// `cfg.listener_address` is the standby's own listener address; the
-/// remaining fields describe the deployment it will take over and
-/// should match the primary's — except `store`, which may be the
-/// primary's shared store or a [`wsrf_core::DurableStore`] recovered
-/// from its write-ahead log.
+/// `cfg.listener_address` is the promoted scheduler's listener address;
+/// the remaining fields describe the deployment it will take over and
+/// should match the primary's — `store` is the primary's shared store
+/// or a [`wsrf_core::DurableStore`] reopened from its write-ahead log.
 pub fn standby_scheduler(cfg: SchedulerConfig, clock: Clock, net: Arc<InProcNetwork>) -> Standby {
-    let listener = NotificationListener::register_counting(&net, &cfg.listener_address);
-    broker::subscribe(
-        &net,
-        &cfg.broker,
-        &listener.epr(),
-        &TopicExpression::full("schedrepl//"),
-        None,
-    )
-    .expect("standby subscription cannot fail on a live broker");
-    let replica = Arc::new(Replica {
-        runs: Mutex::default(),
-        seen: AtomicUsize::new(0),
-        security: cfg.security.clone(),
-        broker: cfg.broker.clone(),
-        listener: listener.epr(),
-        net,
-    });
-    let r = replica.clone();
-    listener.on_topic(TopicExpression::full("//"), move |msg| r.on_event(msg));
-    Standby {
-        listener,
-        replica,
-        cfg,
-        clock,
-    }
-}
-
-impl Replica {
-    /// One handler for both streams: every shadowed set's own
-    /// `jobset-<key>` events, applied exactly as the primary applies
-    /// them, and the primary's `schedrepl/<key>/<kind>` records.
-    fn on_event(&self, msg: &NotificationMessage) {
-        if let Some(key) = jobset_key_of(&msg.topic) {
-            let mut runs = self.runs.lock();
-            match SetEvent::decode(msg) {
-                // The primary finished the set before dying: nothing to
-                // adopt.
-                Some(SetEvent::End(_)) => {
-                    runs.remove(key);
-                }
-                Some(SetEvent::Job(job, event)) => {
-                    if let Some(run) = runs.get_mut(key) {
-                        run.apply(&job, &event);
-                    }
-                }
-                None => {}
-            }
-            return;
-        }
-        let [root, key, kind] = msg.topic.0.as_slice() else {
-            return;
-        };
-        if root != "schedrepl" {
-            return;
-        }
-        let p = &msg.payload;
-        match kind.as_str() {
-            "submit" => {
-                let Some(run) = RunState::from_element(p, &self.security) else {
-                    return;
-                };
-                let expr = TopicExpression::full(&format!("{}//", run.topic));
-                self.runs.lock().insert(key.clone(), run);
-                self.seen.fetch_add(1, Ordering::Relaxed);
-                // Follow the set's own event stream too: a dir or exit
-                // the standby saw with its own eyes survives any primary
-                // crash. Without it the set is still shadowed from the
-                // replication stream, and promotion polls every
-                // dispatched job.
-                if let Err(e) =
-                    broker::subscribe(&self.net, &self.broker, &self.listener, &expr, None)
-                {
-                    self.net.metrics_registry().events().emit(
-                        Severity::Warn,
-                        EventKind::OutboundFailed,
-                        "standby",
-                        self.net.clock().now().as_nanos(),
-                        || format!("job set {key} is shadowed without its own events: {e}"),
-                    );
-                }
-            }
-            "intent" | "dispatched" => {
-                let mut runs = self.runs.lock();
-                let (Some(run), Some(job)) = (runs.get_mut(key), p.attr_value("job")) else {
-                    return;
-                };
-                let epr = |n| {
-                    p.find(UVACG, n)
-                        .and_then(|e| EndpointReference::from_element(e).ok())
-                };
-                if kind == "intent" {
-                    run.note_intent(job, p.attr_value("machine"));
-                } else if let (Some(job_epr), Some(workdir)) = (epr("JobEpr"), epr("DirEpr")) {
-                    let reply = RunReply {
-                        job: job_epr,
-                        workdir,
-                    };
-                    run.note_dispatched(job, reply);
-                }
-            }
-            _ => {}
-        }
-    }
+    Standby { cfg, clock, net }
 }
 
 impl Standby {
-    /// Number of job sets shadowed so far (diagnostics). Finished sets
-    /// count, though their shadow is released at the terminal event.
-    pub fn shadow_count(&self) -> usize {
-        self.replica.seen.load(Ordering::Relaxed)
-    }
-
     /// Promote this standby into the active Scheduler at `address`
     /// (normally the crashed primary's address, so lost-EPR clients
     /// rediscover their sets through the same `FindJobSets` endpoint).
     ///
-    /// Adoption then reconciliation: uncertain dispatches are re-issued
-    /// to their recorded machine (idempotent at the ES), in-flight jobs
-    /// are polled for exits that raced the crash, watchdogs are
-    /// re-armed, and anything ready — or everything, if the set
-    /// already finished — is driven to its conclusion exactly once.
+    /// Every set with a submission record is taken over from the store
+    /// (`adopt`) and driven to its conclusion exactly once
+    /// (`reconcile`).
     pub fn promote(self, address: &str) -> Scheduler {
-        let Standby {
-            listener: _standby_listener,
-            replica,
-            cfg,
-            clock,
-        } = self;
-        let net = replica.net.clone();
+        let Standby { cfg, clock, net } = self;
         let scheduler = scheduler_service(address, cfg, clock, net.clone());
         scheduler.register(&net);
         let core = scheduler.service.core().clone();
         let inner = scheduler.inner.clone();
-
-        // Adopt every unfinished set as the standby kept it. What the
-        // standby witnessed supersedes what the primary last wrote into
-        // the job-set resource.
-        let now = core.clock.now();
-        let adopted: Vec<String> = {
-            let mut runs = inner.runs.lock();
-            let mut shadowed = replica.runs.lock();
-            shadowed
-                .drain()
-                .map(|(key, mut run)| {
-                    run.adopt(now);
-                    // Nobody to tell: a refused write leaves a `StoreWriteDropped` event.
-                    let _ = core.edit(&key, |doc| {
-                        for j in &run.spec.jobs {
-                            let status = job_status_element(&j.name, &run.jobs[&j.name]);
-                            put_job_status(doc, &j.name, status);
-                        }
-                    });
-                    runs.insert(key.clone(), run);
-                    key
-                })
-                .collect()
-        };
-        let nodes = crate::nis::snapshot(&net, &inner.nis_address).unwrap_or_default();
         let s = Sched {
             core: &core,
             inner: &inner,
         };
+        let listener = scheduler.listener.epr();
+        let mut adopted = core.store.list(SUBMISSIONS);
+        adopted.retain(|key| adopt(s, key, &listener));
+        let nodes = crate::nis::snapshot(&net, &inner.nis_address).map_err(|fault| {
+            let at = &inner.nis_address;
+            BaseFault::new(
+                "uvacg:NoNodes",
+                format!("cannot read the Node Info Service at {at} during failover"),
+            )
+            .caused_by(fault_cause(fault))
+        });
         for key in &adopted {
             reconcile(s, key, &nodes);
         }
@@ -1241,61 +1072,111 @@ impl Standby {
     }
 }
 
-/// Bring a set adopted at failover up to date and drive it on.
-fn reconcile(s: Sched<'_>, key: &str, nodes: &[crate::NodeSnapshot]) {
+/// Take set `key` over from its submission record: restore its run
+/// from the record and the job-set resource, then follow its events
+/// (before any of its jobs is polled, so no exit falls between the poll
+/// and the subscription). False when there is nothing to take over: the
+/// record of a set that finished, or is gone, is deleted.
+fn adopt(s: Sched<'_>, key: &str, listener: &EndpointReference) -> bool {
     let Sched { core, inner } = s;
-    // Re-issue uncertain dispatches to their recorded machine: if the
-    // primary's Run made it there, the ES returns the existing job
-    // instead of staging and spawning a duplicate.
-    let reissues: Vec<(String, String, RunRequest)> = {
-        let runs = inner.runs.lock();
-        let Some(run) = runs.get(key) else { return };
-        let uncertain = run.jobs.iter().filter(|(_, jr)| jr.uncertain);
-        uncertain
-            .filter_map(|(name, jr)| {
-                let machine = jr.machine.clone().unwrap_or_default();
-                let job = run.spec.get(name)?;
-                let req = build_run_request(run, job, &machine, &inner.security).ok()?;
-                Some((name.clone(), machine, req))
-            })
-            .collect()
+    let Some(set) = core
+        .store
+        .share(&core.name, key)
+        .ok()
+        .filter(|doc| doc.text(&q("Status")).as_deref() == Some(set_status::RUNNING))
+    else {
+        // Nobody to tell: a record that stays is dropped again next time.
+        let _ = core.store.destroy(SUBMISSIONS, key);
+        return false;
     };
-    for (job_name, machine, req) in reissues {
-        let reply = match nodes.iter().find(|n| n.machine == machine) {
-            Some(node) => es::run(&core.net, &node.execution, &req)
-                .map_err(|fault| dispatch_failed(&job_name, &node.execution, fault)),
-            None => Err(BaseFault::new(
-                "uvacg:NoNodes",
-                format!("machine '{machine}' vanished during failover"),
-            )),
-        };
-        match reply {
-            Ok(reply) => {
-                if let Some(run) = inner.runs.lock().get_mut(key) {
-                    run.note_dispatched(&job_name, reply);
-                }
-            }
-            Err(cause) => return finish_job_set(s, key, Outcome::Failed(&job_name, cause)),
-        }
+    let now = core.clock.now();
+    let record = core.store.share(SUBMISSIONS, key).ok();
+    let run = record
+        .as_ref()
+        .and_then(|r| r.get(&q("Submission")).first())
+        .and_then(|el| RunState::restore(el, &set, &inner.security, now));
+    let events = core.metrics.events();
+    let Some(run) = run else {
+        events.emit(
+            Severity::Error,
+            EventKind::JobFailed,
+            &core.name,
+            now.as_nanos(),
+            || format!("job set {key} cannot be taken over: its submission record does not decode"),
+        );
+        return false;
+    };
+    let expr = TopicExpression::full(&format!("{}//", run.topic));
+    inner.runs.lock().insert(key.to_string(), run);
+    if let Err(e) = broker::subscribe(&core.net, &inner.broker, listener, &expr, None) {
+        events.emit(
+            Severity::Warn,
+            EventKind::OutboundFailed,
+            &core.name,
+            now.as_nanos(),
+            || format!("job set {key} is taken over without its events: {e}"),
+        );
     }
+    true
+}
 
-    // Poll every in-flight job for an exit or a failure whose broadcast
-    // raced the crash (apply is idempotent, so an end the standby
-    // already witnessed is a no-op here); re-arm the watchdog of the
-    // others.
-    let in_flight: Vec<(String, Option<String>, Option<EndpointReference>)> = {
+/// Bring a set restored at failover up to date and drive it on. A set
+/// whose store already says how it ends (a crash between a job's end
+/// and the set's) ends now. Each placed job is found on its recorded
+/// machine: one whose working directory was never recorded may never
+/// have left the dead primary, so its Run is re-issued (the ES answers
+/// a duplicate with the job it already has); then every placed job is
+/// polled at its derived EPR for an end that raced the crash, or has
+/// its watchdog re-armed. What is ready is dispatched.
+fn reconcile(s: Sched<'_>, key: &str, nodes: &Result<Vec<crate::NodeSnapshot>, BaseFault>) {
+    let Sched { core, inner } = s;
+    let (topic, failure, placed) = {
         let runs = inner.runs.lock();
         let Some(run) = runs.get(key) else { return };
-        let jobs = run.jobs.iter();
-        jobs.filter(|(_, j)| j.state == JobState::Dispatched)
-            .map(|(n, j)| (n.clone(), j.machine.clone(), j.job_epr.clone()))
-            .collect()
+        let failure = run.failure().map(|(job, why)| (job.to_string(), why));
+        let placed: Vec<(String, String, bool)> = run
+            .jobs
+            .iter()
+            .filter(|(_, jr)| jr.state == JobState::Dispatched)
+            .map(|(name, jr)| {
+                let machine = jr.machine.clone().unwrap_or_default();
+                (name.clone(), machine, jr.dir_epr.is_some())
+            })
+            .collect();
+        (run.topic.clone(), failure, placed)
     };
-    for (job_name, machine, epr) in in_flight {
-        let snap = epr.and_then(|epr| es::query_job(&core.net, &epr).ok());
+    if let Some((job, why)) = failure {
+        let cause = BaseFault::new("uvacg:JobFailed", format!("job '{job}' {why}"));
+        return finish_job_set(s, key, Outcome::Failed(&job, cause));
+    }
+    for (job_name, machine, has_dir) in placed {
+        if !inner.runs.lock().contains_key(key) {
+            return; // a settled job ended the set
+        }
+        let node = match nodes {
+            Ok(nodes) => nodes.iter().find(|n| n.machine == machine).ok_or_else(|| {
+                BaseFault::new(
+                    "uvacg:NoNodes",
+                    format!("machine '{machine}' vanished during failover"),
+                )
+            }),
+            Err(fault) => Err(fault.clone()),
+        };
+        let reissued = node.and_then(|node| {
+            if !has_dir {
+                reissue(s, key, &job_name, node)?;
+            }
+            Ok(node)
+        });
+        let node = match reissued {
+            Ok(node) => node,
+            Err(cause) => return finish_job_set(s, key, Outcome::Failed(&job_name, cause)),
+        };
+        let epr = es::job_epr(&node.execution, &topic, &job_name);
+        let snap = es::query_job(&core.net, &epr).ok();
         match snap.as_ref().and_then(JobEvent::settled) {
             Some(end) => settle(s, key, &job_name, &end),
-            None => arm_watchdog(s, key, &job_name, &machine.unwrap_or_default()),
+            None => arm_watchdog(s, key, &job_name, &machine),
         }
     }
 
@@ -1310,6 +1191,31 @@ fn reconcile(s: Sched<'_>, key: &str, nodes: &[crate::NodeSnapshot]) {
     } else {
         dispatch_ready(s, key);
     }
+}
+
+/// Re-issue placed `job`'s Run to `node`, the machine it was placed on,
+/// and keep the working directory the ES answers with.
+fn reissue(
+    s: Sched<'_>,
+    key: &str,
+    job: &str,
+    node: &crate::NodeSnapshot,
+) -> Result<(), BaseFault> {
+    let Sched { core, inner } = s;
+    let req = {
+        let runs = inner.runs.lock();
+        let Some(run) = runs.get(key) else {
+            return Ok(()); // a concurrent event ended the set
+        };
+        let spec = run.spec.get(job).expect("a job of this set");
+        build_run_request(run, spec, &node.machine, &inner.security)?
+    };
+    let reply = es::run(&core.net, &node.execution, &req)
+        .map_err(|fault| dispatch_failed(job, &node.execution, fault))?;
+    if let Some(run) = inner.runs.lock().get_mut(key) {
+        run.note_dispatched(job, reply);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -1394,44 +1300,8 @@ mod tests {
             key_of("jobset-scheduler-3/completed").as_deref(),
             Some("scheduler-3")
         );
-        assert_eq!(key_of("schedrepl/scheduler-3/submit"), None);
+        assert_eq!(key_of("monitor/events"), None);
         assert_eq!(key_of(""), None);
-    }
-
-    /// A standby that cannot follow a set's own events still shadows
-    /// the set from the replication stream, and says so once.
-    #[test]
-    fn a_set_the_standby_cannot_follow_is_shadowed_and_reported() {
-        let registry = wsrf_obs::MetricsRegistry::enabled();
-        let net = InProcNetwork::with_metrics(Clock::manual(), Default::default(), &registry);
-        let replica = Replica {
-            runs: Mutex::default(),
-            seen: AtomicUsize::new(0),
-            security: None,
-            broker: EndpointReference::service("inproc://nowhere/Broker"),
-            listener: EndpointReference::service("inproc://hub/StandbyListener"),
-            net,
-        };
-        let exe = FileRef::parse("local://C:\\p.exe").unwrap();
-        let spec = JobSetSpec::new("s").job(JobSpec::new("j", exe));
-        let credentials = ("u".to_string(), "p".to_string());
-        let run = RunState::new(spec, "jobset-k".into(), credentials, None, SimTime(0), None);
-        let submit = run.to_element(&None);
-        replica.on_event(&NotificationMessage::new(
-            TopicPath::parse("schedrepl/k/submit"),
-            submit,
-        ));
-
-        assert!(replica.runs.lock().contains_key("k"));
-        assert_eq!(replica.seen.load(Ordering::Relaxed), 1);
-        let events = registry.events().all();
-        assert_eq!(events.len(), 1, "{events:?}");
-        let e = &events[0];
-        assert_eq!(
-            (e.kind, e.severity),
-            (EventKind::OutboundFailed, Severity::Warn)
-        );
-        assert!(e.detail.contains("job set k "), "{}", e.detail);
     }
 
     /// A feedback table already in the store (a standby promoted over

@@ -1,16 +1,17 @@
 //! How a job set's state changes when something happens to it.
 //!
-//! Both scheduler roles keep the same table: the primary drives its
-//! sets with these transitions and the standby replays them from the
-//! primary's replication stream and the sets' own event topics, so
-//! promotion adopts the standby's [`RunState`]s as they are. Nothing
-//! here sends a message, touches a store or reads a clock: time comes
-//! in as a [`SimTime`] argument.
+//! The scheduler drives its sets with these transitions, and a standby
+//! promoted after a crash rebuilds each unfinished set's [`RunState`]
+//! from what the dead primary stored: the submission record and the
+//! job-set resource ([`RunState::restore`]). Nothing here sends a
+//! message, touches a store or reads a clock: time comes in as a
+//! [`SimTime`] argument.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use simclock::SimTime;
+use wsrf_core::properties::PropertyDoc;
 use wsrf_security::wsse::UsernameToken;
 use wsrf_soap::ns::{UVACG, WSSE};
 use wsrf_soap::{EndpointReference, TraceContext};
@@ -19,6 +20,7 @@ use wsrf_xml::Element;
 use crate::es::RunReply;
 use crate::job::JobEvent;
 use crate::jobset::{JobSetSpec, JobSpec};
+use crate::q;
 use crate::security::{open_credentials, GridSecurity};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,17 +35,31 @@ pub(super) enum JobState {
 #[derive(Default)]
 pub(super) struct JobRun {
     pub(super) state: JobState,
-    /// An intent to dispatch was replicated but nothing since shows the
-    /// Run reached the machine: the primary may or may not have issued
-    /// it before dying. Safe either way — re-issuing is deduplicated at
-    /// the ES.
-    pub(super) uncertain: bool,
     pub(super) machine: Option<String>,
     pub(super) dir_epr: Option<EndpointReference>,
-    pub(super) job_epr: Option<EndpointReference>,
     pub(super) exit_code: Option<i32>,
     pub(super) cpu_used: Option<f64>,
     pub(super) dispatched_at: Option<SimTime>,
+}
+
+impl JobRun {
+    /// The job's state as its `JobStatus` resource-property value, which
+    /// [`RunState::restore`] reads back.
+    pub(super) fn status(&self, job: &str) -> Element {
+        let mut el = Element::with_name(q("JobStatus"))
+            .attr("job", job)
+            .text(format!("{:?}", self.state));
+        if let Some(m) = &self.machine {
+            el = el.attr("machine", m);
+        }
+        if let Some(c) = self.exit_code {
+            el = el.attr("exitCode", c.to_string());
+        }
+        if let Some(cpu) = self.cpu_used {
+            el = el.attr("cpu", format!("{cpu:.6}"));
+        }
+        el
+    }
 }
 
 /// One unfinished job set.
@@ -102,11 +118,11 @@ impl RunState {
         }
     }
 
-    /// The replication record of a submission (`ReplSubmit`). With
-    /// `security` the credentials travel encrypted to the scheduler's
-    /// own subject, never in clear.
+    /// The submission record of a set (`Submission`). With `security`
+    /// the credentials are sealed to the scheduler's own subject, never
+    /// kept in clear.
     pub(super) fn to_element(&self, security: &Option<(Arc<GridSecurity>, String)>) -> Element {
-        let mut el = Element::new(UVACG, "ReplSubmit")
+        let mut el = Element::new(UVACG, "Submission")
             .attr("topic", &self.topic)
             .attr("t", self.submitted_at.as_nanos().to_string())
             .child(self.spec.to_element());
@@ -124,7 +140,7 @@ impl RunState {
         el
     }
 
-    /// Decode a `ReplSubmit` (None when malformed or, with `security`,
+    /// Decode a `Submission` (None when malformed or, with `security`,
     /// when its credentials do not decrypt).
     pub(super) fn from_element(
         el: &Element,
@@ -140,6 +156,57 @@ impl RunState {
             SimTime(el.attr_value("t").and_then(|t| t.parse().ok()).unwrap_or(0)),
             None,
         ))
+    }
+
+    /// Rebuild an unfinished set after a failover at `now`: the
+    /// submission from its `record` ([`RunState::from_element`]), each
+    /// job's progress from the job-set resource `doc` — its `JobStatus`
+    /// (state, machine, exit code, CPU) and its `JobDirectory`. A
+    /// dispatched job's clock starts at `now`.
+    pub(super) fn restore(
+        record: &Element,
+        doc: &PropertyDoc,
+        security: &Option<(Arc<GridSecurity>, String)>,
+        now: SimTime,
+    ) -> Option<RunState> {
+        let mut run = RunState::from_element(record, security)?;
+        for status in doc.get(&q("JobStatus")) {
+            let Some(jr) = status.attr_value("job").and_then(|j| run.jobs.get_mut(j)) else {
+                continue;
+            };
+            // The `{:?}` names `JobRun::status` writes.
+            jr.state = match status.text_content().as_str() {
+                "Dispatched" => JobState::Dispatched,
+                "Completed" => JobState::Completed,
+                "Failed" => JobState::Failed,
+                _ => JobState::Waiting,
+            };
+            jr.machine = status.attr_value("machine").map(str::to_string);
+            jr.exit_code = status.attr_value("exitCode").and_then(|c| c.parse().ok());
+            jr.cpu_used = status.attr_value("cpu").and_then(|c| c.parse().ok());
+            jr.dispatched_at = (jr.state == JobState::Dispatched).then_some(now);
+        }
+        for dir in doc.get(&q("JobDirectory")) {
+            if let Some(jr) = dir.attr_value("job").and_then(|j| run.jobs.get_mut(j)) {
+                jr.dir_epr = EndpointReference::from_element(dir).ok();
+            }
+        }
+        Some(run)
+    }
+
+    /// The job that failed the set, with what completes "job 'x' …" —
+    /// for a set restored from a store that recorded the failure but
+    /// not the end of the set.
+    pub(super) fn failure(&self) -> Option<(&str, String)> {
+        let (name, jr) = self
+            .jobs
+            .iter()
+            .find(|(_, j)| j.state == JobState::Failed)?;
+        let why = match jr.exit_code {
+            Some(code) => format!("exited with code {code}"),
+            None => "failed before the failover".to_string(),
+        };
+        Some((name, why))
     }
 
     /// Every job completed.
@@ -169,26 +236,10 @@ impl RunState {
         jr
     }
 
-    /// A replicated intent: the primary picked `machine` for a waiting
-    /// `job` and may have sent it.
-    pub(super) fn note_intent(&mut self, job: &str, machine: Option<&str>) {
-        if let Some(jr) = self.jobs.get_mut(job) {
-            if jr.state == JobState::Waiting {
-                jr.uncertain = true;
-                jr.machine = machine.map(str::to_string);
-            }
-        }
-    }
-
-    /// The ES answered `job`'s Run: the job is certainly on its
-    /// machine. A working directory already announced is kept.
+    /// The ES answered `job`'s Run: its working directory is known,
+    /// though a directory already announced is kept.
     pub(super) fn note_dispatched(&mut self, job: &str, reply: RunReply) {
         if let Some(jr) = self.jobs.get_mut(job) {
-            jr.uncertain = false;
-            if jr.state == JobState::Waiting {
-                jr.state = JobState::Dispatched;
-            }
-            jr.job_epr = Some(reply.job);
             jr.dir_epr.get_or_insert(reply.workdir);
         }
     }
@@ -210,7 +261,6 @@ impl RunState {
                 Change::Dir
             }
             JobEvent::Started => {
-                jr.uncertain = false;
                 if jr.state == JobState::Waiting {
                     jr.state = JobState::Dispatched;
                 }
@@ -218,7 +268,6 @@ impl RunState {
             }
             _ if jr.state == JobState::Completed => Change::None,
             JobEvent::Exit { code, cpu } => {
-                jr.uncertain = false;
                 jr.exit_code = Some(*code);
                 jr.cpu_used = *cpu;
                 if *code != 0 {
@@ -233,26 +282,10 @@ impl RunState {
                 }
             }
             JobEvent::Failed(reason) => {
-                jr.uncertain = false;
                 jr.state = JobState::Failed;
                 Change::Failed {
                     why: format!("failed: {reason}"),
                 }
-            }
-        }
-    }
-
-    /// Take the set over after a failover at `now`: an uncertain job
-    /// still `Waiting` becomes `Dispatched` (and stays `uncertain`
-    /// until its re-issued Run is answered), and every dispatched job's
-    /// clock starts now. Witnessed exits are left alone.
-    pub(super) fn adopt(&mut self, now: SimTime) {
-        for jr in self.jobs.values_mut() {
-            if jr.uncertain && jr.state == JobState::Waiting {
-                jr.state = JobState::Dispatched;
-            }
-            if jr.state == JobState::Dispatched {
-                jr.dispatched_at = Some(now);
             }
         }
     }
@@ -372,40 +405,74 @@ mod tests {
         assert_eq!(state(&run, "b"), JobState::Waiting);
     }
 
-    #[test]
-    fn adopt_reowns_uncertain_waiting_jobs_and_keeps_witnessed_exits() {
-        let mut run = diamond();
-        // a: exit witnessed first-hand. b: intent only. c: dispatch
-        // replicated. d: untouched.
-        run.note_intent("a", Some("m1"));
-        assert_eq!(run.apply("a", &exit(0)), Change::Exited { complete: false });
-        run.note_intent("b", Some("m2"));
-        run.note_intent("c", Some("m1"));
-        let epr = |a: &str| EndpointReference::service(a);
-        let reply = RunReply {
-            job: epr("inproc://m1/job"),
-            workdir: epr("inproc://m1/dir"),
-        };
-        run.note_dispatched("c", reply);
+    /// What the primary stored about `run`'s jobs, as the job-set
+    /// resource keeps it.
+    fn stored(run: &RunState) -> PropertyDoc {
+        let mut doc = PropertyDoc::new();
+        for (name, jr) in &run.jobs {
+            super::super::put_job_status(&mut doc, name, jr.status(name));
+            if let Some(dir) = &jr.dir_epr {
+                let dir = dir.to_element_named(UVACG, "JobDirectory");
+                doc.insert(q("JobDirectory"), dir.attr("job", name));
+            }
+        }
+        doc
+    }
 
-        run.adopt(SimTime(100));
-        let a = &run.jobs["a"];
+    #[test]
+    fn restore_reads_each_jobs_progress_back_from_the_store() {
+        let mut run = diamond();
+        let epr = |a: &str| EndpointReference::service(a);
+        // a: exited. b: placed, no directory yet. c: placed, its
+        // directory recorded. d: untouched.
+        run.dispatch("a", "m1", SimTime(1));
+        run.apply("a", &JobEvent::Dir(epr("inproc://m1/dir-a")));
+        run.apply("a", &exit(0));
+        run.dispatch("b", "m2", SimTime(2));
+        run.dispatch("c", "m1", SimTime(2));
+        run.apply("c", &JobEvent::Dir(epr("inproc://m1/dir-c")));
+
+        let record = run.to_element(&None);
+        let back = RunState::restore(&record, &stored(&run), &None, SimTime(100)).unwrap();
+        assert_same_submission(&run, &back);
+        let a = &back.jobs["a"];
         assert_eq!(
-            (a.state, a.exit_code, a.uncertain),
-            (JobState::Completed, Some(0), false)
+            (a.state, a.exit_code, a.cpu_used, a.machine.as_deref()),
+            (JobState::Completed, Some(0), Some(0.5), Some("m1"))
         );
-        assert_eq!(a.dispatched_at, None);
-        let b = &run.jobs["b"];
-        assert_eq!((b.state, b.uncertain), (JobState::Dispatched, true));
         assert_eq!(
-            (b.machine.as_deref(), b.dispatched_at),
-            (Some("m2"), Some(SimTime(100)))
+            (a.dir_epr.clone(), a.dispatched_at),
+            (Some(epr("inproc://m1/dir-a")), None)
         );
-        let c = &run.jobs["c"];
-        assert_eq!((c.state, c.uncertain), (JobState::Dispatched, false));
-        assert_eq!(c.dir_epr, Some(epr("inproc://m1/dir")));
+        let b = &back.jobs["b"];
+        assert_eq!(
+            (b.state, b.machine.as_deref()),
+            (JobState::Dispatched, Some("m2"))
+        );
+        assert_eq!(
+            (b.dir_epr.clone(), b.dispatched_at),
+            (None, Some(SimTime(100)))
+        );
+        let c = &back.jobs["c"];
+        assert_eq!(c.dir_epr, Some(epr("inproc://m1/dir-c")));
         assert_eq!(c.dispatched_at, Some(SimTime(100)));
-        assert_eq!(state(&run, "d"), JobState::Waiting);
+        assert_eq!(state(&back, "d"), JobState::Waiting);
+        assert_eq!(ready(&back), None, "d waits for b and c");
+        assert_eq!(back.failure(), None);
+    }
+
+    #[test]
+    fn a_failure_the_store_recorded_is_restored() {
+        let mut run = diamond();
+        run.dispatch("a", "m1", SimTime(1));
+        run.apply("a", &exit(3));
+        let back = RunState::restore(&run.to_element(&None), &stored(&run), &None, SimTime(9));
+        let back = back.unwrap();
+        assert_eq!(
+            back.failure(),
+            Some(("a", "exited with code 3".to_string()))
+        );
+        assert_eq!(ready(&back), None, "dependents are never dispatched");
     }
 
     fn assert_same_submission(a: &RunState, b: &RunState) {
@@ -414,20 +481,20 @@ mod tests {
         assert_eq!(a.credentials, b.credentials);
         assert_eq!(a.client_fileserver, b.client_fileserver);
         assert_eq!(a.submitted_at, b.submitted_at);
-        assert!(b.jobs.values().all(|j| j.state == JobState::Waiting));
     }
 
     #[test]
-    fn repl_submit_roundtrips_in_clear_without_security() {
+    fn submission_record_roundtrips_in_clear_without_security() {
         let run = diamond();
         let el = run.to_element(&None);
         assert_eq!(el.attr_value("password"), Some("s3cret-gridpass"));
         let back = RunState::from_element(&el, &None).expect("decodes");
         assert_same_submission(&run, &back);
+        assert!(back.jobs.values().all(|j| j.state == JobState::Waiting));
     }
 
     #[test]
-    fn repl_submit_roundtrips_encrypted_with_security() {
+    fn submission_record_roundtrips_sealed_with_security() {
         let sec = GridSecurity::new(11);
         sec.enroll("scheduler");
         sec.enroll("eve");

@@ -89,10 +89,10 @@ impl GridSecurity {
     }
 }
 
-/// The credentials a request or a replication record carries: a
-/// WS-Security `header` encrypted to the recipient's `subject` when
-/// `security` is set, else the `user`/`password` attributes of `plain`
-/// (insecure deployments only).
+/// The credentials a request or a scheduler's submission record
+/// carries: a WS-Security `header` encrypted to the recipient's
+/// `subject` when `security` is set, else the `user`/`password`
+/// attributes of `plain` (insecure deployments only).
 pub(crate) fn open_credentials(
     security: &Option<(Arc<GridSecurity>, String)>,
     header: Option<&Element>,

@@ -96,13 +96,19 @@ if [ "$mappings" -ne 1 ]; then
     exit 1
 fi
 
-# One job-set state machine: the primary and the standby keep the same
-# `RunState`, changed only by the pure transitions in
-# `scheduler/run.rs`, which reach no network, container or broker.
-if grep -rn 'struct Shadow' crates/uvacg/src; then
-    echo "tier-1: a second job-set table is back; the standby keeps RunState" >&2
-    exit 1
-fi
+# One way to take over a crashed Scheduler: a standby reads the dead
+# primary's store — each unfinished set's submission record and its
+# job-set resource — and nothing else. Outside tests no replication
+# stream, standby-side table or replicated placement intent exists.
+for f in $(find crates/uvacg/src -name '*.rs'); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'schedrepl|struct Replica|note_intent|uncertain'; then
+        echo "tier-1: $f keeps a second copy of the scheduler's failover state; the standby reads the store" >&2
+        exit 1
+    fi
+done
+# One job-set state machine: `RunState` changes only through the pure
+# transitions in `scheduler/run.rs` (restoring one from the store
+# included), which reach no network, container or broker.
 run_rs=crates/uvacg/src/scheduler/run.rs
 if [ ! -f "$run_rs" ] ||
     grep -nE 'InProcNetwork|ServiceCore|broker::|es::run|Outbound' "$run_rs"; then

@@ -226,6 +226,63 @@ fn scheduler_restart_recovers_job_sets_from_the_wal() {
     assert_eq!(client2.rediscover(None).unwrap().len(), 2);
 }
 
+/// Failover onto a store reopened from the dead primary's WAL
+/// directory (a standby on another host): the submission record and the
+/// job-set resource it replays are all the standby needs, and the set
+/// completes exactly once.
+#[test]
+fn failover_from_a_reopened_wal_completes_exactly_once() {
+    let tmp = TempDir::new("reopen");
+    let store = DurableStore::open(&tmp.0, Arc::new(MemoryStore::new())).unwrap();
+    let grid = CampusGrid::build(
+        GridConfig::with_machines(2)
+            .with_scheduler_store(Arc::new(store) as Arc<dyn ResourceStore>)
+            .with_replication(),
+        Clock::manual(),
+    );
+    let client = grid.client("c");
+    client.put_file(
+        "C:\\p.exe",
+        JobProgram::compute(1.0).writing("o.dat", 64).to_manifest(),
+    );
+    let exe = || FileRef::parse("local://C:\\p.exe").unwrap();
+    let spec = JobSetSpec::new("reopened-failover")
+        .job(JobSpec::new("a", exe()).output("o.dat"))
+        .job(JobSpec::new("b", exe()).input(FileRef::parse("a://o.dat").unwrap(), "in.dat"));
+
+    let primary = grid.scheduler.clone();
+    let net = grid.net.clone();
+    grid.scheduler.set_step_hook(move |step, _| {
+        if step == 3 && !primary.crashed() {
+            primary.crash(&net);
+        }
+    });
+    let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
+    grid.clock.advance(Duration::from_secs(1));
+    assert!(grid.scheduler.crashed());
+
+    let reopened = DurableStore::open(&tmp.0, Arc::new(MemoryStore::new())).unwrap();
+    let standby = grid.spawn_standby(Some(Arc::new(reopened) as Arc<dyn ResourceStore>));
+    let promoted = standby.promote(wsrf_grid::testbed::grid::SCHEDULER_ADDRESS);
+    grid.clock.advance(Duration::from_secs(20));
+    assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
+    let topics: Vec<String> = handle
+        .events()
+        .iter()
+        .map(|m| m.topic.to_string())
+        .collect();
+    let count = |suffix: &str| topics.iter().filter(|t| t.ends_with(suffix)).count();
+    assert_eq!(count("/completed"), 1, "{topics:?}");
+    for job in ["a", "b"] {
+        assert_eq!(count(&format!("/{job}/started")), 1, "{topics:?}");
+        assert_eq!(count(&format!("/{job}/exit")), 1, "{topics:?}");
+    }
+    let states = promoted.job_states(handle.jobset.resource_key().unwrap());
+    for (job, state, code) in states.unwrap() {
+        assert_eq!((state.as_str(), code), ("Completed", Some(0)), "job {job}");
+    }
+}
+
 /// Failover with a WAL-backed scheduler store: the promoted standby
 /// shares the durable store, so its own record keeping lands in the
 /// same log the crashed primary wrote.

@@ -10,19 +10,27 @@
 //! target step is recorded. That gives the strongest possible
 //! semantics for "crashed right after step N": the step is on disk,
 //! nothing after it happened.
+//!
+//! The standby keeps nothing of its own: promotion reads the dead
+//! primary's store — each unfinished set's submission record and its
+//! job-set resource — and asks the machines what became of the jobs
+//! in flight.
+
+mod common;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use common::TempDir;
 use grid_node::JobProgram;
-use wsrf_grid::notification::broker;
-use wsrf_grid::notification::consumer::NotificationListener;
-use wsrf_grid::notification::message::NotificationMessage;
-use wsrf_grid::notification::topics::TopicExpression;
 use wsrf_grid::prelude::*;
-use wsrf_grid::testbed::grid::{SCHEDULER_ADDRESS, STANDBY_LISTENER_ADDRESS};
-use wsrf_grid::transport::{Endpoint, FnEndpoint};
+use wsrf_grid::soap::ns;
+use wsrf_grid::testbed::grid::{NIS_ADDRESS, SCHEDULER_ADDRESS};
+use wsrf_grid::wsrf::porttypes::{wsrp_action, XPATH_DIALECT};
+use wsrf_grid::wsrf::store::ResourceStore;
+use wsrf_grid::wsrf::{MemoryStore, Outbound};
+use wsrf_grid::xml::QName;
 
 /// Figure 3 step names, indexed by step number.
 const STEP_NAMES: [&str; 10] = [
@@ -113,8 +121,8 @@ fn run_kill_point(kill_step: u8, secure: bool) -> (CampusGrid, JobSetHandle, Sch
         "set finished before the crash at step {kill_step} took effect"
     );
 
-    // Let in-flight replication and job events drain to the standby,
-    // then fail over onto the primary's address.
+    // Let in-flight job events drain while nobody schedules, then fail
+    // over onto the primary's address.
     grid.clock.advance(Duration::from_secs(1));
     let promoted = standby.promote(SCHEDULER_ADDRESS);
 
@@ -192,46 +200,32 @@ kill_point_test!(kill_after_step_07_upload_complete, 7);
 kill_point_test!(kill_after_step_08_spawn, 8);
 kill_point_test!(kill_after_step_09_epr_broadcast, 9);
 kill_point_test!(kill_after_step_10_exit_broadcast, 10);
-// On a secure grid: the uncertain dispatch of step 2 is re-issued with
-// credentials the standby decrypted, and step 10 adopts a witnessed exit.
+// On a secure grid: the placed job of step 2 is re-issued with
+// credentials the standby unsealed from the submission record, and
+// step 10 finds the exit by polling.
 kill_point_test!(secure_kill_after_step_02_nis_poll, 2, true);
 kill_point_test!(secure_kill_after_step_10_exit_broadcast, 10, true);
 
-/// A job fails at its ES while the primary is dead and the standby
-/// misses the broadcast: the promoted scheduler finds the failure when
-/// it polls the adopted job, and the set ends `Failed` instead of
-/// staying `Running` for ever (the grid has no job timeout).
-#[test]
-fn a_failure_the_standby_missed_fails_the_adopted_set() {
-    let grid = replicating_grid(false);
-    let standby = grid.spawn_standby(None);
-    // The standby's listener loses every `failed` event.
-    let listener = standby.listener.clone();
-    grid.net.register(
-        STANDBY_LISTENER_ADDRESS,
-        Arc::new(FnEndpoint::new(
-            "standby-misses-failures",
-            move |env: Envelope| {
-                let failed = NotificationMessage::from_envelope(&env)
-                    .iter()
-                    .any(|m| m.topic.to_string().ends_with("/failed"));
-                if failed {
-                    None
-                } else {
-                    listener.handle(env)
-                }
-            },
-        )) as Arc<dyn Endpoint>,
-    );
-    // Staging fails: the input is not on the client's disk.
-    let client = grid.client("c");
+/// A job that fails staging: its input is not on the client's disk.
+fn doomed_spec(client: &Client) -> JobSetSpec {
     client.put_file("C:\\p.exe", JobProgram::compute(1.0).to_manifest());
-    let spec = JobSetSpec::new("doomed").job(
+    JobSetSpec::new("doomed").job(
         JobSpec::new("job1", FileRef::parse("local://C:\\p.exe").unwrap())
             .input(FileRef::parse("local://C:\\missing.dat").unwrap(), "in.dat"),
-    );
-    // The primary dies on the job's working directory, before the
-    // staging failure reaches it.
+    )
+}
+
+/// Kill the primary on the doomed job's working directory, let the
+/// staging failure happen while nobody schedules, then promote a
+/// standby — deployed before the submission when `standby_first`, else
+/// only after the failure — and check the set ends `Failed` for the
+/// right reason instead of staying `Running` for ever (the grid has no
+/// job timeout).
+fn fail_while_the_primary_is_down(standby_first: bool) {
+    let grid = replicating_grid(false);
+    let early = standby_first.then(|| grid.spawn_standby(None));
+    let client = grid.client("c");
+    let spec = doomed_spec(&client);
     let (primary, net) = (grid.scheduler.clone(), grid.net.clone());
     grid.scheduler.set_step_hook(move |step, _job| {
         if step == 4 && !primary.crashed() {
@@ -261,6 +255,7 @@ fn a_failure_the_standby_missed_fails_the_adopted_set() {
     );
     assert!(handle.outcome().is_none(), "nobody ended the set yet");
 
+    let standby = early.unwrap_or_else(|| grid.spawn_standby(None));
     let _promoted = standby.promote(SCHEDULER_ADDRESS);
     grid.clock.advance(Duration::from_secs(5));
     match handle.outcome() {
@@ -274,43 +269,226 @@ fn a_failure_the_standby_missed_fails_the_adopted_set() {
     assert_eq!(handle.status().unwrap(), "Failed");
 }
 
-/// On a secure grid the replication stream carries the credentials
-/// encrypted to the scheduler: any subscriber of `schedrepl//` sees the
-/// submission, never the password.
+/// A job fails at its ES while the primary is dead, and the standby
+/// is deployed only afterwards: it saw nothing, and finds the failure
+/// when it polls the adopted job.
 #[test]
-fn replicated_credentials_never_travel_in_clear() {
-    let grid = replicating_grid(true);
-    let standby = grid.spawn_standby(None);
-    let spy = NotificationListener::register(&grid.net, "inproc://spy/Listener");
-    broker::subscribe(
-        &grid.net,
-        &grid.broker,
-        &spy.epr(),
-        &TopicExpression::full("schedrepl//"),
-        None,
-    )
-    .unwrap();
-    let client = grid.client("c");
-    let spec = pipeline_spec(&client);
-    let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
-    grid.clock.advance(Duration::from_secs(30));
-    assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
-    assert_eq!(
-        standby.shadow_count(),
-        1,
-        "the standby decoded the submission"
-    );
+fn a_failure_the_standby_missed_fails_the_adopted_set() {
+    fail_while_the_primary_is_down(false);
+}
 
-    let seen = spy.received();
-    assert!(
-        seen.iter()
-            .any(|m| m.topic.to_string().ends_with("/submit")),
-        "the spy saw the replicated submission"
-    );
-    for m in &seen {
-        let dump = format!("{:?}", m.payload);
-        assert!(!dump.contains("gridpass"), "{}: {dump}", m.topic);
+/// The same failure with the standby deployed before the submission,
+/// so it was up while the `failed` broadcast went out: it must end the
+/// set all the same.
+#[test]
+fn a_failure_the_standby_witnessed_fails_the_adopted_set() {
+    fail_while_the_primary_is_down(true);
+}
+
+/// A placement policy that crashes the scheduler when it is told of a
+/// failure: the crash falls between the job's `Failed` status being
+/// stored and the set being ended.
+#[derive(Default)]
+struct CrashOnFailure {
+    primary: OnceLock<(Scheduler, Arc<InProcNetwork>)>,
+}
+
+impl SchedulingPolicy for CrashOnFailure {
+    fn select(&self, nodes: &[NodeSnapshot]) -> Option<usize> {
+        FastestAvailable.select(nodes)
     }
+    fn name(&self) -> &'static str {
+        "crash-on-failure"
+    }
+    fn observe(&self, outcome: &MachineOutcome) {
+        if let (OutcomeKind::Failure, Some((primary, net))) = (&outcome.kind, self.primary.get()) {
+            primary.crash(net);
+        }
+    }
+}
+
+/// The primary stores a job's failure and dies before ending the set:
+/// the promoted scheduler reads the failure back and ends the set.
+#[test]
+fn a_failure_the_primary_stored_but_never_ended_fails_the_set() {
+    let policy = Arc::new(CrashOnFailure::default());
+    let store = Arc::new(MemoryStore::new());
+    let config = GridConfig::with_machines(2)
+        .with_policy(policy.clone())
+        .with_scheduler_store(store.clone() as Arc<dyn ResourceStore>)
+        .with_replication();
+    let grid = CampusGrid::build(config, Clock::manual());
+    let primary = (grid.scheduler.clone(), grid.net.clone());
+    assert!(policy.primary.set(primary).is_ok());
+    let standby = grid.spawn_standby(None);
+    let client = grid.client("c");
+    let handle = client
+        .submit(&doomed_spec(&client), "griduser", "gridpass")
+        .unwrap();
+    grid.clock.advance(Duration::from_secs(5));
+    assert!(grid.scheduler.crashed(), "the failure reached the policy");
+    assert!(handle.outcome().is_none(), "nobody ended the set yet");
+    let set = store
+        .load("Scheduler", handle.jobset.resource_key().unwrap())
+        .unwrap();
+    let status = set.get(&QName::new(wsrf_grid::testbed::UVACG, "JobStatus"));
+    assert_eq!(status[0].text_content(), "Failed", "the failure is stored");
+
+    let _promoted = standby.promote(SCHEDULER_ADDRESS);
+    grid.clock.advance(Duration::from_secs(1));
+    match handle.outcome() {
+        Some(JobSetOutcome::Failed(fault)) => {
+            let cause = fault.cause.as_deref().expect("the job's failure");
+            assert_eq!(cause.error_code, "uvacg:JobFailed", "{cause:?}");
+            assert!(cause.description.contains("job 'job1'"), "{cause:?}");
+        }
+        other => panic!("the adopted set did not fail: {other:?}"),
+    }
+    assert_eq!(handle.status().unwrap(), "Failed");
+}
+
+/// A primary killed inside its `Run` call (at step 4, which the ES
+/// triggers inline) writes nothing once the call returns: no step-3
+/// mark on the job set, no feedback row.
+#[test]
+fn a_crashed_scheduler_writes_nothing() {
+    let store = Arc::new(MemoryStore::new());
+    let config = GridConfig::with_machines(2)
+        .with_policy(Arc::new(MetricsFeedback::new()))
+        .with_scheduler_store(store.clone() as Arc<dyn ResourceStore>)
+        .with_replication();
+    let grid = CampusGrid::build(config, Clock::manual());
+    let (primary, net) = (grid.scheduler.clone(), grid.net.clone());
+    grid.scheduler.set_step_hook(move |step, _job| {
+        if step == 4 && !primary.crashed() {
+            primary.crash(&net);
+        }
+    });
+    let feedback = store.load("Scheduler", "feedback").unwrap();
+    let client = grid.client("c");
+    let handle = client
+        .submit(&pipeline_spec(&client), "griduser", "gridpass")
+        .unwrap();
+    assert!(grid.scheduler.crashed(), "step 4 came inside the Run");
+    grid.clock.advance(Duration::from_secs(1));
+
+    let set = store
+        .load("Scheduler", handle.jobset.resource_key().unwrap())
+        .unwrap();
+    let steps: Vec<String> = set
+        .get(&QName::new(wsrf_grid::testbed::UVACG, "StepMetric"))
+        .iter()
+        .map(|e| e.attr_value("step").unwrap_or_default().to_string())
+        .collect();
+    assert_eq!(steps, ["1", "2", "4"], "nothing after the kill");
+    assert_eq!(store.load("Scheduler", "feedback").unwrap(), feedback);
+}
+
+/// The Node Info Service is down when the standby takes over: the set
+/// whose job must be re-issued fails for that reason, not because its
+/// machine seemed to vanish.
+#[test]
+fn promotion_names_an_unreachable_node_info_service() {
+    let grid = replicating_grid(false);
+    let standby = grid.spawn_standby(None);
+    let (primary, net) = (grid.scheduler.clone(), grid.net.clone());
+    grid.scheduler.set_step_hook(move |step, _job| {
+        if step == 2 && !primary.crashed() {
+            primary.crash(&net);
+        }
+    });
+    let client = grid.client("c");
+    let handle = client
+        .submit(&pipeline_spec(&client), "griduser", "gridpass")
+        .unwrap();
+    assert!(grid.scheduler.crashed());
+    assert!(grid.net.unregister(NIS_ADDRESS));
+
+    let _promoted = standby.promote(SCHEDULER_ADDRESS);
+    grid.clock.advance(Duration::from_secs(1));
+    match handle.outcome() {
+        Some(JobSetOutcome::Failed(fault)) => {
+            let cause = fault.cause.as_deref().expect("why the set failed");
+            assert_eq!(cause.error_code, "uvacg:NoNodes", "{cause:?}");
+            assert!(cause.description.contains("Node Info Service"), "{cause:?}");
+            assert!(cause.description.contains(NIS_ADDRESS), "{cause:?}");
+            assert!(cause.cause.is_some(), "the NIS fault itself: {cause:?}");
+        }
+        other => panic!("the adopted set did not fail: {other:?}"),
+    }
+}
+
+/// A WS-RP read of `epr` through the standard port types, rendered.
+fn wsrp_read(grid: &CampusGrid, epr: &EndpointReference, op: &str, body: Element) -> String {
+    let reply = Outbound::new(epr.clone(), wsrp_action(op), body)
+        .call(&grid.net)
+        .unwrap();
+    reply.to_xml()
+}
+
+/// The submission record keeps the credentials a standby needs: sealed
+/// to the scheduler on a secure grid, so the log never holds the
+/// password in clear, and out of reach of every WS-RP read of the
+/// job-set resource on both grids.
+#[test]
+fn submission_credentials_stay_sealed_and_unreadable() {
+    for secure in [false, true] {
+        let wal = TempDir::new("sealed");
+        let store = DurableStore::open(&wal.0, Arc::new(MemoryStore::new())).unwrap();
+        let config = GridConfig::with_machines(2)
+            .with_scheduler_store(Arc::new(store) as Arc<dyn ResourceStore>)
+            .with_replication();
+        let config = if secure { config.secure() } else { config };
+        let grid = CampusGrid::build(config, Clock::manual());
+        let _standby = grid.spawn_standby(None);
+        let client = grid.client("c");
+        let handle = client
+            .submit(&pipeline_spec(&client), "griduser", "gridpass")
+            .unwrap();
+        grid.clock.advance(Duration::from_millis(500));
+        assert_eq!(handle.status().unwrap(), "Running");
+
+        let mut log = Vec::new();
+        for entry in std::fs::read_dir(&wal.0).unwrap() {
+            log.extend(std::fs::read(entry.unwrap().path()).unwrap());
+        }
+        let in_clear = log.windows(8).any(|w| w == b"gridpass");
+        // Without a PKI the record is the only place the password is
+        // kept, which shows the log holds the record at all.
+        assert_eq!(in_clear, !secure, "secure: {secure}");
+
+        let document = wsrp_read(
+            &grid,
+            &handle.jobset,
+            "GetResourcePropertyDocument",
+            Element::new(ns::WSRP, "GetResourcePropertyDocument"),
+        );
+        let query = wsrp_read(
+            &grid,
+            &handle.jobset,
+            "QueryResourceProperties",
+            Element::new(ns::WSRP, "QueryResourceProperties").child(
+                Element::new(ns::WSRP, "QueryExpression")
+                    .attr("Dialect", XPATH_DIALECT)
+                    .text("/ResourcePropertyDocument"),
+            ),
+        );
+        for reply in [document, query] {
+            assert!(reply.contains("JobStatus"), "{reply}");
+            assert!(!reply.contains("gridpass"), "secure: {secure}: {reply}");
+        }
+        grid.clock.advance(Duration::from_secs(30));
+        assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
+    }
+}
+
+/// A scheduler without submission records leaves a standby nothing
+/// to take over from, so deploying one is refused outright.
+#[test]
+#[should_panic(expected = "spawn_standby without with_replication")]
+fn a_standby_needs_submission_records() {
+    let grid = CampusGrid::build(GridConfig::with_machines(1), Clock::manual());
+    let _standby = grid.spawn_standby(None);
 }
 
 /// The crashed primary reports itself crashed and leaves the network:
@@ -352,6 +530,39 @@ fn replication_is_transparent_without_failover() {
     let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
     grid.clock.advance(Duration::from_secs(30));
     assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
-    // The standby shadowed the whole run and saw it finish.
-    assert_eq!(standby.shadow_count(), 1);
+    // The finished set left nothing to take over.
+    grid.scheduler.crash(&grid.net);
+    let _promoted = standby.promote(SCHEDULER_ADDRESS);
+    grid.clock.advance(Duration::from_secs(30));
+    let ends = handle.events();
+    let ends = ends
+        .iter()
+        .filter(|m| m.topic.to_string().ends_with("/completed"));
+    assert_eq!(ends.count(), 1);
+}
+
+/// The submission record is a store write, not a message: a
+/// replicating grid with a standby sends exactly what a plain grid
+/// sends for the same set.
+#[test]
+fn replication_adds_no_messages() {
+    let messages = |replicate: bool| {
+        let config = GridConfig::with_machines(2);
+        let config = if replicate {
+            config.with_replication()
+        } else {
+            config
+        };
+        let grid = CampusGrid::build(config, Clock::manual());
+        let _standby = replicate.then(|| grid.spawn_standby(None));
+        let client = grid.client("c");
+        let handle = client
+            .submit(&pipeline_spec(&client), "griduser", "gridpass")
+            .unwrap();
+        grid.clock.advance(Duration::from_secs(30));
+        assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
+        let m = &grid.net.metrics;
+        m.calls.load(Ordering::Relaxed) + m.oneways.load(Ordering::Relaxed)
+    };
+    assert_eq!(messages(true), messages(false));
 }
