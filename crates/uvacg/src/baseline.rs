@@ -172,8 +172,7 @@ pub fn job_manager(
         // A bespoke "get everything" call — the custom interface the
         // paper contrasts with the standard resource-property
         // operations (experiment E2b).
-        .static_operation("GetJobInfo", move |ctx| {
-            let _ = ctx;
+        .static_operation("GetJobInfo", move |_ctx| {
             Ok(Element::new(UVACG, "GetJobInfoResponse"))
         })
         .build(clock, net)

@@ -17,7 +17,6 @@
 //! back as a notification carrying the exit code, which the ES
 //! re-broadcasts through the Notification Broker.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use grid_node::{Machine, ProcSpawn};
@@ -80,9 +79,18 @@ pub struct EsConfig {
     /// plaintext `<Credentials>` elements instead (an insecure grid —
     /// `GridConfig` without `secure()` — and the ES unit tests).
     pub security: Option<(Arc<GridSecurity>, String)>,
-    /// Resource state backend.
+    /// Resource state backend: the job resources and, in the
+    /// [`STAGING`] table, each staging job's spawn inputs, so an ES
+    /// restarted over the same store finishes the jobs it accepted.
     pub store: Arc<dyn ResourceStore>,
 }
+
+/// The store table of staging records, one per job from its `Run` to its
+/// `UploadComplete` under the job's key: the staged-as executable, the
+/// credentials as they arrived (sealed to this ES on a secure grid) and
+/// the `Run`'s trace context. No EPR names it, so no WS-RP read reaches
+/// the credentials.
+pub const STAGING: &str = "ExecutionStaging";
 
 /// A job as its events name it: its resource, and its place in a set.
 #[derive(Clone)]
@@ -93,52 +101,38 @@ struct JobId {
     name: String,
 }
 
-/// Side table of data that must NOT appear in resource properties
-/// (credentials) plus the job's deferred-spawn inputs.
-struct PendingJob {
-    user: String,
-    password: String,
-    exe_name: String,
-    workdir_path: String,
-    id: JobId,
-    /// Trace context of the originating `Run`, so the deferred spawn
-    /// and its broadcasts stay in the submission's span tree.
-    trace: Option<TraceContext>,
-}
-
+/// The deployment every operation shares; job state is in the store.
 struct EsRuntime {
-    pending: Mutex<HashMap<String, PendingJob>>,
     /// Held from `Run`'s idempotency lookup until the job resource
     /// exists, so racing duplicates cannot both stage.
     accepting: Mutex<()>,
+    machine: Arc<Machine>,
+    fss_address: String,
+    security: Option<(Arc<GridSecurity>, String)>,
     spawner: Arc<ProcSpawn>,
     broker: Option<EndpointReference>,
 }
 
 /// Build the Execution Service for one machine.
 pub fn execution_service(cfg: EsConfig, clock: Clock, net: Arc<InProcNetwork>) -> Arc<Service> {
-    let machine_name = cfg.machine.spec.name.clone();
-    let address = format!("inproc://{machine_name}/Execution");
+    let address = format!("inproc://{}/Execution", cfg.machine.spec.name);
     let runtime = Arc::new(EsRuntime {
-        pending: Mutex::new(HashMap::new()),
         accepting: Mutex::new(()),
-        spawner: cfg.spawner.clone(),
-        broker: cfg.broker.clone(),
+        machine: cfg.machine,
+        fss_address: cfg.fss_address,
+        security: cfg.security,
+        spawner: cfg.spawner,
+        broker: cfg.broker,
     });
 
     let rt_run = runtime.clone();
     let rt_upload = runtime.clone();
     let rt_kill = runtime.clone();
     let rt_cpu = runtime.clone();
-    let machine = cfg.machine.clone();
-    let fss_address = cfg.fss_address.clone();
-    let security = cfg.security.clone();
 
     ServiceBuilder::new("Execution", address, cfg.store)
         .key_property(job_key_property())
-        .static_operation("Run", move |ctx| {
-            run_op(ctx, &machine, &fss_address, &security, &rt_run)
-        })
+        .static_operation("Run", move |ctx| run_op(ctx, &rt_run))
         .raw_operation(
             action_uri("Execution", "UploadComplete"),
             OpKind::Static,
@@ -198,13 +192,7 @@ pub fn execution_service(cfg: EsConfig, clock: Clock, net: Arc<InProcNetwork>) -
         .build(clock, net)
 }
 
-fn run_op(
-    ctx: &mut Ctx<'_>,
-    machine: &Arc<Machine>,
-    fss_address: &str,
-    security: &Option<(Arc<GridSecurity>, String)>,
-    rt: &Arc<EsRuntime>,
-) -> Result<Element, BaseFault> {
+fn run_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element, BaseFault> {
     let job_name = ctx
         .body
         .attr_value("jobName")
@@ -218,15 +206,13 @@ fn run_op(
 
     // Fail fast on bad credentials — ProcSpawn would reject them later
     // anyway, but a synchronous fault reaches the submitter directly.
-    let (user, password) = open_credentials(
-        security,
-        ctx.header(WSSE, "Security"),
-        ctx.body.find(UVACG, "Credentials"),
-    )?;
-    if !machine.check_credentials(&user, &password) {
+    let header = ctx.header(WSSE, "Security");
+    let plain = ctx.body.find(UVACG, "Credentials");
+    let (user, password) = open_credentials(&rt.security, header, plain)?;
+    if !rt.machine.check_credentials(&user, &password) {
         return Err(BaseFault::new(
             "uvacg:BadCredentials",
-            format!("user '{user}' cannot log on to '{}'", machine.spec.name),
+            format!("user '{user}' cannot log on to '{}'", rt.machine.spec.name),
         ));
     }
 
@@ -282,7 +268,7 @@ fn run_op(
     // Step 4: create the working directory on our FSS.
     let trace = ctx.trace;
     let (dir_epr, dir_path) =
-        fss::create_directory_traced(&ctx.core.net, fss_address, trace.as_ref())
+        fss::create_directory_traced(&ctx.core.net, &rt.fss_address, trace.as_ref())
             .map_err(|e| faults::storage(&format!("cannot create working directory: {e}")))?;
 
     // Create the job resource.
@@ -297,8 +283,28 @@ fn run_op(
             .to_element_named(UVACG, "WorkingDirectory")
             .attr("job", &job_name)],
     );
+    // The staging record goes first, so no job resource exists that no
+    // upload could start; the credentials are stored as they arrived.
+    let mut record = PropertyDoc::new();
+    record.set_text(q("Executable"), &exe.2);
+    if let Some(sealed) = if rt.security.is_some() { header } else { plain } {
+        record.insert(sealed.name.clone(), sealed.clone());
+    }
+    if let Some(tc) = &trace {
+        record.set_text(q("TraceParent"), tc.to_traceparent());
+    }
     let job_key = derived_key.unwrap_or_else(|| ctx.core.fresh_key());
-    let job_epr = ctx.core.create_resource_with_key(&job_key, doc)?;
+    let store = &ctx.core.store;
+    store
+        .create(STAGING, &job_key, &record)
+        .map_err(faults::from_store)?;
+    let job_epr = ctx
+        .core
+        .create_resource_with_key(&job_key, doc)
+        .inspect_err(|_| {
+            // Already faulting, and no upload will claim the record.
+            let _ = store.destroy(STAGING, &job_key);
+        })?;
     drop(accepting);
     let id = JobId {
         key: job_key,
@@ -306,18 +312,6 @@ fn run_op(
         topic,
         name: job_name,
     };
-
-    rt.pending.lock().insert(
-        id.key.clone(),
-        PendingJob {
-            user,
-            password,
-            exe_name: exe.2.clone(),
-            workdir_path: dir_path,
-            id: id.clone(),
-            trace,
-        },
-    );
 
     // Step 9 (first half): broadcast the working directory EPR so the
     // Scheduler can fill in downstream file locations and the client
@@ -339,7 +333,8 @@ fn run_op(
         trace.as_ref(),
     ) {
         let why = format!("cannot request upload: {e}");
-        rt.pending.lock().remove(&id.key);
+        // Already faulting, and no upload will claim the record.
+        let _ = ctx.core.store.destroy(STAGING, &id.key);
         // A refused write leaves a `StoreWriteDropped` event.
         let _ = rt.advance(ctx.core, &id, Step::Faulted(why.clone()), trace.as_ref());
         return Err(faults::storage(&why));
@@ -354,66 +349,71 @@ fn upload_complete_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element,
     let key = ctx.key()?.to_string();
     let trace = ctx.trace;
     let core = ctx.core.clone();
-    if !core.store.exists(&core.name, &key) {
-        return Err(faults::no_such_resource(&key));
-    }
-    let Some(pending) = rt.pending.lock().remove(&key) else {
+    // Take the staging record first: the destroy that succeeds is the
+    // claim, so a duplicate finds none, and a job destroyed while it
+    // staged leaves no credentials behind.
+    let record = core.store.share(STAGING, &key).ok();
+    let record = record.filter(|_| core.store.destroy(STAGING, &key).is_ok());
+    let doc = core.store.share(&core.name, &key);
+    let doc = doc.map_err(faults::from_store)?;
+    let Some(record) = record else {
         return Err(BaseFault::new(
             "uvacg:UnexpectedUpload",
             format!("job '{key}' has no pending upload"),
         ));
     };
-    let gone = || faults::no_such_resource(&key);
+    let text = |doc: &PropertyDoc, name| doc.text(&q(name)).unwrap_or_default();
+    let id = JobId {
+        epr: core.epr_for(&key),
+        topic: text(&doc, "Topic"),
+        name: text(&doc, "JobName"),
+        key,
+    };
+    let gone = || faults::no_such_resource(&id.key);
 
-    // Any failed file aborts the job.
-    let failures: Vec<String> = ctx
-        .body
-        .find_all(UVACG, "Failure")
-        .map(|f| {
-            format!(
-                "{}: {}",
-                f.attr_value("file").unwrap_or("?"),
-                f.text_content()
-            )
-        })
-        .collect();
+    // A failed file, or credentials that no longer open, abort the job.
+    let failure = |f: &Element| {
+        let file = f.attr_value("file").unwrap_or("?");
+        format!("{file}: {}", f.text_content())
+    };
+    let failures: Vec<String> = ctx.body.find_all(UVACG, "Failure").map(failure).collect();
     let staged = if failures.is_empty() {
-        Ok(())
+        let sealed = |local| record.get_local(local).first();
+        let opened = open_credentials(&rt.security, sealed("Security"), sealed("Credentials"));
+        opened.map_err(|f| f.description)
     } else {
         Err(failures.join("; "))
     };
-    let ready = staged.is_ok();
     // Step 8: start the process via ProcSpawn. Running is persisted and
     // "started" broadcast BEFORE spawning (step 9, second half: the
     // job's EPR, so anyone may poll its Status): a zero-work program's
     // exit callback runs inline inside spawn().
-    rt.advance(&core, &pending.id, Step::Staged(staged), trace.as_ref())?
+    let step = Step::Staged(staged.as_ref().map(drop).map_err(String::clone));
+    rt.advance(&core, &id, step, trace.as_ref())?
         .ok_or_else(gone)?;
-    if !ready {
+    let Ok((user, password)) = staged else {
         return Ok(Element::new(UVACG, "UploadCompleteAck"));
-    }
+    };
 
-    let exe_path = format!("{}/{}", pending.workdir_path, pending.exe_name);
-    let (core_exit, rt_exit, id_exit) = (core.clone(), rt.clone(), pending.id.clone());
+    let workdir = text(&doc, "WorkdirPath");
+    let exe_path = format!("{workdir}/{}", text(&record, "Executable"));
+    let (core_exit, rt_exit, id_exit) = (core.clone(), rt.clone(), id.clone());
     // The exit broadcast is causally part of the submission even when
     // the process outlives the UploadComplete dispatch: parent it under
     // the Run's trace, not the (already-finished) dispatch span.
-    let trace_exit = pending.trace.or(trace);
-    let spawned = rt.spawner.spawn(
-        &exe_path,
-        &pending.workdir_path,
-        &pending.user,
-        &pending.password,
-        move |code, cpu| {
+    let run_trace = record.text(&q("TraceParent"));
+    let trace_exit = run_trace.and_then(|t| TraceContext::parse(&t)).or(trace);
+    let spawned = rt
+        .spawner
+        .spawn(&exe_path, &workdir, &user, &password, move |code, cpu| {
             // Step 10: the process exited; record and re-broadcast.
+            let step = Step::Exited { code, cpu };
             // Nobody to tell of a refused write: dropping it leaves a
             // `StoreWriteDropped` event.
-            let step = Step::Exited { code, cpu };
             let _ = rt_exit.advance(&core_exit, &id_exit, step, trace_exit.as_ref());
-        },
-    );
+        });
     let step = Step::Spawned(spawned.map_err(|e| e.to_string()));
-    rt.advance(&core, &pending.id, step, trace.as_ref())?
+    rt.advance(&core, &id, step, trace.as_ref())?
         .ok_or_else(gone)?;
     Ok(Element::new(UVACG, "UploadCompleteAck"))
 }
@@ -587,7 +587,7 @@ mod tests {
     use ws_notification::broker::notification_broker;
     use ws_notification::consumer::NotificationListener;
     use ws_notification::topics::TopicExpression;
-    use wsrf_core::store::MemoryStore;
+    use wsrf_core::store::{MemoryStore, StoreError};
     use wsrf_security::wsse::UsernameToken;
     use wsrf_soap::Envelope;
 
@@ -597,9 +597,17 @@ mod tests {
         machine: Arc<Machine>,
         listener: NotificationListener,
         fss: Arc<Service>,
+        es: Arc<Service>,
+        broker: EndpointReference,
+        security: Option<(Arc<GridSecurity>, String)>,
         es_addr: String,
         fss_addr: String,
     }
+
+    /// A user of the fixture machine whose password the staging-record
+    /// tests look for wherever it must not be.
+    const SECRET_USER: &str = "carol";
+    const SECRET_PASSWORD: &str = "staging-secret-7f3a9c";
 
     /// Full single-machine deployment: FSS + ES + broker + listener.
     fn fixture() -> Fixture {
@@ -608,12 +616,22 @@ mod tests {
 
     /// [`fixture`] with the ES state on `es_store`.
     fn fixture_on(es_store: Arc<dyn ResourceStore>) -> Fixture {
+        fixture_with(es_store, None)
+    }
+
+    /// [`fixture_on`] with the ES accepting only credentials sealed to
+    /// `security`'s subject when it is set.
+    fn fixture_with(
+        es_store: Arc<dyn ResourceStore>,
+        security: Option<(Arc<GridSecurity>, String)>,
+    ) -> Fixture {
         let clock = Clock::manual();
         let net = InProcNetwork::new(clock.clone());
         let machine = Machine::new(
             MachineSpec::new("m1")
                 .with_cpu_mhz(1000)
-                .with_user("alice", "pw"),
+                .with_user("alice", "pw")
+                .with_user(SECRET_USER, SECRET_PASSWORD),
             clock.clone(),
         );
         let fss = fss::file_system_service(
@@ -641,29 +659,101 @@ mod tests {
             None,
         )
         .unwrap();
-        let spawner = Arc::new(ProcSpawn::new(machine.clone()));
-        let es = execution_service(
-            EsConfig {
-                machine: machine.clone(),
-                spawner,
-                fss_address: "inproc://m1/FileSystem".into(),
-                broker: Some(broker.core().service_epr()),
-                security: None,
-                store: es_store,
-            },
-            clock.clone(),
-            net.clone(),
-        );
-        es.register(&net);
+        let broker = broker.core().service_epr();
+        let es = deploy_es(&clock, &net, &machine, &broker, &security, es_store);
         Fixture {
             clock,
             net,
             machine,
             listener,
             fss,
+            es,
+            broker,
+            security,
             es_addr: "inproc://m1/Execution".into(),
             fss_addr: "inproc://m1/FileSystem".into(),
         }
+    }
+
+    /// Deploy the machine's ES over `store` at its address.
+    fn deploy_es(
+        clock: &Clock,
+        net: &Arc<InProcNetwork>,
+        machine: &Arc<Machine>,
+        broker: &EndpointReference,
+        security: &Option<(Arc<GridSecurity>, String)>,
+        store: Arc<dyn ResourceStore>,
+    ) -> Arc<Service> {
+        let es = execution_service(
+            EsConfig {
+                machine: machine.clone(),
+                spawner: Arc::new(ProcSpawn::new(machine.clone())),
+                fss_address: "inproc://m1/FileSystem".into(),
+                broker: Some(broker.clone()),
+                security: security.clone(),
+                store,
+            },
+            clock.clone(),
+            net.clone(),
+        );
+        es.register(net);
+        es
+    }
+
+    impl Fixture {
+        /// Restart the ES over `store`: the running one leaves the
+        /// network and is dropped, with everything it kept in memory,
+        /// and a new one takes its address.
+        fn restart_es(&mut self, store: Arc<dyn ResourceStore>) {
+            self.net.unregister(&self.es_addr);
+            let (clock, net, machine) = (&self.clock, &self.net, &self.machine);
+            let es = deploy_es(clock, net, machine, &self.broker, &self.security, store);
+            drop(std::mem::replace(&mut self.es, es));
+        }
+
+        /// Hold every `UploadComplete` addressed to the ES instead of
+        /// delivering it, so the jobs it accepts stay staging.
+        fn hold_uploads(&self) -> Arc<Mutex<Vec<Envelope>>> {
+            use wsrf_transport::{Endpoint, FnEndpoint};
+            let held = Arc::new(Mutex::new(Vec::new()));
+            let (es, held2) = (self.es.clone(), held.clone());
+            self.net.register(
+                self.es_addr.as_str(),
+                Arc::new(FnEndpoint::new(
+                    "es-holding-uploads",
+                    move |env: Envelope| {
+                        if env.body.name.is(UVACG, "UploadComplete") {
+                            held2.lock().push(env);
+                            return None;
+                        }
+                        es.handle(env)
+                    },
+                )) as Arc<dyn Endpoint>,
+            );
+            held
+        }
+    }
+
+    /// A `Run` of a one-second job as [`SECRET_USER`], with the
+    /// credentials sealed to the ES when the fixture is secure.
+    fn secret_request(f: &Fixture) -> RunRequest {
+        let mut req = basic_request(f, &JobProgram::compute(1.0));
+        let token = UsernameToken::new(SECRET_USER, SECRET_PASSWORD);
+        match &f.security {
+            Some((sec, subject)) => {
+                req.security_header = Some(sec.encrypt_token(&token, subject).unwrap());
+                req.plain_credentials = None;
+            }
+            None => req.plain_credentials = Some((token.username, token.password)),
+        }
+        req
+    }
+
+    /// The events the ES broadcast for job `job1`, by leaf.
+    fn job1_events(f: &Fixture, leaf: &str) -> usize {
+        f.listener
+            .on(&format!("js/job/job1/{leaf}").as_str().into())
+            .len()
     }
 
     /// Stage an executable into a fresh grid directory; returns its
@@ -1181,5 +1271,211 @@ mod tests {
         req.job_name = "j".repeat(MAX_JOB_KEY);
         let err = run(&f.net, &f.es_addr, &req).unwrap_err();
         assert_eq!(err.error_code(), Some("wsrf:BadRequest"));
+    }
+
+    /// A fresh directory for one test's write-ahead log.
+    fn wal_dir(tag: &str) -> std::path::PathBuf {
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        std::env::temp_dir().join(format!(
+            "wsrf-es-{tag}-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ))
+    }
+
+    fn open_wal(dir: &std::path::Path) -> Arc<dyn ResourceStore> {
+        Arc::new(wsrf_core::DurableStore::open(dir, Arc::new(MemoryStore::new())).unwrap())
+    }
+
+    /// Deliver a held `UploadComplete` to the ES now deployed; returns
+    /// its answer (an ack or a fault).
+    fn deliver(f: &Fixture, env: Envelope) -> Envelope {
+        use wsrf_transport::Endpoint;
+        f.es.handle(env).unwrap()
+    }
+
+    #[test]
+    fn an_es_restarted_mid_staging_finishes_the_job() {
+        let store: Arc<dyn ResourceStore> = Arc::new(MemoryStore::new());
+        let mut f = fixture_on(store.clone());
+        let held = f.hold_uploads();
+        let reply = run(&f.net, &f.es_addr, &secret_request(&f)).unwrap();
+        assert_eq!(job_status(&f.net, &reply.job).unwrap(), status::STAGING);
+        assert_eq!(store.list(STAGING).len(), 1);
+
+        // ES#1 goes away with its upload still to come; ES#2 starts
+        // over the same store and is the one the upload reaches.
+        f.restart_es(store.clone());
+        let upload = held.lock().pop().expect("the FSS reported the upload");
+        let ack = deliver(&f, upload);
+        assert!(ack.body.name.is(UVACG, "UploadCompleteAck"), "{ack:?}");
+        assert!(
+            store.list(STAGING).is_empty(),
+            "spawned: the record is gone"
+        );
+
+        f.clock.advance(Duration::from_secs(2));
+        assert_eq!(job_status(&f.net, &reply.job).unwrap(), status::EXITED);
+        assert_eq!(
+            get_exit_code(&f, &reply.job).unwrap().body.text_content(),
+            "0"
+        );
+        assert_eq!(
+            (job1_events(&f, "started"), job1_events(&f, "exit")),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    fn a_job_destroyed_while_staging_keeps_no_credentials() {
+        let store: Arc<dyn ResourceStore> = Arc::new(MemoryStore::new());
+        let f = fixture_on(store.clone());
+        let held = f.hold_uploads();
+        let reply = run(&f.net, &f.es_addr, &secret_request(&f)).unwrap();
+        ResourceProxy::new(&f.net, reply.job.clone())
+            .destroy()
+            .unwrap();
+
+        let upload = held.lock().pop().unwrap();
+        let fault = deliver(&f, upload).fault().expect("a fault");
+        assert_eq!(fault.error_code(), Some("wsrf:NoSuchResource"));
+        assert!(store.list(STAGING).is_empty(), "the credentials are gone");
+        f.clock.advance(Duration::from_secs(2));
+        assert_eq!(f.machine.utilization(), 0.0, "nothing was spawned");
+        assert_eq!(job1_events(&f, "started"), 0);
+    }
+
+    #[test]
+    fn a_staging_job_keeps_its_credentials_sealed_at_rest() {
+        let dir = wal_dir("sealed");
+        let sec = GridSecurity::new(13);
+        sec.enroll("es@m1");
+        let mut f = fixture_with(open_wal(&dir), Some((sec, "es@m1".into())));
+        let held = f.hold_uploads();
+        let reply = run(&f.net, &f.es_addr, &secret_request(&f)).unwrap();
+
+        // Every byte the ES has written while the job stages: the
+        // record is there, the password is not.
+        let logged: Vec<Vec<u8>> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| std::fs::read(e.unwrap().path()).unwrap())
+            .collect();
+        let contains = |needle: &[u8]| {
+            logged
+                .iter()
+                .any(|bytes| bytes.windows(needle.len()).any(|w| w == needle))
+        };
+        assert!(contains(STAGING.as_bytes()), "the record was logged");
+        assert!(
+            !contains(SECRET_PASSWORD.as_bytes()),
+            "the password was logged"
+        );
+
+        // A restart over the reopened log opens the sealed record.
+        let store = open_wal(&dir);
+        f.restart_es(store.clone());
+        let ack = deliver(&f, held.lock().pop().unwrap());
+        assert!(ack.body.name.is(UVACG, "UploadCompleteAck"), "{ack:?}");
+        f.clock.advance(Duration::from_secs(2));
+        assert_eq!(job_status(&f.net, &reply.job).unwrap(), status::EXITED);
+        assert!(store.list(STAGING).is_empty());
+        drop(f);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn credentials_that_no_longer_open_fail_the_job() {
+        let store: Arc<dyn ResourceStore> = Arc::new(MemoryStore::new());
+        let sec = GridSecurity::new(17);
+        sec.enroll("es@m1");
+        let mut f = fixture_with(store.clone(), Some((sec, "es@m1".into())));
+        let held = f.hold_uploads();
+        let reply = run(&f.net, &f.es_addr, &secret_request(&f)).unwrap();
+
+        // The ES comes back with a new key: the sealed record is
+        // unreadable to it, so the job fails instead of staying put.
+        let rekeyed = GridSecurity::new(19);
+        rekeyed.enroll("es@m1");
+        f.security = Some((rekeyed, "es@m1".into()));
+        f.restart_es(store.clone());
+        let ack = deliver(&f, held.lock().pop().unwrap());
+        assert!(ack.body.name.is(UVACG, "UploadCompleteAck"), "{ack:?}");
+        assert_eq!(job_status(&f.net, &reply.job).unwrap(), status::FAILED);
+        let why = ResourceProxy::new(&f.net, reply.job.clone()).get_text("FailureReason");
+        assert!(why.unwrap().contains("cannot decrypt"));
+        assert_eq!(
+            (job1_events(&f, "failed"), job1_events(&f, "started")),
+            (1, 0)
+        );
+        assert!(store.list(STAGING).is_empty());
+    }
+
+    #[test]
+    fn no_resource_property_read_reaches_a_staging_jobs_credentials() {
+        let f = fixture();
+        let _held = f.hold_uploads();
+        let reply = run(&f.net, &f.es_addr, &secret_request(&f)).unwrap();
+        let job = ResourceProxy::new(&f.net, reply.job.clone());
+        assert_eq!(job.get_text("Status").unwrap(), status::STAGING);
+
+        let document = job.document().unwrap().to_document(q("Job")).to_xml();
+        assert!(document.contains("job1"), "{document}");
+        let queried: String = job
+            .query("//*")
+            .unwrap()
+            .iter()
+            .map(Element::to_xml)
+            .collect();
+        assert!(queried.contains("job1"), "{queried}");
+        for read in [document, queried] {
+            assert!(!read.contains(SECRET_PASSWORD), "{read}");
+            assert!(!read.contains(SECRET_USER), "{read}");
+        }
+    }
+
+    /// A store that refuses every create in one table.
+    struct Refusing(MemoryStore, &'static str);
+
+    impl ResourceStore for Refusing {
+        fn create(&self, s: &str, k: &str, d: &PropertyDoc) -> Result<(), StoreError> {
+            if s == self.1 {
+                return Err(StoreError::Io("disk full".into()));
+            }
+            self.0.create(s, k, d)
+        }
+        fn load(&self, s: &str, k: &str) -> Result<PropertyDoc, StoreError> {
+            self.0.load(s, k)
+        }
+        fn save(&self, s: &str, k: &str, d: &PropertyDoc) -> Result<(), StoreError> {
+            self.0.save(s, k, d)
+        }
+        fn destroy(&self, s: &str, k: &str) -> Result<(), StoreError> {
+            self.0.destroy(s, k)
+        }
+        fn exists(&self, s: &str, k: &str) -> bool {
+            self.0.exists(s, k)
+        }
+        fn list(&self, s: &str) -> Vec<String> {
+            self.0.list(s)
+        }
+        fn query(&self, s: &str, p: &wsrf_xml::xpath::Path) -> Vec<String> {
+            self.0.query(s, p)
+        }
+        fn backend_name(&self) -> &'static str {
+            "refusing"
+        }
+    }
+
+    #[test]
+    fn a_run_whose_staging_writes_are_refused_leaves_neither_behind() {
+        for table in [STAGING, "Execution"] {
+            let store = Arc::new(Refusing(MemoryStore::new(), table));
+            let f = fixture_on(store.clone());
+            let err = run(&f.net, &f.es_addr, &secret_request(&f)).unwrap_err();
+            assert_eq!(err.error_code(), Some("wsrf:StorageFault"), "{table}");
+            assert!(store.list(STAGING).is_empty(), "{table}");
+            assert!(store.list("Execution").is_empty(), "{table}");
+            assert_eq!(job1_events(&f, "dir"), 0, "{table}");
+        }
     }
 }

@@ -104,6 +104,8 @@ pub fn monitor_service(
             vec![el]
         })
         .build(clock, net);
+    // Nobody to tell at deployment: a store that refuses the resource
+    // answers every monitor read with `wsrf:NoSuchResource` instead.
     let _ = service
         .core()
         .create_resource_with_key(MONITOR_KEY, PropertyDoc::new());
@@ -144,7 +146,8 @@ impl EventPump {
     }
 
     /// Publish all events newer than the cursor; returns how many went
-    /// out (0 publishes nothing).
+    /// out (0 publishes nothing). A batch the broker never got leaves
+    /// the cursor where it was, so it goes out with the next flush.
     pub fn flush(&self) -> usize {
         let after = self.last_seq.load(Ordering::Acquire);
         let events = self.registry.events().since(after);
@@ -158,7 +161,9 @@ impl EventPump {
             batch.push_child(event_to_element(e));
         }
         let msg = NotificationMessage::new(MONITOR_TOPIC, batch);
-        let _ = broker::publish(&self.net, &self.broker, &msg);
+        if broker::publish(&self.net, &self.broker, &msg).is_err() {
+            return 0;
+        }
         self.last_seq.store(max_seq, Ordering::Release);
         events.len()
     }
@@ -604,5 +609,63 @@ mod tests {
             "{:?}",
             row.alerts
         );
+    }
+
+    #[test]
+    fn a_batch_the_broker_never_got_goes_out_with_the_next_flush() {
+        use wsrf_core::store::MemoryStore;
+        use wsrf_obs::{EventKind, Severity};
+
+        let clock = Clock::manual();
+        let net = InProcNetwork::new(clock.clone());
+        let address = "inproc://hub/Broker";
+        let broker_svc = broker::notification_broker(
+            "Broker",
+            address,
+            Arc::new(MemoryStore::new()),
+            clock.clone(),
+            net.clone(),
+        );
+        let reg = MetricsRegistry::enabled();
+        let pump = EventPump::new(
+            net.clone(),
+            reg.clone(),
+            broker_svc.core().service_epr(),
+            "a",
+        );
+        let emit = |detail: &'static str| {
+            let kind = EventKind::DispatchFault;
+            reg.events()
+                .emit(Severity::Warn, kind, "svc", 0, || detail.into())
+        };
+        emit("first");
+        emit("second");
+
+        // The broker leaves the network: the batch does not go out.
+        broker_svc.register(&net);
+        assert!(net.unregister(address));
+        assert_eq!(pump.flush(), 0);
+
+        broker_svc.register(&net);
+        let listener = NotificationListener::register(&net, "inproc://console/listener");
+        let expr = TopicExpression::full(MONITOR_TOPIC);
+        broker::subscribe(
+            &net,
+            &broker_svc.core().service_epr(),
+            &listener.epr(),
+            &expr,
+            None,
+        )
+        .unwrap();
+        assert_eq!(pump.flush(), 2);
+        let batches = listener.on(&MONITOR_TOPIC.into());
+        assert_eq!(batches.len(), 1);
+        let details: Vec<String> = batches[0]
+            .payload
+            .find_all(UVACG, "Event")
+            .map(|e| e.text_content())
+            .collect();
+        assert_eq!(details, ["first", "second"]);
+        assert_eq!(pump.flush(), 0, "nothing is sent twice");
     }
 }

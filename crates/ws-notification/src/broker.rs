@@ -620,6 +620,8 @@ impl DeliveryFabric {
                 q.q.drain(..n).collect()
             };
             for d in batch {
+                // `send_now` counts a failure and auto-pauses; a queued
+                // delivery has no publisher left to report it to.
                 let _ = self.send_now(core, &d.sub, &d.message, d.trace);
             }
         }

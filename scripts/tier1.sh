@@ -150,6 +150,29 @@ if [ "$es_edits" -ne 1 ]; then
     exit 1
 fi
 
+# One holder of ES job state: the ES keeps nothing between calls. A
+# staging job's spawn inputs (executable, credentials as they arrived,
+# trace) are its staging record in the ES's store, so an ES restarted
+# over that store finishes the jobs it accepted; outside tests es.rs
+# keeps no side table of jobs.
+if sed '/^#\[cfg(test)\]/,$d' crates/uvacg/src/es.rs | grep -nE 'PendingJob|HashMap'; then
+    echo "tier-1: es.rs keeps job state outside its store; put it in the staging record" >&2
+    exit 1
+fi
+
+# Errors are dropped only with a reason: outside tests under
+# crates/{uvacg,ws-notification,wsrf-core}/src, every `let _ =` has a
+# `//` comment on the line directly above it saying why nobody is told.
+dropped=$(for f in $(find $outbound_src -name '*.rs'); do
+    sed '/^#\[cfg(test)\]/,$d' "$f" |
+        awk -v f="$f" '/let _ =/ && prev !~ /^[ \t]*\/\// { print f ":" NR ": " $0 } { prev = $0 }'
+done)
+if [ -n "$dropped" ]; then
+    echo "$dropped"
+    echo "tier-1: a result is dropped without a reason; say why in a // comment on the line above" >&2
+    exit 1
+fi
+
 # One measurement format: the flat metrics JSON has one writer and one
 # reader, both in wsrf-obs (`MetricsSnapshot::{to_json, from_json}`).
 # Outside it no non-test code spells the format's type tags, so nothing

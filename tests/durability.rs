@@ -337,3 +337,97 @@ fn failover_over_a_durable_store_completes_and_persists() {
         Some("Completed".into())
     );
 }
+
+/// An Execution Service restarted while a job stages finishes it: the
+/// job's staging record (executable, credentials, trace) is replayed
+/// from the WAL with its resource, so the upload that completes after
+/// the restart starts the job, and the Figure 3 set completes exactly
+/// once.
+#[test]
+fn an_es_restarted_mid_staging_from_its_wal_finishes_the_set() {
+    use wsrf_grid::node::ProcSpawn;
+    use wsrf_grid::testbed::es::{execution_service, EsConfig, STAGING};
+
+    let tmp = TempDir::new("es-restart");
+    // Campus latencies defer every one-way on the manual clock, so a
+    // job stays staging until the clock moves.
+    let grid = CampusGrid::build(
+        GridConfig::with_machines(1).with_net(NetConfig::campus()),
+        Clock::manual(),
+    );
+    let machine = grid.machines[0].clone();
+    let es_address = format!("inproc://{}/Execution", machine.spec.name);
+    let redeploy = |store: Arc<dyn ResourceStore>| {
+        grid.net.unregister(&es_address);
+        let es = execution_service(
+            EsConfig {
+                machine: machine.clone(),
+                spawner: Arc::new(ProcSpawn::new(machine.clone())),
+                fss_address: format!("inproc://{}/FileSystem", machine.spec.name),
+                broker: Some(grid.broker.clone()),
+                security: None,
+                store,
+            },
+            grid.clock.clone(),
+            grid.net.clone(),
+        );
+        es.register(&grid.net);
+        es
+    };
+    let open = || -> Arc<dyn ResourceStore> {
+        Arc::new(DurableStore::open(&tmp.0, Arc::new(MemoryStore::new())).unwrap())
+    };
+    let store = open();
+    let es = redeploy(store.clone());
+
+    let client = grid.client("c");
+    client.put_file(
+        "C:\\stage1.exe",
+        JobProgram::compute(1.0)
+            .writing("mid.dat", 64)
+            .to_manifest(),
+    );
+    client.put_file(
+        "C:\\stage2.exe",
+        JobProgram::compute(1.0).reading("in.dat").to_manifest(),
+    );
+    let spec = JobSetSpec::new("es-restart")
+        .job(
+            JobSpec::new("job1", FileRef::parse("local://C:\\stage1.exe").unwrap())
+                .output("mid.dat"),
+        )
+        .job(
+            JobSpec::new("job2", FileRef::parse("local://C:\\stage2.exe").unwrap())
+                .input(FileRef::parse("job1://mid.dat").unwrap(), "in.dat"),
+        );
+    let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
+    for _ in 0..1000 {
+        if !store.list(STAGING).is_empty() {
+            break;
+        }
+        grid.clock.advance(Duration::from_millis(1));
+    }
+    assert_eq!(store.list(STAGING).len(), 1, "job1 is staging");
+    assert!(handle.job_epr("job1").is_none(), "job1 has not started");
+
+    // The ES goes away with everything it kept in memory; its
+    // successor knows only what the reopened log replays.
+    drop((es, store));
+    let store = open();
+    let _es = redeploy(store.clone());
+    grid.clock.advance(Duration::from_secs(20));
+
+    assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
+    let topics: Vec<String> = handle
+        .events()
+        .iter()
+        .map(|m| m.topic.to_string())
+        .collect();
+    let count = |suffix: &str| topics.iter().filter(|t| t.ends_with(suffix)).count();
+    assert_eq!(count("/completed"), 1, "{topics:?}");
+    for job in ["job1", "job2"] {
+        assert_eq!(count(&format!("/{job}/started")), 1, "{topics:?}");
+        assert_eq!(count(&format!("/{job}/exit")), 1, "{topics:?}");
+    }
+    assert!(store.list(STAGING).is_empty(), "both jobs spawned");
+}
