@@ -3,66 +3,49 @@
 //! "While the web service generating the event could maintain its own
 //! list of parties interested in receiving that event, it is more
 //! convenient to use the Notification Broker service as a multicast
-//! mechanism" (§4.3). The broker here is a full WSRF service whose
-//! **resources are subscriptions**: they are created by `Subscribe`,
-//! pausable, destroyable and lease-limited through the standard
-//! WS-ResourceLifetime port types, and their state (consumer, topic
-//! expression, paused flag) is visible through the standard
-//! WS-ResourceProperties port types — one of the nicest illustrations
-//! of the paper's "everything is a WS-Resource" theme.
+//! mechanism" (§4.3). The broker is a full WSRF service whose
+//! **resources are subscriptions**: created by `Subscribe`, paused,
+//! destroyed and leased through the standard port types, and read
+//! (consumer, topic expression, paused flag) through WS-RP.
 //!
-//! # The sharded fan-out path
+//! The store stays the source of truth, but `Notify` never rescans it:
+//! a [`SubscriptionIndex`] keeps compiled entries bucketed by the
+//! expression's concrete root across hash shards, plus a wildcard
+//! bucket (`//exit`), and every write to the broker's table — lease
+//! timers and `SetResourceProperties` included — passes the
+//! [`ResourceStore`] decorator that keeps it in step. An entry's mode,
+//! failure streak and deliveries in flight change only by
+//! [`SubLife::apply`], under the entry's lock, never held across a send.
+//! `Destroy` takes no lease and returns once nothing is in flight to the
+//! subscription, unless the destroying thread is itself delivering.
 //!
-//! The store stays the source of truth for subscription state, but
-//! `Notify` never rescans it: a [`SubscriptionIndex`] keeps
-//! compiled entries (parsed [`TopicExpression`] + consumer EPR +
-//! paused flag) bucketed by the expression's concrete root prefix
-//! across hash shards, with a catch-all bucket for wildcard-first
-//! expressions (`//exit`). The index is a write-through cache: every
-//! mutation of the broker's resource table — `Subscribe`,
-//! `Pause`/`Resume`, WSRL `Destroy`/`SetTerminationTime`, lease-expiry
-//! timers, even `SetResourceProperties` — funnels through the
-//! [`ResourceStore`] decorator that owns the invalidation, so no code
-//! path can strand a stale entry.
-//!
-//! Delivery is inline (synchronous, subscription-ordered) on manual
-//! clocks — the deterministic test network depends on that. On
-//! scaled/realtime clocks a publish queues each delivery on its
-//! consumer's queue and then starts the idle queues together; the
-//! `broker-delivery` worker that drains a queue also runs the consumer
-//! ([`InProcNetwork::deliver_oneway`]: the network accounts for the
-//! message and, if the link has a modeled cost, sleeps it, on that
-//! worker — its own one-way pool carries only `send_oneway` traffic).
-//! A consumer therefore hears its messages in the order the broker took
-//! them and one at a time, and a consumer that blocks in its handler
-//! pins one of the `DELIVERY_WORKERS` instead of serializing the whole
-//! fan-out. Duplicate notifications to the same consumer (overlapping
-//! subscriptions) are coalesced. Transport failures are counted,
-//! reported in `NotifyResponse`, and auto-pause a subscription after a
-//! streak of `AUTOPAUSE_AFTER`.
-//!
-//! # One build per publish
+//! Delivery is inline and subscription-ordered on manual clocks (the
+//! deterministic test network depends on it). Otherwise a publish queues
+//! each delivery on its consumer's queue and starts the idle queues
+//! together, and the `broker-delivery` worker draining a queue runs the
+//! consumer ([`InProcNetwork::deliver_oneway`]): a consumer hears its
+//! messages in order and one at a time, and one blocked in its handler
+//! pins one of the `DELIVERY_WORKERS`, not the fan-out. Overlapping
+//! subscriptions of one consumer coalesce; failures are counted,
+//! reported in `NotifyResponse`, and auto-pause a subscription.
 //!
 //! A publish builds each `<wsnt:NotificationMessage>` once, as a shared
-//! [`Fragment`] ([`NotificationMessage::into_fragment`]). Every delivery
-//! of it is the consumer's addressing headers around a `Notify` whose
-//! one child is that fragment ([`shared_notify`]), so a fan-out copies
-//! no payload, and the codec renders and sizes the message once for
-//! every consumer whose envelope has the same shape — byte for byte
-//! what a per-consumer [`NotificationMessage::to_envelope`] would send.
-//! The `GetCurrentMessage` cache keeps the same fragment.
+//! [`Fragment`]; a delivery splices it into the consumer's `Notify`
+//! ([`shared_notify`]), byte for byte what
+//! [`NotificationMessage::to_envelope`] sends, and the
+//! `GetCurrentMessage` cache keeps the same fragment.
 
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use simclock::{Clock, SimTime};
-use wsrf_core::container::{action_uri, Ctx, OpKind, Service, ServiceBuilder, ServiceCore};
+use wsrf_core::container::{Ctx, OpKind, Service, ServiceBuilder, ServiceCore};
 use wsrf_core::faults;
+use wsrf_core::porttypes::wsrl_action;
 use wsrf_core::properties::PropertyDoc;
 use wsrf_core::store::{ResourceStore, StoreError};
 use wsrf_core::{epr_in, Outbound};
@@ -73,6 +56,7 @@ use wsrf_transport::{InProcNetwork, TransportError};
 use wsrf_xml::xpath::Path;
 use wsrf_xml::{Element, Fragment, QName};
 
+use crate::life::{Action, Event, Mode, SubLife, AUTOPAUSE_AFTER};
 use crate::message::{notify_action, shared_notify, NotificationMessage};
 use crate::topics::{Dialect, TopicExpression, TopicPath};
 
@@ -87,22 +71,13 @@ fn p_paused() -> QName {
     QName::new(ns::WSNT, "Paused")
 }
 
-/// Worker threads draining per-consumer delivery queues on non-manual
-/// clocks (manual-clock delivery stays inline).
+/// Workers draining per-consumer queues off the manual clock.
 const DELIVERY_WORKERS: usize = 4;
-/// Consecutive transport failures after which a subscription is
-/// auto-paused (visible through its `Paused` resource property).
-const AUTOPAUSE_AFTER: u32 = 3;
 /// Maximum concrete topics retained by the `GetCurrentMessage` cache.
 const CURRENT_CACHE_CAP: usize = 512;
-/// Maximum distinct topic *roots* minting their own
-/// `broker.topic.<root>.*` counter pair; the rest share
-/// `broker.topic.other.*`.
+/// Maximum distinct topic roots minting their own
+/// `broker.topic.<root>.*` counters; the rest share `broker.topic.other.*`.
 const TOPIC_ROOT_CAP: usize = 64;
-
-// ---------------------------------------------------------------------
-// Sharded subscription index
-// ---------------------------------------------------------------------
 
 const INDEX_SHARDS: usize = 16;
 
@@ -118,19 +93,11 @@ struct CompiledSub {
     key: String,
     expr: TopicExpression,
     consumer: EndpointReference,
-    paused: AtomicBool,
-    /// Set when the entry leaves the index (destroy, lease expiry,
-    /// recompile); an in-flight fan-out that already snapshotted this
-    /// entry re-checks the flag at send time so a destroyed
-    /// subscription cannot deliver after `Destroy` acknowledged.
-    dead: AtomicBool,
-    /// Deliveries past that check and not yet returned from the
-    /// consumer ([`CompiledSub::begin_delivery`]).
-    in_flight: AtomicUsize,
-    consecutive_failures: AtomicU32,
-    /// Where deliveries to this subscription's consumer wait off the
-    /// manual clock: one queue per consumer address, shared by every
-    /// subscription that names it ([`SubscriptionIndex::consumers`]).
+    /// Changed only through [`CompiledSub::step`].
+    life: Mutex<SubLife>,
+    /// Where a `Retire` answered `Wait` sleeps until `Wake`.
+    drained: Condvar,
+    /// Its consumer's queue ([`SubscriptionIndex::consumers`]).
     queue: SharedQueue,
 }
 
@@ -145,57 +112,49 @@ impl CompiledSub {
         Some((expr, consumer, paused))
     }
 
-    fn live(&self) -> bool {
-        !self.dead.load(Ordering::SeqCst) && !self.paused.load(Ordering::Acquire)
-    }
-
-    /// Count a delivery in unless the entry no longer delivers. It is
-    /// counted before `dead` is read and `retire` sets `dead` before the
-    /// count is read (all `SeqCst`): the sender sees one or `remove` the other.
-    fn begin_delivery(&self) -> Option<Delivering<'_>> {
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        let delivering = Delivering(self, DELIVERING.replace(true));
-        self.live().then_some(delivering)
+    /// One transition and the wake-up it may owe. The lock is never held
+    /// across a send: an inline delivery re-enters the broker.
+    fn step(&self, event: Event) -> Action {
+        let action = self.life.lock().apply(event);
+        if action == Action::Wake {
+            self.drained.notify_all();
+        }
+        action
     }
 }
 
 thread_local! {
-    /// Set while this thread runs a delivery.
+    /// Set while this thread runs a delivery (`Retire`'s `delivering`).
     static DELIVERING: Cell<bool> = const { Cell::new(false) };
 }
 
-/// One delivery under way, counted on its subscription and marked on
-/// this thread (over any enclosing delivery's mark) until dropped.
+/// A delivery's mark on this thread; a consumer that unwinds ends it.
 struct Delivering<'a>(&'a CompiledSub, bool);
 
 impl Drop for Delivering<'_> {
     fn drop(&mut self) {
         DELIVERING.set(self.1);
-        self.0.in_flight.fetch_sub(1, Ordering::SeqCst);
+        if std::thread::panicking() {
+            self.0.step(Event::End { ok: false });
+        }
     }
 }
 
-/// Write-through cache of compiled subscriptions, bucketed by the
-/// expression's concrete root prefix. `notify_op` touches exactly one
-/// shard bucket (plus the wildcard bucket) per message instead of the
-/// whole resource table.
+/// Write-through cache of compiled subscriptions: `notify_op` reads one
+/// root bucket and the wildcard bucket per message, not the table.
 struct SubscriptionIndex {
     /// root → entries, spread over hash shards for lock granularity.
     shards: Vec<RwLock<HashMap<String, Vec<Arc<CompiledSub>>>>>,
-    /// Expressions with no concrete first segment (`//exit`, `*/x`)
-    /// can match any root; scanned on every publish.
+    /// Expressions with no concrete first segment (`//exit`, `*/x`).
     wildcard: RwLock<Vec<Arc<CompiledSub>>>,
-    /// Control-plane lookup for invalidation; never touched by
-    /// `notify_op`.
+    /// Control-plane lookup; never touched by `notify_op`.
     by_key: RwLock<HashMap<String, Arc<CompiledSub>>>,
     size: Gauge,
-    /// Consumer address → that consumer's delivery queue and the number
-    /// of indexed subscriptions sharing it. Control plane only (taken
-    /// under `by_key`'s write lock): a fan-out reaches the queue through
-    /// its [`CompiledSub`], and the entry goes when the consumer's last
-    /// subscription does, so the map is as large as the index, not as
-    /// the history of everyone who ever subscribed.
-    consumers: Mutex<HashMap<String, (SharedQueue, usize)>>,
+    /// Consumer address → its queue, kept while a subscription names it
+    /// or a drainer works it: as large as the index, not the history, and
+    /// a consumer re-subscribing mid-delivery joins the queue it is on.
+    consumers: Mutex<HashMap<String, SharedQueue>>,
+    /// Consumers with a subscription.
     consumer_count: Gauge,
 }
 
@@ -211,59 +170,38 @@ impl SubscriptionIndex {
         }
     }
 
-    /// Reflect a created or saved subscription document. Pause/resume
-    /// saves update the compiled entry in place; a changed expression
-    /// or consumer recompiles and re-buckets it.
-    fn upsert(&self, key: &str, doc: &PropertyDoc) {
+    /// Reflect a saved subscription unless `stored()` says a lease-free
+    /// `Destroy` came first. A save that keeps expression and consumer is
+    /// a `Saved` step; any other recompiles and re-buckets the entry.
+    fn upsert(&self, key: &str, doc: &PropertyDoc, stored: impl FnOnce() -> bool) {
         let Some((expr, consumer, paused)) = CompiledSub::parse(doc) else {
-            // The doc no longer parses as a subscription; drop any
-            // stale entry rather than match on garbage.
+            // No longer a subscription: drop the entry, match no garbage.
             self.remove(key);
             return;
         };
         let mut by_key = self.by_key.write();
-        match by_key.get(key) {
-            Some(existing)
-                if existing.expr == expr && existing.consumer.address == consumer.address =>
-            {
-                existing.paused.store(paused, Ordering::Release);
-                if !paused {
-                    // A resume forgives the failure streak.
-                    existing.consecutive_failures.store(0, Ordering::Relaxed);
-                }
-                return;
-            }
-            Some(_) => {
-                let old = by_key.remove(key).unwrap();
-                self.retire(&old);
-            }
-            None => {}
+        if !stored() {
+            return;
         }
-        let queue = {
-            let mut consumers = self.consumers.lock();
-            match consumers.get_mut(&consumer.address) {
-                Some((queue, subs)) => {
-                    *subs += 1;
-                    queue.clone()
-                }
-                None => {
-                    let queue = SharedQueue::default();
-                    consumers.insert(consumer.address.clone(), (queue.clone(), 1));
-                    self.consumer_count.set(consumers.len() as i64);
-                    queue
-                }
-            }
-        };
+        let same = |e: &&Arc<CompiledSub>| e.expr == expr && e.consumer == consumer;
+        if let Some(existing) = by_key.get(key).filter(same) {
+            existing.step(Event::Saved { paused });
+            return;
+        }
+        let queue = self.join(&consumer.address);
+        if let Some(old) = by_key.remove(key) {
+            // No `Wait`: the subscription lives on as the new entry.
+            self.retire(&old);
+        }
         let sub = Arc::new(CompiledSub {
             key: key.to_string(),
             expr,
             consumer,
-            paused: AtomicBool::new(paused),
-            dead: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
-            consecutive_failures: AtomicU32::new(0),
+            life: Mutex::default(),
+            drained: Condvar::new(),
             queue,
         });
+        sub.step(Event::Saved { paused });
         match sub.expr.concrete_root() {
             Some(root) => self.shards[shard_of(root)]
                 .write()
@@ -276,39 +214,57 @@ impl SubscriptionIndex {
         self.size.set(by_key.len() as i64);
     }
 
-    /// Reflect a destroyed subscription (WSRL `Destroy`, lease expiry).
-    /// Returns once no delivery to it is in flight, so nothing reaches
-    /// the consumer after the destroy is acknowledged — unless this
-    /// thread is delivering: a consumer destroying its own subscription,
-    /// or two destroying each other's, would wait for themselves.
+    /// The consumer's queue, with one more subscription on it.
+    fn join(&self, address: &str) -> SharedQueue {
+        let mut consumers = self.consumers.lock();
+        if !consumers.contains_key(address) {
+            consumers.insert(address.to_string(), SharedQueue::default());
+        }
+        let queue = consumers[address].clone();
+        let mut q = queue.lock();
+        q.subs += 1;
+        if q.subs == 1 {
+            self.consumer_count.add(1);
+        }
+        drop(q);
+        queue
+    }
+
+    /// Reflect a destroyed subscription (WSRL `Destroy`, lease expiry),
+    /// returning once no delivery to it is in flight (`Retire`'s `Wait`).
     fn remove(&self, key: &str) {
         let mut by_key = self.by_key.write();
-        if let Some(old) = by_key.remove(key) {
-            self.retire(&old);
-            self.size.set(by_key.len() as i64);
-            drop(by_key); // the consumer waited for may subscribe
-            while !DELIVERING.get() && old.in_flight.load(Ordering::SeqCst) != 0 {
-                std::thread::yield_now();
+        let Some(old) = by_key.remove(key) else {
+            return;
+        };
+        self.size.set(by_key.len() as i64);
+        let action = self.retire(&old);
+        drop(by_key); // the consumer waited for may subscribe
+        if action == Action::Wait {
+            let mut life = old.life.lock();
+            while life.in_flight > 0 {
+                old.drained.wait(&mut life);
             }
         }
     }
 
-    /// An entry that left `by_key` stops matching, stops delivering
-    /// (what is already queued for it is skipped at send time) and lets
-    /// go of its consumer's queue. A delivery in flight keeps the queue
-    /// alive through its `CompiledSub`; a consumer that subscribes again
-    /// starts a fresh one.
-    fn retire(&self, sub: &Arc<CompiledSub>) {
-        sub.dead.store(true, Ordering::SeqCst);
+    /// An entry that left `by_key` stops matching and delivering. Its
+    /// queue leaves `consumers` with its last subscription, at once if
+    /// idle, else when its drainer goes idle ([`Self::forget`]).
+    fn retire(&self, sub: &Arc<CompiledSub>) -> Action {
+        let action = sub.step(Event::Retire {
+            delivering: DELIVERING.get(),
+        });
         let mut consumers = self.consumers.lock();
-        if let Some((_, subs)) = consumers.get_mut(&sub.consumer.address) {
-            *subs -= 1;
-            if *subs == 0 {
+        let mut q = sub.queue.lock();
+        q.subs -= 1;
+        if q.subs == 0 {
+            self.consumer_count.sub(1);
+            if !q.draining {
                 consumers.remove(&sub.consumer.address);
-                self.consumer_count.set(consumers.len() as i64);
             }
         }
-        drop(consumers);
+        drop((q, consumers));
         match sub.expr.concrete_root() {
             Some(root) => {
                 let mut shard = self.shards[shard_of(root)].write();
@@ -321,32 +277,32 @@ impl SubscriptionIndex {
             }
             None => self.wildcard.write().retain(|s| !Arc::ptr_eq(s, sub)),
         }
+        action
     }
 
-    /// Live, unpaused entries whose expression matches `topic`: the
-    /// topic root's bucket plus the wildcard bucket — never the full
-    /// table.
+    /// A drainer left `queue` idle with no subscription on it.
+    fn forget(&self, address: &str, queue: &SharedQueue) {
+        let mut consumers = self.consumers.lock();
+        let q = queue.lock();
+        let ours = consumers
+            .get(address)
+            .is_some_and(|c| Arc::ptr_eq(c, queue));
+        if ours && q.subs == 0 && !q.draining {
+            consumers.remove(address);
+        }
+    }
+
+    /// Entries whose expression matches `topic`: the topic root's bucket
+    /// plus the wildcard bucket — never the full table. The fan-out
+    /// checks each one is live.
     fn matching(&self, topic: &TopicPath) -> Vec<Arc<CompiledSub>> {
         let mut out = Vec::new();
         let root = topic.root();
-        {
-            let shard = self.shards[shard_of(root)].read();
-            if let Some(bucket) = shard.get(root) {
-                out.extend(
-                    bucket
-                        .iter()
-                        .filter(|s| s.live() && s.expr.matches(topic))
-                        .cloned(),
-                );
-            }
+        if let Some(bucket) = self.shards[shard_of(root)].read().get(root) {
+            out.extend(bucket.iter().filter(|s| s.expr.matches(topic)).cloned());
         }
-        out.extend(
-            self.wildcard
-                .read()
-                .iter()
-                .filter(|s| s.live() && s.expr.matches(topic))
-                .cloned(),
-        );
+        let wildcard = self.wildcard.read();
+        out.extend(wildcard.iter().filter(|s| s.expr.matches(topic)).cloned());
         out
     }
 
@@ -356,15 +312,12 @@ impl SubscriptionIndex {
     }
 }
 
-/// [`ResourceStore`] decorator owning index invalidation. Wrapping the
-/// store (rather than hooking individual operations) catches *every*
-/// mutation path: the Subscribe handler, the standard WSRL lifetime
-/// ops, lease-expiry timers firing `store.destroy` directly from the
-/// clock, and WSRP `SetResourceProperties` edits.
+/// [`ResourceStore`] decorator owning index invalidation, so *every*
+/// write path updates it: handlers, the standard WSRL and WSRP ops, and
+/// lease-expiry timers firing `store.destroy` from the clock.
 struct IndexingStore {
     inner: Arc<dyn ResourceStore>,
-    /// The broker's service/table name; other tables on a shared store
-    /// pass through untouched.
+    /// The broker's table; others on a shared store pass through.
     service: String,
     index: Arc<SubscriptionIndex>,
 }
@@ -373,7 +326,7 @@ impl ResourceStore for IndexingStore {
     fn create(&self, service: &str, key: &str, doc: &PropertyDoc) -> Result<(), StoreError> {
         self.inner.create(service, key, doc)?;
         if service == self.service {
-            self.index.upsert(key, doc);
+            self.index.upsert(key, doc, || true);
         }
         Ok(())
     }
@@ -389,16 +342,15 @@ impl ResourceStore for IndexingStore {
     fn save(&self, service: &str, key: &str, doc: &PropertyDoc) -> Result<(), StoreError> {
         self.inner.save(service, key, doc)?;
         if service == self.service {
-            self.index.upsert(key, doc);
+            self.index
+                .upsert(key, doc, || self.inner.exists(service, key));
         }
         Ok(())
     }
 
     fn destroy(&self, service: &str, key: &str) -> Result<(), StoreError> {
         let result = self.inner.destroy(service, key);
-        if service == self.service
-            && (result.is_ok() || matches!(result, Err(StoreError::NotFound(_))))
-        {
+        if service == self.service && matches!(result, Ok(()) | Err(StoreError::NotFound(_))) {
             self.index.remove(key);
         }
         result
@@ -421,16 +373,9 @@ impl ResourceStore for IndexingStore {
     }
 }
 
-// ---------------------------------------------------------------------
-// Bounded GetCurrentMessage cache
-// ---------------------------------------------------------------------
-
-/// Two-generation (segmented-LRU) cache of the last message per
-/// concrete topic. Inserts land in `hot`; when `hot` fills half the
-/// cap, it becomes `cold` and a fresh generation starts, so topics not
-/// re-published (or re-read) within a generation age out. Total size
-/// is bounded by `cap` with O(1) operations — no per-publish eviction
-/// scan.
+/// Two-generation (segmented-LRU) cache of the last message per topic:
+/// when `hot` fills half the cap it becomes `cold`, so topics neither
+/// re-published nor re-read within a generation age out, in O(1).
 struct CurrentCache {
     cap: usize,
     hot: HashMap<String, Arc<Fragment>>,
@@ -468,10 +413,6 @@ impl CurrentCache {
     }
 }
 
-// ---------------------------------------------------------------------
-// Delivery fabric
-// ---------------------------------------------------------------------
-
 /// How many queued deliveries a worker takes per queue visit.
 const DRAIN_BATCH: usize = 64;
 
@@ -484,20 +425,19 @@ struct Delivery {
 
 impl Delivery {
     /// Wait behind whatever the consumer still has pending. Returns the
-    /// queue when it was idle: the caller owes it a drainer
-    /// ([`DeliveryFabric::start_drains`]).
-    fn enqueue(self) -> Option<SharedQueue> {
-        let queue = self.sub.queue.clone();
-        let mut q = queue.lock();
+    /// subscription when its queue was idle: the caller owes the queue a
+    /// drainer ([`DeliveryFabric::start_drains`]).
+    fn enqueue(self) -> Option<Arc<CompiledSub>> {
+        let sub = self.sub.clone();
+        let mut q = sub.queue.lock();
         q.q.push_back(self);
         let idle = !std::mem::replace(&mut q.draining, true);
         drop(q);
-        idle.then_some(queue)
+        idle.then_some(sub)
     }
 }
 
-/// One consumer's queue, as its subscriptions, the index and the
-/// worker draining it share it.
+/// One consumer's queue, shared by its subscriptions, index and drainer.
 type SharedQueue = Arc<Mutex<ConsumerQueue>>;
 
 #[derive(Default)]
@@ -507,18 +447,15 @@ struct ConsumerQueue {
     /// that drains it finds it empty: at most one drainer, and as the
     /// drainer also runs the consumer, per-consumer FIFO.
     draining: bool,
-}
-
-enum SendOutcome {
-    Delivered,
-    Failed,
-    Skipped,
+    /// Indexed subscriptions naming this consumer.
+    subs: usize,
 }
 
 /// Owns the actual sends: failure accounting, auto-pause, and (on
 /// non-manual clocks) the small worker pool that drains the
 /// per-consumer queues and runs the consumers.
 struct DeliveryFabric {
+    index: Arc<SubscriptionIndex>,
     net: Arc<InProcNetwork>,
     failures: Counter,
     autopaused: Counter,
@@ -532,10 +469,10 @@ impl DeliveryFabric {
         sub: &CompiledSub,
         message: &Arc<Fragment>,
         trace: Option<TraceContext>,
-    ) -> SendOutcome {
-        let Some(delivering) = sub.begin_delivery() else {
-            return SendOutcome::Skipped;
-        };
+    ) -> Option<bool> {
+        if sub.step(Event::Begin) != Action::Send {
+            return None;
+        }
         // The consumer's addressing around the publish's own message
         // (producer reference included), neither rebuilt nor copied.
         let env = shared_notify(message, &sub.consumer)
@@ -543,33 +480,21 @@ impl DeliveryFabric {
             .into_envelope();
         // This thread is the consumer's delivery thread — the publisher's
         // on a manual clock, a `broker-delivery` worker otherwise.
-        let sent = self.net.deliver_oneway(&sub.consumer.address, env);
-        // Before the auto-pause edit: a `Destroy` holding the
-        // subscription's lease waits for this delivery to end.
+        let delivering = Delivering(sub, DELIVERING.replace(true));
+        let ok = self.net.deliver_oneway(&sub.consumer.address, env).is_ok();
         drop(delivering);
-        match sent {
-            Ok(()) => {
-                sub.consecutive_failures.store(0, Ordering::Relaxed);
-                SendOutcome::Delivered
-            }
-            Err(_) => {
-                self.failures.inc();
-                let streak = sub.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
-                if streak >= AUTOPAUSE_AFTER {
-                    self.autopause(core, sub);
-                }
-                SendOutcome::Failed
-            }
+        if sub.step(Event::End { ok }) == Action::AutoPause {
+            self.autopause(core, sub);
         }
+        if !ok {
+            self.failures.inc();
+        }
+        Some(ok)
     }
 
-    /// Pause a subscription whose consumer keeps failing. Written
-    /// through the store so the `Paused` resource property reflects it
-    /// (and, via the indexing decorator, the compiled entry too).
+    /// Write a subscription's auto-pause through the store so the
+    /// `Paused` resource property shows it.
     fn autopause(&self, core: &ServiceCore, sub: &CompiledSub) {
-        if sub.paused.swap(true, Ordering::AcqRel) {
-            return;
-        }
         self.autopaused.inc();
         core.metrics.events().emit(
             Severity::Warn,
@@ -595,25 +520,30 @@ impl DeliveryFabric {
     /// One drainer per queue, submitted together: a publish wakes the
     /// pool once, after its last delivery is queued, not once per
     /// consumer.
-    fn start_drains(self: &Arc<Self>, core: &Arc<ServiceCore>, queues: Vec<SharedQueue>) {
-        if queues.is_empty() {
+    fn start_drains(self: &Arc<Self>, core: &Arc<ServiceCore>, idle: Vec<Arc<CompiledSub>>) {
+        if idle.is_empty() {
             return;
         }
-        self.pool().execute_all(queues.into_iter().map(|queue| {
+        self.pool().execute_all(idle.into_iter().map(|sub| {
             let (fabric, core) = (self.clone(), core.clone());
-            move || fabric.drain(&core, &queue)
+            move || fabric.drain(&core, &sub)
         }));
     }
 
     /// Drain one consumer's queue in batches, delivering on this
     /// thread. A slow consumer pins this worker; every other consumer
     /// keeps flowing on the rest of the pool.
-    fn drain(&self, core: &ServiceCore, queue: &Mutex<ConsumerQueue>) {
+    fn drain(&self, core: &ServiceCore, sub: &CompiledSub) {
         loop {
             let batch: Vec<Delivery> = {
-                let mut q = queue.lock();
+                let mut q = sub.queue.lock();
                 if q.q.is_empty() {
                     q.draining = false;
+                    let orphan = q.subs == 0;
+                    drop(q);
+                    if orphan {
+                        self.index.forget(&sub.consumer.address, &sub.queue);
+                    }
                     return;
                 }
                 let n = q.q.len().min(DRAIN_BATCH);
@@ -630,7 +560,6 @@ impl DeliveryFabric {
 
 /// Everything the broker's operation closures share.
 struct BrokerState {
-    index: Arc<SubscriptionIndex>,
     fabric: Arc<DeliveryFabric>,
     current: Mutex<CurrentCache>,
     cache_size: Gauge,
@@ -647,7 +576,7 @@ struct BrokerState {
 /// * `Notify` (WSNT action, one-way) — fan a notification out to every
 ///   matching, unpaused subscription.
 /// * `PauseSubscription` / `ResumeSubscription` (resource ops).
-/// * `Destroy` / `SetTerminationTime` — inherited standard port types.
+/// * `Destroy` (lease-free) and the standard `SetTerminationTime`.
 pub fn notification_broker(
     name: &str,
     address: &str,
@@ -669,17 +598,17 @@ pub fn notification_broker(
     // incarnation; seed the index so they match immediately.
     for key in store.list(name) {
         if let Ok(doc) = store.share(name, &key) {
-            index.upsert(&key, &doc);
+            index.upsert(&key, &doc, || true);
         }
     }
     let fabric = Arc::new(DeliveryFabric {
+        index,
         net: net.clone(),
         failures: registry.counter("broker.delivery_failures"),
         autopaused: registry.counter("broker.autopaused"),
         pool: OnceLock::new(),
     });
     let state = Arc::new(BrokerState {
-        index,
         fabric,
         current: Mutex::new(CurrentCache::new(CURRENT_CACHE_CAP)),
         cache_size: registry.gauge("broker.current_cache.size"),
@@ -691,9 +620,16 @@ pub fn notification_broker(
     });
     let s_notify = state.clone();
     let s_get = state;
-    ServiceBuilder::new(name, address, store)
+    let mut broker = ServiceBuilder::new(name, address, store)
         .key_property(format!("{{{}}}SubscriptionKey", ns::WSNT))
         .raw_operation(subscribe_action(), OpKind::Static, subscribe_op)
+        // A subscription's `Destroy` waits out its deliveries in flight,
+        // and one may be writing to a subscription on the same lease
+        // stripe: like a lease-expiry timer, it takes no lease.
+        .raw_operation(wsrl_action("Destroy"), OpKind::Static, |ctx| {
+            ctx.core.destroy_resource(ctx.key()?)?;
+            Ok(Element::new(ns::WSRL, "DestroyResponse"))
+        })
         .raw_operation(notify_action(), OpKind::Static, move |ctx| {
             notify_op(ctx, &s_notify)
         })
@@ -707,29 +643,23 @@ pub fn notification_broker(
                     .map(|t| t.text_content())
                     .filter(|t| !t.is_empty())
                     .ok_or_else(|| faults::bad_request("GetCurrentMessage requires Topic"))?;
-                let current = s_get.current.lock().get(&topic).cloned();
-                match current {
-                    Some(message) => {
-                        Ok(Element::new(ns::WSNT, "GetCurrentMessageResponse").shared(message))
-                    }
-                    None => Err(BaseFault::new(
+                let message = s_get.current.lock().get(&topic).cloned();
+                let message = message.ok_or_else(|| {
+                    BaseFault::new(
                         "wsnt:NoCurrentMessageOnTopic",
                         format!("no message has been published on '{topic}'"),
-                    )),
-                }
+                    )
+                })?;
+                Ok(Element::new(ns::WSNT, "GetCurrentMessageResponse").shared(message))
             },
-        )
-        .raw_operation(
-            format!("{}/PauseSubscription", ns::WSNT),
-            OpKind::Resource,
-            |ctx| set_paused_op(ctx, true),
-        )
-        .raw_operation(
-            format!("{}/ResumeSubscription", ns::WSNT),
-            OpKind::Resource,
-            |ctx| set_paused_op(ctx, false),
-        )
-        .build(clock, net)
+        );
+    for paused in [true, false] {
+        let action = format!("{}/{}", ns::WSNT, pause_op(paused));
+        broker = broker.raw_operation(action, OpKind::Resource, move |ctx| {
+            set_paused_op(ctx, paused)
+        });
+    }
+    broker.build(clock, net)
 }
 
 /// The `Subscribe` action URI.
@@ -766,12 +696,11 @@ fn subscribe_op(ctx: &mut Ctx<'_>) -> Result<Element, BaseFault> {
             .text(expr.text())],
     );
     doc.set_text(p_paused(), "false");
-    let sub_epr = ctx.core.create_resource(doc)?;
+    let key = ctx.core.fresh_key();
+    let sub_epr = ctx.core.create_resource_with_key(&key, doc)?;
 
-    // Optional lease. `InitialTerminationTime` is a *duration in
-    // seconds from now* (WS-BaseNotification's relative form): a
-    // subscription created at t=100 with a 30-second lease dies at
-    // t=130, not instantly at the long-gone absolute t=30.
+    // Optional lease, in seconds *from now* (WS-BaseNotification's
+    // relative form): a 30 s lease taken at t=100 dies at t=130.
     if let Some(itt) = ctx.body.find(ns::WSNT, "InitialTerminationTime") {
         let text = itt.text_content();
         if !text.trim().is_empty() {
@@ -784,10 +713,6 @@ fn subscribe_op(ctx: &mut Ctx<'_>) -> Result<Element, BaseFault> {
                     "InitialTerminationTime must be a non-negative number of seconds",
                 ));
             }
-            let key = sub_epr
-                .resource_key()
-                .ok_or_else(|| faults::bad_request("subscription EPR carries no resource key"))?
-                .to_string();
             let at = SimTime::from_secs_f64(ctx.core.clock.now().as_secs_f64() + secs);
             ctx.core.set_termination_time(&key, Some(at));
         }
@@ -797,15 +722,15 @@ fn subscribe_op(ctx: &mut Ctx<'_>) -> Result<Element, BaseFault> {
         .child(sub_epr.to_element_named(ns::WSNT, "SubscriptionReference")))
 }
 
+/// `PauseSubscription` or `ResumeSubscription`.
+fn pause_op(paused: bool) -> &'static str {
+    ["ResumeSubscription", "PauseSubscription"][paused as usize]
+}
+
 fn set_paused_op(ctx: &mut Ctx<'_>, paused: bool) -> Result<Element, BaseFault> {
-    let doc = ctx.resource_mut()?;
-    doc.set_text(p_paused(), if paused { "true" } else { "false" });
-    let local = if paused {
-        "PauseSubscriptionResponse"
-    } else {
-        "ResumeSubscriptionResponse"
-    };
-    Ok(Element::new(ns::WSNT, local))
+    ctx.resource_mut()?.set_text(p_paused(), paused.to_string());
+    let response = format!("{}Response", pause_op(paused));
+    Ok(Element::new(ns::WSNT, &response))
 }
 
 /// One message of a `Notify`, as the broker holds it for its fan-out:
@@ -851,34 +776,27 @@ fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, Bas
         state.topic_publishes.counter(m.topic.root()).inc();
     }
 
-    let mut delivered = 0usize;
-    let mut failed = 0usize;
-    let mut coalesced = 0usize;
-    // Per-message set of consumer addresses already served: a consumer
-    // holding several overlapping subscriptions hears each message
-    // once (its earliest subscription wins).
+    let (mut delivered, mut failed, mut coalesced) = (0usize, 0usize, 0usize);
+    // Per message, the consumers served: overlapping subscriptions of
+    // one consumer coalesce (its earliest wins).
     let mut seen: Vec<HashSet<&str>> = vec![HashSet::new(); messages.len()];
 
-    // Union of matching entries across the batch, in subscription
-    // order (keys are "<svc>-<n>"): consumers that subscribed earlier
-    // hear about an event before consumers whose handling might publish
-    // *further* events, which keeps client-visible causality intact on
-    // the inline test network.
+    // Matching entries in subscription order (keys are "<svc>-<n>"):
+    // earlier subscribers hear an event before those whose handling may
+    // publish further events, keeping causality on the inline network.
     let mut matched: Vec<Arc<CompiledSub>> = Vec::new();
     for m in &messages {
-        matched.extend(state.index.matching(&m.topic));
+        matched.extend(state.fabric.index.matching(&m.topic));
     }
     matched.sort_by(|a, b| (a.key.len(), &a.key).cmp(&(b.key.len(), &b.key)));
     matched.dedup_by(|a, b| a.key == b.key);
-    // Manual clocks deliver inline and synchronously — the
-    // deterministic test network depends on it. Scaled and realtime
-    // clocks queue every delivery on its consumer's queue first and
-    // then start the queues that were idle, together.
+    // Manual clocks deliver inline; others queue every delivery, then
+    // start the idle queues together.
     let inline = core.clock.is_manual();
-    let mut idle_queues = Vec::new();
+    let mut idle = Vec::new();
     for sub in &matched {
         for (i, m) in messages.iter().enumerate() {
-            if !sub.expr.matches(&m.topic) || !sub.live() {
+            if !sub.expr.matches(&m.topic) || sub.life.lock().mode != Mode::Live {
                 continue;
             }
             if !seen[i].insert(&sub.consumer.address) {
@@ -888,9 +806,9 @@ fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, Bas
             m.deliveries.inc();
             if inline {
                 match state.fabric.send_now(&core, sub, &m.message, trace) {
-                    SendOutcome::Delivered => delivered += 1,
-                    SendOutcome::Failed => failed += 1,
-                    SendOutcome::Skipped => {}
+                    Some(true) => delivered += 1,
+                    Some(false) => failed += 1,
+                    None => {}
                 }
             } else {
                 let delivery = Delivery {
@@ -898,12 +816,12 @@ fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, Bas
                     message: m.message.clone(),
                     trace,
                 };
-                idle_queues.extend(delivery.enqueue());
+                idle.extend(delivery.enqueue());
                 delivered += 1;
             }
         }
     }
-    state.fabric.start_drains(&core, idle_queues);
+    state.fabric.start_drains(&core, idle);
     state.deliveries.add(delivered as u64);
     state.coalesced.add(coalesced as u64);
     fanout_span.finish();
@@ -913,14 +831,8 @@ fn notify_op(ctx: &mut Ctx<'_>, state: &Arc<BrokerState>) -> Result<Element, Bas
         .attr("coalesced", coalesced.to_string()))
 }
 
-// ---------------------------------------------------------------------
-// Client-side helpers
-// ---------------------------------------------------------------------
-
 /// Subscribe `consumer` to `expression` at the broker; returns the
-/// subscription's EPR. `initial_termination` is a lease duration in
-/// seconds *from now* (see [`subscribe_op`]'s relative
-/// `InitialTerminationTime` semantics).
+/// subscription's EPR. `initial_termination` is a lease in seconds from now.
 pub fn subscribe(
     net: &InProcNetwork,
     broker: &EndpointReference,
@@ -951,10 +863,8 @@ pub fn publish(
     msg.outbound(broker).send(net)
 }
 
-/// Publish via request/response, returning the broker's
-/// `NotifyResponse` (with its `delivered`/`failed`/`coalesced`
-/// attributes) instead of fire-and-forget. A fault from the broker is
-/// an `Err`, like everywhere else.
+/// Publish via request/response, returning the broker's `NotifyResponse`
+/// (`delivered`/`failed`/`coalesced` attributes); a fault is an `Err`.
 pub fn publish_counted(
     net: &InProcNetwork,
     broker: &EndpointReference,
@@ -969,11 +879,7 @@ pub fn set_subscription_paused(
     subscription: &EndpointReference,
     paused: bool,
 ) -> Result<(), SoapFault> {
-    let op = if paused {
-        "PauseSubscription"
-    } else {
-        "ResumeSubscription"
-    };
+    let op = pause_op(paused);
     Outbound::new(
         subscription.clone(),
         format!("{}/{op}", ns::WSNT),
@@ -1006,12 +912,6 @@ pub fn get_current_message(
         Err(f) if f.error_code() == Some("wsnt:NoCurrentMessageOnTopic") => Ok(None),
         Err(f) => Err(f),
     }
-}
-
-/// The action URI helper shared with `wsrf-core` services (re-export
-/// for symmetry with service-defined operations).
-pub fn broker_action(service: &str, op: &str) -> String {
-    action_uri(service, op)
 }
 
 #[cfg(test)]
@@ -1501,6 +1401,41 @@ mod tests {
         assert_eq!(index.len(), 1);
         clock.advance(std::time::Duration::from_secs(6));
         assert_eq!(index.len(), 0, "lease expiry evicted the outer index");
+    }
+
+    /// A save that keeps the consumer's address but changes its
+    /// reference properties recompiles the entry: deliveries carry the
+    /// new EPR, on the same queue.
+    #[test]
+    fn a_changed_consumer_reference_recompiles_at_the_same_address() {
+        let registry = wsrf_obs::MetricsRegistry::enabled();
+        let consumers = registry.gauge("consumers");
+        let index = SubscriptionIndex::new(registry.gauge("subs"), consumers.clone());
+        let doc = |consumer: &EndpointReference| {
+            let mut doc = PropertyDoc::new();
+            doc.update(
+                p_consumer(),
+                vec![consumer.to_element_named(ns::WSNT, "ConsumerReference")],
+            );
+            let expr = Element::with_name(p_expression()).attr("Dialect", Dialect::Simple.uri());
+            doc.update(p_expression(), vec![expr.text("t")]);
+            doc
+        };
+        let keyed = |k: &str| {
+            EndpointReference::resource("inproc://c/l", format!("{{{}}}Key", ns::UVACG), k)
+        };
+        let (old, new) = (keyed("k-1"), keyed("k-2"));
+        index.upsert("sub-1", &doc(&old), || true);
+        let queue = index.by_key.read()["sub-1"].queue.clone();
+        index.upsert("sub-1", &doc(&new), || true);
+        let entry = index.by_key.read()["sub-1"].clone();
+        assert_eq!(entry.consumer, new, "delivering with the stale EPR");
+        assert!(Arc::ptr_eq(&entry.queue, &queue), "one consumer, one queue");
+        assert_eq!((index.len(), consumers.get()), (1, 1));
+        // A save racing a lease-free destroy does not resurrect it.
+        index.remove("sub-1");
+        index.upsert("sub-1", &doc(&new), || false);
+        assert_eq!((index.len(), consumers.get()), (0, 0));
     }
 
     #[test]

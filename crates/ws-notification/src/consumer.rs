@@ -108,9 +108,10 @@ impl NotificationListener {
     }
 
     /// Lifetime number of messages delivered (counted even in
-    /// counting-only mode, and unaffected by `drain()`).
+    /// counting-only mode, and unaffected by `drain()`), each once its
+    /// callbacks have returned: what they wrote is visible here.
     pub fn total(&self) -> usize {
-        self.inner.total.load(Ordering::Relaxed)
+        self.inner.total.load(Ordering::Acquire)
     }
 
     /// Block until at least `n` messages have arrived (real-time
@@ -170,7 +171,6 @@ impl Endpoint for NotificationListener {
         if msgs.is_empty() {
             return None;
         }
-        self.inner.total.fetch_add(msgs.len(), Ordering::Relaxed);
         // Record before invoking callbacks so a callback that
         // inspects history (or waits for counts) sees this message.
         if self.inner.record {
@@ -197,6 +197,7 @@ impl Endpoint for NotificationListener {
         for (f, i) in to_run {
             f(&msgs[i]);
         }
+        self.inner.total.fetch_add(msgs.len(), Ordering::Release);
         None
     }
 
@@ -272,6 +273,33 @@ mod tests {
             .unwrap();
         assert_eq!(l.drain().len(), 1);
         assert_eq!(l.count(), 0);
+        assert_eq!(l.total(), 1);
+    }
+
+    /// A reader that waits for `total()` and then reads what callbacks
+    /// wrote must not find the last message counted and its write
+    /// missing: a message counts once its callbacks are done.
+    #[test]
+    fn total_counts_a_message_after_its_callbacks() {
+        let net = InProcNetwork::new(Clock::manual());
+        let l = NotificationListener::register(&net, "inproc://c/l");
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let g = gate.clone();
+        l.on_topic(TopicExpression::full("t//"), move |_| {
+            g.wait(); // inside the callback
+            g.wait(); // released
+        });
+        let (net2, epr) = (net.clone(), l.epr());
+        let sender = std::thread::spawn(move || {
+            let msg = NotificationMessage::new("t/x", Element::local("E"));
+            net2.send_oneway("inproc://c/l", msg.to_envelope(&epr))
+                .unwrap();
+        });
+        gate.wait();
+        assert_eq!(l.count(), 1, "recorded before its callbacks run");
+        assert_eq!(l.total(), 0, "counted while its callback still runs");
+        gate.wait();
+        sender.join().unwrap();
         assert_eq!(l.total(), 1);
     }
 

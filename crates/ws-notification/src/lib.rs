@@ -33,6 +33,7 @@
 
 pub mod broker;
 pub mod consumer;
+mod life;
 pub mod message;
 pub mod producer;
 pub mod topics;

@@ -1051,13 +1051,15 @@ impl ServiceBuilder {
             leases: (0..LEASE_STRIPES).map(|_| RwLock::new(())).collect(),
             computed: self.computed,
         });
-        let mut ops = self.ops;
+        let mut ops = HashMap::new();
         if self.standard_port_types {
             crate::porttypes::install_resource_properties(&mut ops);
         }
         if self.lifetime_port_type {
             crate::porttypes::install_lifetime(&mut ops);
         }
+        // An author's operation under a standard action replaces it.
+        ops.extend(self.ops);
         // Self-description (the WSDL analogue): every service answers
         // GetServiceDescription with its operation table.
         let mut actions: Vec<(String, bool)> = ops

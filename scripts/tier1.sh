@@ -160,6 +160,23 @@ if sed '/^#\[cfg(test)\]/,$d' crates/uvacg/src/es.rs | grep -nE 'PendingJob|Hash
     exit 1
 fi
 
+# One subscription lifecycle: a subscription's mode, failure streak and
+# deliveries in flight change only through the pure table in
+# `ws-notification/src/life.rs`, under the entry's own lock, and a
+# `Destroy` waits for deliveries on a condition variable: the broker
+# keeps no lifecycle atomics and spins on nothing.
+life_rs=crates/ws-notification/src/life.rs
+if [ ! -f "$life_rs" ] ||
+    sed '/^#\[cfg(test)\]/,$d' "$life_rs" |
+    grep -nE 'InProcNetwork|ServiceCore|Outbound|Clock|Atomic|thread'; then
+    echo "tier-1: $life_rs is missing or does I/O; keep the subscription lifecycle pure" >&2
+    exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/ws-notification/src/broker.rs | grep -nE 'Atomic|SeqCst|yield_now'; then
+    echo "tier-1: broker.rs keeps subscription state outside SubLife, or spins; step it with SubLife::apply" >&2
+    exit 1
+fi
+
 # Errors are dropped only with a reason: outside tests under
 # crates/{uvacg,ws-notification,wsrf-core}/src, every `let _ =` has a
 # `//` comment on the line directly above it saying why nobody is told.

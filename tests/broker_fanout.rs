@@ -2,7 +2,9 @@
 //! lifecycle ops racing concurrent publishes, lease-expiry eviction
 //! from the index, and the queued delivery path — a slow consumer
 //! isolated, every consumer served in order by one delivery worker at
-//! a time, and no queue outliving its consumer's last subscription.
+//! a time (re-subscribing from inside a delivery included), no queue
+//! outliving its consumer's last subscription, and no `Destroy` that
+//! waits for a delivery while holding what that delivery needs.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -462,6 +464,132 @@ fn callbacks_destroying_each_others_subscriptions_do_not_hang() {
     }
     let resp = broker::publish_counted(&f.net, &f.broker_epr, &evt("pair/x")).unwrap();
     assert_eq!(resp.body.attr_value("delivered"), Some("0"));
+}
+
+/// A callback that writes to its own subscription (pauses it) while a
+/// `Destroy` of that subscription waits for this very delivery: the
+/// waiting `Destroy` must hold no lease stripe, or the callback's write
+/// waits for the `Destroy` and both wait forever.
+#[test]
+fn a_callback_writing_its_subscription_during_its_destroy_does_not_hang() {
+    use wsrf_grid::wsrf::store::ResourceStore;
+    let f = fabric(Clock::scaled(1000.0));
+    let l = NotificationListener::register(&f.net, "inproc://stripe/l");
+    let all = TopicExpression::full("stripe//");
+    let sub = broker::subscribe(&f.net, &f.broker_epr, &l.epr(), &all, None).unwrap();
+    let key = sub.resource_key().unwrap().to_string();
+    let (inside_tx, inside) = std::sync::mpsc::channel();
+    let inside_tx = std::sync::Mutex::new(inside_tx);
+    let (net, store, own) = (f.net.clone(), f.store.clone(), sub.clone());
+    l.on_topic(all, move |_| {
+        inside_tx.lock().unwrap().send(()).unwrap();
+        // Gone from the store: the `Destroy` now waits for this delivery.
+        while store.exists("Broker", &key) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Too late to pause; only the write's wait matters here.
+        let _ = broker::set_subscription_paused(&net, &own, true);
+    });
+    broker::publish_counted(&f.net, &f.broker_epr, &evt("stripe/x")).unwrap();
+    inside
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the delivery never started");
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let net = f.net.clone();
+    let destroyer = std::thread::spawn(move || {
+        destroy(&net, &sub);
+        done_tx.send(()).unwrap();
+    });
+    done.recv_timeout(Duration::from_secs(30))
+        .expect("the Destroy and the callback's write waited for each other");
+    destroyer.join().unwrap();
+    let resp = broker::publish_counted(&f.net, &f.broker_epr, &evt("stripe/x")).unwrap();
+    assert_eq!(resp.body.attr_value("delivered"), Some("0"));
+    assert_eq!(l.total(), 1);
+}
+
+/// A callback that panics still ends its delivery: a later `Destroy` of
+/// its subscription does not wait for the delivery that unwound.
+#[test]
+fn a_callback_that_panics_leaves_no_delivery_in_flight() {
+    let f = fabric(Clock::manual());
+    let l = NotificationListener::register(&f.net, "inproc://panic/l");
+    let all = TopicExpression::full("panic//");
+    l.on_topic(all.clone(), |_| panic!("a consumer's own bug"));
+    let sub = broker::subscribe(&f.net, &f.broker_epr, &l.epr(), &all, None).unwrap();
+    // Inline on the manual clock: the panic unwinds out of the publish.
+    let (net, epr) = (f.net.clone(), f.broker_epr.clone());
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        broker::publish(&net, &epr, &evt("panic/x"))
+    }));
+    assert!(
+        unwound.is_err(),
+        "the callback's panic reached the publisher"
+    );
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let destroyer = std::thread::spawn(move || {
+        destroy(&net, &sub);
+        done_tx.send(()).unwrap();
+    });
+    done.recv_timeout(Duration::from_secs(30))
+        .expect("the Destroy waited for a delivery that had unwound");
+    destroyer.join().unwrap();
+}
+
+/// A callback that destroys its subscription and subscribes again while
+/// its delivery still runs: the new subscription joins the queue that
+/// delivery is served from, so the messages published meanwhile wait
+/// for the callback instead of starting a second worker in the same
+/// consumer.
+#[test]
+fn a_consumer_that_resubscribes_from_a_delivery_is_still_served_one_at_a_time() {
+    let f = fabric(Clock::scaled(1000.0));
+    let l = NotificationListener::register_counting(&f.net, "inproc://again/l");
+    let all = TopicExpression::full("again//");
+    let first = broker::subscribe(&f.net, &f.broker_epr, &l.epr(), &all, None).unwrap();
+    let (active, most) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let heard = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let (again_tx, again) = std::sync::mpsc::channel();
+    let again_tx = std::sync::Mutex::new(again_tx);
+    let (published_tx, published) = std::sync::mpsc::channel::<()>();
+    let published = std::sync::Mutex::new(published);
+    let (net, epr, me) = (f.net.clone(), f.broker_epr.clone(), l.epr());
+    let (inside, peak, log) = (active.clone(), most.clone(), heard.clone());
+    l.on_topic(all.clone(), move |m| {
+        peak.fetch_max(inside.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+        let n: usize = m.payload.text_content().parse().unwrap();
+        if n == 0 {
+            destroy(&net, &first);
+            let all = TopicExpression::full("again//");
+            broker::subscribe(&net, &epr, &me, &all, None).unwrap();
+            again_tx.lock().unwrap().send(()).unwrap();
+            // Still in the first delivery while the rest are published.
+            let rest = published.lock().unwrap();
+            rest.recv_timeout(Duration::from_secs(30)).unwrap();
+        }
+        log.lock().unwrap().push(n);
+        inside.fetch_sub(1, Ordering::SeqCst);
+    });
+    const N: usize = 20;
+    let publish = |n: usize| {
+        let msg = NotificationMessage::new("again/n", Element::local("Evt").text(n.to_string()));
+        broker::publish_counted(&f.net, &f.broker_epr, &msg).unwrap();
+    };
+    publish(0);
+    again
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the callback never re-subscribed");
+    (1..N).for_each(publish);
+    published_tx.send(()).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while heard.lock().unwrap().len() < N {
+        assert!(std::time::Instant::now() < deadline, "deliveries stalled");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(*heard.lock().unwrap(), (0..N).collect::<Vec<_>>());
+    assert_eq!(most.load(Ordering::SeqCst), 1, "two handlers ran at once");
+    let queues = f.registry.snapshot().gauge("broker.index.consumers");
+    assert_eq!(queues, Some(1));
 }
 
 /// Pause/resume racing the publish storm never wedges and ends in a
