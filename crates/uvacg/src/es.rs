@@ -432,14 +432,18 @@ impl EsRuntime {
         step: Step,
         trace: Option<&TraceContext>,
     ) -> Result<Option<()>, WriteRefused<'c>> {
-        let mut change = None;
+        let (mut change, mut lease) = (None, None);
         let edited = core.edit(&id.key, |doc| {
-            change = Some(JobLife::apply(doc, step.clone()))
+            let applied = JobLife::apply(doc, step.clone());
+            if applied.retire {
+                lease = crate::retire(doc, core.clock.now());
+            }
+            change = Some(applied);
         });
-        let change = change.unwrap_or_else(|| JobLife::gone(step));
-        if change.retire {
-            crate::retire(core, &id.key);
+        if let Some(at) = lease {
+            core.arm_lease(&id.key, at);
         }
+        let change = change.unwrap_or_else(|| JobLife::gone(step));
         if let Some(event) = change.event {
             self.publish(core, event.message(&id.topic, &id.name, &id.epr), trace);
         }

@@ -75,11 +75,14 @@ fn q(local: &str) -> wsrf_xml::QName {
 /// `SetTerminationTime` before this runs out.
 const TERMINAL_RETENTION: std::time::Duration = std::time::Duration::from_secs(3600);
 
-/// Give the terminal resource `key` its [`TERMINAL_RETENTION`] lease.
-/// A termination time someone already set (the client's own
-/// `SetTerminationTime`) wins.
-fn retire(core: &std::sync::Arc<wsrf_core::container::ServiceCore>, key: &str) {
-    if !core.termination_scheduled(key) {
-        core.set_termination_time(key, Some(core.clock.now() + TERMINAL_RETENTION));
+/// Give a resource its [`TERMINAL_RETENTION`] lease inside the edit that
+/// ends it, and return the lease to arm after that edit. A termination
+/// time already set (the client's own `SetTerminationTime`) wins.
+fn retire(doc: &mut wsrf_core::PropertyDoc, now: simclock::SimTime) -> Option<simclock::SimTime> {
+    if doc.termination_time().is_some() {
+        return None;
     }
+    let at = now + TERMINAL_RETENTION;
+    doc.set_termination_time(Some(at));
+    Some(at)
 }

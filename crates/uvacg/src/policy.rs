@@ -279,7 +279,7 @@ impl MachineRecord {
 /// avoids penalty blow-ups when the grid is effectively instantaneous.
 const LATENCY_FLOOR_NS: f64 = 100e6; // 100 virtual ms
 
-/// `FastestAvailable` steered by observed behaviour (ROADMAP item 1).
+/// `FastestAvailable` steered by observed behaviour.
 ///
 /// Score = spare speed ÷ penalty, where the penalty grows with how far
 /// the machine's observed latencies sit above the fleet median:

@@ -945,6 +945,7 @@ fn finish_job_set(s: Sched<'_>, key: &str, outcome: Outcome<'_>) {
             .caused_by(cause),
         },
     };
+    let mut lease = None;
     // Nobody to tell: a refused write leaves a `StoreWriteDropped` event.
     let _ = core.edit(key, |doc| {
         doc.set_f64(q("Makespan"), makespan.as_secs_f64());
@@ -956,13 +957,16 @@ fn finish_job_set(s: Sched<'_>, key: &str, outcome: Outcome<'_>) {
                 doc.update(q("Fault"), vec![fault]);
             }
         }
+        lease = crate::retire(doc, now);
     });
     if inner.replicate {
         // Nobody to tell: a record left behind is dropped by the next
         // promotion, which finds its set finished.
         let _ = core.store.destroy(SUBMISSIONS, key);
     }
-    crate::retire(core, key);
+    if let Some(at) = lease {
+        core.arm_lease(key, at);
+    }
     core.metrics
         .histogram("scheduler.makespan_ns")
         .record(makespan.as_nanos() as u64);

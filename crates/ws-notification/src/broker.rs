@@ -39,6 +39,7 @@ use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -550,9 +551,13 @@ impl DeliveryFabric {
                 q.q.drain(..n).collect()
             };
             for d in batch {
-                // `send_now` counts a failure and auto-pauses; a queued
-                // delivery has no publisher left to report it to.
-                let _ = self.send_now(core, &d.sub, &d.message, d.trace);
+                // `send_now` counts a failure and auto-pauses, and a
+                // consumer that panics has ended its delivery
+                // (`Delivering`): a queued delivery has no publisher left
+                // to report either to, and the rest of the queue drains.
+                let _ = catch_unwind(AssertUnwindSafe(|| {
+                    self.send_now(core, &d.sub, &d.message, d.trace)
+                }));
             }
         }
     }
@@ -684,6 +689,26 @@ fn subscribe_op(ctx: &mut Ctx<'_>) -> Result<Element, BaseFault> {
         .ok_or_else(|| faults::bad_request("unknown topic expression dialect"))?;
     let expr = TopicExpression::parse(dialect, &expr_el.text_content());
 
+    // Optional lease, in seconds *from now* (WS-BaseNotification's
+    // relative form): a 30 s lease taken at t=100 dies at t=130.
+    let itt = ctx.body.find(ns::WSNT, "InitialTerminationTime");
+    let lease = match itt.map(|e| e.text_content()) {
+        Some(text) if !text.trim().is_empty() => {
+            let secs: f64 = text
+                .trim()
+                .parse()
+                .map_err(|_| faults::bad_request("InitialTerminationTime must be seconds"))?;
+            if !secs.is_finite() || secs < 0.0 {
+                return Err(faults::bad_request(
+                    "InitialTerminationTime must be a non-negative number of seconds",
+                ));
+            }
+            let now = ctx.core.clock.now();
+            Some(SimTime::from_secs_f64(now.as_secs_f64() + secs))
+        }
+        _ => None,
+    };
+
     let mut doc = PropertyDoc::new();
     doc.update(
         p_consumer(),
@@ -696,26 +721,11 @@ fn subscribe_op(ctx: &mut Ctx<'_>) -> Result<Element, BaseFault> {
             .text(expr.text())],
     );
     doc.set_text(p_paused(), "false");
+    doc.set_termination_time(lease);
     let key = ctx.core.fresh_key();
     let sub_epr = ctx.core.create_resource_with_key(&key, doc)?;
-
-    // Optional lease, in seconds *from now* (WS-BaseNotification's
-    // relative form): a 30 s lease taken at t=100 dies at t=130.
-    if let Some(itt) = ctx.body.find(ns::WSNT, "InitialTerminationTime") {
-        let text = itt.text_content();
-        if !text.trim().is_empty() {
-            let secs: f64 = text
-                .trim()
-                .parse()
-                .map_err(|_| faults::bad_request("InitialTerminationTime must be seconds"))?;
-            if !secs.is_finite() || secs < 0.0 {
-                return Err(faults::bad_request(
-                    "InitialTerminationTime must be a non-negative number of seconds",
-                ));
-            }
-            let at = SimTime::from_secs_f64(ctx.core.clock.now().as_secs_f64() + secs);
-            ctx.core.set_termination_time(&key, Some(at));
-        }
+    if let Some(at) = lease {
+        ctx.core.arm_lease(&key, at);
     }
 
     Ok(Element::new(ns::WSNT, "SubscribeResponse")

@@ -17,8 +17,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use simclock::{Clock, SimTime, TimerId};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use simclock::{Clock, SimTime};
 use wsrf_obs::{
     Counter, EventKind, EventLog, Histogram, MetricsRegistry, Severity, SloHandle, SpanContext,
     Timer, Tracer,
@@ -90,8 +90,8 @@ enum LeaseGuard<'a> {
 }
 
 /// Shared, long-lived half of a service: everything handlers need to
-/// mint EPRs, create resources, schedule lifetimes and talk to the
-/// network. Cheaply cloneable via `Arc`.
+/// mint EPRs, create resources, arm leases and talk to the network.
+/// Cheaply cloneable via `Arc`.
 pub struct ServiceCore {
     /// Service name (also the store's table name).
     pub name: String,
@@ -111,8 +111,6 @@ pub struct ServiceCore {
     /// register their own metrics through this.
     pub metrics: Arc<MetricsRegistry>,
     next_key: AtomicU64,
-    /// Scheduled-destruction timers per resource key.
-    lifetime: Mutex<HashMap<String, TimerId>>,
     /// Per-resource read/write leases ([`ServiceCore::lease`]).
     leases: Box<[RwLock<()>]>,
     computed: Vec<(QName, ComputedProperty)>,
@@ -155,9 +153,6 @@ impl ServiceCore {
 
     /// Destroy a resource immediately (WS-ResourceLifetime `Destroy`).
     pub fn destroy_resource(&self, key: &str) -> Result<(), BaseFault> {
-        if let Some(t) = self.lifetime.lock().remove(key) {
-            self.clock.cancel(t);
-        }
         self.store
             .destroy(&self.name, key)
             .map_err(faults::from_store)
@@ -179,17 +174,17 @@ impl ServiceCore {
     /// Change resource `key` outside a dispatch, the only way to: under
     /// the exclusive lease a `Write` dispatch takes, read the stored
     /// document, let `f` edit it and save it; `Ok(None)` if the resource
-    /// is gone, before or during the edit. `f` touches only the document
-    /// (no sends, no publishes), and `edit` is never called on a thread
-    /// holding one of this service's leases — in a resource operation's
-    /// handler — since stripes do not re-enter.
+    /// is gone or past its lease, before or during the edit. `f` touches
+    /// only the document (no sends, no publishes), and `edit` is never
+    /// called on a thread holding one of this service's leases — in a
+    /// resource operation's handler — since stripes do not re-enter.
     pub fn edit<R>(
         &self,
         key: &str,
         f: impl FnOnce(&mut PropertyDoc) -> R,
     ) -> Result<Option<R>, WriteRefused<'_>> {
         let _lease = self.lease(key).write();
-        let edited = self.store.share(&self.name, key).and_then(|mut doc| {
+        let edited = self.share_live(key).and_then(|(mut doc, _)| {
             let edited = f(Arc::make_mut(&mut doc));
             self.store.save(&self.name, key, &doc).map(|()| edited)
         });
@@ -200,38 +195,39 @@ impl ServiceCore {
         })
     }
 
-    /// Schedule destruction at an absolute virtual time
-    /// (WS-ResourceLifetime `SetTerminationTime`), replacing any
-    /// earlier schedule. `None` cancels scheduled destruction.
-    pub fn set_termination_time(self: &Arc<Self>, key: &str, at: Option<SimTime>) {
-        let mut lt = self.lifetime.lock();
-        if let Some(t) = lt.remove(key) {
-            self.clock.cancel(t);
-        }
-        if let Some(at) = at {
-            let core = Arc::clone(self);
-            let key_owned = key.to_string();
-            let timer = self.clock.schedule_at(at, move |now| {
-                // Best-effort: the resource may already be gone.
-                core.lifetime.lock().remove(&key_owned);
-                if core.store.destroy(&core.name, &key_owned).is_ok() {
-                    core.metrics.events().emit(
-                        Severity::Info,
-                        EventKind::LeaseExpiry,
-                        &core.name,
-                        now.as_nanos(),
-                        || format!("resource {key_owned} destroyed at lease expiry"),
-                    );
-                }
-            });
-            lt.insert(key.to_string(), timer);
+    /// The stored document of `key` and its lease (`wsrl:TerminationTime`),
+    /// unless that has run out: such a resource is gone before its reaper
+    /// runs. Reads the clock only if there is a lease.
+    fn share_live(&self, key: &str) -> Result<(Arc<PropertyDoc>, Option<SimTime>), StoreError> {
+        let doc = self.store.share(&self.name, key)?;
+        match doc.termination_time() {
+            Some(at) if at <= self.clock.now() => Err(StoreError::NotFound(key.to_string())),
+            lease => Ok((doc, lease)),
         }
     }
 
-    /// The scheduled termination time of a resource, if any — exposed
-    /// because `TerminationTime` is itself a resource property.
-    pub fn termination_scheduled(&self, key: &str) -> bool {
-        self.lifetime.lock().contains_key(key)
+    /// Arm the reaper of resource `key` for `at`, a lease already stored
+    /// (call it after the edit or create that stored it). The timer
+    /// destroys the resource only if the stored lease has run out by then,
+    /// so a lease replaced, cleared or never saved needs no cancel. It
+    /// takes no stripe: a subscription's destroy waits out its deliveries.
+    pub fn arm_lease(self: &Arc<Self>, key: &str, at: SimTime) {
+        let (core, key) = (Arc::clone(self), key.to_string());
+        self.clock.schedule_at(at, move |_| core.reap(&key));
+    }
+
+    /// Destroy `key` if its stored lease has run out.
+    fn reap(&self, key: &str) {
+        let ended = matches!(self.share_live(key), Err(StoreError::NotFound(_)));
+        if ended && self.store.destroy(&self.name, key).is_ok() {
+            self.metrics.events().emit(
+                Severity::Info,
+                EventKind::LeaseExpiry,
+                &self.name,
+                self.clock.now().as_nanos(),
+                || format!("resource {key} destroyed at lease expiry"),
+            );
+        }
     }
 
     /// Evaluate computed properties against stored state.
@@ -497,7 +493,9 @@ struct DispatchObs {
     invoke: Timer,
     /// Stage (4): state write-back.
     save: Timer,
-    /// Bytes of resource state loaded / saved (serialized size).
+    /// Bytes of resource state loaded / saved, estimated
+    /// ([`PropertyDoc::approx_bytes`]) so accounting never dominates
+    /// dispatch; counted only when metrics are enabled.
     load_bytes: Counter,
     save_bytes: Counter,
     /// Resource-scoped dispatches by access mode (exact counts).
@@ -577,13 +575,6 @@ impl StageLap {
         self.virt = virt;
         self.real = real;
     }
-}
-
-/// Estimated serialized size of a property document, for byte
-/// accounting. Only evaluated when metrics are enabled; estimated
-/// rather than serialized so accounting never dominates dispatch.
-fn doc_bytes(doc: &PropertyDoc) -> u64 {
-    doc.approx_bytes() as u64
 }
 
 /// A deployed WSRF service: the wrapper web service of Figure 1.
@@ -781,7 +772,7 @@ impl Service {
         // exclusive for Write — held across load→invoke→save so
         // concurrent writers to one resource serialize instead of
         // last-save-wins. Acquisition wait is the contention metric.
-        let mut loaded: Option<Arc<PropertyDoc>> = None;
+        let (mut loaded, mut old_lease) = (None, None);
         let mut _lease: Option<LeaseGuard<'_>> = None;
         if op.kind == OpKind::Resource {
             let k = key
@@ -800,15 +791,11 @@ impl Service {
             if let Some(t0) = waited {
                 self.obs.lock_wait.record(t0.elapsed().as_nanos() as u64);
             }
-            let doc = self
-                .core
-                .store
-                .share(&self.core.name, k)
-                .map_err(faults::from_store)?;
+            let (doc, stored) = self.core.share_live(k).map_err(faults::from_store)?;
             if self.obs.enabled {
-                self.obs.load_bytes.add(doc_bytes(&doc));
+                self.obs.load_bytes.add(doc.approx_bytes() as u64);
             }
-            loaded = Some(doc);
+            (loaded, old_lease) = (Some(doc), stored);
         }
         if let Some(l) = lap.as_mut() {
             l.lap(&self.core.clock, &self.obs.load);
@@ -840,8 +827,14 @@ impl Service {
         if let Some(doc) = ctx.resource.take().filter(|_| op.access == OpAccess::Write) {
             let k = key.as_deref().expect("resource op had a key");
             let saved = unless_gone(self.core.store.save(&self.core.name, k, &doc));
-            if saved.map_err(faults::from_store)?.is_some() && self.obs.enabled {
-                self.obs.save_bytes.add(doc_bytes(&doc));
+            if saved.map_err(faults::from_store)?.is_some() {
+                // A lease the write changed is armed once it is stored.
+                if let Some(at) = doc.termination_time().filter(|&at| Some(at) != old_lease) {
+                    self.core.arm_lease(k, at);
+                }
+                if self.obs.enabled {
+                    self.obs.save_bytes.add(doc.approx_bytes() as u64);
+                }
             }
         }
         if let Some(l) = lap.as_mut() {
@@ -1031,9 +1024,8 @@ impl ServiceBuilder {
         // highest `{name}-N` key it carries so restart cannot mint a
         // colliding EPR.
         let prefix = format!("{}-", self.name.to_ascii_lowercase());
-        let next = self
-            .store
-            .list(&self.name)
+        let keys = self.store.list(&self.name);
+        let next = keys
             .iter()
             .filter_map(|k| k.strip_prefix(&prefix)?.parse::<u64>().ok())
             .max()
@@ -1047,10 +1039,18 @@ impl ServiceBuilder {
             key_property: self.key_property,
             metrics,
             next_key: AtomicU64::new(next),
-            lifetime: Mutex::new(HashMap::new()),
             leases: (0..LEASE_STRIPES).map(|_| RwLock::new(())).collect(),
             computed: self.computed,
         });
+        // ...and their leases: re-arm each, and reap at once those that
+        // ran out while the service was down.
+        for key in &keys {
+            match core.share_live(key) {
+                Ok((_, Some(at))) => core.arm_lease(key, at),
+                Ok(_) => {}
+                Err(_) => core.reap(key),
+            }
+        }
         let mut ops = HashMap::new();
         if self.standard_port_types {
             crate::porttypes::install_resource_properties(&mut ops);
@@ -1332,6 +1332,22 @@ mod tests {
         assert!(!svc.core().store.exists("D", epr.resource_key().unwrap()));
     }
 
+    /// What WSRL `SetTerminationTime` does: store the lease, then arm it.
+    fn set_lease(core: &Arc<ServiceCore>, key: &str, at: Option<SimTime>) {
+        let stored = core.edit(key, |doc| doc.set_termination_time(at));
+        assert!(matches!(stored, Ok(Some(()))));
+        if let Some(at) = at {
+            core.arm_lease(key, at);
+        }
+    }
+
+    fn stored_lease(core: &ServiceCore, key: &str) -> Option<SimTime> {
+        core.store
+            .share(&core.name, key)
+            .unwrap()
+            .termination_time()
+    }
+
     #[test]
     fn scheduled_termination_destroys_resource() {
         let clock = Clock::manual();
@@ -1341,13 +1357,13 @@ mod tests {
         let core = svc.core();
         let epr = core.create_resource(PropertyDoc::new()).unwrap();
         let key = epr.resource_key().unwrap();
-        core.set_termination_time(key, Some(SimTime::from_secs(10)));
-        assert!(core.termination_scheduled(key));
+        set_lease(core, key, Some(SimTime::from_secs(10)));
+        assert_eq!(stored_lease(core, key), Some(SimTime::from_secs(10)));
         clock.advance(std::time::Duration::from_secs(9));
         assert!(core.store.exists("L", key));
         clock.advance(std::time::Duration::from_secs(1));
         assert!(!core.store.exists("L", key));
-        assert!(!core.termination_scheduled(key));
+        assert_eq!(clock.pending_timers(), 0);
     }
 
     #[test]
@@ -1359,13 +1375,89 @@ mod tests {
         let core = svc.core();
         let epr = core.create_resource(PropertyDoc::new()).unwrap();
         let key = epr.resource_key().unwrap();
-        core.set_termination_time(key, Some(SimTime::from_secs(5)));
-        core.set_termination_time(key, Some(SimTime::from_secs(50)));
+        set_lease(core, key, Some(SimTime::from_secs(5)));
+        set_lease(core, key, Some(SimTime::from_secs(50)));
         clock.advance(std::time::Duration::from_secs(10));
         assert!(core.store.exists("L2", key), "rescheduled later");
-        core.set_termination_time(key, None);
+        set_lease(core, key, None);
         clock.advance(std::time::Duration::from_secs(100));
         assert!(core.store.exists("L2", key), "cancelled");
+    }
+
+    #[test]
+    fn a_resource_past_its_lease_is_gone_before_its_reaper_runs() {
+        let (svc, _net) = demo_service();
+        let epr = create_resource(&svc);
+        let (core, key) = (svc.core(), epr.resource_key().unwrap().to_string());
+        // Stored, but never armed: only the property says it has ended.
+        let now = core.clock.now();
+        let stored = core.edit(&key, |doc| doc.set_termination_time(Some(now)));
+        assert!(matches!(stored, Ok(Some(()))));
+        let touch = Element::new(UVACG, "Touch");
+        let resp = call(&svc, epr, &action_uri("Demo", "Touch"), touch);
+        let fault = resp.fault().unwrap();
+        assert_eq!(fault.error_code(), Some("wsrf:NoSuchResource"));
+        assert!(matches!(core.edit(&key, |_| ()), Ok(None)));
+        assert!(core.store.exists("Demo", &key), "not reaped, only unserved");
+    }
+
+    /// Off the manual clock a timer fires on the clock's own thread, so
+    /// a lease a dispatch sets is armed only once its save has stored it:
+    /// a timer that fired during a slow save would find no lease and
+    /// reap nothing, ever.
+    #[test]
+    fn a_lease_set_during_a_slow_save_on_a_running_clock_is_reaped() {
+        let clock = Clock::scaled(1000.0);
+        let net = InProcNetwork::new(clock.clone());
+        let store = counting_store(std::time::Duration::from_millis(5));
+        let svc = ServiceBuilder::new("R", "inproc://m1/R", store.clone())
+            .build(clock.clone(), net.clone());
+        for _ in 0..5 {
+            let epr = svc.core().create_resource(PropertyDoc::new()).unwrap();
+            let now = clock.now().as_secs_f64().to_string();
+            let body = Element::new(ns::WSRL, "SetTerminationTime")
+                .child(Element::new(ns::WSRL, "RequestedTerminationTime").text(now));
+            let set = crate::porttypes::wsrl_action("SetTerminationTime");
+            assert!(!call(&svc, epr.clone(), &set, body).is_fault());
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while store.exists("R", epr.resource_key().unwrap()) {
+                let late = std::time::Instant::now() > deadline;
+                assert!(!late, "an ended lease was never reaped");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+    }
+
+    #[test]
+    fn a_rebuilt_service_rearms_stored_leases_and_reaps_the_ended_ones() {
+        let store = Arc::new(MemoryStore::new());
+        for (key, secs) in [("l-1", 5), ("l-2", 50), ("l-3", 0)] {
+            let mut doc = PropertyDoc::new();
+            if secs > 0 {
+                doc.set_termination_time(Some(SimTime::from_secs(secs)));
+            }
+            store.create("L", key, &doc).unwrap();
+        }
+        let clock = Clock::manual();
+        clock.advance(std::time::Duration::from_secs(10));
+        let reg = MetricsRegistry::enabled();
+        let svc = ServiceBuilder::new("L", "inproc://m1/L", store.clone())
+            .with_metrics(reg.clone())
+            .build(clock.clone(), InProcNetwork::new(clock.clone()));
+        let expired = || reg.snapshot().counter("events.lease_expiry");
+        let listed = || {
+            let mut keys = store.list("L");
+            keys.sort();
+            keys
+        };
+        assert_eq!(listed(), ["l-2", "l-3"], "ran out while down");
+        assert_eq!(expired(), Some(1));
+        clock.advance(std::time::Duration::from_secs(39));
+        assert!(store.exists("L", "l-2"));
+        clock.advance(std::time::Duration::from_secs(1));
+        assert_eq!(listed(), ["l-3"], "reaped on time");
+        assert_eq!(expired(), Some(2));
+        assert!(svc.core().store.exists("L", "l-3"));
     }
 
     /// Store wrapper counting save calls, and how many of them were
@@ -1374,6 +1466,17 @@ mod tests {
         inner: MemoryStore,
         saves: std::sync::atomic::AtomicUsize,
         saves_of_the_row: std::sync::atomic::AtomicUsize,
+        /// Real time each save takes, to widen a race.
+        save_delay: std::time::Duration,
+    }
+
+    fn counting_store(save_delay: std::time::Duration) -> Arc<CountingStore> {
+        Arc::new(CountingStore {
+            inner: MemoryStore::new(),
+            saves: std::sync::atomic::AtomicUsize::new(0),
+            saves_of_the_row: std::sync::atomic::AtomicUsize::new(0),
+            save_delay,
+        })
     }
 
     impl crate::store::ResourceStore for CountingStore {
@@ -1392,6 +1495,7 @@ mod tests {
             self.inner.share(s, k)
         }
         fn save(&self, s: &str, k: &str, d: &PropertyDoc) -> Result<(), crate::store::StoreError> {
+            std::thread::sleep(self.save_delay);
             self.saves.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             if self
                 .inner
@@ -1424,11 +1528,7 @@ mod tests {
     fn write_op_leaving_state_unchanged_still_saves_once() {
         let clock = Clock::manual();
         let net = InProcNetwork::new(clock.clone());
-        let store = Arc::new(CountingStore {
-            inner: MemoryStore::new(),
-            saves: std::sync::atomic::AtomicUsize::new(0),
-            saves_of_the_row: std::sync::atomic::AtomicUsize::new(0),
-        });
+        let store = counting_store(std::time::Duration::ZERO);
         // `operation` classifies the handler as a Write op even though
         // it only looks at the state.
         let svc = ServiceBuilder::new("SP", "inproc://m/SP", store.clone())
@@ -1516,11 +1616,7 @@ mod tests {
 
     fn counting_service() -> (Arc<Service>, Arc<CountingStore>) {
         let clock = Clock::manual();
-        let store = Arc::new(CountingStore {
-            inner: MemoryStore::new(),
-            saves: std::sync::atomic::AtomicUsize::new(0),
-            saves_of_the_row: std::sync::atomic::AtomicUsize::new(0),
-        });
+        let store = counting_store(std::time::Duration::ZERO);
         let svc = ServiceBuilder::new("E", "inproc://m/E", store.clone())
             .build(clock.clone(), InProcNetwork::new(clock));
         (svc, store)

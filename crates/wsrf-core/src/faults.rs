@@ -43,6 +43,15 @@ pub fn invalid_property(name: &str) -> BaseFault {
     )
 }
 
+/// A `SetResourceProperties` tried to change a property that only its
+/// own port type may write.
+pub fn unmodifiable_property(name: &str) -> BaseFault {
+    BaseFault::new(
+        "wsrp:UnableToModifyResourceProperty",
+        format!("property '{name}' cannot be set through SetResourceProperties"),
+    )
+}
+
 /// A query expression failed to parse or used an unsupported dialect.
 pub fn invalid_query(detail: &str) -> BaseFault {
     BaseFault::new("wsrp:InvalidQueryExpression", detail.to_string())

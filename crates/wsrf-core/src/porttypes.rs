@@ -179,6 +179,7 @@ pub(crate) fn install_resource_properties(ops: &mut Ops) {
                 }
             }
             let doc = ctx.resource_mut()?;
+            let lease = doc.termination_time();
             for e in edits {
                 match e {
                     Edit::Insert(v) => doc.insert(v.name.clone(), v),
@@ -191,6 +192,10 @@ pub(crate) fn install_resource_properties(ops: &mut Ops) {
                         }
                     }
                 }
+            }
+            // The lease changes only through WSRL, which arms its reaper.
+            if doc.termination_time() != lease {
+                return Err(faults::unmodifiable_property("wsrl:TerminationTime"));
             }
             Ok(Element::new(ns::WSRP, "SetResourcePropertiesResponse"))
         }),
@@ -221,7 +226,6 @@ pub(crate) fn install_lifetime(ops: &mut Ops) {
         OpKind::Resource,
         OpAccess::Write,
         Box::new(|ctx| {
-            let key = ctx.key()?.to_string();
             let req = ctx
                 .body
                 .find(ns::WSRL, "RequestedTerminationTime")
@@ -236,15 +240,8 @@ pub(crate) fn install_lifetime(ops: &mut Ops) {
                     .map_err(|_| faults::bad_request("RequestedTerminationTime must be seconds"))?;
                 Some(SimTime::from_secs_f64(secs))
             };
-            ctx.core.set_termination_time(&key, when);
-            // Record it as a resource property too, so it is queryable.
-            let doc = ctx.resource_mut()?;
-            match when {
-                Some(t) => doc.set_f64(QName::new(ns::WSRL, "TerminationTime"), t.as_secs_f64()),
-                None => {
-                    doc.delete(&QName::new(ns::WSRL, "TerminationTime"));
-                }
-            }
+            // The save stage arms the lease once it is stored.
+            ctx.resource_mut()?.set_termination_time(when);
             let now = ctx.core.clock.now().as_secs_f64();
             Ok(Element::new(ns::WSRL, "SetTerminationTimeResponse")
                 .child(Element::new(ns::WSRL, "NewTerminationTime").text(text.trim()))
@@ -502,5 +499,77 @@ mod tests {
         );
         f.clock.advance(Duration::from_secs(120));
         assert!(f.svc.core().store.exists("Job", "job-1"));
+    }
+
+    fn set_termination_time(f: &Fixture, secs: &str) -> Envelope {
+        invoke(
+            f,
+            wsrl_action("SetTerminationTime"),
+            Element::new(ns::WSRL, "SetTerminationTime")
+                .child(Element::new(ns::WSRL, "RequestedTerminationTime").text(secs)),
+        )
+    }
+
+    #[test]
+    fn a_lease_set_to_now_ends_the_resource_before_any_advance() {
+        let f = fixture();
+        f.clock.advance(Duration::from_secs(5));
+        assert!(!set_termination_time(&f, "5").is_fault());
+        let resp = invoke(
+            &f,
+            wsrp_action("GetResourceProperty"),
+            Element::new(ns::WSRP, "GetResourceProperty").text("Status"),
+        );
+        assert_eq!(
+            resp.fault().unwrap().error_code(),
+            Some("wsrf:NoSuchResource")
+        );
+    }
+
+    #[test]
+    fn a_lease_the_store_refused_destroys_nothing() {
+        let clock = Clock::manual();
+        let net = InProcNetwork::new(clock.clone());
+        let store = Arc::new(crate::store::StructuredStore::new());
+        // No column for the lease: every save of one is refused.
+        store.define_schema("Job", vec![(q("Status"), crate::store::ColumnType::Text)]);
+        let svc = ServiceBuilder::new("Job", "inproc://m1/Job", store).build(clock.clone(), net);
+        let mut doc = PropertyDoc::new();
+        doc.set_text(q("Status"), "Running");
+        let epr = svc.core().create_resource_with_key("job-1", doc).unwrap();
+        let f = Fixture { svc, epr, clock };
+        let resp = set_termination_time(&f, "60");
+        assert_eq!(
+            resp.fault().unwrap().error_code(),
+            Some("wsrf:StorageFault")
+        );
+        f.clock.advance(Duration::from_secs(61));
+        assert!(f.svc.core().store.exists("Job", "job-1"));
+    }
+
+    #[test]
+    fn set_resource_properties_may_not_change_the_lease() {
+        let f = fixture();
+        let row = || f.svc.core().store.share("Job", "job-1").unwrap();
+        let refused = |component: Element| {
+            let before = row();
+            let resp = invoke(
+                &f,
+                wsrp_action("SetResourceProperties"),
+                Element::new(ns::WSRP, "SetResourceProperties").child(component),
+            );
+            assert_eq!(
+                resp.fault().unwrap().error_code(),
+                Some("wsrp:UnableToModifyResourceProperty")
+            );
+            assert!(Arc::ptr_eq(&before, &row()), "the row is untouched");
+        };
+        let lease = || Element::new(ns::WSRL, "TerminationTime").text("6000");
+        refused(Element::new(ns::WSRP, "Insert").child(lease()));
+        assert!(!set_termination_time(&f, "60").is_fault());
+        refused(Element::new(ns::WSRP, "Update").child(lease()));
+        refused(Element::new(ns::WSRP, "Delete").attr("resourceProperty", "TerminationTime"));
+        f.clock.advance(Duration::from_secs(61));
+        assert!(!f.svc.core().store.exists("Job", "job-1"));
     }
 }

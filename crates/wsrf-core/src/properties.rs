@@ -7,7 +7,15 @@
 //! form, preserving declaration order (the order is part of the
 //! document's schema).
 
+use simclock::SimTime;
+use wsrf_soap::ns;
 use wsrf_xml::{Element, QName};
+
+/// `wsrl:TerminationTime`, a resource's lease: the one record of when
+/// it ends, in virtual seconds since the grid epoch.
+fn termination_time() -> QName {
+    QName::new(ns::WSRL, "TerminationTime")
+}
 
 /// The decoded resource properties document of one WS-Resource.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -167,6 +175,28 @@ impl PropertyDoc {
             pd.insert(child.name.clone(), child.clone());
         }
         pd
+    }
+
+    /// The resource's lease, its stored `wsrl:TerminationTime`. Looks the
+    /// property up without building its name, so a document that has no
+    /// lease costs a scan and no allocation.
+    pub fn termination_time(&self) -> Option<SimTime> {
+        let (_, values) = self
+            .entries
+            .iter()
+            .find(|(n, _)| n.is(ns::WSRL, "TerminationTime"))?;
+        let secs = values.first()?.text_content().trim().parse().ok()?;
+        Some(SimTime::from_secs_f64(secs))
+    }
+
+    /// Store lease `at` as `wsrl:TerminationTime`; `None` clears it.
+    pub fn set_termination_time(&mut self, at: Option<SimTime>) {
+        match at {
+            Some(at) => self.set_f64(termination_time(), at.as_secs_f64()),
+            None => {
+                self.delete(&termination_time());
+            }
+        }
     }
 
     /// Estimated serialized size (used by stores for metrics); cheap —

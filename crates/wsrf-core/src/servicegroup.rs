@@ -332,8 +332,12 @@ mod tests {
         let (svc, clock) = setup();
         let entry = add_member(&svc, "inproc://m1/Proc", 0.2, 3000);
         let key = entry.resource_key().unwrap().to_string();
-        svc.core()
-            .set_termination_time(&key, Some(simclock::SimTime::from_secs(30)));
+        let at = simclock::SimTime::from_secs(30);
+        let stored = svc
+            .core()
+            .edit(&key, |doc| doc.set_termination_time(Some(at)));
+        assert!(matches!(stored, Ok(Some(()))));
+        svc.core().arm_lease(&key, at);
         clock.advance(std::time::Duration::from_secs(31));
         let resp = invoke(
             &svc,

@@ -10,7 +10,7 @@
 //! log never becomes a cross-shard serialization point). What survives:
 //! a killed process — every acknowledged mutation is in the page cache
 //! before the inner store sees it; not a power loss — nothing calls
-//! `sync_data` yet (ROADMAP item 1b).
+//! `sync_data` yet (ROADMAP item 10).
 //!
 //! One frame per record, integers little-endian `u32`:
 //!

@@ -4,8 +4,9 @@
 //! render each envelope once without a fresh allocation per message.
 
 use crossbeam::channel::{unbounded, Sender};
+use parking_lot::Mutex;
 use std::io::Read;
-use std::sync::Mutex;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
 
 /// Buffers larger than this are dropped instead of pooled, so one huge
@@ -64,12 +65,7 @@ impl BufPool {
 
     /// A cleared buffer, recycled when one is idle.
     pub fn take(&self) -> Vec<u8> {
-        let mut buf = self
-            .slots
-            .lock()
-            .expect("buffer pool poisoned")
-            .pop()
-            .unwrap_or_default();
+        let mut buf = self.slots.lock().pop().unwrap_or_default();
         buf.clear();
         buf
     }
@@ -80,7 +76,7 @@ impl BufPool {
         if buf.capacity() == 0 || buf.capacity() > MAX_POOLED_CAPACITY {
             return;
         }
-        let mut slots = self.slots.lock().expect("buffer pool poisoned");
+        let mut slots = self.slots.lock();
         if slots.len() < MAX_POOLED_BUFFERS {
             slots.push(buf);
         }
@@ -89,7 +85,10 @@ impl BufPool {
 
 type Task = Box<dyn FnOnce() + Send>;
 
-/// Fixed-size thread pool. Tasks run FIFO across workers.
+/// Fixed-size thread pool. Tasks run FIFO across workers. A task that
+/// panics unwinds to its worker, which goes on serving the queue: the
+/// panic is the task's own to report, and a pool that lost a worker to
+/// every panic would end up serving nobody.
 pub struct ThreadPool {
     tx: Option<Sender<Task>>,
     workers: Vec<JoinHandle<()>>,
@@ -106,7 +105,10 @@ impl ThreadPool {
                     .name(format!("{label}-{i}"))
                     .spawn(move || {
                         while let Ok(task) = rx.recv() {
-                            task();
+                            // The panic hook has reported it, and the
+                            // loop holds nothing a task could leave
+                            // half-updated.
+                            let _ = catch_unwind(AssertUnwindSafe(task));
                         }
                     })
                     .expect("spawn pool worker")
@@ -182,14 +184,14 @@ mod tests {
         let ran = Arc::new(Mutex::new(Vec::new()));
         let push = |i: usize| {
             let ran = ran.clone();
-            move || ran.lock().unwrap().push(i)
+            move || ran.lock().push(i)
         };
         pool.execute(push(0));
         pool.execute_all((1..50).map(push));
         pool.execute_all(Vec::<fn()>::new());
         pool.execute(push(50));
         drop(pool); // drains
-        assert_eq!(*ran.lock().unwrap(), (0..=50).collect::<Vec<_>>());
+        assert_eq!(*ran.lock(), (0..=50).collect::<Vec<_>>());
     }
 
     #[test]
@@ -224,6 +226,19 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("ThreadPool::drop panicked on its own worker");
         assert_eq!(ran, 10, "queued tasks ran before drop returned");
+    }
+
+    #[test]
+    fn a_panicking_task_leaves_its_worker_serving() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+
+        let pool = ThreadPool::new(1, "unwind");
+        let (tx, rx) = channel();
+        pool.execute(|| panic!("a task that panics"));
+        pool.execute(move || tx.send(()).unwrap());
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("the only worker died with the task that panicked");
     }
 
     #[test]

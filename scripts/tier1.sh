@@ -177,6 +177,33 @@ if sed '/^#\[cfg(test)\]/,$d' crates/ws-notification/src/broker.rs | grep -nE 'A
     exit 1
 fi
 
+# One record of a lease: a resource's lease is its stored
+# `wsrl:TerminationTime`, written into the document its writer saves
+# anyway, and a timer that fires only re-reads it. The container keeps
+# no per-resource timer table beside it to cancel or to lose on restart.
+if sed '/^#\[cfg(test)\]/,$d' crates/wsrf-core/src/container.rs |
+    grep -nE 'TimerId|\blifetime\b *:|\.lifetime\b'; then
+    echo "tier-1: container.rs keeps leases outside the stored TerminationTime; store the lease and arm_lease it" >&2
+    exit 1
+fi
+
+# A panic is caught in two places only: a pool worker outlives the task
+# that panicked, and a delivery worker's drain outlives the consumer
+# that did. Anywhere else a panic is a defect that must reach its
+# caller. (The vendored stand-ins for external crates are not ours.)
+for f in $(find src crates -name '*.rs' -path '*src/*' \
+    -not -path 'crates/bytes/*' -not -path 'crates/crossbeam/*' \
+    -not -path 'crates/parking_lot/*' -not -path 'crates/proptest/*' \
+    -not -path 'crates/rand/*'); do
+    case "$f" in
+    crates/wsrf-transport/src/pool.rs | crates/ws-notification/src/broker.rs) continue ;;
+    esac
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'catch_unwind'; then
+        echo "tier-1: $f catches a panic; only the pool's workers and the broker's drain may" >&2
+        exit 1
+    fi
+done
+
 # Errors are dropped only with a reason: outside tests under
 # crates/{uvacg,ws-notification,wsrf-core}/src, every `let _ =` has a
 # `//` comment on the line directly above it saying why nobody is told.

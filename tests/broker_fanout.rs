@@ -536,6 +536,32 @@ fn a_callback_that_panics_leaves_no_delivery_in_flight() {
     destroyer.join().unwrap();
 }
 
+/// A callback that panics on a `broker-delivery` worker does not strand
+/// its consumer: the worker goes on serving, and the consumer's queue
+/// still drains, so the next message reaches it.
+#[test]
+fn a_consumer_that_panicked_on_a_delivery_worker_still_hears_the_next_message() {
+    let f = fabric(Clock::scaled(1000.0));
+    let l = NotificationListener::register(&f.net, "inproc://unwind/l");
+    let all = TopicExpression::full("unwind//");
+    let (heard_tx, heard) = std::sync::mpsc::channel();
+    let heard_tx = std::sync::Mutex::new(heard_tx);
+    l.on_topic(all.clone(), move |m| {
+        let n: usize = m.payload.text_content().parse().unwrap();
+        if n == 0 {
+            panic!("a consumer's own bug");
+        }
+        heard_tx.lock().unwrap().send(n).unwrap();
+    });
+    broker::subscribe(&f.net, &f.broker_epr, &l.epr(), &all, None).unwrap();
+    for n in 0..2 {
+        let msg = NotificationMessage::new("unwind/n", Element::local("Evt").text(n.to_string()));
+        broker::publish_counted(&f.net, &f.broker_epr, &msg).unwrap();
+    }
+    let next = heard.recv_timeout(Duration::from_secs(30));
+    assert_eq!(next, Ok(1), "the message after the panic never arrived");
+}
+
 /// A callback that destroys its subscription and subscribes again while
 /// its delivery still runs: the new subscription joins the queue that
 /// delivery is served from, so the messages published meanwhile wait

@@ -431,3 +431,79 @@ fn an_es_restarted_mid_staging_from_its_wal_finishes_the_set() {
     }
     assert!(store.list(STAGING).is_empty(), "both jobs spawned");
 }
+
+/// Run a one-job set to completion on a grid whose scheduler keeps its
+/// state in a WAL under `dir`, and drop the grid. Returns the set's EPR
+/// and the lease it was retired with, as the log holds it.
+fn finished_set_in_a_wal(dir: &std::path::Path) -> (EndpointReference, SimTime) {
+    let store = Arc::new(DurableStore::open(dir, Arc::new(MemoryStore::new())).unwrap());
+    let config = GridConfig::with_machines(1).with_scheduler_store(store.clone());
+    let grid = CampusGrid::build(config, Clock::manual());
+    let client = grid.client("c");
+    client.put_file("C:\\p.exe", JobProgram::compute(1.0).to_manifest());
+    let exe = FileRef::parse("local://C:\\p.exe").unwrap();
+    let spec = JobSetSpec::new("leased").job(JobSpec::new("j", exe));
+    let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
+    grid.clock.advance(Duration::from_secs(10));
+    assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
+    let key = handle.jobset.resource_key().unwrap();
+    let set = store.share("Scheduler", key).unwrap();
+    let lease = set.f64(&QName::new(wsrf_grid::soap::ns::WSRL, "TerminationTime"));
+    let lease = SimTime::from_secs_f64(lease.expect("a finished set is retired"));
+    (handle.jobset.clone(), lease)
+}
+
+/// A grid over the scheduler WAL under `dir`, on a clock set to `at`.
+fn reopened_at(dir: &std::path::Path, at: SimTime) -> (Arc<DurableStore>, CampusGrid) {
+    let store = Arc::new(DurableStore::open(dir, Arc::new(MemoryStore::new())).unwrap());
+    let clock = Clock::manual();
+    clock.advance_to(at);
+    let config = GridConfig::with_machines(1).with_scheduler_store(store.clone());
+    (store, CampusGrid::build(config, clock))
+}
+
+fn status_fault(grid: &CampusGrid, set: &EndpointReference) -> Option<String> {
+    let get = Element::new(wsrf_grid::soap::ns::WSRP, "GetResourceProperty").text("Status");
+    let action = wsrf_grid::wsrf::porttypes::wsrp_action("GetResourceProperty");
+    let resp = wsrf_grid::wsrf::Outbound::new(set.clone(), action, get).call(&grid.net);
+    resp.err().and_then(|f| f.error_code().map(str::to_string))
+}
+
+/// A finished set's lease is its stored `wsrl:TerminationTime`: a
+/// scheduler reopened over the WAL after that lease ran out neither
+/// lists nor serves the set.
+#[test]
+fn a_scheduler_reopened_past_a_sets_lease_forgets_the_set() {
+    let tmp = TempDir::new("lease-past");
+    let (set, lease) = finished_set_in_a_wal(&tmp.0);
+    let (store, grid) = reopened_at(&tmp.0, lease + Duration::from_secs(1));
+    let key = set.resource_key().unwrap().to_string();
+    assert!(!store.list("Scheduler").contains(&key), "reaped at build");
+    assert!(grid.client("c").rediscover(None).unwrap().is_empty());
+    let gone = status_fault(&grid, &set);
+    assert_eq!(gone.as_deref(), Some("wsrf:NoSuchResource"));
+}
+
+/// ...and one reopened before the lease ends re-arms it: the set stays
+/// until its deadline and is reaped then.
+#[test]
+fn a_scheduler_reopened_before_a_sets_lease_reaps_it_on_time() {
+    let tmp = TempDir::new("lease-ahead");
+    let (set, lease) = finished_set_in_a_wal(&tmp.0);
+    let (store, grid) = reopened_at(&tmp.0, SimTime::from_secs(20));
+    let key = set.resource_key().unwrap().to_string();
+    let expired = || grid.metrics.counter("events.lease_expiry").get();
+    let before = expired();
+    grid.clock
+        .advance_to(lease.saturating_sub(Duration::from_secs(1)));
+    assert_eq!(status_fault(&grid, &set), None, "served until the deadline");
+    assert_eq!(grid.client("c").rediscover(None).unwrap().len(), 1);
+    grid.clock.advance_to(lease);
+    assert!(
+        !store.list("Scheduler").contains(&key),
+        "reaped at the deadline"
+    );
+    let gone = status_fault(&grid, &set);
+    assert_eq!(gone.as_deref(), Some("wsrf:NoSuchResource"));
+    assert_eq!(expired(), before + 1);
+}

@@ -1,4 +1,4 @@
-//! Metrics-feedback placement (ROADMAP item 1): the Scheduler reports
+//! Metrics-feedback placement: the Scheduler reports
 //! observed per-machine outcomes back into the policy, and
 //! `MetricsFeedback` steers work away from machines whose observed
 //! latencies exceed the fleet median — closing the loop the paper

@@ -7,6 +7,7 @@
 
 use std::time::Duration;
 
+use wsrf_grid::notification::{broker, TopicExpression};
 use wsrf_grid::prelude::*;
 use wsrf_grid::soap::ns;
 use wsrf_grid::wsrf::porttypes::{wsrl_action, wsrp_action, XPATH_DIALECT};
@@ -109,6 +110,46 @@ fn job_resources_obey_resource_lifetime() {
         wsrp_action("GetResourceProperty"),
         El::new(ns::WSRP, "GetResourceProperty").text("Status"),
     );
+    assert_eq!(
+        resp.fault().unwrap().error_code(),
+        Some("wsrf:NoSuchResource")
+    );
+}
+
+fn property(grid: &CampusGrid, to: &EndpointReference, name: &str) -> String {
+    let get = El::new(ns::WSRP, "GetResourceProperty").text(name);
+    let resp = call(grid, to, wsrp_action("GetResourceProperty"), get);
+    assert!(!resp.is_fault(), "{name}: {:?}", resp.fault());
+    resp.body.text_content()
+}
+
+/// Every lease is a `wsrl:TerminationTime` property a WS-RP read
+/// answers: a finished set's and its jobs' retention, and a lease asked
+/// for at `Subscribe`.
+#[test]
+fn every_lease_is_a_readable_termination_time() {
+    let grid = grid();
+    let (client, handle) = start_one_job(&grid, 1.0);
+    grid.clock.advance(Duration::from_secs(5));
+    assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
+    // Submitted at 0, so the set ended at its makespan.
+    let ended: f64 = property(&grid, &handle.jobset, "Makespan").parse().unwrap();
+    for epr in [&handle.jobset, &handle.job_epr("j").unwrap()] {
+        let lease: f64 = property(&grid, epr, "TerminationTime").parse().unwrap();
+        assert!(
+            (lease - (ended + 3600.0)).abs() < 1e-6,
+            "{lease} vs {ended}"
+        );
+    }
+
+    let listener = client.listener();
+    let topic = TopicExpression::full("leased//");
+    let sub = broker::subscribe(&grid.net, &grid.broker, &listener.epr(), &topic, Some(30.0));
+    let sub = sub.unwrap();
+    assert_eq!(property(&grid, &sub, "TerminationTime"), "35");
+    grid.clock.advance(Duration::from_secs(30));
+    let get = El::new(ns::WSRP, "GetResourceProperty").text("TerminationTime");
+    let resp = call(&grid, &sub, wsrp_action("GetResourceProperty"), get);
     assert_eq!(
         resp.fault().unwrap().error_code(),
         Some("wsrf:NoSuchResource")
