@@ -39,7 +39,7 @@ use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -127,18 +127,6 @@ impl CompiledSub {
 thread_local! {
     /// Set while this thread runs a delivery (`Retire`'s `delivering`).
     static DELIVERING: Cell<bool> = const { Cell::new(false) };
-}
-
-/// A delivery's mark on this thread; a consumer that unwinds ends it.
-struct Delivering<'a>(&'a CompiledSub, bool);
-
-impl Drop for Delivering<'_> {
-    fn drop(&mut self) {
-        DELIVERING.set(self.1);
-        if std::thread::panicking() {
-            self.0.step(Event::End { ok: false });
-        }
-    }
 }
 
 /// Write-through cache of compiled subscriptions: `notify_op` reads one
@@ -480,15 +468,24 @@ impl DeliveryFabric {
             .trace(trace.as_ref())
             .into_envelope();
         // This thread is the consumer's delivery thread — the publisher's
-        // on a manual clock, a `broker-delivery` worker otherwise.
-        let delivering = Delivering(sub, DELIVERING.replace(true));
-        let ok = self.net.deliver_oneway(&sub.consumer.address, env).is_ok();
-        drop(delivering);
+        // on a manual clock, a `broker-delivery` worker otherwise. A
+        // consumer that panics has failed its delivery like one that
+        // answered an error: the failure is counted, and may auto-pause,
+        // before the panic goes on to whoever runs this thread.
+        let was = DELIVERING.replace(true);
+        let sent = catch_unwind(AssertUnwindSafe(|| {
+            self.net.deliver_oneway(&sub.consumer.address, env)
+        }));
+        DELIVERING.set(was);
+        let ok = matches!(sent, Ok(Ok(())));
         if sub.step(Event::End { ok }) == Action::AutoPause {
             self.autopause(core, sub);
         }
         if !ok {
             self.failures.inc();
+        }
+        if let Err(panic) = sent {
+            resume_unwind(panic);
         }
         Some(ok)
     }
@@ -551,10 +548,10 @@ impl DeliveryFabric {
                 q.q.drain(..n).collect()
             };
             for d in batch {
-                // `send_now` counts a failure and auto-pauses, and a
-                // consumer that panics has ended its delivery
-                // (`Delivering`): a queued delivery has no publisher left
-                // to report either to, and the rest of the queue drains.
+                // `send_now` counts a failure and auto-pauses, for a
+                // consumer that panicked too, before the panic resumes
+                // here: a queued delivery has no publisher left to report
+                // either to, and the rest of the queue drains.
                 let _ = catch_unwind(AssertUnwindSafe(|| {
                     self.send_now(core, &d.sub, &d.message, d.trace)
                 }));

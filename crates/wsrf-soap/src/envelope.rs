@@ -1,10 +1,10 @@
 //! SOAP envelopes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use wsrf_xml::{parse, Element, LenSink, TreeWriter, XmlError, XmlSink};
+use wsrf_xml::{Element, Event, LenSink, PullParser, TreeWriter, XmlError, XmlSink};
 
-use crate::fault::SoapFault;
 use crate::ns;
 
 /// Full envelope serializations performed so far (process-wide).
@@ -61,48 +61,16 @@ impl Envelope {
         Some(self.headers.remove(idx))
     }
 
-    /// Whether the body is a SOAP `<Fault>`.
-    pub fn is_fault(&self) -> bool {
-        self.body.name.is(ns::SOAP_ENV, "Fault")
-    }
-
-    /// Decode the body as a [`SoapFault`], if it is one.
-    pub fn fault(&self) -> Option<SoapFault> {
-        if self.is_fault() {
-            Some(SoapFault::from_element(&self.body))
-        } else {
-            None
-        }
-    }
-
-    /// Build the `<soap:Envelope>` element tree.
-    ///
-    /// This deep-clones every header and the body. The wire path never
-    /// needs the clone — [`Self::write_into`] streams the same document
-    /// straight from `self.headers`/`self.body` — but the tree form is
-    /// still useful for tests and message inspection.
-    pub fn to_element(&self) -> Element {
-        let mut env = Element::new(ns::SOAP_ENV, "Envelope");
-        if !self.headers.is_empty() {
-            let mut header = Element::new(ns::SOAP_ENV, "Header");
-            for h in &self.headers {
-                header.push_child(h.clone());
-            }
-            env.push_child(header);
-        }
-        env.push_child(Element::new(ns::SOAP_ENV, "Body").child(self.body.clone()));
-        env
-    }
-
     /// Stream the wire document into `out` without cloning the tree:
     /// the `<soap:Envelope>`/`<soap:Header>`/`<soap:Body>` scaffolding
     /// is written directly and the header/body subtrees are serialized
-    /// in place. Byte-for-byte identical to the historical
-    /// `to_element().to_document()` output.
+    /// in place. `<soap:Envelope>` declares WS-Addressing beside `soap`,
+    /// so every addressing header and every EPR in the body reuses that
+    /// one binding instead of declaring its own.
     fn render<S: XmlSink>(&self, out: &mut S) {
         let mut w = TreeWriter::new(out);
         w.prolog();
-        w.start(Some(ns::SOAP_ENV), "Envelope");
+        w.start_declaring(Some(ns::SOAP_ENV), "Envelope", &[ns::WSA]);
         if !self.headers.is_empty() {
             w.start(Some(ns::SOAP_ENV), "Header");
             for h in &self.headers {
@@ -140,30 +108,119 @@ impl Envelope {
         out
     }
 
-    /// Decode an envelope from an element tree.
-    pub fn from_element(root: &Element) -> Result<Envelope, XmlError> {
-        if !root.name.is(ns::SOAP_ENV, "Envelope") {
-            return Err(XmlError::new(format!(
-                "expected soap:Envelope, found {}",
-                root.name
-            )));
-        }
-        let headers = match root.find(ns::SOAP_ENV, "Header") {
-            Some(h) => h.elements().cloned().collect(),
-            None => Vec::new(),
-        };
-        let body_el = root.expect(ns::SOAP_ENV, "Body")?;
-        let body = body_el
-            .elements()
-            .next()
-            .cloned()
-            .ok_or_else(|| XmlError::new("soap:Body must contain one element"))?;
+    /// Parse an envelope from its wire form: one pass over the pull
+    /// stream under the rules [`walk`] shares with
+    /// [`LazyEnvelope::scan`](crate::LazyEnvelope::scan), building each
+    /// header block and the body element where it stands — no wrapper
+    /// tree to copy them out of. Counts one DOM build.
+    pub fn parse(xml: &str) -> Result<Envelope, XmlError> {
+        let mut headers = Vec::new();
+        let body = walk(
+            &mut PullParser::new(xml),
+            |p| {
+                children(p, |p, _, _| {
+                    headers.push(p.build_part()?);
+                    Ok(())
+                })
+            },
+            |p| first_child(p, |p, _, _| p.build_element()),
+        )?;
         Ok(Envelope { headers, body })
     }
+}
 
-    /// Parse an envelope from its wire form.
-    pub fn parse(xml: &str) -> Result<Envelope, XmlError> {
-        Envelope::from_element(&parse(xml)?)
+/// Walk a wire envelope under the rules both decoders share: the root
+/// must be `soap:Envelope`; only its first `soap:Header` and its first
+/// `soap:Body` count, each handed to its callback just after its start
+/// tag (the callback consumes it through its end); any other child is
+/// skipped, and content after the envelope is an error. Returns what
+/// `body` made of the Body's first element, failing if there was no
+/// Body or no element in it.
+pub(crate) fn walk<'a, T>(
+    p: &mut PullParser<'a>,
+    mut header: impl FnMut(&mut PullParser<'a>) -> Result<(), XmlError>,
+    mut body: impl FnMut(&mut PullParser<'a>) -> Result<Option<T>, XmlError>,
+) -> Result<T, XmlError> {
+    match p.next_event()? {
+        Some(Event::Start { ns, local }) if is(&ns, local, ns::SOAP_ENV, "Envelope") => {}
+        Some(Event::Start { ns, local }) => {
+            return Err(XmlError::new(format!(
+                "expected soap:Envelope, found {}",
+                clark(&ns, local)
+            )));
+        }
+        // The tokenizer errors before yielding anything else first.
+        _ => return Err(XmlError::new("expected soap:Envelope")),
+    }
+    let mut seen_header = false;
+    let mut found = None;
+    children(p, |p, ns, local| {
+        if is(&ns, local, ns::SOAP_ENV, "Header") && !seen_header {
+            seen_header = true;
+            header(p)
+        } else if is(&ns, local, ns::SOAP_ENV, "Body") && found.is_none() {
+            found = Some(body(p)?);
+            Ok(())
+        } else {
+            p.skip_element()
+        }
+    })?;
+    // The trailing-content check.
+    p.next_event()?;
+    match found {
+        None => Err(XmlError::new(format!(
+            "element <{{{soap}}}Envelope> is missing required child {{{soap}}}Body",
+            soap = ns::SOAP_ENV
+        ))),
+        Some(None) => Err(XmlError::new("soap:Body must contain one element")),
+        Some(Some(t)) => Ok(t),
+    }
+}
+
+/// Hand each element child of the element whose start tag was just
+/// pulled to `f`, which consumes it through its end; the text between
+/// them is skipped. Returns after the parent's end tag.
+pub(crate) fn children<'a>(
+    p: &mut PullParser<'a>,
+    mut f: impl FnMut(&mut PullParser<'a>, Option<Arc<str>>, &'a str) -> Result<(), XmlError>,
+) -> Result<(), XmlError> {
+    loop {
+        match p.next_event()? {
+            Some(Event::Start { ns, local }) => f(p, ns, local)?,
+            Some(Event::Text(_)) => {}
+            Some(Event::End) => return Ok(()),
+            None => unreachable!("tokenizer reports eof-in-content as an error"),
+        }
+    }
+}
+
+/// [`children`], handing only the first element child to `f` and
+/// skipping the rest: what `f` made of it, if there was one.
+pub(crate) fn first_child<'a, T>(
+    p: &mut PullParser<'a>,
+    mut f: impl FnMut(&mut PullParser<'a>, Option<Arc<str>>, &'a str) -> Result<T, XmlError>,
+) -> Result<Option<T>, XmlError> {
+    let mut first = None;
+    children(p, |p, ns, local| {
+        if first.is_none() {
+            first = Some(f(p, ns, local)?);
+            Ok(())
+        } else {
+            p.skip_element()
+        }
+    })?;
+    Ok(first)
+}
+
+pub(crate) fn is(ns: &Option<Arc<str>>, local: &str, want_ns: &str, want_local: &str) -> bool {
+    local == want_local && ns.as_deref() == Some(want_ns)
+}
+
+/// `{uri}local`, as a [`wsrf_xml::QName`] displays.
+pub(crate) fn clark(ns: &Option<Arc<str>>, local: &str) -> String {
+    match ns {
+        Some(uri) => format!("{{{}}}{}", uri, local),
+        None => local.to_string(),
     }
 }
 

@@ -206,6 +206,22 @@ impl SoapFault {
     }
 }
 
+impl Envelope {
+    /// Whether the body is a SOAP `<Fault>`.
+    pub fn is_fault(&self) -> bool {
+        self.body.name.is(ns::SOAP_ENV, "Fault")
+    }
+
+    /// Decode the body as a [`SoapFault`], if it is one.
+    pub fn fault(&self) -> Option<SoapFault> {
+        if self.is_fault() {
+            Some(SoapFault::from_element(&self.body))
+        } else {
+            None
+        }
+    }
+}
+
 impl std::fmt::Display for SoapFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "soap fault ({}): {}", self.code, self.reason)?;

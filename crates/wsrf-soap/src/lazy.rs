@@ -20,8 +20,9 @@
 //! write operations call [`LazyEnvelope::materialize_body`] on demand.
 //!
 //! Semantics match the DOM path (`Envelope::parse` +
-//! `MessageInfo::extract`) exactly: only the first `<soap:Header>` and
-//! first `<soap:Body>` count, header order is irrelevant, duplicate
+//! `MessageInfo::extract`) exactly — the two share one envelope walk:
+//! only the first `<soap:Header>` and first `<soap:Body>` count, extra
+//! body children are ignored, header order is irrelevant, duplicate
 //! text headers resolve last-wins, unknown non-WSA/WSSE headers are
 //! promoted to reference properties, and the trace-context header
 //! never becomes one.
@@ -31,6 +32,7 @@ use std::sync::Arc;
 use wsrf_xml::{Element, Event, PullParser, QName, XmlError};
 
 use crate::addressing::{EndpointReference, MessageInfo, TraceContext, NO_ACTION};
+use crate::envelope::{children, clark, first_child, walk};
 use crate::ns;
 
 /// Why [`LazyEnvelope::scan`] rejected a wire document. The two cases
@@ -78,8 +80,9 @@ pub struct LazyEnvelope<'a> {
     body_name: QName,
     /// Raw wire span of the operation element.
     body_span: &'a str,
-    /// Namespace bindings in scope where the span starts.
-    body_scope: Vec<(String, Option<Arc<str>>)>,
+    /// Namespace bindings in scope where the span starts, prefixes
+    /// borrowed from the wire.
+    body_scope: Vec<(&'a str, Option<Arc<str>>)>,
 }
 
 impl<'a> LazyEnvelope<'a> {
@@ -87,59 +90,29 @@ impl<'a> LazyEnvelope<'a> {
     /// body. Errors mirror [`crate::Envelope::parse`] +
     /// [`MessageInfo::extract`] on the same inputs.
     pub fn scan(wire: &'a str) -> Result<LazyEnvelope<'a>, ScanError> {
-        let mut p = PullParser::new(wire);
-        match p.next_event()? {
-            Some(Event::Start { ns, local }) if is(&ns, local, ns::SOAP_ENV, "Envelope") => {}
-            Some(Event::Start { ns, local }) => {
-                return Err(XmlError::new(format!(
-                    "expected soap:Envelope, found {}",
-                    clark(&ns, local)
-                ))
-                .into());
-            }
-            // The tokenizer errors before yielding anything else first.
-            _ => return Err(XmlError::new("expected soap:Envelope").into()),
-        }
-
         let mut info = MessageInfo::default();
         let mut trace = None;
         let mut headers = Vec::new();
-        let mut body: Option<(QName, &'a str, Vec<(String, Option<Arc<str>>)>)> = None;
-        let mut seen_header = false;
-        let mut seen_body = false;
-
-        // Children of <Envelope>.
-        loop {
-            match p.next_event()? {
-                Some(Event::Start { ns, local }) => {
-                    if is(&ns, local, ns::SOAP_ENV, "Header") && !seen_header {
-                        seen_header = true;
-                        scan_headers(&mut p, &mut info, &mut trace, &mut headers)?;
-                    } else if is(&ns, local, ns::SOAP_ENV, "Body") && !seen_body {
-                        seen_body = true;
-                        body = scan_body(&mut p, wire)?;
-                    } else {
-                        p.skip_element()?;
-                    }
-                }
-                Some(Event::Text(_)) => {}
-                Some(Event::End) => break,
-                None => unreachable!("tokenizer reports eof-in-content as an error"),
-            }
-        }
-        // Drive the trailing-content check, as Envelope::parse does.
-        p.next_event()?;
-
-        if !seen_body {
-            return Err(XmlError::new(format!(
-                "element <{{{}}}Envelope> is missing required child {{{}}}Body",
-                ns::SOAP_ENV,
-                ns::SOAP_ENV
-            ))
-            .into());
-        }
-        let (body_name, body_span, body_scope) =
-            body.ok_or_else(|| XmlError::new("soap:Body must contain one element"))?;
+        let (body_name, body_span, body_scope) = walk(
+            &mut PullParser::new(wire),
+            |p| scan_headers(p, &mut info, &mut trace, &mut headers),
+            |p| {
+                // Scope at <Body> includes every binding visible to its
+                // children that the deferred span itself does not
+                // re-declare.
+                let scope = p.scope();
+                let first = first_child(p, |p, ns, local| {
+                    let start = p.last_start_pos();
+                    p.skip_element()?;
+                    let name = QName {
+                        ns,
+                        local: local.into(),
+                    };
+                    Ok((name, &wire[start..p.pos()]))
+                })?;
+                Ok(first.map(|(name, span)| (name, span, scope)))
+            },
+        )?;
         if info.action.is_empty() {
             return Err(ScanError::MissingAction);
         }
@@ -182,17 +155,6 @@ impl<'a> LazyEnvelope<'a> {
     }
 }
 
-fn is(ns: &Option<Arc<str>>, local: &str, want_ns: &str, want_local: &str) -> bool {
-    local == want_local && ns.as_deref() == Some(want_ns)
-}
-
-fn clark(ns: &Option<Arc<str>>, local: &str) -> String {
-    match ns {
-        Some(uri) => format!("{{{}}}{}", uri, local),
-        None => local.to_string(),
-    }
-}
-
 /// Walk the children of the first `<soap:Header>`, mirroring the
 /// classification chain of [`MessageInfo::extract`].
 fn scan_headers(
@@ -201,79 +163,38 @@ fn scan_headers(
     trace: &mut Option<TraceContext>,
     headers: &mut Vec<Element>,
 ) -> Result<(), XmlError> {
-    loop {
-        match p.next_event()? {
-            Some(Event::Start { ns, local }) => {
-                let nss = ns.as_deref();
-                if nss == Some(ns::WSA) {
-                    match local {
-                        "To" => info.to.address = p.collect_text()?,
-                        "Action" => info.action = p.collect_text()?,
-                        "MessageID" => info.message_id = p.collect_text()?,
-                        "RelatesTo" => info.relates_to = Some(p.collect_text()?),
-                        "ReplyTo" => {
-                            let el = p.build_element()?;
-                            info.reply_to = Some(EndpointReference::from_element(&el)?);
-                            headers.push(el);
-                        }
-                        // Unknown wsa headers are ignored.
-                        _ => p.skip_element()?,
-                    }
-                } else if nss == Some(ns::WSSE) {
-                    // Security blocks are consumed as trees by the
-                    // security layer; keep them.
-                    headers.push(p.build_element()?);
-                } else if nss == Some(ns::UVACG) && local == TraceContext::HEADER_LOCAL {
-                    // The trace context identifies the *request*, not
-                    // the resource — never a reference property.
-                    *trace = TraceContext::parse(&p.collect_text()?);
-                } else {
-                    // Promoted reference property.
-                    let name = clark(&ns, local);
-                    let text = p.collect_text()?;
-                    info.to.reference_properties.push((name, text));
+    children(p, |p, ns, local| {
+        let nss = ns.as_deref();
+        if nss == Some(ns::WSA) {
+            match local {
+                "To" => info.to.address = p.collect_text()?,
+                "Action" => info.action = p.collect_text()?,
+                "MessageID" => info.message_id = p.collect_text()?,
+                "RelatesTo" => info.relates_to = Some(p.collect_text()?),
+                "ReplyTo" => {
+                    let el = p.build_element()?;
+                    info.reply_to = Some(EndpointReference::from_element(&el)?);
+                    headers.push(el);
                 }
+                // Unknown wsa headers are ignored.
+                _ => p.skip_element()?,
             }
-            Some(Event::Text(_)) => {}
-            Some(Event::End) => return Ok(()),
-            None => unreachable!("tokenizer reports eof-in-content as an error"),
+        } else if nss == Some(ns::WSSE) {
+            // Security blocks are consumed as trees by the security
+            // layer; keep them.
+            headers.push(p.build_element()?);
+        } else if nss == Some(ns::UVACG) && local == TraceContext::HEADER_LOCAL {
+            // The trace context identifies the *request*, not the
+            // resource — never a reference property.
+            *trace = TraceContext::parse(&p.collect_text()?);
+        } else {
+            // Promoted reference property.
+            let name = clark(&ns, local);
+            let text = p.collect_text()?;
+            info.to.reference_properties.push((name, text));
         }
-    }
-}
-
-/// Walk the children of the first `<soap:Body>`: capture the first
-/// element's name, span and namespace scope, skip the rest.
-#[allow(clippy::type_complexity)]
-fn scan_body<'a>(
-    p: &mut PullParser<'a>,
-    wire: &'a str,
-) -> Result<Option<(QName, &'a str, Vec<(String, Option<Arc<str>>)>)>, XmlError> {
-    // Scope at <Body> includes every binding visible to its children
-    // that the deferred span itself does not re-declare.
-    let scope = p.scope();
-    let mut first = None;
-    loop {
-        match p.next_event()? {
-            Some(Event::Start { ns, local }) => {
-                if first.is_none() {
-                    let name = QName {
-                        ns,
-                        local: local.into(),
-                    };
-                    let start = p.last_start_pos();
-                    p.skip_element()?;
-                    first = Some((name, &wire[start..p.pos()], scope.clone()));
-                } else {
-                    // Extra body children are ignored, as in
-                    // Envelope::from_element.
-                    p.skip_element()?;
-                }
-            }
-            Some(Event::Text(_)) => {}
-            Some(Event::End) => return Ok(first),
-            None => unreachable!("tokenizer reports eof-in-content as an error"),
-        }
-    }
+        Ok(())
+    })
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::RwLock;
@@ -106,9 +106,9 @@ pub struct InProcNetwork {
     /// minting a histogram per name.
     obs_modeled_by_auth: HistogramFamily,
     /// Defers [`send_oneway`](InProcNetwork::send_oneway) deliveries
-    /// off the manual clock; [`deliver_oneway`](InProcNetwork::deliver_oneway)
-    /// never touches it.
-    pool: ThreadPool,
+    /// off the manual clock, started by the first of them;
+    /// [`deliver_oneway`](InProcNetwork::deliver_oneway) never touches it.
+    pool: OnceLock<ThreadPool>,
 }
 
 impl InProcNetwork {
@@ -142,7 +142,7 @@ impl InProcNetwork {
                 MODELED_AUTHORITY_CAP,
             ),
             obs_registry: registry.clone(),
-            pool: ThreadPool::new(4, "inproc-oneway"),
+            pool: OnceLock::new(),
         })
     }
 
@@ -314,7 +314,10 @@ impl InProcNetwork {
                 .schedule(cost, move |_| arrive(&registry, &metrics, &addr, env));
         } else {
             let clock = self.clock.clone();
-            self.pool.execute(move || {
+            let pool = self
+                .pool
+                .get_or_init(|| ThreadPool::new(4, "inproc-oneway"));
+            pool.execute(move || {
                 clock.sleep(cost);
                 arrive(&registry, &metrics, &addr, env);
             });
@@ -693,6 +696,30 @@ mod tests {
         });
         assert_eq!((seen(0), seen(1)), (0, 1));
         assert_eq!(net.metrics.undeliverable.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn only_a_deferred_oneway_off_the_manual_clock_starts_the_pool() {
+        let clock = Clock::manual();
+        let net = InProcNetwork::new(clock.clone());
+        net.register("inproc://m1/Echo", echo());
+        for cfg in [NetConfig::default(), latency(Duration::from_millis(10))] {
+            net.set_config(cfg);
+            net.call("inproc://m1/Echo", ping()).unwrap();
+            net.send_oneway("inproc://m1/Echo", ping()).unwrap();
+            net.deliver_oneway("inproc://m1/Echo", ping()).unwrap();
+            clock.advance(Duration::from_millis(10));
+        }
+        let (calls, oneways, _, _) = net.metrics.snapshot();
+        assert_eq!((calls, oneways), (2, 4));
+        assert!(net.pool.get().is_none(), "a manual clock started the pool");
+
+        let net = InProcNetwork::new(Clock::scaled(1000.0));
+        net.register("inproc://m1/Echo", echo());
+        net.deliver_oneway("inproc://m1/Echo", ping()).unwrap();
+        assert!(net.pool.get().is_none(), "deliver_oneway started the pool");
+        net.send_oneway("inproc://m1/Echo", ping()).unwrap();
+        assert!(net.pool.get().is_some());
     }
 
     #[test]

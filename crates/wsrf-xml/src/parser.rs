@@ -201,10 +201,9 @@ impl<'a> PullParser<'a> {
     /// inherited from an enclosing scope (as captured by
     /// [`scope`](Self::scope)). Used to re-parse a deferred subtree —
     /// e.g. a SOAP body span — in its original namespace environment.
-    pub fn with_scope(input: &'a str, scope: &'a [(String, Option<Arc<str>>)]) -> Self {
+    pub fn with_scope(input: &'a str, scope: &[(&'a str, Option<Arc<str>>)]) -> Self {
         let mut p = Self::new(input);
-        p.bindings
-            .extend(scope.iter().map(|(p, uri)| (p.as_str(), uri.clone())));
+        p.bindings.extend_from_slice(scope);
         p
     }
 
@@ -230,12 +229,10 @@ impl<'a> PullParser<'a> {
     }
 
     /// Snapshot of the namespace bindings currently in scope, for
-    /// [`with_scope`](Self::with_scope).
-    pub fn scope(&self) -> Vec<(String, Option<Arc<str>>)> {
-        self.bindings
-            .iter()
-            .map(|(p, uri)| (p.to_string(), uri.clone()))
-            .collect()
+    /// [`with_scope`](Self::with_scope). The prefixes stay borrowed from
+    /// the input.
+    pub fn scope(&self) -> Vec<(&'a str, Option<Arc<str>>)> {
+        self.bindings.clone()
     }
 
     /// Pull the next event, or `Ok(None)` at clean end of document.
@@ -347,10 +344,14 @@ impl<'a> PullParser<'a> {
     /// build in [`dom_build_count`].
     pub fn build_element(&mut self) -> Result<Element> {
         self.dom_builds += 1;
-        self.build_current()
+        self.build_part()
     }
 
-    fn build_current(&mut self) -> Result<Element> {
+    /// [`build_element`](Self::build_element) without counting a DOM
+    /// build: for a caller assembling one document from several
+    /// subtrees, which counts it once by building one of them with
+    /// `build_element`.
+    pub fn build_part(&mut self) -> Result<Element> {
         let (ns, local) = self
             .last_start
             .take()
@@ -369,7 +370,7 @@ impl<'a> PullParser<'a> {
         loop {
             match self.next_event()? {
                 Some(Event::Start { .. }) => {
-                    let child = self.build_current()?;
+                    let child = self.build_part()?;
                     element.children.push(Node::Element(child));
                 }
                 Some(Event::Text(t)) => push_text(&mut element, t.into_owned()),

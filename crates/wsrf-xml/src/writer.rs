@@ -260,17 +260,22 @@ fn open_with_decls<S: XmlSink>(
     added
 }
 
-/// Open tag for a synthetic (element-free) name: resolve, declare,
-/// emit. Returns the number of bindings introduced and the name's
-/// prefix id, which the close tag reuses.
+/// Open tag for a synthetic (element-free) name: resolve it and every
+/// namespace in `declare`, declare, emit. Returns the number of
+/// bindings introduced and the name's prefix id, which the close tag
+/// reuses.
 fn open_raw<'n, S: XmlSink>(
     ns: Option<&'n str>,
     local: &'n str,
+    declare: &[&'n str],
     out: &mut S,
     scope: &mut Scope<'n>,
 ) -> (usize, Option<u32>) {
     scope.fresh.clear();
     let prefix = ns.map(|uri| scope.resolve(uri));
+    for uri in declare {
+        scope.resolve(uri);
+    }
     (open_with_decls(prefix, local, out, scope), prefix)
 }
 
@@ -424,10 +429,12 @@ impl Element {
 /// [`Element`] tree: open synthetic tags with [`TreeWriter::start`],
 /// splice whole borrowed subtrees with [`TreeWriter::element`], close
 /// with [`TreeWriter::end`]. All prefix scoping is shared with the
-/// element serializer, so a document written this way is byte-for-byte
-/// what serializing the equivalent built tree would produce — without
-/// ever building (or cloning into) that tree. `wsrf-soap` uses this to
-/// render envelopes straight from their `headers`/`body` fields.
+/// element serializer, so a document written with `start` alone is
+/// byte-for-byte what serializing the equivalent built tree would
+/// produce — without ever building (or cloning into) that tree;
+/// [`TreeWriter::start_declaring`] additionally binds namespaces a tree
+/// would declare again in each subtree. `wsrf-soap` uses this to render
+/// envelopes straight from their `headers`/`body` fields.
 pub struct TreeWriter<'o, 'n, S: XmlSink> {
     out: &'o mut S,
     scope: Scope<'n>,
@@ -453,7 +460,14 @@ impl<'o, 'n, S: XmlSink> TreeWriter<'o, 'n, S> {
     /// children. Attributes are not supported on synthetic tags; use
     /// [`TreeWriter::element`] for real elements.
     pub fn start(&mut self, ns: Option<&'n str>, local: &'n str) {
-        let (added, prefix) = open_raw(ns, local, self.out, &mut self.scope);
+        self.start_declaring(ns, local, &[]);
+    }
+
+    /// [`start`](Self::start) that also declares each namespace in
+    /// `declare` on this tag (after its own name's), so every descendant
+    /// in one of them reuses this binding instead of declaring its own.
+    pub fn start_declaring(&mut self, ns: Option<&'n str>, local: &'n str, declare: &[&'n str]) {
+        let (added, prefix) = open_raw(ns, local, declare, self.out, &mut self.scope);
         self.out.push_char('>');
         self.open.push((prefix, local, added));
     }
@@ -701,6 +715,31 @@ mod tests {
         w.end();
         w.end();
         assert_eq!(count.len(), built.len());
+    }
+
+    #[test]
+    fn a_pre_declared_namespace_is_bound_once_for_every_subtree() {
+        fn write<S: XmlSink>(out: &mut S, kids: &[Element]) {
+            let mut w = TreeWriter::new(out);
+            w.start_declaring(Some("urn:outer"), "Env", &["urn:shared", "urn:outer"]);
+            for k in kids {
+                w.element(k);
+            }
+            w.end();
+        }
+        let kid = Element::new("urn:shared", "K").child(Element::new("urn:own", "O"));
+        let kids = [kid.clone(), kid];
+        let mut xml = String::new();
+        write(&mut xml, &kids);
+        assert_eq!(
+            xml,
+            "<ns0:Env xmlns:ns0=\"urn:outer\" xmlns:ns1=\"urn:shared\">\
+             <ns1:K><ns2:O xmlns:ns2=\"urn:own\"/></ns1:K>\
+             <ns1:K><ns3:O xmlns:ns3=\"urn:own\"/></ns1:K></ns0:Env>"
+        );
+        let mut count = LenSink::new();
+        write(&mut count, &kids);
+        assert_eq!(count.len(), xml.len());
     }
 
     #[test]

@@ -187,6 +187,17 @@ if sed '/^#\[cfg(test)\]/,$d' crates/wsrf-core/src/container.rs |
     exit 1
 fi
 
+# One build per received envelope: `Envelope::parse` builds each header
+# block and the body element where it stands on the pull stream, under
+# the rules it shares with `LazyEnvelope::scan`. No wrapper tree is built
+# to copy them out of, and the envelope has no tree form to convert to
+# or from.
+if sed '/^#\[cfg(test)\]/,$d' crates/wsrf-soap/src/envelope.rs |
+    grep -nE '\.cloned\(\)|from_element|to_element'; then
+    echo "tier-1: envelope.rs copies an envelope through a tree; build its parts off the pull stream" >&2
+    exit 1
+fi
+
 # A panic is caught in two places only: a pool worker outlives the task
 # that panicked, and a delivery worker's drain outlives the consumer
 # that did. Anywhere else a panic is a defect that must reach its

@@ -562,6 +562,39 @@ fn a_consumer_that_panicked_on_a_delivery_worker_still_hears_the_next_message() 
     assert_eq!(next, Ok(1), "the message after the panic never arrived");
 }
 
+/// A consumer that panics on a `broker-delivery` worker has failed its
+/// delivery like one that answered an error: each panic counts in
+/// `broker.delivery_failures`, and the third in a row auto-pauses the
+/// subscription where a WS-RP read of `Paused` sees it.
+#[test]
+fn a_consumer_that_panics_on_a_delivery_worker_counts_as_a_failed_delivery() {
+    let f = fabric(Clock::scaled(1000.0));
+    let l = NotificationListener::register(&f.net, "inproc://fails/l");
+    let failing = TopicExpression::full("fails//");
+    l.on_topic(failing.clone(), |_| panic!("a consumer's own bug"));
+    let sub = broker::subscribe(&f.net, &f.broker_epr, &l.epr(), &failing, None).unwrap();
+    // A second subscription of the same consumer shares its queue, so
+    // its message is delivered after the third panic has been counted.
+    let settled = TopicExpression::simple("settled");
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let done_tx = std::sync::Mutex::new(done_tx);
+    l.on_topic(settled.clone(), move |_| {
+        done_tx.lock().unwrap().send(()).unwrap()
+    });
+    broker::subscribe(&f.net, &f.broker_epr, &l.epr(), &settled, None).unwrap();
+    for _ in 0..3 {
+        broker::publish_counted(&f.net, &f.broker_epr, &evt("fails/x")).unwrap();
+    }
+    broker::publish_counted(&f.net, &f.broker_epr, &evt("settled")).unwrap();
+    done.recv_timeout(Duration::from_secs(30))
+        .expect("the consumer's queue stopped after its panics");
+    let counter = |name| f.registry.snapshot().counter(name).unwrap_or(0);
+    assert_eq!(counter("broker.delivery_failures"), 3);
+    assert_eq!(counter("broker.autopaused"), 1);
+    let paused = wsrf_grid::wsrf::ResourceProxy::new(&f.net, sub).get_text("Paused");
+    assert_eq!(paused.unwrap(), "true", "the auto-pause is stored");
+}
+
 /// A callback that destroys its subscription and subscribes again while
 /// its delivery still runs: the new subscription joins the queue that
 /// delivery is served from, so the messages published meanwhile wait

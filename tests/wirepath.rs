@@ -1,11 +1,13 @@
-//! Wire-path equivalence and transport framing hygiene.
+//! Wire-path agreement and transport framing hygiene.
 //!
-//! The zero-copy serializer (`Envelope::write_into` / `wire_len`) must
-//! be byte-for-byte indistinguishable from the legacy
-//! `to_element().to_document()` clone-and-render path — these tests pin
-//! that across fixed vectors (faults, addressing headers, traceparent)
-//! and randomly generated envelopes, and cover the Content-Length
-//! handling both HTTP peers now share.
+//! Every serialization surface of an envelope (`Envelope::write_into`
+//! into a `String` and into a `Vec<u8>`, the exact-size pass
+//! `wire_len`, the `to_xml` wrapper) must produce the same bytes, parse
+//! back to the same envelope, and bind WS-Addressing once, on
+//! `<soap:Envelope>` — pinned across fixed vectors (faults, addressing
+//! headers, traceparent) by their exact bytes and across randomly
+//! generated envelopes — plus the Content-Length handling both HTTP
+//! peers share.
 
 #![allow(clippy::result_large_err)]
 
@@ -20,49 +22,57 @@ use wsrf_grid::transport::http::{http_post, HttpSoapServer};
 use wsrf_grid::transport::{FnEndpoint, TransportError};
 use wsrf_grid::xml::{Element as El, QName};
 
-/// Assert every serialization surface agrees with the legacy
-/// clone-and-render output: both sinks, the exact-size pass, the
-/// compat wrapper, and (for hand-built vectors) the parser.
-fn assert_wire_identical(env: &Envelope) {
-    let legacy = env.to_element().to_document();
+/// How many times `xml` declares the WS-Addressing namespace.
+fn wsa_declarations(xml: &str) -> usize {
+    xml.matches(&format!("=\"{}\"", ns::WSA)).count()
+}
+
+/// Assert every serialization surface renders `want` exactly — both
+/// sinks, the exact-size pass and the compat wrapper — that it parses
+/// back to `env`, and that it declares WS-Addressing once.
+fn assert_wire_is(env: &Envelope, want: &str) {
     let mut s = String::new();
     env.write_into(&mut s);
-    assert_eq!(s, legacy, "String sink diverged from legacy render");
+    assert_eq!(s, want, "String sink");
     let mut v: Vec<u8> = Vec::new();
     env.write_into(&mut v);
+    assert_eq!(v.as_slice(), want.as_bytes(), "Vec<u8> sink");
+    assert_eq!(env.wire_len(), want.len(), "wire_len is not exact");
+    assert_eq!(env.to_xml(), want, "to_xml wrapper");
     assert_eq!(
-        v.as_slice(),
-        legacy.as_bytes(),
-        "Vec<u8> sink diverged from legacy render"
-    );
-    assert_eq!(env.wire_len(), legacy.len(), "wire_len is not exact");
-    assert_eq!(env.to_xml(), legacy, "to_xml wrapper diverged");
-    assert_eq!(
-        &Envelope::parse(&legacy).expect("legacy output reparses"),
+        &Envelope::parse(want).expect("the wire form reparses"),
         env,
         "parse roundtrip"
     );
+    assert_eq!(wsa_declarations(want), 1, "{want}");
+}
+
+/// The prolog and the `<soap:Envelope>` start tag every envelope opens
+/// with: `soap` is `ns0` and WS-Addressing `ns1`, for the whole message.
+fn envelope_open() -> String {
+    format!(
+        "<?xml version=\"1.0\" encoding=\"utf-8\"?>\
+         <ns0:Envelope xmlns:ns0=\"{}\" xmlns:ns1=\"{}\">",
+        ns::SOAP_ENV,
+        ns::WSA
+    )
 }
 
 #[test]
 fn headerless_envelope_exact_bytes() {
     let env = Envelope::new(El::local("Ping"));
-    assert_eq!(
-        env.to_xml(),
-        format!(
-            "<?xml version=\"1.0\" encoding=\"utf-8\"?>\
-             <ns0:Envelope xmlns:ns0=\"{soap}\"><ns0:Body><Ping/></ns0:Body></ns0:Envelope>",
-            soap = ns::SOAP_ENV
-        )
-    );
-    assert_wire_identical(&env);
+    let want = envelope_open() + "<ns0:Body><Ping/></ns0:Body></ns0:Envelope>";
+    assert_wire_is(&env, &want);
 }
 
 #[test]
 fn fault_envelope_is_wire_identical() {
     let env = SoapFault::server("boom").to_envelope();
-    assert_wire_identical(&env);
-    assert!(Envelope::parse(&env.to_xml()).unwrap().is_fault());
+    let want = envelope_open()
+        + "<ns0:Body><ns0:Fault><faultcode>Server</faultcode><faultstring>boom</faultstring>\
+           </ns0:Fault></ns0:Body></ns0:Envelope>";
+    assert_wire_is(&env, &want);
+    assert!(Envelope::parse(&want).unwrap().is_fault());
 }
 
 #[test]
@@ -78,9 +88,23 @@ fn addressed_namespaced_envelope_is_wire_identical() {
                     .text("tail & <text>"),
             ),
     );
-    MessageInfo::request(epr, format!("{}/CreateJob", ns::UVACG)).apply(&mut env);
+    let mut info = MessageInfo::request(epr, format!("{}/CreateJob", ns::UVACG));
+    info.message_id = "uuid:fixed-1".into();
+    info.apply(&mut env);
     env = env.with_header(El::new("urn:custom", "Tag").text("x"));
-    assert_wire_identical(&env);
+    let want = envelope_open()
+        + &format!(
+            "<ns0:Header><ns1:To>soap.tcp://machine01/ExecutionService</ns1:To>\
+             <ns1:Action>{uvacg}/CreateJob</ns1:Action>\
+             <ns1:MessageID>uuid:fixed-1</ns1:MessageID>\
+             <ns2:Tag xmlns:ns2=\"urn:custom\">x</ns2:Tag></ns0:Header>\
+             <ns0:Body><ns3:CreateJob xmlns:ns3=\"{uvacg}\"><ns3:JobName>run-42</ns3:JobName>\
+             <ns4:Mixed xmlns:ns4=\"urn:other\" k=\"v&lt;&amp;&gt;&quot;&#10;\"/>\
+             <ns3:Attr xmlns:ns5=\"urn:third\" ns5:scope=\"all\">tail &amp; &lt;text&gt;</ns3:Attr>\
+             </ns3:CreateJob></ns0:Body></ns0:Envelope>",
+            uvacg = ns::UVACG
+        );
+    assert_wire_is(&env, &want);
 }
 
 #[test]
@@ -88,16 +112,24 @@ fn traceparent_stamped_header_is_wire_identical() {
     let tc = TraceContext::new(0xdead_beef_cafe_f00d, 0x0123_4567_89ab_cdef, true);
     let mut env = Envelope::new(El::local("Ping"));
     tc.stamp(&mut env);
-    assert_wire_identical(&env);
+    let want = envelope_open()
+        + &format!(
+            "<ns0:Header><ns2:TraceContext xmlns:ns2=\"{}\">\
+             00-0000000000000000deadbeefcafef00d-0123456789abcdef-01</ns2:TraceContext>\
+             </ns0:Header><ns0:Body><Ping/></ns0:Body></ns0:Envelope>",
+            ns::UVACG
+        );
+    assert_wire_is(&env, &want);
     // Re-stamping (what hop_span does before byte accounting) must
-    // replace the header in place and stay wire-identical too.
+    // replace the header in place: the same bytes.
     let parsed = TraceContext::from_envelope(&env).expect("stamped header parses");
     parsed.stamp(&mut env);
-    assert_wire_identical(&env);
+    assert_wire_is(&env, &want);
 }
 
 // ---------------------------------------------------------------------------
-// Randomized byte-equality: write_into / wire_len vs legacy render.
+// Randomized agreement: both sinks, wire_len and to_xml, and one
+// WS-Addressing binding however many headers and body subtrees use it.
 // (No parse-roundtrip here — the parser merges adjacent text nodes, so
 // generated trees with sibling text are not reparse-stable by design.)
 // ---------------------------------------------------------------------------
@@ -182,15 +214,20 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     #[test]
-    fn write_into_matches_legacy_render(env in envelope_strategy()) {
-        let legacy = env.to_element().to_document();
+    fn every_sink_renders_the_same_bytes(env in envelope_strategy()) {
         let mut s = String::new();
         env.write_into(&mut s);
-        prop_assert_eq!(&s, &legacy);
         let mut v: Vec<u8> = Vec::new();
         env.write_into(&mut v);
-        prop_assert_eq!(v.as_slice(), legacy.as_bytes());
-        prop_assert_eq!(env.wire_len(), legacy.len());
+        prop_assert_eq!(v.as_slice(), s.as_bytes());
+        prop_assert_eq!(env.wire_len(), s.len());
+        prop_assert_eq!(env.to_xml(), s);
+    }
+
+    #[test]
+    fn an_envelope_declares_ws_addressing_once(env in envelope_strategy()) {
+        let xml = env.to_xml();
+        prop_assert_eq!(wsa_declarations(&xml), 1, "{}", xml);
     }
 
     #[test]
