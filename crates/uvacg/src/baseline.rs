@@ -102,7 +102,7 @@ pub fn job_manager(
 
             // Synchronous staging (blocking the submit call — the
             // anti-pattern the FSS one-way protocol avoids).
-            let bytes = crate::fss::read(&ctx.core.net, &source, &filename)
+            let bytes = crate::fss::read(&ctx.core.net, &source, &filename, None)
                 .map_err(|e| BaseFault::new("gram:StageFailed", e.to_string()))?;
 
             // Least-loaded machine.

@@ -351,7 +351,7 @@ impl JobSetHandle {
         let dir = self
             .job_dir(job)
             .ok_or_else(|| SoapFault::client(format!("no working directory known for '{job}'")))?;
-        fss::read(&self.net, &dir, file)
+        fss::read(&self.net, &dir, file, None)
     }
 
     /// Watch a job's directory (the `List` polling loop the paper

@@ -267,9 +267,8 @@ fn run_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element, BaseFault> 
 
     // Step 4: create the working directory on our FSS.
     let trace = ctx.trace;
-    let (dir_epr, dir_path) =
-        fss::create_directory_traced(&ctx.core.net, &rt.fss_address, trace.as_ref())
-            .map_err(|e| faults::storage(&format!("cannot create working directory: {e}")))?;
+    let (dir_epr, dir_path) = fss::create_directory(&ctx.core.net, &rt.fss_address, trace.as_ref())
+        .map_err(|e| faults::storage(&format!("cannot create working directory: {e}")))?;
 
     // Create the job resource.
     let mut doc = PropertyDoc::new();
@@ -763,7 +762,7 @@ mod tests {
     /// Stage an executable into a fresh grid directory; returns its
     /// directory EPR.
     fn stage_exe(f: &Fixture, prog: &JobProgram) -> EndpointReference {
-        let (dir, _) = fss::create_directory(&f.net, &f.fss_addr).unwrap();
+        let (dir, _) = fss::create_directory(&f.net, &f.fss_addr, None).unwrap();
         fss::write(&f.net, &dir, "prog.exe", &prog.to_manifest()).unwrap();
         dir
     }
@@ -832,7 +831,7 @@ mod tests {
         let f = fixture();
         let prog = JobProgram::compute(1.0).reading("data.in");
         let exe_dir = stage_exe(&f, &prog);
-        let (input_dir, _) = fss::create_directory(&f.net, &f.fss_addr).unwrap();
+        let (input_dir, _) = fss::create_directory(&f.net, &f.fss_addr, None).unwrap();
         fss::write(&f.net, &input_dir, "source.dat", b"input bytes").unwrap();
         let req = RunRequest {
             job_name: "j".into(),
@@ -920,7 +919,7 @@ mod tests {
         );
         es.register(&net);
 
-        let (dir, _) = fss::create_directory(&net, "inproc://m1/FileSystem").unwrap();
+        let (dir, _) = fss::create_directory(&net, "inproc://m1/FileSystem", None).unwrap();
         fss::write(
             &net,
             &dir,
@@ -948,7 +947,7 @@ mod tests {
         let bad = sec
             .encrypt_token(&UsernameToken::new("alice", "pw"), "other")
             .unwrap();
-        let (dir2, _) = fss::create_directory(&net, "inproc://m1/FileSystem").unwrap();
+        let (dir2, _) = fss::create_directory(&net, "inproc://m1/FileSystem", None).unwrap();
         fss::write(
             &net,
             &dir2,
@@ -1025,9 +1024,12 @@ mod tests {
             .map(|(n, _)| n)
             .collect();
         assert!(names.contains(&"out.dat".to_string()), "{names:?}");
-        assert_eq!(fss::read(&f.net, &dir, "out.dat").unwrap().len(), 32);
+        assert_eq!(fss::read(&f.net, &dir, "out.dat", None).unwrap().len(), 32);
         fss::write(&f.net, &dir, "extra.txt", b"note").unwrap();
-        assert_eq!(&fss::read(&f.net, &dir, "extra.txt").unwrap()[..], b"note");
+        assert_eq!(
+            &fss::read(&f.net, &dir, "extra.txt", None).unwrap()[..],
+            b"note"
+        );
     }
 
     #[test]

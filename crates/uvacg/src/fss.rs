@@ -210,7 +210,7 @@ pub fn file_system_service(
                             // scheme) or the client's WSE-TCP file server
                             // (soap.tcp scheme) — the network cost model
                             // prices the schemes differently.
-                            remote_read(&core.net, &item.source, &item.filename, trace.as_ref())
+                            read(&core.net, &item.source, &item.filename, trace.as_ref())
                                 .map_err(|e| e.to_string())?
                         };
                         staged_bytes.add(content.len() as u64);
@@ -295,16 +295,9 @@ fn no_such_file(name: &str, e: &grid_node::FsError) -> BaseFault {
 // ---------------------------------------------------------------------
 
 /// Call `CreateDirectory` on an FSS; returns `(directory EPR, path)`.
+/// `trace` joins the FSS's dispatch span to the caller's span tree
+/// (Figure 3 step 4).
 pub fn create_directory(
-    net: &InProcNetwork,
-    fss_address: &str,
-) -> Result<(EndpointReference, String), SoapFault> {
-    create_directory_traced(net, fss_address, None)
-}
-
-/// [`create_directory`] carrying a trace context so the FSS's dispatch
-/// span joins the caller's span tree (Figure 3 step 4).
-pub fn create_directory_traced(
     net: &InProcNetwork,
     fss_address: &str,
     trace: Option<&TraceContext>,
@@ -326,19 +319,10 @@ pub fn create_directory_traced(
 }
 
 /// `Read` a file in the context of a directory EPR (or from a client
-/// file server EPR, which answers the same action).
+/// file server EPR, which answers the same action). The upload engine
+/// passes the staging job's `trace`, so remote reads (client staging,
+/// step 5) appear as transport hops in the span tree.
 pub fn read(
-    net: &InProcNetwork,
-    source: &EndpointReference,
-    filename: &str,
-) -> Result<Bytes, SoapFault> {
-    remote_read(net, source, filename, None)
-}
-
-/// Internal fetch shared with the upload engine, which stamps the
-/// staging job's trace context so remote reads (client staging, step 5)
-/// appear as transport hops in the span tree.
-fn remote_read(
     net: &InProcNetwork,
     source: &EndpointReference,
     filename: &str,
@@ -466,7 +450,7 @@ mod tests {
     #[test]
     fn create_directory_returns_epr_with_path_property() {
         let f = fixture();
-        let (epr, path) = create_directory(&f.net, ADDR).unwrap();
+        let (epr, path) = create_directory(&f.net, ADDR, None).unwrap();
         assert!(path.starts_with("grid/dir-"), "{path}");
         assert!(f.fs.exists(&path));
         assert_eq!(epr.address, ADDR);
@@ -481,9 +465,12 @@ mod tests {
     #[test]
     fn write_read_list_roundtrip() {
         let f = fixture();
-        let (dir, path) = create_directory(&f.net, ADDR).unwrap();
+        let (dir, path) = create_directory(&f.net, ADDR, None).unwrap();
         write(&f.net, &dir, "input.dat", b"hello grid").unwrap();
-        assert_eq!(&read(&f.net, &dir, "input.dat").unwrap()[..], b"hello grid");
+        assert_eq!(
+            &read(&f.net, &dir, "input.dat", None).unwrap()[..],
+            b"hello grid"
+        );
         assert_eq!(
             f.fs.read(&format!("{path}/input.dat")).unwrap(),
             &b"hello grid"[..]
@@ -495,8 +482,8 @@ mod tests {
     #[test]
     fn read_missing_file_faults() {
         let f = fixture();
-        let (dir, _) = create_directory(&f.net, ADDR).unwrap();
-        let err = read(&f.net, &dir, "ghost.dat").unwrap_err();
+        let (dir, _) = create_directory(&f.net, ADDR, None).unwrap();
+        let err = read(&f.net, &dir, "ghost.dat", None).unwrap_err();
         assert_eq!(err.error_code(), Some("uvacg:NoSuchFile"));
     }
 
@@ -504,16 +491,16 @@ mod tests {
     fn read_on_dead_directory_resource_faults() {
         let f = fixture();
         let ghost = EndpointReference::resource(ADDR, dir_key_property(), "filesystem-999");
-        let err = read(&f.net, &ghost, "x").unwrap_err();
+        let err = read(&f.net, &ghost, "x", None).unwrap_err();
         assert_eq!(err.error_code(), Some("wsrf:NoSuchResource"));
     }
 
     #[test]
     fn upload_from_same_machine_copies_locally() {
         let f = fixture();
-        let (src, _src_path) = create_directory(&f.net, ADDR).unwrap();
+        let (src, _src_path) = create_directory(&f.net, ADDR, None).unwrap();
         write(&f.net, &src, "out.dat", b"payload").unwrap();
-        let (dst, dst_path) = create_directory(&f.net, ADDR).unwrap();
+        let (dst, dst_path) = create_directory(&f.net, ADDR, None).unwrap();
         let before_calls = f.net.metrics.snapshot().0;
         upload_files(
             &f.net,
@@ -556,9 +543,9 @@ mod tests {
         svc1.register(&net);
         svc2.register(&net);
 
-        let (src, _) = create_directory(&net, "inproc://m1/FileSystem").unwrap();
+        let (src, _) = create_directory(&net, "inproc://m1/FileSystem", None).unwrap();
         write(&net, &src, "result.bin", &[9u8; 64]).unwrap();
-        let (dst, dst_path) = create_directory(&net, "inproc://m2/FileSystem").unwrap();
+        let (dst, dst_path) = create_directory(&net, "inproc://m2/FileSystem", None).unwrap();
         upload_files(
             &net,
             &dst,
@@ -578,9 +565,9 @@ mod tests {
     #[test]
     fn upload_sends_completion_notification_with_context() {
         let f = fixture();
-        let (src, _) = create_directory(&f.net, ADDR).unwrap();
+        let (src, _) = create_directory(&f.net, ADDR, None).unwrap();
         write(&f.net, &src, "a.dat", b"A").unwrap();
-        let (dst, _) = create_directory(&f.net, ADDR).unwrap();
+        let (dst, _) = create_directory(&f.net, ADDR, None).unwrap();
 
         let seen: Arc<parking_lot::Mutex<Vec<Envelope>>> = Default::default();
         let seen2 = seen.clone();
@@ -635,7 +622,7 @@ mod tests {
                 Some(resp)
             })),
         );
-        let (dst, dst_path) = create_directory(&f.net, ADDR).unwrap();
+        let (dst, dst_path) = create_directory(&f.net, ADDR, None).unwrap();
         let client_epr = EndpointReference::service("soap.tcp://client-1/files");
         upload_files(
             &f.net,

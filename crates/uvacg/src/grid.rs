@@ -18,7 +18,7 @@ use crate::fss::file_system_service;
 use crate::monitor::{monitor_service, EventPump};
 use crate::nis::{self, node_info_service};
 use crate::policy::{FastestAvailable, SchedulingPolicy};
-use crate::scheduler::{scheduler_service, standby_scheduler, Scheduler, SchedulerConfig, Standby};
+use crate::scheduler::{scheduler_service, Scheduler, SchedulerConfig};
 use crate::security::GridSecurity;
 use wsrf_core::store::ResourceStore;
 
@@ -52,8 +52,8 @@ pub struct GridConfig {
     /// scheduler crash.
     pub scheduler_store: Option<Arc<dyn ResourceStore>>,
     /// Keep a submission record for every unfinished job set in the
-    /// scheduler's store, so a [`CampusGrid::spawn_standby`] can take
-    /// over after a crash (see
+    /// scheduler's store, so [`CampusGrid::take_over_scheduler`] can
+    /// carry on after a crash (see
     /// [`crate::scheduler::SchedulerConfig::replicate`]).
     pub replicate: bool,
 }
@@ -160,8 +160,8 @@ impl GridConfig {
         self
     }
 
-    /// Builder: turn on the scheduler's submission records, which a
-    /// [`CampusGrid::spawn_standby`] reads to take over after a crash.
+    /// Builder: turn on the scheduler's submission records, which
+    /// [`CampusGrid::take_over_scheduler`] reads after a crash.
     pub fn with_replication(mut self) -> Self {
         self.replicate = true;
         self
@@ -200,11 +200,9 @@ pub struct CampusGrid {
     /// [`CampusGrid::pump_events`] or schedule via [`EventPump::start`]
     /// so message-count assertions elsewhere stay undisturbed.
     event_pump: Arc<EventPump>,
-    /// What [`CampusGrid::spawn_standby`] needs to mirror the primary.
-    scheduler_store: Arc<dyn ResourceStore>,
-    policy: Arc<dyn SchedulingPolicy>,
-    job_timeout: Option<std::time::Duration>,
-    replicate: bool,
+    /// The primary scheduler's configuration, which
+    /// [`CampusGrid::take_over_scheduler`] builds its successor from.
+    scheduler_config: SchedulerConfig,
 }
 
 /// Well-known hub addresses.
@@ -219,7 +217,8 @@ pub const SCHEDULER_SUBJECT: &str = "scheduler";
 pub const SCHEDULER_LISTENER_ADDRESS: &str = "inproc://hub/SchedulerListener";
 /// Monitor service address (EventLog/Health RPs).
 pub const MONITOR_ADDRESS: &str = "inproc://hub/Monitor";
-/// The promoted standby scheduler's listener address.
+/// The listener address of a scheduler that took over from a crashed
+/// primary (whose broker subscriptions still target the old one).
 pub const STANDBY_LISTENER_ADDRESS: &str = "inproc://hub/StandbyListener";
 
 impl CampusGrid {
@@ -322,24 +321,23 @@ impl CampusGrid {
         }
 
         // Scheduler.
-        let scheduler_store = config
-            .scheduler_store
-            .clone()
-            .unwrap_or_else(|| Arc::new(MemoryStore::new()) as Arc<dyn ResourceStore>);
+        let scheduler_config = SchedulerConfig {
+            nis_address: NIS_ADDRESS.to_string(),
+            broker: broker.clone(),
+            policy: config.policy,
+            security: security
+                .as_ref()
+                .map(|s| (s.clone(), SCHEDULER_SUBJECT.to_string())),
+            store: config
+                .scheduler_store
+                .unwrap_or_else(|| Arc::new(MemoryStore::new())),
+            listener_address: SCHEDULER_LISTENER_ADDRESS.to_string(),
+            job_timeout: config.job_timeout,
+            replicate: config.replicate,
+        };
         let scheduler = scheduler_service(
             SCHEDULER_ADDRESS,
-            SchedulerConfig {
-                nis_address: NIS_ADDRESS.to_string(),
-                broker: broker.clone(),
-                policy: config.policy.clone(),
-                security: security
-                    .as_ref()
-                    .map(|s| (s.clone(), SCHEDULER_SUBJECT.to_string())),
-                store: scheduler_store.clone(),
-                listener_address: SCHEDULER_LISTENER_ADDRESS.to_string(),
-                job_timeout: config.job_timeout,
-                replicate: config.replicate,
-            },
+            scheduler_config.clone(),
             clock.clone(),
             net.clone(),
         );
@@ -369,43 +367,32 @@ impl CampusGrid {
             services,
             monitor,
             event_pump,
-            scheduler_store,
-            policy: config.policy,
-            job_timeout: config.job_timeout,
-            replicate: config.replicate,
+            scheduler_config,
         }
     }
 
-    /// Deploy a standby scheduler that takes over from the primary's
-    /// store (requires [`GridConfig::with_replication`]). Promote it
-    /// after a crash with `standby.promote(SCHEDULER_ADDRESS)`. `store`
-    /// is the store it reads (e.g. a [`wsrf_core::DurableStore`]
-    /// reopened from the primary's WAL directory); None shares the
-    /// primary's store.
+    /// Call after the primary crashed: build and register a scheduler
+    /// at [`SCHEDULER_ADDRESS`] that takes over every unfinished set the
+    /// primary recorded (requires [`GridConfig::with_replication`]). Its
+    /// listener is at [`STANDBY_LISTENER_ADDRESS`]. `store` is the store
+    /// it reads (e.g. a [`wsrf_core::DurableStore`] reopened from the
+    /// primary's WAL directory); None shares the primary's store.
     ///
     /// # Panics
     ///
     /// On a grid built without [`GridConfig::with_replication`]: its
     /// scheduler keeps no submission records to take over from.
-    pub fn spawn_standby(&self, store: Option<Arc<dyn ResourceStore>>) -> Standby {
-        assert!(self.replicate, "spawn_standby without with_replication");
-        standby_scheduler(
-            SchedulerConfig {
-                nis_address: self.nis_address.clone(),
-                broker: self.broker.clone(),
-                policy: self.policy.clone(),
-                security: self
-                    .security
-                    .as_ref()
-                    .map(|s| (s.clone(), SCHEDULER_SUBJECT.to_string())),
-                store: store.unwrap_or_else(|| self.scheduler_store.clone()),
-                listener_address: STANDBY_LISTENER_ADDRESS.to_string(),
-                job_timeout: self.job_timeout,
-                replicate: self.replicate,
-            },
-            self.clock.clone(),
-            self.net.clone(),
-        )
+    pub fn take_over_scheduler(&self, store: Option<Arc<dyn ResourceStore>>) -> Scheduler {
+        let mut cfg = self.scheduler_config.clone();
+        assert!(
+            cfg.replicate,
+            "take_over_scheduler without with_replication"
+        );
+        if let Some(store) = store {
+            cfg.store = store;
+        }
+        cfg.listener_address = STANDBY_LISTENER_ADDRESS.to_string();
+        scheduler_service(SCHEDULER_ADDRESS, cfg, self.clock.clone(), self.net.clone())
     }
 
     /// A point-in-time snapshot of every metric in the deployment.

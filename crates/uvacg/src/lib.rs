@@ -58,7 +58,7 @@ pub use policy::{
     FastestAvailable, LeastLoaded, MachineOutcome, MetricsFeedback, NodeSnapshot, OutcomeKind,
     PenaltyRow, Random, RoundRobin, SchedulingPolicy,
 };
-pub use scheduler::{Scheduler, Standby};
+pub use scheduler::Scheduler;
 
 /// The testbed's XML namespace (re-exported for tests and benches).
 pub use wsrf_soap::ns::UVACG;

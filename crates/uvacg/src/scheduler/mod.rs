@@ -68,6 +68,7 @@ pub mod set_status {
 }
 
 /// Scheduler deployment configuration.
+#[derive(Clone)]
 pub struct SchedulerConfig {
     /// Node Info Service address.
     pub nis_address: String,
@@ -89,9 +90,11 @@ pub struct SchedulerConfig {
     /// crashed machines, which never send their exit notification.
     pub job_timeout: Option<std::time::Duration>,
     /// Keep a submission record for every unfinished set in the store,
-    /// so a [`standby_scheduler`] can take over after a crash. Off by
-    /// default: the record costs a store write per submission and a
-    /// delete per finished set, and sends no message.
+    /// and take over the sets recorded there when built: a scheduler
+    /// built over a crashed primary's store with this set carries on
+    /// where the primary stopped. Off by default: the record costs a
+    /// store write per submission and a delete per finished set, and
+    /// sends no message.
     pub replicate: bool,
 }
 
@@ -140,7 +143,8 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Register the scheduler service on the network (the listener is
-    /// registered at construction).
+    /// registered at construction, and so is a replicating scheduler's
+    /// service, before it takes over what its store records).
     pub fn register(&self, net: &InProcNetwork) {
         self.service.register(net);
     }
@@ -191,8 +195,7 @@ impl Scheduler {
         let mut v: Vec<(String, String, Option<i32>)> = match live {
             Some(v) => v,
             None => {
-                let core = self.service.core();
-                let doc = core.store.share(&core.name, jobset_key).ok()?;
+                let (doc, _) = self.service.core().share_live(jobset_key).ok()?;
                 doc.get(&q("JobStatus"))
                     .iter()
                     .map(|e| {
@@ -210,7 +213,11 @@ impl Scheduler {
     }
 }
 
-/// Build and wire the Scheduler Service.
+/// Build and wire the Scheduler Service. One configured to
+/// [`SchedulerConfig::replicate`] registers itself and takes over every
+/// set its store holds a submission record of (see [`take_over`]): built
+/// over a crashed primary's store, it carries on where the primary
+/// stopped.
 pub fn scheduler_service(
     address: &str,
     cfg: SchedulerConfig,
@@ -272,7 +279,7 @@ pub fn scheduler_service(
                 if key == FEEDBACK_KEY {
                     continue; // not a job set
                 }
-                let Ok(doc) = core.store.share(&core.name, &key) else {
+                let Ok((doc, _)) = core.share_live(&key) else {
                     continue;
                 };
                 let name = doc.text(&q("Name")).unwrap_or_default();
@@ -295,9 +302,9 @@ pub fn scheduler_service(
 
     // The queryable feedback table: clients introspect placement the
     // same way they introspect job sets — as resource properties.
-    // A standby promoted over the primary's store finds it there; any
-    // other refusal leaves the scheduler running without the table, and
-    // says so.
+    // A scheduler built over a crashed primary's store finds it there;
+    // any other refusal leaves the scheduler running without the table,
+    // and says so.
     let mut doc = PropertyDoc::new();
     doc.set_text(q("Policy"), inner.policy.name());
     let core = service.core().clone();
@@ -327,11 +334,15 @@ pub fn scheduler_service(
         }
     });
 
-    Scheduler {
+    let scheduler = Scheduler {
         service,
         listener,
         inner,
+    };
+    if scheduler.inner.replicate {
+        take_over(&scheduler);
     }
+    scheduler
 }
 
 /// Report one placement outcome into the policy's feedback channel and
@@ -458,8 +469,8 @@ fn submit_op(
     broker::subscribe(&ctx.core.net, &inner.broker, listener, &expr, None)
         .map_err(|e| faults::storage(&format!("broker subscribe failed: {e}")))?;
 
-    // Record the run. A scheduler a standby may take over stores the
-    // submission first: its record exists while the set is unfinished.
+    // Record the run. A replicating scheduler stores the submission
+    // first: its record exists while the set is unfinished.
     let run = RunState::new(
         spec,
         topic.clone(),
@@ -472,7 +483,7 @@ fn submit_op(
         let mut record = PropertyDoc::new();
         record.insert(q("Submission"), run.to_element(&inner.security));
         if let Err(e) = ctx.core.store.create(SUBMISSIONS, &key, &record) {
-            // A set no standby could take over is not accepted at all.
+            // A set no later scheduler could take over is not accepted.
             let _ = ctx.core.destroy_resource(&key);
             return Err(faults::storage(&format!(
                 "submission record not stored: {e}"
@@ -732,7 +743,7 @@ fn dispatch_ready(s: Sched<'_>, key: &str) {
 
         // Figure 3 step 2: the NIS was polled for this job's placement
         // (written together with the job's `Dispatched` status). This is
-        // the placement intent a standby reads: if we die between here
+        // the placement intent a take-over reads: if we die between here
         // and the dispatch, it re-issues the Run to the same machine,
         // where the ES deduplicates it.
         record_steps(s, key, &job_name, &[(2, "nis_poll")], t_nis, |doc| {
@@ -961,7 +972,7 @@ fn finish_job_set(s: Sched<'_>, key: &str, outcome: Outcome<'_>) {
     });
     if inner.replicate {
         // Nobody to tell: a record left behind is dropped by the next
-        // promotion, which finds its set finished.
+        // take-over, which finds its set finished.
         let _ = core.store.destroy(SUBMISSIONS, key);
     }
     if let Some(at) = lease {
@@ -1010,7 +1021,7 @@ fn trace_to_element(snap: &TraceSnapshot) -> Element {
 }
 
 // ---------------------------------------------------------------------
-// Standby + failover
+// Failover: taking over from a crashed primary's store
 // ---------------------------------------------------------------------
 
 /// The store table of submission records ([`RunState::to_element`]):
@@ -1020,59 +1031,32 @@ fn trace_to_element(snap: &TraceSnapshot) -> Element {
 /// it keeps.
 const SUBMISSIONS: &str = "SchedulerSubmissions";
 
-/// A standby scheduler: what it takes to start one over a crashed
-/// primary's store. It keeps nothing of its own and listens to nothing
-/// until [`Standby::promote`].
-pub struct Standby {
-    cfg: SchedulerConfig,
-    clock: Clock,
-    net: Arc<InProcNetwork>,
-}
-
-/// Deploy a standby for a primary that keeps submission records
-/// ([`SchedulerConfig::replicate`]).
-///
-/// `cfg.listener_address` is the promoted scheduler's listener address;
-/// the remaining fields describe the deployment it will take over and
-/// should match the primary's — `store` is the primary's shared store
-/// or a [`wsrf_core::DurableStore`] reopened from its write-ahead log.
-pub fn standby_scheduler(cfg: SchedulerConfig, clock: Clock, net: Arc<InProcNetwork>) -> Standby {
-    Standby { cfg, clock, net }
-}
-
-impl Standby {
-    /// Promote this standby into the active Scheduler at `address`
-    /// (normally the crashed primary's address, so lost-EPR clients
-    /// rediscover their sets through the same `FindJobSets` endpoint).
-    ///
-    /// Every set with a submission record is taken over from the store
-    /// (`adopt`) and driven to its conclusion exactly once
-    /// (`reconcile`).
-    pub fn promote(self, address: &str) -> Scheduler {
-        let Standby { cfg, clock, net } = self;
-        let scheduler = scheduler_service(address, cfg, clock, net.clone());
-        scheduler.register(&net);
-        let core = scheduler.service.core().clone();
-        let inner = scheduler.inner.clone();
-        let s = Sched {
-            core: &core,
-            inner: &inner,
-        };
-        let listener = scheduler.listener.epr();
-        let mut adopted = core.store.list(SUBMISSIONS);
-        adopted.retain(|key| adopt(s, key, &listener));
-        let nodes = crate::nis::snapshot(&net, &inner.nis_address).map_err(|fault| {
-            let at = &inner.nis_address;
-            BaseFault::new(
-                "uvacg:NoNodes",
-                format!("cannot read the Node Info Service at {at} during failover"),
-            )
-            .caused_by(fault_cause(fault))
-        });
-        for key in &adopted {
-            reconcile(s, key, &nodes);
-        }
-        scheduler
+/// Take over every set whose submission record the store holds: answer
+/// at the scheduler's address, restore each set (`adopt`) and drive it
+/// to its conclusion exactly once (`reconcile`). Reads the Node Info
+/// Service only if a set was adopted, so a store without records costs
+/// one `list` and no message.
+fn take_over(scheduler: &Scheduler) {
+    let core = scheduler.service.core();
+    let inner = &scheduler.inner;
+    scheduler.register(&core.net);
+    let s = Sched { core, inner };
+    let listener = scheduler.listener.epr();
+    let mut adopted = core.store.list(SUBMISSIONS);
+    adopted.retain(|key| adopt(s, key, &listener));
+    if adopted.is_empty() {
+        return;
+    }
+    let nodes = crate::nis::snapshot(&core.net, &inner.nis_address).map_err(|fault| {
+        let at = &inner.nis_address;
+        BaseFault::new(
+            "uvacg:NoNodes",
+            format!("cannot read the Node Info Service at {at} during failover"),
+        )
+        .caused_by(fault_cause(fault))
+    });
+    for key in &adopted {
+        reconcile(s, key, &nodes);
     }
 }
 
@@ -1083,11 +1067,10 @@ impl Standby {
 /// record of a set that finished, or is gone, is deleted.
 fn adopt(s: Sched<'_>, key: &str, listener: &EndpointReference) -> bool {
     let Sched { core, inner } = s;
-    let Some(set) = core
-        .store
-        .share(&core.name, key)
+    let Some((set, _)) = core
+        .share_live(key)
         .ok()
-        .filter(|doc| doc.text(&q("Status")).as_deref() == Some(set_status::RUNNING))
+        .filter(|(doc, _)| doc.text(&q("Status")).as_deref() == Some(set_status::RUNNING))
     else {
         // Nobody to tell: a record that stays is dropped again next time.
         let _ = core.store.destroy(SUBMISSIONS, key);
@@ -1124,7 +1107,7 @@ fn adopt(s: Sched<'_>, key: &str, listener: &EndpointReference) -> bool {
     true
 }
 
-/// Bring a set restored at failover up to date and drive it on. A set
+/// Bring a set restored at take-over up to date and drive it on. A set
 /// whose store already says how it ends (a crash between a job's end
 /// and the set's) ends now. Each placed job is found on its recorded
 /// machine: one whose working directory was never recorded may never
@@ -1308,8 +1291,9 @@ mod tests {
         assert_eq!(key_of(""), None);
     }
 
-    /// A feedback table already in the store (a standby promoted over
-    /// the primary's) is taken as it is; any other refusal is reported.
+    /// A feedback table already in the store (a scheduler built over a
+    /// crashed primary's) is taken as it is; any other refusal is
+    /// reported.
     #[test]
     fn feedback_table_creation_is_decided() {
         use wsrf_core::store::MemoryStore;

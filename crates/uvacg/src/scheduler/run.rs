@@ -1,9 +1,9 @@
 //! How a job set's state changes when something happens to it.
 //!
-//! The scheduler drives its sets with these transitions, and a standby
-//! promoted after a crash rebuilds each unfinished set's [`RunState`]
-//! from what the dead primary stored: the submission record and the
-//! job-set resource ([`RunState::restore`]). Nothing here sends a
+//! The scheduler drives its sets with these transitions, and a
+//! scheduler built over a crashed primary's store rebuilds each
+//! unfinished set's [`RunState`] from what the primary stored: the
+//! submission record and the job-set resource ([`RunState::restore`]). Nothing here sends a
 //! message, touches a store or reads a clock: time comes in as a
 //! [`SimTime`] argument.
 

@@ -197,8 +197,10 @@ impl ServiceCore {
 
     /// The stored document of `key` and its lease (`wsrl:TerminationTime`),
     /// unless that has run out: such a resource is gone before its reaper
-    /// runs. Reads the clock only if there is a lease.
-    fn share_live(&self, key: &str) -> Result<(Arc<PropertyDoc>, Option<SimTime>), StoreError> {
+    /// runs. Reads the clock only if there is a lease. A read outside a
+    /// resource operation uses it too, so an expired resource is gone to
+    /// every reader at once.
+    pub fn share_live(&self, key: &str) -> Result<(Arc<PropertyDoc>, Option<SimTime>), StoreError> {
         let doc = self.store.share(&self.name, key)?;
         match doc.termination_time() {
             Some(at) if at <= self.clock.now() => Err(StoreError::NotFound(key.to_string())),

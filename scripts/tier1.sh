@@ -96,13 +96,19 @@ if [ "$mappings" -ne 1 ]; then
     exit 1
 fi
 
-# One way to take over a crashed Scheduler: a standby reads the dead
-# primary's store — each unfinished set's submission record and its
-# job-set resource — and nothing else. Outside tests no replication
-# stream, standby-side table or replicated placement intent exists.
+# One way to take over a crashed Scheduler: a replicating scheduler
+# built over the dead primary's store reads each unfinished set's
+# submission record and its job-set resource, and nothing else. Outside
+# tests no replication stream, standby-side table or replicated
+# placement intent exists, and no standby object or promotion step
+# stands beside `scheduler_service`.
 for f in $(find crates/uvacg/src -name '*.rs'); do
     if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'schedrepl|struct Replica|note_intent|uncertain'; then
-        echo "tier-1: $f keeps a second copy of the scheduler's failover state; the standby reads the store" >&2
+        echo "tier-1: $f keeps a second copy of the scheduler's failover state; the successor reads the store" >&2
+        exit 1
+    fi
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'struct Standby|standby_scheduler|fn promote|spawn_standby'; then
+        echo "tier-1: $f keeps a second take-over path; build a replicating scheduler over the store" >&2
         exit 1
     fi
 done

@@ -63,7 +63,7 @@ pub mod prelude {
         AuthorityStatus, CampusGrid, Client, EventPump, FastestAvailable, FileRef, GridCatalog,
         GridConfig, JobSetHandle, JobSetOutcome, JobSetSpec, JobSpec, LeastLoaded, MachineOutcome,
         MetricsFeedback, MetricsSource, MonitorService, NodeSnapshot, OutcomeKind, PenaltyRow,
-        Random, RemoteEvent, RoundRobin, Scheduler, SchedulingPolicy, Standby,
+        Random, RemoteEvent, RoundRobin, Scheduler, SchedulingPolicy,
     };
     pub use wsrf_core::DurableStore;
     pub use wsrf_obs::{

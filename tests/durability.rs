@@ -262,8 +262,7 @@ fn failover_from_a_reopened_wal_completes_exactly_once() {
     assert!(grid.scheduler.crashed());
 
     let reopened = DurableStore::open(&tmp.0, Arc::new(MemoryStore::new())).unwrap();
-    let standby = grid.spawn_standby(Some(Arc::new(reopened) as Arc<dyn ResourceStore>));
-    let promoted = standby.promote(wsrf_grid::testbed::grid::SCHEDULER_ADDRESS);
+    let promoted = grid.take_over_scheduler(Some(Arc::new(reopened) as Arc<dyn ResourceStore>));
     grid.clock.advance(Duration::from_secs(20));
     assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
     let topics: Vec<String> = handle
@@ -298,7 +297,6 @@ fn failover_over_a_durable_store_completes_and_persists() {
             .with_replication(),
         Clock::manual(),
     );
-    let standby = grid.spawn_standby(None);
     let client = grid.client("c");
     client.put_file("C:\\p.exe", JobProgram::compute(1.0).to_manifest());
     let spec = JobSetSpec::new("durable-failover").job(JobSpec::new(
@@ -317,7 +315,7 @@ fn failover_over_a_durable_store_completes_and_persists() {
     grid.clock.advance(Duration::from_secs(1));
     assert!(grid.scheduler.crashed());
 
-    let promoted = standby.promote(wsrf_grid::testbed::grid::SCHEDULER_ADDRESS);
+    let promoted = grid.take_over_scheduler(None);
     grid.clock.advance(Duration::from_secs(20));
     assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
     drop(promoted);

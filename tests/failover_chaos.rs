@@ -11,10 +11,10 @@
 //! semantics for "crashed right after step N": the step is on disk,
 //! nothing after it happened.
 //!
-//! The standby keeps nothing of its own: promotion reads the dead
-//! primary's store — each unfinished set's submission record and its
-//! job-set resource — and asks the machines what became of the jobs
-//! in flight.
+//! The successor keeps nothing of its own: a replicating scheduler
+//! built over the dead primary's store reads each unfinished set's
+//! submission record and its job-set resource, and asks the machines
+//! what became of the jobs in flight.
 
 mod common;
 
@@ -27,6 +27,7 @@ use grid_node::JobProgram;
 use wsrf_grid::prelude::*;
 use wsrf_grid::soap::ns;
 use wsrf_grid::testbed::grid::{NIS_ADDRESS, SCHEDULER_ADDRESS};
+use wsrf_grid::testbed::scheduler::{scheduler_service, SchedulerConfig};
 use wsrf_grid::wsrf::porttypes::{wsrp_action, XPATH_DIALECT};
 use wsrf_grid::wsrf::store::ResourceStore;
 use wsrf_grid::wsrf::{MemoryStore, Outbound};
@@ -86,7 +87,6 @@ fn replicating_grid(secure: bool) -> CampusGrid {
 /// dispatch re-encrypts them to the chosen machine.
 fn run_kill_point(kill_step: u8, secure: bool) -> (CampusGrid, JobSetHandle, Scheduler) {
     let grid = replicating_grid(secure);
-    let standby = grid.spawn_standby(None);
     let client = grid.client("chaos-client");
     let spec = pipeline_spec(&client);
 
@@ -124,7 +124,7 @@ fn run_kill_point(kill_step: u8, secure: bool) -> (CampusGrid, JobSetHandle, Sch
     // Let in-flight job events drain while nobody schedules, then fail
     // over onto the primary's address.
     grid.clock.advance(Duration::from_secs(1));
-    let promoted = standby.promote(SCHEDULER_ADDRESS);
+    let promoted = grid.take_over_scheduler(None);
 
     for _ in 0..100 {
         if handle.outcome().is_some() {
@@ -206,6 +206,57 @@ kill_point_test!(kill_after_step_10_exit_broadcast, 10);
 kill_point_test!(secure_kill_after_step_02_nis_poll, 2, true);
 kill_point_test!(secure_kill_after_step_10_exit_broadcast, 10, true);
 
+/// A scheduler restarts like any WSRF.NET service: one built with plain
+/// `scheduler_service` over the crashed primary's store takes over the
+/// unfinished set and completes it exactly once.
+#[test]
+fn a_scheduler_built_over_a_crashed_primarys_store_finishes_its_set() {
+    let store: Arc<dyn ResourceStore> = Arc::new(MemoryStore::new());
+    let config = GridConfig::with_machines(2)
+        .with_scheduler_store(store.clone())
+        .with_replication();
+    let grid = CampusGrid::build(config, Clock::manual());
+    let client = grid.client("c");
+    let spec = pipeline_spec(&client);
+    let (primary, net) = (grid.scheduler.clone(), grid.net.clone());
+    grid.scheduler.set_step_hook(move |step, _job| {
+        if step == 3 && !primary.crashed() {
+            primary.crash(&net);
+        }
+    });
+    let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
+    assert!(
+        grid.scheduler.crashed(),
+        "step 3 came inside the submission"
+    );
+    grid.clock.advance(Duration::from_secs(1));
+
+    let cfg = SchedulerConfig {
+        nis_address: NIS_ADDRESS.to_string(),
+        broker: grid.broker.clone(),
+        policy: Arc::new(FastestAvailable),
+        security: None,
+        store,
+        listener_address: "inproc://hub/RestartedListener".to_string(),
+        job_timeout: None,
+        replicate: true,
+    };
+    let restarted = scheduler_service(SCHEDULER_ADDRESS, cfg, grid.clock.clone(), grid.net.clone());
+    for _ in 0..100 {
+        if handle.outcome().is_some() {
+            break;
+        }
+        grid.clock.advance(Duration::from_millis(500));
+    }
+    assert_exactly_once(&handle, 3);
+    let states = restarted
+        .job_states(handle.jobset.resource_key().unwrap())
+        .expect("the restarted scheduler took the set over");
+    for (job, state, code) in states {
+        assert_eq!((state.as_str(), code), ("Completed", Some(0)), "job {job}");
+    }
+}
+
 /// A job that fails staging: its input is not on the client's disk.
 fn doomed_spec(client: &Client) -> JobSetSpec {
     client.put_file("C:\\p.exe", JobProgram::compute(1.0).to_manifest());
@@ -216,14 +267,11 @@ fn doomed_spec(client: &Client) -> JobSetSpec {
 }
 
 /// Kill the primary on the doomed job's working directory, let the
-/// staging failure happen while nobody schedules, then promote a
-/// standby — deployed before the submission when `standby_first`, else
-/// only after the failure — and check the set ends `Failed` for the
-/// right reason instead of staying `Running` for ever (the grid has no
-/// job timeout).
-fn fail_while_the_primary_is_down(standby_first: bool) {
+/// staging failure happen while nobody schedules, then take over and
+/// check the set ends `Failed` for the right reason instead of staying
+/// `Running` for ever (the grid has no job timeout).
+fn fail_while_the_primary_is_down() {
     let grid = replicating_grid(false);
-    let early = standby_first.then(|| grid.spawn_standby(None));
     let client = grid.client("c");
     let spec = doomed_spec(&client);
     let (primary, net) = (grid.scheduler.clone(), grid.net.clone());
@@ -255,8 +303,7 @@ fn fail_while_the_primary_is_down(standby_first: bool) {
     );
     assert!(handle.outcome().is_none(), "nobody ended the set yet");
 
-    let standby = early.unwrap_or_else(|| grid.spawn_standby(None));
-    let _promoted = standby.promote(SCHEDULER_ADDRESS);
+    let _promoted = grid.take_over_scheduler(None);
     grid.clock.advance(Duration::from_secs(5));
     match handle.outcome() {
         Some(JobSetOutcome::Failed(fault)) => {
@@ -269,20 +316,12 @@ fn fail_while_the_primary_is_down(standby_first: bool) {
     assert_eq!(handle.status().unwrap(), "Failed");
 }
 
-/// A job fails at its ES while the primary is dead, and the standby
-/// is deployed only afterwards: it saw nothing, and finds the failure
-/// when it polls the adopted job.
+/// A job fails at its ES while the primary is dead, and the successor
+/// is built only afterwards: it saw nothing, and finds the failure when
+/// it polls the adopted job.
 #[test]
 fn a_failure_the_standby_missed_fails_the_adopted_set() {
-    fail_while_the_primary_is_down(false);
-}
-
-/// The same failure with the standby deployed before the submission,
-/// so it was up while the `failed` broadcast went out: it must end the
-/// set all the same.
-#[test]
-fn a_failure_the_standby_witnessed_fails_the_adopted_set() {
-    fail_while_the_primary_is_down(true);
+    fail_while_the_primary_is_down();
 }
 
 /// A placement policy that crashes the scheduler when it is told of a
@@ -320,7 +359,6 @@ fn a_failure_the_primary_stored_but_never_ended_fails_the_set() {
     let grid = CampusGrid::build(config, Clock::manual());
     let primary = (grid.scheduler.clone(), grid.net.clone());
     assert!(policy.primary.set(primary).is_ok());
-    let standby = grid.spawn_standby(None);
     let client = grid.client("c");
     let handle = client
         .submit(&doomed_spec(&client), "griduser", "gridpass")
@@ -334,7 +372,7 @@ fn a_failure_the_primary_stored_but_never_ended_fails_the_set() {
     let status = set.get(&QName::new(wsrf_grid::testbed::UVACG, "JobStatus"));
     assert_eq!(status[0].text_content(), "Failed", "the failure is stored");
 
-    let _promoted = standby.promote(SCHEDULER_ADDRESS);
+    let _promoted = grid.take_over_scheduler(None);
     grid.clock.advance(Duration::from_secs(1));
     match handle.outcome() {
         Some(JobSetOutcome::Failed(fault)) => {
@@ -390,7 +428,6 @@ fn a_crashed_scheduler_writes_nothing() {
 #[test]
 fn promotion_names_an_unreachable_node_info_service() {
     let grid = replicating_grid(false);
-    let standby = grid.spawn_standby(None);
     let (primary, net) = (grid.scheduler.clone(), grid.net.clone());
     grid.scheduler.set_step_hook(move |step, _job| {
         if step == 2 && !primary.crashed() {
@@ -404,7 +441,7 @@ fn promotion_names_an_unreachable_node_info_service() {
     assert!(grid.scheduler.crashed());
     assert!(grid.net.unregister(NIS_ADDRESS));
 
-    let _promoted = standby.promote(SCHEDULER_ADDRESS);
+    let _promoted = grid.take_over_scheduler(None);
     grid.clock.advance(Duration::from_secs(1));
     match handle.outcome() {
         Some(JobSetOutcome::Failed(fault)) => {
@@ -440,7 +477,6 @@ fn submission_credentials_stay_sealed_and_unreadable() {
             .with_replication();
         let config = if secure { config.secure() } else { config };
         let grid = CampusGrid::build(config, Clock::manual());
-        let _standby = grid.spawn_standby(None);
         let client = grid.client("c");
         let handle = client
             .submit(&pipeline_spec(&client), "griduser", "gridpass")
@@ -482,13 +518,13 @@ fn submission_credentials_stay_sealed_and_unreadable() {
     }
 }
 
-/// A scheduler without submission records leaves a standby nothing
-/// to take over from, so deploying one is refused outright.
+/// A scheduler without submission records leaves nothing to take
+/// over from, so a take-over is refused outright.
 #[test]
-#[should_panic(expected = "spawn_standby without with_replication")]
+#[should_panic(expected = "take_over_scheduler without with_replication")]
 fn a_standby_needs_submission_records() {
     let grid = CampusGrid::build(GridConfig::with_machines(1), Clock::manual());
-    let _standby = grid.spawn_standby(None);
+    let _promoted = grid.take_over_scheduler(None);
 }
 
 /// The crashed primary reports itself crashed and leaves the network:
@@ -500,7 +536,6 @@ fn crashed_primary_is_inert() {
         GridConfig::with_machines(1).with_replication(),
         Clock::manual(),
     );
-    let _standby = grid.spawn_standby(None);
     assert!(!grid.scheduler.crashed());
     grid.scheduler.crash(&grid.net);
     assert!(grid.scheduler.crashed());
@@ -524,7 +559,6 @@ fn replication_is_transparent_without_failover() {
         GridConfig::with_machines(2).with_replication(),
         Clock::manual(),
     );
-    let standby = grid.spawn_standby(None);
     let client = grid.client("c");
     let spec = pipeline_spec(&client);
     let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
@@ -532,7 +566,7 @@ fn replication_is_transparent_without_failover() {
     assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
     // The finished set left nothing to take over.
     grid.scheduler.crash(&grid.net);
-    let _promoted = standby.promote(SCHEDULER_ADDRESS);
+    let _promoted = grid.take_over_scheduler(None);
     grid.clock.advance(Duration::from_secs(30));
     let ends = handle.events();
     let ends = ends
@@ -542,8 +576,8 @@ fn replication_is_transparent_without_failover() {
 }
 
 /// The submission record is a store write, not a message: a
-/// replicating grid with a standby sends exactly what a plain grid
-/// sends for the same set.
+/// replicating grid sends exactly what a plain grid sends for the same
+/// set.
 #[test]
 fn replication_adds_no_messages() {
     let messages = |replicate: bool| {
@@ -554,7 +588,6 @@ fn replication_adds_no_messages() {
             config
         };
         let grid = CampusGrid::build(config, Clock::manual());
-        let _standby = replicate.then(|| grid.spawn_standby(None));
         let client = grid.client("c");
         let handle = client
             .submit(&pipeline_spec(&client), "griduser", "gridpass")

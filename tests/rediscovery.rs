@@ -109,3 +109,22 @@ fn job_set_resources_can_be_lease_cleaned() {
     grid.clock.advance(Duration::from_secs(101));
     assert!(client.rediscover(Some("ephemeral")).unwrap().is_empty());
 }
+
+/// A set whose lease a client ends now is gone to every reader at once,
+/// before its reaper runs: its EPR answers `wsrf:NoSuchResource`,
+/// `FindJobSets` no longer lists it and the scheduler reports no states.
+#[test]
+fn a_set_past_its_lease_is_neither_listed_nor_reported() {
+    let grid = CampusGrid::build(GridConfig::with_machines(1), Clock::manual());
+    let client = grid.client("c");
+    let handle = submit_and_finish(&grid, &client, "expired");
+    let key = handle.jobset.resource_key().unwrap();
+    assert!(grid.scheduler.job_states(key).is_some());
+    let proxy = wsrf_grid::wsrf::ResourceProxy::new(&grid.net, handle.jobset.clone());
+    proxy.set_termination_time(Some(grid.clock.now())).unwrap();
+
+    let fault = handle.status().unwrap_err();
+    assert!(format!("{fault:?}").contains("NoSuchResource"), "{fault:?}");
+    assert!(client.rediscover(Some("expired")).unwrap().is_empty());
+    assert_eq!(grid.scheduler.job_states(key), None);
+}

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use wsrf_grid::prelude::*;
-use wsrf_grid::soap::{ns, MessageInfo};
+use wsrf_grid::soap::{ns, LazyEnvelope, MessageInfo, ScanError};
 use wsrf_grid::transport::http::{http_post, HttpSoapServer};
 use wsrf_grid::transport::{FnEndpoint, TransportError};
 use wsrf_grid::xml::{Element as El, QName};
@@ -233,6 +233,108 @@ proptest! {
     #[test]
     fn element_encoded_len_is_exact(e in element_strategy()) {
         prop_assert_eq!(e.encoded_len(), e.to_xml().len());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Routing agreement on damaged wires: the lazy scan and the DOM path
+// (`Envelope::parse` + `MessageInfo::extract`) read the same addressing
+// headers and trace context from a cut or overwritten envelope, or both
+// reject it for the same reason.
+// ---------------------------------------------------------------------------
+
+/// What a receiver makes of a wire document's headers.
+#[derive(Debug, PartialEq)]
+enum Routed {
+    To(MessageInfo, Option<TraceContext>),
+    MissingAction,
+    Malformed,
+}
+
+fn routed_by_scan(wire: &str) -> Routed {
+    match LazyEnvelope::scan(wire) {
+        Ok(lazy) => Routed::To(lazy.info, lazy.trace),
+        Err(ScanError::MissingAction) => Routed::MissingAction,
+        Err(ScanError::Malformed(_)) => Routed::Malformed,
+    }
+}
+
+fn routed_by_dom(wire: &str) -> Routed {
+    let Ok(env) = Envelope::parse(wire) else {
+        return Routed::Malformed;
+    };
+    match MessageInfo::extract(&env) {
+        Ok(info) => Routed::To(info, TraceContext::from_envelope(&env)),
+        Err(e) if e.to_string() == ScanError::MissingAction.to_string() => Routed::MissingAction,
+        Err(_) => Routed::Malformed,
+    }
+}
+
+/// A generated envelope as a request would carry it: addressed to a
+/// WS-Resource, optionally trace-stamped, optionally without `Action`.
+fn addressed_wire_strategy() -> BoxedStrategy<String> {
+    (envelope_strategy(), any::<bool>(), any::<bool>())
+        .prop_map(|(mut env, traced, drop_action)| {
+            let to = EndpointReference::resource("inproc://m1/Exec", "{urn:k}JobKey", "j-7");
+            let mut info = MessageInfo::request(to, "urn:svc/Run");
+            info.message_id = "uuid:fixed".into();
+            info.apply(&mut env);
+            if traced {
+                TraceContext::new(0x42, 0x7, true).stamp(&mut env);
+            }
+            if drop_action {
+                env.headers.retain(|h| !h.name.is(ns::WSA, "Action"));
+            }
+            env.to_xml()
+        })
+        .boxed()
+}
+
+/// Bytes worth writing over one of the wire's: markup first.
+fn damage_strategy() -> BoxedStrategy<u8> {
+    prop_oneof![
+        3 => prop_oneof![
+            Just(b'<'),
+            Just(b'>'),
+            Just(b'/'),
+            Just(b'='),
+            Just(b'"'),
+            Just(b':'),
+            Just(b'&'),
+            Just(b' '),
+        ],
+        1 => 0x20u8..0x7f,
+    ]
+    .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn a_cut_wire_routes_the_same_on_both_paths(
+        wire in addressed_wire_strategy(),
+        at in any::<usize>(),
+    ) {
+        let mut at = at % (wire.len() + 1);
+        while !wire.is_char_boundary(at) {
+            at -= 1;
+        }
+        let cut = &wire[..at];
+        prop_assert_eq!(routed_by_scan(cut), routed_by_dom(cut), "{}", cut);
+    }
+
+    #[test]
+    fn an_overwritten_byte_routes_the_same_on_both_paths(
+        wire in addressed_wire_strategy(),
+        at in any::<usize>(),
+        byte in damage_strategy(),
+    ) {
+        let ascii: Vec<usize> = wire.bytes().enumerate().filter(|(_, b)| b.is_ascii()).map(|(i, _)| i).collect();
+        let mut bytes = wire.into_bytes();
+        bytes[ascii[at % ascii.len()]] = byte;
+        let damaged = String::from_utf8(bytes).expect("one ASCII byte for another");
+        prop_assert_eq!(routed_by_scan(&damaged), routed_by_dom(&damaged), "{}", damaged);
     }
 }
 

@@ -160,7 +160,7 @@ fn every_lease_is_a_readable_termination_time() {
 fn immediate_destroy_of_a_directory_resource() {
     let grid = grid();
     let (dir, _path) =
-        wsrf_grid::testbed::fss::create_directory(&grid.net, "inproc://machine01/FileSystem")
+        wsrf_grid::testbed::fss::create_directory(&grid.net, "inproc://machine01/FileSystem", None)
             .unwrap();
     let resp = call(
         &grid,
