@@ -39,6 +39,7 @@ use crate::fss;
 use crate::job::{JobEvent, JobLife, Step};
 use crate::q;
 use crate::security::{open_credentials, GridSecurity};
+use crate::TERMINAL_RETENTION;
 
 pub use crate::job::{status, JobSnapshot};
 
@@ -228,7 +229,7 @@ fn run_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element, BaseFault> 
     }
     let accepting = rt.accepting.lock();
     if let Some(key) = &derived_key {
-        if let Ok(doc) = ctx.core.store.share(&ctx.core.name, key) {
+        if let Ok((doc, _)) = ctx.core.share_live(key) {
             let mut resp = Element::new(UVACG, "RunResponse")
                 .child(ctx.core.epr_for(key).to_element_named(UVACG, "JobEpr"));
             if let Some(wd) = doc.get(&q("WorkingDirectory")).first() {
@@ -265,10 +266,14 @@ fn run_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element, BaseFault> 
         uploads.push(decode_file(ie)?);
     }
 
-    // Step 4: create the working directory on our FSS.
+    // Step 4: create the working directory on our FSS, leased as long
+    // as a finished job is kept; the Scheduler renews it while its set
+    // runs.
     let trace = ctx.trace;
-    let (dir_epr, dir_path) = fss::create_directory(&ctx.core.net, &rt.fss_address, trace.as_ref())
-        .map_err(|e| faults::storage(&format!("cannot create working directory: {e}")))?;
+    let lease = Some(TERMINAL_RETENTION);
+    let (dir_epr, dir_path) =
+        fss::create_directory(&ctx.core.net, &rt.fss_address, lease, trace.as_ref())
+            .map_err(|e| faults::storage(&format!("cannot create working directory: {e}")))?;
 
     // Create the job resource.
     let mut doc = PropertyDoc::new();
@@ -353,8 +358,7 @@ fn upload_complete_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element,
     // staged leaves no credentials behind.
     let record = core.store.share(STAGING, &key).ok();
     let record = record.filter(|_| core.store.destroy(STAGING, &key).is_ok());
-    let doc = core.store.share(&core.name, &key);
-    let doc = doc.map_err(faults::from_store)?;
+    let (doc, _) = core.share_live(&key).map_err(faults::from_store)?;
     let Some(record) = record else {
         return Err(BaseFault::new(
             "uvacg:UnexpectedUpload",
@@ -460,11 +464,7 @@ impl EsRuntime {
 
 fn kill_op(ctx: &mut Ctx<'_>, rt: &Arc<EsRuntime>) -> Result<Element, BaseFault> {
     let key = ctx.key()?;
-    let doc = ctx
-        .core
-        .store
-        .share(&ctx.core.name, key)
-        .map_err(faults::from_store)?;
+    let (doc, _) = ctx.core.share_live(key).map_err(faults::from_store)?;
     let pid = doc
         .i64(&q("Pid"))
         .ok_or_else(|| BaseFault::new("uvacg:NotRunning", "job has no process"))?;
@@ -762,7 +762,7 @@ mod tests {
     /// Stage an executable into a fresh grid directory; returns its
     /// directory EPR.
     fn stage_exe(f: &Fixture, prog: &JobProgram) -> EndpointReference {
-        let (dir, _) = fss::create_directory(&f.net, &f.fss_addr, None).unwrap();
+        let (dir, _) = fss::create_directory(&f.net, &f.fss_addr, None, None).unwrap();
         fss::write(&f.net, &dir, "prog.exe", &prog.to_manifest()).unwrap();
         dir
     }
@@ -831,7 +831,7 @@ mod tests {
         let f = fixture();
         let prog = JobProgram::compute(1.0).reading("data.in");
         let exe_dir = stage_exe(&f, &prog);
-        let (input_dir, _) = fss::create_directory(&f.net, &f.fss_addr, None).unwrap();
+        let (input_dir, _) = fss::create_directory(&f.net, &f.fss_addr, None, None).unwrap();
         fss::write(&f.net, &input_dir, "source.dat", b"input bytes").unwrap();
         let req = RunRequest {
             job_name: "j".into(),
@@ -919,7 +919,7 @@ mod tests {
         );
         es.register(&net);
 
-        let (dir, _) = fss::create_directory(&net, "inproc://m1/FileSystem", None).unwrap();
+        let (dir, _) = fss::create_directory(&net, "inproc://m1/FileSystem", None, None).unwrap();
         fss::write(
             &net,
             &dir,
@@ -947,7 +947,7 @@ mod tests {
         let bad = sec
             .encrypt_token(&UsernameToken::new("alice", "pw"), "other")
             .unwrap();
-        let (dir2, _) = fss::create_directory(&net, "inproc://m1/FileSystem", None).unwrap();
+        let (dir2, _) = fss::create_directory(&net, "inproc://m1/FileSystem", None, None).unwrap();
         fss::write(
             &net,
             &dir2,

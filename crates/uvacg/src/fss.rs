@@ -12,20 +12,28 @@
 //! carrying `{EPR, filename, jobname}` tuples; when staging finishes
 //! the FSS sends a one-way completion notification back so the job
 //! "doesn't start executing until its input files are available".
+//!
+//! A directory may be created with a lease (WS-ResourceLifetime): the
+//! Scheduler leases each job's working directory for as long as it keeps
+//! the job set, and a directory's files go with its resource, whoever
+//! destroys it.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
 use grid_node::SimFs;
 use simclock::Clock;
 use wsrf_core::container::{action_uri, OpKind, Service, ServiceBuilder};
 use wsrf_core::faults;
+use wsrf_core::porttypes::relative_lease;
 use wsrf_core::properties::PropertyDoc;
-use wsrf_core::store::ResourceStore;
+use wsrf_core::store::{ResourceStore, StoreError};
 use wsrf_core::{epr_in, Outbound};
 use wsrf_soap::ns::{UVACG, WSA};
 use wsrf_soap::{BaseFault, EndpointReference, SoapFault, TraceContext};
 use wsrf_transport::InProcNetwork;
+use wsrf_xml::xpath::Path;
 use wsrf_xml::{base64, Element, QName};
 
 use crate::q;
@@ -52,6 +60,10 @@ pub fn file_system_service(
     net: Arc<InProcNetwork>,
 ) -> Arc<Service> {
     let address = format!("inproc://{machine_name}/FileSystem");
+    let store: Arc<dyn ResourceStore> = Arc::new(Directories {
+        inner: store,
+        fs: fs.clone(),
+    });
     let fs_create = fs.clone();
     let fs_read = fs.clone();
     let fs_write = fs.clone();
@@ -59,15 +71,24 @@ pub fn file_system_service(
     let fs_upload = fs;
     let own_machine = machine_name.to_string();
 
-    ServiceBuilder::new("FileSystem", address, store)
+    ServiceBuilder::new(FSS_NAME, address, store)
         .key_property(dir_key_property())
         .static_operation("CreateDirectory", move |ctx| {
+            // An optional lease, in seconds from now.
+            let itt = ctx.body.find(UVACG, "InitialTerminationTime");
+            let text = itt.map(|e| e.text_content()).unwrap_or_default();
+            let lease = relative_lease(&text, ctx.core.clock.now(), "InitialTerminationTime")?;
             let path = fs_create
                 .create_unique_dir(GRID_ROOT, "dir")
                 .map_err(|e| faults::storage(&e.to_string()))?;
             let mut doc = PropertyDoc::new();
             doc.set_text(q("Path"), &path);
-            let epr = ctx.core.create_resource(doc)?;
+            doc.set_termination_time(lease);
+            let key = ctx.core.fresh_key();
+            let epr = ctx.core.create_resource_with_key(&key, doc)?;
+            if let Some(at) = lease {
+                ctx.core.arm_lease(&key, at);
+            }
             Ok(Element::new(UVACG, "CreateDirectoryResponse")
                 .child(epr.to_element())
                 .child(Element::new(UVACG, "Path").text(path)))
@@ -165,10 +186,7 @@ pub fn file_system_service(
                 }
 
                 let core = ctx.core.clone();
-                let dir_doc = core
-                    .store
-                    .share(&core.name, ctx.key()?)
-                    .map_err(faults::from_store)?;
+                let (dir_doc, _) = core.share_live(ctx.key()?).map_err(faults::from_store)?;
                 let dir = dir_path(&dir_doc)?;
                 let own = own_machine.clone();
                 let trace = ctx.trace;
@@ -195,10 +213,8 @@ pub fn file_system_service(
                                 .source
                                 .resource_key()
                                 .ok_or("local SourceEpr has no directory key")?;
-                            let src_doc = core
-                                .store
-                                .share(&core.name, src_key)
-                                .map_err(|e| e.to_string())?;
+                            let (src_doc, _) =
+                                core.share_live(src_key).map_err(|e| e.to_string())?;
                             let src_dir = src_doc
                                 .text(&q("Path"))
                                 .ok_or("source directory has no Path")?;
@@ -251,6 +267,73 @@ pub fn file_system_service(
         .build(clock, net)
 }
 
+/// The FSS's table in its store.
+const FSS_NAME: &str = "FileSystem";
+
+/// The FSS's store: a directory's tree on the machine's filesystem goes
+/// with its resource, whoever destroys it — WSRL `Destroy`, or the
+/// reaper when its lease runs out. Other tables of a shared store pass
+/// through.
+struct Directories {
+    inner: Arc<dyn ResourceStore>,
+    fs: Arc<SimFs>,
+}
+
+impl ResourceStore for Directories {
+    fn create(&self, service: &str, key: &str, doc: &PropertyDoc) -> Result<(), StoreError> {
+        self.inner.create(service, key, doc)
+    }
+
+    fn load(&self, service: &str, key: &str) -> Result<PropertyDoc, StoreError> {
+        self.inner.load(service, key)
+    }
+
+    fn share(&self, service: &str, key: &str) -> Result<Arc<PropertyDoc>, StoreError> {
+        self.inner.share(service, key)
+    }
+
+    fn save(&self, service: &str, key: &str, doc: &PropertyDoc) -> Result<(), StoreError> {
+        self.inner.save(service, key, doc)
+    }
+
+    fn save_shared(
+        &self,
+        service: &str,
+        key: &str,
+        doc: &Arc<PropertyDoc>,
+    ) -> Result<(), StoreError> {
+        self.inner.save_shared(service, key, doc)
+    }
+
+    fn destroy(&self, service: &str, key: &str) -> Result<(), StoreError> {
+        let path = (service == FSS_NAME)
+            .then(|| self.inner.share(service, key).ok()?.text(&path_property()))
+            .flatten();
+        self.inner.destroy(service, key)?;
+        if let Some(path) = path {
+            // Nobody to tell: a tree already gone has nothing to free.
+            let _ = self.fs.delete(&path);
+        }
+        Ok(())
+    }
+
+    fn exists(&self, service: &str, key: &str) -> bool {
+        self.inner.exists(service, key)
+    }
+
+    fn list(&self, service: &str) -> Vec<String> {
+        self.inner.list(service)
+    }
+
+    fn query(&self, service: &str, path: &Path) -> Vec<String> {
+        self.inner.query(service, path)
+    }
+
+    fn backend_name(&self) -> &'static str {
+        self.inner.backend_name()
+    }
+}
+
 fn join(dir: &str, file: &str) -> String {
     format!("{}/{}", dir.trim_end_matches('/'), file)
 }
@@ -295,17 +378,26 @@ fn no_such_file(name: &str, e: &grid_node::FsError) -> BaseFault {
 // ---------------------------------------------------------------------
 
 /// Call `CreateDirectory` on an FSS; returns `(directory EPR, path)`.
-/// `trace` joins the FSS's dispatch span to the caller's span tree
-/// (Figure 3 step 4).
+/// A `lease` (from now, sent in whole seconds) ends the directory and
+/// its files unless it is renewed with WSRL `SetTerminationTime`; none
+/// keeps it until destroyed. `trace` joins the FSS's dispatch span to
+/// the caller's span tree (Figure 3 step 4).
 pub fn create_directory(
     net: &InProcNetwork,
     fss_address: &str,
+    lease: Option<Duration>,
     trace: Option<&TraceContext>,
 ) -> Result<(EndpointReference, String), SoapFault> {
+    let mut body = Element::new(UVACG, "CreateDirectory");
+    if let Some(lease) = lease {
+        body.push_child(
+            Element::new(UVACG, "InitialTerminationTime").text(lease.as_secs().to_string()),
+        );
+    }
     let resp = Outbound::new(
         EndpointReference::service(fss_address),
         action_uri("FileSystem", "CreateDirectory"),
-        Element::new(UVACG, "CreateDirectory"),
+        body,
     )
     .trace(trace)
     .call(net)?;
@@ -450,7 +542,7 @@ mod tests {
     #[test]
     fn create_directory_returns_epr_with_path_property() {
         let f = fixture();
-        let (epr, path) = create_directory(&f.net, ADDR, None).unwrap();
+        let (epr, path) = create_directory(&f.net, ADDR, None, None).unwrap();
         assert!(path.starts_with("grid/dir-"), "{path}");
         assert!(f.fs.exists(&path));
         assert_eq!(epr.address, ADDR);
@@ -463,9 +555,48 @@ mod tests {
     }
 
     #[test]
+    fn a_leased_directory_goes_with_its_files_and_an_unleased_one_stays() {
+        let f = fixture();
+        let lease = Some(Duration::from_secs(60));
+        let (leased, leased_path) = create_directory(&f.net, ADDR, lease, None).unwrap();
+        let (kept, kept_path) = create_directory(&f.net, ADDR, None, None).unwrap();
+        write(&f.net, &leased, "out.dat", b"0123456789").unwrap();
+        write(&f.net, &kept, "out.dat", b"01234").unwrap();
+        let proxy = ResourceProxy::new(&f.net, leased.clone());
+        assert_eq!(proxy.get_text("TerminationTime").unwrap(), "60");
+
+        f.svc.core().clock.advance(Duration::from_secs(61));
+        let gone = list(&f.net, &leased).unwrap_err();
+        assert_eq!(gone.error_code(), Some("wsrf:NoSuchResource"));
+        assert!(!f.fs.exists(&leased_path), "reaped with its files");
+        assert!(f.fs.exists(&kept_path));
+        assert_eq!(f.fs.used_bytes(), 5);
+        // WSRL `Destroy` takes the files too.
+        ResourceProxy::new(&f.net, kept).destroy().unwrap();
+        assert!(!f.fs.exists(&kept_path));
+        assert_eq!(f.fs.used_bytes(), 0);
+    }
+
+    #[test]
+    fn only_an_initial_termination_time_leases_a_directory() {
+        let f = fixture();
+        let create = |child: Element| {
+            let body = Element::new(UVACG, "CreateDirectory").child(child);
+            let action = action_uri("FileSystem", "CreateDirectory");
+            let resp = Outbound::new(EndpointReference::service(ADDR), action, body);
+            let epr = epr_in(&resp.call(&f.net).unwrap(), WSA, "EndpointReference").unwrap();
+            let key = epr.resource_key().unwrap().to_string();
+            f.svc.core().share_live(&key).unwrap().0.termination_time()
+        };
+        assert_eq!(create(Element::new(UVACG, "Note").text("60")), None);
+        let lease = Element::new(UVACG, "InitialTerminationTime").text("60");
+        assert_eq!(create(lease), Some(simclock::SimTime::from_secs(60)));
+    }
+
+    #[test]
     fn write_read_list_roundtrip() {
         let f = fixture();
-        let (dir, path) = create_directory(&f.net, ADDR, None).unwrap();
+        let (dir, path) = create_directory(&f.net, ADDR, None, None).unwrap();
         write(&f.net, &dir, "input.dat", b"hello grid").unwrap();
         assert_eq!(
             &read(&f.net, &dir, "input.dat", None).unwrap()[..],
@@ -482,7 +613,7 @@ mod tests {
     #[test]
     fn read_missing_file_faults() {
         let f = fixture();
-        let (dir, _) = create_directory(&f.net, ADDR, None).unwrap();
+        let (dir, _) = create_directory(&f.net, ADDR, None, None).unwrap();
         let err = read(&f.net, &dir, "ghost.dat", None).unwrap_err();
         assert_eq!(err.error_code(), Some("uvacg:NoSuchFile"));
     }
@@ -498,9 +629,9 @@ mod tests {
     #[test]
     fn upload_from_same_machine_copies_locally() {
         let f = fixture();
-        let (src, _src_path) = create_directory(&f.net, ADDR, None).unwrap();
+        let (src, _src_path) = create_directory(&f.net, ADDR, None, None).unwrap();
         write(&f.net, &src, "out.dat", b"payload").unwrap();
-        let (dst, dst_path) = create_directory(&f.net, ADDR, None).unwrap();
+        let (dst, dst_path) = create_directory(&f.net, ADDR, None, None).unwrap();
         let before_calls = f.net.metrics.snapshot().0;
         upload_files(
             &f.net,
@@ -543,9 +674,9 @@ mod tests {
         svc1.register(&net);
         svc2.register(&net);
 
-        let (src, _) = create_directory(&net, "inproc://m1/FileSystem", None).unwrap();
+        let (src, _) = create_directory(&net, "inproc://m1/FileSystem", None, None).unwrap();
         write(&net, &src, "result.bin", &[9u8; 64]).unwrap();
-        let (dst, dst_path) = create_directory(&net, "inproc://m2/FileSystem", None).unwrap();
+        let (dst, dst_path) = create_directory(&net, "inproc://m2/FileSystem", None, None).unwrap();
         upload_files(
             &net,
             &dst,
@@ -565,9 +696,9 @@ mod tests {
     #[test]
     fn upload_sends_completion_notification_with_context() {
         let f = fixture();
-        let (src, _) = create_directory(&f.net, ADDR, None).unwrap();
+        let (src, _) = create_directory(&f.net, ADDR, None, None).unwrap();
         write(&f.net, &src, "a.dat", b"A").unwrap();
-        let (dst, _) = create_directory(&f.net, ADDR, None).unwrap();
+        let (dst, _) = create_directory(&f.net, ADDR, None, None).unwrap();
 
         let seen: Arc<parking_lot::Mutex<Vec<Envelope>>> = Default::default();
         let seen2 = seen.clone();
@@ -622,7 +753,7 @@ mod tests {
                 Some(resp)
             })),
         );
-        let (dst, dst_path) = create_directory(&f.net, ADDR, None).unwrap();
+        let (dst, dst_path) = create_directory(&f.net, ADDR, None, None).unwrap();
         let client_epr = EndpointReference::service("soap.tcp://client-1/files");
         upload_files(
             &f.net,

@@ -69,10 +69,12 @@ fn q(local: &str) -> wsrf_xml::QName {
 }
 
 /// Virtual time a job-set or job WS-Resource stays addressable after it
-/// reaches a terminal state. WSRF's soft-state answer to "who frees
-/// finished work": nobody has to, and a client that wants its results
-/// for longer extends the lease with the standard WS-ResourceLifetime
-/// `SetTerminationTime` before this runs out.
+/// reaches a terminal state, and the lease of what a job set makes on
+/// its way (its broker subscriptions and its jobs' working directories),
+/// which the Scheduler renews while the set runs. WSRF's soft-state
+/// answer to "who frees finished work": nobody has to, and a client that
+/// wants its results for longer extends the set's lease with the
+/// standard WS-ResourceLifetime `SetTerminationTime` before this runs out.
 const TERMINAL_RETENTION: std::time::Duration = std::time::Duration::from_secs(3600);
 
 /// Give a resource its [`TERMINAL_RETENTION`] lease inside the edit that

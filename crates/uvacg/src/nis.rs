@@ -68,7 +68,7 @@ pub fn node_info_service(
                     .ok_or_else(|| faults::bad_request("UpdateUtilization requires utilization"))?;
                 let core = ctx.core.clone();
                 for key in core.store.list(&core.name) {
-                    let Ok(doc) = core.store.share(&core.name, &key) else {
+                    let Ok((doc, _)) = core.share_live(&key) else {
                         continue;
                     };
                     if doc.text(&q("Machine")).as_deref() == Some(machine.as_str()) {
@@ -99,7 +99,7 @@ pub fn node_info_service(
                 if key == wsrf_core::servicegroup::GROUP_KEY {
                     continue;
                 }
-                let Ok(doc) = core.store.share(&core.name, &key) else {
+                let Ok((doc, _)) = core.share_live(&key) else {
                     continue;
                 };
                 let text = |n: &str| doc.text(&q(n)).unwrap_or_default();

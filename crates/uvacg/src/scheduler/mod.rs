@@ -12,6 +12,12 @@
 //! As working-directory EPRs come back it "fills in" the locations of
 //! files produced by earlier jobs into the upload requests of later
 //! ones; job-exit notifications trigger the next wave of dispatches.
+//!
+//! What a set makes on its way — the two subscriptions and each job's
+//! working directory — is leased for [`crate::TERMINAL_RETENTION`] in
+//! the request that creates it. While the set runs, one renewal timer
+//! extends those leases every half lease; once it has ended they run
+//! out with the set's own retention, which ends no later than they do.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,11 +29,12 @@ use ws_notification::broker;
 use ws_notification::consumer::NotificationListener;
 use ws_notification::message::NotificationMessage;
 use ws_notification::topics::{TopicExpression, TopicPath};
-use wsrf_core::container::{action_uri, Service, ServiceBuilder, ServiceCore};
+use wsrf_core::container::{action_uri, Ctx, OpKind, Service, ServiceBuilder, ServiceCore};
 use wsrf_core::faults;
+use wsrf_core::porttypes::{self, wsrl_action};
 use wsrf_core::properties::PropertyDoc;
 use wsrf_core::store::{ResourceStore, StoreError};
-use wsrf_core::{epr_in, Outbound};
+use wsrf_core::{epr_in, Outbound, ResourceProxy};
 use wsrf_obs::{EventKind, Severity, SpanContext, TraceSnapshot};
 use wsrf_security::wsse::UsernameToken;
 use wsrf_soap::ns::{UVACG, WSSE};
@@ -41,6 +48,7 @@ use crate::jobset::{FileRef, JobSetSpec, JobSpec};
 use crate::policy::{MachineOutcome, OutcomeKind, SchedulingPolicy};
 use crate::q;
 use crate::security::{open_credentials, GridSecurity};
+use crate::TERMINAL_RETENTION;
 
 mod run;
 use run::{Change, JobRun, JobState, RunState};
@@ -108,6 +116,8 @@ struct SchedInner {
     security: Option<(Arc<GridSecurity>, String)>,
     job_timeout: Option<std::time::Duration>,
     replicate: bool,
+    /// Whether the one renewal timer is armed ([`arm_renewal`]).
+    renewal_armed: Mutex<bool>,
     /// Set by [`Scheduler::crash`]: a crashed scheduler ignores every
     /// event, timer and dispatch opportunity from then on.
     crashed: AtomicBool,
@@ -235,6 +245,7 @@ pub fn scheduler_service(
         security: cfg.security,
         job_timeout: cfg.job_timeout,
         replicate: cfg.replicate,
+        renewal_armed: Mutex::new(false),
         crashed: AtomicBool::new(false),
         step_hook: RwLock::new(None),
     });
@@ -244,6 +255,7 @@ pub fn scheduler_service(
 
     let submit_inner = inner.clone();
     let submit_listener = listener.epr();
+    let lease_inner = inner.clone();
     let trace_registry = net.metrics_registry().clone();
     let service = ServiceBuilder::new("Scheduler", address, cfg.store)
         .key_property(jobset_key_property())
@@ -267,6 +279,12 @@ pub fn scheduler_service(
             }
             vec![trace_to_element(&snap)]
         })
+        // A client keeping a set longer keeps its outputs as long.
+        .raw_operation(
+            wsrl_action("SetTerminationTime"),
+            OpKind::Resource,
+            move |ctx| set_termination_time(ctx, &lease_inner),
+        )
         // The §5 rediscovery path: "how a client might possibly
         // rediscover their resources should their EPRs be lost".
         .static_operation("FindJobSets", |ctx| {
@@ -459,14 +477,16 @@ fn submit_op(
     // Broker to subscribe both itself and the client's notification
     // listener."
     let expr = TopicExpression::full(&format!("{topic}//"));
+    let lease = Some(TERMINAL_RETENTION.as_secs_f64());
     // Client first: the broker delivers in subscription order, and the
     // scheduler's own handling of an exit event dispatches follow-on
     // jobs (and thus further events) inline on the test network.
-    if let Some(cl) = &client_listener {
-        broker::subscribe(&ctx.core.net, &inner.broker, cl, &expr, None)
-            .map_err(|e| faults::storage(&format!("client subscribe failed: {e}")))?;
-    }
-    broker::subscribe(&ctx.core.net, &inner.broker, listener, &expr, None)
+    let client_sub = client_listener
+        .as_ref()
+        .map(|cl| broker::subscribe(&ctx.core.net, &inner.broker, cl, &expr, lease))
+        .transpose()
+        .map_err(|e| faults::storage(&format!("client subscribe failed: {e}")))?;
+    let own_sub = broker::subscribe(&ctx.core.net, &inner.broker, listener, &expr, lease)
         .map_err(|e| faults::storage(&format!("broker subscribe failed: {e}")))?;
 
     // Record the run. A replicating scheduler stores the submission
@@ -491,9 +511,15 @@ fn submit_op(
         }
     }
     inner.runs.lock().insert(key.clone(), run);
+    arm_renewal(s);
 
-    // Figure 3 step 1: the submission itself.
-    record_steps(s, &key, "*", &[(1, "submit")], ctx.core.clock.now(), |_| {});
+    // Figure 3 step 1: the submission itself, and the subscriptions to
+    // renew while the set runs.
+    let now = ctx.core.clock.now();
+    record_steps(s, &key, "*", &[(1, "submit")], now, |doc| {
+        keep_subscription(doc, CLIENT, client_sub.as_ref());
+        keep_subscription(doc, SCHEDULER, Some(&own_sub));
+    });
 
     // Dispatch the first wave.
     dispatch_ready(s, &key);
@@ -931,8 +957,9 @@ enum Outcome<'a> {
 }
 
 /// Record a set's terminal state, release its run state, start the
-/// retention lease of the resource that keeps the outcome, and
-/// broadcast how the set ended ([`SetEnd`]).
+/// retention lease of the resource that keeps the outcome — ending when
+/// the leases of its directories do — and broadcast how the set ended
+/// ([`SetEnd`]).
 fn finish_job_set(s: Sched<'_>, key: &str, outcome: Outcome<'_>) {
     let Sched { core, inner } = s;
     if inner.is_crashed() {
@@ -968,7 +995,15 @@ fn finish_job_set(s: Sched<'_>, key: &str, outcome: Outcome<'_>) {
                 doc.update(q("Fault"), vec![fault]);
             }
         }
-        lease = crate::retire(doc, now);
+        // Its subscriptions, renewed no more, need no record.
+        doc.delete(&q("Subscription"));
+        // Kept while its outputs are: the client's termination time, or
+        // none, but never past its directories' leases.
+        let until = earlier(doc.termination_time(), run.dirs_until);
+        if until != doc.termination_time() {
+            doc.set_termination_time(until);
+            lease = until;
+        }
     });
     if inner.replicate {
         // Nobody to tell: a record left behind is dropped by the next
@@ -987,6 +1022,178 @@ fn finish_job_set(s: Sched<'_>, key: &str, outcome: Outcome<'_>) {
         end.message(&run.topic),
         run.trace.as_ref(),
     );
+}
+
+// ---------------------------------------------------------------------
+// Leases: what a set makes lives while the set does
+// ---------------------------------------------------------------------
+
+/// A set's leases are renewed this often while it runs (half a lease),
+/// so a set shorter than this renews nothing.
+const RENEW_EVERY: std::time::Duration =
+    std::time::Duration::from_secs(TERMINAL_RETENTION.as_secs() / 2);
+
+/// Whose subscription a `{UVACG}Subscription` of a job set is (its
+/// `consumer` attribute).
+const CLIENT: &str = "client";
+const SCHEDULER: &str = "scheduler";
+
+/// Record `sub`, `consumer`'s subscription to the set's events, in the
+/// set's document for renewal, in place of one of the same consumer.
+fn keep_subscription(doc: &mut PropertyDoc, consumer: &str, sub: Option<&EndpointReference>) {
+    doc.remove_value(&q("Subscription"), |e| {
+        e.attr_value("consumer") == Some(consumer)
+    });
+    if let Some(sub) = sub {
+        let el = sub.to_element_named(UVACG, "Subscription");
+        doc.insert(q("Subscription"), el.attr("consumer", consumer));
+    }
+}
+
+/// The leased resources a set's document keeps under `name`: its
+/// `Subscription`s or its `JobDirectory`s.
+fn kept<'a>(doc: &'a PropertyDoc, name: &str) -> impl Iterator<Item = EndpointReference> + 'a {
+    doc.get(&q(name))
+        .iter()
+        .filter_map(|e| EndpointReference::from_element(e).ok())
+}
+
+/// The earlier of two leases, `None` being the one that never ends.
+fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, None) => a,
+        (None, b) => b,
+    }
+}
+
+/// Arm the scheduler's one renewal timer for the earliest running set's
+/// next renewal, unless it is armed already (a set submitted later is
+/// due later). The timer holds the scheduler weakly, so a scheduler that
+/// is gone renews nothing and is kept alive by nothing.
+fn arm_renewal(s: Sched<'_>) {
+    let Sched { core, inner } = s;
+    let mut armed = inner.renewal_armed.lock();
+    if *armed {
+        return;
+    }
+    let runs = inner.runs.lock();
+    let Some(due) = runs.values().map(|run| run.renewed_at + RENEW_EVERY).min() else {
+        return;
+    };
+    *armed = true;
+    let (weak_core, weak_inner) = (Arc::downgrade(core), Arc::downgrade(inner));
+    core.clock.schedule_at(due, move |_| {
+        if let (Some(core), Some(inner)) = (weak_core.upgrade(), weak_inner.upgrade()) {
+            renew(Sched {
+                core: &core,
+                inner: &inner,
+            });
+        }
+    });
+}
+
+/// The renewal timer: renew what every running set last renewed half a
+/// lease ago made ([`renew_set`]), then re-arm. A crashed scheduler
+/// renews nothing, so what its sets made runs out.
+fn renew(s: Sched<'_>) {
+    let Sched { core, inner } = s;
+    *inner.renewal_armed.lock() = false;
+    if inner.is_crashed() {
+        return;
+    }
+    let now = core.clock.now();
+    let due: Vec<String> = inner
+        .runs
+        .lock()
+        .iter_mut()
+        .filter(|(_, run)| run.renewed_at + RENEW_EVERY <= now)
+        .map(|(key, run)| {
+            run.renewed_at = now;
+            key.clone()
+        })
+        .collect();
+    for key in due {
+        renew_set(s, &key, now);
+    }
+    arm_renewal(s);
+}
+
+/// Renew what running set `key` made: its subscriptions to one lease
+/// from `now`, and its directories to that or the set's own later
+/// termination time, unless they hold as much already (or the client
+/// kept them for good). The run's `dirs_until` moves only once every
+/// directory took the new lease.
+fn renew_set(s: Sched<'_>, key: &str, now: SimTime) {
+    let Sched { core, inner } = s;
+    let Ok((doc, _)) = core.share_live(key) else {
+        return;
+    };
+    let until = now + TERMINAL_RETENTION;
+    // A subscription not renewed costs the set events, not outputs.
+    extend_leases(core, kept(&doc, "Subscription"), Some(until));
+    let until = doc.termination_time().map_or(until, |t| t.max(until));
+    let short = |run: &RunState| run.dirs_until.is_some_and(|d| d < until);
+    if !inner.runs.lock().get(key).is_some_and(short) {
+        return;
+    }
+    if extend_leases(core, kept(&doc, "JobDirectory"), Some(until)) {
+        if let Some(run) = inner.runs.lock().get_mut(key) {
+            run.dirs_until = Some(until);
+        }
+    }
+}
+
+/// Move the lease of every resource in `eprs` to `until` (WSRL
+/// `SetTerminationTime`); true when all moved. One that cannot be moved
+/// leaves an event: it ends on its old lease.
+fn extend_leases(
+    core: &ServiceCore,
+    eprs: impl Iterator<Item = EndpointReference>,
+    until: Option<SimTime>,
+) -> bool {
+    let mut moved = true;
+    for epr in eprs {
+        let proxy = ResourceProxy::new(&core.net, epr.clone());
+        if let Err(e) = proxy.set_termination_time(until) {
+            moved = false;
+            core.metrics.events().emit(
+                Severity::Warn,
+                EventKind::OutboundFailed,
+                &core.name,
+                core.clock.now().as_nanos(),
+                || format!("lease of {} not extended: {e}", epr.address),
+            );
+        }
+    }
+    moved
+}
+
+/// WSRL `SetTerminationTime` on a job set: the standard operation, kept
+/// only once every working directory of the set took the same lease, so
+/// a set kept longer keeps its outputs as long and never outlives them.
+/// A running set's renewals then keep its directories at least that long.
+fn set_termination_time(ctx: &mut Ctx<'_>, inner: &SchedInner) -> Result<Element, BaseFault> {
+    let response = porttypes::set_termination_time(ctx)?;
+    let doc = ctx.resource()?;
+    let until = doc.termination_time();
+    let moved = extend_leases(ctx.core, kept(doc, "JobDirectory"), until);
+    let key = ctx.key()?;
+    if let Some(run) = inner.runs.lock().get_mut(key) {
+        // A directory that did not move keeps its old lease.
+        run.dirs_until = if moved {
+            until
+        } else {
+            earlier(run.dirs_until, until)
+        };
+    }
+    if !moved {
+        return Err(BaseFault::new(
+            "uvacg:LeaseNotExtended",
+            format!("job set {key} keeps its lease: a working directory refused the new one"),
+        ));
+    }
+    Ok(response)
 }
 
 /// Publish `msg` through the broker as this scheduler's.
@@ -1047,6 +1254,7 @@ fn take_over(scheduler: &Scheduler) {
     if adopted.is_empty() {
         return;
     }
+    arm_renewal(s);
     let nodes = crate::nis::snapshot(&core.net, &inner.nis_address).map_err(|fault| {
         let at = &inner.nis_address;
         BaseFault::new(
@@ -1083,7 +1291,7 @@ fn adopt(s: Sched<'_>, key: &str, listener: &EndpointReference) -> bool {
         .and_then(|r| r.get(&q("Submission")).first())
         .and_then(|el| RunState::restore(el, &set, &inner.security, now));
     let events = core.metrics.events();
-    let Some(run) = run else {
+    let Some(mut run) = run else {
         events.emit(
             Severity::Error,
             EventKind::JobFailed,
@@ -1094,8 +1302,13 @@ fn adopt(s: Sched<'_>, key: &str, listener: &EndpointReference) -> bool {
         return false;
     };
     let expr = TopicExpression::full(&format!("{}//", run.topic));
+    // The primary renewed what the set made last at some time unknown:
+    // renew it now.
+    run.renewed_at = now;
     inner.runs.lock().insert(key.to_string(), run);
-    if let Err(e) = broker::subscribe(&core.net, &inner.broker, listener, &expr, None) {
+    let lease = Some(TERMINAL_RETENTION.as_secs_f64());
+    let sub = broker::subscribe(&core.net, &inner.broker, listener, &expr, lease);
+    if let Err(e) = &sub {
         events.emit(
             Severity::Warn,
             EventKind::OutboundFailed,
@@ -1104,6 +1317,13 @@ fn adopt(s: Sched<'_>, key: &str, listener: &EndpointReference) -> bool {
             || format!("job set {key} is taken over without its events: {e}"),
         );
     }
+    // The dead primary's subscription is left to run out. Nobody to
+    // tell: a refused write leaves a `StoreWriteDropped` event, and the
+    // new subscription lives out one lease.
+    let _ = core.edit(key, |doc| {
+        keep_subscription(doc, SCHEDULER, sub.as_ref().ok())
+    });
+    renew_set(s, key, now);
     true
 }
 

@@ -70,6 +70,15 @@ pub(super) struct RunState {
     pub(super) client_fileserver: Option<String>,
     pub(super) jobs: HashMap<String, JobRun>,
     pub(super) submitted_at: SimTime,
+    /// When the resources the set leases — its broker subscriptions and
+    /// its jobs' working directories — were last renewed (at first, its
+    /// submission): the next renewal is due half a lease later.
+    pub(super) renewed_at: SimTime,
+    /// The earliest lease any of its working directories may hold
+    /// (`None`: none ends): one `TERMINAL_RETENTION` from submission,
+    /// then what every directory took in a renewal or from the client's
+    /// `SetTerminationTime`. The set is kept no longer once it ends.
+    pub(super) dirs_until: Option<SimTime>,
     /// Trace context of the submission dispatch: every downstream
     /// message and Figure 3 step mark for this set parents under it.
     pub(super) trace: Option<TraceContext>,
@@ -114,6 +123,8 @@ impl RunState {
             client_fileserver,
             jobs,
             submitted_at,
+            renewed_at: submitted_at,
+            dirs_until: Some(submitted_at + crate::TERMINAL_RETENTION),
             trace,
         }
     }

@@ -43,10 +43,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex, RwLock};
-use simclock::{Clock, SimTime};
+use simclock::Clock;
 use wsrf_core::container::{Ctx, OpKind, Service, ServiceBuilder, ServiceCore};
 use wsrf_core::faults;
-use wsrf_core::porttypes::wsrl_action;
+use wsrf_core::porttypes::{relative_lease, wsrl_action};
 use wsrf_core::properties::PropertyDoc;
 use wsrf_core::store::{ResourceStore, StoreError};
 use wsrf_core::{epr_in, Outbound};
@@ -311,6 +311,16 @@ struct IndexingStore {
     index: Arc<SubscriptionIndex>,
 }
 
+impl IndexingStore {
+    /// Re-index a subscription just saved (unless it was destroyed since).
+    fn saved(&self, service: &str, key: &str, doc: &PropertyDoc) {
+        if service == self.service {
+            self.index
+                .upsert(key, doc, || self.inner.exists(service, key));
+        }
+    }
+}
+
 impl ResourceStore for IndexingStore {
     fn create(&self, service: &str, key: &str, doc: &PropertyDoc) -> Result<(), StoreError> {
         self.inner.create(service, key, doc)?;
@@ -330,10 +340,18 @@ impl ResourceStore for IndexingStore {
 
     fn save(&self, service: &str, key: &str, doc: &PropertyDoc) -> Result<(), StoreError> {
         self.inner.save(service, key, doc)?;
-        if service == self.service {
-            self.index
-                .upsert(key, doc, || self.inner.exists(service, key));
-        }
+        self.saved(service, key, doc);
+        Ok(())
+    }
+
+    fn save_shared(
+        &self,
+        service: &str,
+        key: &str,
+        doc: &Arc<PropertyDoc>,
+    ) -> Result<(), StoreError> {
+        self.inner.save_shared(service, key, doc)?;
+        self.saved(service, key, doc);
         Ok(())
     }
 
@@ -686,25 +704,10 @@ fn subscribe_op(ctx: &mut Ctx<'_>) -> Result<Element, BaseFault> {
         .ok_or_else(|| faults::bad_request("unknown topic expression dialect"))?;
     let expr = TopicExpression::parse(dialect, &expr_el.text_content());
 
-    // Optional lease, in seconds *from now* (WS-BaseNotification's
-    // relative form): a 30 s lease taken at t=100 dies at t=130.
+    // Optional lease, in seconds from now.
     let itt = ctx.body.find(ns::WSNT, "InitialTerminationTime");
-    let lease = match itt.map(|e| e.text_content()) {
-        Some(text) if !text.trim().is_empty() => {
-            let secs: f64 = text
-                .trim()
-                .parse()
-                .map_err(|_| faults::bad_request("InitialTerminationTime must be seconds"))?;
-            if !secs.is_finite() || secs < 0.0 {
-                return Err(faults::bad_request(
-                    "InitialTerminationTime must be a non-negative number of seconds",
-                ));
-            }
-            let now = ctx.core.clock.now();
-            Some(SimTime::from_secs_f64(now.as_secs_f64() + secs))
-        }
-        _ => None,
-    };
+    let text = itt.map(|e| e.text_content()).unwrap_or_default();
+    let lease = relative_lease(&text, ctx.core.clock.now(), "InitialTerminationTime")?;
 
     let mut doc = PropertyDoc::new();
     doc.update(

@@ -186,7 +186,9 @@ impl ServiceCore {
         let _lease = self.lease(key).write();
         let edited = self.share_live(key).and_then(|(mut doc, _)| {
             let edited = f(Arc::make_mut(&mut doc));
-            self.store.save(&self.name, key, &doc).map(|()| edited)
+            self.store
+                .save_shared(&self.name, key, &doc)
+                .map(|()| edited)
         });
         unless_gone(edited).map_err(|error| WriteRefused {
             core: self,
@@ -213,9 +215,16 @@ impl ServiceCore {
     /// destroys the resource only if the stored lease has run out by then,
     /// so a lease replaced, cleared or never saved needs no cancel. It
     /// takes no stripe: a subscription's destroy waits out its deliveries.
+    ///
+    /// The timer holds the core weakly: a service that is gone reaps
+    /// nothing, and a pending lease keeps no dropped deployment alive.
     pub fn arm_lease(self: &Arc<Self>, key: &str, at: SimTime) {
-        let (core, key) = (Arc::clone(self), key.to_string());
-        self.clock.schedule_at(at, move |_| core.reap(&key));
+        let (core, key) = (Arc::downgrade(self), key.to_string());
+        self.clock.schedule_at(at, move |_| {
+            if let Some(core) = core.upgrade() {
+                core.reap(&key);
+            }
+        });
     }
 
     /// Destroy `key` if its stored lease has run out.
@@ -828,7 +837,7 @@ impl Service {
         // database" — and unchanged ones too).
         if let Some(doc) = ctx.resource.take().filter(|_| op.access == OpAccess::Write) {
             let k = key.as_deref().expect("resource op had a key");
-            let saved = unless_gone(self.core.store.save(&self.core.name, k, &doc));
+            let saved = unless_gone(self.core.store.save_shared(&self.core.name, k, &doc));
             if saved.map_err(faults::from_store)?.is_some() {
                 // A lease the write changed is armed once it is stored.
                 if let Some(at) = doc.termination_time().filter(|&at| Some(at) != old_lease) {

@@ -217,37 +217,64 @@ pub(crate) fn install_lifetime(ops: &mut Ops) {
         }),
     );
 
-    // Scheduled destruction. Body carries
-    // <RequestedTerminationTime>seconds</> (virtual seconds since the
-    // grid epoch) or an empty element meaning "never".
     insert_op(
         ops,
         wsrl_action("SetTerminationTime"),
         OpKind::Resource,
         OpAccess::Write,
-        Box::new(|ctx| {
-            let req = ctx
-                .body
-                .find(ns::WSRL, "RequestedTerminationTime")
-                .ok_or_else(|| faults::bad_request("missing RequestedTerminationTime"))?;
-            let text = req.text_content();
-            let when = if text.trim().is_empty() {
-                None
-            } else {
-                let secs: f64 = text
-                    .trim()
-                    .parse()
-                    .map_err(|_| faults::bad_request("RequestedTerminationTime must be seconds"))?;
-                Some(SimTime::from_secs_f64(secs))
-            };
-            // The save stage arms the lease once it is stored.
-            ctx.resource_mut()?.set_termination_time(when);
-            let now = ctx.core.clock.now().as_secs_f64();
-            Ok(Element::new(ns::WSRL, "SetTerminationTimeResponse")
-                .child(Element::new(ns::WSRL, "NewTerminationTime").text(text.trim()))
-                .child(Element::new(ns::WSRL, "CurrentTime").text(format!("{now}"))))
-        }),
+        Box::new(set_termination_time),
     );
+}
+
+/// A lease requested in seconds *from now* (WS-BaseNotification's
+/// relative `InitialTerminationTime`, which a directory's create request
+/// uses too): a 30 s lease taken at t=100 ends at t=130. Blank text asks
+/// for none; `element` names the request's element in the fault.
+pub fn relative_lease(
+    text: &str,
+    now: SimTime,
+    element: &str,
+) -> Result<Option<SimTime>, BaseFault> {
+    let text = text.trim();
+    if text.is_empty() {
+        return Ok(None);
+    }
+    match text.parse::<f64>() {
+        Ok(secs) if secs.is_finite() && secs >= 0.0 => {
+            Ok(Some(SimTime::from_secs_f64(now.as_secs_f64() + secs)))
+        }
+        _ => Err(faults::bad_request(&format!(
+            "{element} must be a non-negative number of seconds"
+        ))),
+    }
+}
+
+/// The WSRL `SetTerminationTime` operation: scheduled destruction. The
+/// body carries `<RequestedTerminationTime>seconds</>` (virtual seconds
+/// since the grid epoch) or an empty element meaning "never". Public so
+/// a service that installs its own operation under this action (the
+/// Scheduler's, which passes a set's lease on to its directories) runs
+/// the standard one first; the save stage arms the lease once stored.
+pub fn set_termination_time(ctx: &mut Ctx<'_>) -> Result<Element, BaseFault> {
+    let req = ctx
+        .body
+        .find(ns::WSRL, "RequestedTerminationTime")
+        .ok_or_else(|| faults::bad_request("missing RequestedTerminationTime"))?;
+    let text = req.text_content();
+    let when = if text.trim().is_empty() {
+        None
+    } else {
+        let secs: f64 = text
+            .trim()
+            .parse()
+            .map_err(|_| faults::bad_request("RequestedTerminationTime must be seconds"))?;
+        Some(SimTime::from_secs_f64(secs))
+    };
+    ctx.resource_mut()?.set_termination_time(when);
+    let now = ctx.core.clock.now().as_secs_f64();
+    Ok(Element::new(ns::WSRL, "SetTerminationTimeResponse")
+        .child(Element::new(ns::WSRL, "NewTerminationTime").text(text.trim()))
+        .child(Element::new(ns::WSRL, "CurrentTime").text(format!("{now}"))))
 }
 
 #[cfg(test)]

@@ -159,11 +159,7 @@ pub fn service_group_builder(
             Ok(Element::new(ns::WSSG, "RemoveResponse"))
         })
         .static_operation("Entries", |ctx| {
-            let group = ctx
-                .core
-                .store
-                .share(&ctx.core.name, GROUP_KEY)
-                .map_err(faults::from_store)?;
+            let (group, _) = ctx.core.share_live(GROUP_KEY).map_err(faults::from_store)?;
             let entries: Vec<Element> = group.get(&entry_property()).to_vec();
             Ok(Element::new(ns::WSSG, "EntriesResponse").children(entries))
         })
@@ -175,16 +171,12 @@ pub fn service_group_builder(
             let mut resp = Element::new(ns::WSSG, "FindByContentResponse");
             // Scan live entries. Dead ones (destroyed by lease expiry)
             // are skipped; their `Entry` stays on the group list.
-            let group = ctx
-                .core
-                .store
-                .share(&ctx.core.name, GROUP_KEY)
-                .map_err(faults::from_store)?;
+            let (group, _) = ctx.core.share_live(GROUP_KEY).map_err(faults::from_store)?;
             for entry in group.get(&entry_property()) {
                 let Some(key) = entry.attr_value("key") else {
                     continue;
                 };
-                let Ok(doc) = ctx.core.store.share(&ctx.core.name, key) else {
+                let Ok((doc, _)) = ctx.core.share_live(key) else {
                     continue;
                 };
                 let view = doc.to_document(QName::new(ns::WSSG, "Content"));
@@ -345,6 +337,24 @@ mod tests {
             Element::new(ns::WSSG, "FindByContent").text("//Utilization"),
         );
         assert_eq!(resp.body.element_count(), 0, "expired member is invisible");
+    }
+
+    #[test]
+    fn a_member_whose_lease_ends_now_is_not_found_before_its_reaper_runs() {
+        let (svc, clock) = setup();
+        let entry = add_member(&svc, "inproc://m1/Proc", 0.2, 3000);
+        let key = entry.resource_key().unwrap().to_string();
+        let stored = svc
+            .core()
+            .edit(&key, |doc| doc.set_termination_time(Some(clock.now())));
+        assert!(matches!(stored, Ok(Some(()))));
+        let resp = invoke(
+            &svc,
+            "FindByContent",
+            Element::new(ns::WSSG, "FindByContent").text("//Utilization"),
+        );
+        assert_eq!(resp.body.element_count(), 0, "the lease has run out");
+        assert!(svc.core().store.exists("NodeInfo", &key), "unreaped");
     }
 
     #[test]

@@ -84,6 +84,21 @@ pub trait ResourceStore: Send + Sync {
     /// Persist a (possibly modified) property document.
     fn save(&self, service: &str, key: &str, doc: &PropertyDoc) -> Result<(), StoreError>;
 
+    /// [`save`](Self::save) a document the caller already holds in an
+    /// `Arc`: the container's save stage and [`crate::ServiceCore::edit`]
+    /// hand over the edited copy this way. The default saves a borrow of
+    /// it; a backend whose rows *are* shared documents keeps the `Arc`
+    /// itself, so a write copies its document once (the edit's
+    /// copy-on-write), not twice.
+    fn save_shared(
+        &self,
+        service: &str,
+        key: &str,
+        doc: &Arc<PropertyDoc>,
+    ) -> Result<(), StoreError> {
+        self.save(service, key, doc)
+    }
+
     /// Remove a resource. Fails if absent.
     fn destroy(&self, service: &str, key: &str) -> Result<(), StoreError>;
 
@@ -278,6 +293,15 @@ impl ResourceStore for MemoryStore {
 
     fn save(&self, service: &str, key: &str, doc: &PropertyDoc) -> Result<(), StoreError> {
         self.rows.update(service, key, Arc::new(doc.clone()))
+    }
+
+    fn save_shared(
+        &self,
+        service: &str,
+        key: &str,
+        doc: &Arc<PropertyDoc>,
+    ) -> Result<(), StoreError> {
+        self.rows.update(service, key, Arc::clone(doc))
     }
 
     fn destroy(&self, service: &str, key: &str) -> Result<(), StoreError> {

@@ -505,6 +505,25 @@ impl DurableStore {
         (0..SHARDS).try_for_each(|shard| self.snapshot_shard(shard, &mut self.logs[shard].lock()))
     }
 
+    /// Log `doc` as a delta against the stored row, then `apply` the
+    /// save to the inner store: the one body of both save entry points.
+    fn save_logged(
+        &self,
+        service: &str,
+        key: &str,
+        doc: &PropertyDoc,
+        apply: impl FnOnce() -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let shard = shard_of(service, key);
+        let log = &mut *self.logs[shard].lock();
+        let at = log.begin(OP_DELTA, service, key)?;
+        let stored = self.inner.share(service, key)?;
+        put_body(&mut log.buf, &mut log.table, doc, |put| {
+            delta(&stored, doc, put)
+        });
+        self.commit(log, shard, at, |_| apply())
+    }
+
     /// Write the record rendered in `log.buf` (frame opened at `at`),
     /// then `apply` it to the inner store and the shard's keys. If
     /// either fails the log is cut back to where it was — or, failing
@@ -621,14 +640,18 @@ impl ResourceStore for DurableStore {
     }
 
     fn save(&self, service: &str, key: &str, doc: &PropertyDoc) -> Result<(), StoreError> {
-        let shard = shard_of(service, key);
-        let log = &mut *self.logs[shard].lock();
-        let at = log.begin(OP_DELTA, service, key)?;
-        let stored = self.inner.share(service, key)?;
-        put_body(&mut log.buf, &mut log.table, doc, |put| {
-            delta(&stored, doc, put)
-        });
-        self.commit(log, shard, at, |_| self.inner.save(service, key, doc))
+        self.save_logged(service, key, doc, || self.inner.save(service, key, doc))
+    }
+
+    fn save_shared(
+        &self,
+        service: &str,
+        key: &str,
+        doc: &Arc<PropertyDoc>,
+    ) -> Result<(), StoreError> {
+        self.save_logged(service, key, doc, || {
+            self.inner.save_shared(service, key, doc)
+        })
     }
 
     fn destroy(&self, service: &str, key: &str) -> Result<(), StoreError> {

@@ -193,6 +193,22 @@ if sed '/^#\[cfg(test)\]/,$d' crates/wsrf-core/src/container.rs |
     exit 1
 fi
 
+# One copy per write, and no lease keeps a service alive: the save
+# stage and `ServiceCore::edit` hand the store the edited `Arc`
+# (`ResourceStore::save_shared`), never a borrow for it to copy again,
+# and a lease timer holds its service weakly (`arm_lease`), so a dropped
+# deployment with leases pending frees what it made.
+container_src=$(sed '/^#\[cfg(test)\]/,$d' crates/wsrf-core/src/container.rs)
+if echo "$container_src" | tr -d ' \n' | grep -q '\.save(' ||
+    ! echo "$container_src" | tr -d ' \n' | grep -q '\.save_shared('; then
+    echo "tier-1: container.rs saves a borrowed document; hand the store the Arc with save_shared" >&2
+    exit 1
+fi
+if ! echo "$container_src" | sed -n '/pub fn arm_lease/,/^    }$/p' | grep -q 'Arc::downgrade(self)'; then
+    echo "tier-1: arm_lease's timer keeps its service alive; capture Arc::downgrade(self)" >&2
+    exit 1
+fi
+
 # One build per received envelope: `Envelope::parse` builds each header
 # block and the body element where it stands on the pull stream, under
 # the rules it shares with `LazyEnvelope::scan`. No wrapper tree is built

@@ -257,6 +257,114 @@ fn a_scheduler_built_over_a_crashed_primarys_store_finishes_its_set() {
     }
 }
 
+/// The `consumer`'s subscription among those `scheduler` keeps in job
+/// set `jobset`'s document.
+fn kept_subscription(
+    scheduler: &Scheduler,
+    jobset: &EndpointReference,
+    consumer: &str,
+) -> EndpointReference {
+    let (doc, _) = scheduler
+        .service
+        .core()
+        .share_live(jobset.resource_key().unwrap())
+        .unwrap();
+    let subscriptions = doc.get(&QName::new(wsrf_grid::testbed::UVACG, "Subscription"));
+    let kept = subscriptions
+        .iter()
+        .find(|e| e.attr_value("consumer") == Some(consumer));
+    EndpointReference::from_element(kept.expect("a kept subscription")).unwrap()
+}
+
+/// A set that outlives its leases keeps what it made through a
+/// take-over: the successor renews the client's subscription, its own
+/// and the working directory, while the dead primary's subscription runs
+/// out, since nobody renews it any more.
+#[test]
+fn a_successor_renews_what_the_adopted_set_made() {
+    const LEASE: Duration = Duration::from_secs(3600);
+    let grid = replicating_grid(false);
+    let client = grid.client("c");
+    let exe = JobProgram::compute(2.0 * LEASE.as_secs_f64()).writing("out.dat", 64);
+    client.put_file("C:\\long.exe", exe.to_manifest());
+    let long = FileRef::parse("local://C:\\long.exe").unwrap();
+    let spec = JobSetSpec::new("long").job(JobSpec::new("job1", long).output("out.dat"));
+    let (primary, net) = (grid.scheduler.clone(), grid.net.clone());
+    grid.scheduler.set_step_hook(move |step, _job| {
+        if step == 9 && !primary.crashed() {
+            primary.crash(&net);
+        }
+    });
+    let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
+    assert!(
+        grid.scheduler.crashed(),
+        "the job started inside the submission"
+    );
+    let primarys = kept_subscription(&grid.scheduler, &handle.jobset, "scheduler");
+
+    grid.clock.advance(Duration::from_secs(1));
+    let successor = grid.take_over_scheduler(None);
+    let successors = kept_subscription(&successor, &handle.jobset, "scheduler");
+    assert_ne!(successors, primarys);
+    for _ in 0..3 * 60 {
+        if handle.outcome().is_some() {
+            break;
+        }
+        grid.clock.advance(Duration::from_secs(60));
+    }
+
+    // The exit and the set's end reached the successor and the client
+    // after the leases taken at submission ran out: through renewals.
+    assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
+    assert!(grid.clock.now() > SimTime::from_secs(LEASE.as_secs()));
+    let key = handle.jobset.resource_key().unwrap();
+    let states = successor
+        .job_states(key)
+        .expect("the successor keeps the set");
+    assert_eq!(states, vec![("job1".into(), "Completed".into(), Some(0))]);
+    assert_eq!(handle.fetch_output("job1", "out.dat").unwrap().len(), 64);
+    let get = Element::new(ns::WSRP, "GetResourceProperty").text("TerminationTime");
+    let gone = Outbound::new(primarys, wsrp_action("GetResourceProperty"), get).call(&grid.net);
+    assert_eq!(
+        gone.unwrap_err().error_code(),
+        Some("wsrf:NoSuchResource"),
+        "the dead primary's subscription ran out"
+    );
+}
+
+/// A set taken over more than a lease after its submission, whose job
+/// ended while no scheduler ran, is kept one lease from the take-over:
+/// the successor renewed what it made then, whatever the primary's last
+/// renewal was.
+#[test]
+fn a_set_adopted_a_lease_after_its_submission_is_kept_from_the_take_over() {
+    let grid = replicating_grid(false);
+    let client = grid.client("c");
+    let exe = JobProgram::compute(65.0 * 60.0).writing("out.dat", 64);
+    client.put_file("C:\\late.exe", exe.to_manifest());
+    let late = FileRef::parse("local://C:\\late.exe").unwrap();
+    let spec = JobSetSpec::new("late").job(JobSpec::new("job1", late).output("out.dat"));
+    let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
+    // The primary renews at 30 minutes and dies at 40; the job ends at
+    // 65, with no scheduler to hear it.
+    grid.clock.advance(Duration::from_secs(40 * 60));
+    grid.scheduler.crash(&grid.net);
+    grid.clock.advance(Duration::from_secs(30 * 60));
+
+    let successor = grid.take_over_scheduler(None);
+    let taken_over = grid.clock.now();
+    assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
+    let key = handle.jobset.resource_key().unwrap();
+    let (doc, _) = successor.service.core().share_live(key).unwrap();
+    assert_eq!(
+        doc.termination_time(),
+        Some(taken_over + Duration::from_secs(3600))
+    );
+    grid.clock.advance(Duration::from_secs(50 * 60));
+    assert_eq!(handle.status().unwrap(), "Completed");
+    assert_eq!(handle.fetch_output("job1", "out.dat").unwrap().len(), 64);
+}
+
 /// A job that fails staging: its input is not on the client's disk.
 fn doomed_spec(client: &Client) -> JobSetSpec {
     client.put_file("C:\\p.exe", JobProgram::compute(1.0).to_manifest());

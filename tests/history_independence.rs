@@ -5,7 +5,9 @@
 //! history, the client polls without copying its history, and terminal
 //! WS-Resources expire unless their owner extends the lease. Nor does a
 //! WS-RP read cost more on a wide document: it copies none of it; nor a
-//! notification more than one copy of its payload per consumer.
+//! notification more than one copy of its payload per consumer. What a
+//! set made — its subscriptions, its directories and their files — goes
+//! when its leases run out, and a dropped grid frees everything.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -31,22 +33,33 @@ const RETENTION: Duration = Duration::from_secs(3600);
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Blocks allocated minus blocks freed on this thread.
+    static THREAD_LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Counts heap allocations per thread (tests run on parallel threads).
 struct CountingAlloc;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the only addition is a thread-local
-// counter bump that itself never allocates (const-initialised `Cell`).
+// the `GlobalAlloc` contract; the only addition is thread-local counter
+// bumps that themselves never allocate (const-initialised `Cell`s).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+        let _ = THREAD_LIVE.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = THREAD_LIVE.try_with(|n| n.set(n.get() - 1));
         System.dealloc(ptr, layout)
     }
+}
+
+/// Heap blocks this thread holds. On a manual clock a grid runs on the
+/// thread that drives it — deliveries, timers and reapers included — so
+/// this is what a grid keeps.
+fn live_blocks() -> i64 {
+    THREAD_LIVE.with(Cell::get)
 }
 
 #[global_allocator]
@@ -245,6 +258,182 @@ fn terminal_resources_expire_unless_the_client_extends_the_lease() {
     assert_eq!(found[0].jobset, kept.jobset);
     assert_eq!(kept.status().unwrap(), "Completed");
     assert_eq!(kept.fetch_output("job2", "out.dat").unwrap().len(), 1024);
+}
+
+/// Run `sets` Figure 3 sets, forget their events, and let every lease
+/// they took run out.
+fn run_and_expire(grid: &CampusGrid, client: &Client, spec: &JobSetSpec, sets: usize) {
+    for _ in 0..sets {
+        run_set(grid, client, spec);
+    }
+    client.listener().drain();
+    grid.clock.advance(RETENTION + Duration::from_secs(60));
+}
+
+#[test]
+fn a_finished_set_leaves_nothing_once_its_leases_run_out() {
+    // The grid's bounded tables (per-topic counters, event rings) fill
+    // within the first N sets. The broker's last message per topic
+    // turns over every 256 topics, 7 of them a set, so it holds as much
+    // after any multiple of 256 sets: from N to 2N sets only what a set
+    // keeps can grow.
+    const N: usize = 256;
+    let grid = CampusGrid::build(GridConfig::with_machines(4), Clock::manual());
+    let client = grid.client("c");
+    let spec = figure3_spec(&client);
+    run_and_expire(&grid, &client, &spec, N);
+    let after_n = live_blocks();
+    run_and_expire(&grid, &client, &spec, N);
+    let after_2n = live_blocks();
+    // About 84 blocks a set while a finished set kept its two
+    // subscriptions and its jobs' working directories.
+    let kept = after_2n - after_n;
+    assert_eq!(kept / N as i64, 0, "{kept} blocks kept by {N} expired sets");
+    let files: u64 = grid.machines.iter().map(|m| m.fs.used_bytes()).sum();
+    assert_eq!(files, 0, "every working directory went with its lease");
+}
+
+#[test]
+fn a_dropped_grid_frees_everything_it_made() {
+    fn grid_lifetime(sets: usize) {
+        let grid = CampusGrid::build(GridConfig::with_machines(4), Clock::manual());
+        let client = grid.client("c");
+        let spec = figure3_spec(&client);
+        for _ in 0..sets {
+            run_set(&grid, &client, &spec);
+        }
+        // As the ledger drops a round's grid: every address unregistered
+        // (services and the network hold each other), then dropped with
+        // every lease still pending.
+        for address in grid.net.addresses() {
+            grid.net.unregister(&address);
+        }
+    }
+    grid_lifetime(2); // first use of lazily built statics
+    let before = live_blocks();
+    grid_lifetime(200);
+    assert_eq!(live_blocks() - before, 0, "blocks a dropped grid kept");
+}
+
+#[test]
+fn a_machine_quota_is_reclaimed_as_leases_run_out() {
+    let config = GridConfig {
+        machines: GridConfig::with_machines(4)
+            .machines
+            .into_iter()
+            .map(|m| m.with_disk_quota(64 << 10))
+            .collect(),
+        ..GridConfig::default()
+    };
+    let grid = CampusGrid::build(config, Clock::manual());
+    let client = grid.client("c");
+    // The ledger's set: each job writes 1 KiB, and job2 stages a copy of
+    // job1's, all on the fastest machine.
+    client.put_file(
+        "C:\\stage1.exe",
+        JobProgram::compute(1.0)
+            .writing("out.dat", 1024)
+            .to_manifest(),
+    );
+    client.put_file(
+        "C:\\stage2.exe",
+        JobProgram::compute(1.0)
+            .reading("in.dat")
+            .writing("out.dat", 1024)
+            .to_manifest(),
+    );
+    let exe = |path: &str| FileRef::parse(&format!("local://{path}")).unwrap();
+    let spec = JobSetSpec::new("fig3")
+        .job(JobSpec::new("job1", exe("C:\\stage1.exe")).output("out.dat"))
+        .job(
+            JobSpec::new("job2", exe("C:\\stage2.exe"))
+                .input(FileRef::parse("job1://out.dat").unwrap(), "in.dat")
+                .output("out.dat"),
+        );
+    // 30 sets overfill a 64 KiB machine (the 21st fails while every set
+    // keeps its directories); with an expiry halfway every one completes.
+    run_and_expire(&grid, &client, &spec, 15);
+    for _ in 0..15 {
+        run_set(&grid, &client, &spec);
+    }
+}
+
+/// Lease renewals (WSRL `SetTerminationTime`) the broker and the file
+/// system services have answered so far.
+fn renewals(grid: &CampusGrid) -> (u64, u64) {
+    let answered = |service: &str| {
+        let name = format!("container.{service}.op.SetTerminationTime.count");
+        grid.metrics.counter(&name).get()
+    };
+    (answered("Broker"), answered("FileSystem"))
+}
+
+#[test]
+fn a_set_outliving_its_leases_is_renewed_until_it_ends() {
+    let grid = CampusGrid::build(GridConfig::with_machines(1), Clock::manual());
+    let client = grid.client("c");
+
+    // A set shorter than half a lease renews nothing.
+    run_set(&grid, &client, &figure3_spec(&client));
+    grid.clock.advance(2 * RETENTION);
+    assert_eq!(renewals(&grid), (0, 0));
+    client.listener().drain();
+
+    // Two hours of work on the 1 GHz machine: without renewals its
+    // subscriptions and directory would end halfway.
+    let work = 2.0 * RETENTION.as_secs_f64();
+    let exe = JobProgram::compute(work).writing("out.dat", 64);
+    client.put_file("C:\\long.exe", exe.to_manifest());
+    let long = FileRef::parse("local://C:\\long.exe").unwrap();
+    let spec = JobSetSpec::new("long").job(JobSpec::new("job1", long).output("out.dat"));
+    let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
+    grid.clock.advance(2 * RETENTION + Duration::from_secs(60));
+
+    assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
+    let completions = client.listener().scan(|log| {
+        log.iter()
+            .filter(|m| m.topic.to_string().ends_with("/completed"))
+            .count()
+    });
+    assert_eq!(completions, 1, "the set completed exactly once");
+    // At 30, 60 and 90 minutes (it ended at 120): both subscriptions
+    // and the directory.
+    assert_eq!(renewals(&grid), (3 * 2, 3));
+    assert_eq!(handle.fetch_output("job1", "out.dat").unwrap().len(), 64);
+}
+
+/// A client keeping a running set longer than a lease keeps its
+/// outputs as long: the renewals that follow do not cut the directory
+/// back to one lease from their time, and the set ends with it.
+#[test]
+fn a_running_set_extended_by_its_client_keeps_its_outputs_as_long() {
+    let grid = CampusGrid::build(GridConfig::with_machines(1), Clock::manual());
+    let client = grid.client("c");
+    let exe = JobProgram::compute(2.0 * RETENTION.as_secs_f64()).writing("out.dat", 64);
+    client.put_file("C:\\long.exe", exe.to_manifest());
+    let long = FileRef::parse("local://C:\\long.exe").unwrap();
+    let spec = JobSetSpec::new("long").job(JobSpec::new("job1", long).output("out.dat"));
+    let handle = client.submit(&spec, "griduser", "gridpass").unwrap();
+    grid.clock.advance(Duration::from_secs(60));
+    let kept = grid.clock.now() + 3 * RETENTION;
+    ResourceProxy::new(&grid.net, handle.jobset.clone())
+        .set_termination_time(Some(kept))
+        .unwrap();
+    grid.clock.advance(2 * RETENTION);
+    assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
+
+    // Past one lease from its last renewal (at 90 minutes) and from its
+    // end (at 120), ten minutes before the client's time.
+    grid.clock
+        .advance(kept.since(grid.clock.now()) - Duration::from_secs(600));
+    assert_eq!(handle.status().unwrap(), "Completed");
+    assert_eq!(handle.fetch_output("job1", "out.dat").unwrap().len(), 64);
+
+    grid.clock.advance(Duration::from_secs(601));
+    let gone = handle.status().unwrap_err();
+    assert_eq!(gone.error_code(), Some("wsrf:NoSuchResource"));
+    let gone = handle.fetch_output("job1", "out.dat").unwrap_err();
+    assert_eq!(gone.error_code(), Some("wsrf:NoSuchResource"));
 }
 
 #[test]

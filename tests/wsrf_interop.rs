@@ -124,22 +124,27 @@ fn property(grid: &CampusGrid, to: &EndpointReference, name: &str) -> String {
 }
 
 /// Every lease is a `wsrl:TerminationTime` property a WS-RP read
-/// answers: a finished set's and its jobs' retention, and a lease asked
-/// for at `Subscribe`.
+/// answers: a finished set's and its jobs' retention, its working
+/// directory's lease, and a lease asked for at `Subscribe`.
 #[test]
 fn every_lease_is_a_readable_termination_time() {
     let grid = grid();
     let (client, handle) = start_one_job(&grid, 1.0);
     grid.clock.advance(Duration::from_secs(5));
     assert_eq!(handle.outcome(), Some(JobSetOutcome::Completed));
-    // Submitted at 0, so the set ended at its makespan.
+    // Submitted at 0, so the set ended at its makespan: its job is kept
+    // an hour from then. The working directory was leased for an hour
+    // at submission, and the set is kept while its outputs are.
     let ended: f64 = property(&grid, &handle.jobset, "Makespan").parse().unwrap();
-    for epr in [&handle.jobset, &handle.job_epr("j").unwrap()] {
-        let lease: f64 = property(&grid, epr, "TerminationTime").parse().unwrap();
-        assert!(
-            (lease - (ended + 3600.0)).abs() < 1e-6,
-            "{lease} vs {ended}"
-        );
+    let job_lease: f64 = property(&grid, &handle.job_epr("j").unwrap(), "TerminationTime")
+        .parse()
+        .unwrap();
+    assert!(
+        (job_lease - (ended + 3600.0)).abs() < 1e-6,
+        "{job_lease} vs {ended}"
+    );
+    for epr in [&handle.jobset, &handle.job_dir("j").unwrap()] {
+        assert_eq!(property(&grid, epr, "TerminationTime"), "3600");
     }
 
     let listener = client.listener();
@@ -159,9 +164,13 @@ fn every_lease_is_a_readable_termination_time() {
 #[test]
 fn immediate_destroy_of_a_directory_resource() {
     let grid = grid();
-    let (dir, _path) =
-        wsrf_grid::testbed::fss::create_directory(&grid.net, "inproc://machine01/FileSystem", None)
-            .unwrap();
+    let (dir, _path) = wsrf_grid::testbed::fss::create_directory(
+        &grid.net,
+        "inproc://machine01/FileSystem",
+        None,
+        None,
+    )
+    .unwrap();
     let resp = call(
         &grid,
         &dir,
